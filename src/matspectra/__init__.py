@@ -11,8 +11,8 @@ produced as point clouds suitable for CSV export and plotting.
 from .asymptotics import (
     Certificate,
     ExceptionalSet,
-    LimitProfile,
     check_assumptions,
+    limit_of,
     limit_points_at_infinity,
     limit_ratio,
     limit_ratio_batch,
@@ -114,8 +114,8 @@ __all__ = [
     "apply_operator",
     "symbol_eval",
     "Certificate",
-    "LimitProfile",
     "ExceptionalSet",
+    "limit_of",
     "limit_ratio",
     "limit_ratio_batch",
     "limit_points_at_infinity",

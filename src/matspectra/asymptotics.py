@@ -7,7 +7,13 @@ Three services live here:
   trajectory ``x = sign * x0 * rho**t`` and attaches a convergence
   certificate to every ratio. The tail polynomial
   ``xi**m + sum_j r_j(lambda) xi**j`` built from these limits is what the
-  singular-part sweep solves for real ``xi``.
+  singular-part sweep solves for real ``xi``. Samples come from the
+  symbol's lambda-free form: its x-only trees are evaluated once per call
+  on the trajectory, and a whole batch of lambda values is then handled by
+  array algebra in ``u = 1/(d - lambda)``. :func:`limit_ratio_batch` is the
+  non-raising batch form, :func:`limit_ratio_slope` gives the analytic
+  lambda-derivative of the ratios at the trajectory's far end, and
+  :func:`limit_of` certifies the limit of a single lambda-free expression.
 - :func:`limit_points_at_infinity` estimates the set of finite limit
   points of the lower-right coefficient ``d`` at infinity by clustering
   its values over the largest dyadic windows. The estimate is heuristic
@@ -23,14 +29,17 @@ symbol; no caches are mutated.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import SolverConfig
 from .errors import NotConvergent, PoleError
-from .expr import LAM, Div, Expr, Sub, differentiate, evaluate_array, simplify
+from .expr import (LAM, ONE, Div, Expr, Lit, Sub, differentiate,
+                   evaluate_array, simplify)
 from .model import DiagnosticRecord, Diagnostics, OperatorMatrix, delta
 from .schur import SchurSymbol
 
@@ -68,33 +77,94 @@ def _trajectory(side: str, cfg: SolverConfig) -> np.ndarray:
     return sign * cfg.x0 * cfg.rho ** np.arange(cfg.T + 1, dtype=float)
 
 
-def _ratio_samples(symbol: SchurSymbol, lams: np.ndarray, side: str,
-                   cfg: SolverConfig) -> np.ndarray:
-    """Sample r_j = p_j/p_m on the trajectory; shape (m, T+1, K)."""
-    xs = _trajectory(side, cfg)
-    shape = (xs.size, lams.size)
-    x_grid = xs[:, None]
-    lam_grid = lams[None, :]
-    denom = np.broadcast_to(
-        np.asarray(evaluate_array(symbol.p[symbol.m], x=x_grid, lam=lam_grid),
-                   dtype=np.complex128), shape)
-    out = np.empty((symbol.m, *shape), dtype=np.complex128)
+def _sample(tree: Expr, xs: np.ndarray) -> np.ndarray:
+    value = tree.value if isinstance(tree, Lit) else evaluate_array(tree, x=xs)
+    return np.full(xs.shape, value, dtype=np.complex128)
+
+
+def _sample_term(tree: Expr, xs: np.ndarray) -> np.ndarray | None:
+    """Like :func:`_sample`, but None for a literal zero, which is skipped."""
+    if isinstance(tree, Lit) and tree.value == 0:
+        return None
+    return _sample(tree, xs)
+
+
+class _Form(NamedTuple):
+    """The x-only trees of a symbol's lambda-free form sampled on ``xs``.
+
+    Literal-zero trees sample to None. ``d`` is None for a hand-built
+    symbol; ``finite`` marks the abscissae where every sample is finite.
+    """
+
+    alpha: list[np.ndarray | None]
+    beta: list[list[np.ndarray | None]]
+    d: np.ndarray | None
+    finite: np.ndarray
+
+
+def _sample_form(symbol: SchurSymbol, xs: np.ndarray) -> _Form:
+    alpha = [_sample_term(tree, xs) for tree in symbol.alpha]
+    beta = [[_sample_term(tree, xs) for tree in row] for row in symbol.beta]
+    d = None if symbol.d is None else _sample(symbol.d, xs)
+    finite = np.ones(xs.shape, dtype=bool)
+    for column in (*alpha, *(b for row in beta for b in row), d):
+        if column is not None:
+            finite &= np.isfinite(column)
+    return _Form(alpha, beta, d, finite)
+
+
+def _coefficients(symbol: SchurSymbol, form: _Form, lams: np.ndarray,
+                  slope: bool = False) -> np.ndarray:
+    """p_j(x, lambda), or dp_j/dlambda with ``slope``; shape (m+1, S, K).
+
+    With u = 1/(d - lambda): p_j = alpha_j - [j = 0] lambda +
+    sum_q beta_jq u^q, and since du/dlambda = u^2, dp_j/dlambda =
+    -[j = 0] + sum_q q beta_jq u^(q+1). The lambda terms only belong to a
+    composed symbol; literal-zero terms are skipped.
+    """
+    out = np.zeros((symbol.m + 1, form.finite.size, lams.size),
+                   dtype=np.complex128)
     with np.errstate(all="ignore"):
-        for j in range(symbol.m):
-            numer = np.broadcast_to(
-                np.asarray(evaluate_array(symbol.p[j], x=x_grid, lam=lam_grid),
-                           dtype=np.complex128), shape)
-            out[j] = numer / denom
+        if form.d is not None:
+            u_powers = [None, 1.0 / (form.d[:, None] - lams[None, :])]
+            while len(u_powers) <= max(map(len, form.beta)) + slope:
+                u_powers.append(u_powers[-1] * u_powers[1])
+        for j, row in enumerate(form.beta):
+            if not slope and form.alpha[j] is not None:
+                out[j] += form.alpha[j][:, None]
+            for q, b in enumerate(row, start=1):
+                if b is None:
+                    continue
+                if slope:
+                    out[j] += q * b[:, None] * u_powers[q + 1]
+                else:
+                    out[j] += b[:, None] * u_powers[q]
+        if form.d is not None:
+            out[0] -= 1.0 if slope else lams[None, :]
     return out
+
+
+def _ratio_samples(symbol: SchurSymbol, lams: np.ndarray, side: str,
+                   cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sample r_j = p_j/p_m on the trajectory; shape (m, T+1, K).
+
+    The x-only trees are evaluated once for the whole batch. The second
+    result marks the trajectory points where all those samples are finite.
+    """
+    form = _sample_form(symbol, _trajectory(side, cfg))
+    p = _coefficients(symbol, form, lams)
+    with np.errstate(all="ignore"):
+        return p[:-1] / p[-1], form.finite
 
 
 def _certify_block(samples: np.ndarray, tol: float):
     """Vectorized certificate scan.
 
     ``samples`` has shape (m, S, K). Returns (values, t_index, last_inc,
-    converged, saw_pole) with shapes (m, K); ``t_index`` is the increment
+    converged, first_bad) with shapes (m, K); ``t_index`` is the increment
     index at which the three-increment window closed (the newest sample
-    used is ``t_index + 1``).
+    used is ``t_index + 1``), and ``first_bad`` is the index of the first
+    non-finite sample of an unconverged ratio (S when there is none).
     """
     m, S, K = samples.shape
     finite = np.isfinite(samples)
@@ -115,8 +185,45 @@ def _certify_block(samples: np.ndarray, tol: float):
     take = np.take_along_axis(samples, sample_index[:, None, :], axis=1)
     values = take[:, 0, :]
     last_inc = np.take_along_axis(inc, t_index[:, None, :], axis=1)[:, 0, :]
-    saw_pole = ~converged & ~prefix_finite[:, -1, :]
-    return values, t_index, last_inc, converged, saw_pole
+    broken = ~converged & ~prefix_finite[:, -1, :]
+    first_bad = np.full(broken.shape, S)
+    if broken.any():
+        first_bad[broken] = np.argmax(~finite, axis=1)[broken]
+    return values, t_index, last_inc, converged, first_bad
+
+
+class _LimitBlock(NamedTuple):
+    samples: np.ndarray
+    values: np.ndarray
+    t_index: np.ndarray
+    last_inc: np.ndarray
+    converged: np.ndarray
+    first_bad: np.ndarray
+    status: np.ndarray
+
+
+def _limit_block(symbol: SchurSymbol, lams: np.ndarray, side: str,
+                 cfg: SolverConfig) -> _LimitBlock:
+    """Samples, certificate scan and per-lambda status of one batch.
+
+    A lambda whose ratios converge is ``"ok"``. Otherwise the earliest
+    non-finite ratio sample decides: ``"overflow"`` when some x-only sample
+    of the symbol is not finite at that abscissa, ``"pole"`` when they all
+    are (d - lambda or p_m vanishes there). Without a non-finite sample the
+    status is ``"not-convergent"``.
+    """
+    samples, coeff_finite = _ratio_samples(symbol, lams, side, cfg)
+    values, t_idx, last_inc, converged, first_bad = _certify_block(
+        samples, cfg.limit_tol)
+    status = np.full(lams.size, "not-convergent")
+    status[converged.all(axis=0)] = "ok"
+    earliest = first_bad.min(axis=0)
+    broken = np.nonzero(earliest < samples.shape[1])[0]
+    if broken.size:
+        overflow = ~coeff_finite[earliest[broken]]
+        status[broken] = np.where(overflow, "overflow", "pole")
+    return _LimitBlock(samples, values, t_idx, last_inc, converged,
+                       first_bad, status)
 
 
 def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
@@ -128,9 +235,10 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
 
     Returns ``m`` limit values (j = 0..m-1) and their certificates.
     Raises :class:`NotConvergent` when any ratio refuses to settle within
-    the trajectory (the witness carries the oscillating tail) and
-    :class:`PoleError` when a needed trajectory sample lands on a pole of
-    the symbol (lambda = d(x) or an overflowing coefficient).
+    the trajectory (the witness carries the oscillating tail) or when a
+    coefficient sample overflows, and :class:`PoleError` when a needed
+    trajectory sample lands on a pole of the symbol (lambda = d(x) or a
+    zero of p_m).
 
     ``delta_samples``/``exceptional`` enable a soft precondition check:
     when ``lam`` sits within ``probe_margin`` of the sampled decoupling
@@ -140,26 +248,32 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
     cfg = cfg or SolverConfig()
     _warn_if_probe_is_delicate(lam, delta_samples, exceptional, cfg)
     lams = np.asarray([lam], dtype=np.complex128)
-    samples = _ratio_samples(symbol, lams, side, cfg)
-    values, t_idx, last_inc, converged, saw_pole = _certify_block(
-        samples, cfg.limit_tol)
+    samples, values, t_idx, last_inc, converged, first_bad, status = (
+        _limit_block(symbol, lams, side, cfg))
     xs = _trajectory(side, cfg)
-    if saw_pole.any():
-        j = int(np.argmax(saw_pole[:, 0]))
-        bad = np.where(~np.isfinite(samples[j, :, 0]))[0][0]
-        raise PoleError(
-            f"trajectory sample x = {xs[bad]!r} hits a pole of the symbol "
-            f"(ratio p_{j}/p_{symbol.m} is not finite there)")
-    if not converged.all():
+    if status[0] in ("pole", "overflow"):
+        j = int(np.argmin(first_bad[:, 0]))
+        bad = int(first_bad[j, 0])
+        if status[0] == "pole":
+            raise PoleError(
+                f"trajectory sample x = {float(xs[bad])!r} hits a pole of the "
+                f"symbol (ratio p_{j}/p_{symbol.m} is not finite there)")
+        end = bad - 1
+        message = (f"coefficient samples overflow at trajectory sample "
+                   f"x = {float(xs[bad])!r} toward {side}infinity before "
+                   f"ratio p_{j}/p_{symbol.m} settled")
+    elif status[0] == "not-convergent":
         j = int(np.argmax(~converged[:, 0]))
+        end = cfg.T
+        message = (f"ratio p_{j}/p_{symbol.m} did not settle after "
+                   f"{cfg.T + 1} samples toward {side}infinity (last "
+                   f"increment {last_inc[j, 0]:.3e})")
+    if status[0] != "ok":
         tail = [
             (float(xs[t + 1]), float(abs(samples[j, t + 1, 0] - samples[j, t, 0])))
-            for t in range(max(0, cfg.T - 6), cfg.T)
+            for t in range(max(0, end - 6), end)
         ]
-        raise NotConvergent(
-            f"ratio p_{j}/p_{symbol.m} did not settle after {cfg.T + 1} "
-            f"samples toward {side}infinity (last increment "
-            f"{last_inc[j, 0]:.3e})", witness=tail)
+        raise NotConvergent(message, witness=tail)
     certificates = [
         Certificate(
             status="converged",
@@ -178,45 +292,44 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
 
     Returns ``(values, status)`` where ``values`` has shape (K, m) (NaN
     rows where estimation failed) and ``status`` is a length-K array of
-    strings: ``"ok"``, ``"pole"`` or ``"not-convergent"``.
+    strings: ``"ok"``, ``"pole"``, ``"overflow"`` or ``"not-convergent"``.
     """
     cfg = cfg or SolverConfig()
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
-    samples = _ratio_samples(symbol, lam_arr, side, cfg)
-    values, _t, _inc, converged, saw_pole = _certify_block(
-        samples, cfg.limit_tol)
-    ok = converged.all(axis=0)
-    pole = saw_pole.any(axis=0) & ~ok
-    status = np.where(ok, "ok", np.where(pole, "pole", "not-convergent"))
+    block = _limit_block(symbol, lam_arr, side, cfg)
+    values, status = block.values, block.status
     out = values.T.copy()
-    out[~ok] = np.nan
+    out[status != "ok"] = np.nan
     return out, status
 
 
-@dataclass(frozen=True)
-class LimitProfile:
-    """Limit coefficients toward one end of the line, as a function of lambda.
+def limit_ratio_slope(symbol: SchurSymbol, lams, side: str,
+                      cfg: SolverConfig | None = None) -> np.ndarray:
+    """dr_j/dlambda at the far end x_T of the trajectory; shape (K, m).
 
-    The profile does not precompute anything: each query estimates the m
-    ratios afresh and is only defined where every certificate converges
-    (otherwise :class:`NotConvergent`/:class:`PoleError` propagate).
+    Quotient rule on p_j/p_m with dp_j/dlambda taken from the lambda-free
+    form. Entries are non-finite where p_m(x_T) vanishes or overflows.
     """
+    cfg = cfg or SolverConfig()
+    lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
+    form = _sample_form(symbol, _trajectory(side, cfg)[-1:])
+    p = _coefficients(symbol, form, lam_arr)
+    dp = _coefficients(symbol, form, lam_arr, slope=True)
+    with np.errstate(all="ignore"):
+        slopes = (dp[:-1] * p[-1] - p[:-1] * dp[-1]) / (p[-1] * p[-1])
+    return slopes[:, 0, :].T
 
-    side: str
-    symbol: SchurSymbol
-    cfg: SolverConfig = field(default_factory=SolverConfig)
 
-    def coefficients(self, lam: complex) -> tuple[list[complex], list[Certificate]]:
-        return limit_ratio(self.symbol, lam, self.side, self.cfg)
+def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
+             ) -> tuple[complex, Certificate]:
+    """Certified limit of a lambda-free expression toward one infinity.
 
-    def tail_coefficients(self, lam: complex) -> np.ndarray:
-        """Ascending coefficients of xi**m + sum_j r_j(lambda) xi**j."""
-        values, _certs = self.coefficients(lam)
-        return np.asarray([*values, 1.0 + 0j], dtype=np.complex128)
-
-    def tail_value(self, lam: complex, xi: float) -> complex:
-        coeffs = self.tail_coefficients(lam)
-        return complex(np.polyval(coeffs[::-1], xi))
+    Runs the same batch path as :func:`limit_ratio` on the ratio expr/1
+    and raises the same errors.
+    """
+    values, certs = limit_ratio(SchurSymbol(m=1, p=(expr, ONE)), 0j, side,
+                                cfg)
+    return values[0], certs[0]
 
 
 def _warn_if_probe_is_delicate(lam, delta_samples, exceptional, cfg) -> None:
@@ -276,22 +389,30 @@ def _cluster(values: np.ndarray, tol: float):
     representative joins it; a value farther than ``2*tol`` from every
     representative founds a new cluster; anything in between is discarded.
     This enforces both set invariants by construction. Buckets of side
-    ``tol`` keep the sweep near-linear.
+    ``tol`` keep the sweep near-linear. Sorted values tend to repeat their
+    predecessor's cluster, so that representative is tried first: since
+    representatives are more than ``2*tol`` apart, at most one lies within
+    ``tol`` of a value, and a hit is exactly what the full scan would find.
     """
     order = np.lexsort((values.imag, values.real))
     reps: list[complex] = []
     radii: list[float] = []
     buckets: dict[tuple[int, int], list[int]] = {}
+    last = -1
 
     def neighbors(z: complex):
-        bx, by = int(np.floor(z.real / tol)), int(np.floor(z.imag / tol))
+        bx, by = math.floor(z.real / tol), math.floor(z.imag / tol)
         for dx in range(-2, 3):
             for dy in range(-2, 3):
                 for idx in buckets.get((bx + dx, by + dy), ()):
                     yield idx
 
-    for value in values[order]:
-        z = complex(value)
+    for z in values[order].tolist():
+        if last >= 0:
+            dist = abs(z - reps[last])
+            if dist <= tol:
+                radii[last] = max(radii[last], dist)
+                continue
         best_idx, best_dist = -1, np.inf
         for idx in neighbors(z):
             dist = abs(z - reps[idx])
@@ -299,11 +420,13 @@ def _cluster(values: np.ndarray, tol: float):
                 best_idx, best_dist = idx, dist
         if best_dist <= tol:
             radii[best_idx] = max(radii[best_idx], best_dist)
+            last = best_idx
         elif best_dist > 2.0 * tol:
             reps.append(z)
             radii.append(0.0)
-            key = (int(np.floor(z.real / tol)), int(np.floor(z.imag / tol)))
+            key = (math.floor(z.real / tol), math.floor(z.imag / tol))
             buckets.setdefault(key, []).append(len(reps) - 1)
+            last = len(reps) - 1
         # else: inside the annulus (tol, 2*tol] of some representative —
         # discarded so the separation invariant survives.
     return reps, radii

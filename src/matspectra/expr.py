@@ -184,6 +184,24 @@ def node_count(e: Expr) -> int:
     return count
 
 
+def mentions(e: Expr, name: str) -> bool:
+    """True when the variable ``name`` occurs anywhere in the tree."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if node.name == name:
+                return True
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, (Neg, Call)):
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import Certificate, _trajectory, limit_ratio
+from .asymptotics import Certificate, _trajectory, limit_of
 from .config import SolverConfig
 from .errors import (DomainError, NotConvergent, PoleError, RefusedFrozen,
                      SizeError)
-from .expr import Expr, Lit, differentiate, evaluate_array, simplify
+from .expr import Expr, differentiate, evaluate_array, simplify
 from .model import OperatorMatrix
-from .schur import SchurSymbol
 
 __all__ = [
     "DetScanPoint",
@@ -109,17 +108,16 @@ def freeze(op: OperatorMatrix, side: str,
     values: dict[str, complex] = {}
     certificates: dict[str, Certificate] = {}
     for label, tree in labeled:
-        probe = SchurSymbol(m=1, p=(tree, Lit(1 + 0j)))
         try:
-            ratio, certs = limit_ratio(probe, 0j, side, cfg)
+            value, cert = limit_of(tree, side, cfg)
         except (NotConvergent, PoleError) as exc:
             raise RefusedFrozen(
                 f"coefficient {label} has no certified limit toward "
                 f"{side}infinity: {exc}",
                 witness={"coefficient": label, "check": "limit",
                          "detail": str(exc)}) from exc
-        values[label] = ratio[0]
-        certificates[label] = certs[0]
+        values[label] = value
+        certificates[label] = cert
 
     tail_x = _trajectory(side, cfg)[-2:]
     for label, tree in labeled:

@@ -12,17 +12,29 @@ D^B applied to (d - lambda)^(-1) c_g (D^g u) contributes
 binom(B, r) * b_B * D^(B-r)[c_g/(d - lambda)] to the coefficient of
 D^(r+g). The leading coefficient then automatically satisfies
 p_m = a_m - b_n c_k/(d - lambda) = a_m (delta - lambda)/(d - lambda).
+
+The same loop also yields every coefficient in a lambda-free form. With
+u = 1/(d - lambda), the ladder entries D^s[c_g u] are polynomials in u with
+x-only coefficients, because D[f u^q] = -i f' u^q + i q f d' u^(q+1); hence
+
+    p_j(x, lambda) = a_j(x) - [j = 0] lambda + sum_{q=1}^{n+1} beta_jq(x) u^q.
+
+Limits toward infinity are evaluated from this form only, so each x-only
+tree is walked once per trajectory and lambda enters through array algebra
+in u.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 from .config import SolverConfig
 from .errors import ComplexityError
 from .expr import (
     LAM,
+    Add,
     Div,
     Expr,
     Lit,
@@ -30,6 +42,7 @@ from .expr import (
     Sub,
     differentiate,
     evaluate,
+    mentions,
     node_count,
     simplify,
 )
@@ -40,14 +53,36 @@ _ZERO = Lit(0j)
 
 @dataclass(frozen=True)
 class SchurSymbol:
-    """Coefficients p_0..p_m of the scalar symbol sum_j p_j(x, lambda) xi^j."""
+    """Coefficients p_0..p_m of the scalar symbol sum_j p_j(x, lambda) xi^j.
+
+    ``alpha``, ``beta`` and ``d`` hold the lambda-free form of the same
+    coefficients: ``p_j = alpha[j] - [j = 0] lambda + sum_q beta[j][q-1] u^q``
+    with ``u = 1/(d - lambda)``. A symbol built by hand from lambda-free
+    trees gets the trivial form ``alpha = p``, no ``beta`` terms and no
+    ``d``, hence no lambda terms at all; a hand-built tree that mentions
+    lambda is rejected, since only :func:`build_schur` knows how lambda
+    enters.
+    """
 
     m: int
     p: tuple[Expr, ...]
+    alpha: tuple[Expr, ...] = field(default=(), compare=False, repr=False)
+    beta: tuple[tuple[Expr, ...], ...] = field(
+        default=(), compare=False, repr=False)
+    d: Expr | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.p) != self.m + 1:
             raise ValueError("expected m+1 coefficient expressions")
+        if self.d is None:
+            if any(mentions(tree, "lambda") for tree in self.p):
+                raise ValueError(
+                    "hand-built symbols need lambda-free coefficient trees; "
+                    "use build_schur for a composed symbol")
+            object.__setattr__(self, "alpha", self.p)
+            object.__setattr__(self, "beta", ((),) * (self.m + 1))
+        elif len(self.alpha) != self.m + 1 or len(self.beta) != self.m + 1:
+            raise ValueError("expected m+1 lambda-free coefficients")
 
 
 def _guard_size(tree: Expr, ceiling: int) -> Expr:
@@ -58,6 +93,21 @@ def _guard_size(tree: Expr, ceiling: int) -> Expr:
     return tree
 
 
+def _weighted(weight: int, b: Expr, f: Expr) -> Expr:
+    term = Mul(b, f)
+    return term if weight == 1 else Mul(Lit(complex(weight)), term)
+
+
+def _free_step(entry: dict[int, Expr], d_slope: Expr) -> dict[int, Expr]:
+    """D = -i d/dx applied to sum_q f_q u^q, using du/dx = -d' u^2."""
+    parts: dict[int, list[Expr]] = {}
+    for q, f in entry.items():
+        parts.setdefault(q, []).append(Mul(Lit(-1j), differentiate(f, "x")))
+        parts.setdefault(q + 1, []).append(
+            Mul(Lit(complex(0, q)), Mul(f, d_slope)))
+    return {q: simplify(reduce(Add, items)) for q, items in parts.items()}
+
+
 def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSymbol:
     """Compose the scalar symbol coefficients by exact Leibniz expansion."""
     if cfg is None:
@@ -65,25 +115,31 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
     check_structure(op)
     m, n, k = op.m, op.n, op.k
     resolvent_den = Sub(op.d, LAM)
+    d_slope = simplify(differentiate(op.d, "x"))
 
-    # terms[j] collects everything the coupling contributes at order D^j.
+    # terms[j] collects everything the coupling contributes at order D^j;
+    # free_terms[j][q] collects the x-only coefficients of u^q among them.
     terms: list[list[Expr]] = [[] for _ in range(m + 1)]
+    free_terms: list[dict[int, list[Expr]]] = [{} for _ in range(m + 1)]
     for gamma in range(k + 1):
         if op.c[gamma] == _ZERO:
             continue
         ladder = [simplify(Div(op.c[gamma], resolvent_den))]
+        free_ladder = [{1: op.c[gamma]}]
         for _ in range(n):
             step = simplify(Mul(Lit(-1j), differentiate(ladder[-1], "x")))
             ladder.append(_guard_size(step, cfg.node_ceiling))
+            free_ladder.append(_free_step(free_ladder[-1], d_slope))
         for beta in range(n + 1):
             if op.b[beta] == _ZERO:
                 continue
             for r in range(beta + 1):
                 weight = math.comb(beta, r)
-                term = Mul(op.b[beta], ladder[beta - r])
-                if weight != 1:
-                    term = Mul(Lit(complex(weight)), term)
-                terms[r + gamma].append(term)
+                terms[r + gamma].append(
+                    _weighted(weight, op.b[beta], ladder[beta - r]))
+                for q, f in free_ladder[beta - r].items():
+                    free_terms[r + gamma].setdefault(q, []).append(
+                        _weighted(weight, op.b[beta], f))
 
     coefficients = []
     for j in range(m + 1):
@@ -94,7 +150,16 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
             base = Sub(base, term)
         coefficient = _guard_size(simplify(base), cfg.node_ceiling)
         coefficients.append(coefficient)
-    return SchurSymbol(m=m, p=tuple(coefficients))
+
+    beta_trees = []
+    for j in range(m + 1):
+        row = [simplify(reduce(Sub, free_terms[j].get(q, ()), _ZERO))
+               for q in range(1, n + 2)]
+        while row and row[-1] == _ZERO:
+            row.pop()
+        beta_trees.append(tuple(row))
+    return SchurSymbol(m=m, p=tuple(coefficients), alpha=tuple(op.a),
+                       beta=tuple(beta_trees), d=op.d)
 
 
 def symbol_eval(symbol: SchurSymbol, x: float, xi: float, lam: complex) -> complex:

@@ -17,8 +17,11 @@ ratios. Per side the solve is staged:
    (ascending degree ladder, numerator degree <= n+2, denominator <= n+1);
 2. clear denominators at fixed xi and take companion-matrix eigenvalues as
    root candidates;
-3. polish every candidate by complex Newton iteration on freshly estimated
-   limits, accepting only ``|F_xi(lambda)| <= root_tol``;
+3. polish every candidate by complex Newton iteration: each iteration
+   estimates fresh limits once, accepts ``|F_xi(lambda)| <= root_tol`` and
+   steps the rest with the analytic lambda-slope of the ratios, taken at
+   the trajectory's far end; a candidate whose residual stops shrinking
+   is dropped;
 4. re-certify accepted roots on an independent sampling trajectory, then
    refine xi adaptively wherever neighbouring roots inside the window are
    farther apart than ``curve_res``.
@@ -38,13 +41,14 @@ import numpy as np
 
 from .asymptotics import (
     ExceptionalSet,
+    limit_of,
     limit_points_at_infinity,
-    limit_ratio,
     limit_ratio_batch,
+    limit_ratio_slope,
 )
 from .config import SolverConfig, window_contains
 from .errors import FitError, NotConvergent, PoleError
-from .expr import Lit, evaluate_array
+from .expr import evaluate_array
 from .model import (
     OperatorMatrix,
     check_structure,
@@ -60,6 +64,13 @@ CSV_HEADER = "part,side,param,re_lambda,im_lambda,branch_id,flags"
 
 REGULAR_SIDE = "·"
 """Side token for points that do not belong to a specific end of the line."""
+
+SKIP_KINDS = ("LimitSkip", "PolishSkip", "RecheckSkip", "IdentitySkip")
+SKIP_SAMPLE = 50
+"""Skips of each kind kept verbatim in the report; all of them are counted."""
+
+NEWTON_STALL = 3
+"""Newton iterations a candidate may go without halving its best residual."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +172,18 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     points = [RegularPoint(float(x), complex(v))
               for x, v in zip(xs[keep], vals[keep])]
 
-    probe = SchurSymbol(m=1, p=(dexpr, Lit(1 + 0j)))
     endpoints: dict[str, dict] = {}
     for side, tag in (("-", -math.inf), ("+", math.inf)):
         try:
-            values, certs = limit_ratio(probe, 0j, side, cfg)
+            value, cert = limit_of(dexpr, side, cfg)
         except (NotConvergent, PoleError) as exc:
             endpoints[side] = {"converged": False, "reason": type(exc).__name__}
             continue
-        points.append(RegularPoint(tag, values[0]))
+        points.append(RegularPoint(tag, value))
         endpoints[side] = {
             "converged": True,
-            "value": [values[0].real, values[0].imag],
-            "samples": certs[0].sample_count,
+            "value": [value.real, value.imag],
+            "samples": cert.sample_count,
         }
     log["regular"] = {
         "points": len(points),
@@ -362,13 +372,21 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
 
     A candidate is kept only when ``|F_xi(lambda)| <= root_tol`` against
     freshly estimated limits AND the same bound holds on an independent
-    trajectory (different starting abscissa). Returns (kept, lam).
+    trajectory (different starting abscissa). Each iteration makes one
+    limit batch; the Newton slope sum_j xi^j dr_j/dlambda comes from
+    :func:`limit_ratio_slope`, so it only steers the iteration and never
+    enters the acceptance test. A candidate that goes ``NEWTON_STALL``
+    iterations without halving its best residual is dropped early (next to
+    a pole of the tail ratios the limit noise stays above ``root_tol``).
+    Returns (kept, lam).
     """
     m = symbol.m
     lam = np.array(lam, dtype=complex)
     xi = np.asarray(xi, dtype=float)
     pows = xi[:, None] ** np.arange(m + 1)[None, :]
     state = np.zeros(lam.size, dtype=int)  # 0 active, 1 accepted, -1 dropped
+    best = np.full(lam.size, np.inf)
+    stall = np.zeros(lam.size, dtype=int)
 
     for iteration in range(cfg.newton_max_iter + 1):
         active = np.nonzero(state == 0)[0]
@@ -396,28 +414,27 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
             state[rest] = -1
             break
         rest_f = residuals[~hit]
-        h = 1e-6 * (1.0 + np.abs(lam[rest]))
-        up_vals, up_stat = limit_ratio_batch(symbol, lam[rest] + h, side, cfg)
-        dn_vals, dn_stat = limit_ratio_batch(symbol, lam[rest] - h, side, cfg)
-        have_diff = (up_stat == "ok") & (dn_stat == "ok")
-        for i in rest[~have_diff]:
-            _log_skip(skips, "LimitSkip", side, xi[i], lam[i],
-                      "limit estimation failed for the Newton derivative")
-        state[rest[~have_diff]] = -1
-        target = rest[have_diff]
-        if target.size == 0:
+        gain = np.abs(rest_f) < 0.5 * best[rest]
+        best[rest[gain]] = np.abs(rest_f[gain])
+        stall[rest] = np.where(gain, 0, stall[rest] + 1)
+        stuck = stall[rest] >= NEWTON_STALL
+        for i in rest[stuck]:
+            _log_skip(skips, "PolishSkip", side, xi[i], lam[i],
+                      "Newton stalled above the root tolerance")
+        state[rest[stuck]] = -1
+        rest, rest_f = rest[~stuck], rest_f[~stuck]
+        if rest.size == 0:
             continue
-        slopes = (up_vals[have_diff] - dn_vals[have_diff]) / (
-            2.0 * h[have_diff, None])
-        derivative = np.einsum("ij,ij->i", pows[target, :m], slopes)
+        slopes = limit_ratio_slope(symbol, lam[rest], side, cfg)
+        derivative = np.einsum("ij,ij->i", pows[rest, :m], slopes)
         with np.errstate(all="ignore"):
-            step = rest_f[have_diff] / derivative
+            step = rest_f / derivative
         finite = np.isfinite(step)
-        for i in target[~finite]:
+        for i in rest[~finite]:
             _log_skip(skips, "PolishSkip", side, xi[i], lam[i],
                       "Newton derivative vanished or overflowed")
-        state[target[~finite]] = -1
-        target = target[finite]
+        state[rest[~finite]] = -1
+        target = rest[finite]
         step = step[finite]
         trust = 0.5 * (1.0 + np.abs(lam[target]))
         size = np.abs(step)
@@ -719,11 +736,18 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
         for xi, lam, bid in assigned:
             points.append(SingularPoint(side=side_class, xi=xi, lam=lam,
                                         branch_id=bid))
+    skip_counts = dict.fromkeys(SKIP_KINDS, 0)
+    sample: list[dict] = []
+    for entry in skips:
+        skip_counts[entry["type"]] += 1
+        if skip_counts[entry["type"]] <= SKIP_SAMPLE:
+            sample.append(entry)
     log["singular"] = {
         "fits": fits,
         "sweeps": sweeps,
         "points": len(points),
-        "skips": skips[:200],
+        "skips": sample,
+        "skip_counts": skip_counts,
         "skip_count": len(skips),
         "errors": [str(e) for e in errors],
     }

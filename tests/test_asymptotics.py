@@ -13,25 +13,32 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factories import (
     parabolic_potential,
     quartic_coupled,
     random_constant_operator,
+    random_operator,
 )
 from oracles import directed_hausdorff
 from matspectra.asymptotics import (
     Certificate,
     ExceptionalSet,
-    LimitProfile,
+    _cluster,
+    _ratio_samples,
+    _trajectory,
     check_assumptions,
+    limit_of,
     limit_points_at_infinity,
     limit_ratio,
     limit_ratio_batch,
+    limit_ratio_slope,
 )
 from matspectra.config import SolverConfig
 from matspectra.errors import NotConvergent, PoleError
-from matspectra.expr import Call, Lit, Sub, X, evaluate, parse
+from matspectra.expr import Call, Lit, Sub, X, evaluate, evaluate_array, parse
 from matspectra.model import OperatorMatrix, validation_grid
 from matspectra.schur import SchurSymbol, build_schur
 
@@ -118,6 +125,28 @@ def test_trajectory_pole_raises_pole_error():
         limit_ratio(symbol, 1j, "+", CFG)
 
 
+def test_overflow_is_not_a_pole():
+    # a0 = x^30 overflows at x = 16 * 2^31, long before the ratios settle.
+    base = parabolic_potential()
+    op = OperatorMatrix(a=(parse("x^30"), *base.a[1:]), b=base.b, c=base.c,
+                        d=base.d)
+    symbol = build_schur(op)
+    with pytest.raises(NotConvergent, match=r"overflow.*x = 34359738368\.0 "):
+        limit_ratio(symbol, 2j, "+", CFG)
+    _, status = limit_ratio_batch(symbol, np.array([2j, 1.0 + 1j]), "+", CFG)
+    assert list(status) == ["overflow", "overflow"]
+    with pytest.raises(NotConvergent, match="overflow"):
+        limit_of(parse("x^30"), "-", CFG)
+
+
+def test_limit_of_certifies_lambda_free_expressions():
+    value, cert = limit_of(parse("x^2/(x^2 + 1)"), "+", CFG)
+    assert abs(value - 1.0) <= 1e-9
+    assert cert.converged and cert.value == value
+    with pytest.raises(ValueError, match="lambda-free"):
+        limit_of(parse("x + lambda"), "+", CFG)
+
+
 def test_batch_matches_scalar_and_flags_failures():
     symbol = build_schur(quartic_coupled())
     lams = np.array([1.0 + 0j, 2.0 - 1j, -3.0 + 2j])
@@ -133,17 +162,62 @@ def test_batch_matches_scalar_and_flags_failures():
     assert list(bad_status) == ["not-convergent"]
 
 
-def test_limit_profile_tail_polynomial():
+def test_limit_ratio_tail_polynomial():
     symbol = build_schur(quartic_coupled())
-    profile = LimitProfile(side="+", symbol=symbol, cfg=CFG)
     lam = 2.0 - 1j
-    coeffs = profile.tail_coefficients(lam)
+    values, _certs = limit_ratio(symbol, lam, "+", CFG)
+    coeffs = np.asarray([*values, 1.0 + 0j])
     assert coeffs.shape == (5,)
-    assert coeffs[-1] == 1.0 + 0j
     expected = quartic_tail_ratios(lam)
     assert np.allclose(coeffs[:4], expected, rtol=0, atol=1e-7)
     # Value at xi=0 is exactly the estimated constant coefficient.
-    assert profile.tail_value(lam, 0.0) == complex(coeffs[0])
+    assert complex(np.polyval(coeffs[::-1], 0.0)) == complex(coeffs[0])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4]),
+       side=st.sampled_from("+-"))
+def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
+    rng = random.Random(seed)
+    symbol = build_schur(random_operator(rng, m))
+    lams = np.asarray([complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                       for _ in range(3)])
+    xs = _trajectory(side, CFG)
+    samples, finite = _ratio_samples(symbol, lams, side, CFG)
+    with np.errstate(all="ignore"):
+        p = [np.broadcast_to(evaluate_array(tree, x=xs[:, None],
+                                            lam=lams[None, :]),
+                             (xs.size, lams.size))
+             for tree in symbol.p]
+        trees = np.stack([pj / p[-1] for pj in p[:-1]])
+    # Where every x-only sample is finite, both forms must agree on which
+    # ratios are finite, so a lambda's status cannot flip between ok and
+    # overflow/pole. Elsewhere the lambda-free form reports "overflow" by
+    # design, while the trees may still cancel to a finite value.
+    assert np.array_equal(np.isfinite(samples[:, finite]),
+                          np.isfinite(trees[:, finite]))
+    both = np.isfinite(samples) & np.isfinite(trees)
+    gap = np.abs(samples - trees)[both]
+    assert np.all(gap <= 1e-12 * np.abs(trees[both]))
+
+
+def test_analytic_slope_matches_central_difference():
+    symbol = build_schur(quartic_coupled())
+    lams = np.array([1.0 + 0j, 2.0 - 1j, -3.0 + 2j, 0.5 + 1.5j])
+    h = 1e-6
+    far = CFG.with_overrides(x0=CFG.x0 * CFG.rho ** CFG.T, T=3)
+    up, up_status = limit_ratio_batch(symbol, lams + h, "+", far)
+    down, down_status = limit_ratio_batch(symbol, lams - h, "+", far)
+    assert list(up_status) == list(down_status) == ["ok"] * lams.size
+    central = (up - down) / (2.0 * h)
+    slopes = limit_ratio_slope(symbol, lams, "+", CFG)
+    assert slopes.shape == (lams.size, symbol.m)
+    assert np.allclose(slopes, central, rtol=1e-7, atol=1e-8)
+    # The slope of the closed-form limits agrees as well.
+    for lam, row in zip(lams, slopes):
+        exact = (np.asarray(quartic_tail_ratios(lam + h))
+                 - np.asarray(quartic_tail_ratios(lam - h))) / (2.0 * h)
+        assert np.allclose(row, exact, rtol=1e-6, atol=1e-7)
 
 
 def test_probe_near_sampled_curve_warns():
@@ -220,6 +294,42 @@ def test_oscillating_d_fills_its_range():
     # the discard annulus).
     reference = np.sin(np.linspace(1e6, 1e6 + 1e3, 20_001))
     assert directed_hausdorff(reference.astype(complex), reps) <= 2.5e-2
+
+
+def _cluster_by_full_scan(values: np.ndarray, tol: float):
+    """The greedy sweep of ``_cluster`` without buckets or shortcuts."""
+    reps: list[complex] = []
+    radii: list[float] = []
+    for value in values[np.lexsort((values.imag, values.real))]:
+        z = complex(value)
+        dists = [abs(z - rep) for rep in reps]
+        best = int(np.argmin(dists)) if dists else -1
+        if best >= 0 and dists[best] <= tol:
+            radii[best] = max(radii[best], dists[best])
+        elif best < 0 or dists[best] > 2.0 * tol:
+            reps.append(z)
+            radii.append(0.0)
+    return reps, radii
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), centers=st.integers(1, 6),
+       spread=st.sampled_from([0.2, 1.0, 3.0]))
+def test_cluster_invariants_on_random_clouds(seed, centers, spread):
+    rng = np.random.default_rng(seed)
+    tol = 1e-2
+    middles = rng.uniform(-0.2, 0.2, centers) + 1j * rng.uniform(
+        -0.2, 0.2, centers)
+    cloud = (rng.choice(middles, 400)
+             + spread * tol * (rng.standard_normal(400)
+                               + 1j * rng.standard_normal(400)))
+    reps, radii = _cluster(cloud, tol)
+    assert all(r <= tol for r in radii)
+    points = np.asarray(reps)
+    seps = np.abs(points[:, None] - points[None, :])
+    seps[np.diag_indices_from(seps)] = np.inf
+    assert seps.min() > 2.0 * tol
+    assert (reps, radii) == _cluster_by_full_scan(cloud, tol)
 
 
 def test_exceptional_set_stable_under_window_doubling():

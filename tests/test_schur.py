@@ -295,6 +295,32 @@ def test_symbol_requires_full_coefficient_list():
         SchurSymbol(m=2, p=(ZERO, ONE))
 
 
+def test_hand_built_symbol_gets_trivial_lambda_free_form():
+    symbol = SchurSymbol(m=1, p=(parse("sin(x)"), ONE))
+    assert symbol.alpha == symbol.p
+    assert symbol.beta == ((), ())
+    assert symbol.d is None
+    with pytest.raises(ValueError, match="lambda-free"):
+        SchurSymbol(m=1, p=(Sub(X, LAM), ONE))
+
+
+def test_lambda_free_form_reassembles_the_coefficients():
+    # p_j = alpha_j - [j = 0] lambda + sum_q beta_jq (d - lambda)^(-q)
+    rng = random.Random(4242)
+    for op in (parabolic_potential(), quartic_coupled(),
+               random_operator(rng, 4)):
+        symbol = build_schur(op)
+        assert symbol.d == op.d
+        for x, lam in ((0.3, 2j), (-1.7, 1.0 - 3j)):
+            u = 1.0 / (evaluate(op.d, x=x) - lam)
+            for j, tree in enumerate(symbol.p):
+                want = evaluate(tree, x=x, lam=lam)
+                got = evaluate(symbol.alpha[j], x=x) - (lam if j == 0 else 0)
+                got += sum(evaluate(b, x=x) * u ** q
+                           for q, b in enumerate(symbol.beta[j], start=1))
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
 def test_coefficients_print_and_reparse():
     symbol = build_schur(parabolic_potential())
     for coefficient in symbol.p:

@@ -11,13 +11,19 @@ from factories import parabolic_potential, quartic_coupled
 from matspectra.config import SolverConfig
 from matspectra.errors import FitError
 from matspectra.expr import Call, Lit, X, evaluate
+from matspectra import spectrum as spectrum_module
 from matspectra.model import OperatorMatrix, delta
+from matspectra.schur import build_schur
 from matspectra.spectrum import (
     CSV_HEADER,
+    NEWTON_STALL,
     REGULAR_SIDE,
+    SKIP_KINDS,
+    SKIP_SAMPLE,
     RegularPoint,
     SingularPoint,
     SpectrumSet,
+    _polish_batch,
     default_xi_grid,
     essential_spectrum,
     regular_part,
@@ -209,6 +215,42 @@ class TestEssentialSpectrum:
         assert report["errors"] == []
         assert report["tolerances"]["root_tol"] == SolverConfig().root_tol
         assert report["singular"]["fits"]["+"]["trusted"] is True
+
+    def test_report_counts_skips_by_kind(self, quartic_spectrum):
+        singular = quartic_spectrum.report["singular"]
+        counts = singular["skip_counts"]
+        assert set(counts) == set(SKIP_KINDS)
+        assert sum(counts.values()) == singular["skip_count"]
+        for kind in SKIP_KINDS:
+            kept = [s for s in singular["skips"] if s["type"] == kind]
+            assert len(kept) == min(counts[kind], SKIP_SAMPLE)
+
+    def test_polish_drops_stalled_candidates_early(self, monkeypatch):
+        # Companion seeds of the quartic. The first sits next to
+        # lambda = -i, a pole of its tail ratios, and its residual stays
+        # near 2e-7, above root_tol; the second converges in one step.
+        calls = []
+        real_batch = spectrum_module.limit_ratio_batch
+
+        def counting_batch(symbol, lams, side, cfg):
+            calls.append(len(lams))
+            return real_batch(symbol, lams, side, cfg)
+
+        monkeypatch.setattr(spectrum_module, "limit_ratio_batch",
+                            counting_batch)
+        xi = np.array([-44.32171342476086, 2.825711502920827])
+        lam = np.array([-0.0004978308342130793 - 0.9999994871197233j,
+                        -0.1754222655361281 - 0.9577373184660526j])
+        cfg = SolverConfig()
+        skips = []
+        kept, _ = _polish_batch(build_schur(quartic_coupled()), "+", xi,
+                                lam, cfg, skips)
+        assert list(kept) == [False, True]
+        assert [(s["type"], s["reason"]) for s in skips] == [
+            ("PolishSkip", "Newton stalled above the root tolerance")]
+        # One batch per Newton iteration plus the recheck; far fewer than
+        # the newton_max_iter + 1 iterations a stalled seed used to run.
+        assert len(calls) <= 2 * NEWTON_STALL < cfg.newton_max_iter
 
     def test_partial_result_when_limits_never_settle(self):
         op = OperatorMatrix(a=(Call("sin", X), ZERO, ONE), b=(ZERO, ZERO),
