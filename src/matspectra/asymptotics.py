@@ -436,11 +436,12 @@ def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
                              ) -> ExceptionalSet:
     """Heuristic estimate of the finite limit points of d at infinity.
 
-    Samples d over dyadic windows [2^s, 2^(s+1)] (both signs of x by
-    default; ``infinity_sides="positive"`` restores the literal one-sided
-    reading), drops windows whose smallest |d| exceeds ``escape_bound``,
-    and clusters the values retained from the ``cluster_windows`` largest
-    windows. An empty result is meaningful: every window escaped.
+    Samples d over the ``cluster_windows`` largest of ``windows`` dyadic
+    windows [2^s, 2^(s+1)] (both signs of x by default;
+    ``infinity_sides="positive"`` restores the literal one-sided reading),
+    drops windows whose smallest |d| exceeds ``escape_bound``, and clusters
+    the values retained. An empty result is meaningful: every window
+    escaped.
     """
     cfg = cfg or SolverConfig()
     if cfg.declared_exceptional_set is not None:
@@ -449,11 +450,11 @@ def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
             points=pts, radii=(0.0,) * len(pts), window_exponents=(),
             sides=cfg.infinity_sides, declared=True)
     signs = (1.0, -1.0) if cfg.infinity_sides == "both" else (1.0,)
-    lowest = cfg.windows - cfg.cluster_windows
     retained: list[np.ndarray] = []
     exponents: set[int] = set()
     for sign in signs:
-        for s in range(cfg.windows):
+        for s in range(max(0, cfg.windows - cfg.cluster_windows),
+                       cfg.windows):
             xs = sign * np.linspace(2.0**s, 2.0 ** (s + 1),
                                     cfg.points_per_window)
             vals = np.broadcast_to(
@@ -464,9 +465,8 @@ def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
                 continue
             if float(np.min(np.abs(vals[finite]))) > cfg.escape_bound:
                 continue
-            if s >= lowest:
-                retained.append(vals[finite])
-                exponents.add(s)
+            retained.append(vals[finite])
+            exponents.add(s)
     if not retained:
         return ExceptionalSet((), (), (), cfg.infinity_sides)
     reps, radii = _cluster(np.concatenate(retained), cfg.cluster_tol)

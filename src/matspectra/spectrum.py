@@ -16,7 +16,8 @@ ratios. Per side the solve is staged:
    a shared denominator, from certified limit samples on two circles
    (ascending degree ladder, numerator degree <= n+2, denominator <= n+1);
 2. clear denominators at fixed xi and take companion-matrix eigenvalues as
-   root candidates;
+   root candidates, with one stacked ``eigvals`` call per batch of
+   frequencies whose cleared polynomials share a trimmed degree;
 3. polish every candidate by complex Newton iteration: each iteration
    estimates fresh limits once, accepts ``|F_xi(lambda)| <= root_tol`` and
    steps the rest with the analytic lambda-slope of the ratios, taken at
@@ -24,7 +25,10 @@ ratios. Per side the solve is staged:
    is dropped;
 4. re-certify accepted roots on an independent sampling trajectory, then
    refine xi adaptively wherever neighbouring roots inside the window are
-   farther apart than ``curve_res``.
+   farther apart than ``curve_res``. The segments of the initial grid are
+   checked once; after each round only the two halves of each split
+   segment are checked, since solving new frequencies leaves every other
+   segment's roots unchanged.
 
 Branch ids follow nearest-neighbor continuation in xi; coincident roots
 from the two sides merge into points labeled with the neutral side.
@@ -338,19 +342,42 @@ def _cleared_coefficients(profile: RationalProfile, m: int,
     return coeffs
 
 
-def _companion_roots(coeff_row: np.ndarray) -> np.ndarray | None:
-    """Roots of one cleared polynomial; None marks a degenerate identity."""
-    mags = np.abs(coeff_row)
-    top = float(mags.max(initial=0.0))
-    if not math.isfinite(top) or top == 0.0:
-        return None
-    trimmed = np.where(mags > 1e-12 * top, coeff_row, 0.0)
-    desc = trimmed[::-1]
-    nonzero = np.nonzero(desc)[0]
-    desc = desc[nonzero[0]:]
-    if desc.size <= 1:
-        return np.empty(0, dtype=complex)
-    return np.roots(desc)
+def _companion_roots(coeffs: np.ndarray
+                     ) -> tuple[list[np.ndarray | None], int]:
+    """Roots of the cleared polynomials, one row of ascending coefficients each.
+
+    A row is trimmed at 1e-12 of its largest magnitude; None marks a
+    degenerate identity (all zero or not finite). Rows with the same trimmed
+    length and the same number of vanishing low-order coefficients share one
+    stacked ``eigvals`` call on companion matrices built exactly as
+    ``np.roots`` builds them, so each root carries the bits ``np.roots``
+    gives for the trimmed row (as complex128). Returns the roots per row and
+    the number of ``eigvals`` calls.
+    """
+    mags = np.abs(coeffs)
+    top = mags.max(axis=1, initial=0.0)
+    valid = np.isfinite(top) & (top > 0.0)
+    trimmed = np.where(mags > 1e-12 * top[:, None], coeffs, 0.0)
+    nonzero = trimmed != 0.0
+    low = np.argmax(nonzero, axis=1)
+    high = coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    roots: list[np.ndarray | None] = [None] * coeffs.shape[0]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i in np.nonzero(valid)[0]:
+        groups.setdefault((int(high[i] - low[i]), int(low[i])), []).append(i)
+    solves = 0
+    for (degree, zeros), rows in groups.items():
+        found = np.zeros((len(rows), degree + zeros), dtype=complex)
+        if degree:
+            desc = trimmed[rows, zeros:zeros + degree + 1][:, ::-1]
+            companion = np.zeros((len(rows), degree, degree), dtype=complex)
+            companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+            companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+            found[:, :degree] = np.linalg.eigvals(companion)
+            solves += 1
+        for i, row in zip(rows, found):
+            roots[i] = row
+    return roots, solves
 
 
 def _log_skip(skips: list, kind: str, side: str, xi: float, lam, reason: str):
@@ -469,32 +496,31 @@ def _keep_pad(cfg: SolverConfig) -> float:
 
 def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
               xi_values: np.ndarray, cfg: SolverConfig,
-              skips: list) -> dict[float, list[complex]]:
+              skips: list, work: dict) -> dict[float, list[complex]]:
     """Steps 2-4 for a batch of frequencies.
 
     Returns certified roots within the tracking band, grouped by xi; every
     attempted frequency gets an entry (possibly empty) so the refinement
-    pass can see where branches leave the band.
+    pass can see where branches leave the band. Adds its ``eigvals`` calls
+    to ``work["companion_solves"]``.
     """
     m = symbol.m
     track_pad = _track_pad(cfg)
     coeffs = _cleared_coefficients(profile, m, xi_values)
+    root_rows, solves = _companion_roots(coeffs)
+    work["companion_solves"] += solves
     grouped: dict[float, list[complex]] = {}
     seed_xi: list[float] = []
     seed_lam: list[complex] = []
-    for xi, row in zip(xi_values, coeffs):
+    for xi, roots in zip(xi_values, root_rows):
         grouped[float(xi)] = []
-        roots = _companion_roots(row)
         if roots is None:
             _log_skip(skips, "IdentitySkip", profile.side, xi, None,
                       "cleared polynomial is numerically zero")
             continue
-        for root in roots:
-            root = complex(root)
-            if math.isfinite(root.real) and math.isfinite(root.imag) and \
-                    window_contains(cfg.window, root, pad=track_pad):
-                seed_xi.append(float(xi))
-                seed_lam.append(root)
+        inside = roots[_near_window(roots, cfg.window, track_pad)]
+        seed_xi.extend([float(xi)] * inside.size)
+        seed_lam.extend(inside.tolist())
     if not seed_xi:
         return grouped
     kept, polished = _polish_batch(
@@ -552,43 +578,62 @@ def _segment_needs_split(roots_a: list[complex], roots_b: list[complex],
 
 
 def _refinement_targets(tracked: dict[float, list[complex]],
-                        cfg: SolverConfig, tried: set[float]) -> list[float]:
-    """Frequencies to insert where neighbouring roots are too far apart."""
-    xis = sorted(tracked)
+                        flagged: dict[float, float],
+                        segments: list[tuple[float, float]],
+                        cfg: SolverConfig,
+                        tried: set[float]) -> list[tuple[float, float]]:
+    """Frequencies to insert where neighbouring roots are too far apart.
+
+    ``flagged`` maps the left end of every segment known to need a split to
+    its right end. The fresh ``segments`` are checked and added to it; a
+    segment's roots never change until it is split, so no other segment is
+    checked again. Returns (left end, midpoint) per target, ascending.
+    """
     keep_pad = _keep_pad(cfg)
-    targets: list[float] = []
-    for a, b in zip(xis[:-1], xis[1:]):
-        if b - a <= 1e-7 * (1.0 + abs(a)):
-            continue
-        if not _segment_needs_split(tracked[a], tracked[b], cfg, keep_pad):
-            continue
+    for a, b in segments:
+        if b - a > 1e-7 * (1.0 + abs(a)) and \
+                _segment_needs_split(tracked[a], tracked[b], cfg, keep_pad):
+            flagged[a] = b
+    targets: list[tuple[float, float]] = []
+    for a in sorted(flagged):
+        b = flagged[a]
         mid = _gap_midpoint(a, b)
         if mid in tried or mid <= a or mid >= b:
             continue
-        targets.append(mid)
+        targets.append((a, mid))
     return targets
 
 
 def _sweep_side(symbol: SchurSymbol, profile: RationalProfile,
                 xi_grid: np.ndarray, cfg: SolverConfig,
                 skips: list) -> tuple[dict[float, list[complex]], dict]:
-    solved = _solve_at(symbol, profile, xi_grid, cfg, skips)
+    work = {"segments_checked": 0, "companion_solves": 0}
+    solved = _solve_at(symbol, profile, xi_grid, cfg, skips, work)
     tried = {float(x) for x in xi_grid}
+    xis = sorted(solved)
+    segments = list(zip(xis[:-1], xis[1:]))
+    flagged: dict[float, float] = {}
     rounds = 0
     total = sum(len(v) for v in solved.values())
     while total < cfg.max_points and rounds < 48:
-        targets = _refinement_targets(solved, cfg, tried)
+        work["segments_checked"] += len(segments)
+        targets = _refinement_targets(solved, flagged, segments, cfg, tried)
         if not targets:
             break
-        budget = max(0, cfg.max_points - total)
-        targets = targets[:budget]
-        tried.update(targets)
-        update = _solve_at(symbol, profile, np.asarray(targets), cfg, skips)
+        # Targets past the budget stay flagged for the next round.
+        targets = targets[:max(0, cfg.max_points - total)]
+        mids = [mid for _, mid in targets]
+        tried.update(mids)
+        update = _solve_at(symbol, profile, np.asarray(mids), cfg, skips,
+                           work)
         solved.update(update)
-        total = sum(len(v) for v in solved.values())
+        total += sum(len(v) for v in update.values())
+        segments = []
+        for a, mid in targets:
+            segments += [(a, mid), (mid, flagged.pop(a))]
         rounds += 1
     info = {"frequencies": len(solved), "points": total,
-            "refinement_rounds": rounds}
+            "refinement_rounds": rounds, **work}
     return solved, info
 
 

@@ -36,6 +36,7 @@ from matspectra.asymptotics import (
     limit_ratio_batch,
     limit_ratio_slope,
 )
+from matspectra import asymptotics as asymptotics_module
 from matspectra.config import SolverConfig
 from matspectra.errors import NotConvergent, PoleError
 from matspectra.expr import Call, Lit, Sub, X, evaluate, evaluate_array, parse
@@ -262,6 +263,26 @@ def test_quartic_d_has_single_limit_point_at_zero():
     expected_windows = tuple(range(CFG.windows - CFG.cluster_windows,
                                    CFG.windows))
     assert result.window_exponents == expected_windows
+
+
+@pytest.mark.parametrize("sides, count", [("both", 2), ("positive", 1)])
+def test_only_the_clustered_windows_are_sampled(monkeypatch, sides, count):
+    sampled = []
+    real_evaluate = asymptotics_module.evaluate_array
+
+    def recording_evaluate(expr, **env):
+        sampled.append(env["x"])
+        return real_evaluate(expr, **env)
+
+    monkeypatch.setattr(asymptotics_module, "evaluate_array",
+                        recording_evaluate)
+    cfg = CFG.with_overrides(infinity_sides=sides)
+    result = limit_points_at_infinity(quartic_coupled().d, cfg)
+    assert len(sampled) == cfg.cluster_windows * count
+    lowest = cfg.windows - cfg.cluster_windows
+    assert {int(np.log2(abs(xs[0]))) for xs in sampled} == set(
+        range(lowest, cfg.windows))
+    assert result.window_exponents == tuple(range(lowest, cfg.windows))
 
 
 def test_parabolic_d_escapes_everywhere():

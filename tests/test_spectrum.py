@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factories import parabolic_potential, quartic_coupled
 from matspectra.config import SolverConfig
@@ -23,7 +26,13 @@ from matspectra.spectrum import (
     RegularPoint,
     SingularPoint,
     SpectrumSet,
+    _companion_roots,
+    _fit_side,
+    _gap_midpoint,
+    _keep_pad,
     _polish_batch,
+    _segment_needs_split,
+    _sweep_side,
     default_xi_grid,
     essential_spectrum,
     regular_part,
@@ -178,6 +187,212 @@ class TestSingularPart:
 
 
 # ---------------------------------------------------------------------------
+# Singular sweep: batched companion roots and worklist refinement
+# ---------------------------------------------------------------------------
+
+def _roots_per_row(coeff_row):
+    """One ``np.roots`` call per trimmed row: the unbatched reference."""
+    mags = np.abs(coeff_row)
+    top = float(mags.max(initial=0.0))
+    if not math.isfinite(top) or top == 0.0:
+        return None
+    trimmed = np.where(mags > 1e-12 * top, coeff_row, 0.0)
+    desc = trimmed[::-1]
+    desc = desc[np.nonzero(desc)[0][0]:]
+    if desc.size <= 1:
+        return np.empty(0, dtype=complex)
+    return np.roots(desc)
+
+
+_COEFFICIENT = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                       allow_nan=False, allow_infinity=False).map(
+        lambda z: 1e-13 * z),
+)
+
+
+@st.composite
+def _cleared_rows(draw, width):
+    kind = draw(st.sampled_from(["mixed", "mixed", "mixed", "lone", "zero",
+                                 "nonfinite"]))
+    row = [0j] * width
+    if kind == "mixed":
+        row = draw(st.lists(_COEFFICIENT, min_size=width, max_size=width))
+    elif kind == "lone":
+        row[draw(st.integers(0, width - 1))] = draw(st.complex_numbers(
+            min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+            allow_infinity=False))
+    elif kind == "nonfinite":
+        row = draw(st.lists(_COEFFICIENT, min_size=width, max_size=width))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(
+            [complex(math.nan, 0.0), complex(math.inf, 1.0),
+             complex(0.0, -math.inf)]))
+    return row
+
+
+@st.composite
+def _cleared_matrices(draw):
+    width = draw(st.integers(1, 7))
+    rows = draw(st.lists(_cleared_rows(width), min_size=1, max_size=12))
+    return np.asarray(rows, dtype=complex).reshape(len(rows), width)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeffs=_cleared_matrices())
+def test_companion_roots_match_per_row_np_roots(coeffs):
+    roots, solves = _companion_roots(coeffs)
+    assert len(roots) == coeffs.shape[0]
+    shapes = set()
+    for row, got in zip(coeffs, roots):
+        want = _roots_per_row(row)
+        if want is None:
+            assert got is None
+            continue
+        mags = np.abs(row)
+        kept = np.flatnonzero(mags > 1e-12 * mags.max())
+        if kept[-1] > kept[0]:
+            shapes.add((kept[-1] - kept[0], kept[0]))
+        # np.roots gives float64 zeros for a lone term of positive degree.
+        want = want.astype(np.complex128)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+    # One stacked eigvals per (degree, vanishing low-order terms) shape.
+    assert solves == len(shapes)
+
+
+def _rescan_targets(tracked, cfg, tried):
+    """Refinement targets from a full rescan of every segment."""
+    xis = sorted(tracked)
+    keep_pad = _keep_pad(cfg)
+    targets = []
+    for a, b in zip(xis[:-1], xis[1:]):
+        if b - a <= 1e-7 * (1.0 + abs(a)):
+            continue
+        if not _segment_needs_split(tracked[a], tracked[b], cfg, keep_pad):
+            continue
+        mid = _gap_midpoint(a, b)
+        if mid in tried or mid <= a or mid >= b:
+            continue
+        targets.append(mid)
+    return targets
+
+
+def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
+    """``_sweep_side`` with the full rescan; returns the segments scanned."""
+    work = {"segments_checked": 0, "companion_solves": 0}
+    solve = spectrum_module._solve_at
+    solved = solve(symbol, profile, xi_grid, cfg, skips, work)
+    tried = {float(x) for x in xi_grid}
+    rounds = 0
+    total = sum(len(v) for v in solved.values())
+    while total < cfg.max_points and rounds < 48:
+        work["segments_checked"] += len(solved) - 1
+        targets = _rescan_targets(solved, cfg, tried)
+        if not targets:
+            break
+        targets = targets[:max(0, cfg.max_points - total)]
+        tried.update(targets)
+        solved.update(solve(symbol, profile, np.asarray(targets), cfg,
+                            skips, work))
+        total = sum(len(v) for v in solved.values())
+        rounds += 1
+    info = {"frequencies": len(solved), "points": total,
+            "refinement_rounds": rounds,
+            "companion_solves": work["companion_solves"]}
+    return solved, info, work["segments_checked"]
+
+
+def _assert_same_sweep(symbol, profile, xi_grid, cfg):
+    solved, info = _sweep_side(symbol, profile, xi_grid, cfg, [])
+    ref_solved, ref_info, rescanned = _rescan_sweep(
+        symbol, profile, xi_grid, cfg, [])
+    assert list(solved.items()) == list(ref_solved.items())
+    checked = info.pop("segments_checked")
+    assert info == ref_info
+    assert checked <= rescanned
+    return info
+
+
+_BRANCH = st.tuples(
+    st.complex_numbers(max_magnitude=0.8, allow_nan=False,
+                       allow_infinity=False),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                       allow_infinity=False),
+    st.floats(-0.3, 0.3),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 4.0),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(branches=st.lists(_BRANCH, min_size=1, max_size=3),
+       grid_points=st.integers(2, 12),
+       curve_res=st.sampled_from([0.02, 0.1, 0.4]),
+       max_points=st.sampled_from([6, 40, 300, 10**6]))
+def test_worklist_refinement_matches_full_rescan(branches, grid_points,
+                                                  curve_res, max_points):
+    # Each branch lam = c + s*xi + q*xi^2 lives on [start, start + length]:
+    # births and deaths make segments that split down to the width floor.
+    def fake_solve(symbol, profile, xi_values, cfg, skips, work):
+        work["companion_solves"] += 1
+        out = {}
+        for xi in map(float, xi_values):
+            roots = [c + s * xi + q * xi * xi
+                     for c, s, q, start, length in branches
+                     if start <= xi <= start + length]
+            out[xi] = sorted(roots, key=lambda z: (z.real, z.imag))
+        return out
+
+    cfg = SolverConfig().with_overrides(
+        window=(-1.0, 1.0, -1.0, 1.0), curve_res=curve_res,
+        max_points=max_points)
+    with mock.patch.object(spectrum_module, "_solve_at", fake_solve):
+        _assert_same_sweep(None, None, np.linspace(-2.0, 2.0, grid_points),
+                           cfg)
+
+
+def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
+    op = parabolic_potential()
+    cfg = SolverConfig().with_overrides(
+        window=(-2.0, 1.0, -0.5, 0.5), curve_res=0.05, max_points=6)
+    symbol = build_schur(op)
+    profile = _fit_side(symbol, "+", op.n, cfg)
+    offered, solved_mids = [], []
+    real_targets = spectrum_module._refinement_targets
+    real_solve = spectrum_module._solve_at
+
+    def recording_targets(*args):
+        targets = real_targets(*args)
+        offered.append([mid for _, mid in targets])
+        return targets
+
+    def recording_solve(symbol, profile, xi_values, *args):
+        solved_mids.append([float(x) for x in xi_values])
+        return real_solve(symbol, profile, xi_values, *args)
+
+    monkeypatch.setattr(spectrum_module, "_refinement_targets",
+                        recording_targets)
+    monkeypatch.setattr(spectrum_module, "_solve_at", recording_solve)
+    grid = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])
+    info = _sweep_side(symbol, profile, grid, cfg, [])[1]
+    monkeypatch.undo()
+    # Roots at xi = +-4 and at the first midpoint -2 leave the tracking
+    # band, so a round can spend its budget and still leave room.
+    rounds = solved_mids[1:]
+    cut = [(k, offered[k][len(rounds[k]):]) for k in range(len(rounds))
+           if len(offered[k]) > len(rounds[k])]
+    assert any(k + 1 < len(offered) and set(left) <= set(offered[k + 1])
+               for k, left in cut)
+    assert info["points"] == cfg.max_points
+    assert _assert_same_sweep(symbol, profile, grid, cfg) == {
+        key: value for key, value in info.items()
+        if key != "segments_checked"}
+
+
+# ---------------------------------------------------------------------------
 # Full assembly
 # ---------------------------------------------------------------------------
 
@@ -215,6 +430,14 @@ class TestEssentialSpectrum:
         assert report["errors"] == []
         assert report["tolerances"]["root_tol"] == SolverConfig().root_tol
         assert report["singular"]["fits"]["+"]["trusted"] is True
+        grid_points = default_xi_grid(SolverConfig()).size
+        for side in ("+", "-"):
+            sweep = report["singular"]["sweeps"][side]
+            # Every initial segment is checked once, later only new halves.
+            assert grid_points - 1 <= sweep["segments_checked"] \
+                <= 2 * sweep["frequencies"]
+            # At least one stacked eigvals per frequency batch.
+            assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
 
     def test_report_counts_skips_by_kind(self, quartic_spectrum):
         singular = quartic_spectrum.report["singular"]
