@@ -52,7 +52,7 @@ from .model import (
     validate,
     validation_grid,
 )
-from .schur import SchurSymbol, apply_operator, build_schur, symbol_eval
+from .schur import SchurSymbol, apply_operator, build_schur
 from .oracle import (
     DetScanPoint,
     FrozenSymbol,
@@ -112,7 +112,6 @@ __all__ = [
     "SchurSymbol",
     "build_schur",
     "apply_operator",
-    "symbol_eval",
     "Certificate",
     "ExceptionalSet",
     "limit_of",

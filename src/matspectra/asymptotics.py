@@ -30,7 +30,6 @@ symbol; no caches are mutated.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +44,9 @@ from .schur import SchurSymbol
 
 INVERSE_FLOOR = 1e-8
 """Smallest sampled |p_m| accepted as evidence that 1/p_m stays bounded."""
+
+THETA_BLOCK = 32
+"""Rotation angles per block of the sector-margin table (cache-sized)."""
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +229,7 @@ def _limit_block(symbol: SchurSymbol, lams: np.ndarray, side: str,
 
 
 def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
-                cfg: SolverConfig | None = None, *,
-                delta_samples: np.ndarray | None = None,
-                exceptional: "ExceptionalSet | None" = None,
+                cfg: SolverConfig | None = None
                 ) -> tuple[list[complex], list[Certificate]]:
     """Estimate r_j(lambda) = lim p_j/p_m toward one end of the line.
 
@@ -239,14 +239,8 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
     coefficient sample overflows, and :class:`PoleError` when a needed
     trajectory sample lands on a pole of the symbol (lambda = d(x) or a
     zero of p_m).
-
-    ``delta_samples``/``exceptional`` enable a soft precondition check:
-    when ``lam`` sits within ``probe_margin`` of the sampled decoupling
-    curve or of the exceptional-set estimate, a warning is emitted (the
-    limits may genuinely fail to exist there).
     """
     cfg = cfg or SolverConfig()
-    _warn_if_probe_is_delicate(lam, delta_samples, exceptional, cfg)
     lams = np.asarray([lam], dtype=np.complex128)
     samples, values, t_idx, last_inc, converged, first_bad, status = (
         _limit_block(symbol, lams, side, cfg))
@@ -330,23 +324,6 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
     values, certs = limit_ratio(SchurSymbol(m=1, p=(expr, ONE)), 0j, side,
                                 cfg)
     return values[0], certs[0]
-
-
-def _warn_if_probe_is_delicate(lam, delta_samples, exceptional, cfg) -> None:
-    if delta_samples is not None and len(delta_samples):
-        closest = float(np.min(np.abs(np.asarray(delta_samples) - lam)))
-        if closest <= cfg.probe_margin:
-            warnings.warn(
-                f"probe {lam!r} is within {closest:.2e} of the sampled "
-                "decoupling curve; coefficient limits may not exist there",
-                stacklevel=3)
-    if exceptional is not None and exceptional.points:
-        closest = min(abs(lam - p) for p in exceptional.points)
-        if closest <= cfg.probe_margin:
-            warnings.warn(
-                f"probe {lam!r} is within {closest:.2e} of the estimated "
-                "exceptional set; coefficient limits may not exist there",
-                stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +490,9 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
         near_curve = bool(delta_vals.size) and float(
             np.min(np.abs(delta_vals - probe))) <= cfg.probe_margin
         batch = [
-            _check_b1(coeff_trees, probe, grid, cfg),
+            _check_bounded("B1", coeff_trees, probe, grid, cfg),
             _check_b2(symbol, probe, grid),
-            _check_b3(weighted_trees, probe, grid, cfg),
+            _check_bounded("B3", weighted_trees, probe, grid, cfg),
             _check_c(symbol, probe, grid, theta_grid),
             _check_d(symbol, probe, cfg),
         ]
@@ -536,26 +513,28 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     return Diagnostics(records=tuple(records))
 
 
+def _with_two_derivatives(tree: Expr) -> tuple[Expr, Expr, Expr]:
+    first = simplify(differentiate(tree, "x"))
+    return tree, first, simplify(differentiate(first, "x"))
+
+
 def _coefficient_derivative_trees(symbol: SchurSymbol):
-    trees = []
-    for j, p in enumerate(symbol.p):
-        first = simplify(differentiate(p, "x"))
-        second = simplify(differentiate(first, "x"))
-        trees.append((j, (p, first, second)))
-    return trees
+    """(witness label, tree) for p_j and its first two x-derivatives."""
+    return [(f"d^{order} p_{j} / dx^{order}", tree)
+            for j, p in enumerate(symbol.p)
+            for order, tree in enumerate(_with_two_derivatives(p))]
 
 
 def _resolvent_weighted_trees(op: OperatorMatrix):
     """c_gamma/(d-lambda) plain; b_beta/(d-lambda) with two derivatives."""
     resolvent_den = Sub(op.d, LAM)
-    trees = []
-    for gamma, c in enumerate(op.c):
-        trees.append((f"c_{gamma}/(d-lambda)", (simplify(Div(c, resolvent_den)),)))
+    trees = [(f"d^0/dx^0 of c_{gamma}/(d-lambda)",
+              simplify(Div(c, resolvent_den)))
+             for gamma, c in enumerate(op.c)]
     for beta, b in enumerate(op.b):
         base = simplify(Div(b, resolvent_den))
-        first = simplify(differentiate(base, "x"))
-        second = simplify(differentiate(first, "x"))
-        trees.append((f"b_{beta}/(d-lambda)", (base, first, second)))
+        trees += [(f"d^{order}/dx^{order} of b_{beta}/(d-lambda)", tree)
+                  for order, tree in enumerate(_with_two_derivatives(base))]
     return trees
 
 
@@ -565,20 +544,20 @@ def _grid_values(tree: Expr, grid: np.ndarray, probe: complex) -> np.ndarray:
                    dtype=np.complex128), grid.shape)
 
 
-def _check_b1(coeff_trees, probe, grid, cfg) -> DiagnosticRecord:
+def _check_bounded(assumption, labelled_trees, probe, grid,
+                   cfg) -> DiagnosticRecord:
+    """Pass iff every tree's sampled magnitude stays within ``bound_cap``."""
     worst = (0.0, 0.0, "")
-    for j, orders in coeff_trees:
-        for order, tree in enumerate(orders):
-            mags = np.abs(_grid_values(tree, grid, probe))
-            mags = np.where(np.isfinite(mags), mags, np.inf)
-            at = int(np.argmax(mags))
-            if mags[at] > worst[0]:
-                worst = (float(mags[at]), float(grid[at]),
-                         f"d^{order} p_{j} / dx^{order}")
+    for label, tree in labelled_trees:
+        mags = np.abs(_grid_values(tree, grid, probe))
+        mags = np.where(np.isfinite(mags), mags, np.inf)
+        at = int(np.argmax(mags))
+        if mags[at] > worst[0]:
+            worst = (float(mags[at]), float(grid[at]), label)
     if worst[0] <= cfg.bound_cap:
-        return DiagnosticRecord("B1", "pass", probe=probe)
+        return DiagnosticRecord(assumption, "pass", probe=probe)
     return DiagnosticRecord(
-        "B1", "fail", probe=probe,
+        assumption, "fail", probe=probe,
         witness=(f"sampled |{worst[2]}| exceeds bound cap", worst[1], worst[0]))
 
 
@@ -601,23 +580,6 @@ def _check_b2(symbol, probe, grid) -> DiagnosticRecord:
                  float(grid[at]), smallest))
 
 
-def _check_b3(weighted_trees, probe, grid, cfg) -> DiagnosticRecord:
-    worst = (0.0, 0.0, "")
-    for label, orders in weighted_trees:
-        for order, tree in enumerate(orders):
-            mags = np.abs(_grid_values(tree, grid, probe))
-            mags = np.where(np.isfinite(mags), mags, np.inf)
-            at = int(np.argmax(mags))
-            if mags[at] > worst[0]:
-                worst = (float(mags[at]), float(grid[at]),
-                         f"d^{order}/dx^{order} of {label}")
-    if worst[0] <= cfg.bound_cap:
-        return DiagnosticRecord("B3", "pass", probe=probe)
-    return DiagnosticRecord(
-        "B3", "fail", probe=probe,
-        witness=(f"sampled |{worst[2]}| exceeds bound cap", worst[1], worst[0]))
-
-
 def _check_c(symbol, probe, grid, theta_grid) -> DiagnosticRecord:
     vals = _grid_values(symbol.p[symbol.m], grid, probe)
     finite = np.isfinite(vals)
@@ -627,9 +589,12 @@ def _check_c(symbol, probe, grid, theta_grid) -> DiagnosticRecord:
             witness=("p_m not finite anywhere on the grid", float(grid[0]),
                      np.inf))
     vals = vals[finite]
-    rotated = (np.cos(theta_grid)[:, None] * vals.real[None, :]
-               - np.sin(theta_grid)[:, None] * vals.imag[None, :])
-    margins = rotated.min(axis=1)
+    cos, sin = np.cos(theta_grid)[:, None], np.sin(theta_grid)[:, None]
+    margins = np.empty(theta_grid.size)
+    for start in range(0, theta_grid.size, THETA_BLOCK):
+        rows = slice(start, start + THETA_BLOCK)
+        rotated = cos[rows] * vals.real - sin[rows] * vals.imag
+        margins[rows] = rotated.min(axis=1)
     best = int(np.argmax(margins))
     theta = float(theta_grid[best])
     margin = float(margins[best])

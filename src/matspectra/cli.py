@@ -15,9 +15,8 @@ Exit codes: 0 success, 1 failed checks, 2 malformed operator or config,
 3 I/O failure, 4 limit hypothesis failed at every probe (no ``--force``),
 5 frozen limits refused (no ``--discretize``).
 
-The environment variable ``SPECTRA_THREADS`` caps worker threads; output
-writing is always single-threaded, and identical config + seed produces
-byte-identical CSV output.
+Everything runs on one thread, and identical inputs produce byte-identical
+CSV and SVG output.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,21 +131,6 @@ def _parse_probes(text: str) -> tuple[complex, ...]:
     return tuple(probes)
 
 
-def thread_cap() -> int:
-    """Worker-thread bound: SPECTRA_THREADS if set, else a small default."""
-    raw = os.environ.get("SPECTRA_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"SPECTRA_THREADS must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ConfigError("SPECTRA_THREADS must be at least 1")
-        return value
-    return min(8, os.cpu_count() or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, metavar="PATH",
@@ -160,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "--window=-10,10,-5,5 when bounds are negative)")
     shared.add_argument("--probes", default=None, metavar="LIST",
                         help="comma-separated spectral probes, e.g. 1+2i,-3i")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="deterministic seed echoed into reports")
     shared.add_argument("--force", action="store_true",
                         help="proceed even when hypothesis checks fail")
     shared.add_argument("--discretize", action="store_true",
@@ -187,13 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides: dict = {}
+    solver = SolverConfig()
     if args.window is not None:
-        overrides["window"] = _parse_window(args.window)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    solver = SolverConfig().with_overrides(**overrides) if overrides \
-        else SolverConfig()
+        solver = solver.with_overrides(window=_parse_window(args.window))
     probes = _parse_probes(args.probes) if args.probes else DEFAULT_PROBES
     return RunConfig(
         command=args.command,
@@ -246,7 +222,6 @@ def _run_echo(run: RunConfig) -> dict:
         "config": str(run.config_path),
         "window": list(run.solver.window),
         "probes": [[p.real, p.imag] for p in run.probes],
-        "seed": run.solver.seed,
         "force": run.force,
     }
 
@@ -259,17 +234,10 @@ def _run_checks(op: OperatorMatrix, run: RunConfig) -> list:
     """Structural record plus per-probe hypothesis records, in order."""
     cfg = run.solver
     grid = validation_grid(cfg)
-    records = list(validate(op, grid).records)
+    structural = validate(op, grid).records
     symbol = build_schur(op, cfg)
-    cap = max(1, min(thread_cap(), len(run.probes)))
-
-    def one_probe(probe: complex):
-        return check_assumptions(op, symbol, [probe], grid, cfg).records
-
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        for chunk in pool.map(one_probe, run.probes):
-            records.extend(chunk)
-    return records
+    checked = check_assumptions(op, symbol, run.probes, grid, cfg).records
+    return [*structural, *checked]
 
 
 def _one_sided_distance(source, target) -> float | None:
@@ -376,11 +344,8 @@ def cmd_spectrum(run: RunConfig) -> int:
 
 def _det_scan_report(op: OperatorMatrix, spectrum: SpectrumSet,
                      cfg: SolverConfig) -> tuple[dict, list[complex]]:
-    cap = max(1, min(thread_cap(), 2))
     sides = ("+", "-")
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        frozen = dict(zip(sides, pool.map(
-            lambda side: freeze(op, side, cfg), sides)))
+    frozen = {side: freeze(op, side, cfg) for side in sides}
 
     default_grid = [float(x) for x in default_xi_grid(cfg)]
     side_reports = {}

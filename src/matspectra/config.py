@@ -2,8 +2,7 @@
 
 :class:`SolverConfig` collects every numeric knob used by the pipeline, each
 with its pinned default. Tests and the CLI construct overrides through
-:func:`SolverConfig.with_overrides`, which also performs string coercion for
-``--set KEY=VALUE`` command-line pairs.
+:func:`SolverConfig.with_overrides`, which rejects unknown keys.
 """
 
 from __future__ import annotations
@@ -66,52 +65,19 @@ class SolverConfig:
     # Discretization oracle.
     eig_budget: int = 4000
 
-    # Output window and determinism seed.
+    # Output window.
     window: Window = (-10.0, 10.0, -10.0, 10.0)
-    seed: int = 0
 
     def with_overrides(self, **kwargs) -> "SolverConfig":
         """Return a copy with the given fields replaced.
 
-        String values (from ``--set KEY=VALUE``) are coerced to the field's
-        type; unknown keys raise :class:`ConfigError`.
+        Unknown keys raise :class:`ConfigError`.
         """
-        valid = {f.name: f for f in dataclasses.fields(self)}
-        coerced = {}
-        for key, value in kwargs.items():
+        valid = {f.name for f in dataclasses.fields(self)}
+        for key in kwargs:
             if key not in valid:
                 raise ConfigError(f"unknown config key: {key!r}")
-            coerced[key] = _coerce(key, value, getattr(self, key))
-        return dataclasses.replace(self, **coerced)
-
-
-def _coerce(key: str, value, current):
-    """Coerce ``value`` to the type of ``current`` (best effort)."""
-    if not isinstance(value, str):
-        return value
-    text = value.strip()
-    try:
-        if isinstance(current, bool):
-            return text.lower() in ("1", "true", "yes", "on")
-        if isinstance(current, int):
-            return int(text)
-        if isinstance(current, float):
-            return float(text)
-        if isinstance(current, complex):
-            return parse_complex(text)
-        if isinstance(current, str):
-            return text
-        if key == "declared_exceptional_set":
-            if text.lower() in ("", "none"):
-                return None
-            return tuple(parse_complex(part) for part in text.split(";"))
-        if isinstance(current, tuple):
-            parts = [p for p in text.replace(",", " ").split() if p]
-            kind = type(current[0]) if current else float
-            return tuple(kind(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
-    raise ConfigError(f"cannot coerce config key {key!r} from a string")
+        return dataclasses.replace(self, **kwargs)
 
 
 def parse_complex(text: str) -> complex:

@@ -11,8 +11,8 @@ structural requirement is m = n + k with m even.
 
 This module also exposes the scalar decoupling function
 ``delta = d - b_n c_k / a_m`` (whose range closure is the regular part of
-the essential spectrum), the order-weighted principal determinant, the
-shared diagnostics record type, and the operator config-file loader.
+the essential spectrum), the shared diagnostics record type, and the
+operator config-file loader.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .errors import ConfigError, StructureError
-from .expr import Expr, evaluate, evaluate_array, parse, simplify, to_text
+from .expr import Expr, evaluate_array, parse, simplify
 
 A_NONZERO_TOL = 1e-12
 
@@ -132,18 +132,6 @@ def check_structure(op: OperatorMatrix) -> None:
         raise StructureError(f"top-left order m={op.m} must be even")
 
 
-def coupling_degenerate(op: OperatorMatrix) -> bool:
-    """True when b_n*c_k simplifies to the zero expression.
-
-    In that case the decoupling function collapses to d; downstream results
-    remain formally valid but the operator is effectively triangular.
-    """
-    from .expr import Lit, Mul
-
-    product = simplify(Mul(op.b[op.n], op.c[op.k]))
-    return product == Lit(0j)
-
-
 def validate(op: OperatorMatrix, grid: np.ndarray) -> Diagnostics:
     """Structural check (hard error) plus sampled nonvanishing of a_m.
 
@@ -184,19 +172,6 @@ def delta(op: OperatorMatrix) -> Expr:
     """The decoupling function d - b_n*c_k/a_m, simplified."""
     coupling = op.b[op.n] * op.c[op.k] / op.a[op.m]
     return simplify(op.d - coupling)
-
-
-def dn_determinant(op: OperatorMatrix, x: float, xi: float, lam: complex) -> complex:
-    """Order-weighted principal determinant at one (x, xi, lambda).
-
-    Equals a_m(x)*xi^m*(d(x)-lam) - b_n(x)*c_k(x)*xi^(n+k), which factors as
-    a_m(x)*(delta(x)-lam)*xi^m.
-    """
-    a_lead = evaluate(op.a[op.m], x=x, lam=lam)
-    b_lead = evaluate(op.b[op.n], x=x, lam=lam)
-    c_lead = evaluate(op.c[op.k], x=x, lam=lam)
-    d_val = evaluate(op.d, x=x, lam=lam)
-    return a_lead * xi**op.m * (d_val - lam) - b_lead * c_lead * xi ** (op.n + op.k)
 
 
 def validation_grid(cfg: SolverConfig) -> np.ndarray:
@@ -278,12 +253,3 @@ def parse_operator_text(text: str, source: str = "<config>") -> OperatorMatrix:
     check_structure(op)
     return op
 
-
-def operator_summary(op: OperatorMatrix) -> str:
-    """Human-readable one-block description (used by the CLI)."""
-    lines = [f"orders: m={op.m}, n={op.n}, k={op.k}"]
-    for name, coeffs in (("a", op.a), ("b", op.b), ("c", op.c)):
-        for j, coeff in enumerate(coeffs):
-            lines.append(f"{name}{j} = {to_text(coeff)}")
-    lines.append(f"d = {to_text(op.d)}")
-    return "\n".join(lines)

@@ -162,14 +162,6 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
                        beta=tuple(beta_trees), d=op.d)
 
 
-def symbol_eval(symbol: SchurSymbol, x: float, xi: float, lam: complex) -> complex:
-    """Horner evaluation of sum_j p_j(x, lambda) xi^j."""
-    acc = evaluate(symbol.p[symbol.m], x=x, lam=lam)
-    for j in range(symbol.m - 1, -1, -1):
-        acc = acc * xi + evaluate(symbol.p[j], x=x, lam=lam)
-    return acc
-
-
 def polynomial_derivative(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     """d/dx of a polynomial given by ascending coefficients."""
     return tuple(r * coeffs[r] for r in range(1, len(coeffs)))

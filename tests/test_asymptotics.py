@@ -25,7 +25,6 @@ from factories import (
 from oracles import directed_hausdorff
 from matspectra.asymptotics import (
     Certificate,
-    ExceptionalSet,
     _cluster,
     _ratio_samples,
     _trajectory,
@@ -221,22 +220,6 @@ def test_analytic_slope_matches_central_difference():
         assert np.allclose(row, exact, rtol=1e-6, atol=1e-7)
 
 
-def test_probe_near_sampled_curve_warns():
-    symbol = build_schur(parabolic_potential())
-    # The decoupling function -x^2 - 1 passes through -2 at x = 1.
-    with pytest.warns(UserWarning, match="decoupling"):
-        limit_ratio(symbol, -2.0 + 0j, "+", CFG,
-                    delta_samples=np.array([-2.0 + 0j, -1.0 + 0j]))
-
-
-def test_probe_near_exceptional_estimate_warns():
-    symbol = build_schur(quartic_coupled())
-    exceptional = ExceptionalSet(points=(0j,), radii=(0.0,),
-                                 window_exponents=(), sides="both")
-    with pytest.warns(UserWarning, match="exceptional"):
-        limit_ratio(symbol, 1e-5 + 0j, "+", CFG, exceptional=exceptional)
-
-
 def test_concurrent_calls_are_deterministic():
     symbol = build_schur(quartic_coupled())
     probes = [1.0 + 0j, 2.0 - 1j, -3.0 + 2j, 0.5 + 2.5j, -1.0 - 2j, 4.0 + 1j]
@@ -403,6 +386,37 @@ def test_quartic_probes_produce_no_failures():
                 assert record.delta_margin > 0
 
 
+def unbounded_coupling(coeff: str = "x^2") -> OperatorMatrix:
+    """m = 2 operator with a_0 = b_0 = coeff, d = 1, delta = 1 - x^2."""
+    return OperatorMatrix(
+        a=(parse(coeff), Lit(0j), Lit(1 + 0j)),
+        b=(parse(coeff), Lit(-1j)),
+        c=(Lit(0j), Lit(1j)),
+        d=Lit(1 + 0j),
+    )
+
+
+@pytest.mark.parametrize("op,probes", [
+    (quartic_coupled(), [1.0 + 0j, 2j, -3.0 + 0j]),
+    # B1, B3 and D fail at 2+3i and -1; 0.0005i sits next to the curve
+    # delta = 1 - x^2, so its failures are downgraded to inconclusive.
+    (unbounded_coupling(), [2.0 + 3j, 0.0005j, -1.0 + 0j]),
+])
+def test_probe_list_matches_probe_by_probe_calls(op, probes):
+    # One call over all probes gives, in order, the records of one call per
+    # probe: the CLI checks all its probes in a single call.
+    symbol = build_schur(op)
+    grid = validation_grid(CFG)
+    together = check_assumptions(op, symbol, probes, grid, CFG).records
+    one_by_one = tuple(
+        record for probe in probes
+        for record in check_assumptions(op, symbol, [probe], grid,
+                                        CFG).records)
+    assert together == one_by_one
+    assert [r.assumption for r in together] \
+        == ["B1", "B2", "B3", "C", "D"] * len(probes)
+
+
 def test_bounded_d_with_invertible_leading_coefficient_passes_b2():
     # Bounded d and |a_m| bounded away from zero make 1/p_m bounded for
     # every probe away from the curve.
@@ -450,6 +464,21 @@ def test_unbounded_coefficient_fails_b1():
     label, location, measured = record.witness
     assert "p_2" in label
     assert measured > 1e3
+
+
+@pytest.mark.parametrize("coeff,b1_label,b3_label", [
+    ("x^2", "d^0 p_0 / dx^0", "d^0/dx^0 of b_0/(d-lambda)"),
+    ("sin(x^2)", "d^2 p_0 / dx^2", "d^2/dx^2 of b_0/(d-lambda)"),
+])
+def test_bounded_tree_witness_labels(coeff, b1_label, b3_label):
+    # B1 and B3 name the worst tree: which coefficient and which x-derivative.
+    op = unbounded_coupling(coeff)
+    diag = check_assumptions(op, build_schur(op), [2.0 + 3j],
+                             validation_grid(CFG), CFG)
+    for assumption, label in (("B1", b1_label), ("B3", b3_label)):
+        record = by_assumption(diag, assumption, 2.0 + 3j)
+        assert record.status == "fail"
+        assert record.witness[0] == f"sampled |{label}| exceeds bound cap"
 
 
 def test_oscillating_limits_fail_assumption_d():

@@ -23,7 +23,6 @@ from matspectra.cli import (
     cmd_spectrum,
     main,
     render_svg,
-    thread_cap,
 )
 from matspectra.config import SolverConfig
 from matspectra.errors import ConfigError
@@ -96,22 +95,14 @@ class TestArgumentParsing:
         with pytest.raises(ConfigError, match="positive"):
             make_run("check", QUARTIC_CFG, tmp_path, solver)
 
+    def test_unknown_solver_key_rejected(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            SolverConfig().with_overrides(bogus=1)
+
     def test_run_config_rejects_empty_probes(self, tmp_path):
         with pytest.raises(ConfigError, match="probe"):
             make_run("check", QUARTIC_CFG, tmp_path, SolverConfig(),
                      probes=())
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SPECTRA_THREADS", "3")
-        assert thread_cap() == 3
-        monkeypatch.setenv("SPECTRA_THREADS", "abc")
-        with pytest.raises(ConfigError):
-            thread_cap()
-        monkeypatch.setenv("SPECTRA_THREADS", "0")
-        with pytest.raises(ConfigError):
-            thread_cap()
-        monkeypatch.delenv("SPECTRA_THREADS")
-        assert thread_cap() >= 1
 
 
 class TestExitCodes:
@@ -330,8 +321,8 @@ class TestDeterminism:
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
             code = main(["spectrum", "--config", str(PARABOLIC_CFG),
-                         "--out", str(out), "--seed", "7",
+                         "--out", str(out), "--svg",
                          "--window=-10,10,-5,5"])
             assert code == EXIT_OK
-        assert (out_a / "spectrum.csv").read_bytes() \
-            == (out_b / "spectrum.csv").read_bytes()
+        for name in ("spectrum.csv", "spectrum.svg"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

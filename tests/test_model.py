@@ -17,11 +17,8 @@ from matspectra.model import (
     DiagnosticRecord,
     OperatorMatrix,
     check_structure,
-    coupling_degenerate,
     delta,
-    dn_determinant,
     load_operator,
-    operator_summary,
     parse_operator_text,
     validate,
     validation_grid,
@@ -117,37 +114,39 @@ def test_decoupling_function_of_quartic_example_numerically():
 def test_decoupling_function_with_zero_coupling_is_corner_entry():
     op = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, ZERO), c=(ZERO, ONE), d=parse("cos(x)"))
     assert delta(op) == simplify(parse("cos(x)"))
-    assert coupling_degenerate(op)
-    assert not coupling_degenerate(parabolic_potential())
 
 
 # ---------------------------------------------------------------------------
 # Principal determinant
 # ---------------------------------------------------------------------------
 
-def test_determinant_frozen_value_against_direct_2x2_oracle():
-    op = parabolic_potential()
-    x, xi, lam = 1.0, 2.0, 0j
-    # Oracle: determinant of [[a_m xi^m, b_n xi^n], [c_k xi^k, d - lam]].
-    oracle = det2(
-        evaluate(op.a[2], x=x) * xi**2,
-        evaluate(op.b[1], x=x) * xi,
-        evaluate(op.c[1], x=x) * xi,
+def principal_determinant(op, x, xi, lam):
+    """det [[a_m xi^m, b_n xi^n], [c_k xi^k, d - lam]] at one point."""
+    return det2(
+        evaluate(op.a[op.m], x=x) * xi**op.m,
+        evaluate(op.b[op.n], x=x) * xi**op.n,
+        evaluate(op.c[op.k], x=x) * xi**op.k,
         evaluate(op.d, x=x) - lam,
     )
-    assert oracle == -8.0 + 0j
-    assert dn_determinant(op, x, xi, lam) == oracle
+
+
+def test_determinant_frozen_value_against_direct_2x2_oracle():
+    # a_m (delta - lam) xi^m = 1 * (-2 - 0) * 4 at x = 1, xi = 2, lam = 0.
+    assert principal_determinant(parabolic_potential(), 1.0, 2.0, 0j) \
+        == -8.0 + 0j
 
 
 def test_determinant_vanishes_at_zero_frequency():
-    assert dn_determinant(quartic_coupled(), 0.7, 0.0, 2.0 - 1.0j) == 0j
+    assert principal_determinant(quartic_coupled(), 0.7, 0.0, 2.0 - 1.0j) \
+        == 0j
 
 
 def test_determinant_vanishes_on_decoupling_curve():
     op = parabolic_potential()
     for x in (0.0, 1.0, -2.5):
         lam = evaluate(delta(op), x=x)
-        assert abs(dn_determinant(op, x, 3.0, lam)) < 1e-9 * (1.0 + abs(lam))
+        det = principal_determinant(op, x, 3.0, lam)
+        assert abs(det) < 1e-9 * (1.0 + abs(lam))
 
 
 def test_determinant_factorization_property():
@@ -159,7 +158,7 @@ def test_determinant_factorization_property():
             x = rng.uniform(-3.0, 3.0)
             xi = rng.uniform(-3.0, 3.0)
             lam = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            direct = dn_determinant(op, x, xi, lam)
+            direct = principal_determinant(op, x, xi, lam)
             lead = evaluate(op.a[op.m], x=x, lam=lam)
             factored = lead * (evaluate(decoupling, x=x, lam=lam) - lam) * xi**op.m
             scale = 1.0 + abs(direct) + abs(factored)
@@ -224,12 +223,6 @@ def test_loader_rejects_structurally_invalid_orders():
     text = "m = 3\nn = 1\nk = 2\na0 = 0\na1 = 0\na2 = 0\na3 = 1\nb0 = 0\nb1 = 1\nc0 = 0\nc1 = 0\nc2 = 1\nd = 0\n"
     with pytest.raises(StructureError):
         parse_operator_text(text)
-
-
-def test_summary_mentions_orders_and_entries():
-    text = operator_summary(parabolic_potential())
-    assert "m=2" in text
-    assert "d = " in text
 
 
 # ---------------------------------------------------------------------------

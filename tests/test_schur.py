@@ -1,4 +1,4 @@
-"""Schur composition: coefficients, symbol evaluation, operator application.
+"""Schur composition: coefficients and operator application.
 
 The composition is certified two independent ways: frozen closed-form
 coefficients of the m=2 example, and a nested-composition oracle that
@@ -29,19 +29,13 @@ from matspectra.expr import (
     to_text,
 )
 from matspectra.model import OperatorMatrix, delta
-from matspectra.schur import (
-    SchurSymbol,
-    apply_operator,
-    build_schur,
-    symbol_eval,
-)
+from matspectra.schur import SchurSymbol, apply_operator, build_schur
 
 from factories import (
     ONE,
     ZERO,
     parabolic_potential,
     quartic_coupled,
-    random_constant_operator,
     random_operator,
 )
 
@@ -179,42 +173,6 @@ def test_decoupled_operator_reduces_to_scalar_symbol():
     assert symbol.p[2] == simplify(op.a[2])
     assert symbol.p[1] == simplify(op.a[1])
     assert symbol.p[0] == simplify(Sub(op.a[0], LAM))
-
-
-# ---------------------------------------------------------------------------
-# Symbol evaluation
-# ---------------------------------------------------------------------------
-
-def test_symbol_eval_frozen_point():
-    # At x=0, lam=-1: p_2 = 1 + 1/(0 - 1) = 0, p_1 = 0, p_0 = 1.
-    symbol = build_schur(parabolic_potential())
-    assert abs(symbol_eval(symbol, x=0.0, xi=1.0, lam=-1.0 + 0j) - 1.0) < 1e-12
-
-
-def test_symbol_eval_at_zero_frequency_is_constant_term():
-    symbol = build_schur(quartic_coupled())
-    for x, lam in ((0.3, 2.0 - 1.0j), (-1.2, 0.5 + 3.0j)):
-        want = evaluate(symbol.p[0], x=x, lam=lam)
-        assert symbol_eval(symbol, x=x, xi=0.0, lam=lam) == want
-
-
-def test_symbol_eval_constant_coefficients_independent_of_x():
-    rng = random.Random(34517)
-    op = random_constant_operator(rng, 4)
-    symbol = build_schur(op)
-    lam = 1.4 + 2.2j
-    if abs(evaluate(op.d, x=0.0, lam=lam) - lam) < 0.1:
-        lam = -2.0 - 2.0j
-    for xi in (0.0, 0.7, -2.5):
-        one = symbol_eval(symbol, x=0.3, xi=xi, lam=lam)
-        two = symbol_eval(symbol, x=-1.7, xi=xi, lam=lam)
-        assert abs(one - two) <= 1e-12 * (1.0 + abs(one))
-
-
-def test_symbol_eval_raises_at_resolvent_pole():
-    symbol = build_schur(parabolic_potential())
-    with pytest.raises(PoleError):
-        symbol_eval(symbol, x=1.0, xi=1.0, lam=-1.0 + 0j)
 
 
 # ---------------------------------------------------------------------------
