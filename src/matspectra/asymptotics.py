@@ -21,7 +21,11 @@ Three services live here:
 - :func:`check_assumptions` runs the sampled hypothesis diagnostics
   (B1/B2/B3: boundedness, invertible leading coefficient, bounded
   resolvent-weighted couplings; C: sector condition; D: existence of the
-  coefficient limits) and reports one record per (assumption, probe).
+  coefficient limits) and reports one record per (assumption, probe). It
+  works from the same lambda-free form: the x-only trees and their first
+  two x-derivatives are sampled once per call on the validation grid, the
+  trajectory forms once per side, and each probe costs array algebra in
+  ``u``, using ``u' = -d' u**2``.
 
 Everything is pure and therefore safe to call concurrently with a shared
 symbol; no caches are mutated.
@@ -37,8 +41,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .errors import NotConvergent, PoleError
-from .expr import (LAM, ONE, Div, Expr, Lit, Sub, differentiate,
-                   evaluate_array, simplify)
+from .expr import ONE, Expr, Lit, differentiate, evaluate_array, simplify
 from .model import DiagnosticRecord, Diagnostics, OperatorMatrix, delta
 from .schur import SchurSymbol
 
@@ -98,6 +101,7 @@ class _Form(NamedTuple):
     symbol; ``finite`` marks the abscissae where every sample is finite.
     """
 
+    xs: np.ndarray
     alpha: list[np.ndarray | None]
     beta: list[list[np.ndarray | None]]
     d: np.ndarray | None
@@ -112,7 +116,16 @@ def _sample_form(symbol: SchurSymbol, xs: np.ndarray) -> _Form:
     for column in (*alpha, *(b for row in beta for b in row), d):
         if column is not None:
             finite &= np.isfinite(column)
-    return _Form(alpha, beta, d, finite)
+    return _Form(xs, alpha, beta, d, finite)
+
+
+def _u_powers(d: np.ndarray, lam, top: int) -> list:
+    """[None, u, u^2, ..., u^top] with u = 1/(d - lam), broadcast."""
+    with np.errstate(all="ignore"):
+        powers = [None, 1.0 / (d - lam)]
+        while len(powers) <= top:
+            powers.append(powers[-1] * powers[1])
+    return powers
 
 
 def _coefficients(symbol: SchurSymbol, form: _Form, lams: np.ndarray,
@@ -126,11 +139,10 @@ def _coefficients(symbol: SchurSymbol, form: _Form, lams: np.ndarray,
     """
     out = np.zeros((symbol.m + 1, form.finite.size, lams.size),
                    dtype=np.complex128)
+    if form.d is not None:
+        u_powers = _u_powers(form.d[:, None], lams[None, :],
+                             max(map(len, form.beta)) + slope)
     with np.errstate(all="ignore"):
-        if form.d is not None:
-            u_powers = [None, 1.0 / (form.d[:, None] - lams[None, :])]
-            while len(u_powers) <= max(map(len, form.beta)) + slope:
-                u_powers.append(u_powers[-1] * u_powers[1])
         for j, row in enumerate(form.beta):
             if not slope and form.alpha[j] is not None:
                 out[j] += form.alpha[j][:, None]
@@ -146,14 +158,13 @@ def _coefficients(symbol: SchurSymbol, form: _Form, lams: np.ndarray,
     return out
 
 
-def _ratio_samples(symbol: SchurSymbol, lams: np.ndarray, side: str,
-                   cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sample r_j = p_j/p_m on the trajectory; shape (m, T+1, K).
+def _ratio_samples(symbol: SchurSymbol, form: _Form,
+                   lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample r_j = p_j/p_m on the form's abscissae; shape (m, S, K).
 
-    The x-only trees are evaluated once for the whole batch. The second
-    result marks the trajectory points where all those samples are finite.
+    The second result marks the abscissae where all x-only samples are
+    finite.
     """
-    form = _sample_form(symbol, _trajectory(side, cfg))
     p = _coefficients(symbol, form, lams)
     with np.errstate(all="ignore"):
         return p[:-1] / p[-1], form.finite
@@ -204,7 +215,7 @@ class _LimitBlock(NamedTuple):
     status: np.ndarray
 
 
-def _limit_block(symbol: SchurSymbol, lams: np.ndarray, side: str,
+def _limit_block(symbol: SchurSymbol, form: _Form, lams: np.ndarray,
                  cfg: SolverConfig) -> _LimitBlock:
     """Samples, certificate scan and per-lambda status of one batch.
 
@@ -214,7 +225,7 @@ def _limit_block(symbol: SchurSymbol, lams: np.ndarray, side: str,
     are (d - lambda or p_m vanishes there). Without a non-finite sample the
     status is ``"not-convergent"``.
     """
-    samples, coeff_finite = _ratio_samples(symbol, lams, side, cfg)
+    samples, coeff_finite = _ratio_samples(symbol, form, lams)
     values, t_idx, last_inc, converged, first_bad = _certify_block(
         samples, cfg.limit_tol)
     status = np.full(lams.size, "not-convergent")
@@ -241,10 +252,18 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
     zero of p_m).
     """
     cfg = cfg or SolverConfig()
+    return _certified_ratios(
+        symbol, _sample_form(symbol, _trajectory(side, cfg)), lam, side, cfg)
+
+
+def _certified_ratios(symbol: SchurSymbol, form: _Form, lam: complex,
+                      side: str, cfg: SolverConfig
+                      ) -> tuple[list[complex], list[Certificate]]:
+    """:func:`limit_ratio` on a trajectory form that is already sampled."""
     lams = np.asarray([lam], dtype=np.complex128)
     samples, values, t_idx, last_inc, converged, first_bad, status = (
-        _limit_block(symbol, lams, side, cfg))
-    xs = _trajectory(side, cfg)
+        _limit_block(symbol, form, lams, cfg))
+    xs = form.xs
     if status[0] in ("pole", "overflow"):
         j = int(np.argmin(first_bad[:, 0]))
         bad = int(first_bad[j, 0])
@@ -290,7 +309,8 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
     """
     cfg = cfg or SolverConfig()
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
-    block = _limit_block(symbol, lam_arr, side, cfg)
+    block = _limit_block(
+        symbol, _sample_form(symbol, _trajectory(side, cfg)), lam_arr, cfg)
     values, status = block.values, block.status
     out = values.T.copy()
     out[status != "ok"] = np.nan
@@ -472,16 +492,21 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     failures to "inconclusive": the hypotheses are genuinely violated on
     the curve itself, and a sampled check cannot distinguish the curve
     from its immediate neighborhood.
+
+    No tree that mentions lambda is built or walked. The x-only trees of
+    the symbol's lambda-free form, of b, c and d, and their first two
+    x-derivatives are sampled once on the grid, and the trajectory samples
+    for D once per side; each probe then costs array algebra in
+    u = 1/(d - lambda), with u' = -d' u^2.
     """
     cfg = cfg or SolverConfig()
     grid = np.asarray(grid, dtype=float)
     records: list[DiagnosticRecord] = []
 
-    coeff_trees = _coefficient_derivative_trees(symbol)
-    weighted_trees = _resolvent_weighted_trees(op)
-    delta_vals = np.broadcast_to(
-        np.asarray(evaluate_array(delta(op), x=grid), dtype=np.complex128),
-        grid.shape)
+    jets = _GridJets.sample(op, symbol, grid)
+    trajectories = [(side, _sample_form(symbol, _trajectory(side, cfg)))
+                    for side in ("+", "-")]
+    delta_vals = _sample(delta(op), grid)
     delta_vals = delta_vals[np.isfinite(delta_vals)]
     theta_grid = np.linspace(0.0, np.pi, cfg.theta_points)
 
@@ -489,12 +514,13 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
         probe = complex(probe)
         near_curve = bool(delta_vals.size) and float(
             np.min(np.abs(delta_vals - probe))) <= cfg.probe_margin
+        coefficients, p_m, weighted = jets.values(probe)
         batch = [
-            _check_bounded("B1", coeff_trees, probe, grid, cfg),
-            _check_b2(symbol, probe, grid),
-            _check_bounded("B3", weighted_trees, probe, grid, cfg),
-            _check_c(symbol, probe, grid, theta_grid),
-            _check_d(symbol, probe, cfg),
+            _check_bounded("B1", coefficients, probe, grid, cfg),
+            _check_b2(p_m, probe, grid),
+            _check_bounded("B3", weighted, probe, grid, cfg),
+            _check_c(p_m, probe, grid, theta_grid),
+            _check_d(symbol, trajectories, probe, cfg),
         ]
         for record in batch:
             if near_curve and record.status == "fail":
@@ -513,43 +539,117 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     return Diagnostics(records=tuple(records))
 
 
-def _with_two_derivatives(tree: Expr) -> tuple[Expr, Expr, Expr]:
+_Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _jet(tree: Expr, xs: np.ndarray) -> _Jet | None:
+    """Samples of an x-only tree and of its first two x-derivatives.
+
+    None for a literal zero, whose terms are skipped.
+    """
+    if isinstance(tree, Lit) and tree.value == 0:
+        return None
     first = simplify(differentiate(tree, "x"))
-    return tree, first, simplify(differentiate(first, "x"))
+    second = simplify(differentiate(first, "x"))
+    return _sample(tree, xs), _sample(first, xs), _sample(second, xs)
 
 
-def _coefficient_derivative_trees(symbol: SchurSymbol):
-    """(witness label, tree) for p_j and its first two x-derivatives."""
-    return [(f"d^{order} p_{j} / dx^{order}", tree)
-            for j, p in enumerate(symbol.p)
-            for order, tree in enumerate(_with_two_derivatives(p))]
+def _series(terms, d: _Jet | None, u: list | None) -> list[np.ndarray]:
+    """sum_q f_q u^q and its first two x-derivatives, u = 1/(d - lambda).
+
+    ``terms`` pairs each power q >= 0 with the jet of f_q (None for zero);
+    ``u`` lists the powers of u on the grid. By u' = -d' u^2:
+    (f u^q)' = f' u^q - q f d' u^(q+1) and (f u^q)'' = f'' u^q -
+    q (2 f' d' + f d'') u^(q+1) + q (q+1) f d'^2 u^(q+2).
+    """
+    out = [0.0, 0.0, 0.0]
+    with np.errstate(all="ignore"):
+        for q, jet in terms:
+            if jet is None:
+                continue
+            f, f1, f2 = jet
+            if q == 0:
+                out = [out[0] + f, out[1] + f1, out[2] + f2]
+                continue
+            _, d1, d2 = d
+            out[0] = out[0] + f * u[q]
+            out[1] = out[1] + f1 * u[q] - q * f * d1 * u[q + 1]
+            out[2] = (out[2] + f2 * u[q]
+                      - q * (2.0 * f1 * d1 + f * d2) * u[q + 1]
+                      + q * (q + 1) * f * d1 * d1 * u[q + 2])
+    return out
 
 
-def _resolvent_weighted_trees(op: OperatorMatrix):
-    """c_gamma/(d-lambda) plain; b_beta/(d-lambda) with two derivatives."""
-    resolvent_den = Sub(op.d, LAM)
-    trees = [(f"d^0/dx^0 of c_{gamma}/(d-lambda)",
-              simplify(Div(c, resolvent_den)))
-             for gamma, c in enumerate(op.c)]
-    for beta, b in enumerate(op.b):
-        base = simplify(Div(b, resolvent_den))
-        trees += [(f"d^{order}/dx^{order} of b_{beta}/(d-lambda)", tree)
-                  for order, tree in enumerate(_with_two_derivatives(base))]
-    return trees
+class _GridJets(NamedTuple):
+    """Grid jets of the x-only trees behind the B1, B2, B3 and C values.
+
+    ``p[j]`` pairs the powers q of u with the jets of alpha_j (q = 0) and
+    beta_jq; ``symbol_d`` is the jet of the symbol's d (None for a
+    hand-built symbol), ``d`` that of the operator's. B3 needs c_gamma
+    without derivatives, so ``c`` holds plain samples (None for zero).
+    """
+
+    p: list[list[tuple[int, _Jet | None]]]
+    symbol_d: _Jet | None
+    b: list[_Jet | None]
+    c: list[np.ndarray | None]
+    d: _Jet
+    shape: tuple[int, ...]
+
+    @classmethod
+    def sample(cls, op: OperatorMatrix, symbol: SchurSymbol,
+               grid: np.ndarray) -> _GridJets:
+        d = _jet(op.d, grid) or (np.zeros(grid.shape, np.complex128),) * 3
+        if symbol.d is None:
+            symbol_d = None
+        else:
+            symbol_d = d if symbol.d == op.d else _jet(symbol.d, grid)
+        p = [[(0, _jet(alpha, grid)),
+              *((q, _jet(tree, grid)) for q, tree in enumerate(row, 1))]
+             for alpha, row in zip(symbol.alpha, symbol.beta)]
+        return cls(p=p, symbol_d=symbol_d,
+                   b=[_jet(b, grid) for b in op.b],
+                   c=[_sample_term(c, grid) for c in op.c], d=d,
+                   shape=grid.shape)
+
+    def values(self, probe: complex):
+        """Labelled B1 values, p_m and labelled B3 values at one probe.
+
+        The lambda term of p_0 belongs to a composed symbol only.
+        """
+        top = max(map(len, self.p)) + 1
+        u_symbol = (None if self.symbol_d is None
+                    else _u_powers(self.symbol_d[0], probe, top))
+        coefficients = []
+        for j, terms in enumerate(self.p):
+            series = _series(terms, self.symbol_d, u_symbol)
+            if j == 0 and self.symbol_d is not None:
+                series[0] = series[0] - probe
+            coefficients += [
+                (f"d^{order} p_{j} / dx^{order}",
+                 np.broadcast_to(values, self.shape))
+                for order, values in enumerate(series)]
+        p_m = coefficients[-3][1]
+        u = _u_powers(self.d[0], probe, 3)
+        with np.errstate(all="ignore"):
+            weighted = [
+                (f"d^0/dx^0 of c_{gamma}/(d-lambda)",
+                 np.broadcast_to(0.0 if c is None else c * u[1], self.shape))
+                for gamma, c in enumerate(self.c)]
+        for beta, b in enumerate(self.b):
+            weighted += [
+                (f"d^{order}/dx^{order} of b_{beta}/(d-lambda)",
+                 np.broadcast_to(values, self.shape))
+                for order, values in enumerate(_series([(1, b)], self.d, u))]
+        return coefficients, p_m, weighted
 
 
-def _grid_values(tree: Expr, grid: np.ndarray, probe: complex) -> np.ndarray:
-    return np.broadcast_to(
-        np.asarray(evaluate_array(tree, x=grid, lam=probe),
-                   dtype=np.complex128), grid.shape)
-
-
-def _check_bounded(assumption, labelled_trees, probe, grid,
+def _check_bounded(assumption, labelled_values, probe, grid,
                    cfg) -> DiagnosticRecord:
-    """Pass iff every tree's sampled magnitude stays within ``bound_cap``."""
+    """Pass iff every sampled magnitude stays within ``bound_cap``."""
     worst = (0.0, 0.0, "")
-    for label, tree in labelled_trees:
-        mags = np.abs(_grid_values(tree, grid, probe))
+    for label, values in labelled_values:
+        mags = np.abs(values)
         mags = np.where(np.isfinite(mags), mags, np.inf)
         at = int(np.argmax(mags))
         if mags[at] > worst[0]:
@@ -561,8 +661,8 @@ def _check_bounded(assumption, labelled_trees, probe, grid,
         witness=(f"sampled |{worst[2]}| exceeds bound cap", worst[1], worst[0]))
 
 
-def _check_b2(symbol, probe, grid) -> DiagnosticRecord:
-    mags = np.abs(_grid_values(symbol.p[symbol.m], grid, probe))
+def _check_b2(p_m, probe, grid) -> DiagnosticRecord:
+    mags = np.abs(p_m)
     finite = np.isfinite(mags)
     if not finite.any():
         return DiagnosticRecord(
@@ -580,15 +680,14 @@ def _check_b2(symbol, probe, grid) -> DiagnosticRecord:
                  float(grid[at]), smallest))
 
 
-def _check_c(symbol, probe, grid, theta_grid) -> DiagnosticRecord:
-    vals = _grid_values(symbol.p[symbol.m], grid, probe)
-    finite = np.isfinite(vals)
+def _check_c(p_m, probe, grid, theta_grid) -> DiagnosticRecord:
+    finite = np.isfinite(p_m)
     if not finite.any():
         return DiagnosticRecord(
             "C", "inconclusive", probe=probe,
             witness=("p_m not finite anywhere on the grid", float(grid[0]),
                      np.inf))
-    vals = vals[finite]
+    vals = p_m[finite]
     cos, sin = np.cos(theta_grid)[:, None], np.sin(theta_grid)[:, None]
     margins = np.empty(theta_grid.size)
     for start in range(0, theta_grid.size, THETA_BLOCK):
@@ -608,10 +707,11 @@ def _check_c(symbol, probe, grid, theta_grid) -> DiagnosticRecord:
         theta=theta, delta_margin=margin)
 
 
-def _check_d(symbol, probe, cfg) -> DiagnosticRecord:
-    for side in ("+", "-"):
+def _check_d(symbol, trajectories, probe, cfg) -> DiagnosticRecord:
+    """D from (side, trajectory form) pairs sampled once for all probes."""
+    for side, form in trajectories:
         try:
-            limit_ratio(symbol, probe, side, cfg)
+            _certified_ratios(symbol, form, probe, side, cfg)
         except NotConvergent as exc:
             tail_increment = exc.witness[-1][1] if exc.witness else np.inf
             return DiagnosticRecord(

@@ -39,7 +39,7 @@ from .expr import simplify, to_text
 from .model import (Diagnostics, OperatorMatrix, delta, load_operator,
                     validate, validation_grid)
 from .oracle import det_scan, discretize_and_eig, freeze
-from .schur import build_schur
+from .schur import SchurSymbol, build_schur
 from .spectrum import (SpectrumSet, _format_number, default_xi_grid,
                        essential_spectrum, write_csv)
 
@@ -230,14 +230,18 @@ def _record_dicts(records) -> list[dict]:
     return Diagnostics(records=tuple(records)).to_json_dict()["records"]
 
 
-def _run_checks(op: OperatorMatrix, run: RunConfig) -> list:
-    """Structural record plus per-probe hypothesis records, in order."""
+def _run_checks(op: OperatorMatrix,
+                run: RunConfig) -> tuple[list, SchurSymbol]:
+    """Structural record plus per-probe hypothesis records, in order.
+
+    Also returns the Schur symbol the checks built, for reuse.
+    """
     cfg = run.solver
     grid = validation_grid(cfg)
     structural = validate(op, grid).records
     symbol = build_schur(op, cfg)
     checked = check_assumptions(op, symbol, run.probes, grid, cfg).records
-    return [*structural, *checked]
+    return [*structural, *checked], symbol
 
 
 def _one_sided_distance(source, target) -> float | None:
@@ -268,7 +272,7 @@ def _spectrum_point_sets(spectrum: SpectrumSet,
 
 def cmd_check(run: RunConfig) -> int:
     op = load_operator(run.config_path)
-    records = _run_checks(op, run)
+    records, _ = _run_checks(op, run)
     failures = [r for r in records if r.status == "fail"]
     out_dir = _prepare_out_dir(run)
     report = {
@@ -298,7 +302,7 @@ def _limit_hypothesis_blocks(records, force: bool) -> tuple[bool, list[dict]]:
 def cmd_spectrum(run: RunConfig) -> int:
     op = load_operator(run.config_path)
     cfg = run.solver
-    records = _run_checks(op, run)
+    records, symbol = _run_checks(op, run)
     blocked, warnings = _limit_hypothesis_blocks(records, run.force)
     out_dir = _prepare_out_dir(run)
 
@@ -313,7 +317,7 @@ def cmd_spectrum(run: RunConfig) -> int:
         })
         return EXIT_ASSUMPTION_FAILED
 
-    spectrum = essential_spectrum(op, cfg)
+    spectrum = essential_spectrum(op, cfg, symbol)
     csv_path = out_dir / "spectrum.csv"
     write_csv(spectrum, csv_path)
 

@@ -837,12 +837,13 @@ def _config_echo(cfg: SolverConfig) -> dict:
     return echo
 
 
-def essential_spectrum(op: OperatorMatrix,
-                       cfg: SolverConfig | None = None) -> SpectrumSet:
+def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
+                       symbol: SchurSymbol | None = None) -> SpectrumSet:
     """Regular curve plus singular branches, with per-point overlap flags.
 
-    Sub-step failures are collected into the report and partial results are
-    returned; only structural violations raise.
+    ``symbol`` is the operator's Schur symbol when the caller has already
+    built it. Sub-step failures are collected into the report and partial
+    results are returned; only structural violations raise.
     """
     cfg = cfg or SolverConfig()
     check_structure(op)
@@ -863,7 +864,7 @@ def essential_spectrum(op: OperatorMatrix,
     regular = regular_part(op, cfg, report=report)
     exceptional = limit_points_at_infinity(op.d, cfg)
     report["exceptional"] = exceptional.to_json_dict()
-    symbol = build_schur(op, cfg)
+    symbol = symbol if symbol is not None else build_schur(op, cfg)
     try:
         singular = singular_part(op, symbol, cfg=cfg, report=report)
     except FitError as exc:

@@ -43,6 +43,16 @@ def quartic_coupled() -> OperatorMatrix:
     )
 
 
+def unbounded_coupling(coeff: str = "x^2") -> OperatorMatrix:
+    """m = 2 operator with a_0 = b_0 = coeff, d = 1, delta = 1 - x^2."""
+    return OperatorMatrix(
+        a=(parse(coeff), ZERO, ONE),
+        b=(parse(coeff), Lit(-1j)),
+        c=(ZERO, Lit(1j)),
+        d=ONE,
+    )
+
+
 def _rand_coeff(rng: random.Random, bounded: bool = False) -> Expr:
     """Random coefficient expression with no real poles.
 

@@ -21,12 +21,14 @@ from factories import (
     quartic_coupled,
     random_constant_operator,
     random_operator,
+    unbounded_coupling,
 )
 from oracles import directed_hausdorff
 from matspectra.asymptotics import (
     Certificate,
     _cluster,
     _ratio_samples,
+    _sample_form,
     _trajectory,
     check_assumptions,
     limit_of,
@@ -183,7 +185,7 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     lams = np.asarray([complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                        for _ in range(3)])
     xs = _trajectory(side, CFG)
-    samples, finite = _ratio_samples(symbol, lams, side, CFG)
+    samples, finite = _ratio_samples(symbol, _sample_form(symbol, xs), lams)
     with np.errstate(all="ignore"):
         p = [np.broadcast_to(evaluate_array(tree, x=xs[:, None],
                                             lam=lams[None, :]),
@@ -384,16 +386,6 @@ def test_quartic_probes_produce_no_failures():
             assert record.delta_margin is not None
             if record.status == "pass":
                 assert record.delta_margin > 0
-
-
-def unbounded_coupling(coeff: str = "x^2") -> OperatorMatrix:
-    """m = 2 operator with a_0 = b_0 = coeff, d = 1, delta = 1 - x^2."""
-    return OperatorMatrix(
-        a=(parse(coeff), Lit(0j), Lit(1 + 0j)),
-        b=(parse(coeff), Lit(-1j)),
-        c=(Lit(0j), Lit(1j)),
-        d=Lit(1 + 0j),
-    )
 
 
 @pytest.mark.parametrize("op,probes", [
