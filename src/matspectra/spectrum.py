@@ -26,19 +26,24 @@ ratios. Per side the solve is staged:
 4. re-certify accepted roots on an independent sampling trajectory, then
    refine xi adaptively wherever neighbouring roots inside the window are
    farther apart than ``curve_res``. The segments of the initial grid are
-   checked once; after each round only the two halves of each split
-   segment are checked, since solving new frequencies leaves every other
-   segment's roots unchanged.
+   checked once, all in one array pass; after each round only the two
+   halves of each split segment are, since solving new frequencies leaves
+   every other segment's roots unchanged.
 
-Branch ids follow nearest-neighbor continuation in xi; coincident roots
-from the two sides merge into points labeled with the neutral side.
+Each side keeps its roots in a :class:`RootTable` (ascending xi, a
+NaN-padded root array, a count per row), so the window tests, dedupe,
+segment checks, side merging and flags run as array operations. Every
+distance compared with a tolerance is ``np.hypot`` of the difference,
+which equals Python's ``abs(complex)`` bit for bit. Branch ids follow
+nearest-neighbor continuation in xi; coincident roots from the two sides
+merge into points labeled with the neutral side.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +55,7 @@ from .asymptotics import (
     limit_ratio_batch,
     limit_ratio_slope,
 )
-from .config import SolverConfig, window_contains
+from .config import SolverConfig
 from .errors import FitError, NotConvergent, PoleError
 from .expr import evaluate_array
 from .model import (
@@ -393,8 +398,8 @@ def _tail_values(pows: np.ndarray, ratios: np.ndarray, m: int) -> np.ndarray:
 
 
 def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
-                  lam: np.ndarray, cfg: SolverConfig,
-                  skips: list) -> tuple[np.ndarray, np.ndarray]:
+                  lam: np.ndarray, cfg: SolverConfig, skips: list,
+                  work: dict) -> tuple[np.ndarray, np.ndarray]:
     """Newton-polish candidate roots in one vectorized sweep.
 
     A candidate is kept only when ``|F_xi(lambda)| <= root_tol`` against
@@ -405,7 +410,8 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
     enters the acceptance test. A candidate that goes ``NEWTON_STALL``
     iterations without halving its best residual is dropped early (next to
     a pole of the tail ratios the limit noise stays above ``root_tol``).
-    Returns (kept, lam).
+    Adds its limit batches, the lambdas they evaluate and the Newton steps
+    taken (summed over candidates) to ``work``. Returns (kept, lam).
     """
     m = symbol.m
     lam = np.array(lam, dtype=complex)
@@ -420,6 +426,8 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
         if active.size == 0:
             break
         values, status = limit_ratio_batch(symbol, lam[active], side, cfg)
+        work["limit_batches"] += 1
+        work["lambdas_evaluated"] += int(active.size)
         ok = status == "ok"
         for i in active[~ok]:
             _log_skip(skips, "LimitSkip", side, xi[i], lam[i],
@@ -467,12 +475,15 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
         size = np.abs(step)
         scale = np.where(size > trust, trust / np.where(size == 0, 1, size), 1)
         lam[target] = lam[target] - step * scale
+        work["newton_iterations"] += int(target.size)
 
     accepted = state == 1
     if accepted.any():
         alt = cfg.with_overrides(x0=cfg.x0 * 1.37)
         idx = np.nonzero(accepted)[0]
         values, status = limit_ratio_batch(symbol, lam[idx], side, alt)
+        work["limit_batches"] += 1
+        work["lambdas_evaluated"] += int(idx.size)
         ok = status == "ok"
         recheck = np.zeros(idx.size, dtype=bool)
         recheck[ok] = (np.abs(_tail_values(pows[idx[ok]], values[ok], m))
@@ -494,220 +505,257 @@ def _keep_pad(cfg: SolverConfig) -> float:
     return 10.0 * cfg.curve_res
 
 
+@dataclass(frozen=True)
+class RootTable:
+    """Roots of one side, one row per frequency.
+
+    ``xi`` (F,) ascends; row i of ``lam`` (F, R) holds ``count[i]`` roots
+    sorted by (real, imag), then NaN padding.
+    """
+
+    xi: np.ndarray
+    lam: np.ndarray
+    count: np.ndarray
+
+    @property
+    def valid(self) -> np.ndarray:
+        return np.arange(self.lam.shape[1]) < self.count[:, None]
+
+
+def _empty_rows(xi: np.ndarray) -> RootTable:
+    return RootTable(xi, np.empty((xi.size, 0), dtype=complex),
+                     np.zeros(xi.size, dtype=int))
+
+
+def _compact(xi: np.ndarray, lam: np.ndarray, keep: np.ndarray) -> RootTable:
+    """Table of the kept entries of each row, sorted stably by (real, imag)."""
+    order = np.lexsort((lam.imag, lam.real, ~keep), axis=-1)
+    keep = np.take_along_axis(keep, order, axis=1)
+    lam = np.take_along_axis(lam, order, axis=1)
+    count = keep.sum(axis=1)
+    return RootTable(xi, np.where(keep, lam, np.nan)[:, :count.max(initial=0)],
+                     count)
+
+
+def _concat(tables: list[RootTable]) -> RootTable:
+    """One table of the rows of ``tables``, whose frequencies are disjoint."""
+    width = max(t.lam.shape[1] for t in tables)
+    xi = np.concatenate([t.xi for t in tables])
+    order = np.argsort(xi)
+    lam = np.concatenate([np.pad(t.lam, ((0, 0), (0, width - t.lam.shape[1])),
+                                 constant_values=np.nan) for t in tables])
+    return RootTable(xi[order], lam[order],
+                     np.concatenate([t.count for t in tables])[order])
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a_i - b_j|`` over the last axes, bit for bit as ``abs(complex)``."""
+    gap = a[..., :, None] - b[..., None, :]
+    return np.hypot(gap.real, gap.imag)
+
+
 def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
               xi_values: np.ndarray, cfg: SolverConfig,
-              skips: list, work: dict) -> dict[float, list[complex]]:
-    """Steps 2-4 for a batch of frequencies.
+              skips: list, work: dict) -> RootTable:
+    """Steps 2-4 for a batch of ascending frequencies.
 
-    Returns certified roots within the tracking band, grouped by xi; every
-    attempted frequency gets an entry (possibly empty) so the refinement
-    pass can see where branches leave the band. Adds its ``eigvals`` calls
-    to ``work["companion_solves"]``.
+    Returns the certified roots within the tracking band, with a row for
+    every attempted frequency (possibly empty) so the refinement pass can
+    see where branches leave the band. Of two roots closer than
+    ``dedupe_tol`` the earlier seed's stays. Adds its work to ``work``.
     """
-    m = symbol.m
     track_pad = _track_pad(cfg)
-    coeffs = _cleared_coefficients(profile, m, xi_values)
+    xi_values = np.asarray(xi_values, dtype=float)
+    coeffs = _cleared_coefficients(profile, symbol.m, xi_values)
     root_rows, solves = _companion_roots(coeffs)
     work["companion_solves"] += solves
-    grouped: dict[float, list[complex]] = {}
-    seed_xi: list[float] = []
-    seed_lam: list[complex] = []
-    for xi, roots in zip(xi_values, root_rows):
-        grouped[float(xi)] = []
+    width = max((r.size for r in root_rows if r is not None), default=0)
+    lam = np.full((xi_values.size, width), np.nan, dtype=complex)
+    for i, roots in enumerate(root_rows):
         if roots is None:
-            _log_skip(skips, "IdentitySkip", profile.side, xi, None,
+            _log_skip(skips, "IdentitySkip", profile.side, xi_values[i], None,
                       "cleared polynomial is numerically zero")
-            continue
-        inside = roots[_near_window(roots, cfg.window, track_pad)]
-        seed_xi.extend([float(xi)] * inside.size)
-        seed_lam.extend(inside.tolist())
-    if not seed_xi:
-        return grouped
-    kept, polished = _polish_batch(
-        symbol, profile.side, np.asarray(seed_xi), np.asarray(seed_lam),
-        cfg, skips)
-    for xi, lam, good in zip(seed_xi, polished, kept):
-        lam = complex(lam)
-        if not good or not window_contains(cfg.window, lam, pad=track_pad):
-            continue
-        bucket = grouped[xi]
-        if all(abs(lam - other) > cfg.dedupe_tol for other in bucket):
-            bucket.append(lam)
-    for bucket in grouped.values():
-        bucket.sort(key=lambda z: (z.real, z.imag))
-    return grouped
+        else:
+            lam[i, :roots.size] = roots
+    rows, cols = np.nonzero(_near_window(lam, cfg.window, track_pad))
+    keep = np.zeros(lam.shape, dtype=bool)
+    if rows.size:
+        kept, polished = _polish_batch(
+            symbol, profile.side, xi_values[rows], lam[rows, cols], cfg,
+            skips, work)
+        lam[rows, cols] = polished
+        keep[rows, cols] = kept & _near_window(polished, cfg.window,
+                                               track_pad)
+    lam = np.where(keep, lam, np.nan)
+    far = _distances(lam, lam) > cfg.dedupe_tol
+    for j in range(1, width):
+        keep[:, j] &= (far[:, j, :j] | ~keep[:, :j]).all(axis=1)
+    return _compact(xi_values, lam, keep)
 
 
-def _gap_midpoint(a: float, b: float) -> float:
-    if a != 0.0 and b != 0.0 and (a > 0) == (b > 0):
-        return math.copysign(math.sqrt(abs(a) * abs(b)), a)
-    return 0.5 * (a + b)
+def _segment_needs_split(left: RootTable, right: RootTable,
+                         cfg: SolverConfig) -> np.ndarray:
+    """Per segment, True when its two end frequencies leave a reportable gap.
 
-
-def _segment_needs_split(roots_a: list[complex], roots_b: list[complex],
-                         cfg: SolverConfig, keep_pad: float) -> bool:
-    """True when two neighbouring frequencies leave a reportable gap.
-
-    Only gaps that touch the reported set matter: a pair of roots is
-    relevant when at least one of the two lies within the emit band, and a
-    branch birth/death is relevant when any endpoint root does.
+    Row s of ``left`` and ``right`` holds the roots at the ends of segment s.
+    Only gaps that touch the reported set matter: a root and the nearest
+    root at the other end (the first of equally near ones) are relevant when
+    either lies within the emit band, and a branch birth/death is relevant
+    when any end root does.
     """
-    if not roots_a and not roots_b:
-        return False
-
-    def emitted(root: complex) -> bool:
-        return window_contains(cfg.window, root, pad=keep_pad)
-
-    any_emitted = any(emitted(r) for r in roots_a) or \
-        any(emitted(r) for r in roots_b)
-    if not roots_a or not roots_b:
-        return any_emitted
-    if len(roots_a) != len(roots_b) and any_emitted:
-        return True
-    for root in roots_a:
-        partner = min(roots_b, key=lambda other: abs(root - other))
-        if abs(root - partner) > cfg.curve_res and \
-                (emitted(root) or emitted(partner)):
-            return True
-    for root in roots_b:
-        partner = min(roots_a, key=lambda other: abs(root - other))
-        if abs(root - partner) > cfg.curve_res and \
-                (emitted(root) or emitted(partner)):
-            return True
-    return False
+    emit_a = _near_window(left.lam, cfg.window, _keep_pad(cfg))
+    emit_b = _near_window(right.lam, cfg.window, _keep_pad(cfg))
+    any_emitted = emit_a.any(axis=1) | emit_b.any(axis=1)
+    split = (left.count != right.count) & any_emitted
+    if left.lam.shape[1] and right.lam.shape[1]:
+        dist = np.where(left.valid[:, :, None] & right.valid[:, None, :],
+                        _distances(left.lam, right.lam), np.inf)
+        for d, own, other, valid in (
+                (dist, emit_a, emit_b, left.valid),
+                (dist.transpose(0, 2, 1), emit_b, emit_a, right.valid)):
+            near = d.argmin(axis=2)
+            far = np.take_along_axis(d, near[:, :, None], 2)[:, :, 0] \
+                > cfg.curve_res
+            split |= (valid & far & (own | np.take_along_axis(other, near, 1))
+                      ).any(axis=1)
+    return np.where((left.count == 0) | (right.count == 0), any_emitted,
+                    split)
 
 
-def _refinement_targets(tracked: dict[float, list[complex]],
-                        flagged: dict[float, float],
-                        segments: list[tuple[float, float]],
-                        cfg: SolverConfig,
-                        tried: set[float]) -> list[tuple[float, float]]:
+def _refinement_targets(table: RootTable, flagged: np.ndarray,
+                        segments: np.ndarray, cfg: SolverConfig
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies to insert where neighbouring roots are too far apart.
 
-    ``flagged`` maps the left end of every segment known to need a split to
-    its right end. The fresh ``segments`` are checked and added to it; a
-    segment's roots never change until it is split, so no other segment is
-    checked again. Returns (left end, midpoint) per target, ascending.
+    ``segments`` and ``flagged`` hold a (left end, right end) per row;
+    ``flagged`` holds every segment known to need a split, by left end. The
+    fresh ``segments`` are checked and added to it; a segment's roots never
+    change until it is split. Returns the new ``flagged`` and (left end,
+    midpoint) per target whose midpoint is not in the table yet, ascending.
     """
-    keep_pad = _keep_pad(cfg)
-    for a, b in segments:
-        if b - a > 1e-7 * (1.0 + abs(a)) and \
-                _segment_needs_split(tracked[a], tracked[b], cfg, keep_pad):
-            flagged[a] = b
-    targets: list[tuple[float, float]] = []
-    for a in sorted(flagged):
-        b = flagged[a]
-        mid = _gap_midpoint(a, b)
-        if mid in tried or mid <= a or mid >= b:
-            continue
-        targets.append((a, mid))
-    return targets
+    wide = segments[:, 1] - segments[:, 0] > 1e-7 * (1.0 + np.abs(
+        segments[:, 0]))
+    if wide.any():
+        at = np.searchsorted(table.xi, segments[wide])
+        need = _segment_needs_split(*(
+            RootTable(table.xi[at[:, k]], table.lam[at[:, k]],
+                      table.count[at[:, k]]) for k in (0, 1)), cfg)
+        flagged = np.concatenate([flagged, segments[wide][need]])
+        flagged = flagged[np.argsort(flagged[:, 0])]
+    lo, hi = flagged[:, 0], flagged[:, 1]
+    # Geometric midpoint between same-sign ends, arithmetic otherwise.
+    mid = np.where((lo != 0.0) & (hi != 0.0) & ((lo > 0) == (hi > 0)),
+                   np.copysign(np.sqrt(np.abs(lo) * np.abs(hi)), lo),
+                   0.5 * (lo + hi))
+    at = np.minimum(np.searchsorted(table.xi, mid), table.xi.size - 1)
+    fresh = (table.xi[at] != mid) & (mid > lo) & (mid < hi)
+    return flagged, np.column_stack([lo[fresh], mid[fresh]])
+
+
+WORK_COUNTERS = ("segments_checked", "companion_solves", "limit_batches",
+                 "lambdas_evaluated", "newton_iterations")
+"""Work counted per side in ``report["singular"]["sweeps"]``."""
 
 
 def _sweep_side(symbol: SchurSymbol, profile: RationalProfile,
                 xi_grid: np.ndarray, cfg: SolverConfig,
-                skips: list) -> tuple[dict[float, list[complex]], dict]:
-    work = {"segments_checked": 0, "companion_solves": 0}
-    solved = _solve_at(symbol, profile, xi_grid, cfg, skips, work)
-    tried = {float(x) for x in xi_grid}
-    xis = sorted(solved)
-    segments = list(zip(xis[:-1], xis[1:]))
-    flagged: dict[float, float] = {}
+                skips: list) -> tuple[RootTable, dict]:
+    work = dict.fromkeys(WORK_COUNTERS, 0)
+    table = _solve_at(symbol, profile, xi_grid, cfg, skips, work)
+    segments = np.column_stack([table.xi[:-1], table.xi[1:]])
+    flagged = np.empty((0, 2))
     rounds = 0
-    total = sum(len(v) for v in solved.values())
+    total = int(table.count.sum())
     while total < cfg.max_points and rounds < 48:
         work["segments_checked"] += len(segments)
-        targets = _refinement_targets(solved, flagged, segments, cfg, tried)
-        if not targets:
+        flagged, targets = _refinement_targets(table, flagged, segments, cfg)
+        if not targets.size:
             break
         # Targets past the budget stay flagged for the next round.
         targets = targets[:max(0, cfg.max_points - total)]
-        mids = [mid for _, mid in targets]
-        tried.update(mids)
-        update = _solve_at(symbol, profile, np.asarray(mids), cfg, skips,
-                           work)
-        solved.update(update)
-        total += sum(len(v) for v in update.values())
-        segments = []
-        for a, mid in targets:
-            segments += [(a, mid), (mid, flagged.pop(a))]
+        update = _solve_at(symbol, profile, targets[:, 1], cfg, skips, work)
+        table = _concat([table, update])
+        total += int(update.count.sum())
+        split = np.isin(flagged[:, 0], targets[:, 0])
+        segments = np.concatenate([targets, np.column_stack(
+            [targets[:, 1], flagged[split, 1]])])
+        flagged = flagged[~split]
         rounds += 1
-    info = {"frequencies": len(solved), "points": total,
+    info = {"frequencies": int(table.xi.size), "points": total,
             "refinement_rounds": rounds, **work}
-    return solved, info
+    return table, info
 
 
 # ---------------------------------------------------------------------------
 # Branch continuation and side merging
 # ---------------------------------------------------------------------------
 
-def _match_tolerance(head: complex, root: complex, cfg: SolverConfig) -> float:
-    return max(50.0 * cfg.curve_res,
-               0.05 * (1.0 + 0.5 * (abs(head) + abs(root))))
+def _assign_branches(table: RootTable, first_id: int, cfg: SolverConfig
+                     ) -> tuple[list[tuple[float, complex, int]], int]:
+    """Nearest-neighbor continuation over ascending xi.
 
-
-def _assign_branches(raw: list[tuple[float, complex]], first_id: int,
-                     cfg: SolverConfig) -> tuple[list[tuple[float, complex, int]], int]:
-    """Nearest-neighbor continuation over ascending xi."""
-    groups: dict[float, list[complex]] = {}
-    for xi, lam in raw:
-        groups.setdefault(xi, []).append(lam)
-    heads: list[tuple[int, complex]] = []
-    next_id = first_id
+    Branch ``first_id + h`` ends in head h. At each frequency, (root, head)
+    pairs within ``max(50 curve_res, 0.05 (1 + (|head| + |root|) / 2))`` are
+    taken by ascending (distance, root, head), skipping used roots and
+    heads; a root left over starts a branch. Returns (xi, lam, branch id)
+    per root in that order, and the next id. A class holds few branches, so
+    each non-empty row runs on Python lists.
+    """
+    floor = 50.0 * cfg.curve_res
+    heads: list[tuple[complex, float]] = []
     out: list[tuple[float, complex, int]] = []
-    for xi in sorted(groups):
-        roots = sorted(groups[xi], key=lambda z: (z.real, z.imag))
-        candidates = []
-        for ri, root in enumerate(roots):
-            for hi, (_bid, head) in enumerate(heads):
-                dist = abs(root - head)
-                if dist <= _match_tolerance(head, root, cfg):
-                    candidates.append((dist, ri, hi))
-        candidates.sort(key=lambda t: (t[0], t[1], t[2]))
+    rows = np.flatnonzero(table.count)
+    mags = np.hypot(table.lam.real, table.lam.imag)[rows].tolist()
+    for xi, roots, sizes, count in zip(
+            table.xi[rows].tolist(), table.lam[rows].tolist(), mags,
+            table.count[rows].tolist()):
+        pairs = []
+        for r in range(count):
+            for h, (head, size) in enumerate(heads):
+                dist = abs(roots[r] - head)
+                if dist <= floor or \
+                        dist <= 0.05 * (1.0 + 0.5 * (size + sizes[r])):
+                    pairs.append((dist, r, h))
+        pairs.sort()
         used_roots: set[int] = set()
         used_heads: set[int] = set()
-        for dist, ri, hi in candidates:
-            if ri in used_roots or hi in used_heads:
-                continue
-            used_roots.add(ri)
-            used_heads.add(hi)
-            bid = heads[hi][0]
-            heads[hi] = (bid, roots[ri])
-            out.append((xi, roots[ri], bid))
-        for ri, root in enumerate(roots):
-            if ri not in used_roots:
-                out.append((xi, root, next_id))
-                heads.append((next_id, root))
-                next_id += 1
-    return out, next_id
+        for _dist, r, h in pairs:
+            if r not in used_roots and h not in used_heads:
+                used_roots.add(r)
+                used_heads.add(h)
+                heads[h] = (roots[r], sizes[r])
+                out.append((xi, roots[r], first_id + h))
+        for r in range(count):
+            if r not in used_roots:
+                out.append((xi, roots[r], first_id + len(heads)))
+                heads.append((roots[r], sizes[r]))
+    return out, first_id + len(heads)
 
 
-def _merge_sides(plus: dict[float, list[complex]],
-                 minus: dict[float, list[complex]],
-                 cfg: SolverConfig) -> dict[str, list[tuple[float, complex]]]:
-    """Pair up coincident roots of the two sides into neutral points."""
-    classes: dict[str, list[tuple[float, complex]]] = {
-        REGULAR_SIDE: [], "+": [], "-": []}
-    for xi in sorted(set(plus) | set(minus)):
-        left = list(plus.get(xi, []))
-        right = list(minus.get(xi, []))
-        taken = [False] * len(right)
-        for lam in left:
-            match = -1
-            best = cfg.dedupe_tol
-            for i, other in enumerate(right):
-                if not taken[i] and abs(lam - other) <= best:
-                    match = i
-                    best = abs(lam - other)
-            if match >= 0:
-                taken[match] = True
-                classes[REGULAR_SIDE].append((xi, lam))
-            else:
-                classes["+"].append((xi, lam))
-        for i, other in enumerate(right):
-            if not taken[i]:
-                classes["-"].append((xi, other))
-    return classes
+def _merge_sides(plus: RootTable, minus: RootTable,
+                 cfg: SolverConfig) -> dict[str, RootTable]:
+    """Pair up coincident roots of the two sides into neutral points.
+
+    At each frequency the ``plus`` roots in turn take the nearest untaken
+    ``minus`` root within ``dedupe_tol``, the last of equally near ones.
+    A neutral point keeps the ``plus`` root.
+    """
+    xi = np.union1d(plus.xi, minus.xi)
+    left, right = (_concat([t, _empty_rows(np.setdiff1d(xi, t.xi))])
+                   for t in (plus, minus))
+    matched = np.zeros(left.lam.shape, dtype=bool)
+    taken = np.zeros(right.lam.shape, dtype=bool)
+    dist = _distances(left.lam, right.lam)
+    rows = np.arange(xi.size)
+    for i in range(left.lam.shape[1] if right.lam.shape[1] else 0):
+        best = np.where((dist[:, i] <= cfg.dedupe_tol) & ~taken, dist[:, i],
+                        np.inf)
+        last = best.shape[1] - 1 - best[:, ::-1].argmin(axis=1)
+        matched[:, i] = np.isfinite(best[rows, last])
+        taken[rows[matched[:, i]], last[matched[:, i]]] = True
+    return {REGULAR_SIDE: _compact(xi, left.lam, matched),
+            "+": _compact(xi, left.lam, left.valid & ~matched),
+            "-": _compact(xi, right.lam, right.valid & ~taken)}
 
 
 def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
@@ -731,7 +779,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     fits: dict[str, dict] = {}
     sweeps: dict[str, dict] = {}
     errors: list[FitError] = []
-    side_roots: dict[str, dict[float, list[complex]]] = {}
+    side_roots = dict.fromkeys(("+", "-"), _empty_rows(np.empty(0)))
 
     for side in ("+", "-"):
         try:
@@ -739,7 +787,6 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
         except FitError as exc:
             errors.append(exc)
             fits[side] = {"error": str(exc)}
-            side_roots[side] = {}
             continue
         fits[side] = {
             "residual": profile.residual,
@@ -750,37 +797,27 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
             "denominator_degree": int(profile.denominator.size - 1),
         }
         tracked, info = _sweep_side(symbol, profile, xi_values, cfg, skips)
-        keep_pad = _keep_pad(cfg)
-        solved: dict[float, list[complex]] = {}
-        dropped_outside = 0
-        for xi, roots in tracked.items():
-            emitted = [r for r in roots
-                       if window_contains(cfg.window, r, pad=keep_pad)]
-            dropped_outside += len(roots) - len(emitted)
-            if emitted:
-                solved[xi] = emitted
-        info["outside_window"] = dropped_outside
+        emitted = _near_window(tracked.lam, cfg.window, _keep_pad(cfg))
+        info["outside_window"] = int(tracked.count.sum() - emitted.sum())
         sweeps[side] = info
-        if not profile.trusted and not solved:
+        if not profile.trusted and not emitted.any():
             errors.append(FitError(
                 f"rational reconstruction toward {side}infinity has residual "
                 f"{profile.residual:.3e} above tolerance and no root passed "
                 "Newton certification"))
-            solved = {}
-        side_roots[side] = solved
+            continue
+        side_roots[side] = _compact(tracked.xi, tracked.lam, emitted)
 
-    if errors and not any(side_roots.get(s) for s in ("+", "-")):
+    if errors and not any(t.count.any() for t in side_roots.values()):
         raise errors[0]
 
-    classes = _merge_sides(side_roots.get("+", {}), side_roots.get("-", {}),
-                           cfg)
+    classes = _merge_sides(side_roots["+"], side_roots["-"], cfg)
     points: list[SingularPoint] = []
     next_id = 0
     for side_class in (REGULAR_SIDE, "+", "-"):
         assigned, next_id = _assign_branches(classes[side_class], next_id, cfg)
-        for xi, lam, bid in assigned:
-            points.append(SingularPoint(side=side_class, xi=xi, lam=lam,
-                                        branch_id=bid))
+        points += [SingularPoint(side_class, xi, lam, bid)
+                   for xi, lam, bid in assigned]
     skip_counts = dict.fromkeys(SKIP_KINDS, 0)
     sample: list[dict] = []
     for entry in skips:
@@ -806,22 +843,24 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 def _flag_singular(points: list[SingularPoint], regular: list[RegularPoint],
                    exceptional: ExceptionalSet,
                    cfg: SolverConfig) -> list[SingularPoint]:
+    """Points with their overlap flags; only a point whose flags change is
+    built anew."""
+    lam = np.asarray([p.lam for p in points], dtype=complex)
+    exc = np.asarray(exceptional.points, dtype=complex)
+    in_exc = (_distances(lam, exc) <= cfg.exc_tol).any(axis=1)
     values = np.asarray([p.lam for p in regular], dtype=complex)
-    order = np.argsort(values.real, kind="stable")
-    values = values[order]
-    reals = values.real
-    flagged = []
-    for point in points:
-        flags = []
-        if exceptional.contains(point.lam, cfg.exc_tol):
-            flags.append("in_exceptional")
-        lo = np.searchsorted(reals, point.lam.real - cfg.dedupe_tol, "left")
-        hi = np.searchsorted(reals, point.lam.real + cfg.dedupe_tol, "right")
-        if lo < hi and np.min(
-                np.abs(values[lo:hi] - point.lam)) <= cfg.dedupe_tol:
-            flags.append("in_regular_closure")
-        flagged.append(replace(point, flags=tuple(flags)))
-    return flagged
+    values = values[np.argsort(values.real, kind="stable")]
+    lo = np.searchsorted(values.real, lam.real - cfg.dedupe_tol, "left")
+    hi = np.searchsorted(values.real, lam.real + cfg.dedupe_tol, "right")
+    in_regular = np.zeros(lam.size, dtype=bool)
+    for k in np.flatnonzero(lo < hi):
+        in_regular[k] = np.min(np.abs(values[lo[k]:hi[k]] - lam[k])) \
+            <= cfg.dedupe_tol
+    flags = [("in_exceptional",) * e + ("in_regular_closure",) * r
+             for e, r in zip(in_exc.tolist(), in_regular.tolist())]
+    return [p if p.flags == f else
+            SingularPoint(p.side, p.xi, p.lam, p.branch_id, f)
+            for p, f in zip(points, flags)]
 
 
 def _config_echo(cfg: SolverConfig) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factories import parabolic_potential, quartic_coupled
-from matspectra.config import SolverConfig
+from matspectra import config as config_module
+from matspectra.asymptotics import ExceptionalSet
+from matspectra.config import SolverConfig, window_contains
 from matspectra.errors import FitError
 from matspectra.expr import Call, Lit, X, evaluate
 from matspectra import spectrum as spectrum_module
@@ -25,14 +28,20 @@ from matspectra.spectrum import (
     SKIP_SAMPLE,
     RegularPoint,
     SingularPoint,
+    WORK_COUNTERS,
+    RootTable,
     SpectrumSet,
+    _assign_branches,
     _companion_roots,
     _fit_side,
-    _gap_midpoint,
+    _flag_singular,
     _keep_pad,
+    _merge_sides,
+    _near_window,
     _polish_batch,
     _segment_needs_split,
     _sweep_side,
+    _track_pad,
     default_xi_grid,
     essential_spectrum,
     regular_part,
@@ -187,7 +196,7 @@ class TestSingularPart:
 
 
 # ---------------------------------------------------------------------------
-# Singular sweep: batched companion roots and worklist refinement
+# Singular sweep: batched companion roots
 # ---------------------------------------------------------------------------
 
 def _roots_per_row(coeff_row):
@@ -263,6 +272,185 @@ def test_companion_roots_match_per_row_np_roots(coeffs):
     assert solves == len(shapes)
 
 
+# ---------------------------------------------------------------------------
+# Loop versions of the sweep bookkeeping: the references for the root table
+# ---------------------------------------------------------------------------
+
+def _loop_post_polish(xi_values, root_rows, polish, cfg):
+    """Per-seed filter, dedupe and sort after the polish, as a dict of rows.
+
+    ``polish(seed_xi, seed_lam)`` returns (kept, polished) for the seeds.
+    """
+    track_pad = _track_pad(cfg)
+    grouped = {}
+    seed_xi, seed_lam = [], []
+    for xi, roots in zip(xi_values, root_rows):
+        grouped[float(xi)] = []
+        if roots is None:
+            continue
+        inside = roots[_near_window(roots, cfg.window, track_pad)]
+        seed_xi.extend([float(xi)] * inside.size)
+        seed_lam.extend(inside.tolist())
+    if not seed_xi:
+        return grouped
+    kept, polished = polish(np.asarray(seed_xi), np.asarray(seed_lam))
+    for xi, lam, good in zip(seed_xi, polished, kept):
+        lam = complex(lam)
+        if not good or not window_contains(cfg.window, lam, pad=track_pad):
+            continue
+        bucket = grouped[xi]
+        if all(abs(lam - other) > cfg.dedupe_tol for other in bucket):
+            bucket.append(lam)
+    for bucket in grouped.values():
+        bucket.sort(key=lambda z: (z.real, z.imag))
+    return grouped
+
+
+def _loop_gap_midpoint(a, b):
+    if a != 0.0 and b != 0.0 and (a > 0) == (b > 0):
+        return math.copysign(math.sqrt(abs(a) * abs(b)), a)
+    return 0.5 * (a + b)
+
+
+def _loop_segment_needs_split(roots_a, roots_b, cfg, keep_pad):
+    if not roots_a and not roots_b:
+        return False
+
+    def emitted(root):
+        return window_contains(cfg.window, root, pad=keep_pad)
+
+    any_emitted = any(emitted(r) for r in roots_a) or \
+        any(emitted(r) for r in roots_b)
+    if not roots_a or not roots_b:
+        return any_emitted
+    if len(roots_a) != len(roots_b) and any_emitted:
+        return True
+    for root in roots_a:
+        partner = min(roots_b, key=lambda other: abs(root - other))
+        if abs(root - partner) > cfg.curve_res and \
+                (emitted(root) or emitted(partner)):
+            return True
+    for root in roots_b:
+        partner = min(roots_a, key=lambda other: abs(root - other))
+        if abs(root - partner) > cfg.curve_res and \
+                (emitted(root) or emitted(partner)):
+            return True
+    return False
+
+
+def _loop_merge_sides(plus, minus, cfg):
+    classes = {REGULAR_SIDE: [], "+": [], "-": []}
+    for xi in sorted(set(plus) | set(minus)):
+        left = list(plus.get(xi, []))
+        right = list(minus.get(xi, []))
+        taken = [False] * len(right)
+        for lam in left:
+            match = -1
+            best = cfg.dedupe_tol
+            for i, other in enumerate(right):
+                if not taken[i] and abs(lam - other) <= best:
+                    match = i
+                    best = abs(lam - other)
+            if match >= 0:
+                taken[match] = True
+                classes[REGULAR_SIDE].append((xi, lam))
+            else:
+                classes["+"].append((xi, lam))
+        for i, other in enumerate(right):
+            if not taken[i]:
+                classes["-"].append((xi, other))
+    return classes
+
+
+def _loop_match_tolerance(head, root, cfg):
+    return max(50.0 * cfg.curve_res,
+               0.05 * (1.0 + 0.5 * (abs(head) + abs(root))))
+
+
+def _loop_assign_branches(raw, first_id, cfg):
+    groups = {}
+    for xi, lam in raw:
+        groups.setdefault(xi, []).append(lam)
+    heads = []
+    next_id = first_id
+    out = []
+    for xi in sorted(groups):
+        roots = sorted(groups[xi], key=lambda z: (z.real, z.imag))
+        candidates = []
+        for ri, root in enumerate(roots):
+            for hi, (_bid, head) in enumerate(heads):
+                dist = abs(root - head)
+                if dist <= _loop_match_tolerance(head, root, cfg):
+                    candidates.append((dist, ri, hi))
+        candidates.sort(key=lambda t: (t[0], t[1], t[2]))
+        used_roots, used_heads = set(), set()
+        for dist, ri, hi in candidates:
+            if ri in used_roots or hi in used_heads:
+                continue
+            used_roots.add(ri)
+            used_heads.add(hi)
+            bid = heads[hi][0]
+            heads[hi] = (bid, roots[ri])
+            out.append((xi, roots[ri], bid))
+        for ri, root in enumerate(roots):
+            if ri not in used_roots:
+                out.append((xi, root, next_id))
+                heads.append((next_id, root))
+                next_id += 1
+    return out, next_id
+
+
+def _loop_flag_singular(points, regular, exceptional, cfg):
+    values = np.asarray([p.lam for p in regular], dtype=complex)
+    order = np.argsort(values.real, kind="stable")
+    values = values[order]
+    reals = values.real
+    flagged = []
+    for point in points:
+        flags = []
+        if exceptional.contains(point.lam, cfg.exc_tol):
+            flags.append("in_exceptional")
+        lo = np.searchsorted(reals, point.lam.real - cfg.dedupe_tol, "left")
+        hi = np.searchsorted(reals, point.lam.real + cfg.dedupe_tol, "right")
+        if lo < hi and np.min(
+                np.abs(values[lo:hi] - point.lam)) <= cfg.dedupe_tol:
+            flags.append("in_regular_closure")
+        flagged.append(dataclasses.replace(point, flags=tuple(flags)))
+    return flagged
+
+
+def _table(rows):
+    """RootTable of a dict xi -> roots, rows in the given root order."""
+    xis = sorted(rows)
+    width = max((len(rows[xi]) for xi in xis), default=0)
+    lam = np.full((len(xis), width), np.nan, dtype=complex)
+    for i, xi in enumerate(xis):
+        lam[i, :len(rows[xi])] = rows[xi]
+    return RootTable(np.asarray(xis, dtype=float), lam,
+                     np.asarray([len(rows[xi]) for xi in xis], dtype=int))
+
+
+def _table_rows(table):
+    """(xi, roots) per row, as Python floats and complex numbers."""
+    return [(xi, roots[:count]) for xi, roots, count in zip(
+        table.xi.tolist(), table.lam.tolist(), table.count.tolist())]
+
+
+def _bits(items):
+    """Exact bit patterns of nested floats and complex numbers."""
+    if isinstance(items, (list, tuple)):
+        return [_bits(item) for item in items]
+    if isinstance(items, complex):
+        return (items.real.hex(), items.imag.hex())
+    if isinstance(items, float):
+        return items.hex()
+    return items
+
+
+# ---------------------------------------------------------------------------
+# Singular sweep: worklist refinement
+# ---------------------------------------------------------------------------
+
 def _rescan_targets(tracked, cfg, tried):
     """Refinement targets from a full rescan of every segment."""
     xis = sorted(tracked)
@@ -271,9 +459,10 @@ def _rescan_targets(tracked, cfg, tried):
     for a, b in zip(xis[:-1], xis[1:]):
         if b - a <= 1e-7 * (1.0 + abs(a)):
             continue
-        if not _segment_needs_split(tracked[a], tracked[b], cfg, keep_pad):
+        if not _loop_segment_needs_split(tracked[a], tracked[b], cfg,
+                                         keep_pad):
             continue
-        mid = _gap_midpoint(a, b)
+        mid = _loop_gap_midpoint(a, b)
         if mid in tried or mid <= a or mid >= b:
             continue
         targets.append(mid)
@@ -282,9 +471,14 @@ def _rescan_targets(tracked, cfg, tried):
 
 def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
     """``_sweep_side`` with the full rescan; returns the segments scanned."""
-    work = {"segments_checked": 0, "companion_solves": 0}
-    solve = spectrum_module._solve_at
-    solved = solve(symbol, profile, xi_grid, cfg, skips, work)
+    work = dict.fromkeys(WORK_COUNTERS, 0)
+
+    def solve(xi_values):
+        table = spectrum_module._solve_at(symbol, profile, xi_values, cfg,
+                                          skips, work)
+        return dict(_table_rows(table))
+
+    solved = solve(xi_grid)
     tried = {float(x) for x in xi_grid}
     rounds = 0
     total = sum(len(v) for v in solved.values())
@@ -295,21 +489,20 @@ def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
             break
         targets = targets[:max(0, cfg.max_points - total)]
         tried.update(targets)
-        solved.update(solve(symbol, profile, np.asarray(targets), cfg,
-                            skips, work))
+        solved.update(solve(np.asarray(targets)))
         total = sum(len(v) for v in solved.values())
         rounds += 1
+    rescanned = work.pop("segments_checked")
     info = {"frequencies": len(solved), "points": total,
-            "refinement_rounds": rounds,
-            "companion_solves": work["companion_solves"]}
-    return solved, info, work["segments_checked"]
+            "refinement_rounds": rounds, **work}
+    return solved, info, rescanned
 
 
 def _assert_same_sweep(symbol, profile, xi_grid, cfg):
-    solved, info = _sweep_side(symbol, profile, xi_grid, cfg, [])
+    table, info = _sweep_side(symbol, profile, xi_grid, cfg, [])
     ref_solved, ref_info, rescanned = _rescan_sweep(
         symbol, profile, xi_grid, cfg, [])
-    assert list(solved.items()) == list(ref_solved.items())
+    assert _bits(_table_rows(table)) == _bits(sorted(ref_solved.items()))
     checked = info.pop("segments_checked")
     assert info == ref_info
     assert checked <= rescanned
@@ -344,7 +537,7 @@ def test_worklist_refinement_matches_full_rescan(branches, grid_points,
                      for c, s, q, start, length in branches
                      if start <= xi <= start + length]
             out[xi] = sorted(roots, key=lambda z: (z.real, z.imag))
-        return out
+        return _table(out)
 
     cfg = SolverConfig().with_overrides(
         window=(-1.0, 1.0, -1.0, 1.0), curve_res=curve_res,
@@ -365,9 +558,9 @@ def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
     real_solve = spectrum_module._solve_at
 
     def recording_targets(*args):
-        targets = real_targets(*args)
-        offered.append([mid for _, mid in targets])
-        return targets
+        flagged, targets = real_targets(*args)
+        offered.append(targets[:, 1].tolist())
+        return flagged, targets
 
     def recording_solve(symbol, profile, xi_values, *args):
         solved_mids.append([float(x) for x in xi_values])
@@ -390,6 +583,256 @@ def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
     assert _assert_same_sweep(symbol, profile, grid, cfg) == {
         key: value for key, value in info.items()
         if key != "segments_checked"}
+
+
+# ---------------------------------------------------------------------------
+# Root table against the loop bookkeeping, on adversarial root clouds
+# ---------------------------------------------------------------------------
+# Thresholds are 5 * 2^-k and clouds sit on a dyadic grid, so steps of
+# (5u, 0) or (3u, 4u) with u = threshold / 5 land exactly on a threshold.
+
+_WINDOW = (-1.0, 1.0, -1.0, 1.0)
+_DEDUPE = 5 / 32
+_CURVE = 5 / 16
+
+
+def _unit_steps(tol):
+    u = tol / 5
+    return [0j, complex(5 * u, 0), complex(-5 * u, 0), complex(0, 5 * u),
+            complex(3 * u, 4 * u), complex(-4 * u, 3 * u),
+            complex(3 * u, -4 * u), complex(10 * u, 0)]
+
+
+def _edges(cfg):
+    """Window edges plus each pad band used by the sweep, and one ulp off."""
+    values = []
+    for pad in (0.0, _track_pad(cfg), _keep_pad(cfg)):
+        for edge in (-1.0 - pad, 1.0 + pad):
+            values += [edge, math.nextafter(edge, math.inf),
+                       math.nextafter(edge, -math.inf)]
+    return values
+
+
+@st.composite
+def _root(draw, anchors, tol, edges):
+    kind = draw(st.sampled_from(["anchor", "anchor", "anchor", "edge",
+                                 "any"]))
+    if kind == "anchor":
+        return draw(st.sampled_from(anchors)) + draw(
+            st.sampled_from(_unit_steps(tol)))
+    if kind == "edge":
+        parts = st.one_of(st.sampled_from(edges),
+                          st.integers(-64, 64).map(lambda k: k / 16))
+        return complex(draw(parts), draw(parts))
+    return draw(st.complex_numbers(max_magnitude=5.0, allow_nan=False,
+                                   allow_infinity=False))
+
+
+def _cloud(draw, tol, edges, max_size):
+    """Strategy for one row of roots around 1-3 dyadic anchors drawn now."""
+    anchors = draw(st.lists(
+        st.tuples(st.integers(-96, 96), st.integers(-96, 96)).map(
+            lambda k: complex(k[0] / 32, k[1] / 32)), min_size=1, max_size=3))
+    return st.lists(_root(anchors, tol, edges), max_size=max_size)
+
+
+def _follow(draw, roots, tol):
+    """Zero to two roots at a threshold step from each of ``roots``; two
+    opposite steps from one root make an equal-distance tie."""
+    steps = st.lists(st.sampled_from(_unit_steps(tol)), max_size=2)
+    return [root + step for root in roots for step in draw(steps)]
+
+
+def _sorted_rows(rows):
+    return {xi: sorted(roots, key=lambda z: (z.real, z.imag))
+            for xi, roots in rows.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
+    cfg = SolverConfig().with_overrides(window=_WINDOW, dedupe_tol=_DEDUPE,
+                                        curve_res=_CURVE)
+    cloud = _cloud(data.draw, _DEDUPE, _edges(cfg), 6)
+    size = data.draw(st.integers(1, 6))
+    identity = data.draw(st.lists(st.sampled_from([False, False, True]),
+                                  min_size=size, max_size=size))
+    root_rows = [None if skip else np.asarray(data.draw(cloud), dtype=complex)
+                 for skip in identity]
+    steps = data.draw(st.lists(st.sampled_from(_unit_steps(_DEDUPE)),
+                               min_size=1, max_size=8))
+    kept = data.draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    xi_values = np.arange(size, dtype=float) - 2.0
+
+    def polish(xi, lam):
+        return (np.resize(np.asarray(kept), lam.size),
+                lam + np.resize(np.asarray(steps), lam.size))
+
+    seeds = []
+
+    def fake_polish(symbol, side, xi, lam, cfg, skips, work):
+        seeds.append((xi.copy(), lam.copy()))
+        return polish(xi, lam)
+
+    profile = mock.Mock(side="+")
+    skips = []
+    with mock.patch.multiple(
+            spectrum_module,
+            _cleared_coefficients=lambda profile, m, xi: np.zeros((xi.size,
+                                                                   1)),
+            _companion_roots=lambda coeffs: (root_rows, 1),
+            _polish_batch=fake_polish):
+        table = spectrum_module._solve_at(mock.Mock(m=2), profile, xi_values,
+                                          cfg, skips, {"companion_solves": 0})
+    reference = _loop_post_polish(xi_values, root_rows, polish, cfg)
+    assert _bits(_table_rows(table)) == _bits(list(reference.items()))
+    assert [s["xi"] for s in skips] == [
+        float(xi) for xi, roots in zip(xi_values, root_rows) if roots is None]
+    if seeds:
+        ref_xi, ref_lam = [], []
+        for xi, roots in zip(xi_values, root_rows):
+            if roots is not None:
+                inside = roots[_near_window(roots, cfg.window,
+                                            _track_pad(cfg))]
+                ref_xi += [float(xi)] * inside.size
+                ref_lam += inside.tolist()
+        ((xi, lam),) = seeds
+        assert xi.tolist() == ref_xi
+        assert _bits(lam.tolist()) == _bits(ref_lam)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_segment_split_decision_matches_the_loop(data):
+    cfg = SolverConfig().with_overrides(window=_WINDOW, curve_res=_CURVE)
+    cloud = _cloud(data.draw, _CURVE, _edges(cfg), 4)
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        roots = data.draw(cloud)
+        pairs.append((roots, data.draw(cloud)[:2]
+                      + _follow(data.draw, roots, _CURVE)))
+    left = _table({float(s): a for s, (a, _b) in enumerate(pairs)})
+    right = _table({float(s): b for s, (_a, b) in enumerate(pairs)})
+    need = _segment_needs_split(left, right, cfg)
+    assert need.tolist() == [
+        _loop_segment_needs_split(a, b, cfg, _keep_pad(cfg))
+        for a, b in pairs]
+
+
+def test_segment_split_pairs_a_root_with_the_first_of_equally_near_ones():
+    # The emit band ends at Re 4.125. The root 4.5 lies past it, 0.625 from
+    # both 3.875 (inside) and 5.125 (outside); only pairing it with the
+    # first of the two makes the gap reportable.
+    cfg = SolverConfig().with_overrides(window=_WINDOW, curve_res=_CURVE)
+    roots_a, roots_b = [3.8125 + 0j, 4.5 + 0j], [3.875 + 0j, 5.125 + 0j]
+    assert _loop_segment_needs_split(roots_a, roots_b, cfg, _keep_pad(cfg))
+    need = _segment_needs_split(_table({0.0: roots_a}), _table({0.0: roots_b}),
+                                cfg)
+    assert need.tolist() == [True]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_merge_sides_matches_the_loop(data):
+    cfg = SolverConfig().with_overrides(window=_WINDOW, dedupe_tol=_DEDUPE)
+    cloud = _cloud(data.draw, _DEDUPE, _edges(cfg), 4)
+    xis = st.lists(st.integers(0, 7).map(float), max_size=6, unique=True)
+    plus = _sorted_rows({xi: data.draw(cloud) for xi in data.draw(xis)})
+    minus = _sorted_rows({xi: data.draw(cloud)[:2]
+                          + _follow(data.draw, plus.get(xi, []), _DEDUPE)
+                          for xi in data.draw(xis)})
+    classes = _merge_sides(_table(plus), _table(minus), cfg)
+    reference = _loop_merge_sides(plus, minus, cfg)
+    for side_class, table in classes.items():
+        got = [(xi, lam) for xi, roots in _table_rows(table)
+               for lam in roots]
+        assert _bits(got) == _bits(reference[side_class])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), first_id=st.integers(0, 3))
+def test_assign_branches_matches_the_loop(data, first_id):
+    # 50 * curve_res = 25/64, the match tolerance near the origin.
+    cfg = SolverConfig().with_overrides(window=_WINDOW, curve_res=1 / 128)
+    floor = 50.0 * cfg.curve_res
+    cloud = _cloud(data.draw, floor, _edges(cfg), 4)
+    rows, roots = {}, []
+    for k in range(data.draw(st.integers(0, 8))):
+        roots = data.draw(cloud)[:2] + _follow(data.draw, roots, floor)
+        rows[float(k)] = roots
+    rows = _sorted_rows(rows)
+    got, next_id = _assign_branches(_table(rows), first_id, cfg)
+    raw = [(xi, lam) for xi, roots in rows.items() for lam in roots]
+    want, want_next = _loop_assign_branches(raw, first_id, cfg)
+    assert _bits(got) == _bits(want)
+    assert next_id == want_next
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_flags_match_the_loop(data):
+    cfg = SolverConfig().with_overrides(window=_WINDOW, dedupe_tol=_DEDUPE,
+                                        exc_tol=_CURVE)
+    edges = _edges(cfg)
+    cloud = _cloud(data.draw, _DEDUPE, edges, 6)
+    exc_cloud = _cloud(data.draw, _CURVE, edges, 3)
+    flags = st.sampled_from([(), ("in_exceptional",),
+                             ("in_regular_closure",)])
+    points = [SingularPoint("+", float(k), lam, k, data.draw(flags))
+              for k, lam in enumerate(data.draw(cloud))]
+    regular = [RegularPoint(float(k), lam)
+               for k, lam in enumerate(data.draw(cloud))]
+    exceptional = ExceptionalSet(points=tuple(data.draw(exc_cloud)),
+                                 radii=(), window_exponents=(), sides="both")
+    got = _flag_singular(points, regular, exceptional, cfg)
+    assert got == _loop_flag_singular(points, regular, exceptional, cfg)
+
+
+def test_singular_part_makes_no_per_root_calls(monkeypatch):
+    calls = {"window_contains": 0, "replace": 0, "near_window": 0}
+    real_near = spectrum_module._near_window
+    real_replace = dataclasses.replace
+    real_contains = config_module.window_contains
+
+    def near_window(*args):
+        calls["near_window"] += 1
+        return real_near(*args)
+
+    def replace(obj, **changes):
+        if isinstance(obj, SingularPoint):
+            calls["replace"] += 1
+        return real_replace(obj, **changes)
+
+    def contains(*args, **kwargs):
+        calls["window_contains"] += 1
+        return real_contains(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "_near_window", near_window)
+    monkeypatch.setattr(dataclasses, "replace", replace)
+    monkeypatch.setattr(config_module, "window_contains", contains)
+    # Also catches the function imported by name into the spectrum module.
+    monkeypatch.setattr(spectrum_module, "window_contains", contains,
+                        raising=False)
+    op = parabolic_potential()
+    cfg = SolverConfig().with_overrides(window=(-2.0, 1.0, -0.5, 0.5))
+    spectrum = essential_spectrum(op, cfg)
+    assert spectrum.singular
+    assert calls["window_contains"] == 0
+    assert calls["replace"] == 0
+
+    # Roots xi^2 on [-1, 1] stay inside the window and within curve_res of
+    # their neighbours, so no segment is split: the call count is fixed.
+    coarse = SolverConfig().with_overrides(window=(-2.0, 1.0, -0.5, 0.5),
+                                           curve_res=0.5)
+    counts = []
+    for size in (11, 101):
+        calls["near_window"] = 0
+        report = {}
+        singular_part(op, xi_grid=np.linspace(-1.0, 1.0, size), cfg=coarse,
+                      report=report)
+        assert report["singular"]["sweeps"]["+"]["refinement_rounds"] == 0
+        counts.append(calls["near_window"])
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +881,12 @@ class TestEssentialSpectrum:
                 <= 2 * sweep["frequencies"]
             # At least one stacked eigvals per frequency batch.
             assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
+            # Each batch polishes in at least one limit batch plus a
+            # recheck; every batch evaluates some lambda, and each Newton
+            # step follows an evaluation of its candidate.
+            assert sweep["limit_batches"] >= sweep["refinement_rounds"] + 2
+            assert sweep["lambdas_evaluated"] >= sweep["limit_batches"]
+            assert sweep["newton_iterations"] < sweep["lambdas_evaluated"]
 
     def test_report_counts_skips_by_kind(self, quartic_spectrum):
         singular = quartic_spectrum.report["singular"]
@@ -466,11 +915,15 @@ class TestEssentialSpectrum:
                         -0.1754222655361281 - 0.9577373184660526j])
         cfg = SolverConfig()
         skips = []
+        work = dict.fromkeys(WORK_COUNTERS, 0)
         kept, _ = _polish_batch(build_schur(quartic_coupled()), "+", xi,
-                                lam, cfg, skips)
+                                lam, cfg, skips, work)
         assert list(kept) == [False, True]
         assert [(s["type"], s["reason"]) for s in skips] == [
             ("PolishSkip", "Newton stalled above the root tolerance")]
+        assert work["limit_batches"] == len(calls)
+        assert work["lambdas_evaluated"] == sum(calls)
+        assert 0 < work["newton_iterations"] < sum(calls)
         # One batch per Newton iteration plus the recheck; far fewer than
         # the newton_max_iter + 1 iterations a stalled seed used to run.
         assert len(calls) <= 2 * NEWTON_STALL < cfg.newton_max_iter
