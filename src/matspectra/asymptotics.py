@@ -25,7 +25,7 @@ Three services live here:
   works from the same lambda-free form: the x-only trees and their first
   two x-derivatives are sampled once per call on the validation grid, the
   trajectory forms once per side, and each probe costs array algebra in
-  ``u``, using ``u' = -d' u**2``.
+  ``u``, using ``u' = -d' u**2``, and a convex hull of the p_m samples.
 
 Everything is pure and therefore safe to call concurrently with a shared
 symbol; no caches are mutated.
@@ -33,23 +33,21 @@ symbol; no caches are mutated.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import SolverConfig
 from .errors import NotConvergent, PoleError
-from .expr import ONE, Expr, Lit, differentiate, evaluate_array, simplify
-from .model import DiagnosticRecord, Diagnostics, OperatorMatrix, delta
+from .expr import ONE, Expr, Lit, evaluate_array, evaluate_jet
+from .model import DiagnosticRecord, Diagnostics, OperatorMatrix
 from .schur import SchurSymbol
 
 INVERSE_FLOOR = 1e-8
 """Smallest sampled |p_m| accepted as evidence that 1/p_m stays bounded."""
-
-THETA_BLOCK = 32
-"""Rotation angles per block of the sector-margin table (cache-sized)."""
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +364,6 @@ class ExceptionalSet:
     sides: str
     declared: bool = False
 
-    def contains(self, lam: complex, tol: float) -> bool:
-        return any(abs(lam - p) <= tol for p in self.points)
-
     def to_json_dict(self) -> dict:
         return {
             "points": [[p.real, p.imag] for p in self.points],
@@ -486,17 +481,18 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     B3: c_gamma/(d-lambda) and two derivative orders of b_beta/(d-lambda)
     stay below ``bound_cap``. C: some angle theta keeps
     Re(e^{i theta} p_m) >= delta > 0 across the grid (the record carries
-    the best theta and margin). D: the coefficient limits converge on both
-    sides. Failures are records, never exceptions. A probe lying within
+    the exact best margin and a theta attaining it, :func:`_sector_margin`).
+    D: the coefficient limits converge on both sides. Failures are records, never exceptions. A probe lying within
     ``probe_margin`` of the sampled decoupling curve downgrades its
     failures to "inconclusive": the hypotheses are genuinely violated on
     the curve itself, and a sampled check cannot distinguish the curve
     from its immediate neighborhood.
 
-    No tree that mentions lambda is built or walked. The x-only trees of
-    the symbol's lambda-free form, of b, c and d, and their first two
-    x-derivatives are sampled once on the grid, and the trajectory samples
-    for D once per side; each probe then costs array algebra in
+    No tree is differentiated or simplified, and none that mentions lambda
+    is walked. The x-only trees of the symbol's lambda-free form, of b, c
+    and d, and their first two x-derivatives are sampled once on the grid
+    (:func:`~matspectra.expr.evaluate_jet`), and the trajectory samples for
+    D once per side; each probe then costs array algebra in
     u = 1/(d - lambda), with u' = -d' u^2.
     """
     cfg = cfg or SolverConfig()
@@ -506,9 +502,9 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     jets = _GridJets.sample(op, symbol, grid)
     trajectories = [(side, _sample_form(symbol, _trajectory(side, cfg)))
                     for side in ("+", "-")]
-    delta_vals = _sample(delta(op), grid)
+    # The decoupling function d - b_n c_k / a_m, sampled unsimplified.
+    delta_vals = _sample(op.d - op.b[op.n] * op.c[op.k] / op.a[op.m], grid)
     delta_vals = delta_vals[np.isfinite(delta_vals)]
-    theta_grid = np.linspace(0.0, np.pi, cfg.theta_points)
 
     for probe in probes:
         probe = complex(probe)
@@ -519,22 +515,17 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
             _check_bounded("B1", coefficients, probe, grid, cfg),
             _check_b2(p_m, probe, grid),
             _check_bounded("B3", weighted, probe, grid, cfg),
-            _check_c(p_m, probe, grid, theta_grid),
+            _check_c(p_m, probe, grid),
             _check_d(symbol, trajectories, probe, cfg),
         ]
         for record in batch:
             if near_curve and record.status == "fail":
                 label, location, measured = record.witness
-                record = DiagnosticRecord(
-                    assumption=record.assumption,
-                    status="inconclusive",
-                    probe=record.probe,
+                record = replace(
+                    record, status="inconclusive",
                     witness=(f"probe within {cfg.probe_margin:g} of the "
                              f"sampled decoupling curve; {label}",
-                             location, measured),
-                    theta=record.theta,
-                    delta_margin=record.delta_margin,
-                )
+                             location, measured))
             records.append(record)
     return Diagnostics(records=tuple(records))
 
@@ -549,9 +540,7 @@ def _jet(tree: Expr, xs: np.ndarray) -> _Jet | None:
     """
     if isinstance(tree, Lit) and tree.value == 0:
         return None
-    first = simplify(differentiate(tree, "x"))
-    second = simplify(differentiate(first, "x"))
-    return _sample(tree, xs), _sample(first, xs), _sample(second, xs)
+    return evaluate_jet(tree, xs)
 
 
 def _series(terms, d: _Jet | None, u: list | None) -> list[np.ndarray]:
@@ -680,23 +669,14 @@ def _check_b2(p_m, probe, grid) -> DiagnosticRecord:
                  float(grid[at]), smallest))
 
 
-def _check_c(p_m, probe, grid, theta_grid) -> DiagnosticRecord:
+def _check_c(p_m, probe, grid) -> DiagnosticRecord:
     finite = np.isfinite(p_m)
     if not finite.any():
         return DiagnosticRecord(
             "C", "inconclusive", probe=probe,
             witness=("p_m not finite anywhere on the grid", float(grid[0]),
                      np.inf))
-    vals = p_m[finite]
-    cos, sin = np.cos(theta_grid)[:, None], np.sin(theta_grid)[:, None]
-    margins = np.empty(theta_grid.size)
-    for start in range(0, theta_grid.size, THETA_BLOCK):
-        rows = slice(start, start + THETA_BLOCK)
-        rotated = cos[rows] * vals.real - sin[rows] * vals.imag
-        margins[rows] = rotated.min(axis=1)
-    best = int(np.argmax(margins))
-    theta = float(theta_grid[best])
-    margin = float(margins[best])
+    margin, theta = _sector_margin(p_m[finite])
     if margin > 0.0:
         return DiagnosticRecord("C", "pass", probe=probe, theta=theta,
                                 delta_margin=margin)
@@ -705,6 +685,60 @@ def _check_c(p_m, probe, grid, theta_grid) -> DiagnosticRecord:
         witness=("no rotation angle gives a positive sector margin",
                  theta, margin),
         theta=theta, delta_margin=margin)
+
+
+def _sector_margin(v: np.ndarray) -> tuple[float, float]:
+    """max over theta of min_k Re(e^{i theta} v_k), and a theta attaining it.
+
+    Exact, from the convex hull K of the samples. Re(e^{i theta} v) is the
+    projection of v on e^{-i theta}, so when 0 lies outside K the margin is
+    dist(0, K), attained with e^{-i theta} along the nearest point of K.
+    Otherwise it is -dist(0, boundary of K), attained with e^{-i theta}
+    against the outward normal of the nearest edge. theta is in [0, 2 pi).
+    """
+    hull = _hull(v)
+    if hull.size == 1:
+        return float(abs(hull[0])), _direction_angle(hull[0])
+    edge = np.roll(hull, -1) - hull
+    length = np.abs(edge)
+    normal = -1j * edge / length  # outward: the hull runs counterclockwise
+    # Signed distance from 0 to each edge's line (>= 0 on the hull's side),
+    # and whether the foot of the perpendicular lies on the edge.
+    cross = hull.conj() * edge
+    line = cross.imag / length
+    foot = -cross.real / (length * length)
+    on_edge = (foot >= 0.0) & (foot <= 1.0)
+    if np.all(line >= 0.0) and (hull.size > 2 or on_edge[0]):
+        at = int(np.argmin(line))
+        # 0.0 - x keeps a zero margin unsigned in the report.
+        return 0.0 - float(line[at]), _direction_angle(-normal[at])
+    dist = np.where(on_edge, np.abs(line), np.abs(hull))
+    at = int(np.argmin(dist))
+    nearest = line[at] * normal[at] if on_edge[at] else hull[at]
+    return float(dist[at]), _direction_angle(nearest)
+
+
+def _direction_angle(z: complex) -> float:
+    """The theta in [0, 2 pi) with e^{-i theta} pointing along z."""
+    theta = -cmath.phase(z) % math.tau
+    return 0.0 if theta == math.tau else theta
+
+
+def _hull(v: np.ndarray) -> np.ndarray:
+    """Convex hull vertices of complex samples, counterclockwise; for samples
+    on one line (which qhull refuses) the ends of their segment, or one point.
+    """
+    # scipy.spatial takes longer to import than this whole package.
+    from scipy.spatial import ConvexHull, QhullError
+    try:
+        return v[ConvexHull(np.column_stack([v.real, v.imag])).vertices]
+    except QhullError:
+        offset = v - v[0]
+        far = offset[int(np.argmax(np.abs(offset)))]
+        if far == 0:
+            return v[:1]
+        along = (far.conjugate() * offset).real
+        return v[[int(np.argmin(along)), int(np.argmax(along))]]
 
 
 def _check_d(symbol, trajectories, probe, cfg) -> DiagnosticRecord:

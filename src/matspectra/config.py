@@ -56,7 +56,6 @@ class SolverConfig:
     # Assumption diagnostics.
     deriv_tol: float = 1e-7
     bound_cap: float = 1e8
-    theta_points: int = 720
     probe_margin: float = 1e-3
 
     # Symbolic work budget.

@@ -462,6 +462,68 @@ def _eval_array(e, x, lam):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def evaluate_jet(e: Expr, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An x-only tree and its first two x-derivatives, sampled at ``x``.
+
+    Forward mode: one walk carries (f, f', f'') up the tree, building no
+    derivative tree. ``f`` is :func:`evaluate_array` bit for bit.
+    """
+    x_arr = np.asarray(x, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        jet = _eval_jet(e, x_arr)
+    return tuple(np.full(x_arr.shape, part, np.complex128) for part in jet)
+
+
+# F'(g) and F''(g) of each function F, given g and h = F(g).
+_JET_SLOPES = {
+    "exp": lambda g, h: (h, h),
+    "sin": lambda g, h: (np.cos(g), -h),
+    "cos": lambda g, h: (-np.sin(g), -h),
+    "sqrt": lambda g, h: (0.5 / h, -0.25 / (h * g)),
+    "log": lambda g, h: (1.0 / g, -1.0 / (g * g)),
+    "atan": lambda g, h: (1.0 / (1.0 + g * g), -2.0 * g / (1.0 + g * g) ** 2),
+}
+
+
+def _eval_jet(e, x):
+    if isinstance(e, Lit):
+        return np.complex128(e.value), 0j, 0j
+    if isinstance(e, Var):
+        if e.name != "x":
+            raise ValueError(f"evaluate_jet takes x-only trees, got {e.name!r}")
+        return x, 1 + 0j, 0j
+    if isinstance(e, Neg):
+        return tuple(-part for part in _eval_jet(e.arg, x))
+    if isinstance(e, Pow):
+        f, f1, f2 = _eval_jet(e.base, x)
+        n = e.exponent
+        if n == 0:  # skip the terms with a zero factor: 0 * inf at f = 0
+            return f**0, 0j, 0j
+        if n == 1:
+            return f**1, f1, f2
+        lower = f ** (n - 1)
+        return (f**n, n * lower * f1,
+                n * (lower * f2 + (n - 1) * f ** (n - 2) * f1 * f1))
+    if isinstance(e, Call):
+        g, g1, g2 = _eval_jet(e.arg, x)
+        h = _ARRAY_FUNCS[e.func](g)
+        slope, curvature = _JET_SLOPES[e.func](g, h)
+        return h, slope * g1, slope * g2 + curvature * g1 * g1
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        raise TypeError(f"not an expression node: {e!r}")
+    f, f1, f2 = _eval_jet(e.left, x)
+    g, g1, g2 = _eval_jet(e.right, x)
+    if isinstance(e, Add):
+        return f + g, f1 + g1, f2 + g2
+    if isinstance(e, Sub):
+        return f - g, f1 - g1, f2 - g2
+    if isinstance(e, Mul):
+        return f * g, f1 * g + f * g1, f2 * g + 2.0 * f1 * g1 + f * g2
+    h = f / g
+    h1 = (f1 - h * g1) / g
+    return h, h1, (f2 - 2.0 * h1 * g1 - h * g2) / g
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------

@@ -26,9 +26,11 @@ from factories import (
 from oracles import directed_hausdorff
 from matspectra.asymptotics import (
     Certificate,
+    _check_c,
     _cluster,
     _ratio_samples,
     _sample_form,
+    _sector_margin,
     _trajectory,
     check_assumptions,
     limit_of,
@@ -282,8 +284,8 @@ def test_declared_exceptional_set_short_circuits_estimation():
     assert result.declared
     assert result.points == (1 + 2j, -0.5j)
     assert result.radii == (0.0, 0.0)
-    assert result.contains(1 + 2j, 1e-12)
-    assert not result.contains(5.0, 1e-3)
+    assert any(abs(1 + 2j - p) <= 1e-12 for p in result.points)
+    assert not any(abs(5.0 - p) <= 1e-3 for p in result.points)
 
 
 def test_oscillating_d_fills_its_range():
@@ -437,6 +439,128 @@ def test_winding_leading_coefficient_fails_sector_condition():
     assert record.status == "fail"
     assert record.delta_margin is not None and record.delta_margin <= 0
     assert record.witness is not None
+
+
+def constant_leading_coefficient(value: complex) -> OperatorMatrix:
+    """m = 2 with p_m = a_2 = value: no coupling, d far from the probes."""
+    return OperatorMatrix(
+        a=(Lit(0j), Lit(0j), Lit(value)),
+        b=(Lit(0j), Lit(0j)),
+        c=(Lit(0j), Lit(0j)),
+        d=Lit(100j),
+    )
+
+
+def test_constant_imaginary_leading_coefficient_passes_sector_condition():
+    # p_m = i: theta = 3 pi / 2 turns it into 1. A rotation confined to
+    # [0, pi] reaches at best margin 0 there.
+    op = constant_leading_coefficient(1j)
+    diag = check_assumptions(op, build_schur(op), [5.0 + 0j],
+                             validation_grid(CFG), CFG)
+    record = by_assumption(diag, "C", 5.0 + 0j)
+    assert record.status == "pass"
+    assert record.delta_margin == 1.0
+    assert record.theta == pytest.approx(1.5 * np.pi, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Exact sector margin
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def grid_margin(v: np.ndarray, thetas: np.ndarray) -> float:
+    """max over the given angles of min_k Re(e^{i theta} v_k)."""
+    return float(np.max(np.min(
+        np.cos(thetas)[:, None] * v.real - np.sin(thetas)[:, None] * v.imag,
+        axis=1)))
+
+
+def attained(v: np.ndarray, theta: float) -> float:
+    return float(np.min((np.exp(1j * theta) * v).real))
+
+
+@st.composite
+def sample_clouds(draw):
+    """Complex sample clouds in general position, 0 inside or outside.
+
+    A thin cloud (aspect 1e-3) comes close to the collinear case.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.one_of(st.integers(1, 3), st.integers(4, 40)))
+    center = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    spread = draw(st.floats(0.01, 3.0))
+    aspect = draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    tilt = cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    shape = rng.normal(size=count) + 1j * aspect * rng.normal(size=count)
+    return center + spread * tilt * shape
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(v=sample_clouds(), count=st.integers(1, 720),
+       offset=st.floats(0.0, 1.0))
+def test_exact_sector_margin_brackets_every_angle_grid(v, count, offset):
+    # No angle grid can beat the exact margin, and a full-circle grid of
+    # step h misses it by at most max|v| h / 2: the best angle lies within
+    # h / 2 of a grid angle, and Re(e^{i theta} v) is |v|-Lipschitz in
+    # theta. The rounding allowance is a few ulps of the largest sample.
+    step = 2.0 * np.pi / count
+    thetas = (offset + np.arange(count)) * step
+    margin, theta = _sector_margin(v)
+    scale = float(np.max(np.abs(v)))
+    rounding = 8.0 * EPS * scale
+    coarse = grid_margin(v, thetas)
+    assert coarse <= margin + rounding
+    assert margin <= coarse + scale * step / 2.0 + rounding
+    assert 0.0 <= theta < 2.0 * np.pi
+    assert attained(v, theta) == pytest.approx(margin, abs=rounding)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(v=sample_clouds(), phi=st.floats(0.0, 2.0 * np.pi))
+def test_rotating_the_samples_shifts_the_best_angle(v, phi):
+    # Rotating every sample by e^{i phi} keeps the margin and turns the
+    # best angle by -phi (mod 2 pi).
+    margin, theta = _sector_margin(v)
+    turned_margin, turned_theta = _sector_margin(v * cmath.exp(1j * phi))
+    scale = float(np.max(np.abs(v)))
+    assert turned_margin == pytest.approx(margin, abs=8.0 * EPS * scale)
+    shift = (turned_theta - (theta - phi)) % (2.0 * np.pi)
+    assert min(shift, 2.0 * np.pi - shift) <= 1e-9
+
+
+@pytest.mark.parametrize("samples,margin,theta", [
+    # One point: its modulus, with e^{-i theta} along it.
+    ([2.0 - 1j] * 5, 5.0**0.5, np.arctan(0.5)),
+    ([1j], 1.0, 1.5 * np.pi),
+    # A segment off 0: the distance to it, from either side.
+    (1j + np.linspace(-1.0, 1.0, 9), 1.0, 1.5 * np.pi),
+    (-1j + np.linspace(-1.0, 1.0, 9), 1.0, 0.5 * np.pi),
+    ([-1j + 1.0, -1j - 1.0], 1.0, 0.5 * np.pi),
+    (np.linspace(0.5, 2.0, 7) * (1.0 + 1j), 0.5 * 2.0**0.5, 1.75 * np.pi),
+])
+def test_sector_margin_of_degenerate_samples(samples, margin, theta):
+    got_margin, got_theta = _sector_margin(np.asarray(samples, complex))
+    assert got_margin == pytest.approx(margin, rel=1e-15)
+    assert got_theta == pytest.approx(theta, rel=1e-15)
+
+
+@pytest.mark.parametrize("samples", [
+    [0j, 0j],
+    np.linspace(-1.0, 2.0, 31) * (1.0 + 2j),
+    np.linspace(-0.3, 0.71, 50) + 0j,
+    np.cos(np.linspace(0.0, 7.0, 101)) + 0j,
+])
+def test_samples_through_zero_fail_with_margin_zero(samples):
+    # 0 on the samples' segment: no angle does better than 0, and the
+    # check fails.
+    p_m = np.asarray(samples, complex)
+    record = _check_c(p_m, 5.0 + 0j, np.arange(p_m.size, dtype=float))
+    assert record.status == "fail"
+    assert record.delta_margin == 0.0
+    assert attained(p_m, record.theta) == pytest.approx(0.0, abs=1e-15)
+    assert record.witness[1:] == (record.theta, 0.0)
 
 
 def test_unbounded_coefficient_fails_b1():

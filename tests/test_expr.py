@@ -9,14 +9,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matspectra.config import SolverConfig
 from matspectra.errors import DomainError, ParseError, PoleError
 from matspectra.expr import (
+    FUNCTIONS,
     LAM,
     X,
     Add,
     Call,
     Div,
+    Expr,
     Lit,
     Mul,
     Neg,
@@ -26,12 +31,16 @@ from matspectra.expr import (
     differentiate,
     evaluate,
     evaluate_array,
+    evaluate_jet,
     node_count,
     parse,
     simplify,
     to_text,
 )
+from matspectra.model import validation_grid
+from matspectra.schur import build_schur
 
+from factories import _rand_coeff, random_operator
 from oracles import central_diff
 
 
@@ -288,6 +297,189 @@ def test_derivative_matches_finite_differences_on_random_trees():
         assert abs(value - fd) < 1e-6 * (1.0 + abs(value))
         checked += 1
     assert checked >= 50
+
+
+# ---------------------------------------------------------------------------
+# Forward-mode jets against the symbolic derivatives
+# ---------------------------------------------------------------------------
+
+def _sampled(tree, x):
+    return np.broadcast_to(
+        np.asarray(evaluate_array(tree, x=x), dtype=np.complex128), x.shape)
+
+
+_FUNCTIONS = {
+    # name: (function, |slope| from the argument g and the value h)
+    "exp": (np.exp, lambda g, h: np.abs(h)),
+    "sin": (np.sin, lambda g, h: np.abs(np.cos(g))),
+    "cos": (np.cos, lambda g, h: np.abs(np.sin(g))),
+    "sqrt": (np.sqrt, lambda g, h: 0.5 / np.abs(h)),
+    "log": (np.log, lambda g, h: 1.0 / np.abs(g)),
+    "atan": (np.arctan, lambda g, h: 1.0 / np.abs(1.0 + g * g)),
+}
+
+
+def error_scale(tree, x, memo=None):
+    """(value, first-order bound on its rounding error) of ``tree`` at x.
+
+    The bound is in units of the unit roundoff, up to a small factor: sums
+    add the bounds of their operands, products and quotients propagate
+    them with the operand values, and every operation adds its own result.
+    Shared subtrees, which differentiate produces, are evaluated once.
+    """
+    memo = {} if memo is None else memo
+    if id(tree) in memo:
+        return memo[id(tree)]
+    if isinstance(tree, Lit):
+        value = np.full(x.shape, tree.value, dtype=np.complex128)
+        bound = np.abs(value)
+    elif isinstance(tree, Var):
+        value, bound = x.astype(np.complex128), np.abs(x)
+    elif isinstance(tree, Neg):
+        value, bound = error_scale(tree.arg, x, memo)
+        value = -value
+    elif isinstance(tree, (Add, Sub, Mul, Div)):
+        f, f_bound = error_scale(tree.left, x, memo)
+        g, g_bound = error_scale(tree.right, x, memo)
+        if isinstance(tree, (Add, Sub)):
+            value = f + g if isinstance(tree, Add) else f - g
+            bound = f_bound + g_bound
+        elif isinstance(tree, Mul):
+            value = f * g
+            bound = f_bound * np.abs(g) + np.abs(f) * g_bound + np.abs(value)
+        else:
+            value = f / g
+            bound = ((f_bound + np.abs(value) * g_bound) / np.abs(g)
+                     + np.abs(value))
+    elif isinstance(tree, Pow):
+        base, base_bound = error_scale(tree.base, x, memo)
+        value = base**tree.exponent
+        n = abs(tree.exponent)
+        bound = (n * np.abs(base) ** (tree.exponent - 1) * base_bound
+                 + (n + 1) * np.abs(value))
+    else:
+        g, g_bound = error_scale(tree.arg, x, memo)
+        func, slope = _FUNCTIONS[tree.func]
+        value = func(g)
+        bound = slope(g, value) * g_bound + np.abs(value)
+    memo[id(tree)] = (value, bound)
+    return value, bound
+
+
+def _subtrees(tree):
+    yield tree
+    for child in (getattr(tree, name, None)
+                  for name in ("left", "right", "arg", "base")):
+        if isinstance(child, Expr):
+            yield from _subtrees(child)
+
+
+def assert_jet_matches_symbolic(tree, x, where=None):
+    """evaluate_jet against the symbolic derivatives at the points ``x``.
+
+    Wherever simplify(differentiate(.)) is finite (and ``where`` holds),
+    the jet must be finite. Its values must agree with the derivative
+    trees that differentiate builds, within 1e-12 of their rounding bound
+    (forward mode rounds along the same sums and products). Those trees
+    are the value reference because simplify rounds the coefficients it
+    collects: where collected terms cancel it leaves residues such as
+    1.5e-15*x in the second derivative of a linear term, above the
+    rounding of either evaluation. The absolute floor covers subnormal
+    results, where no route keeps relative precision.
+    """
+    first = differentiate(tree, "x")
+    exact = (tree, first, differentiate(first, "x"))
+    simple_first = simplify(first)
+    simple = (tree, simple_first, simplify(differentiate(simple_first, "x")))
+    jet = evaluate_jet(tree, x)
+    memo = {}
+    with np.errstate(all="ignore"):
+        for order in range(3):
+            got = jet[order]
+            assert got.shape == x.shape and got.dtype == np.complex128
+            check = np.isfinite(_sampled(simple[order], x))
+            if where is not None:
+                check &= where
+            assert np.all(np.isfinite(got)[check]), (order, str(tree))
+            want, bound = error_scale(exact[order], x, memo)
+            both = np.isfinite(got) & np.isfinite(want) & np.isfinite(bound)
+            gap = np.abs(got - want)[both]
+            allowed = 1e-12 * (np.abs(want) + bound)[both] + 1e-290
+            assert np.all(gap <= allowed), (
+                order, str(tree), float(np.max(gap / allowed)))
+
+
+def test_jet_value_is_evaluate_array_bit_for_bit():
+    x = np.linspace(-3.0, 3.0, 41)
+    for source in ("exp(-x^2/2) + i/(1 + x^2)", "x^2/(i + x^2)",
+                   "atan(x) - log(2 + x^2)*sqrt(x + 4)", "(x - 1)^-3",
+                   "cos(x)^0 + sin(x)^1", "2.5"):
+        tree = parse(source)
+        assert np.array_equal(evaluate_jet(tree, x)[0], _sampled(tree, x))
+
+
+def test_jet_of_powers_at_a_root_of_the_base():
+    # At x = 0, x^1 has slope 1 and curvature 0 and x^0 is flat: no 0 * inf.
+    x = np.array([0.0, 1.0])
+    assert np.array_equal(np.array(evaluate_jet(Pow(X, 1), x)),
+                          [[0, 1], [1, 1], [0, 0]])
+    assert np.array_equal(np.array(evaluate_jet(Pow(X, 0), x)),
+                          [[1, 1], [0, 0], [0, 0]])
+    assert np.array_equal(np.array(evaluate_jet(Pow(X, 2), x)),
+                          [[0, 1], [0, 2], [2, 2]])
+
+
+def test_jet_refuses_lambda():
+    with pytest.raises(ValueError, match="x-only"):
+        evaluate_jet(parse("x + lambda"), np.zeros(3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4]))
+def test_jet_matches_symbolic_derivatives_on_schur_trees(seed, m):
+    # The trees check_assumptions takes jets of, over the whole validation
+    # grid: the lambda-free Schur form and b and d of random operators
+    # whose coefficients come from the factory.
+    op = random_operator(random.Random(seed), m)
+    symbol = build_schur(op)
+    grid = validation_grid(SolverConfig())
+    for tree in (*symbol.alpha, *(t for row in symbol.beta for t in row),
+                 *op.b, op.d):
+        assert_jet_matches_symbolic(tree, grid)
+
+
+def _rand_x_tree(rng: random.Random, depth: int):
+    """Random x-only tree over factory coefficients and every node type."""
+    if depth == 0 or rng.random() < 0.3:
+        return _rand_coeff(rng, bounded=rng.random() < 0.5)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return Neg(_rand_x_tree(rng, depth - 1))
+    if kind == 1:
+        return Pow(_rand_x_tree(rng, depth - 1), rng.randint(-2, 3))
+    if kind == 2:
+        return Call(rng.choice(FUNCTIONS), _rand_x_tree(rng, depth - 1))
+    node = (Add, Sub, Mul, Div)[kind - 3]
+    return node(_rand_x_tree(rng, depth - 1), _rand_x_tree(rng, depth - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_jet_matches_symbolic_derivatives_on_composite_trees(seed):
+    # Every node type, at points where every subtree value is finite and
+    # nonzero. Elsewhere forward mode can meet 0 * inf where simplify has
+    # cancelled the factor (1/(1/sin(x)) at x = 0, log(exp(-x^2/2)) once
+    # exp underflows), and it overflows in intermediate derivatives sooner
+    # than the simplified symbolic derivative, so the range stays within
+    # |x| <= 8, where exp(-x^2/2) is far from underflow.
+    tree = _rand_x_tree(random.Random(seed), 3)
+    x = np.linspace(-8.0, 8.0, 161)
+    regular = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for sub in _subtrees(tree):
+            values = _sampled(sub, x)
+            regular &= np.isfinite(values) & (values != 0)
+    assert_jet_matches_symbolic(tree, x, where=regular)
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,8 @@ def _loop_flag_singular(points, regular, exceptional, cfg):
     flagged = []
     for point in points:
         flags = []
-        if exceptional.contains(point.lam, cfg.exc_tol):
+        if any(abs(point.lam - p) <= cfg.exc_tol
+               for p in exceptional.points):
             flags.append("in_exceptional")
         lo = np.searchsorted(reals, point.lam.real - cfg.dedupe_tol, "left")
         hi = np.searchsorted(reals, point.lam.real + cfg.dedupe_tol, "right")
