@@ -52,7 +52,7 @@ from .model import (
     validate,
     validation_grid,
 )
-from .schur import SchurSymbol, apply_operator, build_schur
+from .schur import SchurSymbol, apply_operator, build_schur, coefficient_trees
 from .oracle import (
     DetScanPoint,
     FrozenSymbol,
@@ -111,6 +111,7 @@ __all__ = [
     "parse_operator_text",
     "SchurSymbol",
     "build_schur",
+    "coefficient_trees",
     "apply_operator",
     "Certificate",
     "ExceptionalSet",

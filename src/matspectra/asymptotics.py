@@ -339,8 +339,8 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
     Runs the same batch path as :func:`limit_ratio` on the ratio expr/1
     and raises the same errors.
     """
-    values, certs = limit_ratio(SchurSymbol(m=1, p=(expr, ONE)), 0j, side,
-                                cfg)
+    values, certs = limit_ratio(SchurSymbol(m=1, alpha=(expr, ONE)), 0j,
+                                side, cfg)
     return values[0], certs[0]
 
 
@@ -479,14 +479,15 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     B1: p_j and its first two x-derivatives stay below ``bound_cap`` on the
     grid. B2: sampled |p_m| stays above a floor, so 1/p_m is bounded.
     B3: c_gamma/(d-lambda) and two derivative orders of b_beta/(d-lambda)
-    stay below ``bound_cap``. C: some angle theta keeps
-    Re(e^{i theta} p_m) >= delta > 0 across the grid (the record carries
-    the exact best margin and a theta attaining it, :func:`_sector_margin`).
-    D: the coefficient limits converge on both sides. Failures are records, never exceptions. A probe lying within
-    ``probe_margin`` of the sampled decoupling curve downgrades its
-    failures to "inconclusive": the hypotheses are genuinely violated on
-    the curve itself, and a sampled check cannot distinguish the curve
-    from its immediate neighborhood.
+    stay below ``bound_cap`` (a NaN sample leaves B1/B3 inconclusive). C:
+    some angle theta keeps Re(e^{i theta} p_m) >= delta > 0 across the grid
+    (the record carries the exact best margin and a theta attaining it,
+    :func:`_sector_margin`). D: the coefficient limits converge on both
+    sides. Failures are records, never exceptions. A probe lying within
+    ``probe_margin`` of the sampled decoupling curve downgrades its failures
+    to "inconclusive": the hypotheses are genuinely violated on the curve
+    itself, and a sampled check cannot distinguish the curve from its
+    immediate neighborhood.
 
     No tree is differentiated or simplified, and none that mentions lambda
     is walked. The x-only trees of the symbol's lambda-free form, of b, c
@@ -589,10 +590,8 @@ class _GridJets(NamedTuple):
     def sample(cls, op: OperatorMatrix, symbol: SchurSymbol,
                grid: np.ndarray) -> _GridJets:
         d = _jet(op.d, grid) or (np.zeros(grid.shape, np.complex128),) * 3
-        if symbol.d is None:
-            symbol_d = None
-        else:
-            symbol_d = d if symbol.d == op.d else _jet(symbol.d, grid)
+        symbol_d = (None if symbol.d is None else
+                    d if symbol.d == op.d else _jet(symbol.d, grid))
         p = [[(0, _jet(alpha, grid)),
               *((q, _jet(tree, grid)) for q, tree in enumerate(row, 1))]
              for alpha, row in zip(symbol.alpha, symbol.beta)]
@@ -635,19 +634,28 @@ class _GridJets(NamedTuple):
 
 def _check_bounded(assumption, labelled_values, probe, grid,
                    cfg) -> DiagnosticRecord:
-    """Pass iff every sampled magnitude stays within ``bound_cap``."""
-    worst = (0.0, 0.0, "")
+    """Fail on a sampled magnitude over ``bound_cap``, infinite ones included;
+    short of that, a NaN sample (undetermined in floating point, such as a
+    forward-mode derivative through an underflow) is inconclusive."""
+    worst, undetermined = (0.0, 0.0, ""), None
     for label, values in labelled_values:
         mags = np.abs(values)
-        mags = np.where(np.isfinite(mags), mags, np.inf)
+        nan = np.isnan(mags)
+        if undetermined is None and nan.any():
+            undetermined = (f"sampled {label} is NaN, undetermined in "
+                            "floating point", float(grid[np.argmax(nan)]),
+                            math.nan)
+        mags = np.where(nan, 0.0, mags)
         at = int(np.argmax(mags))
         if mags[at] > worst[0]:
             worst = (float(mags[at]), float(grid[at]), label)
-    if worst[0] <= cfg.bound_cap:
-        return DiagnosticRecord(assumption, "pass", probe=probe)
-    return DiagnosticRecord(
-        assumption, "fail", probe=probe,
-        witness=(f"sampled |{worst[2]}| exceeds bound cap", worst[1], worst[0]))
+    if worst[0] > cfg.bound_cap:
+        return DiagnosticRecord(assumption, "fail", probe=probe, witness=(
+            f"sampled |{worst[2]}| exceeds bound cap", worst[1], worst[0]))
+    if undetermined:
+        return DiagnosticRecord(assumption, "inconclusive", probe=probe,
+                                witness=undetermined)
+    return DiagnosticRecord(assumption, "pass", probe=probe)
 
 
 def _check_b2(p_m, probe, grid) -> DiagnosticRecord:

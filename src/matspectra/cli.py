@@ -39,7 +39,7 @@ from .expr import simplify, to_text
 from .model import (Diagnostics, OperatorMatrix, delta, load_operator,
                     validate, validation_grid)
 from .oracle import det_scan, discretize_and_eig, freeze
-from .schur import SchurSymbol, build_schur
+from .schur import SchurSymbol, build_schur, coefficient_trees
 from .spectrum import (SpectrumSet, _format_number, default_xi_grid,
                        essential_spectrum, write_csv)
 
@@ -473,9 +473,9 @@ def cmd_oracle(run: RunConfig) -> int:
 
 def cmd_print_schur(run: RunConfig) -> int:
     op = load_operator(run.config_path)
-    symbol = build_schur(op, run.solver)
-    lines = [f"order: {symbol.m}"]
-    lines += [f"p_{j} = {to_text(tree)}" for j, tree in enumerate(symbol.p)]
+    trees = coefficient_trees(op, run.solver)
+    lines = [f"order: {op.m}"]
+    lines += [f"p_{j} = {to_text(tree)}" for j, tree in enumerate(trees)]
     lines.append(f"decoupling = {to_text(simplify(delta(op)))}")
     print("\n".join(lines))
     return EXIT_OK

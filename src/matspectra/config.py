@@ -58,7 +58,7 @@ class SolverConfig:
     bound_cap: float = 1e8
     probe_margin: float = 1e-3
 
-    # Symbolic work budget.
+    # Symbolic work budget of coefficient_trees (print-schur).
     node_ceiling: int = 200_000
 
     # Discretization oracle.

@@ -13,21 +13,21 @@ binom(B, r) * b_B * D^(B-r)[c_g/(d - lambda)] to the coefficient of
 D^(r+g). The leading coefficient then automatically satisfies
 p_m = a_m - b_n c_k/(d - lambda) = a_m (delta - lambda)/(d - lambda).
 
-The same loop also yields every coefficient in a lambda-free form. With
-u = 1/(d - lambda), the ladder entries D^s[c_g u] are polynomials in u with
-x-only coefficients, because D[f u^q] = -i f' u^q + i q f d' u^(q+1); hence
+Only the lambda-free form is kept. With u = 1/(d - lambda), the ladder
+entries D^s[c_g u] are polynomials in u with x-only coefficients, because
+D[f u^q] = -i f' u^q + i q f d' u^(q+1); hence
 
-    p_j(x, lambda) = a_j(x) - [j = 0] lambda + sum_{q=1}^{n+1} beta_jq(x) u^q.
+    p_j(x, lambda) = a_j(x) - [j = 0] lambda + sum_{q=1}^{n+1} beta_jq(x) u^q,
 
-Limits toward infinity are evaluated from this form only, so each x-only
-tree is walked once per trajectory and lambda enters through array algebra
-in u.
+and every reader walks each x-only tree once per sample set, with lambda
+entering through arithmetic in u. :func:`coefficient_trees` builds the
+trees p_j in x and lambda for printing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 from .config import SolverConfig
@@ -53,35 +53,31 @@ _ZERO = Lit(0j)
 
 @dataclass(frozen=True)
 class SchurSymbol:
-    """Coefficients p_0..p_m of the scalar symbol sum_j p_j(x, lambda) xi^j.
+    """The scalar symbol sum_j p_j(x, lambda) xi^j in its lambda-free form.
 
-    ``alpha``, ``beta`` and ``d`` hold the lambda-free form of the same
-    coefficients: ``p_j = alpha[j] - [j = 0] lambda + sum_q beta[j][q-1] u^q``
-    with ``u = 1/(d - lambda)``. A symbol built by hand from lambda-free
-    trees gets the trivial form ``alpha = p``, no ``beta`` terms and no
-    ``d``, hence no lambda terms at all; a hand-built tree that mentions
-    lambda is rejected, since only :func:`build_schur` knows how lambda
-    enters.
+    ``p_j = alpha[j] - [j = 0] lambda + sum_q beta[j][q-1] u^q`` with
+    ``u = 1/(d - lambda)``; every tree is x-only. A hand-built symbol,
+    ``SchurSymbol(m, alpha=...)``, has no ``beta`` and no ``d``, hence no
+    lambda terms at all; a hand-built tree that mentions lambda is rejected,
+    since only :func:`build_schur` knows how lambda enters.
     """
 
     m: int
-    p: tuple[Expr, ...]
-    alpha: tuple[Expr, ...] = field(default=(), compare=False, repr=False)
-    beta: tuple[tuple[Expr, ...], ...] = field(
-        default=(), compare=False, repr=False)
-    d: Expr | None = field(default=None, compare=False, repr=False)
+    alpha: tuple[Expr, ...]
+    beta: tuple[tuple[Expr, ...], ...] = ()
+    d: Expr | None = None
 
     def __post_init__(self):
-        if len(self.p) != self.m + 1:
+        if len(self.alpha) != self.m + 1:
             raise ValueError("expected m+1 coefficient expressions")
         if self.d is None:
-            if any(mentions(tree, "lambda") for tree in self.p):
+            if any(self.beta) or any(mentions(tree, "lambda")
+                                     for tree in self.alpha):
                 raise ValueError(
-                    "hand-built symbols need lambda-free coefficient trees; "
+                    "hand-built symbols take lambda-free alpha trees only; "
                     "use build_schur for a composed symbol")
-            object.__setattr__(self, "alpha", self.p)
             object.__setattr__(self, "beta", ((),) * (self.m + 1))
-        elif len(self.alpha) != self.m + 1 or len(self.beta) != self.m + 1:
+        elif len(self.beta) != self.m + 1:
             raise ValueError("expected m+1 lambda-free coefficients")
 
 
@@ -98,6 +94,20 @@ def _weighted(weight: int, b: Expr, f: Expr) -> Expr:
     return term if weight == 1 else Mul(Lit(complex(weight)), term)
 
 
+def _couplings(op: OperatorMatrix, ladder):
+    """(r + g, binom(B, r), b_B, D^(B-r)[c_g/(d - lambda)]) per coupling
+    term, the last from ``ladder(c_g)``, which lists D^s[c_g/(d - lambda)]."""
+    for gamma in range(op.k + 1):
+        if op.c[gamma] == _ZERO:
+            continue
+        steps = ladder(op.c[gamma])
+        for beta in range(op.n + 1):
+            if op.b[beta] == _ZERO:
+                continue
+            for r in range(beta + 1):
+                yield r + gamma, math.comb(beta, r), op.b[beta], steps[beta - r]
+
+
 def _free_step(entry: dict[int, Expr], d_slope: Expr) -> dict[int, Expr]:
     """D = -i d/dx applied to sum_q f_q u^q, using du/dx = -d' u^2."""
     parts: dict[int, list[Expr]] = {}
@@ -109,91 +119,75 @@ def _free_step(entry: dict[int, Expr], d_slope: Expr) -> dict[int, Expr]:
 
 
 def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSymbol:
-    """Compose the scalar symbol coefficients by exact Leibniz expansion."""
-    if cfg is None:
-        cfg = SolverConfig()
+    """Compose the lambda-free symbol by exact Leibniz expansion (no tree is
+    size-guarded, so ``cfg`` is not read)."""
     check_structure(op)
-    m, n, k = op.m, op.n, op.k
-    resolvent_den = Sub(op.d, LAM)
     d_slope = simplify(differentiate(op.d, "x"))
 
-    # terms[j] collects everything the coupling contributes at order D^j;
-    # free_terms[j][q] collects the x-only coefficients of u^q among them.
-    terms: list[list[Expr]] = [[] for _ in range(m + 1)]
-    free_terms: list[dict[int, list[Expr]]] = [{} for _ in range(m + 1)]
-    for gamma in range(k + 1):
-        if op.c[gamma] == _ZERO:
-            continue
-        ladder = [simplify(Div(op.c[gamma], resolvent_den))]
-        free_ladder = [{1: op.c[gamma]}]
-        for _ in range(n):
-            step = simplify(Mul(Lit(-1j), differentiate(ladder[-1], "x")))
-            ladder.append(_guard_size(step, cfg.node_ceiling))
-            free_ladder.append(_free_step(free_ladder[-1], d_slope))
-        for beta in range(n + 1):
-            if op.b[beta] == _ZERO:
-                continue
-            for r in range(beta + 1):
-                weight = math.comb(beta, r)
-                terms[r + gamma].append(
-                    _weighted(weight, op.b[beta], ladder[beta - r]))
-                for q, f in free_ladder[beta - r].items():
-                    free_terms[r + gamma].setdefault(q, []).append(
-                        _weighted(weight, op.b[beta], f))
+    def ladder(c: Expr) -> list[dict[int, Expr]]:
+        rungs = [{1: c}]
+        for _ in range(op.n):
+            rungs.append(_free_step(rungs[-1], d_slope))
+        return rungs
 
-    coefficients = []
-    for j in range(m + 1):
-        base: Expr = op.a[j]
-        if j == 0:
-            base = Sub(base, LAM)
-        for term in terms[j]:
-            base = Sub(base, term)
-        coefficient = _guard_size(simplify(base), cfg.node_ceiling)
-        coefficients.append(coefficient)
-
+    # free_terms[j][q] collects the x-only coefficients of u^q at order D^j.
+    free_terms: list[dict[int, list[Expr]]] = [{} for _ in range(op.m + 1)]
+    for j, weight, b, entry in _couplings(op, ladder):
+        for q, f in entry.items():
+            free_terms[j].setdefault(q, []).append(_weighted(weight, b, f))
     beta_trees = []
-    for j in range(m + 1):
-        row = [simplify(reduce(Sub, free_terms[j].get(q, ()), _ZERO))
-               for q in range(1, n + 2)]
+    for terms in free_terms:
+        row = [simplify(reduce(Sub, terms.get(q, ()), _ZERO))
+               for q in range(1, op.n + 2)]
         while row and row[-1] == _ZERO:
             row.pop()
         beta_trees.append(tuple(row))
-    return SchurSymbol(m=m, p=tuple(coefficients), alpha=tuple(op.a),
-                       beta=tuple(beta_trees), d=op.d)
+    return SchurSymbol(m=op.m, alpha=tuple(op.a), beta=tuple(beta_trees),
+                       d=op.d)
 
 
-def polynomial_derivative(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
-    """d/dx of a polynomial given by ascending coefficients."""
-    return tuple(r * coeffs[r] for r in range(1, len(coeffs)))
+def coefficient_trees(op: OperatorMatrix,
+                      cfg: SolverConfig | None = None) -> tuple[Expr, ...]:
+    """The coefficients p_0..p_m as simplified trees in x and lambda, for
+    ``print-schur``; each is held to ``cfg.node_ceiling`` nodes."""
+    cfg = cfg or SolverConfig()
+    check_structure(op)
+    resolvent_den = Sub(op.d, LAM)
+
+    def ladder(c: Expr) -> list[Expr]:
+        rungs = [simplify(Div(c, resolvent_den))]
+        for _ in range(op.n):
+            step = simplify(Mul(Lit(-1j), differentiate(rungs[-1], "x")))
+            rungs.append(_guard_size(step, cfg.node_ceiling))
+        return rungs
+
+    # p_j = a_j - [j = 0] lambda - (coupling terms at order D^j).
+    terms = [[Sub(op.a[0], LAM)], *([a] for a in op.a[1:])]
+    for j, weight, b, rung in _couplings(op, ladder):
+        terms[j].append(_weighted(weight, b, rung))
+    return tuple(_guard_size(simplify(reduce(Sub, row)), cfg.node_ceiling)
+                 for row in terms)
 
 
-def polynomial_value(coeffs: tuple[complex, ...], x: float) -> complex:
-    acc = 0j
-    for coefficient in reversed(coeffs):
-        acc = acc * x + coefficient
-    return acc
-
-
-def apply_operator(
-    symbol: SchurSymbol, u_coeffs, x: float, lam: complex
-) -> complex:
+def apply_operator(symbol: SchurSymbol, u_coeffs, x: float,
+                   lam: complex) -> complex:
     """Apply sum_j p_j(x, lambda) D^j to the polynomial u at the point x.
 
     ``u_coeffs`` lists u's complex coefficients in ascending powers of x;
     derivatives of u are computed exactly, and D^j contributes (-i)^j times
-    the j-th derivative.
+    the j-th derivative. p_j comes from the lambda-free form.
     """
-    current = tuple(complex(c) for c in u_coeffs)
+    composed = symbol.d is not None
+    if composed:  # evaluate raises PoleError where d(x) = lambda
+        u = evaluate(Div(Lit(1 + 0j), Sub(symbol.d, Lit(complex(lam)))), x=x)
+    current = [complex(c) for c in u_coeffs]
     total = 0j
-    momentum_phase = 1 + 0j  # (-i)^j
-    for j in range(symbol.m + 1):
+    for j, (alpha, beta) in enumerate(zip(symbol.alpha, symbol.beta)):
         if not current:
             break
-        total += (
-            evaluate(symbol.p[j], x=x, lam=lam)
-            * momentum_phase
-            * polynomial_value(current, x)
-        )
-        current = polynomial_derivative(current)
-        momentum_phase *= -1j
+        value = reduce(lambda acc, c: acc * x + c, reversed(current), 0j)
+        p = evaluate(alpha, x=x) - (lam if composed and j == 0 else 0)
+        p += sum(evaluate(b, x=x) * u**q for q, b in enumerate(beta, 1))
+        total += p * (-1j) ** j * value
+        current = [r * current[r] for r in range(1, len(current))]
     return total

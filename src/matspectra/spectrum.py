@@ -348,41 +348,43 @@ def _cleared_coefficients(profile: RationalProfile, m: int,
 
 
 def _companion_roots(coeffs: np.ndarray
-                     ) -> tuple[list[np.ndarray | None], int]:
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Roots of the cleared polynomials, one row of ascending coefficients each.
 
-    A row is trimmed at 1e-12 of its largest magnitude; None marks a
-    degenerate identity (all zero or not finite). Rows with the same trimmed
-    length and the same number of vanishing low-order coefficients share one
-    stacked ``eigvals`` call on companion matrices built exactly as
-    ``np.roots`` builds them, so each root carries the bits ``np.roots``
-    gives for the trimmed row (as complex128). Returns the roots per row and
-    the number of ``eigvals`` calls.
+    A row is trimmed at 1e-12 of its largest magnitude. Rows with the same
+    degree and number of vanishing low-order coefficients share one stacked
+    ``eigvals`` call on companion matrices built exactly as ``np.roots``
+    builds them, so each root carries the bits ``np.roots`` gives for the
+    trimmed row (as complex128). Returns the (F, R) roots, NaN-padded, the
+    (F,) mask of degenerate rows (all zero or not finite; no roots) and the
+    number of ``eigvals`` calls.
     """
     mags = np.abs(coeffs)
     top = mags.max(axis=1, initial=0.0)
-    valid = np.isfinite(top) & (top > 0.0)
+    degenerate = ~(np.isfinite(top) & (top > 0.0))
     trimmed = np.where(mags > 1e-12 * top[:, None], coeffs, 0.0)
     nonzero = trimmed != 0.0
+    width = coeffs.shape[1]
     low = np.argmax(nonzero, axis=1)
-    high = coeffs.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    roots: list[np.ndarray | None] = [None] * coeffs.shape[0]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in np.nonzero(valid)[0]:
-        groups.setdefault((int(high[i] - low[i]), int(low[i])), []).append(i)
+    high = width - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    valid = np.flatnonzero(~degenerate)
+    roots = np.full((coeffs.shape[0], high[valid].max(initial=0)), np.nan,
+                    dtype=complex)
+    shapes, group = np.unique((high - low)[valid] * width + low[valid],
+                              return_inverse=True)
     solves = 0
-    for (degree, zeros), rows in groups.items():
-        found = np.zeros((len(rows), degree + zeros), dtype=complex)
+    for g, shape in enumerate(shapes.tolist()):
+        degree, zeros = divmod(shape, width)  # high - low, low
+        rows = valid[group == g]
+        roots[rows, degree:degree + zeros] = 0.0
         if degree:
             desc = trimmed[rows, zeros:zeros + degree + 1][:, ::-1]
-            companion = np.zeros((len(rows), degree, degree), dtype=complex)
+            companion = np.zeros((rows.size, degree, degree), dtype=complex)
             companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
             companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-            found[:, :degree] = np.linalg.eigvals(companion)
+            roots[rows, :degree] = np.linalg.eigvals(companion)
             solves += 1
-        for i, row in zip(rows, found):
-            roots[i] = row
-    return roots, solves
+    return roots, degenerate, solves
 
 
 def _log_skip(skips: list, kind: str, side: str, xi: float, lam, reason: str):
@@ -567,16 +569,11 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
     track_pad = _track_pad(cfg)
     xi_values = np.asarray(xi_values, dtype=float)
     coeffs = _cleared_coefficients(profile, symbol.m, xi_values)
-    root_rows, solves = _companion_roots(coeffs)
+    lam, degenerate, solves = _companion_roots(coeffs)
     work["companion_solves"] += solves
-    width = max((r.size for r in root_rows if r is not None), default=0)
-    lam = np.full((xi_values.size, width), np.nan, dtype=complex)
-    for i, roots in enumerate(root_rows):
-        if roots is None:
-            _log_skip(skips, "IdentitySkip", profile.side, xi_values[i], None,
-                      "cleared polynomial is numerically zero")
-        else:
-            lam[i, :roots.size] = roots
+    for i in np.flatnonzero(degenerate):
+        _log_skip(skips, "IdentitySkip", profile.side, xi_values[i], None,
+                  "cleared polynomial is numerically zero")
     rows, cols = np.nonzero(_near_window(lam, cfg.window, track_pad))
     keep = np.zeros(lam.shape, dtype=bool)
     if rows.size:
@@ -588,7 +585,7 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
                                                track_pad)
     lam = np.where(keep, lam, np.nan)
     far = _distances(lam, lam) > cfg.dedupe_tol
-    for j in range(1, width):
+    for j in range(1, lam.shape[1]):
         keep[:, j] &= (far[:, j, :j] | ~keep[:, :j]).all(axis=1)
     return _compact(xi_values, lam, keep)
 

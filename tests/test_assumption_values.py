@@ -39,7 +39,7 @@ from matspectra.expr import (LAM, Add, Div, Mul, Neg, Pow, Sub, differentiate,
                              evaluate_array, parse, simplify)
 from matspectra.model import (DiagnosticRecord, Diagnostics, delta,
                               validation_grid)
-from matspectra.schur import SchurSymbol, build_schur
+from matspectra.schur import SchurSymbol, build_schur, coefficient_trees
 
 CFG = SolverConfig()
 GRID = validation_grid(CFG)
@@ -61,10 +61,15 @@ def _with_two_derivatives(tree):
     return tree, first, simplify(differentiate(first, "x"))
 
 
-def reference_b1_trees(symbol):
+def symbol_trees(op, symbol):
+    """The trees p_j in x and lambda behind ``symbol``."""
+    return symbol.alpha if symbol.d is None else coefficient_trees(op)
+
+
+def reference_b1_trees(trees):
     """(witness label, tree) for p_j and its first two x-derivatives."""
     return [(f"d^{order} p_{j} / dx^{order}", tree)
-            for j, p in enumerate(symbol.p)
+            for j, p in enumerate(trees)
             for order, tree in enumerate(_with_two_derivatives(p))]
 
 
@@ -129,7 +134,8 @@ def reference_check_d(symbol, probe, cfg):
 
 
 def reference_check_assumptions(op, symbol, probes, grid, cfg):
-    b1_trees = reference_b1_trees(symbol)
+    trees = symbol_trees(op, symbol)
+    b1_trees = reference_b1_trees(trees)
     b3_trees = reference_b3_trees(op)
     delta_vals = np.broadcast_to(
         np.asarray(evaluate_array(delta(op), x=grid), dtype=np.complex128),
@@ -139,7 +145,7 @@ def reference_check_assumptions(op, symbol, probes, grid, cfg):
     for probe in map(complex, probes):
         near_curve = bool(delta_vals.size) and float(
             np.min(np.abs(delta_vals - probe))) <= cfg.probe_margin
-        p_m = tree_values([("p_m", symbol.p[symbol.m])], grid, probe)[0][1]
+        p_m = tree_values([("p_m", trees[symbol.m])], grid, probe)[0][1]
         batch = [
             _check_bounded("B1", tree_values(b1_trees, grid, probe), probe,
                            grid, cfg),
@@ -251,8 +257,8 @@ def test_grid_values_match_lambda_trees(seed, m, probe_re, probe_im):
     with np.errstate(all="ignore"):
         finite = x_only_finite(jets)
         b1_scales, b3_scales = term_scales(jets, probe)
-        assert_values_match(b1, reference_b1_trees(symbol), b1_scales,
-                            finite, probe)
+        assert_values_match(b1, reference_b1_trees(coefficient_trees(op)),
+                            b1_scales, finite, probe)
         assert_values_match(b3, reference_b3_trees(op), b3_scales, finite,
                             probe)
     assert p_m is b1[3 * symbol.m][1]
@@ -264,8 +270,8 @@ def test_grid_values_match_lambda_trees(seed, m, probe_re, probe_im):
 
 def hand_built():
     """A lambda-free symbol (d = None) checked against the quartic's b, c, d."""
-    symbol = SchurSymbol(m=2, p=(parse("x^2 + sin(x)"), parse("cos(x)"),
-                                 parse("2 + exp(-x^2)")))
+    symbol = SchurSymbol(m=2, alpha=(parse("x^2 + sin(x)"), parse("cos(x)"),
+                                     parse("2 + exp(-x^2)")))
     return quartic_coupled(), symbol
 
 
@@ -322,13 +328,13 @@ def test_records_match_lambda_tree_reference(case, probes):
     got = check_assumptions(op, symbol, probes, GRID, CFG).records
     want = reference_check_assumptions(op, symbol, probes, GRID, CFG).records
     jets = _GridJets.sample(op, symbol, GRID)
+    p_m_tree = symbol_trees(op, symbol)[symbol.m]
     assert len(got) == len(want)
     for new, ref in zip(got, want):
         assert (new.assumption, new.status, new.probe) \
             == (ref.assumption, ref.status, ref.probe)
         if new.assumption == "C":
-            ref_p_m = tree_values([("p_m", symbol.p[symbol.m])], GRID,
-                                  new.probe)[0][1]
+            ref_p_m = tree_values([("p_m", p_m_tree)], GRID, new.probe)[0][1]
             assert_sector_records_agree(new, ref, jets.values(new.probe)[1],
                                         ref_p_m)
             continue

@@ -8,6 +8,7 @@ dense brute-force sampling of the target function far from the origin.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,7 +45,7 @@ from matspectra.config import SolverConfig
 from matspectra.errors import NotConvergent, PoleError
 from matspectra.expr import Call, Lit, Sub, X, evaluate, evaluate_array, parse
 from matspectra.model import OperatorMatrix, validation_grid
-from matspectra.schur import SchurSymbol, build_schur
+from matspectra.schur import SchurSymbol, build_schur, coefficient_trees
 
 CFG = SolverConfig()
 
@@ -102,10 +103,11 @@ def test_constant_coefficients_certify_at_first_window():
         symbol = build_schur(op)
         lam = complex(rng.uniform(2.5, 4.0), rng.uniform(2.5, 4.0))
         for side in ("+", "-"):
+            trees = coefficient_trees(op)
             values, certs = limit_ratio(symbol, lam, side, CFG)
             for j, (value, cert) in enumerate(zip(values, certs)):
-                want = evaluate(symbol.p[j], x=1.0, lam=lam) / evaluate(
-                    symbol.p[symbol.m], x=1.0, lam=lam)
+                want = evaluate(trees[j], x=1.0, lam=lam) / evaluate(
+                    trees[symbol.m], x=1.0, lam=lam)
                 assert abs(value - want) <= 1e-14 * (1.0 + abs(want))
                 assert cert.converged
                 assert cert.sample_count == 4
@@ -113,7 +115,7 @@ def test_constant_coefficients_certify_at_first_window():
 
 
 def test_oscillating_ratio_raises_not_convergent_with_witness():
-    symbol = SchurSymbol(m=1, p=(Call("sin", X), Lit(1 + 0j)))
+    symbol = SchurSymbol(m=1, alpha=(Call("sin", X), Lit(1 + 0j)))
     with pytest.raises(NotConvergent) as info:
         limit_ratio(symbol, 0.5j, "+", CFG)
     witness = info.value.witness
@@ -124,7 +126,7 @@ def test_oscillating_ratio_raises_not_convergent_with_witness():
 
 def test_trajectory_pole_raises_pole_error():
     # p_m vanishes exactly at x = 32 = x0 * rho, the second sample.
-    symbol = SchurSymbol(m=1, p=(Lit(1 + 0j), Sub(X, Lit(32.0 + 0j))))
+    symbol = SchurSymbol(m=1, alpha=(Lit(1 + 0j), Sub(X, Lit(32.0 + 0j))))
     with pytest.raises(PoleError, match="32"):
         limit_ratio(symbol, 1j, "+", CFG)
 
@@ -161,7 +163,7 @@ def test_batch_matches_scalar_and_flags_failures():
         scalar_values, _ = limit_ratio(symbol, complex(lam), "+", CFG)
         assert np.allclose(row, scalar_values, rtol=0, atol=0)
 
-    wobble = SchurSymbol(m=1, p=(Call("sin", X), Lit(1 + 0j)))
+    wobble = SchurSymbol(m=1, alpha=(Call("sin", X), Lit(1 + 0j)))
     _, bad_status = limit_ratio_batch(wobble, np.array([1j]), "+", CFG)
     assert list(bad_status) == ["not-convergent"]
 
@@ -183,7 +185,8 @@ def test_limit_ratio_tail_polynomial():
        side=st.sampled_from("+-"))
 def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     rng = random.Random(seed)
-    symbol = build_schur(random_operator(rng, m))
+    op = random_operator(rng, m)
+    symbol = build_schur(op)
     lams = np.asarray([complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                        for _ in range(3)])
     xs = _trajectory(side, CFG)
@@ -192,7 +195,7 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
         p = [np.broadcast_to(evaluate_array(tree, x=xs[:, None],
                                             lam=lams[None, :]),
                              (xs.size, lams.size))
-             for tree in symbol.p]
+             for tree in coefficient_trees(op)]
         trees = np.stack([pj / p[-1] for pj in p[:-1]])
     # Where every x-only sample is finite, both forms must agree on which
     # ratios are finite, so a lambda's status cannot flip between ok and
@@ -593,6 +596,34 @@ def test_bounded_tree_witness_labels(coeff, b1_label, b3_label):
                              validation_grid(CFG), CFG)
     for assumption, label in (("B1", b1_label), ("B3", b3_label)):
         record = by_assumption(diag, assumption, 2.0 + 3j)
+        assert record.status == "fail"
+        assert record.witness[0] == f"sampled |{label}| exceeds bound cap"
+
+
+def test_undetermined_jet_samples_are_inconclusive():
+    # log(2 exp(-x^2/2)) = log 2 - x^2/2 stays far below the cap for
+    # |x| <= 38.4, but 1/(2 exp(-x^2/2)) overflows once |x| > 37.67, so its
+    # forward-mode derivative is NaN there: undetermined, not unbounded.
+    op = unbounded_coupling("log(2*exp(-x^2/2))")
+    probe = 2.0 + 3j
+    grid = np.linspace(-38.4, 38.4, 769)
+    diag = check_assumptions(op, build_schur(op), [probe], grid, CFG)
+    for assumption, label in (("B1", "d^1 p_0 / dx^1"),
+                              ("B3", "d^1/dx^1 of b_0/(d-lambda)")):
+        record = by_assumption(diag, assumption, probe)
+        assert record.status == "inconclusive"
+        message, location, measured = record.witness
+        assert message == (f"sampled {label} is NaN, undetermined in "
+                           "floating point")
+        assert location == -38.4
+        assert math.isnan(measured)
+    # Past |x| = 38.6 exp underflows and the value itself is -inf: a
+    # sample with infinite magnitude still fails, whatever else is NaN.
+    wide = np.linspace(-40.0, 40.0, 801)
+    diag = check_assumptions(op, build_schur(op), [probe], wide, CFG)
+    for assumption, label in (("B1", "d^0 p_0 / dx^0"),
+                              ("B3", "d^0/dx^0 of b_0/(d-lambda)")):
+        record = by_assumption(diag, assumption, probe)
         assert record.status == "fail"
         assert record.witness[0] == f"sampled |{label}| exceeds bound cap"
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,16 +28,22 @@ from matspectra.cli import (
 )
 from matspectra.config import SolverConfig
 from matspectra.errors import ConfigError
+from matspectra.expr import mentions, simplify
+from matspectra.model import load_operator
+from matspectra.schur import coefficient_trees
 from matspectra.spectrum import (
     CSV_HEADER,
     RegularPoint,
     SingularPoint,
     SpectrumSet,
+    essential_spectrum,
 )
 from matspectra.asymptotics import ExceptionalSet
 
 QUICK_QUARTIC = SolverConfig().with_overrides(
     xi_points=40, xi_max=2.0, curve_res=0.02, grid_points=512)
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 QUICK_PARABOLIC = SolverConfig().with_overrides(
     xi_points=60, curve_res=0.05, grid_points=512,
@@ -255,6 +263,47 @@ class TestPrintSchur:
         assert lines[3].startswith("p_2 = ")
         assert lines[4].startswith("decoupling = ")
         assert "x^2" in lines[4]
+
+    @pytest.mark.parametrize("config_path", [PARABOLIC_CFG, QUARTIC_CFG])
+    def test_output_matches_golden_bytes(self, config_path, tmp_path, capsys):
+        golden = GOLDEN_DIR / f"print_schur_{config_path.stem}.txt"
+        run = make_run("print-schur", config_path, tmp_path, SolverConfig())
+        assert cmd_print_schur(run) == EXIT_OK
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_check_and_spectrum_build_no_lambda_tree(monkeypatch, tmp_path):
+    """``check`` and ``essential_spectrum`` never compose the trees p_j.
+
+    ``coefficient_trees`` and ``simplify`` are replaced wherever a module
+    of the package holds them, so a call through any import counts.
+    """
+    built = []
+    simplified = []
+
+    def no_trees(*args, **kwargs):
+        built.append(args)
+        return coefficient_trees(*args, **kwargs)
+
+    def recording(tree, *args, **kwargs):
+        simplified.append(tree)
+        return simplify(tree, *args, **kwargs)
+
+    for module in [m for key, m in sys.modules.items()
+                   if key.split(".")[0] == "matspectra"]:
+        for name, func in (("coefficient_trees", coefficient_trees),
+                           ("simplify", simplify)):
+            if getattr(module, name, None) is func:
+                monkeypatch.setattr(
+                    module, name, no_trees if func is coefficient_trees
+                    else recording)
+
+    assert main(["check", "--config", str(QUARTIC_CFG),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    essential_spectrum(load_operator(QUARTIC_CFG), QUICK_QUARTIC)
+    assert not built
+    assert simplified
+    assert not any(mentions(tree, "lambda") for tree in simplified)
 
 
 class TestSvgRendering:

@@ -252,22 +252,29 @@ def _cleared_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(coeffs=_cleared_matrices())
 def test_companion_roots_match_per_row_np_roots(coeffs):
-    roots, solves = _companion_roots(coeffs)
-    assert len(roots) == coeffs.shape[0]
+    roots, degenerate, solves = _companion_roots(coeffs)
+    assert roots.dtype == np.complex128
+    assert degenerate.shape == (coeffs.shape[0],)
+    assert roots.shape[0] == coeffs.shape[0]
     shapes = set()
-    for row, got in zip(coeffs, roots):
+    widths = [0]
+    for row, got, skipped in zip(coeffs, roots, degenerate):
         want = _roots_per_row(row)
         if want is None:
-            assert got is None
+            assert skipped
+            assert np.isnan(got).all()
             continue
+        assert not skipped
         mags = np.abs(row)
         kept = np.flatnonzero(mags > 1e-12 * mags.max())
         if kept[-1] > kept[0]:
             shapes.add((kept[-1] - kept[0], kept[0]))
         # np.roots gives float64 zeros for a lone term of positive degree.
         want = want.astype(np.complex128)
-        assert got.dtype == np.complex128
-        assert got.tobytes() == want.tobytes()
+        widths.append(want.size)
+        assert got[:want.size].tobytes() == want.tobytes()
+        assert np.isnan(got[want.size:]).all()
+    assert roots.shape[1] == max(widths)
     # One stacked eigvals per (degree, vanishing low-order terms) shape.
     assert solves == len(shapes)
 
@@ -649,6 +656,17 @@ def _sorted_rows(rows):
             for xi, roots in rows.items()}
 
 
+def _padded(root_rows):
+    """Per-row roots (None for a degenerate row) in the shape
+    ``_companion_roots`` returns: NaN-padded array, mask, one solve."""
+    width = max((r.size for r in root_rows if r is not None), default=0)
+    lam = np.full((len(root_rows), width), np.nan, dtype=complex)
+    for i, roots in enumerate(root_rows):
+        if roots is not None:
+            lam[i, :roots.size] = roots
+    return lam, np.array([r is None for r in root_rows]), 1
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
@@ -681,7 +699,7 @@ def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
             spectrum_module,
             _cleared_coefficients=lambda profile, m, xi: np.zeros((xi.size,
                                                                    1)),
-            _companion_roots=lambda coeffs: (root_rows, 1),
+            _companion_roots=lambda coeffs: _padded(root_rows),
             _polish_batch=fake_polish):
         table = spectrum_module._solve_at(mock.Mock(m=2), profile, xi_values,
                                           cfg, skips, {"companion_solves": 0})
