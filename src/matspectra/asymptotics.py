@@ -10,10 +10,13 @@ Three services live here:
   singular-part sweep solves for real ``xi``. Samples come from the
   symbol's lambda-free form: its x-only trees are evaluated once per call
   on the trajectory, and a whole batch of lambda values is then handled by
-  array algebra in ``u = 1/(d - lambda)``. :func:`limit_ratio_batch` is the
-  non-raising batch form, :func:`limit_ratio_slope` gives the analytic
-  lambda-derivative of the ratios at the trajectory's far end, and
-  :func:`limit_of` certifies the limit of a single lambda-free expression.
+  array algebra in ``u = 1/(d - lambda)``; :func:`_series` is the one
+  evaluator of sums ``sum_q f_q u**q``, for trajectory columns and grid
+  jets alike. :func:`limit_ratio_batch` is the non-raising batch form,
+  :func:`limit_ratio_slope` gives the analytic lambda-derivative of the
+  ratios at the trajectory's far end, and :func:`limit_of` certifies the
+  limit of a single lambda-free expression by the same certificate scan,
+  run on that expression's own trajectory samples.
 - :func:`limit_points_at_infinity` estimates the set of finite limit
   points of the lower-right coefficient ``d`` at infinity by clustering
   its values over the largest dyadic windows. The estimate is heuristic
@@ -41,8 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SolverConfig
-from .errors import NotConvergent, PoleError
-from .expr import ONE, Expr, Lit, evaluate_array, evaluate_jet
+from .errors import DomainError, NotConvergent, PoleError
+from .expr import (Expr, Lit, evaluate, evaluate_array, evaluate_jet,
+                   mentions)
 from .model import DiagnosticRecord, Diagnostics, OperatorMatrix
 from .schur import SchurSymbol
 
@@ -80,41 +84,54 @@ def _trajectory(side: str, cfg: SolverConfig) -> np.ndarray:
     return sign * cfg.x0 * cfg.rho ** np.arange(cfg.T + 1, dtype=float)
 
 
-def _sample(tree: Expr, xs: np.ndarray) -> np.ndarray:
-    value = tree.value if isinstance(tree, Lit) else evaluate_array(tree, x=xs)
-    return np.full(xs.shape, value, dtype=np.complex128)
+_Jet = tuple[np.ndarray, ...]
 
 
-def _sample_term(tree: Expr, xs: np.ndarray) -> np.ndarray | None:
-    """Like :func:`_sample`, but None for a literal zero, which is skipped."""
-    if isinstance(tree, Lit) and tree.value == 0:
-        return None
-    return _sample(tree, xs)
+def _column(tree: Expr, xs: np.ndarray) -> _Jet:
+    """Plain samples of an x-only tree as an (S, 1) column, ready to
+    broadcast against a row of lambda values."""
+    return (evaluate_array(tree, x=xs)[:, None],)
+
+
+def _term(sample, tree: Expr, xs: np.ndarray):
+    """``sample(tree, xs)``, or None for a literal zero, whose terms are
+    skipped."""
+    return None if isinstance(tree, Lit) and tree.value == 0 else sample(
+        tree, xs)
 
 
 class _Form(NamedTuple):
     """The x-only trees of a symbol's lambda-free form sampled on ``xs``.
 
-    Literal-zero trees sample to None. ``d`` is None for a hand-built
-    symbol; ``finite`` marks the abscissae where every sample is finite.
+    ``p[j]`` pairs the powers q of u with the samples of alpha_j (q = 0)
+    and beta_jq, each either a plain (S, 1) column ``(f,)`` or a grid jet
+    ``(f, f', f'')`` (None for a literal zero); ``d`` is sampled the same
+    way. ``finite`` marks the abscissae where every value sample is finite.
     """
 
     xs: np.ndarray
-    alpha: list[np.ndarray | None]
-    beta: list[list[np.ndarray | None]]
-    d: np.ndarray | None
+    p: list[list[tuple[int, _Jet | None]]]
+    d: _Jet
     finite: np.ndarray
 
+    @property
+    def top(self) -> int:
+        """The highest power of u in the form."""
+        return max(map(len, self.p)) - 1
 
-def _sample_form(symbol: SchurSymbol, xs: np.ndarray) -> _Form:
-    alpha = [_sample_term(tree, xs) for tree in symbol.alpha]
-    beta = [[_sample_term(tree, xs) for tree in row] for row in symbol.beta]
-    d = None if symbol.d is None else _sample(symbol.d, xs)
-    finite = np.ones(xs.shape, dtype=bool)
-    for column in (*alpha, *(b for row in beta for b in row), d):
-        if column is not None:
-            finite &= np.isfinite(column)
-    return _Form(xs, alpha, beta, d, finite)
+
+def _sample_form(symbol: SchurSymbol, xs: np.ndarray,
+                 sample=_column) -> _Form:
+    p = [[(0, _term(sample, alpha, xs)),
+          *((q, _term(sample, tree, xs)) for q, tree in enumerate(row, 1))]
+         for alpha, row in zip(symbol.alpha, symbol.beta)]
+    d = sample(symbol.d, xs)
+    finite = np.isfinite(d[0])
+    for terms in p:
+        for _, jet in terms:
+            if jet is not None:
+                finite &= np.isfinite(jet[0])
+    return _Form(xs, p, d, finite.reshape(xs.shape))
 
 
 def _u_powers(d: np.ndarray, lam, top: int) -> list:
@@ -126,60 +143,86 @@ def _u_powers(d: np.ndarray, lam, top: int) -> list:
     return powers
 
 
-def _coefficients(symbol: SchurSymbol, form: _Form, lams: np.ndarray,
-                  slope: bool = False) -> np.ndarray:
-    """p_j(x, lambda), or dp_j/dlambda with ``slope``; shape (m+1, S, K).
+def _series(out: list[np.ndarray], terms, d: _Jet, u: list,
+            slope: bool = False) -> list[np.ndarray]:
+    """Add sum_q f_q u^q, u = 1/(d - lambda), and its x-derivatives into
+    ``out``, in place; ``out`` has one buffer per part of the samples.
 
-    With u = 1/(d - lambda): p_j = alpha_j - [j = 0] lambda +
-    sum_q beta_jq u^q, and since du/dlambda = u^2, dp_j/dlambda =
-    -[j = 0] + sum_q q beta_jq u^(q+1). The lambda terms only belong to a
-    composed symbol; literal-zero terms are skipped.
+    ``terms`` pairs each power q >= 0 with the samples of f_q, plain
+    ``(f,)`` or a jet ``(f, f', f'')`` (None for zero); ``u`` lists the
+    powers of u. By u' = -d' u^2: (f u^q)' = f' u^q - q f d' u^(q+1) and
+    (f u^q)'' = f'' u^q - q (2 f' d' + f d'') u^(q+1) + q (q+1) f d'^2
+    u^(q+2). With ``slope`` the value becomes the lambda-derivative
+    sum_q q f_q u^(q+1), since du/dlambda = u^2. Callers silence floating
+    point warnings: non-finite sums are masked downstream.
     """
-    out = np.zeros((symbol.m + 1, form.finite.size, lams.size),
-                   dtype=np.complex128)
-    if form.d is not None:
-        u_powers = _u_powers(form.d[:, None], lams[None, :],
-                             max(map(len, form.beta)) + slope)
-    with np.errstate(all="ignore"):
-        for j, row in enumerate(form.beta):
-            if not slope and form.alpha[j] is not None:
-                out[j] += form.alpha[j][:, None]
-            for q, b in enumerate(row, start=1):
-                if b is None:
-                    continue
-                if slope:
-                    out[j] += q * b[:, None] * u_powers[q + 1]
-                else:
-                    out[j] += b[:, None] * u_powers[q]
-        if form.d is not None:
-            out[0] -= 1.0 if slope else lams[None, :]
+    for q, jet in terms:
+        if jet is None:
+            continue
+        if slope:
+            if q:
+                out[0] += q * jet[0] * u[q + 1]
+            continue
+        if q == 0:
+            for total, part in zip(out, jet):
+                total += part
+            continue
+        out[0] += jet[0] * u[q]
+        if len(out) == 3:
+            f, f1, f2 = jet
+            _, d1, d2 = d
+            out[1] += f1 * u[q]
+            out[1] -= q * f * d1 * u[q + 1]
+            out[2] += f2 * u[q]
+            out[2] -= q * (2.0 * f1 * d1 + f * d2) * u[q + 1]
+            out[2] += q * (q + 1) * f * d1 * d1 * u[q + 2]
     return out
 
 
-def _ratio_samples(symbol: SchurSymbol, form: _Form,
-                   lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample r_j = p_j/p_m on the form's abscissae; shape (m, S, K).
+def _coefficients(form: _Form, lams: np.ndarray,
+                  slope: bool = False) -> np.ndarray:
+    """p_j(x, lambda), or dp_j/dlambda with ``slope``; shape (m+1, S, K).
 
-    The second result marks the abscissae where all x-only samples are
-    finite.
+    p_j = alpha_j - [j = 0] lambda + sum_q beta_jq u^q and
+    dp_j/dlambda = -[j = 0] + sum_q q beta_jq u^(q+1), from a form of
+    plain columns.
     """
-    p = _coefficients(symbol, form, lams)
+    out = np.zeros((len(form.p), form.xs.size, lams.size),
+                   dtype=np.complex128)
+    u = _u_powers(form.d[0], lams, form.top + slope)
     with np.errstate(all="ignore"):
-        return p[:-1] / p[-1], form.finite
+        for j, terms in enumerate(form.p):
+            _series([out[j]], terms, form.d, u, slope)
+        out[0] -= 1.0 if slope else lams
+    return out
 
 
-def _certify_block(samples: np.ndarray, tol: float):
-    """Vectorized certificate scan.
+def _ratio_samples(form: _Form, lams: np.ndarray) -> np.ndarray:
+    """Sample r_j = p_j/p_m on the form's abscissae; shape (m, S, K)."""
+    p = _coefficients(form, lams)
+    with np.errstate(all="ignore"):
+        return p[:-1] / p[-1]
 
-    ``samples`` has shape (m, S, K). Returns (values, t_index, last_inc,
-    converged, first_bad) with shapes (m, K); ``t_index`` is the increment
-    index at which the three-increment window closed (the newest sample
-    used is ``t_index + 1``), and ``first_bad`` is the index of the first
-    non-finite sample of an unconverged ratio (S when there is none).
+
+def _limit_block(samples: np.ndarray, finite: np.ndarray, tol: float):
+    """Vectorized certificate scan and per-lambda status of one batch.
+
+    ``samples`` has shape (m, S, K) and ``finite`` marks the abscissae
+    where every x-only sample behind them is finite. Returns (values,
+    t_index, last_inc, converged, first_bad), each of shape (m, K), and
+    the length-K status. ``t_index`` is the increment index at which the
+    three-increment window closed (the newest sample used is
+    ``t_index + 1``), and ``first_bad`` the index of the first non-finite
+    sample of an unconverged limit (S when there is none). A lambda whose
+    limits all converge is ``"ok"``.
+    Otherwise the earliest non-finite sample decides: ``"overflow"`` when
+    ``finite`` is false at that abscissa, ``"pole"`` when it is true (d -
+    lambda or p_m vanishes there). Without a non-finite sample the status
+    is ``"not-convergent"``.
     """
-    m, S, K = samples.shape
-    finite = np.isfinite(samples)
-    prefix_finite = np.logical_and.accumulate(finite, axis=1)
+    _, S, K = samples.shape
+    sample_finite = np.isfinite(samples)
+    prefix_finite = np.logical_and.accumulate(sample_finite, axis=1)
     with np.errstate(all="ignore"):
         inc = np.abs(np.diff(samples, axis=1))  # (m, S-1, K)
         scale = tol * (1.0 + np.abs(samples[:, 3:, :]))  # newest sample r[t+1]
@@ -192,49 +235,21 @@ def _certify_block(samples: np.ndarray, tol: float):
     first = np.argmax(window, axis=1)
     converged = window.any(axis=1)
     t_index = np.where(converged, first + 2, S - 2)
-    sample_index = t_index + 1
-    take = np.take_along_axis(samples, sample_index[:, None, :], axis=1)
-    values = take[:, 0, :]
+    take = np.take_along_axis(samples, t_index[:, None, :] + 1, axis=1)
     last_inc = np.take_along_axis(inc, t_index[:, None, :], axis=1)[:, 0, :]
     broken = ~converged & ~prefix_finite[:, -1, :]
     first_bad = np.full(broken.shape, S)
     if broken.any():
-        first_bad[broken] = np.argmax(~finite, axis=1)[broken]
-    return values, t_index, last_inc, converged, first_bad
+        first_bad[broken] = np.argmax(~sample_finite, axis=1)[broken]
 
-
-class _LimitBlock(NamedTuple):
-    samples: np.ndarray
-    values: np.ndarray
-    t_index: np.ndarray
-    last_inc: np.ndarray
-    converged: np.ndarray
-    first_bad: np.ndarray
-    status: np.ndarray
-
-
-def _limit_block(symbol: SchurSymbol, form: _Form, lams: np.ndarray,
-                 cfg: SolverConfig) -> _LimitBlock:
-    """Samples, certificate scan and per-lambda status of one batch.
-
-    A lambda whose ratios converge is ``"ok"``. Otherwise the earliest
-    non-finite ratio sample decides: ``"overflow"`` when some x-only sample
-    of the symbol is not finite at that abscissa, ``"pole"`` when they all
-    are (d - lambda or p_m vanishes there). Without a non-finite sample the
-    status is ``"not-convergent"``.
-    """
-    samples, coeff_finite = _ratio_samples(symbol, form, lams)
-    values, t_idx, last_inc, converged, first_bad = _certify_block(
-        samples, cfg.limit_tol)
-    status = np.full(lams.size, "not-convergent")
+    status = np.full(K, "not-convergent")
     status[converged.all(axis=0)] = "ok"
     earliest = first_bad.min(axis=0)
-    broken = np.nonzero(earliest < samples.shape[1])[0]
-    if broken.size:
-        overflow = ~coeff_finite[earliest[broken]]
-        status[broken] = np.where(overflow, "overflow", "pole")
-    return _LimitBlock(samples, values, t_idx, last_inc, converged,
-                       first_bad, status)
+    broken_lams = np.nonzero(earliest < S)[0]
+    if broken_lams.size:
+        overflow = ~finite[earliest[broken_lams]]
+        status[broken_lams] = np.where(overflow, "overflow", "pole")
+    return take[:, 0, :], t_index, last_inc, converged, first_bad, status
 
 
 def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
@@ -250,36 +265,51 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
     zero of p_m).
     """
     cfg = cfg or SolverConfig()
-    return _certified_ratios(
-        symbol, _sample_form(symbol, _trajectory(side, cfg)), lam, side, cfg)
+    return _form_ratios(_sample_form(symbol, _trajectory(side, cfg)), lam,
+                        side, cfg)
 
 
-def _certified_ratios(symbol: SchurSymbol, form: _Form, lam: complex,
-                      side: str, cfg: SolverConfig
-                      ) -> tuple[list[complex], list[Certificate]]:
+def _form_ratios(form: _Form, lam: complex, side: str, cfg: SolverConfig
+                 ) -> tuple[list[complex], list[Certificate]]:
     """:func:`limit_ratio` on a trajectory form that is already sampled."""
-    lams = np.asarray([lam], dtype=np.complex128)
-    samples, values, t_idx, last_inc, converged, first_bad, status = (
-        _limit_block(symbol, form, lams, cfg))
-    xs = form.xs
-    if status[0] in ("pole", "overflow"):
+    samples = _ratio_samples(form, np.asarray([lam], dtype=np.complex128))
+    m = samples.shape[0]
+    return _certified_ratios(
+        samples, form.finite, form.xs, side, cfg,
+        [f"ratio p_{j}/p_{m}" for j in range(m)],
+        lambda x: "coefficient samples overflow")
+
+
+def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
+                      xs: np.ndarray, side: str, cfg: SolverConfig, names,
+                      overflow) -> tuple[list[complex], list[Certificate]]:
+    """Certificates for the limits of ``samples`` (shape (m, S, 1)), or the
+    error that refuses them.
+
+    ``names[j]`` names limit j in messages; ``overflow(x)`` gives the cause
+    of a non-finite x-only sample at x (it may raise instead).
+    """
+    values, t_idx, last_inc, converged, first_bad, status = _limit_block(
+        samples, finite, cfg.limit_tol)
+    status = status[0]
+    if status in ("pole", "overflow"):
         j = int(np.argmin(first_bad[:, 0]))
         bad = int(first_bad[j, 0])
-        if status[0] == "pole":
+        x_bad = float(xs[bad])
+        if status == "pole":
             raise PoleError(
-                f"trajectory sample x = {float(xs[bad])!r} hits a pole of the "
-                f"symbol (ratio p_{j}/p_{symbol.m} is not finite there)")
+                f"trajectory sample x = {x_bad!r} hits a pole of the "
+                f"symbol ({names[j]} is not finite there)")
         end = bad - 1
-        message = (f"coefficient samples overflow at trajectory sample "
-                   f"x = {float(xs[bad])!r} toward {side}infinity before "
-                   f"ratio p_{j}/p_{symbol.m} settled")
-    elif status[0] == "not-convergent":
+        message = (f"{overflow(x_bad)} at trajectory sample x = {x_bad!r} "
+                   f"toward {side}infinity before {names[j]} settled")
+    elif status == "not-convergent":
         j = int(np.argmax(~converged[:, 0]))
         end = cfg.T
-        message = (f"ratio p_{j}/p_{symbol.m} did not settle after "
-                   f"{cfg.T + 1} samples toward {side}infinity (last "
-                   f"increment {last_inc[j, 0]:.3e})")
-    if status[0] != "ok":
+        message = (f"{names[j]} did not settle after {cfg.T + 1} samples "
+                   f"toward {side}infinity (last increment "
+                   f"{last_inc[j, 0]:.3e})")
+    if status != "ok":
         tail = [
             (float(xs[t + 1]), float(abs(samples[j, t + 1, 0] - samples[j, t, 0])))
             for t in range(max(0, end - 6), end)
@@ -292,7 +322,7 @@ def _certified_ratios(symbol: SchurSymbol, form: _Form, lam: complex,
             last_increment=float(last_inc[j, 0]),
             value=complex(values[j, 0]),
         )
-        for j in range(symbol.m)
+        for j in range(len(names))
     ]
     return [complex(v) for v in values[:, 0]], certificates
 
@@ -307,9 +337,9 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
     """
     cfg = cfg or SolverConfig()
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
-    block = _limit_block(
-        symbol, _sample_form(symbol, _trajectory(side, cfg)), lam_arr, cfg)
-    values, status = block.values, block.status
+    form = _sample_form(symbol, _trajectory(side, cfg))
+    values, *_, status = _limit_block(_ratio_samples(form, lam_arr),
+                                      form.finite, cfg.limit_tol)
     out = values.T.copy()
     out[status != "ok"] = np.nan
     return out, status
@@ -325,8 +355,8 @@ def limit_ratio_slope(symbol: SchurSymbol, lams, side: str,
     cfg = cfg or SolverConfig()
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
     form = _sample_form(symbol, _trajectory(side, cfg)[-1:])
-    p = _coefficients(symbol, form, lam_arr)
-    dp = _coefficients(symbol, form, lam_arr, slope=True)
+    p = _coefficients(form, lam_arr)
+    dp = _coefficients(form, lam_arr, slope=True)
     with np.errstate(all="ignore"):
         slopes = (dp[:-1] * p[-1] - p[:-1] * dp[-1]) / (p[-1] * p[-1])
     return slopes[:, 0, :].T
@@ -336,11 +366,34 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
              ) -> tuple[complex, Certificate]:
     """Certified limit of a lambda-free expression toward one infinity.
 
-    Runs the same batch path as :func:`limit_ratio` on the ratio expr/1
-    and raises the same errors.
+    Runs the certificate scan of :func:`limit_ratio` on the expression's
+    own trajectory samples. A tree that mentions lambda is a
+    ``ValueError``. A non-finite sample that stops the scan is evaluated
+    again strictly: a pole there raises :class:`PoleError`; otherwise
+    :class:`NotConvergent` says whether the samples overflowed or left a
+    function's domain, as it says when the limit does not settle.
     """
-    values, certs = limit_ratio(SchurSymbol(m=1, alpha=(expr, ONE)), 0j,
-                                side, cfg)
+    if mentions(expr, "lambda"):
+        raise ValueError("limit_of takes lambda-free expressions only")
+    cfg = cfg or SolverConfig()
+    xs = _trajectory(side, cfg)
+    samples = evaluate_array(expr, x=xs)
+
+    def overflow(x: float) -> str:
+        try:
+            evaluate(expr, x=x)
+        except PoleError as exc:
+            raise PoleError(f"trajectory sample x = {x!r} hits a pole of the "
+                            f"expression: {exc}") from exc
+        except DomainError as exc:
+            return f"samples leave the domain ({exc})"
+        except OverflowError:
+            pass
+        return "samples overflow"
+
+    values, certs = _certified_ratios(
+        samples[None, :, None], np.isfinite(samples), xs, side, cfg,
+        ["the limit"], overflow)
     return values[0], certs[0]
 
 
@@ -449,9 +502,7 @@ def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
                        cfg.windows):
             xs = sign * np.linspace(2.0**s, 2.0 ** (s + 1),
                                     cfg.points_per_window)
-            vals = np.broadcast_to(
-                np.asarray(evaluate_array(d, x=xs), dtype=np.complex128),
-                xs.shape)
+            vals = evaluate_array(d, x=xs)
             finite = np.isfinite(vals)
             if not finite.any():
                 continue
@@ -504,7 +555,8 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     trajectories = [(side, _sample_form(symbol, _trajectory(side, cfg)))
                     for side in ("+", "-")]
     # The decoupling function d - b_n c_k / a_m, sampled unsimplified.
-    delta_vals = _sample(op.d - op.b[op.n] * op.c[op.k] / op.a[op.m], grid)
+    delta_vals = evaluate_array(
+        op.d - op.b[op.n] * op.c[op.k] / op.a[op.m], x=grid)
     delta_vals = delta_vals[np.isfinite(delta_vals)]
 
     for probe in probes:
@@ -517,7 +569,7 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
             _check_b2(p_m, probe, grid),
             _check_bounded("B3", weighted, probe, grid, cfg),
             _check_c(p_m, probe, grid),
-            _check_d(symbol, trajectories, probe, cfg),
+            _check_d(trajectories, probe, cfg),
         ]
         for record in batch:
             if near_curve and record.status == "fail":
@@ -531,105 +583,55 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     return Diagnostics(records=tuple(records))
 
 
-_Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _jet(tree: Expr, xs: np.ndarray) -> _Jet | None:
-    """Samples of an x-only tree and of its first two x-derivatives.
-
-    None for a literal zero, whose terms are skipped.
-    """
-    if isinstance(tree, Lit) and tree.value == 0:
-        return None
-    return evaluate_jet(tree, xs)
-
-
-def _series(terms, d: _Jet | None, u: list | None) -> list[np.ndarray]:
-    """sum_q f_q u^q and its first two x-derivatives, u = 1/(d - lambda).
-
-    ``terms`` pairs each power q >= 0 with the jet of f_q (None for zero);
-    ``u`` lists the powers of u on the grid. By u' = -d' u^2:
-    (f u^q)' = f' u^q - q f d' u^(q+1) and (f u^q)'' = f'' u^q -
-    q (2 f' d' + f d'') u^(q+1) + q (q+1) f d'^2 u^(q+2).
-    """
-    out = [0.0, 0.0, 0.0]
-    with np.errstate(all="ignore"):
-        for q, jet in terms:
-            if jet is None:
-                continue
-            f, f1, f2 = jet
-            if q == 0:
-                out = [out[0] + f, out[1] + f1, out[2] + f2]
-                continue
-            _, d1, d2 = d
-            out[0] = out[0] + f * u[q]
-            out[1] = out[1] + f1 * u[q] - q * f * d1 * u[q + 1]
-            out[2] = (out[2] + f2 * u[q]
-                      - q * (2.0 * f1 * d1 + f * d2) * u[q + 1]
-                      + q * (q + 1) * f * d1 * d1 * u[q + 2])
-    return out
-
-
 class _GridJets(NamedTuple):
     """Grid jets of the x-only trees behind the B1, B2, B3 and C values.
 
-    ``p[j]`` pairs the powers q of u with the jets of alpha_j (q = 0) and
-    beta_jq; ``symbol_d`` is the jet of the symbol's d (None for a
-    hand-built symbol), ``d`` that of the operator's. B3 needs c_gamma
-    without derivatives, so ``c`` holds plain samples (None for zero).
+    ``form`` is the symbol's lambda-free form as jets; B3 needs the
+    operator's b_beta and d as jets and c_gamma as plain samples (None for
+    a literal zero).
     """
 
-    p: list[list[tuple[int, _Jet | None]]]
-    symbol_d: _Jet | None
+    form: _Form
     b: list[_Jet | None]
     c: list[np.ndarray | None]
     d: _Jet
-    shape: tuple[int, ...]
 
     @classmethod
     def sample(cls, op: OperatorMatrix, symbol: SchurSymbol,
                grid: np.ndarray) -> _GridJets:
-        d = _jet(op.d, grid) or (np.zeros(grid.shape, np.complex128),) * 3
-        symbol_d = (None if symbol.d is None else
-                    d if symbol.d == op.d else _jet(symbol.d, grid))
-        p = [[(0, _jet(alpha, grid)),
-              *((q, _jet(tree, grid)) for q, tree in enumerate(row, 1))]
-             for alpha, row in zip(symbol.alpha, symbol.beta)]
-        return cls(p=p, symbol_d=symbol_d,
-                   b=[_jet(b, grid) for b in op.b],
-                   c=[_sample_term(c, grid) for c in op.c], d=d,
-                   shape=grid.shape)
+        form = _sample_form(symbol, grid, evaluate_jet)
+        return cls(form=form,
+                   b=[_term(evaluate_jet, b, grid) for b in op.b],
+                   c=[_term(evaluate_array, c, grid) for c in op.c],
+                   d=form.d if symbol.d == op.d else evaluate_jet(op.d, grid))
 
     def values(self, probe: complex):
-        """Labelled B1 values, p_m and labelled B3 values at one probe.
+        """Labelled B1 values, p_m and labelled B3 values at one probe."""
+        shape = self.form.xs.shape
 
-        The lambda term of p_0 belongs to a composed symbol only.
-        """
-        top = max(map(len, self.p)) + 1
-        u_symbol = (None if self.symbol_d is None
-                    else _u_powers(self.symbol_d[0], probe, top))
-        coefficients = []
-        for j, terms in enumerate(self.p):
-            series = _series(terms, self.symbol_d, u_symbol)
-            if j == 0 and self.symbol_d is not None:
-                series[0] = series[0] - probe
-            coefficients += [
-                (f"d^{order} p_{j} / dx^{order}",
-                 np.broadcast_to(values, self.shape))
-                for order, values in enumerate(series)]
-        p_m = coefficients[-3][1]
+        def zeros():
+            return [np.zeros(shape, np.complex128) for _ in range(3)]
+
+        u_symbol = _u_powers(self.form.d[0], probe, self.form.top + 2)
         u = _u_powers(self.d[0], probe, 3)
+        coefficients = []
         with np.errstate(all="ignore"):
+            for j, terms in enumerate(self.form.p):
+                series = _series(zeros(), terms, self.form.d, u_symbol)
+                if j == 0:
+                    series[0] -= probe
+                coefficients += [(f"d^{order} p_{j} / dx^{order}", values)
+                                 for order, values in enumerate(series)]
             weighted = [
                 (f"d^0/dx^0 of c_{gamma}/(d-lambda)",
-                 np.broadcast_to(0.0 if c is None else c * u[1], self.shape))
+                 np.zeros(shape) if c is None else c * u[1])
                 for gamma, c in enumerate(self.c)]
-        for beta, b in enumerate(self.b):
-            weighted += [
-                (f"d^{order}/dx^{order} of b_{beta}/(d-lambda)",
-                 np.broadcast_to(values, self.shape))
-                for order, values in enumerate(_series([(1, b)], self.d, u))]
-        return coefficients, p_m, weighted
+            for beta, b in enumerate(self.b):
+                weighted += [
+                    (f"d^{order}/dx^{order} of b_{beta}/(d-lambda)", values)
+                    for order, values in enumerate(
+                        _series(zeros(), [(1, b)], self.d, u))]
+        return coefficients, coefficients[-3][1], weighted
 
 
 def _check_bounded(assumption, labelled_values, probe, grid,
@@ -749,11 +751,11 @@ def _hull(v: np.ndarray) -> np.ndarray:
         return v[[int(np.argmin(along)), int(np.argmax(along))]]
 
 
-def _check_d(symbol, trajectories, probe, cfg) -> DiagnosticRecord:
+def _check_d(trajectories, probe, cfg) -> DiagnosticRecord:
     """D from (side, trajectory form) pairs sampled once for all probes."""
     for side, form in trajectories:
         try:
-            _certified_ratios(symbol, form, probe, side, cfg)
+            _form_ratios(form, probe, side, cfg)
         except NotConvergent as exc:
             tail_increment = exc.witness[-1][1] if exc.witness else np.inf
             return DiagnosticRecord(

@@ -428,13 +428,24 @@ _ARRAY_FUNCS = {
 def evaluate_array(e: Expr, x=None, lam=None) -> np.ndarray:
     """Vectorized evaluation with numpy broadcasting.
 
-    Unlike :func:`evaluate` this is not strict: divisions by (near-)zero and
-    domain violations produce ``inf``/``nan`` entries that callers mask.
+    Returns a complex128 array of the broadcast shape of ``x`` and ``lam``
+    for every tree, constant ones included. Unlike :func:`evaluate` this is
+    not strict: divisions by (near-)zero and domain violations produce
+    ``inf``/``nan`` entries that callers mask.
     """
+    if lam is None or x is None:
+        shape = np.shape(lam if x is None else x)
+    else:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(lam))
+    if isinstance(e, Lit):
+        return np.full(shape, e.value, dtype=np.complex128)
     x_arr = None if x is None else np.asarray(x, dtype=np.complex128)
     lam_arr = None if lam is None else np.asarray(lam, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        return _eval_array(e, x_arr, lam_arr)
+        out = _eval_array(e, x_arr, lam_arr)
+    if isinstance(out, np.ndarray) and out.shape == shape:
+        return out
+    return np.full(shape, out, dtype=np.complex128)
 
 
 def _eval_array(e, x, lam):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import SolverConfig
 from .errors import ConfigError, StructureError
-from .expr import Expr, evaluate_array, parse, simplify
+from .expr import Expr, evaluate_array, mentions, parse, simplify
 
 A_NONZERO_TOL = 1e-12
 
@@ -143,8 +143,7 @@ def validate(op: OperatorMatrix, grid: np.ndarray) -> Diagnostics:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("validation grid must be non-empty")
-    values = np.atleast_1d(evaluate_array(op.a[op.m], x=grid))
-    values = np.broadcast_to(values, grid.shape)
+    values = evaluate_array(op.a[op.m], x=grid)
     finite = np.isfinite(values)
     if not finite.all():
         where = int(np.argmin(finite))
@@ -192,8 +191,9 @@ def load_operator(path) -> OperatorMatrix:
     """Load an operator from a key=value config file.
 
     Required keys: integers ``m``, ``n``, ``k``; expression strings
-    ``a0..am``, ``b0..bn``, ``c0..ck``, and ``d``. Lines starting with ``#``
-    and blank lines are ignored. Unknown or missing keys are rejected.
+    ``a0..am``, ``b0..bn``, ``c0..ck``, and ``d``, each in x only. Lines
+    starting with ``#`` and blank lines are ignored. Unknown or missing keys
+    and expressions that mention lambda are rejected.
     """
     text = Path(path).read_text(encoding="utf-8")
     return parse_operator_text(text, source=str(path))
@@ -240,9 +240,13 @@ def parse_operator_text(text: str, source: str = "<config>") -> OperatorMatrix:
 
     def parse_entry(key: str) -> Expr:
         try:
-            return parse(entries[key])
+            tree = parse(entries[key])
         except Exception as exc:
             raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
+        if mentions(tree, "lambda"):
+            raise ConfigError(f"{source}: key {key!r}: coefficients are "
+                              "functions of x only; lambda is not allowed")
+        return tree
 
     op = OperatorMatrix(
         a=tuple(parse_entry(f"a{j}") for j in range(orders["m"] + 1)),

@@ -122,9 +122,7 @@ def freeze(op: OperatorMatrix, side: str,
     tail_x = _trajectory(side, cfg)[-2:]
     for label, tree in labeled:
         derivative = simplify(differentiate(tree, "x"))
-        raw = evaluate_array(derivative, x=tail_x)
-        magnitudes = np.abs(np.broadcast_to(
-            np.asarray(raw, dtype=np.complex128), tail_x.shape))
+        magnitudes = np.abs(evaluate_array(derivative, x=tail_x))
         if (not np.all(np.isfinite(magnitudes))
                 or np.any(magnitudes >= cfg.deriv_tol)):
             raise RefusedFrozen(
@@ -247,17 +245,12 @@ def _derivative_powers(m: int, first: np.ndarray,
     return powers
 
 
-def _sampled(tree: Expr, x: np.ndarray) -> np.ndarray:
-    raw = np.asarray(evaluate_array(tree, x=x), dtype=np.complex128)
-    return np.array(np.broadcast_to(raw, x.shape))
-
-
 def _coefficient_block(coeffs, x: np.ndarray,
                        powers: list[np.ndarray]) -> np.ndarray:
     n = x.size
     block = np.zeros((n, n), dtype=np.complex128)
     for alpha, tree in enumerate(coeffs):
-        block += _sampled(tree, x)[:, None] * powers[alpha]
+        block += evaluate_array(tree, x=x)[:, None] * powers[alpha]
     return block
 
 
@@ -301,7 +294,7 @@ def discretize_and_eig(op: OperatorMatrix, length: float, n_points: int,
     top_left = _coefficient_block(op.a, x, powers)
     top_right = _coefficient_block(op.b, x, powers)
     bottom_left = _coefficient_block(op.c, x, powers)
-    bottom_right = np.diag(_sampled(op.d, x))
+    bottom_right = np.diag(evaluate_array(op.d, x=x))
 
     matrix = np.block([[top_left, top_right],
                        [bottom_left, bottom_right]])

@@ -20,8 +20,10 @@ D[f u^q] = -i f' u^q + i q f d' u^(q+1); hence
     p_j(x, lambda) = a_j(x) - [j = 0] lambda + sum_{q=1}^{n+1} beta_jq(x) u^q,
 
 and every reader walks each x-only tree once per sample set, with lambda
-entering through arithmetic in u. :func:`coefficient_trees` builds the
-trees p_j in x and lambda for printing.
+entering through arithmetic in u. :class:`SchurSymbol` holds exactly these
+trees, alpha_j, beta_jq and d, and only :func:`build_schur` makes one.
+:func:`coefficient_trees` builds the trees p_j in x and lambda for
+printing.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .expr import (
     Sub,
     differentiate,
     evaluate,
-    mentions,
     node_count,
     simplify,
 )
@@ -56,29 +57,18 @@ class SchurSymbol:
     """The scalar symbol sum_j p_j(x, lambda) xi^j in its lambda-free form.
 
     ``p_j = alpha[j] - [j = 0] lambda + sum_q beta[j][q-1] u^q`` with
-    ``u = 1/(d - lambda)``; every tree is x-only. A hand-built symbol,
-    ``SchurSymbol(m, alpha=...)``, has no ``beta`` and no ``d``, hence no
-    lambda terms at all; a hand-built tree that mentions lambda is rejected,
-    since only :func:`build_schur` knows how lambda enters.
+    ``u = 1/(d - lambda)``; every tree is x-only. Only :func:`build_schur`
+    makes one, since only it knows how lambda enters.
     """
 
     m: int
     alpha: tuple[Expr, ...]
-    beta: tuple[tuple[Expr, ...], ...] = ()
-    d: Expr | None = None
+    beta: tuple[tuple[Expr, ...], ...]
+    d: Expr
 
     def __post_init__(self):
-        if len(self.alpha) != self.m + 1:
+        if len(self.alpha) != self.m + 1 or len(self.beta) != self.m + 1:
             raise ValueError("expected m+1 coefficient expressions")
-        if self.d is None:
-            if any(self.beta) or any(mentions(tree, "lambda")
-                                     for tree in self.alpha):
-                raise ValueError(
-                    "hand-built symbols take lambda-free alpha trees only; "
-                    "use build_schur for a composed symbol")
-            object.__setattr__(self, "beta", ((),) * (self.m + 1))
-        elif len(self.beta) != self.m + 1:
-            raise ValueError("expected m+1 lambda-free coefficients")
 
 
 def _guard_size(tree: Expr, ceiling: int) -> Expr:
@@ -177,16 +167,15 @@ def apply_operator(symbol: SchurSymbol, u_coeffs, x: float,
     derivatives of u are computed exactly, and D^j contributes (-i)^j times
     the j-th derivative. p_j comes from the lambda-free form.
     """
-    composed = symbol.d is not None
-    if composed:  # evaluate raises PoleError where d(x) = lambda
-        u = evaluate(Div(Lit(1 + 0j), Sub(symbol.d, Lit(complex(lam)))), x=x)
+    # evaluate raises PoleError where d(x) = lambda.
+    u = evaluate(Div(Lit(1 + 0j), Sub(symbol.d, Lit(complex(lam)))), x=x)
     current = [complex(c) for c in u_coeffs]
     total = 0j
     for j, (alpha, beta) in enumerate(zip(symbol.alpha, symbol.beta)):
         if not current:
             break
         value = reduce(lambda acc, c: acc * x + c, reversed(current), 0j)
-        p = evaluate(alpha, x=x) - (lam if composed and j == 0 else 0)
+        p = evaluate(alpha, x=x) - (lam if j == 0 else 0)
         p += sum(evaluate(b, x=x) * u**q for q, b in enumerate(beta, 1))
         total += p * (-1j) ** j * value
         current = [r * current[r] for r in range(1, len(current))]

@@ -119,11 +119,6 @@ class SpectrumSet:
 # Regular part: adaptive image sampling of the decoupling curve
 # ---------------------------------------------------------------------------
 
-def _image(expr, xs: np.ndarray) -> np.ndarray:
-    values = np.asarray(evaluate_array(expr, x=xs), dtype=np.complex128)
-    return np.array(np.broadcast_to(values, xs.shape))
-
-
 def _window_pad(window) -> float:
     re_min, re_max, im_min, im_max = window
     return 0.05 * ((re_max - re_min) + (im_max - im_min))
@@ -151,7 +146,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     dexpr = delta(op)
     xs = np.unique(np.concatenate(
         [np.linspace(-cfg.x_span, cfg.x_span, cfg.grid_points), [0.0]]))
-    vals = _image(dexpr, xs)
+    vals = evaluate_array(dexpr, x=xs)
     finite = np.isfinite(vals)
     dropped = int((~finite).sum())
     xs, vals = xs[finite], vals[finite]
@@ -166,7 +161,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
             break
         mids = 0.5 * (xs[:-1][need] + xs[1:][need])
         mids = mids[: cfg.max_points - xs.size]
-        mvals = _image(dexpr, mids)
+        mvals = evaluate_array(dexpr, x=mids)
         ok = np.isfinite(mvals)
         dropped += int((~ok).sum())
         xs = np.concatenate([xs, mids[ok]])

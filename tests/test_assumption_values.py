@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from factories import quartic_coupled, random_operator, unbounded_coupling
+from factories import ZERO, quartic_coupled, random_operator, unbounded_coupling
 from matspectra import asymptotics as asymptotics_module
 from matspectra.asymptotics import (
     _check_b2,
@@ -35,11 +35,11 @@ from matspectra.asymptotics import (
 from matspectra.cli import DEFAULT_PROBES
 from matspectra.config import SolverConfig
 from matspectra.errors import NotConvergent, PoleError
-from matspectra.expr import (LAM, Add, Div, Mul, Neg, Pow, Sub, differentiate,
-                             evaluate_array, parse, simplify)
-from matspectra.model import (DiagnosticRecord, Diagnostics, delta,
-                              validation_grid)
-from matspectra.schur import SchurSymbol, build_schur, coefficient_trees
+from matspectra.expr import (LAM, Add, Div, Lit, Mul, Neg, Pow, Sub,
+                             differentiate, evaluate_array, parse, simplify)
+from matspectra.model import (DiagnosticRecord, Diagnostics, OperatorMatrix,
+                              delta, validation_grid)
+from matspectra.schur import build_schur, coefficient_trees
 
 CFG = SolverConfig()
 GRID = validation_grid(CFG)
@@ -59,11 +59,6 @@ SEED_404_SECTOR_PROBE = 1.261071 + 0.839285j
 def _with_two_derivatives(tree):
     first = simplify(differentiate(tree, "x"))
     return tree, first, simplify(differentiate(first, "x"))
-
-
-def symbol_trees(op, symbol):
-    """The trees p_j in x and lambda behind ``symbol``."""
-    return symbol.alpha if symbol.d is None else coefficient_trees(op)
 
 
 def reference_b1_trees(trees):
@@ -133,8 +128,10 @@ def reference_check_d(symbol, probe, cfg):
     return DiagnosticRecord("D", "pass", probe=probe)
 
 
-def reference_check_assumptions(op, symbol, probes, grid, cfg):
-    trees = symbol_trees(op, symbol)
+def reference_check_assumptions(op, symbol_op, probes, grid, cfg):
+    """The records for ``op`` checked with the symbol of ``symbol_op``."""
+    symbol = build_schur(symbol_op)
+    trees = coefficient_trees(symbol_op)
     b1_trees = reference_b1_trees(trees)
     b3_trees = reference_b3_trees(op)
     delta_vals = np.broadcast_to(
@@ -175,12 +172,13 @@ def reference_check_assumptions(op, symbol, probes, grid, cfg):
 
 def x_only_finite(jets: _GridJets) -> np.ndarray:
     """Grid points where every x-only sample behind the values is finite."""
-    arrays = [a for terms in jets.p for _, jet in terms if jet is not None
+    form = jets.form
+    arrays = [a for terms in form.p for _, jet in terms if jet is not None
               for a in jet]
-    arrays += [a for jet in (jets.symbol_d, jets.d, *jets.b)
+    arrays += [a for jet in (form.d, jets.d, *jets.b)
                if jet is not None for a in jet]
     arrays += [c for c in jets.c if c is not None]
-    finite = np.ones(jets.shape, dtype=bool)
+    finite = np.ones(form.xs.shape, dtype=bool)
     for a in arrays:
         finite &= np.isfinite(a)
     return finite
@@ -198,17 +196,16 @@ def term_scales(jets: _GridJets, probe):
                 for q, jet in terms]
 
     def series(terms, d):
-        if d is None:
-            return _series(magnitude(terms), None, None)
         u = [None if k is None else np.abs(k)
-             for k in _u_powers(d[0], probe, max(map(len, jets.p)) + 1)]
+             for k in _u_powers(d[0], probe, jets.form.top + 2)]
         signed = (None, -np.abs(d[1]), -np.abs(d[2]))
-        return _series(magnitude(terms), signed, u)
+        out = [np.zeros(jets.form.xs.shape) for _ in range(3)]
+        return _series(out, magnitude(terms), signed, u)
 
     b1 = []
-    for j, terms in enumerate(jets.p):
-        scales = series(terms, jets.symbol_d)
-        if j == 0 and jets.symbol_d is not None:
+    for j, terms in enumerate(jets.form.p):
+        scales = series(terms, jets.form.d)
+        if j == 0:
             scales[0] = scales[0] + abs(probe)
         b1 += scales
     u = np.abs(_u_powers(jets.d[0], probe, 1)[1])
@@ -268,11 +265,12 @@ def test_grid_values_match_lambda_trees(seed, m, probe_re, probe_im):
 # Records: identical decisions, measured values within rounding
 # ---------------------------------------------------------------------------
 
-def hand_built():
-    """A lambda-free symbol (d = None) checked against the quartic's b, c, d."""
-    symbol = SchurSymbol(m=2, alpha=(parse("x^2 + sin(x)"), parse("cos(x)"),
-                                     parse("2 + exp(-x^2)")))
-    return quartic_coupled(), symbol
+def foreign_symbol_operator():
+    """An m = 2 operator whose symbol (d = 1/(2 + x^2)) is checked against
+    the quartic's b, c and d."""
+    return OperatorMatrix(
+        a=(parse("x^2 + sin(x)"), parse("cos(x)"), parse("2 + exp(-x^2)")),
+        b=(ZERO, Lit(-1j)), c=(ZERO, Lit(1j)), d=parse("1/(2 + x^2)"))
 
 
 def close(a, b):
@@ -314,21 +312,22 @@ def assert_sector_records_agree(new, ref, p_m, ref_p_m):
     ("quartic", (*SEED_1_PROBES, SEED_404_SECTOR_PROBE)),
     ("x^2", (2.0 + 3j, 0.0005j, -1.0 + 0j)),
     ("sin(x^2)", (2.0 + 3j, -1.5 + 0.5j)),
-    ("hand-built", (2.0 + 3j, -1.0 + 0j)),
+    ("foreign-symbol", (2.0 + 3j, -1.0 + 0j)),
 ])
 def test_records_match_lambda_tree_reference(case, probes):
     if case == "quartic":
-        op = quartic_coupled()
-        symbol = build_schur(op)
-    elif case == "hand-built":
-        op, symbol = hand_built()
+        op = symbol_op = quartic_coupled()
+    elif case == "foreign-symbol":
+        op, symbol_op = quartic_coupled(), foreign_symbol_operator()
     else:
-        op = unbounded_coupling(case)
-        symbol = build_schur(op)
+        op = symbol_op = unbounded_coupling(case)
+    symbol = build_schur(symbol_op)
+    assert (symbol.d == op.d) == (case != "foreign-symbol")
     got = check_assumptions(op, symbol, probes, GRID, CFG).records
-    want = reference_check_assumptions(op, symbol, probes, GRID, CFG).records
+    want = reference_check_assumptions(op, symbol_op, probes, GRID,
+                                       CFG).records
     jets = _GridJets.sample(op, symbol, GRID)
-    p_m_tree = symbol_trees(op, symbol)[symbol.m]
+    p_m_tree = coefficient_trees(symbol_op)[symbol.m]
     assert len(got) == len(want)
     for new, ref in zip(got, want):
         assert (new.assumption, new.status, new.probe) \
@@ -347,6 +346,17 @@ def test_records_match_lambda_tree_reference(case, probes):
         (ref_label, ref_location, ref_measured) = ref.witness
         assert (label, location) == (ref_label, ref_location)
         assert close(measured, ref_measured)
+    if case == "foreign-symbol":
+        # B1 comes from the symbol's d, B3 from the operator's.
+        for probe in probes:
+            b1, _, b3 = jets.values(probe)
+            with np.errstate(all="ignore"):
+                b1_scales, b3_scales = term_scales(jets, probe)
+                finite = x_only_finite(jets)
+                assert_values_match(b1, reference_b1_trees(
+                    coefficient_trees(symbol_op)), b1_scales, finite, probe)
+                assert_values_match(b3, reference_b3_trees(op), b3_scales,
+                                    finite, probe)
     if SEED_404_SECTOR_PROBE in probes:
         sector = [r for r in got if r.assumption == "C"][-1]
         assert sector.status == "pass"

@@ -11,6 +11,7 @@ import cmath
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factories import (
+    ONE,
+    ZERO,
+    _rand_coeff,
     parabolic_potential,
     quartic_coupled,
     random_constant_operator,
@@ -43,9 +47,9 @@ from matspectra.asymptotics import (
 from matspectra import asymptotics as asymptotics_module
 from matspectra.config import SolverConfig
 from matspectra.errors import NotConvergent, PoleError
-from matspectra.expr import Call, Lit, Sub, X, evaluate, evaluate_array, parse
+from matspectra.expr import Call, Lit, X, evaluate, evaluate_array, parse
 from matspectra.model import OperatorMatrix, validation_grid
-from matspectra.schur import SchurSymbol, build_schur, coefficient_trees
+from matspectra.schur import build_schur, coefficient_trees
 
 CFG = SolverConfig()
 
@@ -114,8 +118,14 @@ def test_constant_coefficients_certify_at_first_window():
                 assert cert.last_increment == 0.0
 
 
+def sin_potential_symbol():
+    """The parabolic operator with a_0 = sin(x): p_0/p_2 keeps oscillating."""
+    op = parabolic_potential()
+    return build_schur(replace(op, a=(Call("sin", X), *op.a[1:])))
+
+
 def test_oscillating_ratio_raises_not_convergent_with_witness():
-    symbol = SchurSymbol(m=1, alpha=(Call("sin", X), Lit(1 + 0j)))
+    symbol = sin_potential_symbol()
     with pytest.raises(NotConvergent) as info:
         limit_ratio(symbol, 0.5j, "+", CFG)
     witness = info.value.witness
@@ -125,10 +135,11 @@ def test_oscillating_ratio_raises_not_convergent_with_witness():
 
 
 def test_trajectory_pole_raises_pole_error():
-    # p_m vanishes exactly at x = 32 = x0 * rho, the second sample.
-    symbol = SchurSymbol(m=1, alpha=(Lit(1 + 0j), Sub(X, Lit(32.0 + 0j))))
+    # d = x meets lambda = 32 exactly at x = 32 = x0 * rho, the second
+    # sample, where u = 1/(d - lambda) is infinite.
+    symbol = build_schur(replace(parabolic_potential(), d=X))
     with pytest.raises(PoleError, match="32"):
-        limit_ratio(symbol, 1j, "+", CFG)
+        limit_ratio(symbol, 32.0 + 0j, "+", CFG)
 
 
 def test_overflow_is_not_a_pole():
@@ -151,6 +162,47 @@ def test_limit_of_certifies_lambda_free_expressions():
     assert cert.converged and cert.value == value
     with pytest.raises(ValueError, match="lambda-free"):
         limit_of(parse("x + lambda"), "+", CFG)
+    with pytest.raises(NotConvergent, match="the limit did not settle") as info:
+        limit_of(parse("sin(x)"), "+", CFG)
+    assert "p_0" not in str(info.value)
+
+
+def test_limit_of_names_the_cause_of_a_nonfinite_sample():
+    # x = 32 is the second trajectory sample toward +infinity.
+    with pytest.raises(PoleError, match=r"x = 32\.0 hits a pole"):
+        limit_of(parse("1/(x - 32)"), "+", CFG)
+    with pytest.raises(NotConvergent,
+                       match=r"samples overflow at trajectory sample "
+                             r"x = 34359738368\.0 "):
+        limit_of(parse("x^30"), "+", CFG)
+    with pytest.raises(NotConvergent, match=r"leave the domain \(log of "
+                                            r"exactly 0\).*x = 32\.0"):
+        limit_of(parse("log(x - 32)"), "+", CFG)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from("+-"),
+       named=st.sampled_from([None, *quartic_coupled().a[:1],
+                              *quartic_coupled().b, *quartic_coupled().c,
+                              quartic_coupled().d, parabolic_potential().d,
+                              parse("sin(x^2)"), parse("1/(x - 32)")]))
+def test_limit_of_agrees_with_a_decoupled_symbol(seed, side, named):
+    """limit_of(e) is the ratio p_0/p_2 of the decoupled operator with
+    b = c = 0, a_0 = e, a_2 = 1 at lambda = 0: both certify alike, or both
+    refuse."""
+    expr = named if named is not None else _rand_coeff(random.Random(seed))
+    symbol = build_schur(OperatorMatrix(a=(expr, ZERO, ONE), b=(ZERO, ZERO),
+                                        c=(ZERO, ZERO), d=ONE))
+
+    def outcome(run):
+        try:
+            value, cert = run()
+        except (NotConvergent, PoleError):
+            return None
+        return value, cert.sample_count, cert.last_increment
+
+    assert outcome(lambda: limit_of(expr, side, CFG)) == outcome(
+        lambda: [first for first, *_ in limit_ratio(symbol, 0j, side, CFG)])
 
 
 def test_batch_matches_scalar_and_flags_failures():
@@ -163,7 +215,7 @@ def test_batch_matches_scalar_and_flags_failures():
         scalar_values, _ = limit_ratio(symbol, complex(lam), "+", CFG)
         assert np.allclose(row, scalar_values, rtol=0, atol=0)
 
-    wobble = SchurSymbol(m=1, alpha=(Call("sin", X), Lit(1 + 0j)))
+    wobble = sin_potential_symbol()
     _, bad_status = limit_ratio_batch(wobble, np.array([1j]), "+", CFG)
     assert list(bad_status) == ["not-convergent"]
 
@@ -190,7 +242,8 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     lams = np.asarray([complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                        for _ in range(3)])
     xs = _trajectory(side, CFG)
-    samples, finite = _ratio_samples(symbol, _sample_form(symbol, xs), lams)
+    form = _sample_form(symbol, xs)
+    samples, finite = _ratio_samples(form, lams), form.finite
     with np.errstate(all="ignore"):
         p = [np.broadcast_to(evaluate_array(tree, x=xs[:, None],
                                             lam=lams[None, :]),

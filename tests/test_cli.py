@@ -141,6 +141,18 @@ class TestExitCodes:
                      "--out", str(tmp_path), "--window", "1,2,3"])
         assert code == EXIT_STRUCTURE
 
+    @pytest.mark.parametrize("command", ["check", "spectrum", "print-schur"])
+    def test_lambda_in_config_exits_structure(self, command, tmp_path,
+                                              capsys):
+        bad = write_config(tmp_path, PARABOLIC_CFG.read_text().replace(
+            "d = -x^2", "d = x + lambda"))
+        code = main([command, "--config", str(bad), "--out", str(tmp_path)])
+        assert code == EXIT_STRUCTURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "key 'd'" in captured.err and "lambda" in captured.err
+        assert not (tmp_path / "check_report.json").exists()
+
     def test_nonconvergent_limits_gate_spectrum(self, tmp_path):
         cfg_path = write_config(tmp_path, SIN_COEFF_CFG)
         solver = SolverConfig().with_overrides(grid_points=256)

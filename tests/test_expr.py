@@ -176,6 +176,23 @@ def test_array_evaluation_propagates_nonfinite():
     assert out[1] == 1.0 + 0j
 
 
+@pytest.mark.parametrize("text", ["2 - i", "exp(1) + 2", "x^2", "lambda",
+                                  "x * lambda"])
+def test_array_evaluation_has_the_broadcast_shape(text):
+    xs = np.linspace(-1.0, 1.0, 3)[:, None]
+    lams = np.array([1j, 2.0])
+    out = evaluate_array(parse(text), x=xs, lam=lams)
+    assert out.dtype == np.complex128 and out.shape == (3, 2)
+    want = [[evaluate(parse(text), x=float(x), lam=lam) for lam in lams]
+            for x in xs[:, 0]]
+    assert np.allclose(out, want, rtol=1e-15, atol=0)
+    if "lambda" not in text:
+        flat = evaluate_array(parse(text), x=xs[:, 0])
+        assert flat.shape == (3,) and flat.dtype == np.complex128
+    scalar = evaluate_array(parse(text), x=0.5, lam=1j)
+    assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+
+
 # ---------------------------------------------------------------------------
 # Printing round-trip
 # ---------------------------------------------------------------------------

@@ -219,6 +219,18 @@ def test_loader_rejects_bad_expression():
         parse_operator_text(text)
 
 
+@pytest.mark.parametrize("key, value", [("d", "x + lambda"),
+                                        ("a0", "lambda^2"),
+                                        ("b1", "sin(lambda*x)")])
+def test_loader_rejects_lambda_in_coefficients(key, value):
+    entries = {"a0": "0", "a1": "0", "a2": "1", "b0": "0", "b1": "-i",
+               "c0": "0", "c1": "i", "d": "-x^2", key: value}
+    text = "m = 2\nn = 1\nk = 1\n" + "".join(
+        f"{name} = {expr}\n" for name, expr in entries.items())
+    with pytest.raises(ConfigError, match=f"key '{key}'.*lambda"):
+        parse_operator_text(text)
+
+
 def test_loader_rejects_structurally_invalid_orders():
     text = "m = 3\nn = 1\nk = 2\na0 = 0\na1 = 0\na2 = 0\na3 = 1\nb0 = 0\nb1 = 1\nc0 = 0\nc1 = 0\nc2 = 1\nd = 0\n"
     with pytest.raises(StructureError):

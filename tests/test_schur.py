@@ -267,19 +267,9 @@ def test_node_ceiling_guards_tree_growth():
 
 def test_symbol_requires_full_coefficient_list():
     with pytest.raises(ValueError):
-        SchurSymbol(m=2, alpha=(ZERO, ONE))
-
-
-def test_hand_built_symbol_gets_trivial_lambda_free_form():
-    alpha = (parse("sin(x)"), ONE)
-    symbol = SchurSymbol(m=1, alpha=alpha)
-    assert symbol.alpha == alpha
-    assert symbol.beta == ((), ())
-    assert symbol.d is None
-    with pytest.raises(ValueError, match="lambda-free"):
-        SchurSymbol(m=1, alpha=(Sub(X, LAM), ONE))
-    with pytest.raises(ValueError, match="lambda-free"):
-        SchurSymbol(m=1, alpha=alpha, beta=((X,), ()))
+        SchurSymbol(m=2, alpha=(ZERO, ONE), beta=((), (), ()), d=X)
+    with pytest.raises(ValueError):
+        SchurSymbol(m=2, alpha=(ZERO, ZERO, ONE), beta=((), ()), d=X)
 
 
 def test_lambda_free_form_reassembles_the_coefficients():
