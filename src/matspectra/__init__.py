@@ -16,6 +16,7 @@ from .asymptotics import (
     limit_points_at_infinity,
     limit_ratio,
     limit_ratio_batch,
+    symbol_limits,
 )
 from .config import SolverConfig, parse_complex, window_contains
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
     ConfigError,
     DomainError,
     FitError,
+    LimitRefused,
     MatspectraError,
     NotConvergent,
     ParseError,
@@ -89,6 +91,7 @@ __all__ = [
     "ComplexityError",
     "NotConvergent",
     "FitError",
+    "LimitRefused",
     "RefusedFrozen",
     "SizeError",
     "ConfigError",
@@ -118,6 +121,7 @@ __all__ = [
     "limit_of",
     "limit_ratio",
     "limit_ratio_batch",
+    "symbol_limits",
     "limit_points_at_infinity",
     "check_assumptions",
     "FrozenSymbol",

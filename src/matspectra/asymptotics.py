@@ -1,6 +1,6 @@
 """Behavior of the composed symbol toward x -> +/-infinity.
 
-Three services live here:
+Four services live here:
 
 - :func:`limit_ratio` estimates the coefficient ratios
   ``r_j(lambda) = lim p_j(x, lambda) / p_m(x, lambda)`` along a geometric
@@ -17,6 +17,11 @@ Three services live here:
   ratios at the trajectory's far end, and :func:`limit_of` certifies the
   limit of a single lambda-free expression by the same certificate scan,
   run on that expression's own trajectory samples.
+- :func:`symbol_limits` certifies, with :func:`limit_of`, the limit of
+  every x-only tree of the lambda-free form toward one side (of 1/d and
+  beta_jq/d^q when d diverges), rechecks each on a second trajectory and
+  names the first one refused; the singular sweep builds its closed-form
+  tail polynomial from them.
 - :func:`limit_points_at_infinity` estimates the set of finite limit
   points of the lower-right coefficient ``d`` at infinity by clustering
   its values over the largest dyadic windows. The estimate is heuristic
@@ -44,9 +49,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SolverConfig
-from .errors import DomainError, NotConvergent, PoleError
-from .expr import (Expr, Lit, evaluate, evaluate_array, evaluate_jet,
-                   mentions)
+from .errors import DomainError, LimitRefused, NotConvergent, PoleError
+from .expr import (Div, Expr, Lit, evaluate, evaluate_array, evaluate_jet,
+                   mentions, smart_pow)
 from .model import DiagnosticRecord, Diagnostics, OperatorMatrix
 from .schur import SchurSymbol
 
@@ -398,6 +403,128 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
 
 
 # ---------------------------------------------------------------------------
+# Certified limits of the symbol's x-only trees
+# ---------------------------------------------------------------------------
+
+RECHECK_X0_SCALE = 1.37
+"""Start of the independent recheck trajectory, as a multiple of ``x0``."""
+
+
+@dataclass(frozen=True)
+class TailLimit:
+    """The limit of one x-only tree of the lambda-free form toward a side.
+
+    ``label`` names the tree: ``alpha_j``, ``beta_j,q``, ``beta_j,q/d^q``,
+    ``d`` or ``1/d``. The limit is the coefficient of u^q in the frozen
+    p_j (q = 0 for alpha_j; ``j`` is None for d and 1/d). ``recheck``
+    certifies the same tree on the trajectory that starts at
+    ``RECHECK_X0_SCALE * x0``.
+    """
+
+    label: str
+    j: int | None
+    q: int
+    certificate: Certificate
+    recheck: Certificate
+
+    @property
+    def value(self) -> complex:
+        """The certified value, or exactly 0 when it lies within the
+        certificate's last increment of 0."""
+        cert = self.certificate
+        return 0j if abs(cert.value) <= cert.last_increment else cert.value
+
+
+@dataclass(frozen=True)
+class SymbolLimits:
+    """Every limit the frozen symbol toward one side is made of.
+
+    ``limits[0]`` is d, or 1/d when ``d_diverges``; the rest are alpha_j,
+    then beta_jq, or beta_jq/d^q when ``d_diverges`` (then beta_jq u^q
+    tends to the limit of beta_jq/d^q). Literal zeros are left out.
+    """
+
+    d_diverges: bool
+    limits: tuple[TailLimit, ...]
+
+    def to_json_list(self) -> list[dict]:
+        """Label, value, sample count, last increment and zero flag of every
+        limit, with its recheck certificate."""
+        def entry(cert):
+            return {"value": [cert.value.real, cert.value.imag],
+                    "sample_count": cert.sample_count,
+                    "last_increment": cert.last_increment}
+
+        return [{"label": limit.label, **entry(limit.certificate),
+                 "zero": limit.value == 0, "recheck": entry(limit.recheck)}
+                for limit in self.limits]
+
+
+def _tail_trees(symbol: SchurSymbol, d_diverges: bool):
+    """(label, j, q, tree) of every non-zero x-only tree of p_0..p_m."""
+    for j, (alpha, row) in enumerate(zip(symbol.alpha, symbol.beta)):
+        for q, tree in enumerate((alpha, *row)):
+            if isinstance(tree, Lit) and tree.value == 0:
+                continue
+            if q == 0:
+                yield f"alpha_{j}", j, q, tree
+            elif d_diverges:
+                yield (f"beta_{j},{q}/d^{q}", j, q,
+                       Div(tree, smart_pow(symbol.d, q)))
+            else:
+                yield f"beta_{j},{q}", j, q, tree
+
+
+def symbol_limits(symbol: SchurSymbol, side: str,
+                  cfg: SolverConfig | None = None) -> SymbolLimits:
+    """Certify the limits of the symbol's x-only trees toward one side.
+
+    Each tree is certified by :func:`limit_of` on the ``x0`` trajectory
+    and again on the recheck trajectory; the two values must lie within
+    the sum of their last increments. When d's own limit does not settle,
+    the limit of 1/d must be 0 and the couplings are taken as
+    beta_jq/d^q. Raises :class:`LimitRefused` naming the first tree whose
+    limit is refused or whose recheck disagrees.
+    """
+    cfg = cfg or SolverConfig()
+    recheck_cfg = cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE)
+
+    def certify(label, j, q, tree) -> TailLimit:
+        certs = []
+        for run in (cfg, recheck_cfg):
+            try:
+                certs.append(limit_of(tree, side, run)[1])
+            except (NotConvergent, PoleError) as exc:
+                raise LimitRefused(label, str(exc)) from exc
+        first, again = certs
+        if abs(first.value - again.value) > (first.last_increment
+                                             + again.last_increment):
+            raise LimitRefused(label, (
+                f"the recheck from x = {recheck_cfg.x0!r} gives {again.value}"
+                f" against {first.value}, farther apart than their last "
+                "increments"))
+        return TailLimit(label, j, q, first, again)
+
+    try:
+        d_limit = certify("d", None, 0, symbol.d)
+    except LimitRefused as refusal:
+        if not isinstance(refusal.__cause__, NotConvergent):
+            raise
+        try:
+            d_limit = certify("1/d", None, 0, Div(Lit(1 + 0j), symbol.d))
+            inverse = "" if d_limit.value == 0 else (
+                f"the limit of 1/d is {d_limit.certificate.value}, not 0")
+        except LimitRefused as exc:
+            inverse = str(exc)
+        if inverse:
+            raise LimitRefused("d", f"{refusal.__cause__}; {inverse}"
+                               ) from refusal
+    diverges = d_limit.label == "1/d"
+    return SymbolLimits(diverges, (d_limit, *(
+        certify(*term) for term in _tail_trees(symbol, diverges))))
+
+
+# ---------------------------------------------------------------------------
 # Limit points of d at infinity
 # ---------------------------------------------------------------------------
 
@@ -427,6 +554,11 @@ class ExceptionalSet:
         }
 
 
+RUN_STREAK = 16
+"""Values in a row that join one cluster before the rest of the run joins
+in array passes."""
+
+
 def _cluster(values: np.ndarray, tol: float):
     """Greedy clustering with a discard annulus.
 
@@ -438,12 +570,17 @@ def _cluster(values: np.ndarray, tol: float):
     predecessor's cluster, so that representative is tried first: since
     representatives are more than ``2*tol`` apart, at most one lies within
     ``tol`` of a value, and a hit is exactly what the full scan would find.
+    After ``RUN_STREAK`` values in a row have joined one representative,
+    the rest of the run within ``tol`` of it joins in array passes
+    (:func:`_run_end`); shorter runs stay in the loop, where they cost less.
     """
     order = np.lexsort((values.imag, values.real))
+    ordered = values[order]
+    items = ordered.tolist()
     reps: list[complex] = []
     radii: list[float] = []
     buckets: dict[tuple[int, int], list[int]] = {}
-    last = -1
+    last, streak = -1, 0
 
     def neighbors(z: complex):
         bx, by = math.floor(z.real / tol), math.floor(z.imag / tol)
@@ -452,12 +589,20 @@ def _cluster(values: np.ndarray, tol: float):
                 for idx in buckets.get((bx + dx, by + dy), ()):
                     yield idx
 
-    for z in values[order].tolist():
+    at = 0
+    while at < len(items):
+        z = items[at]
+        at += 1
         if last >= 0:
             dist = abs(z - reps[last])
             if dist <= tol:
                 radii[last] = max(radii[last], dist)
+                streak += 1
+                if streak == RUN_STREAK:
+                    at, reach = _run_end(ordered, at, reps[last], tol)
+                    radii[last] = max(radii[last], reach)
                 continue
+        streak = 0
         best_idx, best_dist = -1, np.inf
         for idx in neighbors(z):
             dist = abs(z - reps[idx])
@@ -475,6 +620,30 @@ def _cluster(values: np.ndarray, tol: float):
         # else: inside the annulus (tol, 2*tol] of some representative —
         # discarded so the separation invariant survives.
     return reps, radii
+
+
+def _run_end(values: np.ndarray, start: int, rep: complex, tol: float
+             ) -> tuple[int, float]:
+    """The end of the run of ``values[start:]`` within ``tol`` of ``rep``,
+    and the largest distance in that run (0 when it is empty).
+
+    Blocks double in size, so a run costs array passes in proportion to
+    its length. ``np.hypot`` of the parts equals ``abs(complex)`` bit for
+    bit (``np.abs`` of a complex array need not).
+    """
+    end, reach, size = start, 0.0, 64
+    while end < values.size:
+        gap = values[end:end + size] - rep
+        dist = np.hypot(gap.real, gap.imag)
+        far = np.flatnonzero(dist > tol)
+        stop = int(far[0]) if far.size else dist.size
+        if stop:
+            reach = max(reach, float(dist[:stop].max()))
+        end += stop
+        if far.size:
+            break
+        size *= 2
+    return end, reach
 
 
 def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
@@ -614,6 +783,13 @@ class _GridJets(NamedTuple):
 
         u_symbol = _u_powers(self.form.d[0], probe, self.form.top + 2)
         u = _u_powers(self.d[0], probe, 3)
+        # numpy makes 1/(0+0j) NaN, but where d = lambda exactly on the grid
+        # f/(d - lambda) is unbounded wherever f does not vanish.
+        pole = self.d[0] == probe
+
+        def over(f, values):
+            return np.where(pole & (f != 0), np.inf, values)
+
         coefficients = []
         with np.errstate(all="ignore"):
             for j, terms in enumerate(self.form.p):
@@ -624,13 +800,15 @@ class _GridJets(NamedTuple):
                                  for order, values in enumerate(series)]
             weighted = [
                 (f"d^0/dx^0 of c_{gamma}/(d-lambda)",
-                 np.zeros(shape) if c is None else c * u[1])
+                 np.zeros(shape) if c is None else over(c, c * u[1]))
                 for gamma, c in enumerate(self.c)]
             for beta, b in enumerate(self.b):
+                series = _series(zeros(), [(1, b)], self.d, u)
+                if b is not None:
+                    series[0] = over(b[0], series[0])
                 weighted += [
                     (f"d^{order}/dx^{order} of b_{beta}/(d-lambda)", values)
-                    for order, values in enumerate(
-                        _series(zeros(), [(1, b)], self.d, u))]
+                    for order, values in enumerate(series)]
         return coefficients, coefficients[-3][1], weighted
 
 

@@ -50,6 +50,15 @@ class NotConvergent(MatspectraError):
         self.witness = witness if witness is not None else []
 
 
+class LimitRefused(MatspectraError):
+    """A limit behind the closed-form tail polynomial has no certificate,
+    or its recheck disagrees. ``label`` names the tree."""
+
+    def __init__(self, label: str, reason: str):
+        super().__init__(f"limit of {label} refused: {reason}")
+        self.label = label
+
+
 class FitError(MatspectraError):
     """Rational reconstruction failed and Newton could not rescue it."""
 

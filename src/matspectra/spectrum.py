@@ -12,23 +12,37 @@ values where the tail polynomial ``xi**m + sum_j r_j(lambda) xi**j``
 vanishes; ``r_j`` are the frozen limits of the composed-symbol coefficient
 ratios. Per side the solve is staged:
 
-1. reconstruct every ``r_j`` jointly as a rational function of lambda with
-   a shared denominator, from certified limit samples on two circles
-   (ascending degree ladder, numerator degree <= n+2, denominator <= n+1);
+1. build every ``r_j`` in closed form as P_j/P_m, a rational function of
+   lambda with a shared denominator, from the certified limits of the
+   symbol's x-only trees (:func:`~matspectra.asymptotics.symbol_limits`):
+   alpha_j, beta_jq and d, or 1/d -> 0 and beta_jq/d^q when d diverges. A
+   limit within its certificate's last increment of 0 counts as exactly 0,
+   and the power of ``w = d^inf - lambda`` that every P_j shares is
+   divided out, so the cleared polynomials keep no spurious root at
+   ``lambda = d^inf``. Every limit is certified again on the trajectory
+   that starts at ``RECHECK_X0_SCALE * x0``, and the two values must agree
+   within their last increments;
 2. clear denominators at fixed xi and take companion-matrix eigenvalues as
    root candidates, with one stacked ``eigvals`` call per batch of
    frequencies whose cleared polynomials share a trimmed degree;
-3. polish every candidate by complex Newton iteration: each iteration
-   estimates fresh limits once, accepts ``|F_xi(lambda)| <= root_tol`` and
-   steps the rest with the analytic lambda-slope of the ratios, taken at
-   the trajectory's far end; a candidate whose residual stops shrinking
-   is dropped;
-4. re-certify accepted roots on an independent sampling trajectory, then
-   refine xi adaptively wherever neighbouring roots inside the window are
+3. accept a candidate when the closed-form ``|F_xi(lambda)| <= root_tol``;
+   one that misses takes at most ``CLOSED_FORM_STEPS`` Newton steps on the
+   exact F and dF/dlambda, and is dropped when it still misses. No limit
+   is sampled per candidate;
+4. refine xi adaptively wherever neighbouring roots inside the window are
    farther apart than ``curve_res``. The segments of the initial grid are
    checked once, all in one array pass; after each round only the two
    halves of each split segment are, since solving new frequencies leaves
    every other segment's roots unchanged.
+
+When a limit of step 1 is refused, the side falls back to fit and polish:
+``r_j`` is reconstructed jointly from certified limit samples on two
+circles (ascending degree ladder, numerator degree <= n+2, denominator <=
+n+1), every candidate is polished by complex Newton on fresh limit batches
+(with the analytic lambda-slope of the ratios at the trajectory's far end,
+dropping a candidate whose residual stops shrinking), and accepted roots
+are re-certified on the recheck trajectory. The report names the route
+of each side and its limits, or the limit that was refused.
 
 Each side keeps its roots in a :class:`RootTable` (ascending xi, a
 NaN-padded root array, a count per row), so the window tests, dedupe,
@@ -49,14 +63,17 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    RECHECK_X0_SCALE,
     ExceptionalSet,
+    SymbolLimits,
     limit_of,
     limit_points_at_infinity,
     limit_ratio_batch,
     limit_ratio_slope,
+    symbol_limits,
 )
 from .config import SolverConfig
-from .errors import FitError, NotConvergent, PoleError
+from .errors import FitError, LimitRefused, NotConvergent, PoleError
 from .expr import evaluate_array
 from .model import (
     OperatorMatrix,
@@ -80,6 +97,9 @@ SKIP_SAMPLE = 50
 
 NEWTON_STALL = 3
 """Newton iterations a candidate may go without halving its best residual."""
+
+CLOSED_FORM_STEPS = 3
+"""Newton steps on the closed-form tail polynomial a missed root may take."""
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +219,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
 
 
 # ---------------------------------------------------------------------------
-# Singular part, step 1: joint rational reconstruction of the frozen limits
+# Singular part, step 1: the frozen limits as rationals in lambda
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -208,16 +228,62 @@ class RationalProfile:
 
     ``numerators[j]`` holds ascending coefficients of N_j, ``denominator``
     those of the shared Q; ``r_j(lambda) ~ N_j(lambda) / Q(lambda)``.
-    ``residual`` is the worst relative mismatch over the fit samples.
+    A closed-form profile is exact and carries the ``limits`` it is built
+    from; a fitted one has ``limits`` None, and ``residual`` is the worst
+    relative mismatch over its fit samples.
     """
 
     side: str
     numerators: np.ndarray
     denominator: np.ndarray
-    residual: float
-    trusted: bool
-    samples_used: int
-    sample_rounds: int
+    residual: float = 0.0
+    trusted: bool = True
+    samples_used: int = 0
+    sample_rounds: int = 0
+    limits: SymbolLimits | None = None
+
+
+def _closed_form_side(symbol: SchurSymbol, side: str,
+                      cfg: SolverConfig) -> tuple[RationalProfile, int]:
+    """The exact profile P_j/P_m toward one side, from certified limits.
+
+    With w = d^inf - lambda, P_j = (alpha_j - [j = 0] lambda) w^Q
+    + sum_q beta_jq w^(Q-q); the lowest power of w that every P_j shares
+    is divided out, so the cleared polynomials keep no spurious root at
+    lambda = d^inf. When d diverges, P_j = alpha_j - [j = 0] lambda
+    + sum_q lim beta_jq/d^q (Q = 0). Returns the profile and the power of
+    w divided out. Raises :class:`LimitRefused` when a limit is refused or
+    P_m vanishes identically.
+    """
+    limits = symbol_limits(symbol, side, cfg)
+    d_limit, *terms = limits.limits
+    # beta_jq u^q tends to beta_jq^inf w^-q, or to lim beta_jq/d^q (a w^0
+    # term, with w = -lambda) when d diverges.
+    powers = [0 if limits.d_diverges else limit.q for limit in terms]
+    d_inf = 0j if limits.d_diverges else d_limit.value
+    top = max(powers, default=0)
+    in_w = np.zeros((symbol.m + 1, top + 2), dtype=complex)
+    for limit, q in zip(terms, powers):
+        in_w[limit.j, top - q] += limit.value
+    in_w[0, top] -= d_inf
+    in_w[0, top + 1] = 1.0  # -lambda = w - d^inf
+    cancelled = int(np.argmax(in_w.any(axis=0)))
+    in_w = in_w[:, cancelled:]
+    # (d^inf - lambda)^k = sum_i binom(k, i) d^inf^(k-i) (-lambda)^i
+    size = in_w.shape[1]
+    to_lambda = np.zeros((size, size), dtype=complex)
+    for k in range(size):
+        for i in range(k + 1):
+            to_lambda[k, i] = math.comb(k, i) * d_inf ** (k - i) * (-1) ** i
+    poly = in_w @ to_lambda
+    if not poly[-1].any():
+        raise LimitRefused(f"p_{symbol.m}",
+                           "its frozen form vanishes for every lambda")
+    # P_0 carries lambda to the highest power, so N_j is never shorter than Q.
+    numerators = poly[:-1, :1 + np.flatnonzero(poly[0]).max()]
+    denominator = poly[-1, :1 + np.flatnonzero(poly[-1]).max()]
+    return RationalProfile(side, numerators, denominator,
+                           limits=limits), cancelled
 
 
 def _sample_limits(symbol: SchurSymbol, side: str, count: int,
@@ -319,7 +385,7 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
 
 
 # ---------------------------------------------------------------------------
-# Singular part, steps 2-4: companion seeds, Newton polish, recheck
+# Singular part, steps 2-4: companion seeds, acceptance, refinement
 # ---------------------------------------------------------------------------
 
 def default_xi_grid(cfg: SolverConfig) -> np.ndarray:
@@ -476,7 +542,7 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
 
     accepted = state == 1
     if accepted.any():
-        alt = cfg.with_overrides(x0=cfg.x0 * 1.37)
+        alt = cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE)
         idx = np.nonzero(accepted)[0]
         values, status = limit_ratio_batch(symbol, lam[idx], side, alt)
         work["limit_batches"] += 1
@@ -490,6 +556,59 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
                       "independent-trajectory recheck failed")
         accepted[idx[~recheck]] = False
     return accepted, lam
+
+
+def _horner(coeffs: np.ndarray, lam: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and lambda-derivatives of polynomials with ascending
+    ``coeffs`` (one row per lambda, or one row for all) at ``lam``."""
+    value = np.zeros(lam.shape, dtype=complex)
+    slope = np.zeros(lam.shape, dtype=complex)
+    for c in coeffs.T[::-1]:
+        slope = slope * lam + value
+        value = value * lam + c
+    return value, slope
+
+
+def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
+                        xi: np.ndarray, lam: np.ndarray, cfg: SolverConfig,
+                        skips: list, work: dict
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Accept candidate roots on the exact tail polynomial; no limit batch.
+
+    ``coeffs`` holds each candidate's cleared polynomial C = Q xi^m
+    + sum_j N_j xi^j, so F_xi(lambda) = C(lambda)/Q(lambda). A candidate
+    is kept once ``|F_xi(lambda)| <= root_tol``; one that misses takes up
+    to ``CLOSED_FORM_STEPS`` Newton steps on F and is dropped after them.
+    Adds the steps taken to ``work``. Returns (kept, lam).
+    """
+    lam = np.array(lam, dtype=complex)
+    kept = np.zeros(lam.size, dtype=bool)
+    live = np.arange(lam.size)
+    with np.errstate(all="ignore"):
+        for step in range(CLOSED_FORM_STEPS + 1):
+            c, dc = _horner(coeffs[live], lam[live])
+            q, dq = _horner(profile.denominator[None, :], lam[live])
+            f = c / q
+            hit = np.abs(f) <= cfg.root_tol
+            kept[live[hit]] = True
+            live, f = live[~hit], f[~hit]
+            if live.size == 0 or step == CLOSED_FORM_STEPS:
+                break
+            c, dc, q, dq = c[~hit], dc[~hit], q[~hit], dq[~hit]
+            newton = c * q / (dc * q - c * dq)  # F / F'
+            finite = np.isfinite(newton)
+            for i in live[~finite]:
+                _log_skip(skips, "PolishSkip", profile.side, xi[i], lam[i],
+                          "the closed-form F has no finite Newton step")
+            live = live[finite]
+            lam[live] -= newton[finite]
+            work["newton_iterations"] += int(live.size)
+    for i in live:
+        _log_skip(skips, "PolishSkip", profile.side, xi[i], lam[i],
+                  "Newton on the closed-form F did not reach the root "
+                  "tolerance")
+    return kept, lam
 
 
 def _track_pad(cfg: SolverConfig) -> float:
@@ -572,9 +691,14 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
     rows, cols = np.nonzero(_near_window(lam, cfg.window, track_pad))
     keep = np.zeros(lam.shape, dtype=bool)
     if rows.size:
-        kept, polished = _polish_batch(
-            symbol, profile.side, xi_values[rows], lam[rows, cols], cfg,
-            skips, work)
+        if profile.limits is not None:
+            kept, polished = _settle_closed_form(
+                profile, coeffs[rows], xi_values[rows], lam[rows, cols], cfg,
+                skips, work)
+        else:
+            kept, polished = _polish_batch(
+                symbol, profile.side, xi_values[rows], lam[rows, cols], cfg,
+                skips, work)
         lam[rows, cols] = polished
         keep[rows, cols] = kept & _near_window(polished, cfg.window,
                                                track_pad)
@@ -757,8 +881,9 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 
     Returns points for both sides, cross-side coincidences merged into the
     neutral side, with branch ids assigned by continuation. Raises
-    :class:`FitError` only when no side produced any certified point and at
-    least one side's rational reconstruction failed outright.
+    :class:`FitError`, after writing the report, only when no side produced
+    any certified point and at least one side's fallback rational
+    reconstruction failed outright.
     """
     cfg = cfg or SolverConfig()
     symbol = symbol if symbol is not None else build_schur(op, cfg)
@@ -775,19 +900,27 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 
     for side in ("+", "-"):
         try:
-            profile = _fit_side(symbol, side, op.n, cfg)
-        except FitError as exc:
-            errors.append(exc)
-            fits[side] = {"error": str(exc)}
-            continue
-        fits[side] = {
-            "residual": profile.residual,
-            "trusted": profile.trusted,
-            "samples": profile.samples_used,
-            "sample_rounds": profile.sample_rounds,
-            "numerator_degree": int(profile.numerators.shape[1] - 1),
-            "denominator_degree": int(profile.denominator.size - 1),
-        }
+            profile, cancelled = _closed_form_side(symbol, side, cfg)
+            fits[side] = {"route": "closed_form",
+                          "limits": profile.limits.to_json_list(),
+                          "cancelled_power": cancelled}
+        except LimitRefused as refusal:
+            fits[side] = {"route": "fit", "refused": {
+                "label": refusal.label, "reason": str(refusal)}}
+            try:
+                profile = _fit_side(symbol, side, op.n, cfg)
+            except FitError as exc:
+                errors.append(exc)
+                fits[side]["error"] = str(exc)
+                continue
+            fits[side].update(
+                residual=profile.residual,
+                trusted=profile.trusted,
+                samples=profile.samples_used,
+                sample_rounds=profile.sample_rounds)
+        fits[side].update(
+            numerator_degree=int(profile.numerators.shape[1] - 1),
+            denominator_degree=int(profile.denominator.size - 1))
         tracked, info = _sweep_side(symbol, profile, xi_values, cfg, skips)
         emitted = _near_window(tracked.lam, cfg.window, _keep_pad(cfg))
         info["outside_window"] = int(tracked.count.sum() - emitted.sum())
@@ -800,9 +933,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
             continue
         side_roots[side] = _compact(tracked.xi, tracked.lam, emitted)
 
-    if errors and not any(t.count.any() for t in side_roots.values()):
-        raise errors[0]
-
+    failed = errors and not any(t.count.any() for t in side_roots.values())
     classes = _merge_sides(side_roots["+"], side_roots["-"], cfg)
     points: list[SingularPoint] = []
     next_id = 0
@@ -825,6 +956,8 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
         "skip_count": len(skips),
         "errors": [str(e) for e in errors],
     }
+    if failed:
+        raise errors[0]
     return points
 
 

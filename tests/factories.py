@@ -53,12 +53,16 @@ def unbounded_coupling(coeff: str = "x^2") -> OperatorMatrix:
     )
 
 
-def _rand_coeff(rng: random.Random, bounded: bool = False) -> Expr:
+def _rand_coeff(rng: random.Random, bounded: bool = False,
+                settling: bool = False) -> Expr:
     """Random coefficient expression with no real poles.
 
-    With ``bounded=True`` the unbounded (linear) case is excluded.
+    With ``bounded=True`` the unbounded (linear) case is excluded; with
+    ``settling=True`` only kinds that have limits at infinity are drawn
+    (constants, c/(x^2 + s), c exp(-x^2/2)).
     """
-    kind = rng.choice((0, 2, 3, 4) if bounded else (0, 1, 2, 3, 4))
+    kind = rng.choice((0, 2, 4) if settling else
+                      (0, 2, 3, 4) if bounded else (0, 1, 2, 3, 4))
     c1 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
     c2 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
     if kind == 0:
@@ -73,15 +77,19 @@ def _rand_coeff(rng: random.Random, bounded: bool = False) -> Expr:
     return Lit(c1) * parse("exp(-x^2/2)")
 
 
-def random_operator(rng: random.Random, m: int) -> OperatorMatrix:
-    """Random structurally valid operator with nonvanishing a_m, bounded d."""
+def random_operator(rng: random.Random, m: int,
+                    settling: bool = False) -> OperatorMatrix:
+    """Random structurally valid operator with nonvanishing a_m, bounded d.
+
+    With ``settling=True`` every coefficient has a limit at infinity.
+    """
     n = rng.randint(0, m)
     k = m - n
     a_lead = Lit(rng.uniform(0.6, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * cmath.pi)))
-    a = tuple(_rand_coeff(rng) for _ in range(m)) + (a_lead,)
-    b = tuple(_rand_coeff(rng) for _ in range(n + 1))
-    c = tuple(_rand_coeff(rng) for _ in range(k + 1))
-    d = _rand_coeff(rng, bounded=True)
+    a = tuple(_rand_coeff(rng, settling=settling) for _ in range(m)) + (a_lead,)
+    b = tuple(_rand_coeff(rng, settling=settling) for _ in range(n + 1))
+    c = tuple(_rand_coeff(rng, settling=settling) for _ in range(k + 1))
+    d = _rand_coeff(rng, bounded=True, settling=settling)
     return OperatorMatrix(a=a, b=b, c=c, d=d)
 
 

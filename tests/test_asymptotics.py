@@ -43,10 +43,11 @@ from matspectra.asymptotics import (
     limit_ratio,
     limit_ratio_batch,
     limit_ratio_slope,
+    symbol_limits,
 )
 from matspectra import asymptotics as asymptotics_module
 from matspectra.config import SolverConfig
-from matspectra.errors import NotConvergent, PoleError
+from matspectra.errors import LimitRefused, NotConvergent, PoleError
 from matspectra.expr import Call, Lit, X, evaluate, evaluate_array, parse
 from matspectra.model import OperatorMatrix, validation_grid
 from matspectra.schur import build_schur, coefficient_trees
@@ -203,6 +204,90 @@ def test_limit_of_agrees_with_a_decoupled_symbol(seed, side, named):
 
     assert outcome(lambda: limit_of(expr, side, CFG)) == outcome(
         lambda: [first for first, *_ in limit_ratio(symbol, 0j, side, CFG)])
+
+
+# ---------------------------------------------------------------------------
+# symbol_limits: the limits behind the closed-form tail polynomial
+# ---------------------------------------------------------------------------
+
+def test_symbol_limits_of_the_quartic_zero_the_noise_level_limits():
+    limits = symbol_limits(build_schur(quartic_coupled()), "+", CFG)
+    assert not limits.d_diverges
+    by_label = {limit.label: limit for limit in limits.limits}
+    assert limits.limits[0].label == "d"
+    assert {label: (limit.j, limit.q) for label, limit in by_label.items()} \
+        == {"d": (None, 0), "alpha_0": (0, 0), "alpha_2": (2, 0),
+            "alpha_4": (4, 0), "beta_0,1": (0, 1), "beta_0,2": (0, 2),
+            "beta_1,1": (1, 1), "beta_3,1": (3, 1), "beta_3,2": (3, 2),
+            "beta_4,1": (4, 1)}
+    for label in ("d", "beta_0,1", "beta_0,2", "beta_3,1", "beta_3,2"):
+        limit = by_label[label]
+        # Certified near 0 (d^inf = 1.5e-11), but within the last increment.
+        assert limit.certificate.value != 0
+        assert limit.value == 0
+    for label, want in (("alpha_0", 1), ("alpha_2", 1j), ("alpha_4", 1),
+                        ("beta_1,1", -1), ("beta_4,1", -1j)):
+        assert abs(by_label[label].value - want) <= 1e-9
+    # The recheck runs on its own trajectory: only the constants repeat.
+    assert {limit.label for limit in limits.limits
+            if limit.recheck.value == limit.certificate.value} \
+        == {"alpha_2", "alpha_4", "beta_4,1"}
+
+
+def test_symbol_limits_take_beta_over_d_powers_when_d_diverges():
+    limits = symbol_limits(build_schur(parabolic_potential()), "-", CFG)
+    assert limits.d_diverges
+    values = {limit.label: limit.value for limit in limits.limits}
+    assert values == {"1/d": 0, "alpha_2": 1, "beta_1,2/d^2": 0,
+                      "beta_2,1/d^1": 0}
+
+
+def test_symbol_limits_name_the_refused_tree():
+    sine = OperatorMatrix(a=(Call("sin", X), ZERO, ONE), b=(ZERO, ZERO),
+                          c=(ZERO, ZERO), d=Lit(2j))
+    with pytest.raises(LimitRefused, match="alpha_0.*did not settle") as info:
+        symbol_limits(build_schur(sine), "+", CFG)
+    assert info.value.label == "alpha_0"
+    # Neither d = 2 + sin(x) nor 1/d settles; the refusal names d.
+    wobble = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, Lit(-1j)),
+                            c=(ZERO, Lit(1j)), d=parse("2 + sin(x)"))
+    with pytest.raises(LimitRefused, match=r"^limit of d refused: .*did not "
+                       r"settle.*; limit of 1/d refused: ") as info:
+        symbol_limits(build_schur(wobble), "+", CFG)
+    assert info.value.label == "d"
+
+
+def test_symbol_limits_need_one_over_d_to_vanish(monkeypatch):
+    real = asymptotics_module.limit_of
+    wobble = parse("2 + sin(x)")
+
+    def settled_inverse(expr, side, cfg):
+        if expr == Lit(1 + 0j) / wobble:
+            cert = Certificate("converged", 4, 0.0, 0.5 + 0j)
+            return cert.value, cert
+        return real(expr, side, cfg)
+
+    monkeypatch.setattr(asymptotics_module, "limit_of", settled_inverse)
+    op = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, Lit(-1j)),
+                        c=(ZERO, Lit(1j)), d=wobble)
+    with pytest.raises(LimitRefused, match=r"1/d is \(0.5\+0j\), not 0"):
+        symbol_limits(build_schur(op), "+", CFG)
+
+
+def test_symbol_limits_refuse_a_recheck_that_disagrees(monkeypatch):
+    real = asymptotics_module.limit_of
+
+    def shifted(expr, side, cfg):
+        value, cert = real(expr, side, cfg)
+        if cfg.x0 != CFG.x0 and expr == quartic_coupled().a[0]:
+            value += 3.0 * (cert.last_increment + 1e-12)
+            cert = replace(cert, value=value)
+        return value, cert
+
+    monkeypatch.setattr(asymptotics_module, "limit_of", shifted)
+    with pytest.raises(LimitRefused, match="recheck from x = 21.92") as info:
+        symbol_limits(build_schur(quartic_coupled()), "+", CFG)
+    assert info.value.label == "alpha_0"
 
 
 def test_batch_matches_scalar_and_flags_failures():
@@ -394,6 +479,29 @@ def test_cluster_invariants_on_random_clouds(seed, centers, spread):
     seps[np.diag_indices_from(seps)] = np.inf
     assert seps.min() > 2.0 * tol
     assert (reps, radii) == _cluster_by_full_scan(cloud, tol)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), centers=st.integers(1, 4),
+       size=st.sampled_from([15, 16, 17, 80, 700]),
+       ring=st.sampled_from([0, 3, 30]))
+def test_cluster_runs_match_the_loop(seed, centers, size, ring):
+    # Tight clusters give long runs that join in array passes, across the
+    # doubling blocks; values in the discard annulus and in the far field
+    # end runs early. Representatives and radii must match bit for bit.
+    rng = np.random.default_rng(seed)
+    tol = 1e-2
+    middles = rng.uniform(-0.3, 0.3, centers) + 1j * rng.uniform(
+        -0.3, 0.3, centers)
+    spread = tol * rng.uniform(0.05, 0.6)
+    tight = (np.repeat(middles, size) + spread * (
+        rng.uniform(-1, 1, centers * size)
+        + 1j * rng.uniform(-1, 1, centers * size)))
+    angles = rng.uniform(0, 2 * np.pi, ring)
+    annulus = rng.choice(middles, ring) + tol * rng.uniform(
+        1.0, 2.5, ring) * np.exp(1j * angles)
+    cloud = np.concatenate([tight, annulus])
+    assert _cluster(cloud, tol) == _cluster_by_full_scan(cloud, tol)
 
 
 def test_exceptional_set_stable_under_window_doubling():
@@ -679,6 +787,24 @@ def test_undetermined_jet_samples_are_inconclusive():
         record = by_assumption(diag, assumption, probe)
         assert record.status == "fail"
         assert record.witness[0] == f"sampled |{label}| exceeds bound cap"
+
+
+def test_probe_on_d_at_a_grid_point_fails_b3():
+    # d(0) = 1 + i and x = 0 is on the validation grid: 1/(d - lambda) is a
+    # pole there, numpy's 1/(0+0j) is NaN, and c_3/(d - lambda) with
+    # c_3 = i is unbounded. c_0(0) = 0, so c_0/(d - lambda) stays NaN.
+    op = quartic_coupled()
+    probe = 1 + 1j
+    grid = validation_grid(CFG)
+    assert 0.0 in grid
+    diag = check_assumptions(op, build_schur(op), [probe], grid, CFG)
+    record = by_assumption(diag, "B3", probe)
+    assert record.status == "fail"
+    assert record.witness == (
+        "sampled |d^0/dx^0 of c_3/(d-lambda)| exceeds bound cap", 0.0,
+        math.inf)
+    assert [r.status for r in diag.records] == [
+        "fail", "pass", "fail", "pass", "pass"]
 
 
 def test_oscillating_limits_fail_assumption_d():

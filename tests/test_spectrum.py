@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -11,14 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factories import parabolic_potential, quartic_coupled
+from factories import (
+    PARABOLIC_CFG,
+    QUARTIC_CFG,
+    parabolic_potential,
+    quartic_coupled,
+    random_constant_operator,
+    random_operator,
+)
 from matspectra import config as config_module
 from matspectra.asymptotics import ExceptionalSet
 from matspectra.config import SolverConfig, window_contains
-from matspectra.errors import FitError
-from matspectra.expr import Call, Lit, X, evaluate
+from matspectra.asymptotics import limit_ratio
+from matspectra.errors import FitError, LimitRefused, NotConvergent, PoleError
+from matspectra.expr import Call, Lit, X, evaluate, parse
 from matspectra import spectrum as spectrum_module
-from matspectra.model import OperatorMatrix, delta
+from matspectra.model import OperatorMatrix, delta, load_operator
+from matspectra.oracle import det_scan, freeze
 from matspectra.schur import build_schur
 from matspectra.spectrum import (
     CSV_HEADER,
@@ -32,6 +42,7 @@ from matspectra.spectrum import (
     RootTable,
     SpectrumSet,
     _assign_branches,
+    _closed_form_side,
     _companion_roots,
     _fit_side,
     _flag_singular,
@@ -163,8 +174,9 @@ class TestSingularPart:
         assert abs(lams[1] - 1.0) <= 1e-8
         fits = report["singular"]["fits"]
         for side in ("+", "-"):
-            assert fits[side]["trusted"] is True
-            assert fits[side]["residual"] <= SolverConfig().fit_tol
+            # The common factor lambda = d^inf = 0 is divided out exactly.
+            assert fits[side]["route"] == "closed_form"
+            assert fits[side]["cancelled_power"] == 1
 
     def test_constant_coefficients_follow_the_symbol_polynomial(self):
         coeffs = (0.4 - 0.2j, 0.1j, 1.0 + 0j)
@@ -193,6 +205,127 @@ class TestSingularPart:
                             c=(ZERO, ZERO), d=Lit(2j))
         with pytest.raises(FitError, match="limit samples"):
             singular_part(op, xi_grid=[1.0])
+
+
+# ---------------------------------------------------------------------------
+# Singular sweep: the closed-form tail polynomial
+# ---------------------------------------------------------------------------
+
+def test_quartic_closed_form_is_the_exact_tail_polynomial():
+    # -[(i + lambda) xi^4 + i lambda xi^2 + xi + lambda - lambda^2], after
+    # the factor lambda - d^inf = lambda is divided out.
+    profile, cancelled = _closed_form_side(build_schur(quartic_coupled()),
+                                           "+", SolverConfig())
+    assert cancelled == 1
+    want = np.array([[0, -1, 1], [-1, 0, 0], [0, -1j, 0], [0, 0, 0]])
+    assert np.abs(profile.numerators - want).max() <= 1e-9
+    assert np.abs(profile.denominator - [-1j, -1]).max() <= 1e-9
+    assert profile.limits is not None and profile.trusted
+
+
+def test_parabolic_closed_form_has_a_diverging_d():
+    profile, cancelled = _closed_form_side(build_schur(parabolic_potential()),
+                                           "-", SolverConfig())
+    assert cancelled == 0 and profile.limits.d_diverges
+    assert np.array_equal(profile.numerators, [[0, -1], [0, 0]])
+    assert np.array_equal(profile.denominator, [1])
+
+
+def test_closed_form_newton_settles_near_roots_and_drops_the_rest():
+    # Parabolic tail xi^2 - lambda at xi = 2: the root is 4. A seed 1e-6 off
+    # is one Newton step from it. A seed on the pole of F with Q = lambda - 1
+    # stays there (F/F' = 0) until the steps run out; one where F' = 0 has
+    # no finite step.
+    profile = spectrum_module.RationalProfile(
+        "+", numerators=np.array([[0, -1], [0, 0]], dtype=complex),
+        denominator=np.array([1], dtype=complex), limits=mock.Mock())
+    coeffs = spectrum_module._cleared_coefficients(profile, 2,
+                                                   np.array([2.0, 2.0]))
+    skips, work = [], dict.fromkeys(WORK_COUNTERS, 0)
+    kept, lam = spectrum_module._settle_closed_form(
+        profile, coeffs, np.array([2.0, 2.0]), np.array([4.0, 4 + 1e-6]),
+        SolverConfig(), skips, work)
+    assert kept.tolist() == [True, True]
+    assert lam.tolist() == [4.0, 4.0]
+    assert work["newton_iterations"] == 1 and skips == []
+
+    pole = dataclasses.replace(profile,
+                               denominator=np.array([-1, 1], dtype=complex))
+    coeffs = spectrum_module._cleared_coefficients(pole, 2, np.array([2.0]))
+    kept, lam = spectrum_module._settle_closed_form(
+        pole, coeffs, np.array([2.0]), np.array([1.0 + 0j]), SolverConfig(),
+        skips, work)
+    assert kept.tolist() == [False] and lam.tolist() == [1.0]
+    flat = dataclasses.replace(
+        profile, numerators=np.array([[1, 0, 1], [0, 0, 0]], dtype=complex))
+    coeffs = spectrum_module._cleared_coefficients(flat, 2, np.array([0.0]))
+    kept, _ = spectrum_module._settle_closed_form(
+        flat, coeffs, np.array([0.0]), np.array([0j]), SolverConfig(), skips,
+        work)
+    assert kept.tolist() == [False]
+    assert [(s["type"], s["reason"]) for s in skips] == [
+        ("PolishSkip", "Newton on the closed-form F did not reach the root "
+         "tolerance"),
+        ("PolishSkip", "the closed-form F has no finite Newton step")]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4]),
+       side=st.sampled_from("+-"))
+def test_closed_form_ratios_match_certified_limit_ratios(seed, m, side):
+    # Coefficients that settle, many of them to 0 (exp(-x^2/2), c/(x^2+s)),
+    # so the zero test and the cancellation at d^inf are both exercised.
+    rng = random.Random(seed)
+    symbol = build_schur(random_operator(rng, m, settling=True))
+    cfg = SolverConfig()
+    profile, _ = _closed_form_side(symbol, side, cfg)
+    for _ in range(3):
+        lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        try:
+            want, _ = limit_ratio(symbol, lam, side, cfg)
+        except (NotConvergent, PoleError):
+            continue
+        powers = lam ** np.arange(profile.numerators.shape[1])
+        got = profile.numerators @ powers / (
+            profile.denominator @ powers[:profile.denominator.size])
+        assert np.abs(got - want).max() <= 1e-6 * (1 + np.abs(want).max())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4]))
+def test_closed_form_points_match_det_scan(seed, m):
+    op = random_constant_operator(random.Random(seed), m)
+    cfg = SolverConfig().with_overrides(curve_res=0.1, xi_points=60)
+    report = {}
+    points = singular_part(op, cfg=cfg, report=report)
+    assert {fit["route"] for fit in report["singular"]["fits"].values()} \
+        == {"closed_form"}
+    if not points:
+        return
+    scan = det_scan(freeze(op, "+", cfg), [p.xi for p in points])
+    roots = np.asarray([s.roots for s in scan])
+    lams = np.asarray([p.lam for p in points])
+    assert np.abs(roots - lams[:, None]).min(axis=1).max() <= 1e-6
+
+
+@pytest.mark.parametrize("path", [QUARTIC_CFG, PARABOLIC_CFG],
+                         ids=["quartic", "parabolic"])
+def test_closed_form_point_count_stays_near_the_fit_route(path, monkeypatch):
+    # Limits that are 0 but certified as +-1e-10 would leave a near-common
+    # factor at lambda = d^inf and a spurious root at every frequency.
+    op = load_operator(path)
+    cfg = SolverConfig().with_overrides(xi_points=100, curve_res=0.01)
+    report = {}
+    closed = len(singular_part(op, cfg=cfg, report=report))
+    assert report["singular"]["fits"]["+"]["route"] == "closed_form"
+
+    def refuse(symbol, side, cfg):
+        raise LimitRefused("d", "forced onto the fit route")
+
+    monkeypatch.setattr(spectrum_module, "_closed_form_side", refuse)
+    fitted = len(singular_part(op, cfg=cfg, report=report))
+    assert report["singular"]["fits"]["+"]["route"] == "fit"
+    assert abs(closed - fitted) <= 0.1 * fitted
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +826,20 @@ def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
         seeds.append((xi.copy(), lam.copy()))
         return polish(xi, lam)
 
-    profile = mock.Mock(side="+")
+    def fake_settle(profile, coeffs, xi, lam, cfg, skips, work):
+        return fake_polish(None, profile.side, xi, lam, cfg, skips, work)
+
+    # A fitted profile polishes on limit batches, a closed-form one settles
+    # on its exact tail polynomial; the filter after either is the same.
+    closed_form = data.draw(st.booleans())
+    profile = mock.Mock(side="+", limits=mock.Mock() if closed_form else None)
     skips = []
     with mock.patch.multiple(
             spectrum_module,
             _cleared_coefficients=lambda profile, m, xi: np.zeros((xi.size,
                                                                    1)),
             _companion_roots=lambda coeffs: _padded(root_rows),
-            _polish_batch=fake_polish):
+            _polish_batch=fake_polish, _settle_closed_form=fake_settle):
         table = spectrum_module._solve_at(mock.Mock(m=2), profile, xi_values,
                                           cfg, skips, {"companion_solves": 0})
     reference = _loop_post_polish(xi_values, root_rows, polish, cfg)
@@ -858,6 +997,24 @@ def test_singular_part_makes_no_per_root_calls(monkeypatch):
 # Full assembly
 # ---------------------------------------------------------------------------
 
+QUARTIC_LIMITS = ("d", "alpha_0", "alpha_2", "alpha_4", "beta_0,1", "beta_0,2",
+                  "beta_1,1", "beta_3,1", "beta_3,2", "beta_4,1")
+"""The limits behind the quartic's closed-form tail polynomial."""
+QUARTIC_ZERO_LIMITS = ("d", "beta_0,1", "beta_0,2", "beta_3,1", "beta_3,2")
+"""Those of them within their last increment of 0."""
+
+
+def growing_coefficients() -> OperatorMatrix:
+    """m = 2, a_0 = a_2 = 1 + x^2, b_1 = -i(1 + x^2), c_1 = i, d = 2i.
+
+    p_0/p_2 -> (2i - lambda)/(2i - lambda - 1), so the singular part is
+    lambda = 2i - xi^2/(1 + xi^2), though alpha_0 has no limit.
+    """
+    grow = parse("1 + x^2")
+    return OperatorMatrix(a=(grow, ZERO, grow), b=(ZERO, Lit(-1j) * grow),
+                          c=(ZERO, Lit(1j)), d=Lit(2j))
+
+
 @pytest.fixture(scope="module")
 def quartic_spectrum():
     cfg = SolverConfig().with_overrides(
@@ -891,14 +1048,51 @@ class TestEssentialSpectrum:
             assert key in report
         assert report["errors"] == []
         assert report["tolerances"]["root_tol"] == SolverConfig().root_tol
-        assert report["singular"]["fits"]["+"]["trusted"] is True
         grid_points = default_xi_grid(SolverConfig()).size
         for side in ("+", "-"):
+            fit = report["singular"]["fits"][side]
+            assert fit["route"] == "closed_form"
+            # Every non-zero x-only tree of the lambda-free form, and d.
+            limits = {entry["label"]: entry for entry in fit["limits"]}
+            assert set(limits) == set(QUARTIC_LIMITS)
+            for label, entry in limits.items():
+                assert entry["zero"] is (label in QUARTIC_ZERO_LIMITS)
+                assert entry["sample_count"] >= 4
+                assert entry["last_increment"] <= SolverConfig().limit_tol \
+                    * (1.0 + abs(complex(*entry["value"])))
+                assert entry["recheck"]["sample_count"] >= 4
             sweep = report["singular"]["sweeps"][side]
             # Every initial segment is checked once, later only new halves.
             assert grid_points - 1 <= sweep["segments_checked"] \
                 <= 2 * sweep["frequencies"]
             # At least one stacked eigvals per frequency batch.
+            assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
+            # The closed form needs no limit batch at all.
+            assert sweep["limit_batches"] == 0
+            assert sweep["lambdas_evaluated"] == 0
+
+    def test_fallback_report_counts_fit_work(self):
+        # a_0 grows, so the closed form refuses alpha_0, but every ratio
+        # p_j/p_2 has a limit: the side falls back to fit-and-polish.
+        op = growing_coefficients()
+        cfg = SolverConfig().with_overrides(
+            xi_points=40, xi_max=2.0, curve_res=0.02)
+        spectrum = essential_spectrum(op, cfg)
+        report = spectrum.report
+        assert report["errors"] == []
+        for p in spectrum.singular:
+            assert abs(p.lam - (2j - p.xi ** 2 / (1 + p.xi ** 2))) <= 1e-6
+        grid_points = default_xi_grid(cfg).size
+        for side in ("+", "-"):
+            fit = report["singular"]["fits"][side]
+            assert fit["route"] == "fit"
+            assert fit["refused"]["label"] == "alpha_0"
+            assert fit["trusted"] is True
+            assert fit["residual"] <= cfg.fit_tol
+            sweep = report["singular"]["sweeps"][side]
+            assert sweep["points"] > 0
+            assert grid_points - 1 <= sweep["segments_checked"] \
+                <= 2 * sweep["frequencies"]
             assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
             # Each batch polishes in at least one limit batch plus a
             # recheck; every batch evaluates some lambda, and each Newton
@@ -906,6 +1100,18 @@ class TestEssentialSpectrum:
             assert sweep["limit_batches"] >= sweep["refinement_rounds"] + 2
             assert sweep["lambdas_evaluated"] >= sweep["limit_batches"]
             assert sweep["newton_iterations"] < sweep["lambdas_evaluated"]
+
+    def test_fallback_names_the_refused_limit(self):
+        op = OperatorMatrix(a=(parse("sin(x^2)"), ZERO, ONE), b=(ZERO, ZERO),
+                            c=(ZERO, ZERO), d=Lit(2j))
+        cfg = SolverConfig().with_overrides(xi_points=8)
+        report = essential_spectrum(op, cfg).report
+        for side in ("+", "-"):
+            fit = report["singular"]["fits"][side]
+            assert fit["route"] == "fit"
+            assert fit["refused"]["label"] == "alpha_0"
+            assert "alpha_0" in fit["refused"]["reason"]
+            assert "limit samples" in fit["error"]
 
     def test_report_counts_skips_by_kind(self, quartic_spectrum):
         singular = quartic_spectrum.report["singular"]

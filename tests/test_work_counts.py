@@ -2,8 +2,9 @@
 
 Every node visit of ``expr._eval_array`` and ``expr._eval_jet`` is counted,
 so a change that samples a tree more often fails here whatever the timing
-noise. The ceilings are the counts measured before the Schur symbol lost
-its hand-built mode; lower is fine.
+noise. The ceilings are measured counts; lower is fine. The spectrum's
+ceiling is the count since the singular sweep solves a closed-form tail
+polynomial (27,357 while it polished roots on limit batches).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def test_quartic_spectrum_walks_no_more_nodes(visits):
     op = load_operator(QUARTIC_CFG)
     visits.update(_eval_array=0, _eval_jet=0)
     essential_spectrum(op, QUARTIC_WINDOW)
-    assert visits["_eval_array"] <= 27_357
+    assert visits["_eval_array"] <= 908
     assert visits["_eval_jet"] == 0
 
 
