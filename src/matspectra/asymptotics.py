@@ -19,9 +19,10 @@ Four services live here:
   run on that expression's own trajectory samples.
 - :func:`symbol_limits` certifies, with :func:`limit_of`, the limit of
   every x-only tree of the lambda-free form toward one side (of 1/d and
-  beta_jq/d^q when d diverges), rechecks each on a second trajectory and
-  names the first one refused; the singular sweep builds its closed-form
-  tail polynomial from them.
+  beta_jq/d^q when d diverges), rechecks each on a second trajectory,
+  decides by a geometric tail bound which of them are exactly 0 and names
+  the first one refused; the singular sweep builds its closed-form tail
+  polynomial from them.
 - :func:`limit_points_at_infinity` estimates the set of finite limit
   points of the lower-right coefficient ``d`` at infinity by clustering
   its values over the largest dyadic windows. The estimate is heuristic
@@ -58,6 +59,9 @@ from .schur import SchurSymbol
 INVERSE_FLOOR = 1e-8
 """Smallest sampled |p_m| accepted as evidence that 1/p_m stays bounded."""
 
+RATE_CAP = 0.99
+"""Largest ratio of successive increments that a tail bound trusts."""
+
 
 # ---------------------------------------------------------------------------
 # Convergence certificates for coefficient ratios
@@ -70,16 +74,27 @@ class Certificate:
     ``status`` is ``"converged"`` or ``"not-convergent"``; a converged
     certificate promises ``last_increment <= limit_tol * (1 + |value|)``
     and that ``sample_count`` trajectory samples sufficed.
+    ``previous_increment`` is the increment just before the last one.
     """
 
     status: str
     sample_count: int
     last_increment: float
     value: complex
+    previous_increment: float
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @property
+    def tail_bound(self) -> float:
+        """Estimated |value - limit|: the geometric tail r/(1 - r) of the
+        last increment, with r = last/previous increment capped at
+        ``RATE_CAP``, and never less than the last increment."""
+        last, previous = self.last_increment, self.previous_increment
+        rate = RATE_CAP if last >= RATE_CAP * previous else last / previous
+        return max(last, last * rate / (1.0 - rate))
 
 
 def _trajectory(side: str, cfg: SolverConfig) -> np.ndarray:
@@ -214,9 +229,9 @@ def _limit_block(samples: np.ndarray, finite: np.ndarray, tol: float):
 
     ``samples`` has shape (m, S, K) and ``finite`` marks the abscissae
     where every x-only sample behind them is finite. Returns (values,
-    t_index, last_inc, converged, first_bad), each of shape (m, K), and
-    the length-K status. ``t_index`` is the increment index at which the
-    three-increment window closed (the newest sample used is
+    t_index, last_inc, prev_inc, converged, first_bad), each of shape
+    (m, K), and the length-K status. ``t_index`` is the increment index
+    at which the three-increment window closed (the newest sample used is
     ``t_index + 1``), and ``first_bad`` the index of the first non-finite
     sample of an unconverged limit (S when there is none). A lambda whose
     limits all converge is ``"ok"``.
@@ -242,6 +257,8 @@ def _limit_block(samples: np.ndarray, finite: np.ndarray, tol: float):
     t_index = np.where(converged, first + 2, S - 2)
     take = np.take_along_axis(samples, t_index[:, None, :] + 1, axis=1)
     last_inc = np.take_along_axis(inc, t_index[:, None, :], axis=1)[:, 0, :]
+    prev_inc = np.take_along_axis(inc, t_index[:, None, :] - 1,
+                                  axis=1)[:, 0, :]
     broken = ~converged & ~prefix_finite[:, -1, :]
     first_bad = np.full(broken.shape, S)
     if broken.any():
@@ -254,7 +271,8 @@ def _limit_block(samples: np.ndarray, finite: np.ndarray, tol: float):
     if broken_lams.size:
         overflow = ~finite[earliest[broken_lams]]
         status[broken_lams] = np.where(overflow, "overflow", "pole")
-    return take[:, 0, :], t_index, last_inc, converged, first_bad, status
+    return (take[:, 0, :], t_index, last_inc, prev_inc, converged, first_bad,
+            status)
 
 
 def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
@@ -294,8 +312,8 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
     ``names[j]`` names limit j in messages; ``overflow(x)`` gives the cause
     of a non-finite x-only sample at x (it may raise instead).
     """
-    values, t_idx, last_inc, converged, first_bad, status = _limit_block(
-        samples, finite, cfg.limit_tol)
+    (values, t_idx, last_inc, prev_inc, converged, first_bad,
+     status) = _limit_block(samples, finite, cfg.limit_tol)
     status = status[0]
     if status in ("pole", "overflow"):
         j = int(np.argmin(first_bad[:, 0]))
@@ -326,6 +344,7 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
             sample_count=int(t_idx[j, 0]) + 2,
             last_increment=float(last_inc[j, 0]),
             value=complex(values[j, 0]),
+            previous_increment=float(prev_inc[j, 0]),
         )
         for j in range(len(names))
     ]
@@ -409,6 +428,13 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
 RECHECK_X0_SCALE = 1.37
 """Start of the independent recheck trajectory, as a multiple of ``x0``."""
 
+ZERO_MARGIN = 2.0
+"""A limit is exactly 0 when |value| is within this many tail bounds of 0."""
+
+NEAR_ZERO_TOLS = 1e3
+"""A limit that still moves, is not 0 and lies within this many
+``limit_tol`` of 0 is refused: its samples cannot tell it from 0."""
+
 
 @dataclass(frozen=True)
 class TailLimit:
@@ -429,10 +455,11 @@ class TailLimit:
 
     @property
     def value(self) -> complex:
-        """The certified value, or exactly 0 when it lies within the
-        certificate's last increment of 0."""
+        """The certified value, or exactly 0 when it lies within
+        ``ZERO_MARGIN`` tail bounds of 0."""
         cert = self.certificate
-        return 0j if abs(cert.value) <= cert.last_increment else cert.value
+        return (0j if abs(cert.value) <= ZERO_MARGIN * cert.tail_bound
+                else cert.value)
 
 
 @dataclass(frozen=True)
@@ -448,12 +475,13 @@ class SymbolLimits:
     limits: tuple[TailLimit, ...]
 
     def to_json_list(self) -> list[dict]:
-        """Label, value, sample count, last increment and zero flag of every
-        limit, with its recheck certificate."""
+        """Label, value, sample count, last increment, tail bound and zero
+        flag of every limit, with its recheck certificate."""
         def entry(cert):
             return {"value": [cert.value.real, cert.value.imag],
                     "sample_count": cert.sample_count,
-                    "last_increment": cert.last_increment}
+                    "last_increment": cert.last_increment,
+                    "tail_bound": cert.tail_bound}
 
         return [{"label": limit.label, **entry(limit.certificate),
                  "zero": limit.value == 0, "recheck": entry(limit.recheck)}
@@ -481,10 +509,13 @@ def symbol_limits(symbol: SchurSymbol, side: str,
 
     Each tree is certified by :func:`limit_of` on the ``x0`` trajectory
     and again on the recheck trajectory; the two values must lie within
-    the sum of their last increments. When d's own limit does not settle,
-    the limit of 1/d must be 0 and the couplings are taken as
-    beta_jq/d^q. Raises :class:`LimitRefused` naming the first tree whose
-    limit is refused or whose recheck disagrees.
+    the sum of their last increments. A limit within ``ZERO_MARGIN`` tail
+    bounds of 0 is 0; one that is not, yet lies within ``NEAR_ZERO_TOLS *
+    limit_tol`` of 0 while its samples still move, is refused. When d's
+    own limit does not settle, the limit of 1/d must be 0 and the
+    couplings are taken as beta_jq/d^q. Raises :class:`LimitRefused`
+    naming the first tree whose limit is refused or whose recheck
+    disagrees.
     """
     cfg = cfg or SolverConfig()
     recheck_cfg = cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE)
@@ -503,7 +534,15 @@ def symbol_limits(symbol: SchurSymbol, side: str,
                 f"the recheck from x = {recheck_cfg.x0!r} gives {again.value}"
                 f" against {first.value}, farther apart than their last "
                 "increments"))
-        return TailLimit(label, j, q, first, again)
+        limit = TailLimit(label, j, q, first, again)
+        near = NEAR_ZERO_TOLS * cfg.limit_tol
+        if (limit.value != 0 and abs(first.value) <= near
+                and first.last_increment > 0):
+            raise LimitRefused(label, (
+                f"its value {first.value} lies within {near:.1e} of 0 but "
+                f"beyond {ZERO_MARGIN:g} tail bounds ({first.tail_bound:.3e}),"
+                " so it is neither certified 0 nor told apart from 0"))
+        return limit
 
     try:
         d_limit = certify("d", None, 0, symbol.d)

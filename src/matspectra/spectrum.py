@@ -16,19 +16,21 @@ ratios. Per side the solve is staged:
    lambda with a shared denominator, from the certified limits of the
    symbol's x-only trees (:func:`~matspectra.asymptotics.symbol_limits`):
    alpha_j, beta_jq and d, or 1/d -> 0 and beta_jq/d^q when d diverges. A
-   limit within its certificate's last increment of 0 counts as exactly 0,
-   and the power of ``w = d^inf - lambda`` that every P_j shares is
-   divided out, so the cleared polynomials keep no spurious root at
+   limit within two tail bounds of 0 (the geometric remainder of its last
+   increments) counts as exactly 0, one that cannot be told from 0 is
+   refused, and the power of ``w = d^inf - lambda`` that every P_j shares
+   is divided out, so the cleared polynomials keep no spurious root at
    ``lambda = d^inf``. Every limit is certified again on the trajectory
    that starts at ``RECHECK_X0_SCALE * x0``, and the two values must agree
    within their last increments;
 2. clear denominators at fixed xi and take companion-matrix eigenvalues as
    root candidates, with one stacked ``eigvals`` call per batch of
    frequencies whose cleared polynomials share a trimmed degree;
-3. accept a candidate when the closed-form ``|F_xi(lambda)| <= root_tol``;
-   one that misses takes at most ``CLOSED_FORM_STEPS`` Newton steps on the
-   exact F and dF/dlambda, and is dropped when it still misses. No limit
-   is sampled per candidate;
+3. accept a candidate when the closed-form ``|F_xi(lambda)| <= root_tol``
+   or when the Newton steps on F and on its cleared form are both at most
+   ``dedupe_tol``; one that misses takes at most ``CLOSED_FORM_STEPS``
+   Newton steps on the exact F and dF/dlambda, and is dropped when it
+   still misses. No limit is sampled per candidate;
 4. refine xi adaptively wherever neighbouring roots inside the window are
    farther apart than ``curve_res``. The segments of the initial grid are
    checked once, all in one array pass; after each round only the two
@@ -578,9 +580,15 @@ def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
 
     ``coeffs`` holds each candidate's cleared polynomial C = Q xi^m
     + sum_j N_j xi^j, so F_xi(lambda) = C(lambda)/Q(lambda). A candidate
-    is kept once ``|F_xi(lambda)| <= root_tol``; one that misses takes up
-    to ``CLOSED_FORM_STEPS`` Newton steps on F and is dropped after them.
-    Adds the steps taken to ``work``. Returns (kept, lam).
+    is kept once ``|F_xi(lambda)| <= root_tol``, or once both Newton steps
+    |F/F'| and |C/C'| are at most ``dedupe_tol``: near a pole of F the
+    residual of the float nearest a root can exceed ``root_tol`` while
+    the root is located far below the output's resolution. The step on C
+    rejects a point near a pole of F, where F/F' is small only because F
+    is large, and the step on F a root that C shares with Q. A candidate
+    that misses takes up to ``CLOSED_FORM_STEPS`` Newton steps on F and
+    is dropped after them. Adds the steps taken to ``work``. Returns
+    (kept, lam).
     """
     lam = np.array(lam, dtype=complex)
     kept = np.zeros(lam.size, dtype=bool)
@@ -589,14 +597,14 @@ def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
         for step in range(CLOSED_FORM_STEPS + 1):
             c, dc = _horner(coeffs[live], lam[live])
             q, dq = _horner(profile.denominator[None, :], lam[live])
-            f = c / q
-            hit = np.abs(f) <= cfg.root_tol
+            newton = c * q / (dc * q - c * dq)  # F / F'
+            hit = (np.abs(c / q) <= cfg.root_tol) | (
+                (np.abs(newton) <= cfg.dedupe_tol)
+                & (np.abs(c / dc) <= cfg.dedupe_tol))
             kept[live[hit]] = True
-            live, f = live[~hit], f[~hit]
+            live, newton = live[~hit], newton[~hit]
             if live.size == 0 or step == CLOSED_FORM_STEPS:
                 break
-            c, dc, q, dq = c[~hit], dc[~hit], q[~hit], dq[~hit]
-            newton = c * q / (dc * q - c * dq)  # F / F'
             finite = np.isfinite(newton)
             for i in live[~finite]:
                 _log_skip(skips, "PolishSkip", profile.side, xi[i], lam[i],

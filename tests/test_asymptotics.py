@@ -263,7 +263,7 @@ def test_symbol_limits_need_one_over_d_to_vanish(monkeypatch):
 
     def settled_inverse(expr, side, cfg):
         if expr == Lit(1 + 0j) / wobble:
-            cert = Certificate("converged", 4, 0.0, 0.5 + 0j)
+            cert = Certificate("converged", 4, 0.0, 0.5 + 0j, 0.0)
             return cert.value, cert
         return real(expr, side, cfg)
 
@@ -288,6 +288,54 @@ def test_symbol_limits_refuse_a_recheck_that_disagrees(monkeypatch):
     with pytest.raises(LimitRefused, match="recheck from x = 21.92") as info:
         symbol_limits(build_schur(quartic_coupled()), "+", CFG)
     assert info.value.label == "alpha_0"
+
+
+def test_tail_bound_follows_the_rate_of_the_increments():
+    # Samples x^-k on x = 2^t: |value - 0| = last * r/(1 - r), r = 2^-k,
+    # and no bound is below the last increment.
+    for k in (0.4, 1.0, 3.0):
+        xs = 2.0 ** np.arange(10, 14)
+        value = xs[-1] ** -k
+        last = xs[-2] ** -k - value
+        cert = Certificate("converged", 4, last, value + 0j,
+                           xs[-3] ** -k - xs[-2] ** -k)
+        assert cert.tail_bound == pytest.approx(max(value, last), rel=1e-9)
+    # Growing or vanishing increments: the rate is capped, never trusted.
+    capped = Certificate("converged", 4, 2e-10, 1 + 0j, 1e-10)
+    assert capped.tail_bound == pytest.approx(2e-10 * 99)
+    settled = Certificate("converged", 4, 0.0, 1 + 0j, 0.0)
+    assert settled.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("tail", [
+    "x/(1 + x^2)", "exp(-0.4*log(1 + x^2))", "cos(x)/sqrt(1 + x^2)"])
+def test_symbol_limits_zero_slowly_vanishing_trees(tail):
+    # Tails of order x^-1 and x^-0.8 certify at |value| ~ 1e-10 to 4e-10,
+    # at or beyond their last increment; the tail bound still zeroes them,
+    # in d and in the coupling beta_0,1 = -b_0 c_0.
+    base = quartic_coupled()
+    for op, label in (
+            (replace(base, d=parse(f"exp(-x^2/2) + i*{tail}")), "d"),
+            (replace(base, b=(parse(tail), base.b[1])), "beta_0,1")):
+        for side in "+-":
+            limits = symbol_limits(build_schur(op), side, CFG)
+            by_label = {limit.label: limit for limit in limits.limits}
+            assert by_label[label].certificate.value != 0
+            assert by_label[label].value == 0
+
+
+def test_symbol_limits_refuse_a_moving_limit_too_close_to_zero():
+    # 1e-8 x^2/(1 + x^2) settles to 1e-8, far beyond its tail bound, but
+    # within 1e3 limit_tol of 0: the side must not trust it either way.
+    base = quartic_coupled()
+    op = replace(base, a=(parse("1e-8*x^2/(x^2 + 1)"), *base.a[1:]))
+    with pytest.raises(LimitRefused, match="neither certified 0") as info:
+        symbol_limits(build_schur(op), "+", CFG)
+    assert info.value.label == "alpha_0"
+    exact = replace(base, a=(Lit(1e-8 + 0j), *base.a[1:]))
+    limits = symbol_limits(build_schur(exact), "+", CFG)
+    assert {limit.label: limit.value for limit in limits.limits}[
+        "alpha_0"] == 1e-8
 
 
 def test_batch_matches_scalar_and_flags_failures():

@@ -63,6 +63,7 @@ from matspectra.spectrum import (
 
 ZERO = Lit(0j)
 ONE = Lit(1 + 0j)
+replace_op = dataclasses.replace
 
 
 def finite_points(points):
@@ -269,6 +270,51 @@ def test_closed_form_newton_settles_near_roots_and_drops_the_rest():
         ("PolishSkip", "the closed-form F has no finite Newton step")]
 
 
+def test_closed_form_accepts_a_root_near_a_pole_by_its_newton_step():
+    # F = xi^2 - 1/(lambda - 1) has its root 1 + xi^-2 next to the pole 1.
+    # At xi = 1e3, F' = 1e12 there, so the nearest float leaves |F| ~ 1e-4
+    # > root_tol although the root is located to 1e-16. A seed 1e-12 from
+    # the pole has a tiny F/F' too, but C = (lambda - 1) xi^2 - 1 is -1
+    # there, so it is no root; Newton only doubles its distance.
+    profile = spectrum_module.RationalProfile(
+        "+", numerators=np.array([[-1, 0], [0, 0]], dtype=complex),
+        denominator=np.array([-1, 1], dtype=complex), limits=mock.Mock())
+    xi = np.array([1e3, 1e3])
+    coeffs = spectrum_module._cleared_coefficients(profile, 2, xi)
+    root = 1 + 1e-6
+    skips, work = [], dict.fromkeys(WORK_COUNTERS, 0)
+    kept, lam = spectrum_module._settle_closed_form(
+        profile, coeffs, xi, np.array([root, 1 + 1e-12], dtype=complex),
+        SolverConfig(), skips, work)
+    assert abs(xi[0] ** 2 - 1 / (root - 1)) > SolverConfig().root_tol
+    assert kept.tolist() == [True, False]
+    assert lam[0] == root and abs(lam[1] - 1) == pytest.approx(8e-12)
+    assert work["newton_iterations"] == 3
+    assert [s["reason"] for s in skips] == [
+        "Newton on the closed-form F did not reach the root tolerance"]
+
+
+SLOW_TAILS = ["x/(1 + x^2)", "exp(-0.4*log(1 + x^2))"]
+
+
+@pytest.mark.parametrize("tail", SLOW_TAILS)
+def test_slowly_vanishing_limits_add_no_points(tail):
+    # d and the coupling b_0 tending to 0 like x^-1 or x^-0.8 have the
+    # quartic's frozen limits, so the closed form must give its points
+    # exactly, with none added at lambda = d^inf = 0.
+    base = quartic_coupled()
+    cfg = SolverConfig().with_overrides(xi_points=100, curve_res=0.01)
+    want = singular_part(base, cfg=cfg)
+    for op in (replace_op(base, d=parse(f"exp(-x^2/2) + i*{tail}")),
+               replace_op(base, b=(parse(tail), base.b[1]))):
+        report = {}
+        got = singular_part(op, cfg=cfg, report=report)
+        assert {fit["route"] for fit in report["singular"]["fits"].values()} \
+            == {"closed_form"}
+        assert [(p.xi, p.lam, p.side) for p in got] \
+            == [(p.xi, p.lam, p.side) for p in want]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4]),
        side=st.sampled_from("+-"))
@@ -326,6 +372,34 @@ def test_closed_form_point_count_stays_near_the_fit_route(path, monkeypatch):
     fitted = len(singular_part(op, cfg=cfg, report=report))
     assert report["singular"]["fits"]["+"]["route"] == "fit"
     assert abs(closed - fitted) <= 0.1 * fitted
+
+
+def test_closed_form_at_the_benchmark_window_adds_points_only_at_the_pole(
+        monkeypatch):
+    # At the quartic_window settings the closed form emits 13% more points
+    # than the fit route: near lambda = -i, the pole of F where P_4 = 0,
+    # the fit route loses the neutral branch for |xi| >= 5. Those points
+    # must be true roots; away from the pole the counts stay within 10%.
+    op = load_operator(QUARTIC_CFG)
+    cfg = SolverConfig().with_overrides(window=(-2.0, 2.0, -2.0, 2.0),
+                                        curve_res=1e-2)
+    closed = singular_part(op, cfg=cfg)
+
+    def refuse(symbol, side, cfg):
+        raise LimitRefused("d", "forced onto the fit route")
+
+    monkeypatch.setattr(spectrum_module, "_closed_form_side", refuse)
+    fitted = singular_part(op, cfg=cfg)
+
+    def away(points):
+        return sum(abs(p.lam + 1j) >= 0.2 for p in points)
+
+    assert abs(away(closed) - away(fitted)) <= 0.1 * away(fitted)
+    near = [p for p in closed if abs(p.lam + 1j) < 0.2]
+    scan = det_scan(freeze(op, "+", cfg), [p.xi for p in near])
+    roots = np.asarray([s.roots for s in scan])
+    lams = np.asarray([p.lam for p in near])
+    assert np.abs(roots - lams[:, None]).min(axis=1).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1075,7 @@ QUARTIC_LIMITS = ("d", "alpha_0", "alpha_2", "alpha_4", "beta_0,1", "beta_0,2",
                   "beta_1,1", "beta_3,1", "beta_3,2", "beta_4,1")
 """The limits behind the quartic's closed-form tail polynomial."""
 QUARTIC_ZERO_LIMITS = ("d", "beta_0,1", "beta_0,2", "beta_3,1", "beta_3,2")
-"""Those of them within their last increment of 0."""
+"""Those of them within two tail bounds of 0."""
 
 
 def growing_coefficients() -> OperatorMatrix:
@@ -1057,6 +1131,8 @@ class TestEssentialSpectrum:
             assert set(limits) == set(QUARTIC_LIMITS)
             for label, entry in limits.items():
                 assert entry["zero"] is (label in QUARTIC_ZERO_LIMITS)
+                assert entry["zero"] is (abs(complex(*entry["value"]))
+                                         <= 2.0 * entry["tail_bound"])
                 assert entry["sample_count"] >= 4
                 assert entry["last_increment"] <= SolverConfig().limit_tol \
                     * (1.0 + abs(complex(*entry["value"])))
