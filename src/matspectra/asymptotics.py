@@ -13,10 +13,9 @@ Four services live here:
   array algebra in ``u = 1/(d - lambda)``; :func:`_series` is the one
   evaluator of sums ``sum_q f_q u**q``, for trajectory columns and grid
   jets alike. :func:`limit_ratio_batch` is the non-raising batch form,
-  :func:`limit_ratio_slope` gives the analytic lambda-derivative of the
-  ratios at the trajectory's far end, and :func:`limit_of` certifies the
-  limit of a single lambda-free expression by the same certificate scan,
-  run on that expression's own trajectory samples.
+  and :func:`limit_of` certifies the limit of a single lambda-free
+  expression by the same certificate scan, run on that expression's own
+  trajectory samples.
 - :func:`symbol_limits` certifies, with :func:`limit_of`, the limit of
   every x-only tree of the lambda-free form toward one side (of 1/d and
   beta_jq/d^q when d diverges), rechecks each on a second trajectory,
@@ -163,8 +162,8 @@ def _u_powers(d: np.ndarray, lam, top: int) -> list:
     return powers
 
 
-def _series(out: list[np.ndarray], terms, d: _Jet, u: list,
-            slope: bool = False) -> list[np.ndarray]:
+def _series(out: list[np.ndarray], terms, d: _Jet, u: list
+            ) -> list[np.ndarray]:
     """Add sum_q f_q u^q, u = 1/(d - lambda), and its x-derivatives into
     ``out``, in place; ``out`` has one buffer per part of the samples.
 
@@ -172,16 +171,11 @@ def _series(out: list[np.ndarray], terms, d: _Jet, u: list,
     ``(f,)`` or a jet ``(f, f', f'')`` (None for zero); ``u`` lists the
     powers of u. By u' = -d' u^2: (f u^q)' = f' u^q - q f d' u^(q+1) and
     (f u^q)'' = f'' u^q - q (2 f' d' + f d'') u^(q+1) + q (q+1) f d'^2
-    u^(q+2). With ``slope`` the value becomes the lambda-derivative
-    sum_q q f_q u^(q+1), since du/dlambda = u^2. Callers silence floating
-    point warnings: non-finite sums are masked downstream.
+    u^(q+2). Callers silence floating point warnings: non-finite sums are
+    masked downstream.
     """
     for q, jet in terms:
         if jet is None:
-            continue
-        if slope:
-            if q:
-                out[0] += q * jet[0] * u[q + 1]
             continue
         if q == 0:
             for total, part in zip(out, jet):
@@ -199,21 +193,16 @@ def _series(out: list[np.ndarray], terms, d: _Jet, u: list,
     return out
 
 
-def _coefficients(form: _Form, lams: np.ndarray,
-                  slope: bool = False) -> np.ndarray:
-    """p_j(x, lambda), or dp_j/dlambda with ``slope``; shape (m+1, S, K).
-
-    p_j = alpha_j - [j = 0] lambda + sum_q beta_jq u^q and
-    dp_j/dlambda = -[j = 0] + sum_q q beta_jq u^(q+1), from a form of
-    plain columns.
-    """
+def _coefficients(form: _Form, lams: np.ndarray) -> np.ndarray:
+    """p_j(x, lambda) = alpha_j - [j = 0] lambda + sum_q beta_jq u^q from a
+    form of plain columns; shape (m+1, S, K)."""
     out = np.zeros((len(form.p), form.xs.size, lams.size),
                    dtype=np.complex128)
-    u = _u_powers(form.d[0], lams, form.top + slope)
+    u = _u_powers(form.d[0], lams, form.top)
     with np.errstate(all="ignore"):
         for j, terms in enumerate(form.p):
-            _series([out[j]], terms, form.d, u, slope)
-        out[0] -= 1.0 if slope else lams
+            _series([out[j]], terms, form.d, u)
+        out[0] -= lams
     return out
 
 
@@ -367,23 +356,6 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
     out = values.T.copy()
     out[status != "ok"] = np.nan
     return out, status
-
-
-def limit_ratio_slope(symbol: SchurSymbol, lams, side: str,
-                      cfg: SolverConfig | None = None) -> np.ndarray:
-    """dr_j/dlambda at the far end x_T of the trajectory; shape (K, m).
-
-    Quotient rule on p_j/p_m with dp_j/dlambda taken from the lambda-free
-    form. Entries are non-finite where p_m(x_T) vanishes or overflows.
-    """
-    cfg = cfg or SolverConfig()
-    lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
-    form = _sample_form(symbol, _trajectory(side, cfg)[-1:])
-    p = _coefficients(form, lam_arr)
-    dp = _coefficients(form, lam_arr, slope=True)
-    with np.errstate(all="ignore"):
-        slopes = (dp[:-1] * p[-1] - p[:-1] * dp[-1]) / (p[-1] * p[-1])
-    return slopes[:, 0, :].T
 
 
 def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None

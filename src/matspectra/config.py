@@ -48,7 +48,6 @@ class SolverConfig:
     exc_tol: float = 1e-3
     fit_center: complex = 0j
     fit_radii: tuple[float, float] = (2.17, 4.31)
-    newton_max_iter: int = 16
     xi_min: float = 1e-3
     xi_max: float = 1e3
     xi_points: int = 400

@@ -28,9 +28,9 @@ ratios. Per side the solve is staged:
    frequencies whose cleared polynomials share a trimmed degree;
 3. accept a candidate when the closed-form ``|F_xi(lambda)| <= root_tol``
    or when the Newton steps on F and on its cleared form are both at most
-   ``dedupe_tol``; one that misses takes at most ``CLOSED_FORM_STEPS``
-   Newton steps on the exact F and dF/dlambda, and is dropped when it
-   still misses. No limit is sampled per candidate;
+   ``dedupe_tol``; one that misses takes at most ``NEWTON_STEPS`` Newton
+   steps on the exact F and dF/dlambda, and is dropped when it still
+   misses. No limit is sampled per candidate;
 4. refine xi adaptively wherever neighbouring roots inside the window are
    farther apart than ``curve_res``. The segments of the initial grid are
    checked once, all in one array pass; after each round only the two
@@ -40,11 +40,12 @@ ratios. Per side the solve is staged:
 When a limit of step 1 is refused, the side falls back to fit and polish:
 ``r_j`` is reconstructed jointly from certified limit samples on two
 circles (ascending degree ladder, numerator degree <= n+2, denominator <=
-n+1), every candidate is polished by complex Newton on fresh limit batches
-(with the analytic lambda-slope of the ratios at the trajectory's far end,
-dropping a candidate whose residual stops shrinking), and accepted roots
-are re-certified on the recheck trajectory. The report names the route
-of each side and its limits, or the limit that was refused.
+n+1; a side that no rung fits within ``fit_tol`` gets no points). Its
+candidates settle as in step 3, except that each step takes F from a
+fresh limit batch and only dF/dlambda from the fit: a candidate is kept
+when ``|F| <= root_tol`` and its Newton step is at most ``dedupe_tol``,
+and again ``|F| <= root_tol`` on the recheck trajectory. The report names
+the route of each side and its limits, or the limit that was refused.
 
 Each side keeps its roots in a :class:`RootTable` (ascending xi, a
 NaN-padded root array, a count per row), so the window tests, dedupe,
@@ -71,7 +72,6 @@ from .asymptotics import (
     limit_of,
     limit_points_at_infinity,
     limit_ratio_batch,
-    limit_ratio_slope,
     symbol_limits,
 )
 from .config import SolverConfig
@@ -97,11 +97,8 @@ SKIP_KINDS = ("LimitSkip", "PolishSkip", "RecheckSkip", "IdentitySkip")
 SKIP_SAMPLE = 50
 """Skips of each kind kept verbatim in the report; all of them are counted."""
 
-NEWTON_STALL = 3
-"""Newton iterations a candidate may go without halving its best residual."""
-
-CLOSED_FORM_STEPS = 3
-"""Newton steps on the closed-form tail polynomial a missed root may take."""
+NEWTON_STEPS = 3
+"""Newton steps a candidate root that is not yet accepted may take."""
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +236,6 @@ class RationalProfile:
     numerators: np.ndarray
     denominator: np.ndarray
     residual: float = 0.0
-    trusted: bool = True
     samples_used: int = 0
     sample_rounds: int = 0
     limits: SymbolLimits | None = None
@@ -352,9 +348,9 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
     """Reconstruct the frozen-limit ratios toward one side.
 
     Degrees climb a ladder (numerator d+1, denominator d) for d = 1..n+1;
-    the first rung whose relative residual meets ``fit_tol`` wins. If no
-    rung qualifies, the largest is returned untrusted — its roots survive
-    only if Newton certification succeeds independently.
+    the first rung whose relative residual meets ``fit_tol`` wins. Raises
+    :class:`FitError` when too few limit samples converge or no rung
+    qualifies.
     """
     count = 4 * (order_n + 3)
     lam_arr, r_arr, rounds = _sample_limits(symbol, side, count, cfg)
@@ -365,25 +361,18 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
             f"only {lam_arr.size} of {count} limit samples toward "
             f"{side}infinity converged after {rounds} sampling rounds; "
             f"need at least {min_samples} for the rational reconstruction")
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
+    best = math.inf
     for den_deg in range(1, order_n + 2):
-        num_len, den_len = den_deg + 2, den_deg + 1
-        fit = _fit_rational(lam_arr, r_arr, num_len, den_len)
-        if best is None or fit[2] < best[2]:
-            best = fit
-        if fit[2] <= cfg.fit_tol:
-            best = fit
-            break
-    numerators, denominator, residual = best
-    return RationalProfile(
-        side=side,
-        numerators=numerators,
-        denominator=denominator,
-        residual=residual,
-        trusted=residual <= cfg.fit_tol,
-        samples_used=int(lam_arr.size),
-        sample_rounds=rounds,
-    )
+        numerators, denominator, residual = _fit_rational(
+            lam_arr, r_arr, den_deg + 2, den_deg + 1)
+        if residual <= cfg.fit_tol:
+            return RationalProfile(side, numerators, denominator, residual,
+                                   samples_used=int(lam_arr.size),
+                                   sample_rounds=rounds)
+        best = min(best, residual)
+    raise FitError(
+        f"no rational reconstruction toward {side}infinity meets fit_tol "
+        f"{cfg.fit_tol:.1e}; the best residual is {best:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,90 +451,62 @@ def _tail_values(pows: np.ndarray, ratios: np.ndarray, m: int) -> np.ndarray:
     return pows[:, m] + np.einsum("ij,ij->i", pows[:, :m], ratios)
 
 
-def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
-                  lam: np.ndarray, cfg: SolverConfig, skips: list,
-                  work: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-polish candidate roots in one vectorized sweep.
+def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
+                  coeffs: np.ndarray, xi: np.ndarray, lam: np.ndarray,
+                  cfg: SolverConfig, skips: list, work: dict
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Settle candidate roots of a fitted profile on fresh limit batches.
 
-    A candidate is kept only when ``|F_xi(lambda)| <= root_tol`` against
-    freshly estimated limits AND the same bound holds on an independent
-    trajectory (different starting abscissa). Each iteration makes one
-    limit batch; the Newton slope sum_j xi^j dr_j/dlambda comes from
-    :func:`limit_ratio_slope`, so it only steers the iteration and never
-    enters the acceptance test. A candidate that goes ``NEWTON_STALL``
-    iterations without halving its best residual is dropped early (next to
-    a pole of the tail ratios the limit noise stays above ``root_tol``).
-    Adds its limit batches, the lambdas they evaluate and the Newton steps
-    taken (summed over candidates) to ``work``. Returns (kept, lam).
+    Each step takes F_xi(lambda) from one limit batch and dF/dlambda from
+    the fit, whose cleared polynomial C = Q xi^m + sum_j N_j xi^j is in
+    ``coeffs``. A candidate is kept once ``|F| <= root_tol`` and its
+    Newton step |F/F'| is at most ``dedupe_tol``: where F is small over a
+    wide range of lambda (or does not depend on lambda at all) the
+    residual alone passes at points that are no root. One that misses
+    takes up to ``NEWTON_STEPS`` Newton steps and is dropped after them.
+    A kept candidate must meet ``|F| <= root_tol`` again on the
+    independent trajectory from ``RECHECK_X0_SCALE * x0``. Adds its limit
+    batches, the lambdas they evaluate and the Newton steps taken to
+    ``work``. Returns (kept, lam).
     """
-    m = symbol.m
+    m, side = symbol.m, profile.side
     lam = np.array(lam, dtype=complex)
-    xi = np.asarray(xi, dtype=float)
     pows = xi[:, None] ** np.arange(m + 1)[None, :]
-    state = np.zeros(lam.size, dtype=int)  # 0 active, 1 accepted, -1 dropped
-    best = np.full(lam.size, np.inf)
-    stall = np.zeros(lam.size, dtype=int)
-
-    for iteration in range(cfg.newton_max_iter + 1):
-        active = np.nonzero(state == 0)[0]
-        if active.size == 0:
-            break
-        values, status = limit_ratio_batch(symbol, lam[active], side, cfg)
+    kept = np.zeros(lam.size, dtype=bool)
+    live = np.arange(lam.size)
+    for step in range(NEWTON_STEPS + 1):
+        values, status = limit_ratio_batch(symbol, lam[live], side, cfg)
         work["limit_batches"] += 1
-        work["lambdas_evaluated"] += int(active.size)
+        work["lambdas_evaluated"] += int(live.size)
         ok = status == "ok"
-        for i in active[~ok]:
+        for i in live[~ok]:
             _log_skip(skips, "LimitSkip", side, xi[i], lam[i],
                       "limit estimation failed during polish")
-        state[active[~ok]] = -1
-        live = active[ok]
-        if live.size == 0:
-            continue
-        residuals = _tail_values(pows[live], values[ok], m)
-        hit = np.abs(residuals) <= cfg.root_tol
-        state[live[hit]] = 1
-        rest = live[~hit]
-        if rest.size == 0:
-            continue
-        if iteration == cfg.newton_max_iter:
-            for i in rest:
-                _log_skip(skips, "PolishSkip", side, xi[i], lam[i],
-                          "Newton did not reach the root tolerance")
-            state[rest] = -1
-            break
-        rest_f = residuals[~hit]
-        gain = np.abs(rest_f) < 0.5 * best[rest]
-        best[rest[gain]] = np.abs(rest_f[gain])
-        stall[rest] = np.where(gain, 0, stall[rest] + 1)
-        stuck = stall[rest] >= NEWTON_STALL
-        for i in rest[stuck]:
-            _log_skip(skips, "PolishSkip", side, xi[i], lam[i],
-                      "Newton stalled above the root tolerance")
-        state[rest[stuck]] = -1
-        rest, rest_f = rest[~stuck], rest_f[~stuck]
-        if rest.size == 0:
-            continue
-        slopes = limit_ratio_slope(symbol, lam[rest], side, cfg)
-        derivative = np.einsum("ij,ij->i", pows[rest, :m], slopes)
+        live = live[ok]
+        f = _tail_values(pows[live], values[ok], m)
         with np.errstate(all="ignore"):
-            step = rest_f / derivative
-        finite = np.isfinite(step)
-        for i in rest[~finite]:
+            c, dc = _horner(coeffs[live], lam[live])
+            q, dq = _horner(profile.denominator[None, :], lam[live])
+            newton = f * q * q / (dc * q - c * dq)  # F / F'
+        hit = (np.abs(f) <= cfg.root_tol) & (np.abs(newton) <= cfg.dedupe_tol)
+        kept[live[hit]] = True
+        live, newton = live[~hit], newton[~hit]
+        if live.size == 0 or step == NEWTON_STEPS:
+            break
+        finite = np.isfinite(newton)
+        for i in live[~finite]:
             _log_skip(skips, "PolishSkip", side, xi[i], lam[i],
-                      "Newton derivative vanished or overflowed")
-        state[rest[~finite]] = -1
-        target = rest[finite]
-        step = step[finite]
-        trust = 0.5 * (1.0 + np.abs(lam[target]))
-        size = np.abs(step)
-        scale = np.where(size > trust, trust / np.where(size == 0, 1, size), 1)
-        lam[target] = lam[target] - step * scale
-        work["newton_iterations"] += int(target.size)
+                      "the fitted F has no finite Newton step")
+        live = live[finite]
+        lam[live] -= newton[finite]
+        work["newton_iterations"] += int(live.size)
+    for i in live:
+        _log_skip(skips, "PolishSkip", side, xi[i], lam[i],
+                  "Newton on the fitted slope did not locate a root")
 
-    accepted = state == 1
-    if accepted.any():
+    if kept.any():
         alt = cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE)
-        idx = np.nonzero(accepted)[0]
+        idx = np.nonzero(kept)[0]
         values, status = limit_ratio_batch(symbol, lam[idx], side, alt)
         work["limit_batches"] += 1
         work["lambdas_evaluated"] += int(idx.size)
@@ -556,8 +517,8 @@ def _polish_batch(symbol: SchurSymbol, side: str, xi: np.ndarray,
         for i in idx[~recheck]:
             _log_skip(skips, "RecheckSkip", side, xi[i], lam[i],
                       "independent-trajectory recheck failed")
-        accepted[idx[~recheck]] = False
-    return accepted, lam
+        kept[idx[~recheck]] = False
+    return kept, lam
 
 
 def _horner(coeffs: np.ndarray, lam: np.ndarray
@@ -586,15 +547,15 @@ def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
     the root is located far below the output's resolution. The step on C
     rejects a point near a pole of F, where F/F' is small only because F
     is large, and the step on F a root that C shares with Q. A candidate
-    that misses takes up to ``CLOSED_FORM_STEPS`` Newton steps on F and
-    is dropped after them. Adds the steps taken to ``work``. Returns
+    that misses takes up to ``NEWTON_STEPS`` Newton steps on F and is
+    dropped after them. Adds the steps taken to ``work``. Returns
     (kept, lam).
     """
     lam = np.array(lam, dtype=complex)
     kept = np.zeros(lam.size, dtype=bool)
     live = np.arange(lam.size)
     with np.errstate(all="ignore"):
-        for step in range(CLOSED_FORM_STEPS + 1):
+        for step in range(NEWTON_STEPS + 1):
             c, dc = _horner(coeffs[live], lam[live])
             q, dq = _horner(profile.denominator[None, :], lam[live])
             newton = c * q / (dc * q - c * dq)  # F / F'
@@ -603,7 +564,7 @@ def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
                 & (np.abs(c / dc) <= cfg.dedupe_tol))
             kept[live[hit]] = True
             live, newton = live[~hit], newton[~hit]
-            if live.size == 0 or step == CLOSED_FORM_STEPS:
+            if live.size == 0 or step == NEWTON_STEPS:
                 break
             finite = np.isfinite(newton)
             for i in live[~finite]:
@@ -699,14 +660,11 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
     rows, cols = np.nonzero(_near_window(lam, cfg.window, track_pad))
     keep = np.zeros(lam.shape, dtype=bool)
     if rows.size:
-        if profile.limits is not None:
-            kept, polished = _settle_closed_form(
-                profile, coeffs[rows], xi_values[rows], lam[rows, cols], cfg,
+        args = (profile, coeffs[rows], xi_values[rows], lam[rows, cols], cfg,
                 skips, work)
-        else:
-            kept, polished = _polish_batch(
-                symbol, profile.side, xi_values[rows], lam[rows, cols], cfg,
-                skips, work)
+        kept, polished = (_settle_closed_form(*args)
+                          if profile.limits is not None
+                          else _polish_batch(symbol, *args))
         lam[rows, cols] = polished
         keep[rows, cols] = kept & _near_window(polished, cfg.window,
                                                track_pad)
@@ -923,7 +881,6 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
                 continue
             fits[side].update(
                 residual=profile.residual,
-                trusted=profile.trusted,
                 samples=profile.samples_used,
                 sample_rounds=profile.sample_rounds)
         fits[side].update(
@@ -933,12 +890,6 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
         emitted = _near_window(tracked.lam, cfg.window, _keep_pad(cfg))
         info["outside_window"] = int(tracked.count.sum() - emitted.sum())
         sweeps[side] = info
-        if not profile.trusted and not emitted.any():
-            errors.append(FitError(
-                f"rational reconstruction toward {side}infinity has residual "
-                f"{profile.residual:.3e} above tolerance and no root passed "
-                "Newton certification"))
-            continue
         side_roots[side] = _compact(tracked.xi, tracked.lam, emitted)
 
     failed = errors and not any(t.count.any() for t in side_roots.values())

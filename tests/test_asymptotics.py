@@ -42,7 +42,6 @@ from matspectra.asymptotics import (
     limit_points_at_infinity,
     limit_ratio,
     limit_ratio_batch,
-    limit_ratio_slope,
     symbol_limits,
 )
 from matspectra import asymptotics as asymptotics_module
@@ -392,25 +391,6 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     both = np.isfinite(samples) & np.isfinite(trees)
     gap = np.abs(samples - trees)[both]
     assert np.all(gap <= 1e-12 * np.abs(trees[both]))
-
-
-def test_analytic_slope_matches_central_difference():
-    symbol = build_schur(quartic_coupled())
-    lams = np.array([1.0 + 0j, 2.0 - 1j, -3.0 + 2j, 0.5 + 1.5j])
-    h = 1e-6
-    far = CFG.with_overrides(x0=CFG.x0 * CFG.rho ** CFG.T, T=3)
-    up, up_status = limit_ratio_batch(symbol, lams + h, "+", far)
-    down, down_status = limit_ratio_batch(symbol, lams - h, "+", far)
-    assert list(up_status) == list(down_status) == ["ok"] * lams.size
-    central = (up - down) / (2.0 * h)
-    slopes = limit_ratio_slope(symbol, lams, "+", CFG)
-    assert slopes.shape == (lams.size, symbol.m)
-    assert np.allclose(slopes, central, rtol=1e-7, atol=1e-8)
-    # The slope of the closed-form limits agrees as well.
-    for lam, row in zip(lams, slopes):
-        exact = (np.asarray(quartic_tail_ratios(lam + h))
-                 - np.asarray(quartic_tail_ratios(lam - h))) / (2.0 * h)
-        assert np.allclose(row, exact, rtol=1e-6, atol=1e-7)
 
 
 def test_concurrent_calls_are_deterministic():

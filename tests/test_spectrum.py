@@ -23,7 +23,7 @@ from factories import (
 from matspectra import config as config_module
 from matspectra.asymptotics import ExceptionalSet
 from matspectra.config import SolverConfig, window_contains
-from matspectra.asymptotics import limit_ratio
+from matspectra.asymptotics import limit_ratio, limit_ratio_batch
 from matspectra.errors import FitError, LimitRefused, NotConvergent, PoleError
 from matspectra.expr import Call, Lit, X, evaluate, parse
 from matspectra import spectrum as spectrum_module
@@ -32,7 +32,7 @@ from matspectra.oracle import det_scan, freeze
 from matspectra.schur import build_schur
 from matspectra.spectrum import (
     CSV_HEADER,
-    NEWTON_STALL,
+    NEWTON_STEPS,
     REGULAR_SIDE,
     SKIP_KINDS,
     SKIP_SAMPLE,
@@ -42,6 +42,7 @@ from matspectra.spectrum import (
     RootTable,
     SpectrumSet,
     _assign_branches,
+    _cleared_coefficients,
     _closed_form_side,
     _companion_roots,
     _fit_side,
@@ -207,6 +208,24 @@ class TestSingularPart:
         with pytest.raises(FitError, match="limit samples"):
             singular_part(op, xi_grid=[1.0])
 
+    def test_fit_that_misses_fit_tol_is_refused(self, monkeypatch):
+        # Only a trusted fit gives the slope the polish accepts roots by.
+        real_fit = spectrum_module._fit_rational
+
+        def loose(*args):
+            numerators, denominator, _ = real_fit(*args)
+            return numerators, denominator, 1e-3
+
+        monkeypatch.setattr(spectrum_module, "_fit_rational", loose)
+        report = {}
+        with pytest.raises(FitError, match="meets fit_tol"):
+            singular_part(growing_coefficients(), xi_grid=[1.0],
+                          report=report)
+        for side in ("+", "-"):
+            fit = report["singular"]["fits"][side]
+            assert fit["route"] == "fit"
+            assert "best residual is 1.000e-03" in fit["error"]
+
 
 # ---------------------------------------------------------------------------
 # Singular sweep: the closed-form tail polynomial
@@ -221,7 +240,7 @@ def test_quartic_closed_form_is_the_exact_tail_polynomial():
     want = np.array([[0, -1, 1], [-1, 0, 0], [0, -1j, 0], [0, 0, 0]])
     assert np.abs(profile.numerators - want).max() <= 1e-9
     assert np.abs(profile.denominator - [-1j, -1]).max() <= 1e-9
-    assert profile.limits is not None and profile.trusted
+    assert profile.limits is not None
 
 
 def test_parabolic_closed_form_has_a_diverging_d():
@@ -896,12 +915,12 @@ def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
 
     seeds = []
 
-    def fake_polish(symbol, side, xi, lam, cfg, skips, work):
+    def fake_polish(symbol, profile, coeffs, xi, lam, cfg, skips, work):
         seeds.append((xi.copy(), lam.copy()))
         return polish(xi, lam)
 
     def fake_settle(profile, coeffs, xi, lam, cfg, skips, work):
-        return fake_polish(None, profile.side, xi, lam, cfg, skips, work)
+        return fake_polish(None, profile, coeffs, xi, lam, cfg, skips, work)
 
     # A fitted profile polishes on limit batches, a closed-form one settles
     # on its exact tail polynomial; the filter after either is the same.
@@ -1163,7 +1182,6 @@ class TestEssentialSpectrum:
             fit = report["singular"]["fits"][side]
             assert fit["route"] == "fit"
             assert fit["refused"]["label"] == "alpha_0"
-            assert fit["trusted"] is True
             assert fit["residual"] <= cfg.fit_tol
             sweep = report["singular"]["sweeps"][side]
             assert sweep["points"] > 0
@@ -1199,9 +1217,9 @@ class TestEssentialSpectrum:
             assert len(kept) == min(counts[kind], SKIP_SAMPLE)
 
     def test_polish_drops_stalled_candidates_early(self, monkeypatch):
-        # Companion seeds of the quartic. The first sits next to
-        # lambda = -i, a pole of its tail ratios, and its residual stays
-        # near 2e-7, above root_tol; the second converges in one step.
+        # Companion seeds of the quartic on its fitted profile. The first
+        # sits next to lambda = -i, a pole of its tail ratios, where the
+        # limit noise keeps |F| above root_tol; the second converges.
         calls = []
         real_batch = spectrum_module.limit_ratio_batch
 
@@ -1209,25 +1227,28 @@ class TestEssentialSpectrum:
             calls.append(len(lams))
             return real_batch(symbol, lams, side, cfg)
 
+        op = quartic_coupled()
+        symbol = build_schur(op)
+        cfg = SolverConfig()
+        profile = _fit_side(symbol, "+", op.n, cfg)
         monkeypatch.setattr(spectrum_module, "limit_ratio_batch",
                             counting_batch)
         xi = np.array([-44.32171342476086, 2.825711502920827])
         lam = np.array([-0.0004978308342130793 - 0.9999994871197233j,
                         -0.1754222655361281 - 0.9577373184660526j])
-        cfg = SolverConfig()
         skips = []
         work = dict.fromkeys(WORK_COUNTERS, 0)
-        kept, _ = _polish_batch(build_schur(quartic_coupled()), "+", xi,
+        kept, _ = _polish_batch(symbol, profile,
+                                _cleared_coefficients(profile, op.m, xi), xi,
                                 lam, cfg, skips, work)
         assert list(kept) == [False, True]
         assert [(s["type"], s["reason"]) for s in skips] == [
-            ("PolishSkip", "Newton stalled above the root tolerance")]
+            ("PolishSkip", "Newton on the fitted slope did not locate a root")]
         assert work["limit_batches"] == len(calls)
         assert work["lambdas_evaluated"] == sum(calls)
-        assert 0 < work["newton_iterations"] < sum(calls)
-        # One batch per Newton iteration plus the recheck; far fewer than
-        # the newton_max_iter + 1 iterations a stalled seed used to run.
-        assert len(calls) <= 2 * NEWTON_STALL < cfg.newton_max_iter
+        assert NEWTON_STEPS < work["newton_iterations"] <= 2 * NEWTON_STEPS
+        # One batch per Newton step and one for the recheck.
+        assert len(calls) <= NEWTON_STEPS + 2
 
     def test_partial_result_when_limits_never_settle(self):
         op = OperatorMatrix(a=(Call("sin", X), ZERO, ONE), b=(ZERO, ZERO),
@@ -1246,6 +1267,63 @@ class TestEssentialSpectrum:
         assert np.max(regular_re) <= -1.0 + 1e-9
         assert np.min(singular_re) >= -1e-7
         assert spectrum.exceptional.points == ()
+
+
+FALLBACK_CFG = SolverConfig().with_overrides(xi_points=30, xi_max=100.0,
+                                             curve_res=0.05)
+"""A coarse sweep with a wide frequency range for fit-route operators."""
+
+
+def test_fallback_emits_nothing_where_the_tail_does_not_depend_on_lambda():
+    # beta_2,1 = 1 + x grows, so the closed form is refused; every ratio
+    # p_j/p_2 tends to 0, so F = xi^2 for every lambda and no lambda is a
+    # root at xi != 0, although the residual alone passes at every lambda
+    # once |xi| <= 1e-4.
+    op = OperatorMatrix(a=(ONE, ZERO, ONE), b=(ZERO, ONE),
+                        c=(ZERO, parse("1 + x")), d=Lit(2j))
+    report = {}
+    assert singular_part(op, cfg=FALLBACK_CFG, report=report) == []
+    for side in ("+", "-"):
+        fit = report["singular"]["fits"][side]
+        assert fit["route"] == "fit"
+        assert fit["refused"]["label"] == "beta_2,1"
+
+
+@pytest.mark.parametrize("seed", [80, 329])
+def test_fallback_points_are_roots_by_the_true_slope(seed):
+    # Oscillating coefficients refuse the closed form on both sides. Each
+    # point must be a root of the limit-batch F, located by a Newton step
+    # whose slope is a central difference of limit batches, not the fit.
+    # The fitted slope that accepted it is off by up to 1.5% here, so the
+    # step may reach twice dedupe_tol.
+    rng = random.Random(seed)
+    op = random_operator(rng, rng.choice([2, 4]))
+    symbol = build_schur(op)
+    report = {}
+    points = singular_part(op, symbol, cfg=FALLBACK_CFG, report=report)
+    assert {fit["route"] for fit in report["singular"]["fits"].values()} \
+        == {"fit"}
+    assert points
+    for side in ("+", "-"):
+        # A neutral point keeps the root of the "+" side.
+        sides = (side, REGULAR_SIDE) if side == "+" else (side,)
+        mine = [p for p in points if p.side in sides]
+        xi = np.asarray([p.xi for p in mine])
+        lam = np.asarray([p.lam for p in mine])
+        pows = xi[:, None] ** np.arange(op.m + 1)
+
+        def tail(at):
+            values, status = limit_ratio_batch(symbol, at, side,
+                                               FALLBACK_CFG)
+            assert (status == "ok").all()
+            return pows[:, op.m] + np.einsum("ij,ij->i", pows[:, :op.m],
+                                             values)
+
+        h = 1e-6
+        value = tail(lam)
+        slope = (tail(lam + h) - tail(lam - h)) / (2.0 * h)
+        assert np.abs(value).max() <= FALLBACK_CFG.root_tol
+        assert np.abs(value / slope).max() <= 2.0 * FALLBACK_CFG.dedupe_tol
 
 
 # ---------------------------------------------------------------------------
