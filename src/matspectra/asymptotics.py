@@ -923,21 +923,74 @@ def _direction_angle(z: complex) -> float:
     return 0.0 if theta == math.tau else theta
 
 
+TURN_TOL = 8.0 * np.finfo(float).eps
+"""A turn a -> b -> c counts as a left turn only when cross(b - a, c - b)
+exceeds this times |b - a| |c - b|, so that a turn flat within rounding
+does not."""
+
+CHAIN_PASS_MIN_DROP = 32
+"""Fewest points a vectorised hull-chain pass must drop for another pass to
+run; below it the sequential chain over the survivors is cheaper."""
+
+
 def _hull(v: np.ndarray) -> np.ndarray:
-    """Convex hull vertices of complex samples, counterclockwise; for samples
-    on one line (which qhull refuses) the ends of their segment, or one point.
+    """Convex hull vertices of complex samples, counterclockwise from the
+    leftmost (the lowest of those), by Andrew's monotone chain (Inf.
+    Process. Lett. 9, 1979); for samples on one line the ends of their
+    segment, or one point.
     """
-    # scipy.spatial takes longer to import than this whole package.
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return v[ConvexHull(np.column_stack([v.real, v.imag])).vertices]
-    except QhullError:
-        offset = v - v[0]
-        far = offset[int(np.argmax(np.abs(offset)))]
-        if far == 0:
-            return v[:1]
-        along = (far.conjugate() * offset).real
-        return v[[int(np.argmin(along)), int(np.argmax(along))]]
+    p = v[np.lexsort((v.imag, v.real))]
+    p = p[np.concatenate(([True], p[1:] != p[:-1]))]
+    if p.size < 3:
+        return p
+    # The upper chain is the lower chain of the samples turned by pi.
+    return np.concatenate([_chain(p)[:-1], -_chain(-p[::-1])[:-1]])
+
+
+def _chain(p: np.ndarray) -> np.ndarray:
+    """The lower hull chain of samples p sorted by (real, imag), from p[0]
+    to p[-1].
+
+    Vectorised passes drop every interior point that makes no strict left
+    turn between its current neighbours: it lies on or above the segment
+    joining them, so it is no vertex of the chain. Once a pass drops
+    nothing, the chain is convex and is the hull's. When a pass drops only
+    a few points, a sequential chain over the survivors finishes it. Where
+    a point there pops the chain's end, the chain jumps on to the point
+    seen clockwise-most from its new end, since every point before that one
+    lies on or above the segment to it.
+    """
+    while True:
+        turns = _left_turn(p[:-2], p[1:-1], p[2:])
+        dropped = turns.size - np.count_nonzero(turns)
+        if dropped == 0:
+            return p
+        p = np.concatenate((p[:1], p[1:-1][turns], p[-1:]))
+        if dropped < CHAIN_PASS_MIN_DROP:
+            break
+    points = p.tolist()
+    chain = points[:1]
+    at = 1
+    while at < len(points):
+        c = points[at]
+        if len(chain) > 1 and not _left_turn(chain[-2], chain[-1], c):
+            while len(chain) > 1 and not _left_turn(chain[-2], chain[-1], c):
+                chain.pop()
+            angle = np.angle(p[at:] - chain[-1])
+            at += int(np.flatnonzero(angle == angle.min())[-1])
+            continue
+        chain.append(c)
+        at += 1
+    return np.array(chain)
+
+
+def _left_turn(a, b, c):
+    """Whether a -> b -> c turns left by more than rounding; elementwise
+    for arrays, plain bool for Python complex numbers."""
+    ab = b - a
+    bc = c - b
+    cross = ab.real * bc.imag - ab.imag * bc.real
+    return cross > TURN_TOL * abs(ab) * abs(bc)
 
 
 def _check_d(trajectories, probe, cfg) -> DiagnosticRecord:

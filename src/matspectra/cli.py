@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .asymptotics import check_assumptions
 from .config import SolverConfig, parse_complex, window_contains
@@ -250,6 +249,9 @@ def _one_sided_distance(source, target) -> float | None:
         return 0.0
     if not len(target):
         return None
+    # Only the oracle comes here; importing scipy.spatial at module level
+    # would more than double the start-up time of every other subcommand.
+    from scipy.spatial import cKDTree
     src = np.asarray(source, dtype=np.complex128)
     tgt = np.asarray(target, dtype=np.complex128)
     tree = cKDTree(np.column_stack([tgt.real, tgt.imag]))

@@ -3,8 +3,9 @@
 Nothing in this module calls into ``matspectra``'s algorithms: derivatives
 are approximated by central finite differences, eigenvalues come from the
 closed-form quadratic formula, discretization stencils are diagonalized by
-hand via their Fourier symbols, and set distances are computed by brute
-force. Tests compare package output against these.
+hand via their Fourier symbols, set distances are computed by brute
+force, and convex hulls come from qhull. Tests compare package output
+against these.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 
 def central_diff(f, z: complex, h: float = 1e-5) -> complex:
@@ -54,6 +56,20 @@ def directed_hausdorff(points_from, points_to) -> float:
         return float("inf")
     pairwise = np.abs(from_arr[:, None] - to_arr[None, :])
     return float(pairwise.min(axis=1).max())
+
+
+def qhull_vertices(v: np.ndarray) -> np.ndarray:
+    """Convex hull vertices of complex samples by qhull, counterclockwise;
+    samples on one line give the ends of their segment, or one point."""
+    try:
+        return v[ConvexHull(np.column_stack([v.real, v.imag])).vertices]
+    except QhullError:
+        offset = v - v[0]
+        far = offset[int(np.argmax(np.abs(offset)))]
+        if far == 0:
+            return v[:1]
+        along = (far.conjugate() * offset).real
+        return v[[int(np.argmin(along)), int(np.argmax(along))]]
 
 
 def fourier_modes(n: int, h: float) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from factories import (
     random_operator,
     unbounded_coupling,
 )
-from oracles import directed_hausdorff
+from oracles import directed_hausdorff, qhull_vertices
 from matspectra.asymptotics import (
     Certificate,
     _check_c,
     _cluster,
+    _hull,
     _ratio_samples,
     _sample_form,
     _sector_margin,
@@ -743,6 +745,9 @@ def test_sector_margin_of_degenerate_samples(samples, margin, theta):
     np.linspace(-1.0, 2.0, 31) * (1.0 + 2j),
     np.linspace(-0.3, 0.71, 50) + 0j,
     np.cos(np.linspace(0.0, 7.0, 101)) + 0j,
+    # Rounding puts these up to ~1e-17 off one line; a hull that took
+    # that for turns would be a thin polygon around 0.
+    np.linspace(-1.0, 2.0, 31) * (1.0 + 1j / 3.0),
 ])
 def test_samples_through_zero_fail_with_margin_zero(samples):
     # 0 on the samples' segment: no angle does better than 0, and the
@@ -753,6 +758,82 @@ def test_samples_through_zero_fail_with_margin_zero(samples):
     assert record.delta_margin == 0.0
     assert attained(p_m, record.theta) == pytest.approx(0.0, abs=1e-15)
     assert record.witness[1:] == (record.theta, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Convex hull of the samples: monotone chain against qhull
+# ---------------------------------------------------------------------------
+
+def outside_distance(hull: np.ndarray, v: np.ndarray) -> float:
+    """How far the samples reach outside the polygon ``hull``, 0 when none
+    does: beyond a vertex, a segment, or the line of an edge."""
+    if hull.size == 1:
+        return float(np.max(np.abs(v - hull[0])))
+    if hull.size == 2:
+        edge = hull[1] - hull[0]
+        along = np.clip((edge.conjugate() * (v - hull[0])).real
+                        / abs(edge) ** 2, 0.0, 1.0)
+        return float(np.max(np.abs(v - hull[0] - along * edge)))
+    edge = np.roll(hull, -1) - hull
+    # Signed distance of every sample to every edge's line, < 0 outside.
+    inside = (edge.conjugate()[:, None]
+              * (v[None, :] - hull[:, None])).imag / np.abs(edge)[:, None]
+    return float(max(0.0, -inside.min()))
+
+
+def assert_hull_agrees_with_qhull(v: np.ndarray) -> None:
+    scale = float(np.max(np.abs(v)))
+    rounding = 8.0 * EPS * scale
+    hull = _hull(v)
+    assert np.isin(hull, v).all()
+    if hull.size > 2:
+        # Counterclockwise and convex: every turn is a left turn, and the
+        # turns add up to one full circle.
+        edge = np.roll(hull, -1) - hull
+        turn = np.roll(edge, -1) / edge
+        assert np.all(turn.imag > 0.0)
+        assert np.sum(np.angle(turn)) == pytest.approx(2.0 * np.pi)
+    assert outside_distance(hull, v) <= rounding
+    margin, _ = _sector_margin(v)
+    with mock.patch.object(asymptotics_module, "_hull", qhull_vertices):
+        qhull_margin, _ = _sector_margin(v)
+    assert margin == pytest.approx(qhull_margin, abs=rounding)
+
+
+def hull_inputs() -> dict:
+    rng = np.random.default_rng(20)
+    t = np.linspace(-3.0, 3.0, 2175)
+    turn = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 2175, endpoint=False))
+    blob = rng.normal(size=2175) + 1j * rng.normal(size=2175)
+    cloud = rng.normal(size=40) + 1j * rng.normal(size=40)
+    return {
+        "parabola": t + 1j * t * t,
+        "parabola off 0": t - 1j * (t * t + 1.0),
+        "arc": 2.0 + np.exp(1j * np.pi * np.linspace(-0.4, 0.4, 2175)),
+        "circle around 0": 0.5 + 2.0 * turn,
+        "circle off 0": 3.0 - 1j + 0.7 * turn,
+        "blob around 0": 0.3 * blob,
+        "blob off 0": 4.0 + 2j + blob,
+        "thin blob": (1.0 + 1j) * (blob.real + 1e-3j * blob.imag),
+        # Every sample twice, as an even p_m gives on a symmetric grid.
+        "doubled parabola": np.repeat(t - 1j * (t * t + 1.0), 2),
+        # Most samples crowd towards the limit of a decaying spiral, well
+        # inside its outer turn.
+        "spiral tail": 0.6 + 0.3j + 0.05 * np.exp(5j * t) / (1.0 + t * t),
+        "repeated cloud": np.tile(cloud, 5),
+        "repeated point": np.full(7, 2.0 - 1j),
+    }
+
+
+@pytest.mark.parametrize("name", list(hull_inputs()))
+def test_hull_agrees_with_qhull(name):
+    assert_hull_agrees_with_qhull(hull_inputs()[name])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(v=sample_clouds())
+def test_hull_of_sample_clouds_agrees_with_qhull(v):
+    assert_hull_agrees_with_qhull(v)
 
 
 def test_unbounded_coefficient_fails_b1():

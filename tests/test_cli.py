@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -316,6 +317,35 @@ def test_check_and_spectrum_build_no_lambda_tree(monkeypatch, tmp_path):
     assert not built
     assert simplified
     assert not any(mentions(tree, "lambda") for tree in simplified)
+
+
+NO_SCIPY_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from matspectra.cli import main
+parabolic, quartic, out = sys.argv[2:]
+codes = [
+    main(["spectrum", "--config", parabolic, "--window=-2,1,-0.5,0.5",
+          "--svg", "--out", out]),
+    main(["check", "--config", quartic, "--probes=1.7+2.3i,-2.6+1.1i",
+          "--out", out]),
+]
+print(codes, sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_spectrum_and_check_never_import_scipy(tmp_path):
+    """Only ``oracle`` needs SciPy, whose import would take most of the
+    start-up of every other subcommand; a fresh interpreter shows it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(src), str(PARABOLIC_CFG),
+         str(QUARTIC_CFG), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "spectrum.svg").is_file()
+    assert (tmp_path / "check_report.json").is_file()
 
 
 class TestSvgRendering:
