@@ -24,8 +24,8 @@ Four services live here:
   polynomial from them.
 - :func:`limit_points_at_infinity` estimates the set of finite limit
   points of the lower-right coefficient ``d`` at infinity by clustering
-  its values over the largest dyadic windows. The estimate is heuristic
-  by design and can be overridden by declaring the set in the config.
+  its values over the largest dyadic windows toward both ends of the line.
+  The estimate is heuristic by design.
 - :func:`check_assumptions` runs the sampled hypothesis diagnostics
   (B1/B2/B3: boundedness, invertible leading coefficient, bounded
   resolvent-weighted couplings; C: sector condition; D: existence of the
@@ -58,6 +58,12 @@ from .schur import SchurSymbol
 INVERSE_FLOOR = 1e-8
 """Smallest sampled |p_m| accepted as evidence that 1/p_m stays bounded."""
 
+# Limits are sampled at x = sign * x0 * RHO**t, t = 0..T, and converge once
+# three successive increments are at most LIMIT_TOL * (1 + |sample|).
+LIMIT_TOL = 1e-9
+RHO = 2.0
+T = 40
+
 RATE_CAP = 0.99
 """Largest ratio of successive increments that a tail bound trusts."""
 
@@ -68,23 +74,17 @@ RATE_CAP = 0.99
 
 @dataclass(frozen=True)
 class Certificate:
-    """Evidence attached to one estimated limit.
+    """Evidence attached to one converged limit.
 
-    ``status`` is ``"converged"`` or ``"not-convergent"``; a converged
-    certificate promises ``last_increment <= limit_tol * (1 + |value|)``
-    and that ``sample_count`` trajectory samples sufficed.
-    ``previous_increment`` is the increment just before the last one.
+    It promises ``last_increment <= LIMIT_TOL * (1 + |value|)`` and that
+    ``sample_count`` trajectory samples sufficed. ``previous_increment`` is
+    the increment just before the last one.
     """
 
-    status: str
     sample_count: int
     last_increment: float
     value: complex
     previous_increment: float
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
     @property
     def tail_bound(self) -> float:
@@ -100,7 +100,7 @@ def _trajectory(side: str, cfg: SolverConfig) -> np.ndarray:
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     sign = 1.0 if side == "+" else -1.0
-    return sign * cfg.x0 * cfg.rho ** np.arange(cfg.T + 1, dtype=float)
+    return sign * cfg.x0 * RHO ** np.arange(T + 1, dtype=float)
 
 
 _Jet = tuple[np.ndarray, ...]
@@ -278,22 +278,22 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
     """
     cfg = cfg or SolverConfig()
     return _form_ratios(_sample_form(symbol, _trajectory(side, cfg)), lam,
-                        side, cfg)
+                        side)
 
 
-def _form_ratios(form: _Form, lam: complex, side: str, cfg: SolverConfig
+def _form_ratios(form: _Form, lam: complex, side: str
                  ) -> tuple[list[complex], list[Certificate]]:
     """:func:`limit_ratio` on a trajectory form that is already sampled."""
     samples = _ratio_samples(form, np.asarray([lam], dtype=np.complex128))
     m = samples.shape[0]
     return _certified_ratios(
-        samples, form.finite, form.xs, side, cfg,
+        samples, form.finite, form.xs, side,
         [f"ratio p_{j}/p_{m}" for j in range(m)],
         lambda x: "coefficient samples overflow")
 
 
 def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
-                      xs: np.ndarray, side: str, cfg: SolverConfig, names,
+                      xs: np.ndarray, side: str, names,
                       overflow) -> tuple[list[complex], list[Certificate]]:
     """Certificates for the limits of ``samples`` (shape (m, S, 1)), or the
     error that refuses them.
@@ -302,7 +302,7 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
     of a non-finite x-only sample at x (it may raise instead).
     """
     (values, t_idx, last_inc, prev_inc, converged, first_bad,
-     status) = _limit_block(samples, finite, cfg.limit_tol)
+     status) = _limit_block(samples, finite, LIMIT_TOL)
     status = status[0]
     if status in ("pole", "overflow"):
         j = int(np.argmin(first_bad[:, 0]))
@@ -317,8 +317,8 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
                    f"toward {side}infinity before {names[j]} settled")
     elif status == "not-convergent":
         j = int(np.argmax(~converged[:, 0]))
-        end = cfg.T
-        message = (f"{names[j]} did not settle after {cfg.T + 1} samples "
+        end = T
+        message = (f"{names[j]} did not settle after {T + 1} samples "
                    f"toward {side}infinity (last increment "
                    f"{last_inc[j, 0]:.3e})")
     if status != "ok":
@@ -329,7 +329,6 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
         raise NotConvergent(message, witness=tail)
     certificates = [
         Certificate(
-            status="converged",
             sample_count=int(t_idx[j, 0]) + 2,
             last_increment=float(last_inc[j, 0]),
             value=complex(values[j, 0]),
@@ -352,7 +351,7 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
     form = _sample_form(symbol, _trajectory(side, cfg))
     values, *_, status = _limit_block(_ratio_samples(form, lam_arr),
-                                      form.finite, cfg.limit_tol)
+                                      form.finite, LIMIT_TOL)
     out = values.T.copy()
     out[status != "ok"] = np.nan
     return out, status
@@ -388,7 +387,7 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
         return "samples overflow"
 
     values, certs = _certified_ratios(
-        samples[None, :, None], np.isfinite(samples), xs, side, cfg,
+        samples[None, :, None], np.isfinite(samples), xs, side,
         ["the limit"], overflow)
     return values[0], certs[0]
 
@@ -405,7 +404,7 @@ ZERO_MARGIN = 2.0
 
 NEAR_ZERO_TOLS = 1e3
 """A limit that still moves, is not 0 and lies within this many
-``limit_tol`` of 0 is refused: its samples cannot tell it from 0."""
+``LIMIT_TOL`` of 0 is refused: its samples cannot tell it from 0."""
 
 
 @dataclass(frozen=True)
@@ -483,7 +482,7 @@ def symbol_limits(symbol: SchurSymbol, side: str,
     and again on the recheck trajectory; the two values must lie within
     the sum of their last increments. A limit within ``ZERO_MARGIN`` tail
     bounds of 0 is 0; one that is not, yet lies within ``NEAR_ZERO_TOLS *
-    limit_tol`` of 0 while its samples still move, is refused. When d's
+    LIMIT_TOL`` of 0 while its samples still move, is refused. When d's
     own limit does not settle, the limit of 1/d must be 0 and the
     couplings are taken as beta_jq/d^q. Raises :class:`LimitRefused`
     naming the first tree whose limit is refused or whose recheck
@@ -507,7 +506,7 @@ def symbol_limits(symbol: SchurSymbol, side: str,
                 f" against {first.value}, farther apart than their last "
                 "increments"))
         limit = TailLimit(label, j, q, first, again)
-        near = NEAR_ZERO_TOLS * cfg.limit_tol
+        near = NEAR_ZERO_TOLS * LIMIT_TOL
         if (limit.value != 0 and abs(first.value) <= near
                 and first.last_increment > 0):
             raise LimitRefused(label, (
@@ -545,23 +544,18 @@ class ExceptionalSet:
 
     Invariants: every clustered value lies within ``cluster_tol`` of its
     representative (``radii[i] <= cluster_tol``) and representatives are
-    pairwise separated by more than ``2 * cluster_tol``. ``declared`` marks
-    a user-supplied override, which skips estimation entirely.
+    pairwise separated by more than ``2 * cluster_tol``.
     """
 
     points: tuple[complex, ...]
     radii: tuple[float, ...]
     window_exponents: tuple[int, ...]
-    sides: str
-    declared: bool = False
 
     def to_json_dict(self) -> dict:
         return {
             "points": [[p.real, p.imag] for p in self.points],
             "radii": list(self.radii),
             "window_exponents": list(self.window_exponents),
-            "sides": self.sides,
-            "declared": self.declared,
         }
 
 
@@ -657,50 +651,52 @@ def _run_end(values: np.ndarray, start: int, rep: complex, tol: float
     return end, reach
 
 
+# limit_points_at_infinity samples d at POINTS_PER_WINDOW points in each of
+# the CLUSTER_WINDOWS largest dyadic windows, and drops a window whose
+# smallest |d| exceeds ESCAPE_BOUND: d escapes to infinity there.
+CLUSTER_WINDOWS = 6
+POINTS_PER_WINDOW = 4096
+ESCAPE_BOUND = 1e8
+
+
 def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
                              ) -> ExceptionalSet:
     """Heuristic estimate of the finite limit points of d at infinity.
 
-    Samples d over the ``cluster_windows`` largest of ``windows`` dyadic
-    windows [2^s, 2^(s+1)] (both signs of x by default;
-    ``infinity_sides="positive"`` restores the literal one-sided reading),
-    drops windows whose smallest |d| exceeds ``escape_bound``, and clusters
-    the values retained. An empty result is meaningful: every window
-    escaped.
+    Samples d over the ``CLUSTER_WINDOWS`` largest of ``windows`` dyadic
+    windows [2^s, 2^(s+1)], at both signs of x, drops windows whose
+    smallest |d| exceeds ``ESCAPE_BOUND``, and clusters the values
+    retained. An empty result is meaningful: every window escaped.
     """
     cfg = cfg or SolverConfig()
-    if cfg.declared_exceptional_set is not None:
-        pts = tuple(complex(z) for z in cfg.declared_exceptional_set)
-        return ExceptionalSet(
-            points=pts, radii=(0.0,) * len(pts), window_exponents=(),
-            sides=cfg.infinity_sides, declared=True)
-    signs = (1.0, -1.0) if cfg.infinity_sides == "both" else (1.0,)
     retained: list[np.ndarray] = []
     exponents: set[int] = set()
-    for sign in signs:
-        for s in range(max(0, cfg.windows - cfg.cluster_windows),
-                       cfg.windows):
-            xs = sign * np.linspace(2.0**s, 2.0 ** (s + 1),
-                                    cfg.points_per_window)
+    for sign in (1.0, -1.0):
+        for s in range(max(0, cfg.windows - CLUSTER_WINDOWS), cfg.windows):
+            xs = sign * np.linspace(2.0**s, 2.0 ** (s + 1), POINTS_PER_WINDOW)
             vals = evaluate_array(d, x=xs)
             finite = np.isfinite(vals)
             if not finite.any():
                 continue
-            if float(np.min(np.abs(vals[finite]))) > cfg.escape_bound:
+            if float(np.min(np.abs(vals[finite]))) > ESCAPE_BOUND:
                 continue
             retained.append(vals[finite])
             exponents.add(s)
     if not retained:
-        return ExceptionalSet((), (), (), cfg.infinity_sides)
+        return ExceptionalSet((), (), ())
     reps, radii = _cluster(np.concatenate(retained), cfg.cluster_tol)
     return ExceptionalSet(
         points=tuple(reps), radii=tuple(radii),
-        window_exponents=tuple(sorted(exponents)), sides=cfg.infinity_sides)
+        window_exponents=tuple(sorted(exponents)))
 
 
 # ---------------------------------------------------------------------------
 # Assumption diagnostics
 # ---------------------------------------------------------------------------
+
+PROBE_MARGIN = 1e-3
+"""Failures of probes this near the decoupling curve become inconclusive."""
+
 
 def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
                       probes, grid: np.ndarray,
@@ -715,7 +711,7 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     (the record carries the exact best margin and a theta attaining it,
     :func:`_sector_margin`). D: the coefficient limits converge on both
     sides. Failures are records, never exceptions. A probe lying within
-    ``probe_margin`` of the sampled decoupling curve downgrades its failures
+    ``PROBE_MARGIN`` of the sampled decoupling curve downgrades its failures
     to "inconclusive": the hypotheses are genuinely violated on the curve
     itself, and a sampled check cannot distinguish the curve from its
     immediate neighborhood.
@@ -742,21 +738,21 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     for probe in probes:
         probe = complex(probe)
         near_curve = bool(delta_vals.size) and float(
-            np.min(np.abs(delta_vals - probe))) <= cfg.probe_margin
+            np.min(np.abs(delta_vals - probe))) <= PROBE_MARGIN
         coefficients, p_m, weighted = jets.values(probe)
         batch = [
             _check_bounded("B1", coefficients, probe, grid, cfg),
             _check_b2(p_m, probe, grid),
             _check_bounded("B3", weighted, probe, grid, cfg),
             _check_c(p_m, probe, grid),
-            _check_d(trajectories, probe, cfg),
+            _check_d(trajectories, probe),
         ]
         for record in batch:
             if near_curve and record.status == "fail":
                 label, location, measured = record.witness
                 record = replace(
                     record, status="inconclusive",
-                    witness=(f"probe within {cfg.probe_margin:g} of the "
+                    witness=(f"probe within {PROBE_MARGIN:g} of the "
                              f"sampled decoupling curve; {label}",
                              location, measured))
             records.append(record)
@@ -993,11 +989,11 @@ def _left_turn(a, b, c):
     return cross > TURN_TOL * abs(ab) * abs(bc)
 
 
-def _check_d(trajectories, probe, cfg) -> DiagnosticRecord:
+def _check_d(trajectories, probe) -> DiagnosticRecord:
     """D from (side, trajectory form) pairs sampled once for all probes."""
     for side, form in trajectories:
         try:
-            _form_ratios(form, probe, side, cfg)
+            _form_ratios(form, probe, side)
         except NotConvergent as exc:
             tail_increment = exc.witness[-1][1] if exc.witness else np.inf
             return DiagnosticRecord(

@@ -22,6 +22,7 @@ CSV and SVG output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -68,8 +69,7 @@ EXIT_REFUSED = 5
 
 DEFAULT_PROBES = (1.7 + 2.3j, -2.6 + 1.1j, 0.4 - 1.9j)
 
-_POSITIVE_TOLERANCES = ("limit_tol", "curve_res", "root_tol", "fit_tol",
-                        "dedupe_tol", "exc_tol", "deriv_tol")
+_POSITIVE_TOLERANCES = ("curve_res", "dedupe_tol", "exc_tol")
 
 _TRUNCATION_LENGTHS = (5.0, 10.0, 20.0)
 
@@ -97,15 +97,19 @@ class RunConfig:
     svg: bool = False
 
     def __post_init__(self):
-        re_min, re_max, im_min, im_max = self.solver.window
+        window = self.solver.window
+        if not all(map(math.isfinite, window)):
+            raise ConfigError(f"window bounds must be finite, got {window}")
+        re_min, re_max, im_min, im_max = window
         if not (re_min < re_max and im_min < im_max):
-            raise ConfigError(
-                f"window must be non-degenerate, got {self.solver.window}")
+            raise ConfigError(f"window must be non-degenerate, got {window}")
         for name in _POSITIVE_TOLERANCES:
             if getattr(self.solver, name) <= 0.0:
                 raise ConfigError(f"tolerance {name} must be positive")
         if not self.probes:
             raise ConfigError("probe list must not be empty")
+        if not all(map(cmath.isfinite, self.probes)):
+            raise ConfigError(f"probes must be finite, got {self.probes}")
 
 
 def _parse_window(text: str) -> tuple[float, float, float, float]:

@@ -1,8 +1,12 @@
 """Run and solver configuration.
 
-:class:`SolverConfig` collects every numeric knob used by the pipeline, each
-with its pinned default. Tests and the CLI construct overrides through
-:func:`SolverConfig.with_overrides`, which rejects unknown keys.
+:class:`SolverConfig` holds the numeric settings that some caller varies:
+the CLI sets the output window, the benchmark workloads the curve
+resolution, the limit recheck the trajectory start, and tests shrink or
+target a run. Each field has its pinned default; every other numeric
+constant of the pipeline lives next to the code that reads it. Tests and
+the CLI construct overrides through :func:`SolverConfig.with_overrides`,
+which rejects unknown keys.
 """
 
 from __future__ import annotations
@@ -18,44 +22,28 @@ Window = tuple[float, float, float, float]
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All numeric parameters of the pipeline, with pinned defaults."""
+    """The numeric settings some caller varies, with pinned defaults."""
 
-    # Geometric limit sampling: points x = sign * x0 * rho**t, t = 0..T.
-    limit_tol: float = 1e-9
+    # Limit trajectories x = sign * x0 * RHO**t (asymptotics).
     x0: float = 16.0
-    rho: float = 2.0
-    T: int = 40
 
     # Limit points of d at infinity (dyadic windows [2^s, 2^(s+1)]).
-    escape_bound: float = 1e8
     cluster_tol: float = 1e-4
     windows: int = 24
-    cluster_windows: int = 6
-    points_per_window: int = 4096
-    infinity_sides: str = "both"  # "both" | "positive"
-    declared_exceptional_set: tuple[complex, ...] | None = None
 
     # Decoupling-curve sampling (regular part).
     curve_res: float = 1e-3
     max_points: int = 200_000
-    x_span: float = 50.0
     grid_points: int = 2048
 
     # Singular sweep.
-    root_tol: float = 1e-8
-    fit_tol: float = 1e-7
     dedupe_tol: float = 1e-9
     exc_tol: float = 1e-3
-    fit_center: complex = 0j
-    fit_radii: tuple[float, float] = (2.17, 4.31)
-    xi_min: float = 1e-3
     xi_max: float = 1e3
     xi_points: int = 400
 
     # Assumption diagnostics.
-    deriv_tol: float = 1e-7
     bound_cap: float = 1e8
-    probe_margin: float = 1e-3
 
     # Symbolic work budget of coefficient_trees (print-schur).
     node_ceiling: int = 200_000

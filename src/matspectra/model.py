@@ -28,6 +28,10 @@ from .expr import Expr, evaluate_array, mentions, parse, simplify
 
 A_NONZERO_TOL = 1e-12
 
+X_SPAN = 50.0
+"""Half-width of the validation grid's core and of the regular part's
+first samples."""
+
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -124,12 +128,14 @@ def _json_number(value):
 
 
 def check_structure(op: OperatorMatrix) -> None:
-    """Raise StructureError unless m = n + k and m is even."""
+    """Raise StructureError unless m = n + k and m is even and positive."""
     if op.m != op.n + op.k:
         raise StructureError(
             f"top-left order m={op.m} must equal n+k={op.n + op.k}")
     if op.m % 2 != 0:
         raise StructureError(f"top-left order m={op.m} must be even")
+    if op.m == 0:
+        raise StructureError("top-left order m=0 must be positive")
 
 
 def validate(op: OperatorMatrix, grid: np.ndarray) -> Diagnostics:
@@ -177,8 +183,8 @@ def validation_grid(cfg: SolverConfig) -> np.ndarray:
     """Chebyshev-distributed core on [-X, X] plus geometric tails to 1e6."""
     count = cfg.grid_points
     angles = np.pi * np.arange(count) / (count - 1)
-    core = cfg.x_span * np.cos(angles)
-    tail = np.logspace(np.log10(cfg.x_span), 6.0, 64)[1:]
+    core = X_SPAN * np.cos(angles)
+    tail = np.logspace(np.log10(X_SPAN), 6.0, 64)[1:]
     grid = np.concatenate([core, [0.0], tail, -tail])
     return np.unique(grid)
 

@@ -39,6 +39,9 @@ __all__ = [
     "periodic_symbol_eigenvalues",
 ]
 
+DERIV_TOL = 1e-7
+"""Largest |derivative| at the trajectory tail of a coefficient that freezes."""
+
 
 # ---------------------------------------------------------------------------
 # Frozen symbols
@@ -98,7 +101,7 @@ def freeze(op: OperatorMatrix, side: str,
 
     Every raw coefficient must have a certified limit along the sampling
     trajectory toward ``side`` infinity, and its x-derivative must vanish
-    (magnitude below ``cfg.deriv_tol``) at the last two trajectory
+    (magnitude below ``DERIV_TOL``) at the last two trajectory
     points.  Raises :class:`RefusedFrozen` with a witness naming the
     offending coefficient when either check fails.
     """
@@ -124,7 +127,7 @@ def freeze(op: OperatorMatrix, side: str,
         derivative = simplify(differentiate(tree, "x"))
         magnitudes = np.abs(evaluate_array(derivative, x=tail_x))
         if (not np.all(np.isfinite(magnitudes))
-                or np.any(magnitudes >= cfg.deriv_tol)):
+                or np.any(magnitudes >= DERIV_TOL)):
             raise RefusedFrozen(
                 f"derivative of coefficient {label} does not vanish at the "
                 f"trajectory tail toward {side}infinity",

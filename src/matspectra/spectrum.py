@@ -26,7 +26,7 @@ ratios. Per side the solve is staged:
 2. clear denominators at fixed xi and take companion-matrix eigenvalues as
    root candidates, with one stacked ``eigvals`` call per batch of
    frequencies whose cleared polynomials share a trimmed degree;
-3. accept a candidate when the closed-form ``|F_xi(lambda)| <= root_tol``
+3. accept a candidate when the closed-form ``|F_xi(lambda)| <= ROOT_TOL``
    or when the Newton steps on F and on its cleared form are both at most
    ``dedupe_tol``; one that misses takes at most ``NEWTON_STEPS`` Newton
    steps on the exact F and dF/dlambda, and is dropped when it still
@@ -40,11 +40,11 @@ ratios. Per side the solve is staged:
 When a limit of step 1 is refused, the side falls back to fit and polish:
 ``r_j`` is reconstructed jointly from certified limit samples on two
 circles (ascending degree ladder, numerator degree <= n+2, denominator <=
-n+1; a side that no rung fits within ``fit_tol`` gets no points). Its
+n+1; a side that no rung fits within ``FIT_TOL`` gets no points). Its
 candidates settle as in step 3, except that each step takes F from a
 fresh limit batch and only dF/dlambda from the fit: a candidate is kept
-when ``|F| <= root_tol`` and its Newton step is at most ``dedupe_tol``,
-and again ``|F| <= root_tol`` on the recheck trajectory. The report names
+when ``|F| <= ROOT_TOL`` and its Newton step is at most ``dedupe_tol``,
+and again ``|F| <= ROOT_TOL`` on the recheck trajectory. The report names
 the route of each side and its limits, or the limit that was refused.
 
 Each side keeps its roots in a :class:`RootTable` (ascending xi, a
@@ -66,6 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    LIMIT_TOL,
     RECHECK_X0_SCALE,
     ExceptionalSet,
     SymbolLimits,
@@ -78,6 +79,7 @@ from .config import SolverConfig
 from .errors import FitError, LimitRefused, NotConvergent, PoleError
 from .expr import evaluate_array
 from .model import (
+    X_SPAN,
     OperatorMatrix,
     check_structure,
     delta,
@@ -99,6 +101,18 @@ SKIP_SAMPLE = 50
 
 NEWTON_STEPS = 3
 """Newton steps a candidate root that is not yet accepted may take."""
+
+ROOT_TOL = 1e-8
+"""Largest |F_xi(lambda)| that accepts a candidate root."""
+
+# The fallback fit takes limit samples on two circles about FIT_CENTER, of
+# radii FIT_RADII, and accepts a relative residual of at most FIT_TOL.
+FIT_TOL = 1e-7
+FIT_CENTER = 0j
+FIT_RADII = (2.17, 4.31)
+
+XI_MIN = 1e-3
+"""Smallest nonzero |xi| of the default frequency grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +178,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     log = report if report is not None else {}
     dexpr = delta(op)
     xs = np.unique(np.concatenate(
-        [np.linspace(-cfg.x_span, cfg.x_span, cfg.grid_points), [0.0]]))
+        [np.linspace(-X_SPAN, X_SPAN, cfg.grid_points), [0.0]]))
     vals = evaluate_array(dexpr, x=xs)
     finite = np.isfinite(vals)
     dropped = int((~finite).sum())
@@ -298,9 +312,9 @@ def _sample_limits(symbol: SchurSymbol, side: str, count: int,
             break
         rounds = attempt + 1
         ks = np.arange(index, index + need)
-        radii = np.asarray([cfg.fit_radii[k % 2] for k in ks], dtype=float)
+        radii = np.asarray([FIT_RADII[k % 2] for k in ks], dtype=float)
         angles = offset + GOLDEN_ANGLE * ks
-        cand = cfg.fit_center + radii * np.exp(1j * angles)
+        cand = FIT_CENTER + radii * np.exp(1j * angles)
         values, status = limit_ratio_batch(symbol, cand, side, cfg)
         for lam, row, st in zip(cand, values, status):
             if st == "ok" and np.all(np.isfinite(row)):
@@ -348,7 +362,7 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
     """Reconstruct the frozen-limit ratios toward one side.
 
     Degrees climb a ladder (numerator d+1, denominator d) for d = 1..n+1;
-    the first rung whose relative residual meets ``fit_tol`` wins. Raises
+    the first rung whose relative residual meets ``FIT_TOL`` wins. Raises
     :class:`FitError` when too few limit samples converge or no rung
     qualifies.
     """
@@ -365,14 +379,14 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
     for den_deg in range(1, order_n + 2):
         numerators, denominator, residual = _fit_rational(
             lam_arr, r_arr, den_deg + 2, den_deg + 1)
-        if residual <= cfg.fit_tol:
+        if residual <= FIT_TOL:
             return RationalProfile(side, numerators, denominator, residual,
                                    samples_used=int(lam_arr.size),
                                    sample_rounds=rounds)
         best = min(best, residual)
     raise FitError(
         f"no rational reconstruction toward {side}infinity meets fit_tol "
-        f"{cfg.fit_tol:.1e}; the best residual is {best:.3e}")
+        f"{FIT_TOL:.1e}; the best residual is {best:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +395,7 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
 
 def default_xi_grid(cfg: SolverConfig) -> np.ndarray:
     """Zero plus a symmetric log-spaced frequency grid."""
-    tail = np.logspace(math.log10(cfg.xi_min), math.log10(cfg.xi_max),
+    tail = np.logspace(math.log10(XI_MIN), math.log10(cfg.xi_max),
                        cfg.xi_points)
     return np.unique(np.concatenate([-tail, [0.0], tail]))
 
@@ -459,12 +473,12 @@ def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
 
     Each step takes F_xi(lambda) from one limit batch and dF/dlambda from
     the fit, whose cleared polynomial C = Q xi^m + sum_j N_j xi^j is in
-    ``coeffs``. A candidate is kept once ``|F| <= root_tol`` and its
+    ``coeffs``. A candidate is kept once ``|F| <= ROOT_TOL`` and its
     Newton step |F/F'| is at most ``dedupe_tol``: where F is small over a
     wide range of lambda (or does not depend on lambda at all) the
     residual alone passes at points that are no root. One that misses
     takes up to ``NEWTON_STEPS`` Newton steps and is dropped after them.
-    A kept candidate must meet ``|F| <= root_tol`` again on the
+    A kept candidate must meet ``|F| <= ROOT_TOL`` again on the
     independent trajectory from ``RECHECK_X0_SCALE * x0``. Adds its limit
     batches, the lambdas they evaluate and the Newton steps taken to
     ``work``. Returns (kept, lam).
@@ -488,7 +502,7 @@ def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
             c, dc = _horner(coeffs[live], lam[live])
             q, dq = _horner(profile.denominator[None, :], lam[live])
             newton = f * q * q / (dc * q - c * dq)  # F / F'
-        hit = (np.abs(f) <= cfg.root_tol) & (np.abs(newton) <= cfg.dedupe_tol)
+        hit = (np.abs(f) <= ROOT_TOL) & (np.abs(newton) <= cfg.dedupe_tol)
         kept[live[hit]] = True
         live, newton = live[~hit], newton[~hit]
         if live.size == 0 or step == NEWTON_STEPS:
@@ -513,7 +527,7 @@ def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
         ok = status == "ok"
         recheck = np.zeros(idx.size, dtype=bool)
         recheck[ok] = (np.abs(_tail_values(pows[idx[ok]], values[ok], m))
-                       <= cfg.root_tol)
+                       <= ROOT_TOL)
         for i in idx[~recheck]:
             _log_skip(skips, "RecheckSkip", side, xi[i], lam[i],
                       "independent-trajectory recheck failed")
@@ -541,9 +555,9 @@ def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
 
     ``coeffs`` holds each candidate's cleared polynomial C = Q xi^m
     + sum_j N_j xi^j, so F_xi(lambda) = C(lambda)/Q(lambda). A candidate
-    is kept once ``|F_xi(lambda)| <= root_tol``, or once both Newton steps
+    is kept once ``|F_xi(lambda)| <= ROOT_TOL``, or once both Newton steps
     |F/F'| and |C/C'| are at most ``dedupe_tol``: near a pole of F the
-    residual of the float nearest a root can exceed ``root_tol`` while
+    residual of the float nearest a root can exceed ``ROOT_TOL`` while
     the root is located far below the output's resolution. The step on C
     rejects a point near a pole of F, where F/F' is small only because F
     is large, and the step on F a root that C shares with Q. A candidate
@@ -559,7 +573,7 @@ def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
             c, dc = _horner(coeffs[live], lam[live])
             q, dq = _horner(profile.denominator[None, :], lam[live])
             newton = c * q / (dc * q - c * dq)  # F / F'
-            hit = (np.abs(c / q) <= cfg.root_tol) | (
+            hit = (np.abs(c / q) <= ROOT_TOL) | (
                 (np.abs(newton) <= cfg.dedupe_tol)
                 & (np.abs(c / dc) <= cfg.dedupe_tol))
             kept[live[hit]] = True
@@ -947,19 +961,6 @@ def _flag_singular(points: list[SingularPoint], regular: list[RegularPoint],
             for p, f in zip(points, flags)]
 
 
-def _config_echo(cfg: SolverConfig) -> dict:
-    echo = {}
-    for field in dataclasses.fields(cfg):
-        value = getattr(cfg, field.name)
-        if isinstance(value, complex):
-            value = [value.real, value.imag]
-        elif isinstance(value, tuple):
-            value = [[v.real, v.imag] if isinstance(v, complex) else v
-                     for v in value]
-        echo[field.name] = value
-    return echo
-
-
 def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
                        symbol: SchurSymbol | None = None) -> SpectrumSet:
     """Regular curve plus singular branches, with per-point overlap flags.
@@ -971,14 +972,14 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     check_structure(op)
     report: dict = {
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "tolerances": {
             "curve_res": cfg.curve_res,
-            "root_tol": cfg.root_tol,
-            "fit_tol": cfg.fit_tol,
+            "root_tol": ROOT_TOL,
+            "fit_tol": FIT_TOL,
             "dedupe_tol": cfg.dedupe_tol,
             "exc_tol": cfg.exc_tol,
-            "limit_tol": cfg.limit_tol,
+            "limit_tol": LIMIT_TOL,
         },
         "errors": [],
     }

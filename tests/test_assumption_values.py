@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from factories import ZERO, quartic_coupled, random_operator, unbounded_coupling
 from matspectra import asymptotics as asymptotics_module
 from matspectra.asymptotics import (
+    PROBE_MARGIN,
     _check_b2,
     _check_bounded,
     _check_c,
@@ -141,7 +142,7 @@ def reference_check_assumptions(op, symbol_op, probes, grid, cfg):
     records = []
     for probe in map(complex, probes):
         near_curve = bool(delta_vals.size) and float(
-            np.min(np.abs(delta_vals - probe))) <= cfg.probe_margin
+            np.min(np.abs(delta_vals - probe))) <= PROBE_MARGIN
         p_m = tree_values([("p_m", trees[symbol.m])], grid, probe)[0][1]
         batch = [
             _check_bounded("B1", tree_values(b1_trees, grid, probe), probe,
@@ -158,7 +159,7 @@ def reference_check_assumptions(op, symbol_op, probes, grid, cfg):
                 record = DiagnosticRecord(
                     assumption=record.assumption, status="inconclusive",
                     probe=record.probe,
-                    witness=(f"probe within {cfg.probe_margin:g} of the "
+                    witness=(f"probe within {PROBE_MARGIN:g} of the "
                              f"sampled decoupling curve; {label}",
                              location, measured),
                     theta=record.theta, delta_margin=record.delta_margin)

@@ -113,6 +113,20 @@ class TestArgumentParsing:
             make_run("check", QUARTIC_CFG, tmp_path, SolverConfig(),
                      probes=())
 
+    @pytest.mark.parametrize("window", [(-np.inf, 1.0, -1.0, 1.0),
+                                        (-1.0, 1.0, -1.0, np.nan)])
+    def test_run_config_rejects_nonfinite_window(self, tmp_path, window):
+        solver = SolverConfig().with_overrides(window=window)
+        with pytest.raises(ConfigError, match="window bounds must be finite"):
+            make_run("spectrum", PARABOLIC_CFG, tmp_path, solver)
+
+    @pytest.mark.parametrize("probe", [complex(np.nan, 0.0),
+                                       complex(1.0, np.inf)])
+    def test_run_config_rejects_nonfinite_probes(self, tmp_path, probe):
+        with pytest.raises(ConfigError, match="probes must be finite"):
+            make_run("check", QUARTIC_CFG, tmp_path, SolverConfig(),
+                     probes=(1 + 1j, probe))
+
 
 class TestExitCodes:
     def test_check_passes_on_bundled_config(self, tmp_path):
@@ -141,6 +155,17 @@ class TestExitCodes:
         code = main(["check", "--config", str(QUARTIC_CFG),
                      "--out", str(tmp_path), "--window", "1,2,3"])
         assert code == EXIT_STRUCTURE
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--config", str(PARABOLIC_CFG), "--window=-inf,1,-1,1",
+         "--svg"],
+        ["check", "--config", str(QUARTIC_CFG), "--probes=nan,1e400"],
+    ], ids=["window", "probes"])
+    def test_nonfinite_flags_exit_structure(self, argv, tmp_path, capsys):
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code == EXIT_STRUCTURE
+        assert "must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["check", "spectrum", "print-schur"])
     def test_lambda_in_config_exits_structure(self, command, tmp_path,
@@ -364,8 +389,7 @@ class TestSvgRendering:
             SingularPoint(side="-", xi=2.0, lam=-3 - 2j, branch_id=2),
         )
         exceptional = ExceptionalSet(points=(), radii=(),
-                                     window_exponents=(), sides=(),
-                                     declared=None)
+                                     window_exponents=())
         return SpectrumSet(regular=regular, singular=singular,
                            exceptional=exceptional, report={})
 
@@ -398,8 +422,7 @@ class TestSvgRendering:
             for i in range(3)
         )
         exceptional = ExceptionalSet(points=(), radii=(),
-                                     window_exponents=(), sides=(),
-                                     declared=None)
+                                     window_exponents=())
         spectrum = SpectrumSet(regular=regular, singular=(),
                                exceptional=exceptional, report={})
         svg = render_svg(spectrum, (-1.0, 110.0, -1.0, 1.0))

@@ -1,8 +1,12 @@
-"""Every exported name resolves, so no export outlives what it names."""
+"""Every exported name resolves, so no export outlives what it names; the
+solver config and the exceptional set carry only what callers use."""
 
+import dataclasses
 import importlib
 
 import pytest
+
+from matspectra import ExceptionalSet, SolverConfig
 
 
 @pytest.mark.parametrize("module_name", ["matspectra", "matspectra.cli"])
@@ -10,3 +14,12 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def test_config_and_exceptional_set_keep_only_used_fields():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "x0", "cluster_tol", "windows", "curve_res", "max_points",
+        "grid_points", "dedupe_tol", "exc_tol", "xi_max", "xi_points",
+        "bound_cap", "node_ceiling", "eig_budget", "window"]
+    assert set(ExceptionalSet((), (), ()).to_json_dict()) == {
+        "points", "radii", "window_exponents"}

@@ -14,6 +14,7 @@ from matspectra.config import SolverConfig
 from matspectra.errors import ConfigError, StructureError
 from matspectra.expr import Lit, evaluate, evaluate_array, parse, simplify
 from matspectra.model import (
+    X_SPAN,
     DiagnosticRecord,
     OperatorMatrix,
     check_structure,
@@ -232,9 +233,12 @@ def test_loader_rejects_lambda_in_coefficients(key, value):
 
 
 def test_loader_rejects_structurally_invalid_orders():
-    text = "m = 3\nn = 1\nk = 2\na0 = 0\na1 = 0\na2 = 0\na3 = 1\nb0 = 0\nb1 = 1\nc0 = 0\nc1 = 0\nc2 = 1\nd = 0\n"
-    with pytest.raises(StructureError):
-        parse_operator_text(text)
+    odd = "m = 3\nn = 1\nk = 2\na0 = 0\na1 = 0\na2 = 0\na3 = 1\nb0 = 0\nb1 = 1\nc0 = 0\nc1 = 0\nc2 = 1\nd = 0\n"
+    # m = n = k = 0: the symbol has no ratio p_j/p_m to take the limit of.
+    zero = "m = 0\nn = 0\nk = 0\na0 = 1\nb0 = 1\nc0 = 1\nd = 0\n"
+    for text, cause in ((odd, "even"), (zero, "positive")):
+        with pytest.raises(StructureError, match=cause):
+            parse_operator_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -247,5 +251,5 @@ def test_validation_grid_shape_and_extent():
     assert grid[0] == -1e6 and grid[-1] == 1e6
     assert 0.0 in grid
     assert np.all(np.diff(grid) > 0)
-    core = grid[np.abs(grid) <= cfg.x_span]
+    core = grid[np.abs(grid) <= X_SPAN]
     assert core.size >= cfg.grid_points

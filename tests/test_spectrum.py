@@ -21,7 +21,7 @@ from factories import (
     random_operator,
 )
 from matspectra import config as config_module
-from matspectra.asymptotics import ExceptionalSet
+from matspectra.asymptotics import LIMIT_TOL, ExceptionalSet
 from matspectra.config import SolverConfig, window_contains
 from matspectra.asymptotics import limit_ratio, limit_ratio_batch
 from matspectra.errors import FitError, LimitRefused, NotConvergent, PoleError
@@ -32,8 +32,10 @@ from matspectra.oracle import det_scan, freeze
 from matspectra.schur import build_schur
 from matspectra.spectrum import (
     CSV_HEADER,
+    FIT_TOL,
     NEWTON_STEPS,
     REGULAR_SIDE,
+    ROOT_TOL,
     SKIP_KINDS,
     SKIP_SAMPLE,
     RegularPoint,
@@ -305,7 +307,7 @@ def test_closed_form_accepts_a_root_near_a_pole_by_its_newton_step():
     kept, lam = spectrum_module._settle_closed_form(
         profile, coeffs, xi, np.array([root, 1 + 1e-12], dtype=complex),
         SolverConfig(), skips, work)
-    assert abs(xi[0] ** 2 - 1 / (root - 1)) > SolverConfig().root_tol
+    assert abs(xi[0] ** 2 - 1 / (root - 1)) > ROOT_TOL
     assert kept.tolist() == [True, False]
     assert lam[0] == root and abs(lam[1] - 1) == pytest.approx(8e-12)
     assert work["newton_iterations"] == 3
@@ -1034,7 +1036,7 @@ def test_flags_match_the_loop(data):
     regular = [RegularPoint(float(k), lam)
                for k, lam in enumerate(data.draw(cloud))]
     exceptional = ExceptionalSet(points=tuple(data.draw(exc_cloud)),
-                                 radii=(), window_exponents=(), sides="both")
+                                 radii=(), window_exponents=())
     got = _flag_singular(points, regular, exceptional, cfg)
     assert got == _loop_flag_singular(points, regular, exceptional, cfg)
 
@@ -1140,7 +1142,7 @@ class TestEssentialSpectrum:
                     "regular", "exceptional", "singular", "errors"):
             assert key in report
         assert report["errors"] == []
-        assert report["tolerances"]["root_tol"] == SolverConfig().root_tol
+        assert report["tolerances"]["root_tol"] == ROOT_TOL
         grid_points = default_xi_grid(SolverConfig()).size
         for side in ("+", "-"):
             fit = report["singular"]["fits"][side]
@@ -1153,7 +1155,7 @@ class TestEssentialSpectrum:
                 assert entry["zero"] is (abs(complex(*entry["value"]))
                                          <= 2.0 * entry["tail_bound"])
                 assert entry["sample_count"] >= 4
-                assert entry["last_increment"] <= SolverConfig().limit_tol \
+                assert entry["last_increment"] <= LIMIT_TOL \
                     * (1.0 + abs(complex(*entry["value"])))
                 assert entry["recheck"]["sample_count"] >= 4
             sweep = report["singular"]["sweeps"][side]
@@ -1182,7 +1184,7 @@ class TestEssentialSpectrum:
             fit = report["singular"]["fits"][side]
             assert fit["route"] == "fit"
             assert fit["refused"]["label"] == "alpha_0"
-            assert fit["residual"] <= cfg.fit_tol
+            assert fit["residual"] <= FIT_TOL
             sweep = report["singular"]["sweeps"][side]
             assert sweep["points"] > 0
             assert grid_points - 1 <= sweep["segments_checked"] \
@@ -1322,7 +1324,7 @@ def test_fallback_points_are_roots_by_the_true_slope(seed):
         h = 1e-6
         value = tail(lam)
         slope = (tail(lam + h) - tail(lam - h)) / (2.0 * h)
-        assert np.abs(value).max() <= FALLBACK_CFG.root_tol
+        assert np.abs(value).max() <= ROOT_TOL
         assert np.abs(value / slope).max() <= 2.0 * FALLBACK_CFG.dedupe_tol
 
 
