@@ -104,7 +104,7 @@ class RunConfig:
         if not (re_min < re_max and im_min < im_max):
             raise ConfigError(f"window must be non-degenerate, got {window}")
         for name in _POSITIVE_TOLERANCES:
-            if getattr(self.solver, name) <= 0.0:
+            if not getattr(self.solver, name) > 0.0:  # refuses NaN too
                 raise ConfigError(f"tolerance {name} must be positive")
         if not self.probes:
             raise ConfigError("probe list must not be empty")

@@ -47,6 +47,15 @@ when ``|F| <= ROOT_TOL`` and its Newton step is at most ``dedupe_tol``,
 and again ``|F| <= ROOT_TOL`` on the recheck trajectory. The report names
 the route of each side and its limits, or the limit that was refused.
 
+A closed-form sweep reads only the profile, the frequency grid and the
+config, so two sides with the same limits share one sweep: when the -
+side's closed-form profile equals the + side's byte for byte (numerator
+shape and the bytes of N_j and Q), the - side takes the + side's roots,
+its skips relabelled to "-" and its sweep report, marked
+``"reused": "+"``, instead of sweeping again. Both bundled operators
+have coefficients even in x and take this path. A fitted side is always
+swept on its own, since its polish samples limits toward its own end.
+
 Each side keeps its roots in a :class:`RootTable` (ascending xi, a
 NaN-padded root array, a count per row), so the window tests, dedupe,
 segment checks, side merging and flags run as array operations. Every
@@ -877,6 +886,8 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     sweeps: dict[str, dict] = {}
     errors: list[FitError] = []
     side_roots = dict.fromkeys(("+", "-"), _empty_rows(np.empty(0)))
+    # Closed-form sweeps by profile bytes: (side, table, info, its skips).
+    swept: dict[tuple, tuple[str, RootTable, dict, list]] = {}
 
     for side in ("+", "-"):
         try:
@@ -900,7 +911,21 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
         fits[side].update(
             numerator_degree=int(profile.numerators.shape[1] - 1),
             denominator_degree=int(profile.denominator.size - 1))
-        tracked, info = _sweep_side(symbol, profile, xi_values, cfg, skips)
+        # Bytes, not values, say two profiles are the same: -0.0 == 0.0,
+        # yet a zero's sign can reach a root's. A fitted side is never
+        # reused, since its polish samples limits toward its own end.
+        key = None if profile.limits is None else (
+            profile.numerators.shape, profile.numerators.tobytes(),
+            profile.denominator.tobytes())
+        if key in swept:
+            source, tracked, info, side_skips = swept[key]
+            info = {**info, "reused": source}
+            skips += [{**entry, "side": side} for entry in side_skips]
+        else:
+            start = len(skips)
+            tracked, info = _sweep_side(symbol, profile, xi_values, cfg, skips)
+            if key is not None:
+                swept[key] = (side, tracked, info, skips[start:])
         emitted = _near_window(tracked.lam, cfg.window, _keep_pad(cfg))
         info["outside_window"] = int(tracked.count.sum() - emitted.sum())
         sweeps[side] = info

@@ -104,6 +104,12 @@ class TestArgumentParsing:
         with pytest.raises(ConfigError, match="positive"):
             make_run("check", QUARTIC_CFG, tmp_path, solver)
 
+    @pytest.mark.parametrize("name", ["curve_res", "dedupe_tol", "exc_tol"])
+    def test_run_config_rejects_nan_tolerance(self, tmp_path, name):
+        solver = SolverConfig().with_overrides(**{name: np.nan})
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            make_run("spectrum", QUARTIC_CFG, tmp_path, solver)
+
     def test_unknown_solver_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             SolverConfig().with_overrides(bogus=1)

@@ -375,6 +375,101 @@ def test_closed_form_points_match_det_scan(seed, m):
     assert np.abs(roots - lams[:, None]).min(axis=1).max() <= 1e-6
 
 
+def _closed_form_or_none(symbol, side, cfg):
+    try:
+        return _closed_form_side(symbol, side, cfg)[0]
+    except LimitRefused:
+        return None
+
+
+def _sweeps_with_reuse_checked(op, cfg) -> tuple[int, dict]:
+    """Run ``singular_part`` and check a reused - sweep against a fresh one.
+
+    The - side must reuse the + sweep exactly when both sides take the
+    closed form with byte-identical profiles; then its table, sweep report
+    and skips must equal those of ``_sweep_side`` on its own profile, bit
+    for bit. Returns the number of sweeps ``singular_part`` ran and its
+    report.
+    """
+    symbol = build_schur(op)
+    sweep = spectrum_module._sweep_side
+    runs = []
+
+    def recorded(symbol, profile, xi_grid, cfg, skips):
+        table, info = sweep(symbol, profile, xi_grid, cfg, skips)
+        runs.append((table, dict(info), skips))
+        return table, info
+
+    report = {}
+    with mock.patch.object(spectrum_module, "_sweep_side", recorded):
+        singular_part(op, symbol, cfg=cfg, report=report)
+    sweeps = report["singular"]["sweeps"]
+    plus, minus = (_closed_form_or_none(symbol, side, cfg) for side in "+-")
+    same = plus is not None and minus is not None and (
+        plus.numerators.shape == minus.numerators.shape
+        and plus.numerators.tobytes() == minus.numerators.tobytes()
+        and plus.denominator.tobytes() == minus.denominator.tobytes())
+    if not same:
+        assert "reused" not in sweeps.get("-", {})
+        return len(runs), report
+    assert len(runs) == 1 and sweeps["-"]["reused"] == "+"
+    table, info, skips = runs[0]
+    fresh_skips = []
+    fresh, fresh_info = sweep(symbol, minus, default_xi_grid(cfg), cfg,
+                              fresh_skips)
+    for name in ("xi", "lam", "count"):
+        assert getattr(fresh, name).tobytes() == getattr(table, name).tobytes()
+    assert fresh_info == info
+    assert {k: v for k, v in sweeps["-"].items() if k != "reused"} \
+        == sweeps["+"]
+    assert [e for e in skips if e["side"] == "-"] == fresh_skips
+    return len(runs), report
+
+
+SMALL_SWEEP = SolverConfig().with_overrides(curve_res=0.1, xi_points=60)
+"""Settings of the random-operator corpora, small enough for tier 1."""
+
+
+@pytest.mark.parametrize("path", [QUARTIC_CFG, PARABOLIC_CFG],
+                         ids=["quartic", "parabolic"])
+def test_bundled_operators_sweep_their_tail_polynomial_once(path):
+    cfg = SolverConfig().with_overrides(window=(-2.0, 2.0, -2.0, 2.0),
+                                        curve_res=1e-2)
+    assert _sweeps_with_reuse_checked(load_operator(path), cfg)[0] == 1
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_reused_sweeps_of_constant_operators_are_exact(m):
+    for seed in range(50):
+        op = random_constant_operator(random.Random(seed), m)
+        assert _sweeps_with_reuse_checked(op, SMALL_SWEEP)[0] == 1
+
+
+def test_reused_sweeps_of_settling_operators_are_exact():
+    runs = set()
+    for seed in range(50):
+        rng = random.Random(seed)
+        op = random_operator(rng, rng.choice([2, 4]), settling=True)
+        runs.add(_sweeps_with_reuse_checked(op, SMALL_SWEEP)[0])
+    # Most draws share one sweep; on a few (seeds 41, 45 and 46) a limit
+    # differs between the ends in its last bits, and each end is swept.
+    assert runs == {1, 2}
+
+
+def test_sides_with_different_limits_are_swept_apart():
+    # a_0 = atan(x) tends to +-pi/2, so N_0 differs between the sides.
+    op = OperatorMatrix(a=(parse("atan(x)"), Lit(0j), Lit(1 + 0j)),
+                        b=(Lit(0j), Lit(-1j)), c=(Lit(0j), Lit(1j)),
+                        d=parse("1/(1 + x^2)"))
+    sweeps, report = _sweeps_with_reuse_checked(op, SMALL_SWEEP)
+    assert sweeps == 2
+    fits = report["singular"]["fits"]
+    assert fits["+"]["route"] == fits["-"]["route"] == "closed_form"
+    alpha_0 = [next(complex(*entry["value"]) for entry in fits[side]["limits"]
+                    if entry["label"] == "alpha_0") for side in "+-"]
+    assert alpha_0 == pytest.approx([math.pi / 2, -math.pi / 2], abs=1e-7)
+
+
 @pytest.mark.parametrize("path", [QUARTIC_CFG, PARABOLIC_CFG],
                          ids=["quartic", "parabolic"])
 def test_closed_form_point_count_stays_near_the_fit_route(path, monkeypatch):
@@ -1186,6 +1281,8 @@ class TestEssentialSpectrum:
             assert fit["refused"]["label"] == "alpha_0"
             assert fit["residual"] <= FIT_TOL
             sweep = report["singular"]["sweeps"][side]
+            # Both ends fit alike, yet each polishes on its own limits.
+            assert "reused" not in sweep
             assert sweep["points"] > 0
             assert grid_points - 1 <= sweep["segments_checked"] \
                 <= 2 * sweep["frequencies"]

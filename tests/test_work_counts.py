@@ -4,7 +4,9 @@ Every node visit of ``expr._eval_array`` and ``expr._eval_jet`` is counted,
 so a change that samples a tree more often fails here whatever the timing
 noise. The ceilings are measured counts; lower is fine. The spectrum's
 ceiling is the count since the singular sweep solves a closed-form tail
-polynomial (27,357 while it polished roots on limit batches).
+polynomial (27,357 while it polished roots on limit batches). The sweep's
+frequency batches are counted too: both ends of the quartic share one tail
+polynomial, which is swept once (38 batches while each end swept its own).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from factories import QUARTIC_CFG
-from matspectra import expr
+from matspectra import expr, spectrum
 from matspectra.cli import main
 from matspectra.config import SolverConfig
 from matspectra.model import load_operator
@@ -45,6 +47,21 @@ def test_quartic_spectrum_walks_no_more_nodes(visits):
     essential_spectrum(op, QUARTIC_WINDOW)
     assert visits["_eval_array"] <= 908
     assert visits["_eval_jet"] == 0
+
+
+def test_quartic_spectrum_solves_no_more_batches(monkeypatch):
+    op = load_operator(QUARTIC_CFG)
+    calls = 0
+    solve = spectrum._solve_at
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(spectrum, "_solve_at", counted)
+    essential_spectrum(op, QUARTIC_WINDOW)
+    assert calls <= 19
 
 
 def test_quartic_check_walks_no_more_nodes(visits, tmp_path):
