@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import check_assumptions
-from .config import SolverConfig, parse_complex, window_contains
+from .config import SolverConfig, parse_complex
 from .errors import (ConfigError, MatspectraError, ParseError, RefusedFrozen,
                      StructureError)
 from .expr import simplify, to_text
@@ -40,8 +40,9 @@ from .model import (Diagnostics, OperatorMatrix, delta, load_operator,
                     validate, validation_grid)
 from .oracle import det_scan, discretize_and_eig, freeze
 from .schur import SchurSymbol, build_schur, coefficient_trees
-from .spectrum import (SpectrumSet, _format_number, default_xi_grid,
-                       essential_spectrum, write_csv)
+from .spectrum import (REGULAR_SIDE, SIDES, SpectrumSet, _format_number,
+                       _near_window, default_xi_grid, essential_spectrum,
+                       write_csv)
 
 __all__ = [
     "EXIT_ASSUMPTION_FAILED",
@@ -263,13 +264,14 @@ def _one_sided_distance(source, target) -> float | None:
     return float(np.max(gaps))
 
 
-def _spectrum_point_sets(spectrum: SpectrumSet,
-                         cfg: SolverConfig) -> tuple[list, list]:
-    regular = [p.lam for p in spectrum.regular
-               if window_contains(cfg.window, p.lam)]
-    singular = [p.lam for p in spectrum.singular
-                if window_contains(cfg.window, p.lam)]
-    return regular, singular
+def _in_window(lam: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    return lam[_near_window(lam, cfg.window, 0.0)]
+
+
+def _spectrum_point_sets(spectrum: SpectrumSet, cfg: SolverConfig
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    return (_in_window(spectrum.regular.lam, cfg),
+            _in_window(spectrum.singular.lam, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +359,20 @@ def _det_scan_report(op: OperatorMatrix, spectrum: SpectrumSet,
     sides = ("+", "-")
     frozen = {side: freeze(op, side, cfg) for side in sides}
 
-    default_grid = [float(x) for x in default_xi_grid(cfg)]
+    singular = spectrum.singular
     side_reports = {}
     all_roots: list[complex] = []
     for side in sides:
-        side_points = [p for p in spectrum.singular if p.side in (side, "·")]
-        xi_values = sorted({p.xi for p in side_points}) or default_grid
+        mine = np.isin(singular.side, [SIDES.index(side),
+                                       SIDES.index(REGULAR_SIDE)])
+        xi_values = np.unique(singular.xi[mine])
+        if not xi_values.size:
+            xi_values = default_xi_grid(cfg)
         scan = det_scan(frozen[side], xi_values)
-        roots = [root for point in scan for root in point.roots
-                 if window_contains(cfg.window, root)]
-        spectrum_lams = [p.lam for p in side_points
-                         if window_contains(cfg.window, p.lam)]
-        all_roots.extend(roots)
+        roots = _in_window(np.array([point.roots for point in scan]).ravel(),
+                           cfg)
+        spectrum_lams = _in_window(singular.lam[mine], cfg)
+        all_roots.extend(roots.tolist())
         side_reports[side] = {
             "frequencies": len(xi_values),
             "oracle_points": len(roots),
@@ -394,14 +398,14 @@ def _det_scan_report(op: OperatorMatrix, spectrum: SpectrumSet,
 def _discretize_report(op: OperatorMatrix, spectrum: SpectrumSet,
                        cfg: SolverConfig) -> tuple[dict, list[complex]]:
     regular, singular = _spectrum_point_sets(spectrum, cfg)
-    predicted = regular + singular
+    predicted = np.concatenate([regular, singular])
     sweep = []
     last_cloud: list[complex] = []
     for length in _TRUNCATION_LENGTHS:
         n_points = min(int(2 * length * length), cfg.eig_budget)
         eig = discretize_and_eig(op, length, n_points,
                                  bc="dirichlet_truncate", cfg=cfg)
-        cloud = [complex(v) for v in eig if window_contains(cfg.window, v)]
+        cloud = _in_window(np.asarray(eig, dtype=complex), cfg).tolist()
         sweep.append({
             "length": length,
             "n_points": n_points,
@@ -491,22 +495,6 @@ def cmd_print_schur(run: RunConfig) -> int:
 # SVG rendering
 # ---------------------------------------------------------------------------
 
-def _polyline_runs(points: list[complex], jump: float) -> list[list[complex]]:
-    """Split an ordered point sequence where consecutive values jump."""
-    runs: list[list[complex]] = []
-    current: list[complex] = []
-    previous: complex | None = None
-    for value in points:
-        if previous is not None and abs(value - previous) > jump:
-            runs.append(current)
-            current = []
-        current.append(value)
-        previous = value
-    if current:
-        runs.append(current)
-    return runs
-
-
 def render_svg(spectrum: SpectrumSet, window, *,
                width: float = 800.0, height: float = 600.0) -> str:
     """Plot the spectrum: regular part in red, singular branches in blue."""
@@ -514,19 +502,30 @@ def render_svg(spectrum: SpectrumSet, window, *,
     margin = 50.0
     plot_w = width - 2.0 * margin
     plot_h = height - 2.0 * margin
-
-    def sx(re: float) -> float:
-        return margin + (re - re_min) / (re_max - re_min) * plot_w
-
-    def sy(im: float) -> float:
-        return margin + (im_max - im) / (im_max - im_min) * plot_h
-
-    def pts(values: list[complex]) -> str:
-        return " ".join(f"{sx(v.real):.2f},{sy(v.imag):.2f}" for v in values)
-
     jump = 0.04 * math.hypot(re_max - re_min, im_max - im_min)
-    body: list[str] = []
 
+    def xy(lam: np.ndarray) -> list[str]:
+        """Screen coordinates "x,y" of each value, to two decimals."""
+        sx = margin + (lam.real - re_min) / (re_max - re_min) * plot_w
+        sy = margin + (im_max - lam.imag) / (im_max - im_min) * plot_h
+        return [f"{x:.2f},{y:.2f}" for x, y in zip(sx.tolist(), sy.tolist())]
+
+    def dot(kind: str, at: str, radius: str) -> str:
+        x, y = at.split(",")
+        return f'<circle class="{kind}-dot" cx="{x}" cy="{y}" r="{radius}"/>'
+
+    def runs(kind: str, lam: np.ndarray, cut: np.ndarray) -> list[str]:
+        """A polyline per run of ``lam`` between cuts and jumps, a dot per
+        single point; ``cut[k]`` cuts before point k + 1."""
+        gap = np.diff(lam)
+        starts = np.flatnonzero(cut | (np.hypot(gap.real, gap.imag) > jump))
+        bounds = [0, *(starts + 1).tolist(), lam.size] if lam.size else []
+        coords = xy(lam)
+        return [f'<polyline class="{kind}" points="{" ".join(coords[a:b])}"/>'
+                if b - a >= 2 else dot(kind, coords[a], "2.2")
+                for a, b in zip(bounds, bounds[1:])]
+
+    body: list[str] = []
     body.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">')
@@ -545,14 +544,13 @@ def render_svg(spectrum: SpectrumSet, window, *,
     body.append(
         f'<rect class="frame" x="{margin:g}" y="{margin:g}" '
         f'width="{plot_w:g}" height="{plot_h:g}"/>')
+    x0, y0 = xy(np.zeros(1, dtype=complex))[0].split(",")
     if re_min < 0.0 < re_max:
-        x0 = sx(0.0)
-        body.append(f'<line class="axis" x1="{x0:.2f}" y1="{margin:g}" '
-                    f'x2="{x0:.2f}" y2="{height - margin:g}"/>')
+        body.append(f'<line class="axis" x1="{x0}" y1="{margin:g}" '
+                    f'x2="{x0}" y2="{height - margin:g}"/>')
     if im_min < 0.0 < im_max:
-        y0 = sy(0.0)
-        body.append(f'<line class="axis" x1="{margin:g}" y1="{y0:.2f}" '
-                    f'x2="{width - margin:g}" y2="{y0:.2f}"/>')
+        body.append(f'<line class="axis" x1="{margin:g}" y1="{y0}" '
+                    f'x2="{width - margin:g}" y2="{y0}"/>')
     body.append(f'<text x="{margin:g}" y="{height - margin + 18:g}" '
                 f'text-anchor="start">Re = {re_min:g}</text>')
     body.append(f'<text x="{width - margin:g}" y="{height - margin + 18:g}" '
@@ -568,34 +566,20 @@ def render_svg(spectrum: SpectrumSet, window, *,
 
     body.append('<g clip-path="url(#plot)">')
 
-    finite_regular = [p.lam for p in sorted(
-        (p for p in spectrum.regular if math.isfinite(p.x_param)),
-        key=lambda p: p.x_param)]
-    for run in _polyline_runs(finite_regular, jump):
-        if len(run) >= 2:
-            body.append(f'<polyline class="regular" points="{pts(run)}"/>')
-        else:
-            body.append(f'<circle class="regular-dot" cx="{sx(run[0].real):.2f}" '
-                        f'cy="{sy(run[0].imag):.2f}" r="2.2"/>')
-    for point in spectrum.regular:
-        if not math.isfinite(point.x_param):
-            body.append(f'<circle class="regular-dot" '
-                        f'cx="{sx(point.lam.real):.2f}" '
-                        f'cy="{sy(point.lam.imag):.2f}" r="3"/>')
+    regular = spectrum.regular
+    finite = np.isfinite(regular.x_param)
+    curve = regular.lam[finite][np.argsort(regular.x_param[finite],
+                                           kind="stable")]
+    body += runs("regular", curve, np.zeros(max(curve.size - 1, 0), bool))
+    body += [dot("regular", at, "3") for at in xy(regular.lam[~finite])]
 
-    branches: dict[tuple[str, int], list] = {}
-    for point in spectrum.singular:
-        branches.setdefault((point.side, point.branch_id), []).append(point)
-    for key in sorted(branches):
-        ordered = [p.lam for p in sorted(branches[key], key=lambda p: p.xi)]
-        for run in _polyline_runs(ordered, jump):
-            if len(run) >= 2:
-                body.append(
-                    f'<polyline class="singular" points="{pts(run)}"/>')
-            else:
-                body.append(f'<circle class="singular-dot" '
-                            f'cx="{sx(run[0].real):.2f}" '
-                            f'cy="{sy(run[0].imag):.2f}" r="2.2"/>')
+    # Branches by (side, branch id), each by ascending xi; the side codes
+    # order the sides as their tokens do.
+    singular = spectrum.singular
+    order = np.lexsort((singular.xi, singular.branch_id, singular.side))
+    side, branch = singular.side[order], singular.branch_id[order]
+    body += runs("singular", singular.lam[order],
+                 (np.diff(side) != 0) | (np.diff(branch) != 0))
 
     body.append("</g>")
     body.append("</svg>")

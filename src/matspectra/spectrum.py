@@ -58,11 +58,22 @@ swept on its own, since its polish samples limits toward its own end.
 
 Each side keeps its roots in a :class:`RootTable` (ascending xi, a
 NaN-padded root array, a count per row), so the window tests, dedupe,
-segment checks, side merging and flags run as array operations. Every
-distance compared with a tolerance is ``np.hypot`` of the difference,
-which equals Python's ``abs(complex)`` bit for bit. Branch ids follow
-nearest-neighbor continuation in xi; coincident roots from the two sides
-merge into points labeled with the neutral side.
+segment checks and side merging run as array operations. Every distance
+compared with a tolerance is ``np.hypot`` of the difference, which equals
+Python's ``abs(complex)`` bit for bit. Coincident roots from the two sides
+merge into points labeled with the neutral side. Branch ids follow greedy
+nearest-neighbor continuation in xi: runs of rows where the greedy choice
+is forced are assigned by composing per-row permutations, and only the
+joints between runs take the per-row loop.
+
+Both parts leave as column tables, which the flags, the CSV rows and the
+SVG plot read as arrays. :class:`RegularTable` holds ``x_param`` and
+``lam``; :class:`SingularTable` holds ``side`` (a code into
+:data:`SIDES`: 0 ``+``, 1 ``-``, 2 the neutral ``·``, the CSV order),
+``xi``, ``lam``, ``branch_id`` and ``flags`` (1 for ``in_exceptional``
+plus 2 for ``in_regular_closure``). Iterating over a table, indexing it or
+taking its ``len()`` treats it as a sequence of :class:`RegularPoint` or
+:class:`SingularPoint` rows, each built on demand.
 """
 
 from __future__ import annotations
@@ -125,8 +136,18 @@ XI_MIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
-# Point containers
+# The two parts as column tables
 # ---------------------------------------------------------------------------
+
+SIDES = ("+", "-", REGULAR_SIDE)
+"""Side tokens by side code; the codes are the CSV rank of the sides."""
+
+FLAGS = ("in_exceptional", "in_regular_closure")
+"""Flag names by bit: bit k (value 2**k) of a flag code sets ``FLAGS[k]``."""
+
+_FLAG_NAMES = [tuple(name for k, name in enumerate(FLAGS) if code >> k & 1)
+               for code in range(1 << len(FLAGS))]
+
 
 @dataclass(frozen=True)
 class RegularPoint:
@@ -147,12 +168,74 @@ class SingularPoint:
     flags: tuple[str, ...] = ()
 
 
+class _Rows:
+    """A column table as a sequence of rows, each built on demand."""
+
+    def __len__(self) -> int:
+        return self.lam.size
+
+    def __getitem__(self, k: int):
+        return self._row(*(getattr(self, f.name)[k].item()
+                           for f in dataclasses.fields(self)))
+
+    def __iter__(self):
+        return map(self._row, *(getattr(self, f.name).tolist()
+                                for f in dataclasses.fields(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class RegularTable(_Rows):
+    """The regular part, one row per curve sample: ``x_param`` (float, the
+    endpoint limits at +/-inf) and ``lam`` (complex). Rows are
+    :class:`RegularPoint`."""
+
+    x_param: np.ndarray
+    lam: np.ndarray
+
+    _row = RegularPoint
+
+    @classmethod
+    def from_rows(cls, rows) -> "RegularTable":
+        rows = list(rows)
+        return cls(np.array([p.x_param for p in rows], dtype=float),
+                   np.array([p.lam for p in rows], dtype=complex))
+
+
+@dataclass(frozen=True, eq=False)
+class SingularTable(_Rows):
+    """The singular part, one row per point: ``side`` (a code into
+    :data:`SIDES`), ``xi``, ``lam``, ``branch_id`` and ``flags`` (bits into
+    :data:`FLAGS`). Rows are :class:`SingularPoint`."""
+
+    side: np.ndarray
+    xi: np.ndarray
+    lam: np.ndarray
+    branch_id: np.ndarray
+    flags: np.ndarray
+
+    @staticmethod
+    def _row(side, xi, lam, branch_id, flags) -> SingularPoint:
+        return SingularPoint(SIDES[side], xi, lam, branch_id,
+                             _FLAG_NAMES[flags])
+
+    @classmethod
+    def from_rows(cls, rows) -> "SingularTable":
+        rows = list(rows)
+        return cls(
+            np.array([SIDES.index(p.side) for p in rows], dtype=np.int8),
+            np.array([p.xi for p in rows], dtype=float),
+            np.array([p.lam for p in rows], dtype=complex),
+            np.array([p.branch_id for p in rows], dtype=int),
+            np.array([sum(1 << FLAGS.index(f) for f in set(p.flags))
+                      for p in rows], dtype=np.uint8))
+
+
 @dataclass(frozen=True)
 class SpectrumSet:
     """Union of the regular and singular parts plus the run report."""
 
-    regular: tuple[RegularPoint, ...]
-    singular: tuple[SingularPoint, ...]
+    regular: RegularTable
+    singular: SingularTable
     exceptional: ExceptionalSet
     report: dict
 
@@ -173,7 +256,7 @@ def _near_window(vals: np.ndarray, window, pad: float) -> np.ndarray:
 
 
 def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
-                 report: dict | None = None) -> list[RegularPoint]:
+                 report: dict | None = None) -> RegularTable:
     """Sample the decoupling curve adaptively and append endpoint limits.
 
     Consecutive samples whose images lie near the output window are refined
@@ -215,8 +298,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     keep = np.ones(xs.size, dtype=bool)
     if xs.size > 1:
         keep[1:] = np.abs(np.diff(vals)) > 1e-12
-    points = [RegularPoint(float(x), complex(v))
-              for x, v in zip(xs[keep], vals[keep])]
+    x_param, lam = [xs[keep]], [vals[keep]]
 
     endpoints: dict[str, dict] = {}
     for side, tag in (("-", -math.inf), ("+", math.inf)):
@@ -225,19 +307,21 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
         except (NotConvergent, PoleError) as exc:
             endpoints[side] = {"converged": False, "reason": type(exc).__name__}
             continue
-        points.append(RegularPoint(tag, value))
+        x_param.append(np.array([tag]))
+        lam.append(np.array([value], dtype=complex))
         endpoints[side] = {
             "converged": True,
             "value": [value.real, value.imag],
             "samples": cert.sample_count,
         }
+    table = RegularTable(np.concatenate(x_param), np.concatenate(lam))
     log["regular"] = {
-        "points": len(points),
+        "points": len(table),
         "dropped_nonfinite": dropped,
         "refinement_rounds": rounds,
         "endpoints": endpoints,
     }
-    return points
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -795,46 +879,131 @@ def _sweep_side(symbol: SchurSymbol, profile: RationalProfile,
 # Branch continuation and side merging
 # ---------------------------------------------------------------------------
 
+def _in_gate(dist, head_size, root_size, floor: float):
+    """The continuation gate ``max(floor, 0.05 (1 + (|head| + |root|) / 2))``,
+    on Python floats or arrays alike."""
+    return (dist <= floor) | (dist <= 0.05 * (1.0 + 0.5 * (head_size
+                                                           + root_size)))
+
+
+def _forced_rows(lam: np.ndarray, size: np.ndarray, count: np.ndarray,
+                 floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows whose continuation from the row before is a forced permutation.
+
+    Row i (of ``count[i]`` roots, ``size`` their moduli) is forced when the
+    row before holds as many roots and, among the pairs within the gate,
+    each root a of row i and the root ``perm[i, a]`` before it are each
+    other's nearest, the first of equally near ones. Returns ``forced``,
+    ``perm`` and the pair distances ``near``. Once row i-1 is assigned,
+    its roots are the heads of their branches, and the greedy loop pairs
+    row i by ``perm`` unless a head that row i-1 did not move is as near:
+    a tie it would break otherwise fails the mutual test.
+    """
+    forced = np.zeros(count.size, dtype=bool)
+    perm = np.zeros(lam.shape, dtype=np.intp)
+    near = np.zeros(lam.shape)
+    rows = np.flatnonzero(count[1:] == count[:-1]) + 1
+    for c in np.unique(count[rows]).tolist():
+        at = rows[count[rows] == c]
+        dist = _distances(lam[at, :c], lam[at - 1, :c])  # (row, root, head)
+        dist = np.where(_in_gate(dist, size[at - 1, None, :c],
+                                 size[at, :c, None], floor), dist, np.inf)
+        head = dist.argmin(axis=2)
+        best = np.take_along_axis(dist, head[:, :, None], 2)[:, :, 0]
+        mutual = np.take_along_axis(dist.argmin(axis=1), head, 1) \
+            == np.arange(c)
+        forced[at] = (np.isfinite(best) & mutual).all(axis=1)
+        perm[at, :c] = head
+        near[at, :c] = best
+    return forced, perm, near
+
+
+CLASH_BLOCK = 1 << 18
+"""Most root-to-head distances one array pass of a run computes."""
+
+
 def _assign_branches(table: RootTable, first_id: int, cfg: SolverConfig
-                     ) -> tuple[list[tuple[float, complex, int]], int]:
+                     ) -> tuple[np.ndarray, int, dict]:
     """Nearest-neighbor continuation over ascending xi.
 
     Branch ``first_id + h`` ends in head h. At each frequency, (root, head)
     pairs within ``max(50 curve_res, 0.05 (1 + (|head| + |root|) / 2))`` are
     taken by ascending (distance, root, head), skipping used roots and
-    heads; a root left over starts a branch. Returns (xi, lam, branch id)
-    per root in that order, and the next id. A class holds few branches, so
-    each non-empty row runs on Python lists.
+    heads; a root left over starts a branch. Where that choice is forced
+    (see :func:`_forced_rows`) and no head of a stopped branch lies within
+    the gate and as near as a root's pair, a run of rows is assigned at
+    once by composing the per-row permutations; the rows between runs,
+    the joints, take the loop on Python lists. Returns the branch id of
+    each root of ``table`` in row order, the next id and the counts of
+    branches, rows taken by the array path and joints.
     """
     floor = 50.0 * cfg.curve_res
-    heads: list[tuple[complex, float]] = []
-    out: list[tuple[float, complex, int]] = []
     rows = np.flatnonzero(table.count)
-    mags = np.hypot(table.lam.real, table.lam.imag)[rows].tolist()
-    for xi, roots, sizes, count in zip(
-            table.xi[rows].tolist(), table.lam[rows].tolist(), mags,
-            table.count[rows].tolist()):
+    lam, count = table.lam[rows], table.count[rows]
+    size = np.hypot(lam.real, lam.imag)
+    forced, perm, near = _forced_rows(lam, size, count, floor)
+    joints = np.append(np.flatnonzero(~forced), rows.size)
+    slots = np.zeros(lam.shape, dtype=int)
+    heads: list[tuple[complex, float]] = []
+    slot: list[int] = []  # the head of each root of the row before
+    i = array_rows = 0
+    while i < rows.size:
+        c = int(count[i])
+        stop = i
+        if forced[i]:
+            stop = int(joints[np.searchsorted(joints, i)])
+            stopped = sorted(set(range(len(heads))) - set(slot))
+            if stopped:
+                stop = min(stop, i + max(1, CLASH_BLOCK // (c * len(stopped))))
+                head_lam, head_size = (np.array(column) for column in zip(
+                    *(heads[h] for h in stopped)))
+                dist = _distances(lam[i:stop, :c], head_lam)
+                clash = (_in_gate(dist, head_size, size[i:stop, :c, None],
+                                  floor)
+                         & (dist <= near[i:stop, :c, None])).any(axis=(1, 2))
+                if clash.any():
+                    stop = i + int(clash.argmax())
+        if stop > i:
+            # chain[k] maps a root of row i + k to its root of row i - 1.
+            chain = perm[i:stop, :c].copy()
+            step = 1
+            while step < chain.shape[0]:
+                chain[step:] = np.take_along_axis(chain[:-step],
+                                                  chain[step:], 1)
+                step *= 2
+            slots[i:stop, :c] = np.asarray(slot)[chain]
+            slot = slots[stop - 1, :c].tolist()
+            for h, root, root_size in zip(slot, lam[stop - 1, :c].tolist(),
+                                          size[stop - 1, :c].tolist()):
+                heads[h] = (root, root_size)
+            array_rows += stop - i
+            i = stop
+            continue
+        roots, sizes = lam[i, :c].tolist(), size[i, :c].tolist()
         pairs = []
-        for r in range(count):
-            for h, (head, size) in enumerate(heads):
+        for r in range(c):
+            for h, (head, head_size) in enumerate(heads):
                 dist = abs(roots[r] - head)
-                if dist <= floor or \
-                        dist <= 0.05 * (1.0 + 0.5 * (size + sizes[r])):
+                if _in_gate(dist, head_size, sizes[r], floor):
                     pairs.append((dist, r, h))
         pairs.sort()
-        used_roots: set[int] = set()
+        slot = [-1] * c
         used_heads: set[int] = set()
         for _dist, r, h in pairs:
-            if r not in used_roots and h not in used_heads:
-                used_roots.add(r)
+            if slot[r] < 0 and h not in used_heads:
+                slot[r] = h
                 used_heads.add(h)
                 heads[h] = (roots[r], sizes[r])
-                out.append((xi, roots[r], first_id + h))
-        for r in range(count):
-            if r not in used_roots:
-                out.append((xi, roots[r], first_id + len(heads)))
+        for r in range(c):
+            if slot[r] < 0:
+                slot[r] = len(heads)
                 heads.append((roots[r], sizes[r]))
-    return out, first_id + len(heads)
+        slots[i, :c] = slot
+        i += 1
+    ids = first_id + slots[np.arange(lam.shape[1]) < count[:, None]]
+    return ids, first_id + len(heads), {
+        "branches": len(heads), "array_rows": array_rows,
+        "joints": int(rows.size) - array_rows}
 
 
 def _merge_sides(plus: RootTable, minus: RootTable,
@@ -865,14 +1034,14 @@ def _merge_sides(plus: RootTable, minus: RootTable,
 
 def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
                   xi_grid=None, cfg: SolverConfig | None = None, *,
-                  report: dict | None = None) -> list[SingularPoint]:
+                  report: dict | None = None) -> SingularTable:
     """Certified roots of the tail polynomials over the frequency grid.
 
-    Returns points for both sides, cross-side coincidences merged into the
-    neutral side, with branch ids assigned by continuation. Raises
-    :class:`FitError`, after writing the report, only when no side produced
-    any certified point and at least one side's fallback rational
-    reconstruction failed outright.
+    Returns the points of both sides, cross-side coincidences merged into
+    the neutral side, with branch ids assigned by continuation and no
+    flags. Raises :class:`FitError`, after writing the report, only when no
+    side produced any certified point and at least one side's fallback
+    rational reconstruction failed outright.
     """
     cfg = cfg or SolverConfig()
     symbol = symbol if symbol is not None else build_schur(op, cfg)
@@ -933,12 +1102,20 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 
     failed = errors and not any(t.count.any() for t in side_roots.values())
     classes = _merge_sides(side_roots["+"], side_roots["-"], cfg)
-    points: list[SingularPoint] = []
+    parts = []
+    continuation: dict[str, dict] = {}
     next_id = 0
     for side_class in (REGULAR_SIDE, "+", "-"):
-        assigned, next_id = _assign_branches(classes[side_class], next_id, cfg)
-        points += [SingularPoint(side_class, xi, lam, bid)
-                   for xi, lam, bid in assigned]
+        table = classes[side_class]
+        ids, next_id, continuation[side_class] = _assign_branches(
+            table, next_id, cfg)
+        parts.append((np.full(ids.size, SIDES.index(side_class), np.int8),
+                      np.repeat(table.xi, table.count),
+                      table.lam[table.valid], ids))
+    side, xi, lam, branch_id = (np.concatenate(column)
+                                for column in zip(*parts))
+    points = SingularTable(side, xi, lam, branch_id,
+                           np.zeros(lam.size, dtype=np.uint8))
     skip_counts = dict.fromkeys(SKIP_KINDS, 0)
     sample: list[dict] = []
     for entry in skips:
@@ -948,6 +1125,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     log["singular"] = {
         "fits": fits,
         "sweeps": sweeps,
+        "continuation": continuation,
         "points": len(points),
         "skips": sample,
         "skip_counts": skip_counts,
@@ -963,27 +1141,39 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 # Union, flags, CSV
 # ---------------------------------------------------------------------------
 
-def _flag_singular(points: list[SingularPoint], regular: list[RegularPoint],
+PAIR_BLOCK = 1 << 20
+"""Most (point, curve sample) pairs one array pass of the flags compares."""
+
+
+def _flag_singular(points: SingularTable, regular: RegularTable,
                    exceptional: ExceptionalSet,
-                   cfg: SolverConfig) -> list[SingularPoint]:
-    """Points with their overlap flags; only a point whose flags change is
-    built anew."""
-    lam = np.asarray([p.lam for p in points], dtype=complex)
+                   cfg: SolverConfig) -> SingularTable:
+    """The points with their overlap flags set.
+
+    A point is in the regular closure when some curve sample lies within
+    ``dedupe_tol``; only the samples whose real parts are that close are
+    compared, a block of (point, sample) pairs per array pass.
+    """
+    lam = points.lam
     exc = np.asarray(exceptional.points, dtype=complex)
     in_exc = (_distances(lam, exc) <= cfg.exc_tol).any(axis=1)
-    values = np.asarray([p.lam for p in regular], dtype=complex)
-    values = values[np.argsort(values.real, kind="stable")]
+    values = regular.lam[np.argsort(regular.lam.real, kind="stable")]
     lo = np.searchsorted(values.real, lam.real - cfg.dedupe_tol, "left")
     hi = np.searchsorted(values.real, lam.real + cfg.dedupe_tol, "right")
     in_regular = np.zeros(lam.size, dtype=bool)
-    for k in np.flatnonzero(lo < hi):
-        in_regular[k] = np.min(np.abs(values[lo[k]:hi[k]] - lam[k])) \
-            <= cfg.dedupe_tol
-    flags = [("in_exceptional",) * e + ("in_regular_closure",) * r
-             for e, r in zip(in_exc.tolist(), in_regular.tolist())]
-    return [p if p.flags == f else
-            SingularPoint(p.side, p.xi, p.lam, p.branch_id, f)
-            for p, f in zip(points, flags)]
+    near = np.flatnonzero(lo < hi)
+    total = np.cumsum(hi[near] - lo[near])
+    cuts = np.searchsorted(total, np.arange(
+        PAIR_BLOCK, total[-1] if total.size else 0, PAIR_BLOCK))
+    for block in np.split(near, cuts):
+        width = hi[block] - lo[block]
+        point = np.repeat(block, width)
+        sample = np.arange(point.size) + np.repeat(
+            lo[block] - np.cumsum(width) + width, width)
+        in_regular[point[np.abs(values[sample] - lam[point])
+                         <= cfg.dedupe_tol]] = True
+    return dataclasses.replace(points, flags=(
+        in_exc.astype(np.uint8) | in_regular.astype(np.uint8) << 1))
 
 
 def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
@@ -1018,11 +1208,11 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
         singular = singular_part(op, symbol, cfg=cfg, report=report)
     except FitError as exc:
         report["errors"].append(str(exc))
-        singular = []
+        singular = SingularTable.from_rows(())
     singular = _flag_singular(singular, regular, exceptional, cfg)
     return SpectrumSet(
-        regular=tuple(regular),
-        singular=tuple(singular),
+        regular=regular,
+        singular=singular,
         exceptional=exceptional,
         report=report,
     )
@@ -1032,25 +1222,31 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
+_FLAG_TEXT = [";".join(sorted(names)) for names in _FLAG_NAMES]
+
+
 def spectrum_rows(spectrum: SpectrumSet) -> list[str]:
-    """Deterministic CSV data rows (no header)."""
-    rows = []
-    for point in sorted(spectrum.regular, key=lambda p: p.x_param):
-        rows.append(",".join([
-            "regular", REGULAR_SIDE, _format_number(point.x_param),
-            _format_number(point.lam.real), _format_number(point.lam.imag),
-            "0", "",
-        ]))
-    rank = {"+": 0, "-": 1, REGULAR_SIDE: 2}
-    ordered = sorted(
-        spectrum.singular,
-        key=lambda p: (rank[p.side], p.branch_id, p.xi, p.lam.real, p.lam.imag))
-    for point in ordered:
-        rows.append(",".join([
-            "singular", point.side, _format_number(point.xi),
-            _format_number(point.lam.real), _format_number(point.lam.imag),
-            str(point.branch_id), ";".join(sorted(point.flags)),
-        ]))
+    """Deterministic CSV data rows (no header).
+
+    Regular rows come by ascending ``x_param``, singular rows by (side
+    code, branch id, xi, Re lambda, Im lambda); both sorts are stable.
+    """
+    regular, singular = spectrum.regular, spectrum.singular
+    order = np.argsort(regular.x_param, kind="stable")
+    lam = regular.lam[order]
+    rows = [f"regular,{REGULAR_SIDE},{x!r},{re!r},{im!r},0,"
+            for x, re, im in zip(regular.x_param[order].tolist(),
+                                 lam.real.tolist(), lam.imag.tolist())]
+    order = np.lexsort((singular.lam.imag, singular.lam.real, singular.xi,
+                        singular.branch_id, singular.side))
+    lam = singular.lam[order]
+    prefix = [f"singular,{side}," for side in SIDES]
+    rows += [f"{prefix[side]}{xi!r},{re!r},{im!r},{bid},{_FLAG_TEXT[flags]}"
+             for side, xi, re, im, bid, flags in zip(
+                 singular.side[order].tolist(), singular.xi[order].tolist(),
+                 lam.real.tolist(), lam.imag.tolist(),
+                 singular.branch_id[order].tolist(),
+                 singular.flags[order].tolist())]
     return rows
 
 

@@ -35,7 +35,9 @@ from matspectra.schur import coefficient_trees
 from matspectra.spectrum import (
     CSV_HEADER,
     RegularPoint,
+    RegularTable,
     SingularPoint,
+    SingularTable,
     SpectrumSet,
     essential_spectrum,
 )
@@ -381,19 +383,19 @@ def test_spectrum_and_check_never_import_scipy(tmp_path):
 
 class TestSvgRendering:
     def make_spectrum(self):
-        regular = (
+        regular = RegularTable.from_rows([
             RegularPoint(x_param=float("-inf"), lam=-1 + 0j),
             RegularPoint(x_param=-1.0, lam=-2 + 0j),
             RegularPoint(x_param=0.0, lam=-1.8 + 0.2j),
             RegularPoint(x_param=1.0, lam=-1.6 + 0.4j),
-        )
-        singular = (
+        ])
+        singular = SingularTable.from_rows([
             SingularPoint(side="·", xi=0.0, lam=1 + 1j, branch_id=0),
             SingularPoint(side="·", xi=1.0, lam=1.5 + 1j, branch_id=0),
             SingularPoint(side="+", xi=0.0, lam=2 - 1j, branch_id=1),
             SingularPoint(side="+", xi=1.0, lam=2.5 - 1j, branch_id=1),
             SingularPoint(side="-", xi=2.0, lam=-3 - 2j, branch_id=2),
-        )
+        ])
         exceptional = ExceptionalSet(points=(), radii=(),
                                      window_exponents=())
         return SpectrumSet(regular=regular, singular=singular,
@@ -420,19 +422,41 @@ class TestSvgRendering:
             == render_svg(self.make_spectrum(), window)
 
     def test_far_points_split_into_runs(self):
-        regular = tuple(
-            RegularPoint(x_param=float(i), lam=complex(i, 0))
-            for i in range(3)
-        ) + tuple(
-            RegularPoint(x_param=10.0 + i, lam=complex(100 + i, 0))
-            for i in range(3)
-        )
+        regular = RegularTable.from_rows([
+            *(RegularPoint(x_param=float(i), lam=complex(i, 0))
+              for i in range(3)),
+            *(RegularPoint(x_param=10.0 + i, lam=complex(100 + i, 0))
+              for i in range(3)),
+        ])
         exceptional = ExceptionalSet(points=(), radii=(),
                                      window_exponents=())
-        spectrum = SpectrumSet(regular=regular, singular=(),
+        spectrum = SpectrumSet(regular=regular,
+                               singular=SingularTable.from_rows([]),
                                exceptional=exceptional, report={})
         svg = render_svg(spectrum, (-1.0, 110.0, -1.0, 1.0))
         assert svg.count('<polyline class="regular"') == 2
+
+
+def test_spectrum_command_builds_no_point_rows(tmp_path, monkeypatch):
+    built = []
+    for cls in (RegularPoint, SingularPoint):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert main(["spectrum", "--config", str(PARABOLIC_CFG),
+                 "--window=-2,1,-0.5,0.5", "--svg",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "spectrum.svg").is_file()
+    assert built == []
+    # Rows are still built on demand, and counted.
+    spectrum = essential_spectrum(load_operator(PARABOLIC_CFG),
+                                  QUICK_PARABOLIC)
+    assert spectrum.regular[0] == next(iter(spectrum.regular))
+    assert list(spectrum.singular)[-1] == spectrum.singular[-1]
+    assert built.count("RegularPoint") == 2
+    assert built.count("SingularPoint") == len(spectrum.singular) + 1
 
 
 class TestDeterminism:

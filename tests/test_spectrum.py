@@ -21,7 +21,8 @@ from factories import (
     random_operator,
 )
 from matspectra import config as config_module
-from matspectra.asymptotics import LIMIT_TOL, ExceptionalSet
+from matspectra.asymptotics import (LIMIT_TOL, ExceptionalSet,
+                                    limit_points_at_infinity)
 from matspectra.config import SolverConfig, window_contains
 from matspectra.asymptotics import limit_ratio, limit_ratio_batch
 from matspectra.errors import FitError, LimitRefused, NotConvergent, PoleError
@@ -36,10 +37,13 @@ from matspectra.spectrum import (
     NEWTON_STEPS,
     REGULAR_SIDE,
     ROOT_TOL,
+    SIDES,
     SKIP_KINDS,
     SKIP_SAMPLE,
     RegularPoint,
+    RegularTable,
     SingularPoint,
+    SingularTable,
     WORK_COUNTERS,
     RootTable,
     SpectrumSet,
@@ -456,6 +460,79 @@ def test_reused_sweeps_of_settling_operators_are_exact():
     assert runs == {1, 2}
 
 
+def _points_by_xi(freqs, xi, lam):
+    """(F, K) NaN-padded points at each of the ascending ``freqs``."""
+    order = np.argsort(xi, kind="stable")
+    xi, lam = xi[order], lam[order]
+    row = np.searchsorted(freqs, xi)
+    slot = np.arange(xi.size) - np.searchsorted(xi, freqs)[row]
+    out = np.full((freqs.size, slot.max(initial=-1) + 1), np.nan,
+                  dtype=complex)
+    out[row, slot] = lam
+    return out
+
+
+def _assert_points_and_det_scan_roots_match(op, cfg):
+    """Both directions between the points and the frozen determinants.
+
+    Toward each end, at every grid frequency and every frequency of a
+    point of that end (the neutral side belongs to both), every point lies
+    within 1e-6 of a ``det_scan`` root and every root in the window within
+    1e-6 of a point, unless it lies within ``exc_tol`` of the exceptional
+    set: the closed form divides the root at lambda = d^inf out. There the
+    oracle is off too. ``freeze`` certifies the limit of a decaying
+    coefficient as about 1e-11, not 0, and near the double root that
+    lambda = d^inf and the tail make at small |xi| its roots move by the
+    square root of that, up to 5.3e-6 on this corpus; a point there must
+    lie within 1e-5.
+    """
+    report = {}
+    points = singular_part(op, cfg=cfg, report=report)
+    assert {fit["route"] for fit in report["singular"]["fits"].values()} \
+        == {"closed_form"}
+    exceptional = np.asarray(limit_points_at_infinity(op.d, cfg).points,
+                             dtype=complex)
+
+    def near_exceptional(lam):
+        gap = np.abs(lam[..., None] - exceptional)
+        return np.min(gap, axis=-1, initial=np.inf) <= cfg.exc_tol
+
+    for code, side in enumerate("+-"):
+        mine = np.isin(points.side, [code, SIDES.index(REGULAR_SIDE)])
+        freqs = np.union1d(default_xi_grid(cfg), points.xi[mine])
+        roots = np.asarray([s.roots for s in det_scan(freeze(op, side, cfg),
+                                                      freqs)])
+        emitted = _points_by_xi(freqs, points.xi[mine], points.lam[mine])
+        gaps = np.abs(roots[:, :, None] - emitted[:, None, :])
+        to_root = gaps.min(axis=1)
+        sound = (to_root <= 1e-6) | (near_exceptional(emitted)
+                                     & (to_root <= 1e-5))
+        assert sound[np.isfinite(emitted)].all()
+        covered = (gaps <= 1e-6).any(axis=2) | near_exceptional(roots)
+        assert covered[_near_window(roots, cfg.window, 0.0)].all()
+
+
+COMPLETENESS_SEEDS = range(60)
+
+
+@pytest.mark.parametrize("kind", ["constant", "settling"])
+def test_points_and_det_scan_roots_match_both_ways(kind):
+    for seed in COMPLETENESS_SEEDS:
+        rng = random.Random(seed)
+        op = (random_constant_operator(rng, 2 + 2 * (seed % 2))
+              if kind == "constant"
+              else random_operator(rng, rng.choice([2, 4]), settling=True))
+        _assert_points_and_det_scan_roots_match(op, SMALL_SWEEP)
+
+
+def test_quartic_points_and_det_scan_roots_match_both_ways():
+    # Its frozen determinant has a root 6.8e-11 from its exceptional
+    # point 0, which the exclusion covers.
+    _assert_points_and_det_scan_roots_match(
+        quartic_coupled(), SolverConfig().with_overrides(
+            window=(-2.0, 2.0, -2.0, 2.0), curve_res=1e-2))
+
+
 def test_sides_with_different_limits_are_swept_apart():
     # a_0 = atan(x) tends to +-pi/2, so N_0 differs between the sides.
     op = OperatorMatrix(a=(parse("atan(x)"), Lit(0j), Lit(1 + 0j)),
@@ -698,6 +775,8 @@ def _loop_match_tolerance(head, root, cfg):
 
 
 def _loop_assign_branches(raw, first_id, cfg):
+    """(xi, root, branch id) per root, ordered by xi and then by the root's
+    place in its (real, imag)-sorted row, and the next id."""
     groups = {}
     for xi, lam in raw:
         groups.setdefault(xi, []).append(lam)
@@ -721,13 +800,14 @@ def _loop_assign_branches(raw, first_id, cfg):
             used_heads.add(hi)
             bid = heads[hi][0]
             heads[hi] = (bid, roots[ri])
-            out.append((xi, roots[ri], bid))
+            out.append((xi, ri, roots[ri], bid))
         for ri, root in enumerate(roots):
             if ri not in used_roots:
-                out.append((xi, root, next_id))
+                out.append((xi, ri, root, next_id))
                 heads.append((next_id, root))
                 next_id += 1
-    return out, next_id
+    out.sort(key=lambda item: item[:2])
+    return [(xi, root, bid) for xi, _ri, root, bid in out], next_id
 
 
 def _loop_flag_singular(points, regular, exceptional, cfg):
@@ -1097,28 +1177,133 @@ def test_merge_sides_matches_the_loop(data):
         assert _bits(got) == _bits(reference[side_class])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data(), first_id=st.integers(0, 3))
-def test_assign_branches_matches_the_loop(data, first_id):
+@st.composite
+def _traced_rows(draw, floor):
+    """Rows of branches traced over up to 60 frequencies.
+
+    Live roots start on a grid of spacing 1/2. Most rows move each of them
+    by a dyadic step up to half the gate floor, so runs of equal-count rows
+    are long. Other rows fork a root (a birth up to twice the floor from
+    another), end one (its head stays), are empty, move a root toward an
+    ended branch's head (halfway, three quarters or all the way, so that
+    head is within the gate and as near as the root's pair or nearer), or
+    move a root to the midpoint of two live ones (an exact distance tie).
+    """
+    anchor = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(
+        lambda k: complex(k[0] / 2, k[1] / 2))
+    steps = st.sampled_from(_unit_steps(floor / 4))
+    forks = st.sampled_from(_unit_steps(floor))
+    live = draw(st.lists(anchor, max_size=3))
+    ended, rows = [], {}
+    for k in range(draw(st.integers(0, 60))):
+        event = draw(st.sampled_from(["step"] * 8 + [
+            "fork", "end", "empty", "stray", "tie"]))
+        pick = st.integers(0, max(len(live) - 1, 0))
+        if event == "fork" and live:
+            live.append(live[draw(pick)] + draw(forks))
+        elif event == "end" and live:
+            ended.append(live.pop(draw(pick)))
+        elif event == "stray" and live and ended:
+            i, head = draw(pick), draw(st.sampled_from(ended))
+            live[i] += (head - live[i]) * draw(st.sampled_from([0.5, 0.75,
+                                                                1.0]))
+        elif event == "tie" and len(live) >= 2:
+            i, j = draw(pick), draw(pick)
+            live[i] = 0.5 * (live[i] + live[j])
+        elif event == "step":
+            live = [root + draw(steps) for root in live]
+        rows[float(k)] = [] if event == "empty" else list(live)
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), first_id=st.integers(0, 3),
+       block=st.sampled_from([1, 2, 5, spectrum_module.CLASH_BLOCK]))
+def test_assign_branches_matches_the_loop(data, first_id, block):
     # 50 * curve_res = 25/64, the match tolerance near the origin.
     cfg = SolverConfig().with_overrides(window=_WINDOW, curve_res=1 / 128)
     floor = 50.0 * cfg.curve_res
-    cloud = _cloud(data.draw, floor, _edges(cfg), 4)
-    rows, roots = {}, []
-    for k in range(data.draw(st.integers(0, 8))):
-        roots = data.draw(cloud)[:2] + _follow(data.draw, roots, floor)
-        rows[float(k)] = roots
+    if data.draw(st.integers(0, 3)):
+        rows = data.draw(_traced_rows(floor))
+    else:
+        cloud = _cloud(data.draw, floor, _edges(cfg), 4)
+        rows, roots = {}, []
+        for k in range(data.draw(st.integers(0, 8))):
+            roots = data.draw(cloud)[:2] + _follow(data.draw, roots, floor)
+            rows[float(k)] = roots
     rows = _sorted_rows(rows)
-    got, next_id = _assign_branches(_table(rows), first_id, cfg)
+    table = _table(rows)
+    with mock.patch.object(spectrum_module, "CLASH_BLOCK", block):
+        ids, next_id, counts = _assign_branches(table, first_id, cfg)
+    got = [(xi, lam, bid) for (xi, lam), bid in zip(
+        ((xi, lam) for xi, roots in _table_rows(table) for lam in roots),
+        ids.tolist())]
     raw = [(xi, lam) for xi, roots in rows.items() for lam in roots]
     want, want_next = _loop_assign_branches(raw, first_id, cfg)
     assert _bits(got) == _bits(want)
     assert next_id == want_next
+    assert counts["branches"] == next_id - first_id
+    assert counts["array_rows"] + counts["joints"] \
+        == sum(1 for roots in rows.values() if roots)
+
+
+def _branch_counts(rows, cfg):
+    """Branch ids (checked against the loop) and the continuation counts."""
+    ids, next_id, counts = _assign_branches(_table(_sorted_rows(rows)), 0, cfg)
+    raw = [(xi, lam) for xi, roots in rows.items() for lam in roots]
+    want, want_next = _loop_assign_branches(raw, 0, cfg)
+    assert ids.tolist() == [bid for _xi, _lam, bid in want]
+    assert next_id == want_next
+    return ids.tolist(), counts
+
+
+def test_assign_branches_takes_runs_by_array_and_joints_by_loop():
+    cfg = SolverConfig().with_overrides(curve_res=1 / 128)
+    # Two branches over 40 rows, one ending at row 20, then an empty row:
+    # the first row and the count change are joints, every other row
+    # takes the array path, and the empty row is skipped.
+    rows = {float(k): [complex(0.25 * k / 8, 0.0), complex(2.0, k / 64)]
+            for k in range(20)}
+    rows.update({float(k): [complex(2.0, k / 64)] for k in range(20, 40)})
+    rows[40.0] = []
+    rows[41.0] = [complex(2.0, 41 / 64)]
+    assert _branch_counts(rows, cfg)[1] == {
+        "branches": 2, "array_rows": 39, "joints": 2}
+    # The surviving branch moves onto the ended one's head at row 30: the
+    # row is a joint and the root continues the ended branch.
+    rows = {float(k): [complex(0.0, 0.0), complex(0.25, k / 256)]
+            for k in range(10)}
+    rows.update({float(k): [complex(0.25, k / 256)] for k in range(10, 30)})
+    rows[30.0] = [complex(0.0, 0.0)]
+    ids, counts = _branch_counts(rows, cfg)
+    assert counts == {"branches": 2, "array_rows": 28, "joints": 3}
+    assert ids[-1] == ids[0] == 0
+    # The root moves halfway to the head of the branch that ended: that
+    # head is as near as the root's pair, and was made first, so the loop
+    # continues the ended branch.
+    rows = {0.0: [complex(0.0, 0.0), complex(0.25, 0.0)],
+            1.0: [complex(0.25, 0.0)], 2.0: [complex(0.125, 0.0)]}
+    ids, counts = _branch_counts(rows, cfg)
+    assert counts == {"branches": 2, "array_rows": 0, "joints": 3}
+    assert ids == [0, 1, 1, 0]
+    # Heads 0 at 3/8 and 1 at 0; both roots of the next row lie 5/16 from
+    # head 0, the first also from head 1. The loop gives the first root
+    # head 0, as it was made first, and starts a branch at the second.
+    rows = {0.0: [0.375 + 0j], 1.0: [0j, 0.375 + 0j],
+            2.0: [0.1875 + 0.25j, 0.6875 + 0j]}
+    ids, counts = _branch_counts(rows, cfg)
+    assert counts == {"branches": 3, "array_rows": 0, "joints": 3}
+    assert ids == [0, 1, 0, 0, 2]
+    # Two roots exactly halfway between two heads: an exact tie.
+    rows = {0.0: [complex(0.0, 0.0), complex(0.25, 0.0)],
+            1.0: [complex(0.125, 0.0), complex(0.125, 0.0)]}
+    assert _branch_counts(rows, cfg)[1]["joints"] == 2
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_flags_match_the_loop(data):
+@given(data=st.data(), block=st.sampled_from([1, 2, 3,
+                                              spectrum_module.PAIR_BLOCK]))
+def test_flags_match_the_loop(data, block):
     cfg = SolverConfig().with_overrides(window=_WINDOW, dedupe_tol=_DEDUPE,
                                         exc_tol=_CURVE)
     edges = _edges(cfg)
@@ -1132,8 +1317,11 @@ def test_flags_match_the_loop(data):
                for k, lam in enumerate(data.draw(cloud))]
     exceptional = ExceptionalSet(points=tuple(data.draw(exc_cloud)),
                                  radii=(), window_exponents=())
-    got = _flag_singular(points, regular, exceptional, cfg)
-    assert got == _loop_flag_singular(points, regular, exceptional, cfg)
+    with mock.patch.object(spectrum_module, "PAIR_BLOCK", block):
+        got = _flag_singular(SingularTable.from_rows(points),
+                             RegularTable.from_rows(regular), exceptional,
+                             cfg)
+    assert list(got) == _loop_flag_singular(points, regular, exceptional, cfg)
 
 
 def test_singular_part_makes_no_per_root_calls(monkeypatch):
@@ -1354,7 +1542,7 @@ class TestEssentialSpectrum:
                             c=(ZERO, ZERO), d=Lit(2j))
         cfg = SolverConfig().with_overrides(xi_points=8)
         spectrum = essential_spectrum(op, cfg)
-        assert spectrum.singular == ()
+        assert len(spectrum.singular) == 0
         assert spectrum.report["errors"]
         assert finite_points(spectrum.regular)
 
@@ -1381,7 +1569,7 @@ def test_fallback_emits_nothing_where_the_tail_does_not_depend_on_lambda():
     op = OperatorMatrix(a=(ONE, ZERO, ONE), b=(ZERO, ONE),
                         c=(ZERO, parse("1 + x")), d=Lit(2j))
     report = {}
-    assert singular_part(op, cfg=FALLBACK_CFG, report=report) == []
+    assert len(singular_part(op, cfg=FALLBACK_CFG, report=report)) == 0
     for side in ("+", "-"):
         fit = report["singular"]["fits"][side]
         assert fit["route"] == "fit"
@@ -1448,10 +1636,10 @@ class TestCsv:
 
     def test_rows_round_trip_numbers(self):
         spectrum = SpectrumSet(
-            regular=(RegularPoint(-math.inf, -1j),
-                     RegularPoint(0.5, 0.25 + 1j)),
-            singular=(SingularPoint("+", 2.0, 4.0 + 0j, 0,
-                                    ("in_regular_closure",)),),
+            regular=RegularTable.from_rows([RegularPoint(-math.inf, -1j),
+                                            RegularPoint(0.5, 0.25 + 1j)]),
+            singular=SingularTable.from_rows([SingularPoint(
+                "+", 2.0, 4.0 + 0j, 0, ("in_regular_closure",))]),
             exceptional=None,
             report={},
         )

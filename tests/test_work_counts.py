@@ -7,13 +7,15 @@ ceiling is the count since the singular sweep solves a closed-form tail
 polynomial (27,357 while it polished roots on limit batches). The sweep's
 frequency batches are counted too: both ends of the quartic share one tail
 polynomial, which is swept once (38 batches while each end swept its own).
+The branch continuation's counts are pinned exactly: the rows it assigns
+by array and the joints it leaves to the per-row loop.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from factories import QUARTIC_CFG
+from factories import PARABOLIC_CFG, QUARTIC_CFG
 from matspectra import expr, spectrum
 from matspectra.cli import main
 from matspectra.config import SolverConfig
@@ -62,6 +64,22 @@ def test_quartic_spectrum_solves_no_more_batches(monkeypatch):
     monkeypatch.setattr(spectrum, "_solve_at", counted)
     essential_spectrum(op, QUARTIC_WINDOW)
     assert calls <= 19
+
+
+@pytest.mark.parametrize("config, branches, array_rows, joints", [
+    (QUARTIC_CFG, 2, 1428, 3), (PARABOLIC_CFG, 1, 900, 1)],
+    ids=["quartic", "parabolic"])
+def test_continuation_takes_the_array_path_between_few_joints(
+        config, branches, array_rows, joints):
+    # Both bundled operators merge every root into the neutral side; its
+    # branches change root count only at a few joints, which take the loop.
+    report = essential_spectrum(load_operator(config),
+                                QUARTIC_WINDOW).report["singular"]
+    idle = {"branches": 0, "array_rows": 0, "joints": 0}
+    assert report["continuation"] == {
+        "·": {"branches": branches, "array_rows": array_rows,
+              "joints": joints},
+        "+": idle, "-": idle}
 
 
 def test_quartic_check_walks_no_more_nodes(visits, tmp_path):
