@@ -542,9 +542,9 @@ def symbol_limits(symbol: SchurSymbol, side: str,
 class ExceptionalSet:
     """Cluster representatives of the finite limit values of d at infinity.
 
-    Invariants: every clustered value lies within ``cluster_tol`` of its
-    representative (``radii[i] <= cluster_tol``) and representatives are
-    pairwise separated by more than ``2 * cluster_tol``.
+    Invariants: every clustered value lies within ``CLUSTER_TOL`` of its
+    representative (``radii[i] <= CLUSTER_TOL``) and representatives are
+    pairwise separated by more than ``2 * CLUSTER_TOL``.
     """
 
     points: tuple[complex, ...]
@@ -651,28 +651,28 @@ def _run_end(values: np.ndarray, start: int, rep: complex, tol: float
     return end, reach
 
 
-# limit_points_at_infinity samples d at POINTS_PER_WINDOW points in each of
-# the CLUSTER_WINDOWS largest dyadic windows, and drops a window whose
-# smallest |d| exceeds ESCAPE_BOUND: d escapes to infinity there.
+# limit_points_at_infinity clusters at CLUSTER_TOL the values of d at
+# POINTS_PER_WINDOW points in each of the CLUSTER_WINDOWS largest of WINDOWS
+# dyadic windows, and drops a window whose smallest |d| exceeds ESCAPE_BOUND.
+WINDOWS = 24
 CLUSTER_WINDOWS = 6
+CLUSTER_TOL = 1e-4
 POINTS_PER_WINDOW = 4096
 ESCAPE_BOUND = 1e8
 
 
-def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
-                             ) -> ExceptionalSet:
+def limit_points_at_infinity(d: Expr) -> ExceptionalSet:
     """Heuristic estimate of the finite limit points of d at infinity.
 
-    Samples d over the ``CLUSTER_WINDOWS`` largest of ``windows`` dyadic
+    Samples d over the ``CLUSTER_WINDOWS`` largest of ``WINDOWS`` dyadic
     windows [2^s, 2^(s+1)], at both signs of x, drops windows whose
     smallest |d| exceeds ``ESCAPE_BOUND``, and clusters the values
     retained. An empty result is meaningful: every window escaped.
     """
-    cfg = cfg or SolverConfig()
     retained: list[np.ndarray] = []
     exponents: set[int] = set()
     for sign in (1.0, -1.0):
-        for s in range(max(0, cfg.windows - CLUSTER_WINDOWS), cfg.windows):
+        for s in range(max(0, WINDOWS - CLUSTER_WINDOWS), WINDOWS):
             xs = sign * np.linspace(2.0**s, 2.0 ** (s + 1), POINTS_PER_WINDOW)
             vals = evaluate_array(d, x=xs)
             finite = np.isfinite(vals)
@@ -684,7 +684,7 @@ def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
             exponents.add(s)
     if not retained:
         return ExceptionalSet((), (), ())
-    reps, radii = _cluster(np.concatenate(retained), cfg.cluster_tol)
+    reps, radii = _cluster(np.concatenate(retained), CLUSTER_TOL)
     return ExceptionalSet(
         points=tuple(reps), radii=tuple(radii),
         window_exponents=tuple(sorted(exponents)))
@@ -697,16 +697,19 @@ def limit_points_at_infinity(d: Expr, cfg: SolverConfig | None = None
 PROBE_MARGIN = 1e-3
 """Failures of probes this near the decoupling curve become inconclusive."""
 
+BOUND_CAP = 1e8
+"""Largest sampled magnitude that B1 and B3 accept as bounded."""
+
 
 def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
                       probes, grid: np.ndarray,
                       cfg: SolverConfig | None = None) -> Diagnostics:
     """Sampled evidence for the hypotheses, one record per (assumption, probe).
 
-    B1: p_j and its first two x-derivatives stay below ``bound_cap`` on the
+    B1: p_j and its first two x-derivatives stay below ``BOUND_CAP`` on the
     grid. B2: sampled |p_m| stays above a floor, so 1/p_m is bounded.
     B3: c_gamma/(d-lambda) and two derivative orders of b_beta/(d-lambda)
-    stay below ``bound_cap`` (a NaN sample leaves B1/B3 inconclusive). C:
+    stay below ``BOUND_CAP`` (a NaN sample leaves B1/B3 inconclusive). C:
     some angle theta keeps Re(e^{i theta} p_m) >= delta > 0 across the grid
     (the record carries the exact best margin and a theta attaining it,
     :func:`_sector_margin`). D: the coefficient limits converge on both
@@ -741,9 +744,9 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
             np.min(np.abs(delta_vals - probe))) <= PROBE_MARGIN
         coefficients, p_m, weighted = jets.values(probe)
         batch = [
-            _check_bounded("B1", coefficients, probe, grid, cfg),
+            _check_bounded("B1", coefficients, probe, grid),
             _check_b2(p_m, probe, grid),
-            _check_bounded("B3", weighted, probe, grid, cfg),
+            _check_bounded("B3", weighted, probe, grid),
             _check_c(p_m, probe, grid),
             _check_d(trajectories, probe),
         ]
@@ -819,9 +822,9 @@ class _GridJets(NamedTuple):
         return coefficients, coefficients[-3][1], weighted
 
 
-def _check_bounded(assumption, labelled_values, probe, grid,
-                   cfg) -> DiagnosticRecord:
-    """Fail on a sampled magnitude over ``bound_cap``, infinite ones included;
+def _check_bounded(assumption, labelled_values, probe,
+                   grid) -> DiagnosticRecord:
+    """Fail on a sampled magnitude over ``BOUND_CAP``, infinite ones included;
     short of that, a NaN sample (undetermined in floating point, such as a
     forward-mode derivative through an underflow) is inconclusive."""
     worst, undetermined = (0.0, 0.0, ""), None
@@ -836,7 +839,7 @@ def _check_bounded(assumption, labelled_values, probe, grid,
         at = int(np.argmax(mags))
         if mags[at] > worst[0]:
             worst = (float(mags[at]), float(grid[at]), label)
-    if worst[0] > cfg.bound_cap:
+    if worst[0] > BOUND_CAP:
         return DiagnosticRecord(assumption, "fail", probe=probe, witness=(
             f"sampled |{worst[2]}| exceeds bound cap", worst[1], worst[0]))
     if undetermined:

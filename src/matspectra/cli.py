@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import oracle
 from .asymptotics import check_assumptions
 from .config import SolverConfig, parse_complex
 from .errors import (ConfigError, MatspectraError, ParseError, RefusedFrozen,
@@ -70,8 +71,6 @@ EXIT_REFUSED = 5
 
 DEFAULT_PROBES = (1.7 + 2.3j, -2.6 + 1.1j, 0.4 - 1.9j)
 
-_POSITIVE_TOLERANCES = ("curve_res", "dedupe_tol", "exc_tol")
-
 _TRUNCATION_LENGTHS = (5.0, 10.0, 20.0)
 
 _TRUNCATION_NOTE = (
@@ -98,15 +97,6 @@ class RunConfig:
     svg: bool = False
 
     def __post_init__(self):
-        window = self.solver.window
-        if not all(map(math.isfinite, window)):
-            raise ConfigError(f"window bounds must be finite, got {window}")
-        re_min, re_max, im_min, im_max = window
-        if not (re_min < re_max and im_min < im_max):
-            raise ConfigError(f"window must be non-degenerate, got {window}")
-        for name in _POSITIVE_TOLERANCES:
-            if not getattr(self.solver, name) > 0.0:  # refuses NaN too
-                raise ConfigError(f"tolerance {name} must be positive")
         if not self.probes:
             raise ConfigError("probe list must not be empty")
         if not all(map(cmath.isfinite, self.probes)):
@@ -243,7 +233,7 @@ def _run_checks(op: OperatorMatrix,
     cfg = run.solver
     grid = validation_grid(cfg)
     structural = validate(op, grid).records
-    symbol = build_schur(op, cfg)
+    symbol = build_schur(op)
     checked = check_assumptions(op, symbol, run.probes, grid, cfg).records
     return [*structural, *checked], symbol
 
@@ -402,9 +392,9 @@ def _discretize_report(op: OperatorMatrix, spectrum: SpectrumSet,
     sweep = []
     last_cloud: list[complex] = []
     for length in _TRUNCATION_LENGTHS:
-        n_points = min(int(2 * length * length), cfg.eig_budget)
+        n_points = min(int(2 * length * length), oracle.EIG_BUDGET)
         eig = discretize_and_eig(op, length, n_points,
-                                 bc="dirichlet_truncate", cfg=cfg)
+                                 bc="dirichlet_truncate")
         cloud = _in_window(np.asarray(eig, dtype=complex), cfg).tolist()
         sweep.append({
             "length": length,
@@ -483,7 +473,7 @@ def cmd_oracle(run: RunConfig) -> int:
 
 def cmd_print_schur(run: RunConfig) -> int:
     op = load_operator(run.config_path)
-    trees = coefficient_trees(op, run.solver)
+    trees = coefficient_trees(op)
     lines = [f"order: {op.m}"]
     lines += [f"p_{j} = {to_text(tree)}" for j, tree in enumerate(trees)]
     lines.append(f"decoupling = {to_text(simplify(delta(op)))}")

@@ -1,17 +1,17 @@
 """Run and solver configuration.
 
-:class:`SolverConfig` holds the numeric settings that some caller varies:
-the CLI sets the output window, the benchmark workloads the curve
-resolution, the limit recheck the trajectory start, and tests shrink or
-target a run. Each field has its pinned default; every other numeric
-constant of the pipeline lives next to the code that reads it. Tests and
-the CLI construct overrides through :func:`SolverConfig.with_overrides`,
-which rejects unknown keys.
+:class:`SolverConfig` holds the six numeric settings that some caller
+varies (the CLI the window, the benchmark the curve resolution and grids,
+the limit recheck the trajectory start) with pinned defaults, and refuses
+values the pipeline cannot use; :func:`SolverConfig.with_overrides` also
+rejects unknown keys. Every other numeric constant of the pipeline lives
+next to the code that reads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -27,32 +27,29 @@ class SolverConfig:
     # Limit trajectories x = sign * x0 * RHO**t (asymptotics).
     x0: float = 16.0
 
-    # Limit points of d at infinity (dyadic windows [2^s, 2^(s+1)]).
-    cluster_tol: float = 1e-4
-    windows: int = 24
-
     # Decoupling-curve sampling (regular part).
     curve_res: float = 1e-3
-    max_points: int = 200_000
     grid_points: int = 2048
 
-    # Singular sweep.
-    dedupe_tol: float = 1e-9
-    exc_tol: float = 1e-3
+    # Singular sweep frequencies.
     xi_max: float = 1e3
     xi_points: int = 400
 
-    # Assumption diagnostics.
-    bound_cap: float = 1e8
-
-    # Symbolic work budget of coefficient_trees (print-schur).
-    node_ceiling: int = 200_000
-
-    # Discretization oracle.
-    eig_budget: int = 4000
-
     # Output window.
     window: Window = (-10.0, 10.0, -10.0, 10.0)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x0) and self.x0 > 0.0):
+            raise ConfigError(f"x0 must be finite and positive, got {self.x0}")
+        if not self.curve_res > 0.0:  # refuses NaN too
+            raise ConfigError("tolerance curve_res must be positive")
+        if self.grid_points < 2:
+            raise ConfigError("grid_points must be at least 2")
+        re_min, re_max, im_min, im_max = window = self.window
+        if not all(map(math.isfinite, window)):
+            raise ConfigError(f"window bounds must be finite, got {window}")
+        if not (re_min < re_max and im_min < im_max):
+            raise ConfigError(f"window must be non-degenerate, got {window}")
 
     def with_overrides(self, **kwargs) -> "SolverConfig":
         """Return a copy with the given fields replaced.

@@ -208,6 +208,9 @@ def det_scan(fs: FrozenSymbol, xi_grid) -> list[DetScanPoint]:
 
 _BOUNDARY_CONDITIONS = ("dirichlet_truncate", "periodic")
 
+EIG_BUDGET = 4000
+"""Most grid points that :func:`discretize_and_eig` solves densely."""
+
 
 def _difference_matrices(n: int, h: float,
                          periodic: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +261,7 @@ def _coefficient_block(coeffs, x: np.ndarray,
 
 
 def discretize_and_eig(op: OperatorMatrix, length: float, n_points: int,
-                       bc: str = "periodic",
-                       cfg: SolverConfig | None = None) -> np.ndarray:
+                       bc: str = "periodic") -> np.ndarray:
     """Eigenvalues of a central-difference discretization on [-L, L].
 
     ``(-i d/dx)^alpha`` is built by composing the central first
@@ -268,17 +270,16 @@ def discretize_and_eig(op: OperatorMatrix, length: float, n_points: int,
     the left.  ``bc`` selects ``"periodic"`` wraparound or
     ``"dirichlet_truncate"``, which simply drops stencil entries outside
     the interval.  Returns the ``2 * n_points`` eigenvalues of the dense
-    block matrix; raises :class:`SizeError` past the dense budget.
+    block matrix; raises :class:`SizeError` past ``EIG_BUDGET`` points.
     """
-    cfg = cfg or SolverConfig()
     if bc not in _BOUNDARY_CONDITIONS:
         raise DomainError(
             f"unknown boundary condition {bc!r}; "
             f"expected one of {_BOUNDARY_CONDITIONS}")
-    if n_points > cfg.eig_budget:
+    if n_points > EIG_BUDGET:
         raise SizeError(
             f"n_points={n_points} exceeds the dense eigensolver budget "
-            f"{cfg.eig_budget}")
+            f"{EIG_BUDGET}")
     if n_points < 16:
         raise DomainError(f"n_points must be at least 16, got {n_points}")
     if length <= 0.0:

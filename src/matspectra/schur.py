@@ -51,6 +51,9 @@ from .model import OperatorMatrix, check_structure
 
 _ZERO = Lit(0j)
 
+NODE_CEILING = 200_000
+"""Largest node count of a tree that :func:`coefficient_trees` returns."""
+
 
 @dataclass(frozen=True)
 class SchurSymbol:
@@ -71,11 +74,11 @@ class SchurSymbol:
             raise ValueError("expected m+1 coefficient expressions")
 
 
-def _guard_size(tree: Expr, ceiling: int) -> Expr:
+def _guard_size(tree: Expr) -> Expr:
     count = node_count(tree)
-    if count > ceiling:
-        raise ComplexityError(
-            f"coefficient tree grew to {count} nodes (ceiling {ceiling})")
+    if count > NODE_CEILING:
+        raise ComplexityError(f"coefficient tree grew to {count} nodes "
+                              f"(ceiling {NODE_CEILING})")
     return tree
 
 
@@ -136,11 +139,9 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
                        d=op.d)
 
 
-def coefficient_trees(op: OperatorMatrix,
-                      cfg: SolverConfig | None = None) -> tuple[Expr, ...]:
+def coefficient_trees(op: OperatorMatrix) -> tuple[Expr, ...]:
     """The coefficients p_0..p_m as simplified trees in x and lambda, for
-    ``print-schur``; each is held to ``cfg.node_ceiling`` nodes."""
-    cfg = cfg or SolverConfig()
+    ``print-schur``; each is held to ``NODE_CEILING`` nodes."""
     check_structure(op)
     resolvent_den = Sub(op.d, LAM)
 
@@ -148,15 +149,14 @@ def coefficient_trees(op: OperatorMatrix,
         rungs = [simplify(Div(c, resolvent_den))]
         for _ in range(op.n):
             step = simplify(Mul(Lit(-1j), differentiate(rungs[-1], "x")))
-            rungs.append(_guard_size(step, cfg.node_ceiling))
+            rungs.append(_guard_size(step))
         return rungs
 
     # p_j = a_j - [j = 0] lambda - (coupling terms at order D^j).
     terms = [[Sub(op.a[0], LAM)], *([a] for a in op.a[1:])]
     for j, weight, b, rung in _couplings(op, ladder):
         terms[j].append(_weighted(weight, b, rung))
-    return tuple(_guard_size(simplify(reduce(Sub, row)), cfg.node_ceiling)
-                 for row in terms)
+    return tuple(_guard_size(simplify(reduce(Sub, row))) for row in terms)
 
 
 def apply_operator(symbol: SchurSymbol, u_coeffs, x: float,

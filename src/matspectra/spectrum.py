@@ -28,7 +28,7 @@ ratios. Per side the solve is staged:
    frequencies whose cleared polynomials share a trimmed degree;
 3. accept a candidate when the closed-form ``|F_xi(lambda)| <= ROOT_TOL``
    or when the Newton steps on F and on its cleared form are both at most
-   ``dedupe_tol``; one that misses takes at most ``NEWTON_STEPS`` Newton
+   ``DEDUPE_TOL``; one that misses takes at most ``NEWTON_STEPS`` Newton
    steps on the exact F and dF/dlambda, and is dropped when it still
    misses. No limit is sampled per candidate;
 4. refine xi adaptively wherever neighbouring roots inside the window are
@@ -43,7 +43,7 @@ circles (ascending degree ladder, numerator degree <= n+2, denominator <=
 n+1; a side that no rung fits within ``FIT_TOL`` gets no points). Its
 candidates settle as in step 3, except that each step takes F from a
 fresh limit batch and only dF/dlambda from the fit: a candidate is kept
-when ``|F| <= ROOT_TOL`` and its Newton step is at most ``dedupe_tol``,
+when ``|F| <= ROOT_TOL`` and its Newton step is at most ``DEDUPE_TOL``,
 and again ``|F| <= ROOT_TOL`` on the recheck trajectory. The report names
 the route of each side and its limits, or the limit that was refused.
 
@@ -134,6 +134,15 @@ FIT_RADII = (2.17, 4.31)
 XI_MIN = 1e-3
 """Smallest nonzero |xi| of the default frequency grid."""
 
+MAX_POINTS = 200_000
+"""Most curve samples the regular part, and most roots a sweep, refines to."""
+
+DEDUPE_TOL = 1e-9
+"""Distance within which two roots, or a root and a curve sample, coincide."""
+
+EXC_TOL = 1e-3
+"""Distance from the exceptional set within which a point is flagged in it."""
+
 
 # ---------------------------------------------------------------------------
 # The two parts as column tables
@@ -175,6 +184,9 @@ class _Rows:
         return self.lam.size
 
     def __getitem__(self, k: int):
+        if not isinstance(k, (int, np.integer)):
+            raise TypeError(f"index rows by int, not {type(k).__name__}; "
+                            "slice the columns instead (table.lam[0:2])")
         return self._row(*(getattr(self, f.name)[k].item()
                            for f in dataclasses.fields(self)))
 
@@ -260,7 +272,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     """Sample the decoupling curve adaptively and append endpoint limits.
 
     Consecutive samples whose images lie near the output window are refined
-    until image gaps drop below ``curve_res`` (subject to ``max_points``).
+    until image gaps drop below ``curve_res`` (subject to ``MAX_POINTS``).
     Coincident consecutive images are collapsed, so a constant curve yields
     a single finite point. Endpoint limits toward +/-infinity are appended
     with ``x_param = +/-inf`` when their geometric-trajectory certificates
@@ -277,7 +289,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     xs, vals = xs[finite], vals[finite]
     pad = _window_pad(cfg.window)
     rounds = 0
-    while xs.size < cfg.max_points and rounds < 48:
+    while xs.size < MAX_POINTS and rounds < 48:
         gaps = np.abs(np.diff(vals))
         near = _near_window(vals, cfg.window, pad)
         wide_enough = np.diff(xs) > 1e-9 * (1.0 + np.abs(xs[:-1]))
@@ -285,7 +297,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
         if not need.any():
             break
         mids = 0.5 * (xs[:-1][need] + xs[1:][need])
-        mids = mids[: cfg.max_points - xs.size]
+        mids = mids[: MAX_POINTS - xs.size]
         mvals = evaluate_array(dexpr, x=mids)
         ok = np.isfinite(mvals)
         dropped += int((~ok).sum())
@@ -567,7 +579,7 @@ def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
     Each step takes F_xi(lambda) from one limit batch and dF/dlambda from
     the fit, whose cleared polynomial C = Q xi^m + sum_j N_j xi^j is in
     ``coeffs``. A candidate is kept once ``|F| <= ROOT_TOL`` and its
-    Newton step |F/F'| is at most ``dedupe_tol``: where F is small over a
+    Newton step |F/F'| is at most ``DEDUPE_TOL``: where F is small over a
     wide range of lambda (or does not depend on lambda at all) the
     residual alone passes at points that are no root. One that misses
     takes up to ``NEWTON_STEPS`` Newton steps and is dropped after them.
@@ -595,7 +607,7 @@ def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
             c, dc = _horner(coeffs[live], lam[live])
             q, dq = _horner(profile.denominator[None, :], lam[live])
             newton = f * q * q / (dc * q - c * dq)  # F / F'
-        hit = (np.abs(f) <= ROOT_TOL) & (np.abs(newton) <= cfg.dedupe_tol)
+        hit = (np.abs(f) <= ROOT_TOL) & (np.abs(newton) <= DEDUPE_TOL)
         kept[live[hit]] = True
         live, newton = live[~hit], newton[~hit]
         if live.size == 0 or step == NEWTON_STEPS:
@@ -641,15 +653,14 @@ def _horner(coeffs: np.ndarray, lam: np.ndarray
 
 
 def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
-                        xi: np.ndarray, lam: np.ndarray, cfg: SolverConfig,
-                        skips: list, work: dict
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        xi: np.ndarray, lam: np.ndarray, skips: list,
+                        work: dict) -> tuple[np.ndarray, np.ndarray]:
     """Accept candidate roots on the exact tail polynomial; no limit batch.
 
     ``coeffs`` holds each candidate's cleared polynomial C = Q xi^m
     + sum_j N_j xi^j, so F_xi(lambda) = C(lambda)/Q(lambda). A candidate
     is kept once ``|F_xi(lambda)| <= ROOT_TOL``, or once both Newton steps
-    |F/F'| and |C/C'| are at most ``dedupe_tol``: near a pole of F the
+    |F/F'| and |C/C'| are at most ``DEDUPE_TOL``: near a pole of F the
     residual of the float nearest a root can exceed ``ROOT_TOL`` while
     the root is located far below the output's resolution. The step on C
     rejects a point near a pole of F, where F/F' is small only because F
@@ -667,8 +678,8 @@ def _settle_closed_form(profile: RationalProfile, coeffs: np.ndarray,
             q, dq = _horner(profile.denominator[None, :], lam[live])
             newton = c * q / (dc * q - c * dq)  # F / F'
             hit = (np.abs(c / q) <= ROOT_TOL) | (
-                (np.abs(newton) <= cfg.dedupe_tol)
-                & (np.abs(c / dc) <= cfg.dedupe_tol))
+                (np.abs(newton) <= DEDUPE_TOL)
+                & (np.abs(c / dc) <= DEDUPE_TOL))
             kept[live[hit]] = True
             live, newton = live[~hit], newton[~hit]
             if live.size == 0 or step == NEWTON_STEPS:
@@ -754,7 +765,7 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
     Returns the certified roots within the tracking band, with a row for
     every attempted frequency (possibly empty) so the refinement pass can
     see where branches leave the band. Of two roots closer than
-    ``dedupe_tol`` the earlier seed's stays. Adds its work to ``work``.
+    ``DEDUPE_TOL`` the earlier seed's stays. Adds its work to ``work``.
     """
     track_pad = _track_pad(cfg)
     xi_values = np.asarray(xi_values, dtype=float)
@@ -767,16 +778,15 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
     rows, cols = np.nonzero(_near_window(lam, cfg.window, track_pad))
     keep = np.zeros(lam.shape, dtype=bool)
     if rows.size:
-        args = (profile, coeffs[rows], xi_values[rows], lam[rows, cols], cfg,
-                skips, work)
-        kept, polished = (_settle_closed_form(*args)
+        args = (profile, coeffs[rows], xi_values[rows], lam[rows, cols])
+        kept, polished = (_settle_closed_form(*args, skips, work)
                           if profile.limits is not None
-                          else _polish_batch(symbol, *args))
+                          else _polish_batch(symbol, *args, cfg, skips, work))
         lam[rows, cols] = polished
         keep[rows, cols] = kept & _near_window(polished, cfg.window,
                                                track_pad)
     lam = np.where(keep, lam, np.nan)
-    far = _distances(lam, lam) > cfg.dedupe_tol
+    far = _distances(lam, lam) > DEDUPE_TOL
     for j in range(1, lam.shape[1]):
         keep[:, j] &= (far[:, j, :j] | ~keep[:, :j]).all(axis=1)
     return _compact(xi_values, lam, keep)
@@ -855,13 +865,13 @@ def _sweep_side(symbol: SchurSymbol, profile: RationalProfile,
     flagged = np.empty((0, 2))
     rounds = 0
     total = int(table.count.sum())
-    while total < cfg.max_points and rounds < 48:
+    while total < MAX_POINTS and rounds < 48:
         work["segments_checked"] += len(segments)
         flagged, targets = _refinement_targets(table, flagged, segments, cfg)
         if not targets.size:
             break
         # Targets past the budget stay flagged for the next round.
-        targets = targets[:max(0, cfg.max_points - total)]
+        targets = targets[:max(0, MAX_POINTS - total)]
         update = _solve_at(symbol, profile, targets[:, 1], cfg, skips, work)
         table = _concat([table, update])
         total += int(update.count.sum())
@@ -1006,12 +1016,11 @@ def _assign_branches(table: RootTable, first_id: int, cfg: SolverConfig
         "joints": int(rows.size) - array_rows}
 
 
-def _merge_sides(plus: RootTable, minus: RootTable,
-                 cfg: SolverConfig) -> dict[str, RootTable]:
+def _merge_sides(plus: RootTable, minus: RootTable) -> dict[str, RootTable]:
     """Pair up coincident roots of the two sides into neutral points.
 
     At each frequency the ``plus`` roots in turn take the nearest untaken
-    ``minus`` root within ``dedupe_tol``, the last of equally near ones.
+    ``minus`` root within ``DEDUPE_TOL``, the last of equally near ones.
     A neutral point keeps the ``plus`` root.
     """
     xi = np.union1d(plus.xi, minus.xi)
@@ -1022,7 +1031,7 @@ def _merge_sides(plus: RootTable, minus: RootTable,
     dist = _distances(left.lam, right.lam)
     rows = np.arange(xi.size)
     for i in range(left.lam.shape[1] if right.lam.shape[1] else 0):
-        best = np.where((dist[:, i] <= cfg.dedupe_tol) & ~taken, dist[:, i],
+        best = np.where((dist[:, i] <= DEDUPE_TOL) & ~taken, dist[:, i],
                         np.inf)
         last = best.shape[1] - 1 - best[:, ::-1].argmin(axis=1)
         matched[:, i] = np.isfinite(best[rows, last])
@@ -1044,7 +1053,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     rational reconstruction failed outright.
     """
     cfg = cfg or SolverConfig()
-    symbol = symbol if symbol is not None else build_schur(op, cfg)
+    symbol = symbol if symbol is not None else build_schur(op)
     if xi_grid is None:
         xi_values = default_xi_grid(cfg)
     else:
@@ -1101,7 +1110,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
         side_roots[side] = _compact(tracked.xi, tracked.lam, emitted)
 
     failed = errors and not any(t.count.any() for t in side_roots.values())
-    classes = _merge_sides(side_roots["+"], side_roots["-"], cfg)
+    classes = _merge_sides(side_roots["+"], side_roots["-"])
     parts = []
     continuation: dict[str, dict] = {}
     next_id = 0
@@ -1146,20 +1155,20 @@ PAIR_BLOCK = 1 << 20
 
 
 def _flag_singular(points: SingularTable, regular: RegularTable,
-                   exceptional: ExceptionalSet,
-                   cfg: SolverConfig) -> SingularTable:
+                   exceptional: ExceptionalSet) -> SingularTable:
     """The points with their overlap flags set.
 
-    A point is in the regular closure when some curve sample lies within
-    ``dedupe_tol``; only the samples whose real parts are that close are
-    compared, a block of (point, sample) pairs per array pass.
+    A point is in the exceptional set within ``EXC_TOL`` of it, and in the
+    regular closure when some curve sample lies within ``DEDUPE_TOL``; only
+    the samples whose real parts are that close are compared, a block of
+    (point, sample) pairs per array pass.
     """
     lam = points.lam
     exc = np.asarray(exceptional.points, dtype=complex)
-    in_exc = (_distances(lam, exc) <= cfg.exc_tol).any(axis=1)
+    in_exc = (_distances(lam, exc) <= EXC_TOL).any(axis=1)
     values = regular.lam[np.argsort(regular.lam.real, kind="stable")]
-    lo = np.searchsorted(values.real, lam.real - cfg.dedupe_tol, "left")
-    hi = np.searchsorted(values.real, lam.real + cfg.dedupe_tol, "right")
+    lo = np.searchsorted(values.real, lam.real - DEDUPE_TOL, "left")
+    hi = np.searchsorted(values.real, lam.real + DEDUPE_TOL, "right")
     in_regular = np.zeros(lam.size, dtype=bool)
     near = np.flatnonzero(lo < hi)
     total = np.cumsum(hi[near] - lo[near])
@@ -1171,7 +1180,7 @@ def _flag_singular(points: SingularTable, regular: RegularTable,
         sample = np.arange(point.size) + np.repeat(
             lo[block] - np.cumsum(width) + width, width)
         in_regular[point[np.abs(values[sample] - lam[point])
-                         <= cfg.dedupe_tol]] = True
+                         <= DEDUPE_TOL]] = True
     return dataclasses.replace(points, flags=(
         in_exc.astype(np.uint8) | in_regular.astype(np.uint8) << 1))
 
@@ -1192,8 +1201,8 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
             "curve_res": cfg.curve_res,
             "root_tol": ROOT_TOL,
             "fit_tol": FIT_TOL,
-            "dedupe_tol": cfg.dedupe_tol,
-            "exc_tol": cfg.exc_tol,
+            "dedupe_tol": DEDUPE_TOL,
+            "exc_tol": EXC_TOL,
             "limit_tol": LIMIT_TOL,
         },
         "errors": [],
@@ -1201,15 +1210,15 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
     diag = validate(op, validation_grid(cfg))
     report["leading_coefficient"] = diag.to_json_dict()
     regular = regular_part(op, cfg, report=report)
-    exceptional = limit_points_at_infinity(op.d, cfg)
+    exceptional = limit_points_at_infinity(op.d)
     report["exceptional"] = exceptional.to_json_dict()
-    symbol = symbol if symbol is not None else build_schur(op, cfg)
+    symbol = symbol if symbol is not None else build_schur(op)
     try:
         singular = singular_part(op, symbol, cfg=cfg, report=report)
     except FitError as exc:
         report["errors"].append(str(exc))
         singular = SingularTable.from_rows(())
-    singular = _flag_singular(singular, regular, exceptional, cfg)
+    singular = _flag_singular(singular, regular, exceptional)
     return SpectrumSet(
         regular=regular,
         singular=singular,

@@ -112,7 +112,7 @@ def test_criterion_3_quartic_structure_and_svg():
     op = quartic_coupled()
     cfg = SolverConfig()
 
-    exceptional = limit_points_at_infinity(op.d, cfg)
+    exceptional = limit_points_at_infinity(op.d)
     assert len(exceptional.points) == 1
     assert abs(exceptional.points[0]) <= 1e-4
 
@@ -235,13 +235,12 @@ def test_criterion_7_truncation_clouds_not_monotone(tmp_path):
     # branch [0, inf): the branch-to-cloud distance fails to shrink
     # monotonically as the interval grows.
     op = parabolic_potential()
-    cfg = SolverConfig()
     probes = np.linspace(0.0, 10.0, 2001).astype(complex)
     distances = []
     for length in (5.0, 10.0, 20.0):
         n_points = int(2 * length * length)
         eigenvalues = discretize_and_eig(
-            op, length, n_points, bc="dirichlet_truncate", cfg=cfg)
+            op, length, n_points, bc="dirichlet_truncate")
         cloud = eigenvalues[(np.abs(eigenvalues.real) <= 10.0)
                             & (np.abs(eigenvalues.imag) <= 10.0)]
         assert cloud.size > 0

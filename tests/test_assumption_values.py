@@ -146,10 +146,10 @@ def reference_check_assumptions(op, symbol_op, probes, grid, cfg):
         p_m = tree_values([("p_m", trees[symbol.m])], grid, probe)[0][1]
         batch = [
             _check_bounded("B1", tree_values(b1_trees, grid, probe), probe,
-                           grid, cfg),
+                           grid),
             _check_b2(p_m, probe, grid),
             _check_bounded("B3", tree_values(b3_trees, grid, probe), probe,
-                           grid, cfg),
+                           grid),
             _check_c(p_m, probe, grid),
             reference_check_d(symbol, probe, cfg),
         ]
@@ -223,7 +223,7 @@ def assert_values_match(new, labelled_trees, scales, finite, probe):
     simplify rounds inside the lambda trees. Next to d(x) = lambda they
     leave the reference off by up to 5e-6 on values of order one (a
     60-digit evaluation of the coefficient's definition gives 0 where the
-    tree gives 5e-6 and the lambda-free form 0), far below ``bound_cap``.
+    tree gives 5e-6 and the lambda-free form 0), far below ``BOUND_CAP``.
     """
     reference = tree_values(labelled_trees, GRID, probe)
     assert [label for label, _ in new] == [label for label, _ in reference]

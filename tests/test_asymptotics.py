@@ -31,9 +31,11 @@ from factories import (
 )
 from oracles import directed_hausdorff, qhull_vertices
 from matspectra.asymptotics import (
+    CLUSTER_TOL,
     CLUSTER_WINDOWS,
     LIMIT_TOL,
     T,
+    WINDOWS,
     Certificate,
     _check_c,
     _cluster,
@@ -416,12 +418,11 @@ def test_concurrent_calls_are_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_quartic_d_has_single_limit_point_at_zero():
-    result = limit_points_at_infinity(quartic_coupled().d, CFG)
+    result = limit_points_at_infinity(quartic_coupled().d)
     assert len(result.points) == 1
     assert abs(result.points[0]) <= 1e-4
-    assert all(r <= CFG.cluster_tol for r in result.radii)
-    expected_windows = tuple(range(CFG.windows - CLUSTER_WINDOWS,
-                                   CFG.windows))
+    assert all(r <= CLUSTER_TOL for r in result.radii)
+    expected_windows = tuple(range(WINDOWS - CLUSTER_WINDOWS, WINDOWS))
     assert result.window_exponents == expected_windows
 
 
@@ -435,26 +436,26 @@ def test_only_the_clustered_windows_are_sampled(monkeypatch):
 
     monkeypatch.setattr(asymptotics_module, "evaluate_array",
                         recording_evaluate)
-    result = limit_points_at_infinity(quartic_coupled().d, CFG)
+    result = limit_points_at_infinity(quartic_coupled().d)
     # Each window is sampled once toward each end of the line.
     assert len(sampled) == 2 * CLUSTER_WINDOWS
     assert sorted(np.sign(xs[0]) for xs in sampled) == (
         [-1.0] * CLUSTER_WINDOWS + [1.0] * CLUSTER_WINDOWS)
-    lowest = CFG.windows - CLUSTER_WINDOWS
+    lowest = WINDOWS - CLUSTER_WINDOWS
     assert {int(np.log2(abs(xs[0]))) for xs in sampled} == set(
-        range(lowest, CFG.windows))
-    assert result.window_exponents == tuple(range(lowest, CFG.windows))
+        range(lowest, WINDOWS))
+    assert result.window_exponents == tuple(range(lowest, WINDOWS))
 
 
 def test_parabolic_d_escapes_everywhere():
-    result = limit_points_at_infinity(parabolic_potential().d, CFG)
+    result = limit_points_at_infinity(parabolic_potential().d)
     assert result.points == ()
     assert result.window_exponents == ()
 
 
-def test_oscillating_d_fills_its_range():
-    cfg = CFG.with_overrides(cluster_tol=1e-2)
-    result = limit_points_at_infinity(parse("sin(x)"), cfg)
+def test_oscillating_d_fills_its_range(monkeypatch):
+    monkeypatch.setattr(asymptotics_module, "CLUSTER_TOL", 1e-2)
+    result = limit_points_at_infinity(parse("sin(x)"))
     reps = np.array(result.points)
     # Set invariants: tight clusters, separated representatives.
     assert all(r <= 1e-2 for r in result.radii)
@@ -462,7 +463,7 @@ def test_oscillating_d_fills_its_range():
     seps[np.diag_indices_from(seps)] = np.inf
     assert seps.min() > 2e-2
     # Coverage: a dense far-field reference sampling of sin is everywhere
-    # within 2.5 * cluster_tol of a representative (cluster radius plus
+    # within 2.5 * CLUSTER_TOL of a representative (cluster radius plus
     # the discard annulus).
     reference = np.sin(np.linspace(1e6, 1e6 + 1e3, 20_001))
     assert directed_hausdorff(reference.astype(complex), reps) <= 2.5e-2
@@ -527,18 +528,20 @@ def test_cluster_runs_match_the_loop(seed, centers, size, ring):
     assert _cluster(cloud, tol) == _cluster_by_full_scan(cloud, tol)
 
 
-def test_exceptional_set_stable_under_window_doubling():
-    base = CFG.with_overrides(cluster_tol=1e-2)
-    doubled = base.with_overrides(windows=2 * CFG.windows)
+def test_exceptional_set_stable_under_window_doubling(monkeypatch):
+    tol = 1e-2
+    monkeypatch.setattr(asymptotics_module, "CLUSTER_TOL", tol)
     for d_text in ("sin(x)", "exp(-x^2/2) + i/(1 + x^2)"):
-        one = limit_points_at_infinity(parse(d_text), base)
-        two = limit_points_at_infinity(parse(d_text), doubled)
+        one = limit_points_at_infinity(parse(d_text))
+        with monkeypatch.context() as doubled:
+            doubled.setattr(asymptotics_module, "WINDOWS", 2 * WINDOWS)
+            two = limit_points_at_infinity(parse(d_text))
         a = np.array(one.points)
         b = np.array(two.points)
         # Representatives can be separated by up to ~2*tol plus the data
         # gap, so mutual deviation stays below 2.5*tol for a dense range.
-        assert directed_hausdorff(a, b) <= 2.5 * base.cluster_tol
-        assert directed_hausdorff(b, a) <= 2.5 * base.cluster_tol
+        assert directed_hausdorff(a, b) <= 2.5 * tol
+        assert directed_hausdorff(b, a) <= 2.5 * tol
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +832,7 @@ def test_hull_of_sample_clouds_agrees_with_qhull(v):
     assert_hull_agrees_with_qhull(v)
 
 
-def test_unbounded_coefficient_fails_b1():
+def test_unbounded_coefficient_fails_b1(monkeypatch):
     # p_2 = x is unbounded; the sampled bound cap must flag it.
     op = OperatorMatrix(
         a=(Lit(0j), Lit(0j), X),
@@ -839,8 +842,8 @@ def test_unbounded_coefficient_fails_b1():
     )
     symbol = build_schur(op)
     grid = validation_grid(CFG)
-    cfg = CFG.with_overrides(bound_cap=1e3)
-    diag = check_assumptions(op, symbol, [5.0 + 0j], grid, cfg)
+    monkeypatch.setattr(asymptotics_module, "BOUND_CAP", 1e3)
+    diag = check_assumptions(op, symbol, [5.0 + 0j], grid, CFG)
     record = by_assumption(diag, "B1", 5.0 + 0j)
     assert record.status == "fail"
     label, location, measured = record.witness

@@ -27,10 +27,11 @@ from matspectra.cli import (
     main,
     render_svg,
 )
+from matspectra import oracle as oracle_module
 from matspectra.config import SolverConfig
 from matspectra.errors import ConfigError
 from matspectra.expr import mentions, simplify
-from matspectra.model import load_operator
+from matspectra.model import load_operator, validation_grid
 from matspectra.schur import coefficient_trees
 from matspectra.spectrum import (
     CSV_HEADER,
@@ -97,20 +98,41 @@ class TestArgumentParsing:
             _parse_probes("1+2q")
 
     def test_run_config_rejects_degenerate_window(self, tmp_path):
-        solver = SolverConfig().with_overrides(window=(1.0, 1.0, -1.0, 1.0))
         with pytest.raises(ConfigError, match="non-degenerate"):
+            solver = SolverConfig().with_overrides(
+                window=(1.0, 1.0, -1.0, 1.0))
             make_run("check", QUARTIC_CFG, tmp_path, solver)
 
     def test_run_config_rejects_nonpositive_tolerance(self, tmp_path):
-        solver = SolverConfig().with_overrides(curve_res=0.0)
         with pytest.raises(ConfigError, match="positive"):
+            solver = SolverConfig().with_overrides(curve_res=0.0)
             make_run("check", QUARTIC_CFG, tmp_path, solver)
 
-    @pytest.mark.parametrize("name", ["curve_res", "dedupe_tol", "exc_tol"])
+    @pytest.mark.parametrize("name", ["curve_res"])
     def test_run_config_rejects_nan_tolerance(self, tmp_path, name):
-        solver = SolverConfig().with_overrides(**{name: np.nan})
         with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            solver = SolverConfig().with_overrides(**{name: np.nan})
             make_run("spectrum", QUARTIC_CFG, tmp_path, solver)
+
+    @pytest.mark.parametrize("x0", [0.0, -16.0, np.inf, np.nan])
+    def test_solver_config_rejects_a_trajectory_start_off_the_positive_axis(
+            self, x0):
+        # Trajectories run x = sign * x0 * 2^t: from x0 = 0 the + limit of
+        # 1/(1+x^2) + 3 read 4, and from x0 = -16 the + limit of
+        # x/sqrt(1+x^2) read the - limit, -1.
+        with pytest.raises(ConfigError,
+                           match="x0 must be finite and positive"):
+            SolverConfig().with_overrides(x0=x0)
+
+    @pytest.mark.parametrize("count", [1, 0, -3])
+    def test_solver_config_rejects_a_grid_of_fewer_than_two_points(self,
+                                                                   count):
+        # validation_grid spaces its core by count - 1: at 1 it put NaN in
+        # the grid.
+        with pytest.raises(ConfigError,
+                           match="grid_points must be at least 2"):
+            SolverConfig(grid_points=count)
+        assert np.isfinite(validation_grid(SolverConfig(grid_points=2))).all()
 
     def test_unknown_solver_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -124,8 +146,8 @@ class TestArgumentParsing:
     @pytest.mark.parametrize("window", [(-np.inf, 1.0, -1.0, 1.0),
                                         (-1.0, 1.0, -1.0, np.nan)])
     def test_run_config_rejects_nonfinite_window(self, tmp_path, window):
-        solver = SolverConfig().with_overrides(window=window)
         with pytest.raises(ConfigError, match="window bounds must be finite"):
+            solver = SolverConfig().with_overrides(window=window)
             make_run("spectrum", PARABOLIC_CFG, tmp_path, solver)
 
     @pytest.mark.parametrize("probe", [complex(np.nan, 0.0),
@@ -277,9 +299,9 @@ class TestOracleCommand:
             re_part, im_part = line.split(",")
             float(re_part), float(im_part)
 
-    def test_parabolic_discretize_demonstration(self, tmp_path):
-        solver = QUICK_PARABOLIC.with_overrides(eig_budget=200)
-        run = make_run("oracle", PARABOLIC_CFG, tmp_path, solver,
+    def test_parabolic_discretize_demonstration(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle_module, "EIG_BUDGET", 200)
+        run = make_run("oracle", PARABOLIC_CFG, tmp_path, QUICK_PARABOLIC,
                        discretize=True)
         assert cmd_oracle(run) == EXIT_OK
         report = json.loads((tmp_path / "oracle_report.json").read_text())

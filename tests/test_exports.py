@@ -18,8 +18,6 @@ def test_every_exported_name_resolves(module_name):
 
 def test_config_and_exceptional_set_keep_only_used_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "x0", "cluster_tol", "windows", "curve_res", "max_points",
-        "grid_points", "dedupe_tol", "exc_tol", "xi_max", "xi_points",
-        "bound_cap", "node_ceiling", "eig_budget", "window"]
+        "x0", "curve_res", "grid_points", "xi_max", "xi_points", "window"]
     assert set(ExceptionalSet((), (), ()).to_json_dict()) == {
         "points", "radii", "window_exponents"}

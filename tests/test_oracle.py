@@ -17,6 +17,7 @@ from matspectra.asymptotics import LIMIT_TOL, limit_ratio_batch
 from matspectra.config import SolverConfig
 from matspectra.errors import DomainError, RefusedFrozen, SizeError
 from matspectra.expr import Call, Div, Lit, Mul, X
+from matspectra import oracle as oracle_module
 from matspectra.model import OperatorMatrix
 from matspectra.oracle import (
     DetScanPoint,
@@ -177,14 +178,13 @@ class TestDiscretize:
         gaps = np.min(np.abs(targets[:, None] - eig[None, :]), axis=1)
         assert np.max(gaps) <= 1.0
 
-    def test_budget_and_precondition_errors(self):
+    def test_budget_and_precondition_errors(self, monkeypatch):
         op = random_constant_operator(random.Random(1), 2)
         with pytest.raises(SizeError):
             discretize_and_eig(op, 2.0, 4001)
-        with pytest.raises(SizeError):
-            discretize_and_eig(op, 2.0, 600,
-                               cfg=SolverConfig().with_overrides(
-                                   eig_budget=500))
+        with monkeypatch.context() as patch, pytest.raises(SizeError):
+            patch.setattr(oracle_module, "EIG_BUDGET", 500)
+            discretize_and_eig(op, 2.0, 600)
         with pytest.raises(DomainError):
             discretize_and_eig(op, 2.0, 8)
         with pytest.raises(DomainError):

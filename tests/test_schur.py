@@ -31,6 +31,7 @@ from matspectra.expr import (
     simplify,
     to_text,
 )
+from matspectra import schur as schur_module
 from matspectra.model import OperatorMatrix, delta, load_operator
 from matspectra.schur import (
     SchurSymbol,
@@ -256,13 +257,13 @@ def test_weighted_coefficients_extend_across_resolvent_pole():
                 1.0 + abs(previous))
 
 
-def test_node_ceiling_guards_tree_growth():
+def test_node_ceiling_guards_tree_growth(monkeypatch):
     # Only the lambda trees are size-guarded; the lambda-free build is not.
-    tiny = SolverConfig().with_overrides(node_ceiling=10)
+    free = build_schur(quartic_coupled())
+    monkeypatch.setattr(schur_module, "NODE_CEILING", 10)
     with pytest.raises(ComplexityError):
-        coefficient_trees(quartic_coupled(), tiny)
-    assert build_schur(quartic_coupled(), tiny) == build_schur(
-        quartic_coupled())
+        coefficient_trees(quartic_coupled())
+    assert build_schur(quartic_coupled(), SolverConfig()) == free
 
 
 def test_symbol_requires_full_coefficient_list():

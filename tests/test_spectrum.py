@@ -33,6 +33,8 @@ from matspectra.oracle import det_scan, freeze
 from matspectra.schur import build_schur
 from matspectra.spectrum import (
     CSV_HEADER,
+    DEDUPE_TOL,
+    EXC_TOL,
     FIT_TOL,
     NEWTON_STEPS,
     REGULAR_SIDE,
@@ -270,7 +272,7 @@ def test_closed_form_newton_settles_near_roots_and_drops_the_rest():
     skips, work = [], dict.fromkeys(WORK_COUNTERS, 0)
     kept, lam = spectrum_module._settle_closed_form(
         profile, coeffs, np.array([2.0, 2.0]), np.array([4.0, 4 + 1e-6]),
-        SolverConfig(), skips, work)
+        skips, work)
     assert kept.tolist() == [True, True]
     assert lam.tolist() == [4.0, 4.0]
     assert work["newton_iterations"] == 1 and skips == []
@@ -279,15 +281,13 @@ def test_closed_form_newton_settles_near_roots_and_drops_the_rest():
                                denominator=np.array([-1, 1], dtype=complex))
     coeffs = spectrum_module._cleared_coefficients(pole, 2, np.array([2.0]))
     kept, lam = spectrum_module._settle_closed_form(
-        pole, coeffs, np.array([2.0]), np.array([1.0 + 0j]), SolverConfig(),
-        skips, work)
+        pole, coeffs, np.array([2.0]), np.array([1.0 + 0j]), skips, work)
     assert kept.tolist() == [False] and lam.tolist() == [1.0]
     flat = dataclasses.replace(
         profile, numerators=np.array([[1, 0, 1], [0, 0, 0]], dtype=complex))
     coeffs = spectrum_module._cleared_coefficients(flat, 2, np.array([0.0]))
     kept, _ = spectrum_module._settle_closed_form(
-        flat, coeffs, np.array([0.0]), np.array([0j]), SolverConfig(), skips,
-        work)
+        flat, coeffs, np.array([0.0]), np.array([0j]), skips, work)
     assert kept.tolist() == [False]
     assert [(s["type"], s["reason"]) for s in skips] == [
         ("PolishSkip", "Newton on the closed-form F did not reach the root "
@@ -310,7 +310,7 @@ def test_closed_form_accepts_a_root_near_a_pole_by_its_newton_step():
     skips, work = [], dict.fromkeys(WORK_COUNTERS, 0)
     kept, lam = spectrum_module._settle_closed_form(
         profile, coeffs, xi, np.array([root, 1 + 1e-12], dtype=complex),
-        SolverConfig(), skips, work)
+        skips, work)
     assert abs(xi[0] ** 2 - 1 / (root - 1)) > ROOT_TOL
     assert kept.tolist() == [True, False]
     assert lam[0] == root and abs(lam[1] - 1) == pytest.approx(8e-12)
@@ -478,7 +478,7 @@ def _assert_points_and_det_scan_roots_match(op, cfg):
     Toward each end, at every grid frequency and every frequency of a
     point of that end (the neutral side belongs to both), every point lies
     within 1e-6 of a ``det_scan`` root and every root in the window within
-    1e-6 of a point, unless it lies within ``exc_tol`` of the exceptional
+    1e-6 of a point, unless it lies within ``EXC_TOL`` of the exceptional
     set: the closed form divides the root at lambda = d^inf out. There the
     oracle is off too. ``freeze`` certifies the limit of a decaying
     coefficient as about 1e-11, not 0, and near the double root that
@@ -490,12 +490,12 @@ def _assert_points_and_det_scan_roots_match(op, cfg):
     points = singular_part(op, cfg=cfg, report=report)
     assert {fit["route"] for fit in report["singular"]["fits"].values()} \
         == {"closed_form"}
-    exceptional = np.asarray(limit_points_at_infinity(op.d, cfg).points,
+    exceptional = np.asarray(limit_points_at_infinity(op.d).points,
                              dtype=complex)
 
     def near_exceptional(lam):
         gap = np.abs(lam[..., None] - exceptional)
-        return np.min(gap, axis=-1, initial=np.inf) <= cfg.exc_tol
+        return np.min(gap, axis=-1, initial=np.inf) <= EXC_TOL
 
     for code, side in enumerate("+-"):
         mine = np.isin(points.side, [code, SIDES.index(REGULAR_SIDE)])
@@ -683,7 +683,7 @@ def test_companion_roots_match_per_row_np_roots(coeffs):
 # Loop versions of the sweep bookkeeping: the references for the root table
 # ---------------------------------------------------------------------------
 
-def _loop_post_polish(xi_values, root_rows, polish, cfg):
+def _loop_post_polish(xi_values, root_rows, polish, cfg, dedupe_tol):
     """Per-seed filter, dedupe and sort after the polish, as a dict of rows.
 
     ``polish(seed_xi, seed_lam)`` returns (kept, polished) for the seeds.
@@ -706,7 +706,7 @@ def _loop_post_polish(xi_values, root_rows, polish, cfg):
         if not good or not window_contains(cfg.window, lam, pad=track_pad):
             continue
         bucket = grouped[xi]
-        if all(abs(lam - other) > cfg.dedupe_tol for other in bucket):
+        if all(abs(lam - other) > dedupe_tol for other in bucket):
             bucket.append(lam)
     for bucket in grouped.values():
         bucket.sort(key=lambda z: (z.real, z.imag))
@@ -745,7 +745,7 @@ def _loop_segment_needs_split(roots_a, roots_b, cfg, keep_pad):
     return False
 
 
-def _loop_merge_sides(plus, minus, cfg):
+def _loop_merge_sides(plus, minus, dedupe_tol):
     classes = {REGULAR_SIDE: [], "+": [], "-": []}
     for xi in sorted(set(plus) | set(minus)):
         left = list(plus.get(xi, []))
@@ -753,7 +753,7 @@ def _loop_merge_sides(plus, minus, cfg):
         taken = [False] * len(right)
         for lam in left:
             match = -1
-            best = cfg.dedupe_tol
+            best = dedupe_tol
             for i, other in enumerate(right):
                 if not taken[i] and abs(lam - other) <= best:
                     match = i
@@ -810,7 +810,7 @@ def _loop_assign_branches(raw, first_id, cfg):
     return [(xi, root, bid) for xi, _ri, root, bid in out], next_id
 
 
-def _loop_flag_singular(points, regular, exceptional, cfg):
+def _loop_flag_singular(points, regular, exceptional, dedupe_tol, exc_tol):
     values = np.asarray([p.lam for p in regular], dtype=complex)
     order = np.argsort(values.real, kind="stable")
     values = values[order]
@@ -818,13 +818,12 @@ def _loop_flag_singular(points, regular, exceptional, cfg):
     flagged = []
     for point in points:
         flags = []
-        if any(abs(point.lam - p) <= cfg.exc_tol
-               for p in exceptional.points):
+        if any(abs(point.lam - p) <= exc_tol for p in exceptional.points):
             flags.append("in_exceptional")
-        lo = np.searchsorted(reals, point.lam.real - cfg.dedupe_tol, "left")
-        hi = np.searchsorted(reals, point.lam.real + cfg.dedupe_tol, "right")
+        lo = np.searchsorted(reals, point.lam.real - dedupe_tol, "left")
+        hi = np.searchsorted(reals, point.lam.real + dedupe_tol, "right")
         if lo < hi and np.min(
-                np.abs(values[lo:hi] - point.lam)) <= cfg.dedupe_tol:
+                np.abs(values[lo:hi] - point.lam)) <= dedupe_tol:
             flags.append("in_regular_closure")
         flagged.append(dataclasses.replace(point, flags=tuple(flags)))
     return flagged
@@ -893,12 +892,13 @@ def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
     tried = {float(x) for x in xi_grid}
     rounds = 0
     total = sum(len(v) for v in solved.values())
-    while total < cfg.max_points and rounds < 48:
+    budget = spectrum_module.MAX_POINTS
+    while total < budget and rounds < 48:
         work["segments_checked"] += len(solved) - 1
         targets = _rescan_targets(solved, cfg, tried)
         if not targets:
             break
-        targets = targets[:max(0, cfg.max_points - total)]
+        targets = targets[:max(0, budget - total)]
         tried.update(targets)
         solved.update(solve(np.asarray(targets)))
         total = sum(len(v) for v in solved.values())
@@ -951,9 +951,9 @@ def test_worklist_refinement_matches_full_rescan(branches, grid_points,
         return _table(out)
 
     cfg = SolverConfig().with_overrides(
-        window=(-1.0, 1.0, -1.0, 1.0), curve_res=curve_res,
-        max_points=max_points)
-    with mock.patch.object(spectrum_module, "_solve_at", fake_solve):
+        window=(-1.0, 1.0, -1.0, 1.0), curve_res=curve_res)
+    with mock.patch.multiple(spectrum_module, _solve_at=fake_solve,
+                             MAX_POINTS=max_points):
         _assert_same_sweep(None, None, np.linspace(-2.0, 2.0, grid_points),
                            cfg)
 
@@ -961,7 +961,8 @@ def test_worklist_refinement_matches_full_rescan(branches, grid_points,
 def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
     op = parabolic_potential()
     cfg = SolverConfig().with_overrides(
-        window=(-2.0, 1.0, -0.5, 0.5), curve_res=0.05, max_points=6)
+        window=(-2.0, 1.0, -0.5, 0.5), curve_res=0.05)
+    monkeypatch.setattr(spectrum_module, "MAX_POINTS", 6)
     symbol = build_schur(op)
     profile = _fit_side(symbol, "+", op.n, cfg)
     offered, solved_mids = [], []
@@ -977,12 +978,12 @@ def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
         solved_mids.append([float(x) for x in xi_values])
         return real_solve(symbol, profile, xi_values, *args)
 
-    monkeypatch.setattr(spectrum_module, "_refinement_targets",
-                        recording_targets)
-    monkeypatch.setattr(spectrum_module, "_solve_at", recording_solve)
     grid = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])
-    info = _sweep_side(symbol, profile, grid, cfg, [])[1]
-    monkeypatch.undo()
+    with monkeypatch.context() as recording:
+        recording.setattr(spectrum_module, "_refinement_targets",
+                          recording_targets)
+        recording.setattr(spectrum_module, "_solve_at", recording_solve)
+        info = _sweep_side(symbol, profile, grid, cfg, [])[1]
     # Roots at xi = +-4 and at the first midpoint -2 leave the tracking
     # band, so a round can spend its budget and still leave room.
     rounds = solved_mids[1:]
@@ -990,7 +991,7 @@ def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
            if len(offered[k]) > len(rounds[k])]
     assert any(k + 1 < len(offered) and set(left) <= set(offered[k + 1])
                for k, left in cut)
-    assert info["points"] == cfg.max_points
+    assert info["points"] == spectrum_module.MAX_POINTS
     assert _assert_same_sweep(symbol, profile, grid, cfg) == {
         key: value for key, value in info.items()
         if key != "segments_checked"}
@@ -1073,8 +1074,7 @@ def _padded(root_rows):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
-    cfg = SolverConfig().with_overrides(window=_WINDOW, dedupe_tol=_DEDUPE,
-                                        curve_res=_CURVE)
+    cfg = SolverConfig().with_overrides(window=_WINDOW, curve_res=_CURVE)
     cloud = _cloud(data.draw, _DEDUPE, _edges(cfg), 6)
     size = data.draw(st.integers(1, 6))
     identity = data.draw(st.lists(st.sampled_from([False, False, True]),
@@ -1096,8 +1096,8 @@ def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
         seeds.append((xi.copy(), lam.copy()))
         return polish(xi, lam)
 
-    def fake_settle(profile, coeffs, xi, lam, cfg, skips, work):
-        return fake_polish(None, profile, coeffs, xi, lam, cfg, skips, work)
+    def fake_settle(profile, coeffs, xi, lam, skips, work):
+        return fake_polish(None, profile, coeffs, xi, lam, None, skips, work)
 
     # A fitted profile polishes on limit batches, a closed-form one settles
     # on its exact tail polynomial; the filter after either is the same.
@@ -1109,10 +1109,11 @@ def test_post_polish_filter_dedupe_and_sort_match_the_loop(data):
             _cleared_coefficients=lambda profile, m, xi: np.zeros((xi.size,
                                                                    1)),
             _companion_roots=lambda coeffs: _padded(root_rows),
-            _polish_batch=fake_polish, _settle_closed_form=fake_settle):
+            _polish_batch=fake_polish, _settle_closed_form=fake_settle,
+            DEDUPE_TOL=_DEDUPE):
         table = spectrum_module._solve_at(mock.Mock(m=2), profile, xi_values,
                                           cfg, skips, {"companion_solves": 0})
-    reference = _loop_post_polish(xi_values, root_rows, polish, cfg)
+    reference = _loop_post_polish(xi_values, root_rows, polish, cfg, _DEDUPE)
     assert _bits(_table_rows(table)) == _bits(list(reference.items()))
     assert [s["xi"] for s in skips] == [
         float(xi) for xi, roots in zip(xi_values, root_rows) if roots is None]
@@ -1162,15 +1163,16 @@ def test_segment_split_pairs_a_root_with_the_first_of_equally_near_ones():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_merge_sides_matches_the_loop(data):
-    cfg = SolverConfig().with_overrides(window=_WINDOW, dedupe_tol=_DEDUPE)
+    cfg = SolverConfig().with_overrides(window=_WINDOW)
     cloud = _cloud(data.draw, _DEDUPE, _edges(cfg), 4)
     xis = st.lists(st.integers(0, 7).map(float), max_size=6, unique=True)
     plus = _sorted_rows({xi: data.draw(cloud) for xi in data.draw(xis)})
     minus = _sorted_rows({xi: data.draw(cloud)[:2]
                           + _follow(data.draw, plus.get(xi, []), _DEDUPE)
                           for xi in data.draw(xis)})
-    classes = _merge_sides(_table(plus), _table(minus), cfg)
-    reference = _loop_merge_sides(plus, minus, cfg)
+    with mock.patch.object(spectrum_module, "DEDUPE_TOL", _DEDUPE):
+        classes = _merge_sides(_table(plus), _table(minus))
+    reference = _loop_merge_sides(plus, minus, _DEDUPE)
     for side_class, table in classes.items():
         got = [(xi, lam) for xi, roots in _table_rows(table)
                for lam in roots]
@@ -1304,9 +1306,7 @@ def test_assign_branches_takes_runs_by_array_and_joints_by_loop():
 @given(data=st.data(), block=st.sampled_from([1, 2, 3,
                                               spectrum_module.PAIR_BLOCK]))
 def test_flags_match_the_loop(data, block):
-    cfg = SolverConfig().with_overrides(window=_WINDOW, dedupe_tol=_DEDUPE,
-                                        exc_tol=_CURVE)
-    edges = _edges(cfg)
+    edges = _edges(SolverConfig().with_overrides(window=_WINDOW))
     cloud = _cloud(data.draw, _DEDUPE, edges, 6)
     exc_cloud = _cloud(data.draw, _CURVE, edges, 3)
     flags = st.sampled_from([(), ("in_exceptional",),
@@ -1317,11 +1317,12 @@ def test_flags_match_the_loop(data, block):
                for k, lam in enumerate(data.draw(cloud))]
     exceptional = ExceptionalSet(points=tuple(data.draw(exc_cloud)),
                                  radii=(), window_exponents=())
-    with mock.patch.object(spectrum_module, "PAIR_BLOCK", block):
+    with mock.patch.multiple(spectrum_module, PAIR_BLOCK=block,
+                             DEDUPE_TOL=_DEDUPE, EXC_TOL=_CURVE):
         got = _flag_singular(SingularTable.from_rows(points),
-                             RegularTable.from_rows(regular), exceptional,
-                             cfg)
-    assert list(got) == _loop_flag_singular(points, regular, exceptional, cfg)
+                             RegularTable.from_rows(regular), exceptional)
+    assert list(got) == _loop_flag_singular(points, regular, exceptional,
+                                            _DEDUPE, _CURVE)
 
 
 def test_singular_part_makes_no_per_root_calls(monkeypatch):
@@ -1582,7 +1583,7 @@ def test_fallback_points_are_roots_by_the_true_slope(seed):
     # point must be a root of the limit-batch F, located by a Newton step
     # whose slope is a central difference of limit batches, not the fit.
     # The fitted slope that accepted it is off by up to 1.5% here, so the
-    # step may reach twice dedupe_tol.
+    # step may reach twice DEDUPE_TOL.
     rng = random.Random(seed)
     op = random_operator(rng, rng.choice([2, 4]))
     symbol = build_schur(op)
@@ -1610,7 +1611,7 @@ def test_fallback_points_are_roots_by_the_true_slope(seed):
         value = tail(lam)
         slope = (tail(lam + h) - tail(lam - h)) / (2.0 * h)
         assert np.abs(value).max() <= ROOT_TOL
-        assert np.abs(value / slope).max() <= 2.0 * FALLBACK_CFG.dedupe_tol
+        assert np.abs(value / slope).max() <= 2.0 * DEDUPE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -1649,3 +1650,15 @@ class TestCsv:
         assert float(fields[2]) == 0.5
         assert complex(float(fields[3]), float(fields[4])) == 0.25 + 1j
         assert rows[2].split(",")[6] == "in_regular_closure"
+
+    def test_table_rows_take_integer_indices_only(self):
+        rows = [SingularPoint("+", 2.0, 4.0 + 0j, 0, ("in_exceptional",)),
+                SingularPoint("-", 3.0, 1j, 1, ())]
+        table = SingularTable.from_rows(rows)
+        assert [table[0], table[np.int64(-1)]] == rows
+        assert table.lam[0:2].tolist() == [4.0 + 0j, 1j]
+        with pytest.raises(TypeError, match="slice the columns instead"):
+            table[0:2]
+        regular = RegularTable.from_rows([RegularPoint(0.5, 1j)])
+        with pytest.raises(TypeError, match="index rows by int, not float"):
+            regular[0.0]
