@@ -226,16 +226,16 @@ def _record_dicts(records) -> list[dict]:
 
 def _run_checks(op: OperatorMatrix,
                 run: RunConfig) -> tuple[list, SchurSymbol]:
-    """Structural record plus per-probe hypothesis records, in order.
+    """Leading-coefficient record plus per-probe hypothesis records, in order.
 
     Also returns the Schur symbol the checks built, for reuse.
     """
     cfg = run.solver
     grid = validation_grid(cfg)
-    structural = validate(op, grid).records
+    leading = validate(op, grid).records
     symbol = build_schur(op)
     checked = check_assumptions(op, symbol, run.probes, grid, cfg).records
-    return [*structural, *checked], symbol
+    return [*leading, *checked], symbol
 
 
 def _one_sided_distance(source, target) -> float | None:

@@ -45,6 +45,12 @@ class SolverConfig:
             raise ConfigError("tolerance curve_res must be positive")
         if self.grid_points < 2:
             raise ConfigError("grid_points must be at least 2")
+        if not (math.isfinite(self.xi_max) and self.xi_max > 0.0):
+            raise ConfigError(
+                f"xi_max must be finite and positive, got {self.xi_max}")
+        if self.xi_points < 0:
+            raise ConfigError(
+                f"xi_points must be non-negative, got {self.xi_points}")
         re_min, re_max, im_min, im_max = window = self.window
         if not all(map(math.isfinite, window)):
             raise ConfigError(f"window bounds must be finite, got {window}")

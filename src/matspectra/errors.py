@@ -31,7 +31,7 @@ class DomainError(MatspectraError):
 
 
 class StructureError(MatspectraError):
-    """Operator orders are inconsistent (m != n + k, or m odd)."""
+    """OperatorMatrix orders break m = n + k, m even and positive."""
 
 
 class ComplexityError(MatspectraError):

@@ -6,8 +6,8 @@ The operator acts on pairs (u, v) as
     (sum_j c_j D^j) u + d v
 
 with the momentum convention D = -i d/dx. Orders are read off the
-coefficient list lengths: m = len(a)-1, n = len(b)-1, k = len(c)-1, and the
-structural requirement is m = n + k with m even.
+coefficient list lengths: m = len(a)-1, n = len(b)-1, k = len(c)-1, and an
+operator can only be made with m = n + k and m even and positive.
 
 This module also exposes the scalar decoupling function
 ``delta = d - b_n c_k / a_m`` (whose range closure is the regular part of
@@ -35,12 +35,22 @@ first samples."""
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Immutable coefficient container; orders derive from list lengths."""
+    """Immutable coefficient container; orders derive from list lengths and
+    must satisfy m = n + k with m even and positive (else StructureError)."""
 
     a: tuple[Expr, ...]
     b: tuple[Expr, ...]
     c: tuple[Expr, ...]
     d: Expr
+
+    def __post_init__(self):
+        if self.m != self.n + self.k:
+            raise StructureError(
+                f"top-left order m={self.m} must equal n+k={self.n + self.k}")
+        if self.m % 2 != 0:
+            raise StructureError(f"top-left order m={self.m} must be even")
+        if self.m == 0:
+            raise StructureError("top-left order m=0 must be positive")
 
     @property
     def m(self) -> int:
@@ -127,25 +137,13 @@ def _json_number(value):
     return value
 
 
-def check_structure(op: OperatorMatrix) -> None:
-    """Raise StructureError unless m = n + k and m is even and positive."""
-    if op.m != op.n + op.k:
-        raise StructureError(
-            f"top-left order m={op.m} must equal n+k={op.n + op.k}")
-    if op.m % 2 != 0:
-        raise StructureError(f"top-left order m={op.m} must be even")
-    if op.m == 0:
-        raise StructureError("top-left order m=0 must be positive")
-
-
 def validate(op: OperatorMatrix, grid: np.ndarray) -> Diagnostics:
-    """Structural check (hard error) plus sampled nonvanishing of a_m.
+    """Sampled nonvanishing of a_m.
 
     The leading-coefficient record has status pass iff the sampled minimum
     of |a_m| exceeds 1e-12; non-finite samples make the check inconclusive
     at the offending point.
     """
-    check_structure(op)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("validation grid must be non-empty")
@@ -254,12 +252,9 @@ def parse_operator_text(text: str, source: str = "<config>") -> OperatorMatrix:
                               "functions of x only; lambda is not allowed")
         return tree
 
-    op = OperatorMatrix(
+    return OperatorMatrix(
         a=tuple(parse_entry(f"a{j}") for j in range(orders["m"] + 1)),
         b=tuple(parse_entry(f"b{j}") for j in range(orders["n"] + 1)),
         c=tuple(parse_entry(f"c{j}") for j in range(orders["k"] + 1)),
         d=parse_entry("d"),
     )
-    check_structure(op)
-    return op
-

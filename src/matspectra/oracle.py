@@ -282,9 +282,9 @@ def discretize_and_eig(op: OperatorMatrix, length: float, n_points: int,
             f"{EIG_BUDGET}")
     if n_points < 16:
         raise DomainError(f"n_points must be at least 16, got {n_points}")
-    if length <= 0.0:
-        raise DomainError(f"length must be positive, got {length}")
-    half_width = op.m // 2 + op.m % 2
+    if not (np.isfinite(length) and length > 0.0):
+        raise DomainError(f"length must be finite and positive, got {length}")
+    half_width = op.m // 2
     if op.m * half_width >= n_points:
         raise DomainError(
             f"grid too coarse: order {op.m} stencils need more than "

@@ -47,7 +47,7 @@ from .expr import (
     node_count,
     simplify,
 )
-from .model import OperatorMatrix, check_structure
+from .model import OperatorMatrix
 
 _ZERO = Lit(0j)
 
@@ -114,7 +114,6 @@ def _free_step(entry: dict[int, Expr], d_slope: Expr) -> dict[int, Expr]:
 def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSymbol:
     """Compose the lambda-free symbol by exact Leibniz expansion (no tree is
     size-guarded, so ``cfg`` is not read)."""
-    check_structure(op)
     d_slope = simplify(differentiate(op.d, "x"))
 
     def ladder(c: Expr) -> list[dict[int, Expr]]:
@@ -142,7 +141,6 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
 def coefficient_trees(op: OperatorMatrix) -> tuple[Expr, ...]:
     """The coefficients p_0..p_m as simplified trees in x and lambda, for
     ``print-schur``; each is held to ``NODE_CEILING`` nodes."""
-    check_structure(op)
     resolvent_den = Sub(op.d, LAM)
 
     def ladder(c: Expr) -> list[Expr]:

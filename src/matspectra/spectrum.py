@@ -96,12 +96,12 @@ from .asymptotics import (
     symbol_limits,
 )
 from .config import SolverConfig
-from .errors import FitError, LimitRefused, NotConvergent, PoleError
+from .errors import (ConfigError, FitError, LimitRefused, NotConvergent,
+                     PoleError)
 from .expr import evaluate_array
 from .model import (
     X_SPAN,
     OperatorMatrix,
-    check_structure,
     delta,
     validate,
     validation_grid,
@@ -1048,16 +1048,22 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 
     Returns the points of both sides, cross-side coincidences merged into
     the neutral side, with branch ids assigned by continuation and no
-    flags. Raises :class:`FitError`, after writing the report, only when no
+    flags. Raises :class:`ConfigError` on a non-finite frequency before any
+    sweep, and :class:`FitError`, after writing the report, only when no
     side produced any certified point and at least one side's fallback
     rational reconstruction failed outright.
     """
     cfg = cfg or SolverConfig()
-    symbol = symbol if symbol is not None else build_schur(op)
     if xi_grid is None:
         xi_values = default_xi_grid(cfg)
     else:
-        xi_values = np.unique(np.asarray(xi_grid, dtype=float))
+        xi_values = np.asarray(xi_grid, dtype=float).ravel()
+        bad = np.flatnonzero(~np.isfinite(xi_values))
+        if bad.size:
+            raise ConfigError(f"frequencies must be finite, got "
+                              f"{xi_values[bad[0]]} at index {bad[0]}")
+        xi_values = np.unique(xi_values)
+    symbol = symbol if symbol is not None else build_schur(op)
     log = report if report is not None else {}
     skips: list[dict] = []
     fits: dict[str, dict] = {}
@@ -1191,10 +1197,9 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
 
     ``symbol`` is the operator's Schur symbol when the caller has already
     built it. Sub-step failures are collected into the report and partial
-    results are returned; only structural violations raise.
+    results are returned.
     """
     cfg = cfg or SolverConfig()
-    check_structure(op)
     report: dict = {
         "config": dataclasses.asdict(cfg),
         "tolerances": {

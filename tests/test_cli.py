@@ -134,6 +134,20 @@ class TestArgumentParsing:
             SolverConfig(grid_points=count)
         assert np.isfinite(validation_grid(SolverConfig(grid_points=2))).all()
 
+    @pytest.mark.parametrize("xi_max", [0.0, -1.0, np.inf, np.nan])
+    def test_solver_config_rejects_an_unusable_frequency_span(self, xi_max):
+        # 0 and -1 failed in math.log10 of default_xi_grid; inf and NaN put
+        # non-finite frequencies into the grid.
+        with pytest.raises(ConfigError,
+                           match="xi_max must be finite and positive"):
+            SolverConfig().with_overrides(xi_max=xi_max)
+
+    def test_solver_config_rejects_a_negative_frequency_count(self):
+        with pytest.raises(ConfigError,
+                           match="xi_points must be non-negative"):
+            SolverConfig().with_overrides(xi_points=-2)
+        assert SolverConfig(xi_points=0).xi_points == 0
+
     def test_unknown_solver_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             SolverConfig().with_overrides(bogus=1)

@@ -1,10 +1,11 @@
-"""Operator container: loading, structure checks, decoupling function,
+"""Operator container: loading, structure rules, decoupling function,
 principal determinant, validation grid.
 
 Frozen values come from the closed-form m=2 example (decoupling function
 -x^2 - 1) and the direct 2x2 determinant oracle.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -17,7 +18,6 @@ from matspectra.model import (
     X_SPAN,
     DiagnosticRecord,
     OperatorMatrix,
-    check_structure,
     delta,
     load_operator,
     parse_operator_text,
@@ -47,16 +47,35 @@ def test_orders_come_from_list_lengths():
 
 
 def test_odd_order_rejected():
-    op = OperatorMatrix(a=(ZERO, ZERO, ZERO, ONE), b=(ZERO, ONE), c=(ZERO, ZERO, ONE), d=ZERO)
-    assert op.m == 3
-    with pytest.raises(StructureError):
-        check_structure(op)
+    with pytest.raises(StructureError, match="m=3 must be even"):
+        OperatorMatrix(a=(ZERO, ZERO, ZERO, ONE), b=(ZERO, ONE), c=(ZERO, ZERO, ONE), d=ZERO)
 
 
 def test_order_mismatch_rejected():
-    op = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, ONE), c=(ZERO, ZERO, ONE), d=ZERO)
-    with pytest.raises(StructureError):
-        check_structure(op)
+    with pytest.raises(StructureError, match=r"m=2 must equal n\+k=3"):
+        OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, ONE), c=(ZERO, ZERO, ONE), d=ZERO)
+
+
+# Each broken shape: (a, b, c) coefficient tuples and the cause named.
+BROKEN_SHAPES = {
+    "odd": ((ZERO, ZERO, ZERO, ONE), (ZERO, ONE), (ZERO, ZERO, ONE), "even"),
+    "mismatch": ((ZERO, ZERO, ONE), (ZERO, ONE), (ZERO, ZERO, ONE), r"n\+k"),
+    "zero": ((ONE,), (ONE,), (ONE,), "positive"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BROKEN_SHAPES))
+def test_broken_orders_cannot_be_built_directly(shape):
+    a, b, c, cause = BROKEN_SHAPES[shape]
+    with pytest.raises(StructureError, match=cause):
+        OperatorMatrix(a=a, b=b, c=c, d=ZERO)
+
+
+@pytest.mark.parametrize("shape", sorted(BROKEN_SHAPES))
+def test_broken_orders_cannot_be_built_by_replace(shape):
+    a, b, c, cause = BROKEN_SHAPES[shape]
+    with pytest.raises(StructureError, match=cause):
+        dataclasses.replace(quartic_coupled(), a=a, b=b, c=c)
 
 
 def test_validate_passes_for_unit_leading_coefficient():
@@ -76,9 +95,10 @@ def test_validate_fails_when_leading_coefficient_vanishes():
 
 
 def test_validate_raises_structure_error_before_sampling():
-    op = OperatorMatrix(a=(ZERO, ZERO, ZERO, ONE), b=(ZERO, ONE), c=(ZERO, ZERO, ONE), d=ZERO)
     with pytest.raises(StructureError):
-        validate(op, np.array([0.0]))
+        validate(OperatorMatrix(a=(ZERO, ZERO, ZERO, ONE), b=(ZERO, ONE),
+                                c=(ZERO, ZERO, ONE), d=ZERO),
+                 np.array([0.0]))
 
 
 def test_diagnostic_record_requires_witness_on_failure():

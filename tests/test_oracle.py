@@ -87,9 +87,9 @@ class TestFreeze:
         # derivative keeps unit magnitude, so freezing must refuse.
         oscillation = Div(Call("exp", Mul(Lit(1j), Mul(X, X))), X)
         op = OperatorMatrix(
-            a=(Lit(1 + 0j) + oscillation,),
-            b=(ZERO,),
-            c=(ZERO,),
+            a=(Lit(1 + 0j) + oscillation, ZERO, Lit(1 + 0j)),
+            b=(ZERO, ZERO),
+            c=(ZERO, ZERO),
             d=ZERO,
         )
         with pytest.raises(RefusedFrozen) as excinfo:
@@ -191,6 +191,14 @@ class TestDiscretize:
             discretize_and_eig(op, 2.0, 24, bc="clamped")
         with pytest.raises(DomainError):
             discretize_and_eig(op, -1.0, 24)
+
+    @pytest.mark.parametrize("length", [np.nan, np.inf])
+    def test_nonfinite_length_rejected(self, length):
+        # Both passed a bare length <= 0 test; LAPACK then refused the
+        # matrix with LinAlgError.
+        op = random_constant_operator(random.Random(1), 2)
+        with pytest.raises(DomainError, match="length must be finite"):
+            discretize_and_eig(op, length, 24)
 
     def test_coarse_grid_for_high_order_rejected(self):
         lit = Lit(1 + 0j)

@@ -25,7 +25,8 @@ from matspectra.asymptotics import (LIMIT_TOL, ExceptionalSet,
                                     limit_points_at_infinity)
 from matspectra.config import SolverConfig, window_contains
 from matspectra.asymptotics import limit_ratio, limit_ratio_batch
-from matspectra.errors import FitError, LimitRefused, NotConvergent, PoleError
+from matspectra.errors import (ConfigError, FitError, LimitRefused,
+                               NotConvergent, PoleError)
 from matspectra.expr import Call, Lit, X, evaluate, parse
 from matspectra import spectrum as spectrum_module
 from matspectra.model import OperatorMatrix, delta, load_operator
@@ -209,6 +210,18 @@ class TestSingularPart:
             counts[(p.side, p.xi)] = counts.get((p.side, p.xi), 0) + 1
         assert counts
         assert max(counts.values()) <= op.n + 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_frequency_refused(self, bad):
+        # NaN made np.union1d and np.setdiff1d disagree in _merge_sides
+        # (IndexError); an infinite frequency was solved as a degenerate row.
+        cfg = SolverConfig().with_overrides(curve_res=0.25)
+        with mock.patch.object(spectrum_module, "_sweep_side") as sweep, \
+                pytest.raises(ConfigError,
+                              match=f"finite, got {bad} at index 1"):
+            singular_part(parabolic_potential(), xi_grid=[0.5, bad, 1.0],
+                          cfg=cfg)
+        sweep.assert_not_called()
 
     def test_fit_failure_raises(self):
         op = OperatorMatrix(a=(Call("sin", X), ZERO, ONE), b=(ZERO, ZERO),
