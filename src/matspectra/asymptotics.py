@@ -16,12 +16,15 @@ Four services live here:
   and :func:`limit_of` certifies the limit of a single lambda-free
   expression by the same certificate scan, run on that expression's own
   trajectory samples.
-- :func:`symbol_limits` certifies, with :func:`limit_of`, the limit of
-  every x-only tree of the lambda-free form toward one side (of 1/d and
-  beta_jq/d^q when d diverges), rechecks each on a second trajectory,
-  decides by a geometric tail bound which of them are exactly 0 and names
-  the first one refused; the singular sweep builds its closed-form tail
-  polynomial from them.
+- :func:`symbol_limits` certifies the limit of every x-only tree of the
+  lambda-free form toward one side (of 1/d and beta_jq/d^q when d
+  diverges) and rechecks each on a second trajectory: every tree is
+  sampled once on both trajectories side by side, and one certificate
+  scan covers them all, giving each tree the certificates
+  :func:`limit_of` would. It decides by a geometric tail bound which
+  limits are exactly 0 and names the first one refused, with the error
+  :func:`limit_of` raises on it; the singular sweep builds its
+  closed-form tail polynomial from them.
 - :func:`limit_points_at_infinity` estimates the set of finite limit
   points of the lower-right coefficient ``d`` at infinity by clustering
   its values over the largest dyadic windows toward both ends of the line.
@@ -44,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -213,23 +216,18 @@ def _ratio_samples(form: _Form, lams: np.ndarray) -> np.ndarray:
         return p[:-1] / p[-1]
 
 
-def _limit_block(samples: np.ndarray, finite: np.ndarray, tol: float):
-    """Vectorized certificate scan and per-lambda status of one batch.
+def _limit_block(samples: np.ndarray, tol: float):
+    """Vectorized certificate scan of a batch of sample columns.
 
-    ``samples`` has shape (m, S, K) and ``finite`` marks the abscissae
-    where every x-only sample behind them is finite. Returns (values,
-    t_index, last_inc, prev_inc, converged, first_bad), each of shape
-    (m, K), and the length-K status. ``t_index`` is the increment index
-    at which the three-increment window closed (the newest sample used is
-    ``t_index + 1``), and ``first_bad`` the index of the first non-finite
-    sample of an unconverged limit (S when there is none). A lambda whose
-    limits all converge is ``"ok"``.
-    Otherwise the earliest non-finite sample decides: ``"overflow"`` when
-    ``finite`` is false at that abscissa, ``"pole"`` when it is true (d -
-    lambda or p_m vanishes there). Without a non-finite sample the status
-    is ``"not-convergent"``.
+    ``samples`` has shape (m, S, K), and each of its m*K columns of S
+    samples is scanned on its own. Returns (values, t_index, last_inc,
+    prev_inc, converged, first_bad), each of shape (m, K). ``t_index`` is
+    the increment index at which the three-increment window closed (the
+    newest sample used is ``t_index + 1``), and ``first_bad`` the index of
+    the first non-finite sample of an unconverged limit (S when there is
+    none).
     """
-    _, S, K = samples.shape
+    S = samples.shape[1]
     sample_finite = np.isfinite(samples)
     prefix_finite = np.logical_and.accumulate(sample_finite, axis=1)
     with np.errstate(all="ignore"):
@@ -252,16 +250,28 @@ def _limit_block(samples: np.ndarray, finite: np.ndarray, tol: float):
     first_bad = np.full(broken.shape, S)
     if broken.any():
         first_bad[broken] = np.argmax(~sample_finite, axis=1)[broken]
+    return take[:, 0, :], t_index, last_inc, prev_inc, converged, first_bad
 
-    status = np.full(K, "not-convergent")
+
+def _status(converged: np.ndarray, first_bad: np.ndarray,
+            finite: np.ndarray) -> np.ndarray:
+    """Per-lambda status of a scanned batch of ratios, length K.
+
+    ``finite`` marks the abscissae where every x-only sample behind the
+    ratios is finite. A lambda whose limits all converge is ``"ok"``.
+    Otherwise the earliest non-finite sample decides: ``"overflow"`` when
+    ``finite`` is false at that abscissa, ``"pole"`` when it is true (d -
+    lambda or p_m vanishes there). Without a non-finite sample the status
+    is ``"not-convergent"``.
+    """
+    status = np.full(converged.shape[1], "not-convergent")
     status[converged.all(axis=0)] = "ok"
     earliest = first_bad.min(axis=0)
-    broken_lams = np.nonzero(earliest < S)[0]
+    broken_lams = np.nonzero(earliest < finite.size)[0]
     if broken_lams.size:
         overflow = ~finite[earliest[broken_lams]]
         status[broken_lams] = np.where(overflow, "overflow", "pole")
-    return (take[:, 0, :], t_index, last_inc, prev_inc, converged, first_bad,
-            status)
+    return status
 
 
 def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
@@ -301,9 +311,9 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
     ``names[j]`` names limit j in messages; ``overflow(x)`` gives the cause
     of a non-finite x-only sample at x (it may raise instead).
     """
-    (values, t_idx, last_inc, prev_inc, converged, first_bad,
-     status) = _limit_block(samples, finite, LIMIT_TOL)
-    status = status[0]
+    (values, t_idx, last_inc, prev_inc, converged,
+     first_bad) = _limit_block(samples, LIMIT_TOL)
+    status = _status(converged, first_bad, finite)[0]
     if status in ("pole", "overflow"):
         j = int(np.argmin(first_bad[:, 0]))
         bad = int(first_bad[j, 0])
@@ -350,8 +360,9 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
     cfg = cfg or SolverConfig()
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
     form = _sample_form(symbol, _trajectory(side, cfg))
-    values, *_, status = _limit_block(_ratio_samples(form, lam_arr),
-                                      form.finite, LIMIT_TOL)
+    values, _, _, _, converged, first_bad = _limit_block(
+        _ratio_samples(form, lam_arr), LIMIT_TOL)
+    status = _status(converged, first_bad, form.finite)
     out = values.T.copy()
     out[status != "ok"] = np.nan
     return out, status
@@ -478,50 +489,66 @@ def symbol_limits(symbol: SchurSymbol, side: str,
                   cfg: SolverConfig | None = None) -> SymbolLimits:
     """Certify the limits of the symbol's x-only trees toward one side.
 
-    Each tree is certified by :func:`limit_of` on the ``x0`` trajectory
-    and again on the recheck trajectory; the two values must lie within
-    the sum of their last increments. A limit within ``ZERO_MARGIN`` tail
-    bounds of 0 is 0; one that is not, yet lies within ``NEAR_ZERO_TOLS *
-    LIMIT_TOL`` of 0 while its samples still move, is refused. When d's
-    own limit does not settle, the limit of 1/d must be 0 and the
-    couplings are taken as beta_jq/d^q. Raises :class:`LimitRefused`
-    naming the first tree whose limit is refused or whose recheck
-    disagrees.
+    The trees are sampled once, on the ``x0`` trajectory and on the
+    recheck trajectory side by side, and one certificate scan covers them
+    all; since it runs column by column, each certificate is the one
+    :func:`limit_of` gives that tree on that trajectory. Tree by tree, in
+    order: a tree whose scan fails on either trajectory is refused with
+    the error :func:`limit_of` raises there; the two values must lie
+    within the sum of their last increments. A limit within
+    ``ZERO_MARGIN`` tail bounds of 0 is 0; one that is not, yet lies
+    within ``NEAR_ZERO_TOLS * LIMIT_TOL`` of 0 while its samples still
+    move, is refused. When d's own limit does not settle, the limit of 1/d
+    must be 0 and the couplings are taken as beta_jq/d^q. Raises
+    :class:`LimitRefused` naming the first tree whose limit is refused or
+    whose recheck disagrees.
     """
     cfg = cfg or SolverConfig()
-    recheck_cfg = cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE)
+    runs = (cfg, cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE))
+    xs = np.stack([_trajectory(side, run) for run in runs], axis=1)
 
-    def certify(label, j, q, tree) -> TailLimit:
-        certs = []
-        for run in (cfg, recheck_cfg):
-            try:
-                certs.append(limit_of(tree, side, run)[1])
-            except (NotConvergent, PoleError) as exc:
-                raise LimitRefused(label, str(exc)) from exc
-        first, again = certs
-        if abs(first.value - again.value) > (first.last_increment
-                                             + again.last_increment):
-            raise LimitRefused(label, (
-                f"the recheck from x = {recheck_cfg.x0!r} gives {again.value}"
-                f" against {first.value}, farther apart than their last "
-                "increments"))
-        limit = TailLimit(label, j, q, first, again)
-        near = NEAR_ZERO_TOLS * LIMIT_TOL
-        if (limit.value != 0 and abs(first.value) <= near
-                and first.last_increment > 0):
-            raise LimitRefused(label, (
-                f"its value {first.value} lies within {near:.1e} of 0 but "
-                f"beyond {ZERO_MARGIN:g} tail bounds ({first.tail_bound:.3e}),"
-                " so it is neither certified 0 nor told apart from 0"))
-        return limit
+    def certified(trees):
+        """The TailLimit of each (label, j, q, tree), checked in order."""
+        samples = np.stack([evaluate_array(tree, x=xs) for *_, tree in trees])
+        values, t_idx, last_inc, prev_inc, converged, _ = _limit_block(
+            samples, LIMIT_TOL)
+        for i, (label, j, q, tree) in enumerate(trees):
+            for run, settled in zip(runs, converged[i]):
+                if not settled:
+                    _refuse(label, tree, side, run)
+            first, again = (Certificate(
+                sample_count=int(t_idx[i, k]) + 2,
+                last_increment=float(last_inc[i, k]),
+                value=complex(values[i, k]),
+                previous_increment=float(prev_inc[i, k])) for k in (0, 1))
+            if abs(first.value - again.value) > (first.last_increment
+                                                 + again.last_increment):
+                raise LimitRefused(label, (
+                    f"the recheck from x = {runs[1].x0!r} gives "
+                    f"{again.value} against {first.value}, farther apart "
+                    "than their last increments"))
+            limit = TailLimit(label, j, q, first, again)
+            near = NEAR_ZERO_TOLS * LIMIT_TOL
+            if (limit.value != 0 and abs(first.value) <= near
+                    and first.last_increment > 0):
+                raise LimitRefused(label, (
+                    f"its value {first.value} lies within {near:.1e} of 0 "
+                    f"but beyond {ZERO_MARGIN:g} tail bounds "
+                    f"({first.tail_bound:.3e}), so it is neither certified "
+                    "0 nor told apart from 0"))
+            yield limit
 
+    limits = certified([("d", None, 0, symbol.d),
+                        *_tail_trees(symbol, False)])
     try:
-        d_limit = certify("d", None, 0, symbol.d)
+        d_limit = next(limits)
     except LimitRefused as refusal:
         if not isinstance(refusal.__cause__, NotConvergent):
             raise
+        limits = certified([("1/d", None, 0, Div(Lit(1 + 0j), symbol.d)),
+                            *_tail_trees(symbol, True)])
         try:
-            d_limit = certify("1/d", None, 0, Div(Lit(1 + 0j), symbol.d))
+            d_limit = next(limits)
             inverse = "" if d_limit.value == 0 else (
                 f"the limit of 1/d is {d_limit.certificate.value}, not 0")
         except LimitRefused as exc:
@@ -529,9 +556,18 @@ def symbol_limits(symbol: SchurSymbol, side: str,
         if inverse:
             raise LimitRefused("d", f"{refusal.__cause__}; {inverse}"
                                ) from refusal
-    diverges = d_limit.label == "1/d"
-    return SymbolLimits(diverges, (d_limit, *(
-        certify(*term) for term in _tail_trees(symbol, diverges))))
+    return SymbolLimits(d_limit.label == "1/d", (d_limit, *limits))
+
+
+def _refuse(label: str, tree: Expr, side: str,
+            cfg: SolverConfig) -> NoReturn:
+    """Raise the :class:`LimitRefused` of a tree whose scan failed on the
+    trajectory of ``cfg``, caused by the error :func:`limit_of` gives."""
+    try:
+        limit_of(tree, side, cfg)
+    except (NotConvergent, PoleError) as exc:
+        raise LimitRefused(label, str(exc)) from exc
+    raise AssertionError(f"the scan of {label} failed where limit_of did not")
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +599,9 @@ RUN_STREAK = 16
 """Values in a row that join one cluster before the rest of the run joins
 in array passes."""
 
+CLUSTER_BLOCK = 64
+"""Values that :func:`_cluster` turns into Python numbers at a time."""
+
 
 def _cluster(values: np.ndarray, tol: float):
     """Greedy clustering with a discard annulus.
@@ -579,9 +618,7 @@ def _cluster(values: np.ndarray, tol: float):
     the rest of the run within ``tol`` of it joins in array passes
     (:func:`_run_end`); shorter runs stay in the loop, where they cost less.
     """
-    order = np.lexsort((values.imag, values.real))
-    ordered = values[order]
-    items = ordered.tolist()
+    ordered = values[np.lexsort((values.imag, values.real))]
     reps: list[complex] = []
     radii: list[float] = []
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -595,35 +632,38 @@ def _cluster(values: np.ndarray, tol: float):
                     yield idx
 
     at = 0
-    while at < len(items):
-        z = items[at]
-        at += 1
-        if last >= 0:
-            dist = abs(z - reps[last])
-            if dist <= tol:
-                radii[last] = max(radii[last], dist)
-                streak += 1
-                if streak == RUN_STREAK:
-                    at, reach = _run_end(ordered, at, reps[last], tol)
-                    radii[last] = max(radii[last], reach)
-                continue
-        streak = 0
-        best_idx, best_dist = -1, np.inf
-        for idx in neighbors(z):
-            dist = abs(z - reps[idx])
-            if dist < best_dist:
-                best_idx, best_dist = idx, dist
-        if best_dist <= tol:
-            radii[best_idx] = max(radii[best_idx], best_dist)
-            last = best_idx
-        elif best_dist > 2.0 * tol:
-            reps.append(z)
-            radii.append(0.0)
-            key = (math.floor(z.real / tol), math.floor(z.imag / tol))
-            buckets.setdefault(key, []).append(len(reps) - 1)
-            last = len(reps) - 1
-        # else: inside the annulus (tol, 2*tol] of some representative —
-        # discarded so the separation invariant survives.
+    while at < ordered.size:
+        # Values become Python complex numbers a block at a time, as the
+        # sweep reaches them; a run's array pass skips the rest of a block.
+        for z in ordered[at:at + CLUSTER_BLOCK].tolist():
+            at += 1
+            if last >= 0:
+                dist = abs(z - reps[last])
+                if dist <= tol:
+                    radii[last] = max(radii[last], dist)
+                    streak += 1
+                    if streak == RUN_STREAK:
+                        at, reach = _run_end(ordered, at, reps[last], tol)
+                        radii[last] = max(radii[last], reach)
+                        break
+                    continue
+            streak = 0
+            best_idx, best_dist = -1, np.inf
+            for idx in neighbors(z):
+                dist = abs(z - reps[idx])
+                if dist < best_dist:
+                    best_idx, best_dist = idx, dist
+            if best_dist <= tol:
+                radii[best_idx] = max(radii[best_idx], best_dist)
+                last = best_idx
+            elif best_dist > 2.0 * tol:
+                reps.append(z)
+                radii.append(0.0)
+                key = (math.floor(z.real / tol), math.floor(z.imag / tol))
+                buckets.setdefault(key, []).append(len(reps) - 1)
+                last = len(reps) - 1
+            # else: inside the annulus (tol, 2*tol] of some representative
+            # — discarded so the separation invariant survives.
     return reps, radii
 
 

@@ -742,11 +742,14 @@ def _compact(xi: np.ndarray, lam: np.ndarray, keep: np.ndarray) -> RootTable:
 
 def _concat(tables: list[RootTable]) -> RootTable:
     """One table of the rows of ``tables``, whose frequencies are disjoint."""
-    width = max(t.lam.shape[1] for t in tables)
     xi = np.concatenate([t.xi for t in tables])
     order = np.argsort(xi)
-    lam = np.concatenate([np.pad(t.lam, ((0, 0), (0, width - t.lam.shape[1])),
-                                 constant_values=np.nan) for t in tables])
+    lam = np.full((xi.size, max(t.lam.shape[1] for t in tables)), np.nan,
+                  dtype=complex)
+    start = 0
+    for t in tables:
+        lam[start:start + t.xi.size, :t.lam.shape[1]] = t.lam
+        start += t.xi.size
     return RootTable(xi[order], lam[order],
                      np.concatenate([t.count for t in tables])[order])
 

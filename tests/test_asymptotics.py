@@ -34,15 +34,22 @@ from matspectra.asymptotics import (
     CLUSTER_TOL,
     CLUSTER_WINDOWS,
     LIMIT_TOL,
+    NEAR_ZERO_TOLS,
+    POINTS_PER_WINDOW,
+    RECHECK_X0_SCALE,
     T,
     WINDOWS,
+    ZERO_MARGIN,
     Certificate,
+    SymbolLimits,
+    TailLimit,
     _check_c,
     _cluster,
     _hull,
     _ratio_samples,
     _sample_form,
     _sector_margin,
+    _tail_trees,
     _trajectory,
     check_assumptions,
     limit_of,
@@ -54,7 +61,8 @@ from matspectra.asymptotics import (
 from matspectra import asymptotics as asymptotics_module
 from matspectra.config import SolverConfig
 from matspectra.errors import LimitRefused, NotConvergent, PoleError
-from matspectra.expr import Call, Lit, X, evaluate, evaluate_array, parse
+from matspectra.expr import (Call, Div, Lit, X, evaluate, evaluate_array,
+                              parse)
 from matspectra.model import OperatorMatrix, validation_grid
 from matspectra.schur import build_schur, coefficient_trees
 
@@ -264,16 +272,15 @@ def test_symbol_limits_name_the_refused_tree():
 
 
 def test_symbol_limits_need_one_over_d_to_vanish(monkeypatch):
-    real = asymptotics_module.limit_of
+    real = asymptotics_module.evaluate_array
     wobble = parse("2 + sin(x)")
 
-    def settled_inverse(expr, side, cfg):
+    def settled_inverse(expr, **env):
         if expr == Lit(1 + 0j) / wobble:
-            cert = Certificate(4, 0.0, 0.5 + 0j, 0.0)
-            return cert.value, cert
-        return real(expr, side, cfg)
+            return np.full(np.shape(env["x"]), 0.5 + 0j)
+        return real(expr, **env)
 
-    monkeypatch.setattr(asymptotics_module, "limit_of", settled_inverse)
+    monkeypatch.setattr(asymptotics_module, "evaluate_array", settled_inverse)
     op = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, Lit(-1j)),
                         c=(ZERO, Lit(1j)), d=wobble)
     with pytest.raises(LimitRefused, match=r"1/d is \(0.5\+0j\), not 0"):
@@ -281,16 +288,19 @@ def test_symbol_limits_need_one_over_d_to_vanish(monkeypatch):
 
 
 def test_symbol_limits_refuse_a_recheck_that_disagrees(monkeypatch):
-    real = asymptotics_module.limit_of
+    real = asymptotics_module.evaluate_array
+    alpha_0 = quartic_coupled().a[0]
+    recheck = CFG.with_overrides(x0=CFG.x0 * RECHECK_X0_SCALE)
+    shift = 3.0 * (limit_of(alpha_0, "+", recheck)[1].last_increment + 1e-12)
 
-    def shifted(expr, side, cfg):
-        value, cert = real(expr, side, cfg)
-        if cfg.x0 != CFG.x0 and expr == quartic_coupled().a[0]:
-            value += 3.0 * (cert.last_increment + 1e-12)
-            cert = replace(cert, value=value)
-        return value, cert
+    def shifted(expr, **env):
+        values = real(expr, **env)
+        if expr == alpha_0:
+            # Column 1 holds the samples on the recheck trajectory.
+            values[:, 1] += shift
+        return values
 
-    monkeypatch.setattr(asymptotics_module, "limit_of", shifted)
+    monkeypatch.setattr(asymptotics_module, "evaluate_array", shifted)
     with pytest.raises(LimitRefused, match="recheck from x = 21.92") as info:
         symbol_limits(build_schur(quartic_coupled()), "+", CFG)
     assert info.value.label == "alpha_0"
@@ -341,6 +351,96 @@ def test_symbol_limits_refuse_a_moving_limit_too_close_to_zero():
     limits = symbol_limits(build_schur(exact), "+", CFG)
     assert {limit.label: limit.value for limit in limits.limits}[
         "alpha_0"] == 1e-8
+
+
+def _symbol_limits_tree_by_tree(symbol, side):
+    """The reference for :func:`symbol_limits`: each tree certified by
+    :func:`limit_of` on the x0 and the recheck trajectory in turn."""
+    runs = (CFG, CFG.with_overrides(x0=CFG.x0 * RECHECK_X0_SCALE))
+
+    def certify(label, j, q, tree):
+        certs = []
+        for run in runs:
+            try:
+                certs.append(limit_of(tree, side, run)[1])
+            except (NotConvergent, PoleError) as exc:
+                raise LimitRefused(label, str(exc)) from exc
+        first, again = certs
+        if abs(first.value - again.value) > (first.last_increment
+                                             + again.last_increment):
+            raise LimitRefused(label, (
+                f"the recheck from x = {runs[1].x0!r} gives {again.value}"
+                f" against {first.value}, farther apart than their last "
+                "increments"))
+        limit = TailLimit(label, j, q, first, again)
+        near = NEAR_ZERO_TOLS * LIMIT_TOL
+        if (limit.value != 0 and abs(first.value) <= near
+                and first.last_increment > 0):
+            raise LimitRefused(label, (
+                f"its value {first.value} lies within {near:.1e} of 0 but "
+                f"beyond {ZERO_MARGIN:g} tail bounds ({first.tail_bound:.3e}),"
+                " so it is neither certified 0 nor told apart from 0"))
+        return limit
+
+    try:
+        d_limit = certify("d", None, 0, symbol.d)
+    except LimitRefused as refusal:
+        if not isinstance(refusal.__cause__, NotConvergent):
+            raise
+        try:
+            d_limit = certify("1/d", None, 0, Div(Lit(1 + 0j), symbol.d))
+            inverse = "" if d_limit.value == 0 else (
+                f"the limit of 1/d is {d_limit.certificate.value}, not 0")
+        except LimitRefused as exc:
+            inverse = str(exc)
+        if inverse:
+            raise LimitRefused("d", f"{refusal.__cause__}; {inverse}"
+                               ) from refusal
+    diverges = d_limit.label == "1/d"
+    return SymbolLimits(diverges, (d_limit, *(
+        certify(*term) for term in _tail_trees(symbol, diverges))))
+
+
+REFUSAL_CAUSES = {"did not settle": "not convergent", "hits a pole": "pole",
+                  "the recheck from": "recheck",
+                  "neither certified 0": "near zero"}
+
+
+def test_batched_symbol_limits_match_tree_by_tree_certification():
+    # One scan per side certifies every tree as limit_of does on its own:
+    # the same certificates bit for bit, or the same first refusal. The
+    # random draws refuse only by non-convergence on the x0 trajectory;
+    # quartics with another a_0 add a pole at x = 32 on the x0 trajectory,
+    # a limit too close to 0, cos(2 pi log2 x), which settles to 1 on the
+    # x0 trajectory and elsewhere on the recheck, and sin(pi log2 x), which
+    # settles on the x0 trajectory only.
+    base = quartic_coupled()
+    ops = [base, parabolic_potential(), *(
+        replace(base, a=(parse(a_0), *base.a[1:])) for a_0 in (
+            "1/(x - 32)", "1e-8*x^2/(x^2 + 1)",
+            "cos(9.064720283654388*log(x))",
+            "sin(4.532360141827194*log(x))"))]
+    for settling, seeds in ((False, range(300)), (True, range(60))):
+        for seed in seeds:
+            rng = random.Random(seed)
+            ops.append(random_operator(rng, rng.choice([2, 4]),
+                                       settling=settling))
+    causes = set()
+    for op in ops:
+        symbol = build_schur(op)
+        for side in "+-":
+            outcomes = []
+            for run in (symbol_limits, _symbol_limits_tree_by_tree):
+                try:
+                    outcomes.append(repr(run(symbol, side)))
+                except LimitRefused as refusal:
+                    outcomes.append((refusal.label, str(refusal),
+                                     type(refusal.__cause__)))
+                    causes.update(cause for key, cause in
+                                  REFUSAL_CAUSES.items()
+                                  if key in str(refusal))
+            assert outcomes[0] == outcomes[1]
+    assert causes == set(REFUSAL_CAUSES.values())
 
 
 def test_batch_matches_scalar_and_flags_failures():
@@ -526,6 +626,81 @@ def test_cluster_runs_match_the_loop(seed, centers, size, ring):
         1.0, 2.5, ring) * np.exp(1j * angles)
     cloud = np.concatenate([tight, annulus])
     assert _cluster(cloud, tol) == _cluster_by_full_scan(cloud, tol)
+
+
+def _cluster_over_a_list(values: np.ndarray, tol: float):
+    """``_cluster`` as it was when it turned every value into a Python
+    number up front: the reference for the blockwise conversion."""
+    ordered = values[np.lexsort((values.imag, values.real))]
+    items = ordered.tolist()
+    reps: list[complex] = []
+    radii: list[float] = []
+    buckets: dict[tuple[int, int], list[int]] = {}
+    last, streak = -1, 0
+
+    def neighbors(z):
+        bx, by = math.floor(z.real / tol), math.floor(z.imag / tol)
+        for dx in range(-2, 3):
+            for dy in range(-2, 3):
+                yield from buckets.get((bx + dx, by + dy), ())
+
+    at = 0
+    while at < len(items):
+        z = items[at]
+        at += 1
+        if last >= 0:
+            dist = abs(z - reps[last])
+            if dist <= tol:
+                radii[last] = max(radii[last], dist)
+                streak += 1
+                if streak == asymptotics_module.RUN_STREAK:
+                    at, reach = asymptotics_module._run_end(
+                        ordered, at, reps[last], tol)
+                    radii[last] = max(radii[last], reach)
+                continue
+        streak = 0
+        best_idx, best_dist = -1, np.inf
+        for idx in neighbors(z):
+            dist = abs(z - reps[idx])
+            if dist < best_dist:
+                best_idx, best_dist = idx, dist
+        if best_dist <= tol:
+            radii[best_idx] = max(radii[best_idx], best_dist)
+            last = best_idx
+        elif best_dist > 2.0 * tol:
+            reps.append(z)
+            radii.append(0.0)
+            key = (math.floor(z.real / tol), math.floor(z.imag / tol))
+            buckets.setdefault(key, []).append(len(reps) - 1)
+            last = len(reps) - 1
+    return reps, radii
+
+
+def _on_clustered_windows(text: str) -> np.ndarray:
+    """The finite values of a tree on the windows that
+    ``limit_points_at_infinity`` clusters, toward both ends."""
+    values = evaluate_array(parse(text), x=np.concatenate([
+        sign * np.linspace(2.0**s, 2.0 ** (s + 1), POINTS_PER_WINDOW)
+        for sign in (1.0, -1.0)
+        for s in range(WINDOWS - CLUSTER_WINDOWS, WINDOWS)]))
+    return values[np.isfinite(values)]
+
+
+def test_cluster_matches_the_list_loop():
+    # The quartic's d joins one long run; sin(x) makes thousands of short
+    # runs across the conversion blocks; a Gaussian cloud at CLUSTER_TOL
+    # scale and a ring in the discard annulus mix joins, new clusters and
+    # discards.
+    rng = np.random.default_rng(7)
+    tol = CLUSTER_TOL
+    cloud = 3.0 * tol * (rng.standard_normal(20_000)
+                         + 1j * rng.standard_normal(20_000))
+    ring = (np.repeat(rng.uniform(-0.01, 0.01, 40), 50)
+            + tol * rng.uniform(1.0, 2.0, 2_000)
+            * np.exp(2j * np.pi * rng.uniform(0, 1, 2_000)))
+    for values in (_on_clustered_windows(str(quartic_coupled().d)),
+                   _on_clustered_windows("sin(x)"), cloud, ring):
+        assert _cluster(values, tol) == _cluster_over_a_list(values, tol)
 
 
 def test_exceptional_set_stable_under_window_doubling(monkeypatch):

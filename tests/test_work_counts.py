@@ -3,10 +3,14 @@
 Every node visit of ``expr._eval_array`` and ``expr._eval_jet`` is counted,
 so a change that samples a tree more often fails here whatever the timing
 noise. The ceilings are measured counts; lower is fine. The spectrum's
-ceiling is the count since the singular sweep solves a closed-form tail
-polynomial (27,357 while it polished roots on limit batches). The sweep's
-frequency batches are counted too: both ends of the quartic share one tail
-polynomial, which is swept once (38 batches while each end swept its own).
+ceiling is the count since each side's tail limits are sampled once, on
+both trajectories side by side (908 while each tree was sampled once per
+trajectory, 27,357 while the sweep polished roots on limit batches). The
+certificate scans are counted too: one per side for all the tail limits,
+and one for each end of the regular curve (42 while each tree had a scan
+of its own on each trajectory). The sweep's frequency batches are counted
+as well: both ends of the quartic share one tail polynomial, which is
+swept once (38 batches while each end swept its own).
 The branch continuation's counts are pinned exactly: the rows it assigns
 by array and the joints it leaves to the per-row loop.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from factories import PARABOLIC_CFG, QUARTIC_CFG
-from matspectra import expr, spectrum
+from matspectra import asymptotics, expr, spectrum
 from matspectra.cli import main
 from matspectra.config import SolverConfig
 from matspectra.model import load_operator
@@ -47,7 +51,7 @@ def test_quartic_spectrum_walks_no_more_nodes(visits):
     op = load_operator(QUARTIC_CFG)
     visits.update(_eval_array=0, _eval_jet=0)
     essential_spectrum(op, QUARTIC_WINDOW)
-    assert visits["_eval_array"] <= 908
+    assert visits["_eval_array"] <= 604
     assert visits["_eval_jet"] == 0
 
 
@@ -64,6 +68,21 @@ def test_quartic_spectrum_solves_no_more_batches(monkeypatch):
     monkeypatch.setattr(spectrum, "_solve_at", counted)
     essential_spectrum(op, QUARTIC_WINDOW)
     assert calls <= 19
+
+
+def test_quartic_spectrum_scans_no_more_limit_blocks(monkeypatch):
+    op = load_operator(QUARTIC_CFG)
+    calls = 0
+    scan = asymptotics._limit_block
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return scan(*args)
+
+    monkeypatch.setattr(asymptotics, "_limit_block", counted)
+    essential_spectrum(op, QUARTIC_WINDOW)
+    assert calls <= 4
 
 
 @pytest.mark.parametrize("config, branches, array_rows, joints", [
