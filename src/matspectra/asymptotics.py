@@ -4,7 +4,7 @@ Four services live here:
 
 - :func:`limit_ratio` estimates the coefficient ratios
   ``r_j(lambda) = lim p_j(x, lambda) / p_m(x, lambda)`` along a geometric
-  trajectory ``x = sign * x0 * rho**t`` and attaches a convergence
+  trajectory ``x = sign * X0 * RHO**t`` and attaches a convergence
   certificate to every ratio. The tail polynomial
   ``xi**m + sum_j r_j(lambda) xi**j`` built from these limits is what the
   singular-part sweep solves for real ``xi``. Samples come from the
@@ -51,7 +51,6 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .config import SolverConfig
 from .errors import DomainError, LimitRefused, NotConvergent, PoleError
 from .expr import (Div, Expr, Lit, evaluate, evaluate_array, evaluate_jet,
                    mentions, smart_pow)
@@ -61,8 +60,11 @@ from .schur import SchurSymbol
 INVERSE_FLOOR = 1e-8
 """Smallest sampled |p_m| accepted as evidence that 1/p_m stays bounded."""
 
-# Limits are sampled at x = sign * x0 * RHO**t, t = 0..T, and converge once
-# three successive increments are at most LIMIT_TOL * (1 + |sample|).
+# Limits are sampled at x = sign * X0 * RHO**t, t = 0..T, and converge once
+# three successive increments are at most LIMIT_TOL * (1 + |sample|). The
+# recheck trajectory starts at RECHECK_X0_SCALE * X0 instead.
+X0 = 16.0
+RECHECK_X0_SCALE = 1.37
 LIMIT_TOL = 1e-9
 RHO = 2.0
 T = 40
@@ -99,11 +101,13 @@ class Certificate:
         return max(last, last * rate / (1.0 - rate))
 
 
-def _trajectory(side: str, cfg: SolverConfig) -> np.ndarray:
+def _trajectory(side: str, recheck: bool = False) -> np.ndarray:
+    """x toward one side, from X0 or, to recheck, RECHECK_X0_SCALE * X0."""
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     sign = 1.0 if side == "+" else -1.0
-    return sign * cfg.x0 * RHO ** np.arange(T + 1, dtype=float)
+    start = X0 * RECHECK_X0_SCALE if recheck else X0
+    return sign * start * RHO ** np.arange(T + 1, dtype=float)
 
 
 _Jet = tuple[np.ndarray, ...]
@@ -253,6 +257,15 @@ def _limit_block(samples: np.ndarray, tol: float):
     return take[:, 0, :], t_index, last_inc, prev_inc, converged, first_bad
 
 
+def _certificate(block, i: int, k: int) -> Certificate:
+    """The certificate of column (i, k) of a :func:`_limit_block` scan."""
+    values, t_index, last_inc, prev_inc = block[:4]
+    return Certificate(sample_count=int(t_index[i, k]) + 2,
+                       last_increment=float(last_inc[i, k]),
+                       value=complex(values[i, k]),
+                       previous_increment=float(prev_inc[i, k]))
+
+
 def _status(converged: np.ndarray, first_bad: np.ndarray,
             finite: np.ndarray) -> np.ndarray:
     """Per-lambda status of a scanned batch of ratios, length K.
@@ -274,8 +287,7 @@ def _status(converged: np.ndarray, first_bad: np.ndarray,
     return status
 
 
-def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
-                cfg: SolverConfig | None = None
+def limit_ratio(symbol: SchurSymbol, lam: complex, side: str
                 ) -> tuple[list[complex], list[Certificate]]:
     """Estimate r_j(lambda) = lim p_j/p_m toward one end of the line.
 
@@ -286,9 +298,7 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str,
     trajectory sample lands on a pole of the symbol (lambda = d(x) or a
     zero of p_m).
     """
-    cfg = cfg or SolverConfig()
-    return _form_ratios(_sample_form(symbol, _trajectory(side, cfg)), lam,
-                        side)
+    return _form_ratios(_sample_form(symbol, _trajectory(side)), lam, side)
 
 
 def _form_ratios(form: _Form, lam: complex, side: str
@@ -311,8 +321,8 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
     ``names[j]`` names limit j in messages; ``overflow(x)`` gives the cause
     of a non-finite x-only sample at x (it may raise instead).
     """
-    (values, t_idx, last_inc, prev_inc, converged,
-     first_bad) = _limit_block(samples, LIMIT_TOL)
+    block = _limit_block(samples, LIMIT_TOL)
+    values, _, last_inc, _, converged, first_bad = block
     status = _status(converged, first_bad, finite)[0]
     if status in ("pole", "overflow"):
         j = int(np.argmin(first_bad[:, 0]))
@@ -337,29 +347,24 @@ def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
             for t in range(max(0, end - 6), end)
         ]
         raise NotConvergent(message, witness=tail)
-    certificates = [
-        Certificate(
-            sample_count=int(t_idx[j, 0]) + 2,
-            last_increment=float(last_inc[j, 0]),
-            value=complex(values[j, 0]),
-            previous_increment=float(prev_inc[j, 0]),
-        )
-        for j in range(len(names))
-    ]
-    return [complex(v) for v in values[:, 0]], certificates
+    certificates = [_certificate(block, j, 0) for j in range(len(names))]
+    return [cert.value for cert in certificates], certificates
 
 
-def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
-                      cfg: SolverConfig | None = None):
+def limit_ratio_batch(symbol: SchurSymbol, lams, side: str):
     """Batched, non-raising variant of :func:`limit_ratio`.
 
     Returns ``(values, status)`` where ``values`` has shape (K, m) (NaN
     rows where estimation failed) and ``status`` is a length-K array of
     strings: ``"ok"``, ``"pole"``, ``"overflow"`` or ``"not-convergent"``.
     """
-    cfg = cfg or SolverConfig()
+    return _ratio_batch(symbol, lams, _trajectory(side))
+
+
+def _ratio_batch(symbol: SchurSymbol, lams, xs: np.ndarray):
+    """:func:`limit_ratio_batch` on the trajectory ``xs``."""
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
-    form = _sample_form(symbol, _trajectory(side, cfg))
+    form = _sample_form(symbol, xs)
     values, _, _, _, converged, first_bad = _limit_block(
         _ratio_samples(form, lam_arr), LIMIT_TOL)
     status = _status(converged, first_bad, form.finite)
@@ -368,8 +373,7 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str,
     return out, status
 
 
-def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
-             ) -> tuple[complex, Certificate]:
+def limit_of(expr: Expr, side: str) -> tuple[complex, Certificate]:
     """Certified limit of a lambda-free expression toward one infinity.
 
     Runs the certificate scan of :func:`limit_ratio` on the expression's
@@ -381,8 +385,12 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
     """
     if mentions(expr, "lambda"):
         raise ValueError("limit_of takes lambda-free expressions only")
-    cfg = cfg or SolverConfig()
-    xs = _trajectory(side, cfg)
+    return _limit_on(expr, side, _trajectory(side))
+
+
+def _limit_on(expr: Expr, side: str, xs: np.ndarray
+              ) -> tuple[complex, Certificate]:
+    """:func:`limit_of` on the trajectory ``xs`` toward ``side``."""
     samples = evaluate_array(expr, x=xs)
 
     def overflow(x: float) -> str:
@@ -407,9 +415,6 @@ def limit_of(expr: Expr, side: str, cfg: SolverConfig | None = None
 # Certified limits of the symbol's x-only trees
 # ---------------------------------------------------------------------------
 
-RECHECK_X0_SCALE = 1.37
-"""Start of the independent recheck trajectory, as a multiple of ``x0``."""
-
 ZERO_MARGIN = 2.0
 """A limit is exactly 0 when |value| is within this many tail bounds of 0."""
 
@@ -426,7 +431,7 @@ class TailLimit:
     ``d`` or ``1/d``. The limit is the coefficient of u^q in the frozen
     p_j (q = 0 for alpha_j; ``j`` is None for d and 1/d). ``recheck``
     certifies the same tree on the trajectory that starts at
-    ``RECHECK_X0_SCALE * x0``.
+    ``RECHECK_X0_SCALE * X0``.
     """
 
     label: str
@@ -485,11 +490,10 @@ def _tail_trees(symbol: SchurSymbol, d_diverges: bool):
                 yield f"beta_{j},{q}", j, q, tree
 
 
-def symbol_limits(symbol: SchurSymbol, side: str,
-                  cfg: SolverConfig | None = None) -> SymbolLimits:
+def symbol_limits(symbol: SchurSymbol, side: str) -> SymbolLimits:
     """Certify the limits of the symbol's x-only trees toward one side.
 
-    The trees are sampled once, on the ``x0`` trajectory and on the
+    The trees are sampled once, on the ``X0`` trajectory and on the
     recheck trajectory side by side, and one certificate scan covers them
     all; since it runs column by column, each certificate is the one
     :func:`limit_of` gives that tree on that trajectory. Tree by tree, in
@@ -503,28 +507,22 @@ def symbol_limits(symbol: SchurSymbol, side: str,
     :class:`LimitRefused` naming the first tree whose limit is refused or
     whose recheck disagrees.
     """
-    cfg = cfg or SolverConfig()
-    runs = (cfg, cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE))
-    xs = np.stack([_trajectory(side, run) for run in runs], axis=1)
+    xs = np.stack([_trajectory(side, r) for r in (False, True)], axis=1)
 
     def certified(trees):
         """The TailLimit of each (label, j, q, tree), checked in order."""
         samples = np.stack([evaluate_array(tree, x=xs) for *_, tree in trees])
-        values, t_idx, last_inc, prev_inc, converged, _ = _limit_block(
-            samples, LIMIT_TOL)
+        block = _limit_block(samples, LIMIT_TOL)
+        converged = block[4]
         for i, (label, j, q, tree) in enumerate(trees):
-            for run, settled in zip(runs, converged[i]):
+            for k, settled in enumerate(converged[i]):
                 if not settled:
-                    _refuse(label, tree, side, run)
-            first, again = (Certificate(
-                sample_count=int(t_idx[i, k]) + 2,
-                last_increment=float(last_inc[i, k]),
-                value=complex(values[i, k]),
-                previous_increment=float(prev_inc[i, k])) for k in (0, 1))
+                    _refuse(label, tree, side, xs[:, k])
+            first, again = (_certificate(block, i, k) for k in (0, 1))
             if abs(first.value - again.value) > (first.last_increment
                                                  + again.last_increment):
                 raise LimitRefused(label, (
-                    f"the recheck from x = {runs[1].x0!r} gives "
+                    f"the recheck from x = {X0 * RECHECK_X0_SCALE!r} gives "
                     f"{again.value} against {first.value}, farther apart "
                     "than their last increments"))
             limit = TailLimit(label, j, q, first, again)
@@ -559,12 +557,11 @@ def symbol_limits(symbol: SchurSymbol, side: str,
     return SymbolLimits(d_limit.label == "1/d", (d_limit, *limits))
 
 
-def _refuse(label: str, tree: Expr, side: str,
-            cfg: SolverConfig) -> NoReturn:
+def _refuse(label: str, tree: Expr, side: str, xs: np.ndarray) -> NoReturn:
     """Raise the :class:`LimitRefused` of a tree whose scan failed on the
-    trajectory of ``cfg``, caused by the error :func:`limit_of` gives."""
+    trajectory ``xs``, caused by the error :func:`limit_of` gives there."""
     try:
-        limit_of(tree, side, cfg)
+        _limit_on(tree, side, xs)
     except (NotConvergent, PoleError) as exc:
         raise LimitRefused(label, str(exc)) from exc
     raise AssertionError(f"the scan of {label} failed where limit_of did not")
@@ -742,8 +739,7 @@ BOUND_CAP = 1e8
 
 
 def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
-                      probes, grid: np.ndarray,
-                      cfg: SolverConfig | None = None) -> Diagnostics:
+                      probes, grid: np.ndarray) -> Diagnostics:
     """Sampled evidence for the hypotheses, one record per (assumption, probe).
 
     B1: p_j and its first two x-derivatives stay below ``BOUND_CAP`` on the
@@ -766,12 +762,11 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     D once per side; each probe then costs array algebra in
     u = 1/(d - lambda), with u' = -d' u^2.
     """
-    cfg = cfg or SolverConfig()
     grid = np.asarray(grid, dtype=float)
     records: list[DiagnosticRecord] = []
 
     jets = _GridJets.sample(op, symbol, grid)
-    trajectories = [(side, _sample_form(symbol, _trajectory(side, cfg)))
+    trajectories = [(side, _sample_form(symbol, _trajectory(side)))
                     for side in ("+", "-")]
     # The decoupling function d - b_n c_k / a_m, sampled unsimplified.
     delta_vals = evaluate_array(

@@ -201,10 +201,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
 def _prepare_out_dir(run: RunConfig) -> Path:
     run.out_dir.mkdir(parents=True, exist_ok=True)
     return run.out_dir
@@ -234,7 +230,7 @@ def _run_checks(op: OperatorMatrix,
     grid = validation_grid(cfg)
     leading = validate(op, grid).records
     symbol = build_schur(op)
-    checked = check_assumptions(op, symbol, run.probes, grid, cfg).records
+    checked = check_assumptions(op, symbol, run.probes, grid).records
     return [*leading, *checked], symbol
 
 
@@ -256,12 +252,6 @@ def _one_sided_distance(source, target) -> float | None:
 
 def _in_window(lam: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return lam[_near_window(lam, cfg.window, 0.0)]
-
-
-def _spectrum_point_sets(spectrum: SpectrumSet, cfg: SolverConfig
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    return (_in_window(spectrum.regular.lam, cfg),
-            _in_window(spectrum.singular.lam, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +312,8 @@ def cmd_spectrum(run: RunConfig) -> int:
     outputs = {"csv": csv_path}
     if run.svg:
         svg_path = out_dir / "spectrum.svg"
-        _write_text(svg_path, render_svg(spectrum, cfg.window))
+        svg_path.write_text(render_svg(spectrum, cfg.window),
+                            encoding="utf-8")
         outputs["svg"] = svg_path
 
     report = {
@@ -347,7 +338,7 @@ def cmd_spectrum(run: RunConfig) -> int:
 def _det_scan_report(op: OperatorMatrix, spectrum: SpectrumSet,
                      cfg: SolverConfig) -> tuple[dict, list[complex]]:
     sides = ("+", "-")
-    frozen = {side: freeze(op, side, cfg) for side in sides}
+    frozen = {side: freeze(op, side) for side in sides}
 
     singular = spectrum.singular
     side_reports = {}
@@ -387,7 +378,8 @@ def _det_scan_report(op: OperatorMatrix, spectrum: SpectrumSet,
 
 def _discretize_report(op: OperatorMatrix, spectrum: SpectrumSet,
                        cfg: SolverConfig) -> tuple[dict, list[complex]]:
-    regular, singular = _spectrum_point_sets(spectrum, cfg)
+    regular = _in_window(spectrum.regular.lam, cfg)
+    singular = _in_window(spectrum.singular.lam, cfg)
     predicted = np.concatenate([regular, singular])
     sweep = []
     last_cloud: list[complex] = []

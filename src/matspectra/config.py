@@ -1,11 +1,11 @@
 """Run and solver configuration.
 
-:class:`SolverConfig` holds the six numeric settings that some caller
-varies (the CLI the window, the benchmark the curve resolution and grids,
-the limit recheck the trajectory start) with pinned defaults, and refuses
-values the pipeline cannot use; :func:`SolverConfig.with_overrides` also
-rejects unknown keys. Every other numeric constant of the pipeline lives
-next to the code that reads it.
+:class:`SolverConfig` holds the five numeric settings that some caller
+varies (the CLI the window, the benchmark the curve resolution and grids)
+with pinned defaults, and refuses values the pipeline cannot use;
+:func:`SolverConfig.with_overrides` also rejects unknown keys. Every other
+numeric constant of the pipeline, the start of the limit trajectories
+included, lives next to the code that reads it.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ Window = tuple[float, float, float, float]
 class SolverConfig:
     """The numeric settings some caller varies, with pinned defaults."""
 
-    # Limit trajectories x = sign * x0 * RHO**t (asymptotics).
-    x0: float = 16.0
-
     # Decoupling-curve sampling (regular part).
     curve_res: float = 1e-3
     grid_points: int = 2048
@@ -39,8 +36,6 @@ class SolverConfig:
     window: Window = (-10.0, 10.0, -10.0, 10.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and self.x0 > 0.0):
-            raise ConfigError(f"x0 must be finite and positive, got {self.x0}")
         if not self.curve_res > 0.0:  # refuses NaN too
             raise ConfigError("tolerance curve_res must be positive")
         if self.grid_points < 2:

@@ -103,16 +103,16 @@ def freeze(op: OperatorMatrix, side: str,
     trajectory toward ``side`` infinity, and its x-derivative must vanish
     (magnitude below ``DERIV_TOL``) at the last two trajectory
     points.  Raises :class:`RefusedFrozen` with a witness naming the
-    offending coefficient when either check fails.
+    offending coefficient when either check fails. The trajectory is
+    fixed, so ``cfg`` is not read.
     """
-    cfg = cfg or SolverConfig()
     labeled = _labeled_coefficients(op)
 
     values: dict[str, complex] = {}
     certificates: dict[str, Certificate] = {}
     for label, tree in labeled:
         try:
-            value, cert = limit_of(tree, side, cfg)
+            value, cert = limit_of(tree, side)
         except (NotConvergent, PoleError) as exc:
             raise RefusedFrozen(
                 f"coefficient {label} has no certified limit toward "
@@ -122,7 +122,7 @@ def freeze(op: OperatorMatrix, side: str,
         values[label] = value
         certificates[label] = cert
 
-    tail_x = _trajectory(side, cfg)[-2:]
+    tail_x = _trajectory(side)[-2:]
     for label, tree in labeled:
         derivative = simplify(differentiate(tree, "x"))
         magnitudes = np.abs(evaluate_array(derivative, x=tail_x))

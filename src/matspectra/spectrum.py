@@ -20,9 +20,9 @@ ratios. Per side the solve is staged:
    increments) counts as exactly 0, one that cannot be told from 0 is
    refused, and the power of ``w = d^inf - lambda`` that every P_j shares
    is divided out, so the cleared polynomials keep no spurious root at
-   ``lambda = d^inf``. Every limit is certified again on the trajectory
-   that starts at ``RECHECK_X0_SCALE * x0``, and the two values must agree
-   within their last increments;
+   ``lambda = d^inf``. Every limit is certified again on the recheck
+   trajectory of :mod:`~matspectra.asymptotics`, and the two values must
+   agree within their last increments;
 2. clear denominators at fixed xi and take companion-matrix eigenvalues as
    root candidates, with one stacked ``eigvals`` call per batch of
    frequencies whose cleared polynomials share a trimmed degree;
@@ -43,8 +43,9 @@ circles (ascending degree ladder, numerator degree <= n+2, denominator <=
 n+1; a side that no rung fits within ``FIT_TOL`` gets no points). Its
 candidates settle as in step 3, except that each step takes F from a
 fresh limit batch and only dF/dlambda from the fit: a candidate is kept
-when ``|F| <= ROOT_TOL`` and its Newton step is at most ``DEDUPE_TOL``,
-and again ``|F| <= ROOT_TOL`` on the recheck trajectory. The report names
+when ``|F| <= ROOT_TOL``, its Newton step is at most ``DEDUPE_TOL``, its
+step on the slope of the limit batches at most ``curve_res``, and again
+``|F| <= ROOT_TOL`` on the recheck trajectory. The report names
 the route of each side and its limits, or the limit that was refused.
 
 A closed-form sweep reads only the profile, the frequency grid and the
@@ -87,9 +88,10 @@ import numpy as np
 
 from .asymptotics import (
     LIMIT_TOL,
-    RECHECK_X0_SCALE,
     ExceptionalSet,
     SymbolLimits,
+    _ratio_batch,
+    _trajectory,
     limit_of,
     limit_points_at_infinity,
     limit_ratio_batch,
@@ -315,7 +317,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     endpoints: dict[str, dict] = {}
     for side, tag in (("-", -math.inf), ("+", math.inf)):
         try:
-            value, cert = limit_of(dexpr, side, cfg)
+            value, cert = limit_of(dexpr, side)
         except (NotConvergent, PoleError) as exc:
             endpoints[side] = {"converged": False, "reason": type(exc).__name__}
             continue
@@ -360,8 +362,8 @@ class RationalProfile:
     limits: SymbolLimits | None = None
 
 
-def _closed_form_side(symbol: SchurSymbol, side: str,
-                      cfg: SolverConfig) -> tuple[RationalProfile, int]:
+def _closed_form_side(symbol: SchurSymbol, side: str
+                      ) -> tuple[RationalProfile, int]:
     """The exact profile P_j/P_m toward one side, from certified limits.
 
     With w = d^inf - lambda, P_j = (alpha_j - [j = 0] lambda) w^Q
@@ -372,7 +374,7 @@ def _closed_form_side(symbol: SchurSymbol, side: str,
     w divided out. Raises :class:`LimitRefused` when a limit is refused or
     P_m vanishes identically.
     """
-    limits = symbol_limits(symbol, side, cfg)
+    limits = symbol_limits(symbol, side)
     d_limit, *terms = limits.limits
     # beta_jq u^q tends to beta_jq^inf w^-q, or to lim beta_jq/d^q (a w^0
     # term, with w = -lambda) when d diverges.
@@ -403,8 +405,8 @@ def _closed_form_side(symbol: SchurSymbol, side: str,
                            limits=limits), cancelled
 
 
-def _sample_limits(symbol: SchurSymbol, side: str, count: int,
-                   cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, int]:
+def _sample_limits(symbol: SchurSymbol, side: str, count: int
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """Collect ``count`` certified limit samples on the two fit circles."""
     lams: list[complex] = []
     rows: list[np.ndarray] = []
@@ -420,7 +422,7 @@ def _sample_limits(symbol: SchurSymbol, side: str, count: int,
         radii = np.asarray([FIT_RADII[k % 2] for k in ks], dtype=float)
         angles = offset + GOLDEN_ANGLE * ks
         cand = FIT_CENTER + radii * np.exp(1j * angles)
-        values, status = limit_ratio_batch(symbol, cand, side, cfg)
+        values, status = limit_ratio_batch(symbol, cand, side)
         for lam, row, st in zip(cand, values, status):
             if st == "ok" and np.all(np.isfinite(row)):
                 lams.append(complex(lam))
@@ -462,8 +464,8 @@ def _fit_rational(lam_arr: np.ndarray, r_arr: np.ndarray, num_len: int,
     return numerators, denominator, residual
 
 
-def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
-              cfg: SolverConfig) -> RationalProfile:
+def _fit_side(symbol: SchurSymbol, side: str, order_n: int
+              ) -> RationalProfile:
     """Reconstruct the frozen-limit ratios toward one side.
 
     Degrees climb a ladder (numerator d+1, denominator d) for d = 1..n+1;
@@ -472,7 +474,7 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int,
     qualifies.
     """
     count = 4 * (order_n + 3)
-    lam_arr, r_arr, rounds = _sample_limits(symbol, side, count, cfg)
+    lam_arr, r_arr, rounds = _sample_limits(symbol, side, count)
     cols_max = symbol.m * (order_n + 3) + (order_n + 2)
     min_samples = max(6, -(-cols_max // symbol.m))
     if lam_arr.size < min_samples:
@@ -583,32 +585,47 @@ def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
     wide range of lambda (or does not depend on lambda at all) the
     residual alone passes at points that are no root. One that misses
     takes up to ``NEWTON_STEPS`` Newton steps and is dropped after them.
-    A kept candidate must meet ``|F| <= ROOT_TOL`` again on the
-    independent trajectory from ``RECHECK_X0_SCALE * x0``. Adds its limit
-    batches, the lambdas they evaluate and the Newton steps taken to
+    Where the fit matches limit noise by a pole-zero pair its slope is no
+    guide, so a kept candidate then needs a Newton step of at most
+    ``curve_res`` on the slope of the limit batches (one more batch at
+    lambda + h, h = 1e-6 (1 + |lambda|)), and ``|F| <= ROOT_TOL`` again on
+    the recheck trajectory; these drops are ``RecheckSkip``s. Adds its
+    limit batches, the lambdas they evaluate and the Newton steps taken to
     ``work``. Returns (kept, lam).
     """
     m, side = symbol.m, profile.side
     lam = np.array(lam, dtype=complex)
     pows = xi[:, None] ** np.arange(m + 1)[None, :]
     kept = np.zeros(lam.size, dtype=bool)
+    f_kept = np.zeros(lam.size, dtype=complex)
+
+    def tail_at(idx, at, recheck=False):
+        """F at ``at`` for the candidates ``idx`` from one limit batch (NaN
+        where it fails), and where the batch converged."""
+        values, status = _ratio_batch(symbol, at, _trajectory(side, recheck))
+        work["limit_batches"] += 1
+        work["lambdas_evaluated"] += int(idx.size)
+        return _tail_values(pows[idx], values, m), status == "ok"
+
+    def drop(idx, passed, reason):
+        for i in idx[~passed]:
+            _log_skip(skips, "RecheckSkip", side, xi[i], lam[i], reason)
+        kept[idx[~passed]] = False
+
     live = np.arange(lam.size)
     for step in range(NEWTON_STEPS + 1):
-        values, status = limit_ratio_batch(symbol, lam[live], side, cfg)
-        work["limit_batches"] += 1
-        work["lambdas_evaluated"] += int(live.size)
-        ok = status == "ok"
+        f, ok = tail_at(live, lam[live])
         for i in live[~ok]:
             _log_skip(skips, "LimitSkip", side, xi[i], lam[i],
                       "limit estimation failed during polish")
-        live = live[ok]
-        f = _tail_values(pows[live], values[ok], m)
+        live, f = live[ok], f[ok]
         with np.errstate(all="ignore"):
             c, dc = _horner(coeffs[live], lam[live])
             q, dq = _horner(profile.denominator[None, :], lam[live])
             newton = f * q * q / (dc * q - c * dq)  # F / F'
         hit = (np.abs(f) <= ROOT_TOL) & (np.abs(newton) <= DEDUPE_TOL)
         kept[live[hit]] = True
+        f_kept[live[hit]] = f[hit]
         live, newton = live[~hit], newton[~hit]
         if live.size == 0 or step == NEWTON_STEPS:
             break
@@ -623,20 +640,19 @@ def _polish_batch(symbol: SchurSymbol, profile: RationalProfile,
         _log_skip(skips, "PolishSkip", side, xi[i], lam[i],
                   "Newton on the fitted slope did not locate a root")
 
-    if kept.any():
-        alt = cfg.with_overrides(x0=cfg.x0 * RECHECK_X0_SCALE)
-        idx = np.nonzero(kept)[0]
-        values, status = limit_ratio_batch(symbol, lam[idx], side, alt)
-        work["limit_batches"] += 1
-        work["lambdas_evaluated"] += int(idx.size)
-        ok = status == "ok"
-        recheck = np.zeros(idx.size, dtype=bool)
-        recheck[ok] = (np.abs(_tail_values(pows[idx[ok]], values[ok], m))
-                       <= ROOT_TOL)
-        for i in idx[~recheck]:
-            _log_skip(skips, "RecheckSkip", side, xi[i], lam[i],
-                      "independent-trajectory recheck failed")
-        kept[idx[~recheck]] = False
+    idx = np.flatnonzero(kept)
+    if idx.size:
+        h = 1e-6 * (1.0 + np.abs(lam[idx]))
+        f = f_kept[idx]
+        with np.errstate(all="ignore"):
+            step = np.abs(f * h / (tail_at(idx, lam[idx] + h)[0] - f))
+        drop(idx, step <= cfg.curve_res,
+             "the Newton step on the limit-batch slope exceeds curve_res")
+        idx = np.flatnonzero(kept)
+    if idx.size:
+        f = tail_at(idx, lam[idx], recheck=True)[0]
+        drop(idx, np.abs(f) <= ROOT_TOL,
+             "independent-trajectory recheck failed")
     return kept, lam
 
 
@@ -1078,7 +1094,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 
     for side in ("+", "-"):
         try:
-            profile, cancelled = _closed_form_side(symbol, side, cfg)
+            profile, cancelled = _closed_form_side(symbol, side)
             fits[side] = {"route": "closed_form",
                           "limits": profile.limits.to_json_list(),
                           "cancelled_power": cancelled}
@@ -1086,7 +1102,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
             fits[side] = {"route": "fit", "refused": {
                 "label": refusal.label, "reason": str(refusal)}}
             try:
-                profile = _fit_side(symbol, side, op.n, cfg)
+                profile = _fit_side(symbol, side, op.n)
             except FitError as exc:
                 errors.append(exc)
                 fits[side]["error"] = str(exc)

@@ -95,7 +95,7 @@ def test_criterion_2_quartic_limit_ratios_match_closed_forms():
     cfg = SolverConfig()
     symbol = build_schur(quartic_coupled(), cfg)
     for lam in (1.0 + 0.0j, 2.0 - 1.0j, -3.0 + 2.0j):
-        values, certificates = limit_ratio(symbol, lam, "+", cfg)
+        values, certificates = limit_ratio(symbol, lam, "+")
         expected = [
             (lam - lam * lam) / (1j + lam),       # constant term
             1.0 / (1j + lam),                     # linear term

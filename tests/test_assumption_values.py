@@ -111,10 +111,10 @@ def rounding_scale(tree, grid, probe):
     return np.abs(evaluate_array(tree, x=grid, lam=probe))
 
 
-def reference_check_d(symbol, probe, cfg):
+def reference_check_d(symbol, probe):
     for side in ("+", "-"):
         try:
-            limit_ratio(symbol, probe, side, cfg)
+            limit_ratio(symbol, probe, side)
         except NotConvergent as exc:
             tail_increment = exc.witness[-1][1] if exc.witness else np.inf
             return DiagnosticRecord(
@@ -129,7 +129,7 @@ def reference_check_d(symbol, probe, cfg):
     return DiagnosticRecord("D", "pass", probe=probe)
 
 
-def reference_check_assumptions(op, symbol_op, probes, grid, cfg):
+def reference_check_assumptions(op, symbol_op, probes, grid):
     """The records for ``op`` checked with the symbol of ``symbol_op``."""
     symbol = build_schur(symbol_op)
     trees = coefficient_trees(symbol_op)
@@ -151,7 +151,7 @@ def reference_check_assumptions(op, symbol_op, probes, grid, cfg):
             _check_bounded("B3", tree_values(b3_trees, grid, probe), probe,
                            grid),
             _check_c(p_m, probe, grid),
-            reference_check_d(symbol, probe, cfg),
+            reference_check_d(symbol, probe),
         ]
         for record in batch:
             if near_curve and record.status == "fail":
@@ -324,9 +324,8 @@ def test_records_match_lambda_tree_reference(case, probes):
         op = symbol_op = unbounded_coupling(case)
     symbol = build_schur(symbol_op)
     assert (symbol.d == op.d) == (case != "foreign-symbol")
-    got = check_assumptions(op, symbol, probes, GRID, CFG).records
-    want = reference_check_assumptions(op, symbol_op, probes, GRID,
-                                       CFG).records
+    got = check_assumptions(op, symbol, probes, GRID).records
+    want = reference_check_assumptions(op, symbol_op, probes, GRID).records
     jets = _GridJets.sample(op, symbol, GRID)
     p_m_tree = coefficient_trees(symbol_op)[symbol.m]
     assert len(got) == len(want)
@@ -405,7 +404,7 @@ def test_probe_count_leaves_tree_work_unchanged(monkeypatch):
     counts = []
     for count in (1, 5):
         calls.update(evaluate_array=0, evaluate_jet=0)
-        check_assumptions(op, symbol, probes[:count], GRID, CFG)
+        check_assumptions(op, symbol, probes[:count], GRID)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["evaluate_array"] > 0 and counts[0]["evaluate_jet"] > 0

@@ -36,7 +36,6 @@ from matspectra.asymptotics import (
     LIMIT_TOL,
     NEAR_ZERO_TOLS,
     POINTS_PER_WINDOW,
-    RECHECK_X0_SCALE,
     T,
     WINDOWS,
     ZERO_MARGIN,
@@ -46,6 +45,7 @@ from matspectra.asymptotics import (
     _check_c,
     _cluster,
     _hull,
+    _limit_on,
     _ratio_samples,
     _sample_form,
     _sector_margin,
@@ -86,7 +86,7 @@ def quartic_tail_ratios(lam: complex) -> list[complex]:
 def test_parabolic_ratios_at_2i_reach_minus_lambda_and_zero():
     symbol = build_schur(parabolic_potential())
     for side in ("+", "-"):
-        values, certs = limit_ratio(symbol, 2j, side, CFG)
+        values, certs = limit_ratio(symbol, 2j, side)
         assert len(values) == 2
         assert abs(values[0] - (-2j)) <= 1e-7
         assert abs(values[1]) <= 1e-7
@@ -97,7 +97,7 @@ def test_parabolic_ratios_at_2i_reach_minus_lambda_and_zero():
 @pytest.mark.parametrize("lam", [1.0 + 0j, 2.0 - 1j, -3.0 + 2j])
 def test_quartic_ratios_match_closed_forms(lam):
     symbol = build_schur(quartic_coupled())
-    values, certs = limit_ratio(symbol, lam, "+", CFG)
+    values, certs = limit_ratio(symbol, lam, "+")
     expected = quartic_tail_ratios(lam)
     for got, want in zip(values, expected):
         assert abs(got - want) <= 1e-7
@@ -109,8 +109,8 @@ def test_side_symmetry_for_even_coefficients():
     # Every coefficient of both examples is invariant under x -> -x.
     for op in (parabolic_potential(), quartic_coupled()):
         symbol = build_schur(op)
-        plus, _ = limit_ratio(symbol, 2j, "+", CFG)
-        minus, _ = limit_ratio(symbol, 2j, "-", CFG)
+        plus, _ = limit_ratio(symbol, 2j, "+")
+        minus, _ = limit_ratio(symbol, 2j, "-")
         for a, b in zip(plus, minus):
             assert abs(a - b) <= 1e-9
 
@@ -123,7 +123,7 @@ def test_constant_coefficients_certify_at_first_window():
         lam = complex(rng.uniform(2.5, 4.0), rng.uniform(2.5, 4.0))
         for side in ("+", "-"):
             trees = coefficient_trees(op)
-            values, certs = limit_ratio(symbol, lam, side, CFG)
+            values, certs = limit_ratio(symbol, lam, side)
             for j, (value, cert) in enumerate(zip(values, certs)):
                 want = evaluate(trees[j], x=1.0, lam=lam) / evaluate(
                     trees[symbol.m], x=1.0, lam=lam)
@@ -141,7 +141,7 @@ def sin_potential_symbol():
 def test_oscillating_ratio_raises_not_convergent_with_witness():
     symbol = sin_potential_symbol()
     with pytest.raises(NotConvergent) as info:
-        limit_ratio(symbol, 0.5j, "+", CFG)
+        limit_ratio(symbol, 0.5j, "+")
     witness = info.value.witness
     assert len(witness) >= 3
     # The witness increments stay order-one: persistent oscillation.
@@ -153,7 +153,7 @@ def test_trajectory_pole_raises_pole_error():
     # sample, where u = 1/(d - lambda) is infinite.
     symbol = build_schur(replace(parabolic_potential(), d=X))
     with pytest.raises(PoleError, match="32"):
-        limit_ratio(symbol, 32.0 + 0j, "+", CFG)
+        limit_ratio(symbol, 32.0 + 0j, "+")
 
 
 def test_overflow_is_not_a_pole():
@@ -163,36 +163,36 @@ def test_overflow_is_not_a_pole():
                         d=base.d)
     symbol = build_schur(op)
     with pytest.raises(NotConvergent, match=r"overflow.*x = 34359738368\.0 "):
-        limit_ratio(symbol, 2j, "+", CFG)
-    _, status = limit_ratio_batch(symbol, np.array([2j, 1.0 + 1j]), "+", CFG)
+        limit_ratio(symbol, 2j, "+")
+    _, status = limit_ratio_batch(symbol, np.array([2j, 1.0 + 1j]), "+")
     assert list(status) == ["overflow", "overflow"]
     with pytest.raises(NotConvergent, match="overflow"):
-        limit_of(parse("x^30"), "-", CFG)
+        limit_of(parse("x^30"), "-")
 
 
 def test_limit_of_certifies_lambda_free_expressions():
-    value, cert = limit_of(parse("x^2/(x^2 + 1)"), "+", CFG)
+    value, cert = limit_of(parse("x^2/(x^2 + 1)"), "+")
     assert abs(value - 1.0) <= 1e-9
     assert cert.value == value
     assert cert.last_increment <= LIMIT_TOL * (1.0 + abs(value))
     with pytest.raises(ValueError, match="lambda-free"):
-        limit_of(parse("x + lambda"), "+", CFG)
+        limit_of(parse("x + lambda"), "+")
     with pytest.raises(NotConvergent, match="the limit did not settle") as info:
-        limit_of(parse("sin(x)"), "+", CFG)
+        limit_of(parse("sin(x)"), "+")
     assert "p_0" not in str(info.value)
 
 
 def test_limit_of_names_the_cause_of_a_nonfinite_sample():
     # x = 32 is the second trajectory sample toward +infinity.
     with pytest.raises(PoleError, match=r"x = 32\.0 hits a pole"):
-        limit_of(parse("1/(x - 32)"), "+", CFG)
+        limit_of(parse("1/(x - 32)"), "+")
     with pytest.raises(NotConvergent,
                        match=r"samples overflow at trajectory sample "
                              r"x = 34359738368\.0 "):
-        limit_of(parse("x^30"), "+", CFG)
+        limit_of(parse("x^30"), "+")
     with pytest.raises(NotConvergent, match=r"leave the domain \(log of "
                                             r"exactly 0\).*x = 32\.0"):
-        limit_of(parse("log(x - 32)"), "+", CFG)
+        limit_of(parse("log(x - 32)"), "+")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -216,8 +216,8 @@ def test_limit_of_agrees_with_a_decoupled_symbol(seed, side, named):
             return None
         return value, cert.sample_count, cert.last_increment
 
-    assert outcome(lambda: limit_of(expr, side, CFG)) == outcome(
-        lambda: [first for first, *_ in limit_ratio(symbol, 0j, side, CFG)])
+    assert outcome(lambda: limit_of(expr, side)) == outcome(
+        lambda: [first for first, *_ in limit_ratio(symbol, 0j, side)])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_limit_of_agrees_with_a_decoupled_symbol(seed, side, named):
 # ---------------------------------------------------------------------------
 
 def test_symbol_limits_of_the_quartic_zero_the_noise_level_limits():
-    limits = symbol_limits(build_schur(quartic_coupled()), "+", CFG)
+    limits = symbol_limits(build_schur(quartic_coupled()), "+")
     assert not limits.d_diverges
     by_label = {limit.label: limit for limit in limits.limits}
     assert limits.limits[0].label == "d"
@@ -249,7 +249,7 @@ def test_symbol_limits_of_the_quartic_zero_the_noise_level_limits():
 
 
 def test_symbol_limits_take_beta_over_d_powers_when_d_diverges():
-    limits = symbol_limits(build_schur(parabolic_potential()), "-", CFG)
+    limits = symbol_limits(build_schur(parabolic_potential()), "-")
     assert limits.d_diverges
     values = {limit.label: limit.value for limit in limits.limits}
     assert values == {"1/d": 0, "alpha_2": 1, "beta_1,2/d^2": 0,
@@ -260,14 +260,14 @@ def test_symbol_limits_name_the_refused_tree():
     sine = OperatorMatrix(a=(Call("sin", X), ZERO, ONE), b=(ZERO, ZERO),
                           c=(ZERO, ZERO), d=Lit(2j))
     with pytest.raises(LimitRefused, match="alpha_0.*did not settle") as info:
-        symbol_limits(build_schur(sine), "+", CFG)
+        symbol_limits(build_schur(sine), "+")
     assert info.value.label == "alpha_0"
     # Neither d = 2 + sin(x) nor 1/d settles; the refusal names d.
     wobble = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, Lit(-1j)),
                             c=(ZERO, Lit(1j)), d=parse("2 + sin(x)"))
     with pytest.raises(LimitRefused, match=r"^limit of d refused: .*did not "
                        r"settle.*; limit of 1/d refused: ") as info:
-        symbol_limits(build_schur(wobble), "+", CFG)
+        symbol_limits(build_schur(wobble), "+")
     assert info.value.label == "d"
 
 
@@ -284,14 +284,15 @@ def test_symbol_limits_need_one_over_d_to_vanish(monkeypatch):
     op = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, Lit(-1j)),
                         c=(ZERO, Lit(1j)), d=wobble)
     with pytest.raises(LimitRefused, match=r"1/d is \(0.5\+0j\), not 0"):
-        symbol_limits(build_schur(op), "+", CFG)
+        symbol_limits(build_schur(op), "+")
 
 
 def test_symbol_limits_refuse_a_recheck_that_disagrees(monkeypatch):
     real = asymptotics_module.evaluate_array
     alpha_0 = quartic_coupled().a[0]
-    recheck = CFG.with_overrides(x0=CFG.x0 * RECHECK_X0_SCALE)
-    shift = 3.0 * (limit_of(alpha_0, "+", recheck)[1].last_increment + 1e-12)
+    recheck = _trajectory("+", recheck=True)
+    shift = 3.0 * (_limit_on(alpha_0, "+", recheck)[1].last_increment
+                   + 1e-12)
 
     def shifted(expr, **env):
         values = real(expr, **env)
@@ -302,7 +303,7 @@ def test_symbol_limits_refuse_a_recheck_that_disagrees(monkeypatch):
 
     monkeypatch.setattr(asymptotics_module, "evaluate_array", shifted)
     with pytest.raises(LimitRefused, match="recheck from x = 21.92") as info:
-        symbol_limits(build_schur(quartic_coupled()), "+", CFG)
+        symbol_limits(build_schur(quartic_coupled()), "+")
     assert info.value.label == "alpha_0"
 
 
@@ -333,7 +334,7 @@ def test_symbol_limits_zero_slowly_vanishing_trees(tail):
             (replace(base, d=parse(f"exp(-x^2/2) + i*{tail}")), "d"),
             (replace(base, b=(parse(tail), base.b[1])), "beta_0,1")):
         for side in "+-":
-            limits = symbol_limits(build_schur(op), side, CFG)
+            limits = symbol_limits(build_schur(op), side)
             by_label = {limit.label: limit for limit in limits.limits}
             assert by_label[label].certificate.value != 0
             assert by_label[label].value == 0
@@ -345,31 +346,32 @@ def test_symbol_limits_refuse_a_moving_limit_too_close_to_zero():
     base = quartic_coupled()
     op = replace(base, a=(parse("1e-8*x^2/(x^2 + 1)"), *base.a[1:]))
     with pytest.raises(LimitRefused, match="neither certified 0") as info:
-        symbol_limits(build_schur(op), "+", CFG)
+        symbol_limits(build_schur(op), "+")
     assert info.value.label == "alpha_0"
     exact = replace(base, a=(Lit(1e-8 + 0j), *base.a[1:]))
-    limits = symbol_limits(build_schur(exact), "+", CFG)
+    limits = symbol_limits(build_schur(exact), "+")
     assert {limit.label: limit.value for limit in limits.limits}[
         "alpha_0"] == 1e-8
 
 
 def _symbol_limits_tree_by_tree(symbol, side):
     """The reference for :func:`symbol_limits`: each tree certified by
-    :func:`limit_of` on the x0 and the recheck trajectory in turn."""
-    runs = (CFG, CFG.with_overrides(x0=CFG.x0 * RECHECK_X0_SCALE))
+    :func:`limit_of` on the X0 and the recheck trajectory in turn."""
+    runs = (_trajectory(side), _trajectory(side, recheck=True))
 
     def certify(label, j, q, tree):
         certs = []
         for run in runs:
             try:
-                certs.append(limit_of(tree, side, run)[1])
+                certs.append(_limit_on(tree, side, run)[1])
             except (NotConvergent, PoleError) as exc:
                 raise LimitRefused(label, str(exc)) from exc
         first, again = certs
         if abs(first.value - again.value) > (first.last_increment
                                              + again.last_increment):
             raise LimitRefused(label, (
-                f"the recheck from x = {runs[1].x0!r} gives {again.value}"
+                f"the recheck from x = {float(abs(runs[1][0]))!r} gives "
+                f"{again.value}"
                 f" against {first.value}, farther apart than their last "
                 "increments"))
         limit = TailLimit(label, j, q, first, again)
@@ -446,22 +448,22 @@ def test_batched_symbol_limits_match_tree_by_tree_certification():
 def test_batch_matches_scalar_and_flags_failures():
     symbol = build_schur(quartic_coupled())
     lams = np.array([1.0 + 0j, 2.0 - 1j, -3.0 + 2j])
-    values, status = limit_ratio_batch(symbol, lams, "+", CFG)
+    values, status = limit_ratio_batch(symbol, lams, "+")
     assert values.shape == (3, 4)
     assert list(status) == ["ok", "ok", "ok"]
     for row, lam in zip(values, lams):
-        scalar_values, _ = limit_ratio(symbol, complex(lam), "+", CFG)
+        scalar_values, _ = limit_ratio(symbol, complex(lam), "+")
         assert np.allclose(row, scalar_values, rtol=0, atol=0)
 
     wobble = sin_potential_symbol()
-    _, bad_status = limit_ratio_batch(wobble, np.array([1j]), "+", CFG)
+    _, bad_status = limit_ratio_batch(wobble, np.array([1j]), "+")
     assert list(bad_status) == ["not-convergent"]
 
 
 def test_limit_ratio_tail_polynomial():
     symbol = build_schur(quartic_coupled())
     lam = 2.0 - 1j
-    values, _certs = limit_ratio(symbol, lam, "+", CFG)
+    values, _certs = limit_ratio(symbol, lam, "+")
     coeffs = np.asarray([*values, 1.0 + 0j])
     assert coeffs.shape == (5,)
     expected = quartic_tail_ratios(lam)
@@ -479,7 +481,7 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     symbol = build_schur(op)
     lams = np.asarray([complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                        for _ in range(3)])
-    xs = _trajectory(side, CFG)
+    xs = _trajectory(side)
     form = _sample_form(symbol, xs)
     samples, finite = _ratio_samples(form, lams), form.finite
     with np.errstate(all="ignore"):
@@ -504,7 +506,7 @@ def test_concurrent_calls_are_deterministic():
     probes = [1.0 + 0j, 2.0 - 1j, -3.0 + 2j, 0.5 + 2.5j, -1.0 - 2j, 4.0 + 1j]
 
     def run(lam):
-        return limit_ratio(symbol, lam, "+", CFG)
+        return limit_ratio(symbol, lam, "+")
 
     sequential = [run(lam) for lam in probes]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -735,7 +737,7 @@ def test_quartic_probes_produce_no_failures():
     symbol = build_schur(op)
     grid = validation_grid(CFG)
     probes = [1.0 + 0j, 2j, -3.0 + 0j]
-    diag = check_assumptions(op, symbol, probes, grid, CFG)
+    diag = check_assumptions(op, symbol, probes, grid)
     assert diag.ok()
     assert len(diag.records) == 15  # five assumptions x three probes
     # Away from the decoupling curve everything passes outright.
@@ -766,11 +768,10 @@ def test_probe_list_matches_probe_by_probe_calls(op, probes):
     # probe: the CLI checks all its probes in a single call.
     symbol = build_schur(op)
     grid = validation_grid(CFG)
-    together = check_assumptions(op, symbol, probes, grid, CFG).records
+    together = check_assumptions(op, symbol, probes, grid).records
     one_by_one = tuple(
         record for probe in probes
-        for record in check_assumptions(op, symbol, [probe], grid,
-                                        CFG).records)
+        for record in check_assumptions(op, symbol, [probe], grid).records)
     assert together == one_by_one
     assert [r.assumption for r in together] \
         == ["B1", "B2", "B3", "C", "D"] * len(probes)
@@ -782,7 +783,7 @@ def test_bounded_d_with_invertible_leading_coefficient_passes_b2():
     op = quartic_coupled()
     symbol = build_schur(op)
     grid = validation_grid(CFG)
-    diag = check_assumptions(op, symbol, [5j, -7.0 + 0j, 3.0 + 3j], grid, CFG)
+    diag = check_assumptions(op, symbol, [5j, -7.0 + 0j, 3.0 + 3j], grid)
     for record in diag.records:
         if record.assumption == "B2":
             assert record.status == "pass"
@@ -799,7 +800,7 @@ def test_winding_leading_coefficient_fails_sector_condition():
     )
     symbol = build_schur(op)
     grid = validation_grid(CFG)
-    diag = check_assumptions(op, symbol, [5.0 + 0j], grid, CFG)
+    diag = check_assumptions(op, symbol, [5.0 + 0j], grid)
     record = by_assumption(diag, "C", 5.0 + 0j)
     assert record.status == "fail"
     assert record.delta_margin is not None and record.delta_margin <= 0
@@ -821,7 +822,7 @@ def test_constant_imaginary_leading_coefficient_passes_sector_condition():
     # [0, pi] reaches at best margin 0 there.
     op = constant_leading_coefficient(1j)
     diag = check_assumptions(op, build_schur(op), [5.0 + 0j],
-                             validation_grid(CFG), CFG)
+                             validation_grid(CFG))
     record = by_assumption(diag, "C", 5.0 + 0j)
     assert record.status == "pass"
     assert record.delta_margin == 1.0
@@ -1018,7 +1019,7 @@ def test_unbounded_coefficient_fails_b1(monkeypatch):
     symbol = build_schur(op)
     grid = validation_grid(CFG)
     monkeypatch.setattr(asymptotics_module, "BOUND_CAP", 1e3)
-    diag = check_assumptions(op, symbol, [5.0 + 0j], grid, CFG)
+    diag = check_assumptions(op, symbol, [5.0 + 0j], grid)
     record = by_assumption(diag, "B1", 5.0 + 0j)
     assert record.status == "fail"
     label, location, measured = record.witness
@@ -1034,7 +1035,7 @@ def test_bounded_tree_witness_labels(coeff, b1_label, b3_label):
     # B1 and B3 name the worst tree: which coefficient and which x-derivative.
     op = unbounded_coupling(coeff)
     diag = check_assumptions(op, build_schur(op), [2.0 + 3j],
-                             validation_grid(CFG), CFG)
+                             validation_grid(CFG))
     for assumption, label in (("B1", b1_label), ("B3", b3_label)):
         record = by_assumption(diag, assumption, 2.0 + 3j)
         assert record.status == "fail"
@@ -1048,7 +1049,7 @@ def test_undetermined_jet_samples_are_inconclusive():
     op = unbounded_coupling("log(2*exp(-x^2/2))")
     probe = 2.0 + 3j
     grid = np.linspace(-38.4, 38.4, 769)
-    diag = check_assumptions(op, build_schur(op), [probe], grid, CFG)
+    diag = check_assumptions(op, build_schur(op), [probe], grid)
     for assumption, label in (("B1", "d^1 p_0 / dx^1"),
                               ("B3", "d^1/dx^1 of b_0/(d-lambda)")):
         record = by_assumption(diag, assumption, probe)
@@ -1061,7 +1062,7 @@ def test_undetermined_jet_samples_are_inconclusive():
     # Past |x| = 38.6 exp underflows and the value itself is -inf: a
     # sample with infinite magnitude still fails, whatever else is NaN.
     wide = np.linspace(-40.0, 40.0, 801)
-    diag = check_assumptions(op, build_schur(op), [probe], wide, CFG)
+    diag = check_assumptions(op, build_schur(op), [probe], wide)
     for assumption, label in (("B1", "d^0 p_0 / dx^0"),
                               ("B3", "d^0/dx^0 of b_0/(d-lambda)")):
         record = by_assumption(diag, assumption, probe)
@@ -1077,7 +1078,7 @@ def test_probe_on_d_at_a_grid_point_fails_b3():
     probe = 1 + 1j
     grid = validation_grid(CFG)
     assert 0.0 in grid
-    diag = check_assumptions(op, build_schur(op), [probe], grid, CFG)
+    diag = check_assumptions(op, build_schur(op), [probe], grid)
     record = by_assumption(diag, "B3", probe)
     assert record.status == "fail"
     assert record.witness == (
@@ -1096,7 +1097,7 @@ def test_oscillating_limits_fail_assumption_d():
     )
     symbol = build_schur(op)
     grid = validation_grid(CFG)
-    diag = check_assumptions(op, symbol, [5.0 + 0j], grid, CFG)
+    diag = check_assumptions(op, symbol, [5.0 + 0j], grid)
     record = by_assumption(diag, "D", 5.0 + 0j)
     assert record.status == "fail"
     assert record.witness is not None
@@ -1104,7 +1105,7 @@ def test_oscillating_limits_fail_assumption_d():
 
 def test_certificate_invariant_on_converged_records():
     symbol = build_schur(parabolic_potential())
-    values, certs = limit_ratio(symbol, 3j, "+", CFG)
+    values, certs = limit_ratio(symbol, 3j, "+")
     for value, cert in zip(values, certs):
         assert isinstance(cert, Certificate)
         assert cert.value == value

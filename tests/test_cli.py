@@ -114,16 +114,6 @@ class TestArgumentParsing:
             solver = SolverConfig().with_overrides(**{name: np.nan})
             make_run("spectrum", QUARTIC_CFG, tmp_path, solver)
 
-    @pytest.mark.parametrize("x0", [0.0, -16.0, np.inf, np.nan])
-    def test_solver_config_rejects_a_trajectory_start_off_the_positive_axis(
-            self, x0):
-        # Trajectories run x = sign * x0 * 2^t: from x0 = 0 the + limit of
-        # 1/(1+x^2) + 3 read 4, and from x0 = -16 the + limit of
-        # x/sqrt(1+x^2) read the - limit, -1.
-        with pytest.raises(ConfigError,
-                           match="x0 must be finite and positive"):
-            SolverConfig().with_overrides(x0=x0)
-
     @pytest.mark.parametrize("count", [1, 0, -3])
     def test_solver_config_rejects_a_grid_of_fewer_than_two_points(self,
                                                                    count):

@@ -6,7 +6,7 @@ import importlib
 
 import pytest
 
-from matspectra import ExceptionalSet, SolverConfig
+from matspectra import ConfigError, ExceptionalSet, SolverConfig
 
 
 @pytest.mark.parametrize("module_name", ["matspectra", "matspectra.cli"])
@@ -18,6 +18,9 @@ def test_every_exported_name_resolves(module_name):
 
 def test_config_and_exceptional_set_keep_only_used_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "x0", "curve_res", "grid_points", "xi_max", "xi_points", "window"]
+        "curve_res", "grid_points", "xi_max", "xi_points", "window"]
+    # The limit trajectories start at the fixed asymptotics.X0.
+    with pytest.raises(ConfigError, match="unknown config key: 'x0'"):
+        SolverConfig().with_overrides(x0=16.0)
     assert set(ExceptionalSet((), (), ()).to_json_dict()) == {
         "points", "radii", "window_exponents"}

@@ -14,7 +14,6 @@ from factories import (
     random_constant_operator,
 )
 from matspectra.asymptotics import LIMIT_TOL, limit_ratio_batch
-from matspectra.config import SolverConfig
 from matspectra.errors import DomainError, RefusedFrozen, SizeError
 from matspectra.expr import Call, Div, Lit, Mul, X
 from matspectra import oracle as oracle_module
@@ -212,7 +211,6 @@ class TestDeterminantSchurConsistency:
         # Determinant roots off the scalar limit must be roots of the
         # monic frequency polynomial built from the limit ratios, and
         # perturbed points must not be.
-        cfg = SolverConfig()
         rng = random.Random(23)
         op = random_constant_operator(rng, 2)
         fs = freeze(op, "+")
@@ -231,7 +229,7 @@ class TestDeterminantSchurConsistency:
 
         xi = np.array([p[0] for p in pairs])
         lams = np.array([p[1] for p in pairs])
-        values, status = limit_ratio_batch(symbol, lams, "+", cfg)
+        values, status = limit_ratio_batch(symbol, lams, "+")
         ok = status == "ok"
         assert np.count_nonzero(ok) >= 190
 
@@ -242,7 +240,7 @@ class TestDeterminantSchurConsistency:
         assert np.all(np.abs(tail[ok]) <= ROOT_TOL * scale[ok])
 
         shifted = lams[ok][:50] + 0.1
-        values_s, status_s = limit_ratio_batch(symbol, shifted, "+", cfg)
+        values_s, status_s = limit_ratio_batch(symbol, shifted, "+")
         ok_s = status_s == "ok"
         pow_s = xi[ok][:50][:, None] ** np.arange(m)[None, :]
         tail_s = xi[ok][:50] ** m + np.einsum("ij,ij->i", pow_s, values_s)
