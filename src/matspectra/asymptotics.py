@@ -72,6 +72,9 @@ T = 40
 RATE_CAP = 0.99
 """Largest ratio of successive increments that a tail bound trusts."""
 
+ZERO_MARGIN = 2.0
+"""A limit is exactly 0 when |value| is within this many tail bounds of 0."""
+
 
 # ---------------------------------------------------------------------------
 # Convergence certificates for coefficient ratios
@@ -99,6 +102,13 @@ class Certificate:
         last, previous = self.last_increment, self.previous_increment
         rate = RATE_CAP if last >= RATE_CAP * previous else last / previous
         return max(last, last * rate / (1.0 - rate))
+
+    @property
+    def limit(self) -> complex:
+        """``value``, or exactly 0 when it lies within ``ZERO_MARGIN`` tail
+        bounds of 0."""
+        return 0j if abs(self.value) <= ZERO_MARGIN * self.tail_bound \
+            else self.value
 
 
 def _trajectory(side: str, recheck: bool = False) -> np.ndarray:
@@ -415,9 +425,6 @@ def _limit_on(expr: Expr, side: str, xs: np.ndarray
 # Certified limits of the symbol's x-only trees
 # ---------------------------------------------------------------------------
 
-ZERO_MARGIN = 2.0
-"""A limit is exactly 0 when |value| is within this many tail bounds of 0."""
-
 NEAR_ZERO_TOLS = 1e3
 """A limit that still moves, is not 0 and lies within this many
 ``LIMIT_TOL`` of 0 is refused: its samples cannot tell it from 0."""
@@ -442,11 +449,8 @@ class TailLimit:
 
     @property
     def value(self) -> complex:
-        """The certified value, or exactly 0 when it lies within
-        ``ZERO_MARGIN`` tail bounds of 0."""
-        cert = self.certificate
-        return (0j if abs(cert.value) <= ZERO_MARGIN * cert.tail_bound
-                else cert.value)
+        """The certified limit (:attr:`Certificate.limit`)."""
+        return self.certificate.limit
 
 
 @dataclass(frozen=True)

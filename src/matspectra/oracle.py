@@ -102,9 +102,11 @@ def freeze(op: OperatorMatrix, side: str,
     Every raw coefficient must have a certified limit along the sampling
     trajectory toward ``side`` infinity, and its x-derivative must vanish
     (magnitude below ``DERIV_TOL``) at the last two trajectory
-    points.  Raises :class:`RefusedFrozen` with a witness naming the
-    offending coefficient when either check fails. The trajectory is
-    fixed, so ``cfg`` is not read.
+    points. A limit within ``ZERO_MARGIN`` tail bounds of 0 is exactly 0
+    (:attr:`~matspectra.asymptotics.Certificate.limit`), as in the closed
+    form of the singular sweep.  Raises :class:`RefusedFrozen` with a
+    witness naming the offending coefficient when either check fails. The
+    trajectory is fixed, so ``cfg`` is not read.
     """
     labeled = _labeled_coefficients(op)
 
@@ -112,14 +114,14 @@ def freeze(op: OperatorMatrix, side: str,
     certificates: dict[str, Certificate] = {}
     for label, tree in labeled:
         try:
-            value, cert = limit_of(tree, side)
+            cert = limit_of(tree, side)[1]
         except (NotConvergent, PoleError) as exc:
             raise RefusedFrozen(
                 f"coefficient {label} has no certified limit toward "
                 f"{side}infinity: {exc}",
                 witness={"coefficient": label, "check": "limit",
                          "detail": str(exc)}) from exc
-        values[label] = value
+        values[label] = cert.limit
         certificates[label] = cert
 
     tail_x = _trajectory(side)[-2:]

@@ -31,9 +31,11 @@ ratios. Per side the solve is staged:
    ``DEDUPE_TOL``; one that misses takes at most ``NEWTON_STEPS`` Newton
    steps on the exact F and dF/dlambda, and is dropped when it still
    misses. No limit is sampled per candidate;
-4. refine xi adaptively wherever neighbouring roots inside the window are
-   farther apart than ``curve_res``. The segments of the initial grid are
-   checked once, all in one array pass; after each round only the two
+4. refine xi adaptively: a segment between neighbouring frequencies is
+   split when a root at one end lies in the emit band (within
+   ``10 curve_res`` of the window) and has no root within ``curve_res`` at
+   the other end, which may have none. The segments of the initial grid
+   are checked once, all in one array pass; after each round only the two
    halves of each split segment are, since solving new frequencies leaves
    every other segment's roots unchanged.
 
@@ -816,28 +818,18 @@ def _segment_needs_split(left: RootTable, right: RootTable,
     """Per segment, True when its two end frequencies leave a reportable gap.
 
     Row s of ``left`` and ``right`` holds the roots at the ends of segment s.
-    Only gaps that touch the reported set matter: a root and the nearest
-    root at the other end (the first of equally near ones) are relevant when
-    either lies within the emit band, and a branch birth/death is relevant
-    when any end root does.
+    The segment splits when a root in the emit band, at either end, has no
+    root within ``curve_res`` at the other end; an empty end has none. Roots
+    outside the emit band never split a segment, whether or not they come
+    and go.
     """
-    emit_a = _near_window(left.lam, cfg.window, _keep_pad(cfg))
-    emit_b = _near_window(right.lam, cfg.window, _keep_pad(cfg))
-    any_emitted = emit_a.any(axis=1) | emit_b.any(axis=1)
-    split = (left.count != right.count) & any_emitted
-    if left.lam.shape[1] and right.lam.shape[1]:
-        dist = np.where(left.valid[:, :, None] & right.valid[:, None, :],
-                        _distances(left.lam, right.lam), np.inf)
-        for d, own, other, valid in (
-                (dist, emit_a, emit_b, left.valid),
-                (dist.transpose(0, 2, 1), emit_b, emit_a, right.valid)):
-            near = d.argmin(axis=2)
-            far = np.take_along_axis(d, near[:, :, None], 2)[:, :, 0] \
-                > cfg.curve_res
-            split |= (valid & far & (own | np.take_along_axis(other, near, 1))
-                      ).any(axis=1)
-    return np.where((left.count == 0) | (right.count == 0), any_emitted,
-                    split)
+    close = _distances(left.lam, right.lam) <= cfg.curve_res
+    split = np.zeros(left.xi.size, dtype=bool)
+    for roots, partnered in ((left.lam, close.any(axis=2)),
+                             (right.lam, close.any(axis=1))):
+        emitted = _near_window(roots, cfg.window, _keep_pad(cfg))
+        split |= (emitted & ~partnered).any(axis=1)
+    return split
 
 
 def _refinement_targets(table: RootTable, flagged: np.ndarray,

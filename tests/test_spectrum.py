@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factories import (
@@ -489,14 +489,12 @@ def _assert_points_and_det_scan_roots_match(op, cfg):
 
     Toward each end, at every grid frequency and every frequency of a
     point of that end (the neutral side belongs to both), every point lies
-    within 1e-6 of a ``det_scan`` root and every root in the window within
-    1e-6 of a point, unless it lies within ``EXC_TOL`` of the exceptional
-    set: the closed form divides the root at lambda = d^inf out. There the
-    oracle is off too. ``freeze`` certifies the limit of a decaying
-    coefficient as about 1e-11, not 0, and near the double root that
-    lambda = d^inf and the tail make at small |xi| its roots move by the
-    square root of that, up to 5.3e-6 on this corpus; a point there must
-    lie within 1e-5.
+    within 1e-6 of a ``det_scan`` root, and every root in the window within
+    1e-6 of a point unless it lies within ``EXC_TOL`` of the exceptional
+    set: the closed form divides the root at lambda = d^inf out. ``freeze``
+    counts a decaying coefficient's limit as exactly 0, as the closed form
+    does, so the near-double root that lambda = d^inf and the tail make at
+    small |xi| is held to 1e-6 too.
     """
     report = {}
     points = singular_part(op, cfg=cfg, report=report)
@@ -517,9 +515,7 @@ def _assert_points_and_det_scan_roots_match(op, cfg):
         emitted = _points_by_xi(freqs, points.xi[mine], points.lam[mine])
         gaps = np.abs(roots[:, :, None] - emitted[:, None, :])
         to_root = gaps.min(axis=1)
-        sound = (to_root <= 1e-6) | (near_exceptional(emitted)
-                                     & (to_root <= 1e-5))
-        assert sound[np.isfinite(emitted)].all()
+        assert (to_root <= 1e-6)[np.isfinite(emitted)].all()
         covered = (gaps <= 1e-6).any(axis=2) | near_exceptional(roots)
         assert covered[_near_window(roots, cfg.window, 0.0)].all()
 
@@ -732,28 +728,11 @@ def _loop_gap_midpoint(a, b):
 
 
 def _loop_segment_needs_split(roots_a, roots_b, cfg, keep_pad):
-    if not roots_a and not roots_b:
-        return False
-
-    def emitted(root):
-        return window_contains(cfg.window, root, pad=keep_pad)
-
-    any_emitted = any(emitted(r) for r in roots_a) or \
-        any(emitted(r) for r in roots_b)
-    if not roots_a or not roots_b:
-        return any_emitted
-    if len(roots_a) != len(roots_b) and any_emitted:
-        return True
-    for root in roots_a:
-        partner = min(roots_b, key=lambda other: abs(root - other))
-        if abs(root - partner) > cfg.curve_res and \
-                (emitted(root) or emitted(partner)):
-            return True
-    for root in roots_b:
-        partner = min(roots_a, key=lambda other: abs(root - other))
-        if abs(root - partner) > cfg.curve_res and \
-                (emitted(root) or emitted(partner)):
-            return True
+    for own, other in ((roots_a, roots_b), (roots_b, roots_a)):
+        for root in own:
+            if window_contains(cfg.window, root, pad=keep_pad) and all(
+                    abs(root - partner) > cfg.curve_res for partner in other):
+                return True
     return False
 
 
@@ -948,10 +927,15 @@ _BRANCH = st.tuples(
        grid_points=st.integers(2, 12),
        curve_res=st.sampled_from([0.02, 0.1, 0.4]),
        max_points=st.sampled_from([6, 40, 300, 10**6]))
+@example(branches=[(0j, 0j, 0.0, -2.0, 4.0),
+                   (0.8 + 0j, 1 + 0j, 0.0, 1.0, 1.0)],
+         grid_points=5, curve_res=0.02, max_points=10**6)
 def test_worklist_refinement_matches_full_rescan(branches, grid_points,
                                                   curve_res, max_points):
     # Each branch lam = c + s*xi + q*xi^2 lives on [start, start + length]:
     # births and deaths make segments that split down to the width floor.
+    # In the example a branch is born at xi = 1 at Re 1.8, past the emit
+    # band, beside a constant emitted one: no segment splits.
     def fake_solve(symbol, profile, xi_values, cfg, skips, work):
         work["companion_solves"] += 1
         out = {}
@@ -1160,16 +1144,31 @@ def test_segment_split_decision_matches_the_loop(data):
         for a, b in pairs]
 
 
-def test_segment_split_pairs_a_root_with_the_first_of_equally_near_ones():
-    # The emit band ends at Re 4.125. The root 4.5 lies past it, 0.625 from
-    # both 3.875 (inside) and 5.125 (outside); only pairing it with the
-    # first of the two makes the gap reportable.
-    cfg = SolverConfig().with_overrides(window=_WINDOW, curve_res=_CURVE)
-    roots_a, roots_b = [3.8125 + 0j, 4.5 + 0j], [3.875 + 0j, 5.125 + 0j]
-    assert _loop_segment_needs_split(roots_a, roots_b, cfg, _keep_pad(cfg))
-    need = _segment_needs_split(_table({0.0: roots_a}), _table({0.0: roots_b}),
-                                cfg)
-    assert need.tolist() == [True]
+def test_segment_split_ignores_roots_that_are_never_emitted():
+    # The quartic at the benchmark window: the emitted root near
+    # -0.034 - 0.632i moves smoothly while a root near 3 + 2.03i, far past
+    # the emit band (Re <= 2.1), comes and goes. Neither its appearance nor
+    # its distance from the emitted root splits the segment; an emitted
+    # root without a partner within curve_res does, as does one whose
+    # other end is empty.
+    cfg = SolverConfig().with_overrides(window=(-2.0, 2.0, -2.0, 2.0),
+                                        curve_res=1e-2)
+    emitted, moved = -0.034 - 0.632j, -0.0341 - 0.6322j
+    far = 3.0 + 2.03j
+    cases = [([emitted], [moved, far], False),
+             ([emitted, far], [moved], False),
+             ([2.05 + 0j, 2.5 + 0j], [2.051 + 0j, 5.0 + 0j], False),
+             ([emitted], [emitted + 0.02], True),
+             ([emitted, far], [far], True),
+             ([], [moved], True),
+             ([far], [], False)]
+    for roots_a, roots_b, split in cases:
+        assert _loop_segment_needs_split(roots_a, roots_b, cfg,
+                                         _keep_pad(cfg)) == split
+    need = _segment_needs_split(
+        _table({float(k): a for k, (a, _b, _split) in enumerate(cases)}),
+        _table({float(k): b for k, (_a, b, _split) in enumerate(cases)}), cfg)
+    assert need.tolist() == [split for _a, _b, split in cases]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
