@@ -25,10 +25,11 @@ Four services live here:
   limits are exactly 0 and names the first one refused, with the error
   :func:`limit_of` raises on it; the singular sweep builds its
   closed-form tail polynomial from them.
-- :func:`limit_points_at_infinity` estimates the set of finite limit
-  points of the lower-right coefficient ``d`` at infinity by clustering
-  its values over the largest dyadic windows toward both ends of the line.
-  The estimate is heuristic by design.
+- :func:`limit_points_at_infinity` gives the finite limit points of the
+  lower-right coefficient ``d`` at infinity: d's certified limit toward a
+  side, none where 1/d is certified to tend to 0, and only where both are
+  refused (an oscillating d, say) a clustering of d's values over the
+  largest dyadic windows.
 - :func:`check_assumptions` runs the sampled hypothesis diagnostics
   (B1/B2/B3: boundedness, invertible leading coefficient, bounded
   resolvent-weighted couplings; C: sector condition; D: existence of the
@@ -421,6 +422,21 @@ def _limit_on(expr: Expr, side: str, xs: np.ndarray
     return values[0], certs[0]
 
 
+def _end_limits(expr: Expr) -> dict[str, Certificate | None]:
+    """The certificate of a lambda-free tree's limit toward each side, or
+    None where :func:`limit_of` refuses it.
+
+    The tree is sampled once, on both ``X0`` trajectories side by side, and
+    one certificate scan covers both; since it runs column by column, each
+    certificate is the one :func:`limit_of` gives.
+    """
+    sides = ("+", "-")
+    xs = np.stack([_trajectory(side) for side in sides], axis=1)
+    block = _limit_block(evaluate_array(expr, x=xs)[None], LIMIT_TOL)
+    return {side: _certificate(block, 0, k) if block[4][0, k] else None
+            for k, side in enumerate(sides)}
+
+
 # ---------------------------------------------------------------------------
 # Certified limits of the symbol's x-only trees
 # ---------------------------------------------------------------------------
@@ -581,27 +597,23 @@ class ExceptionalSet:
 
     Invariants: every clustered value lies within ``CLUSTER_TOL`` of its
     representative (``radii[i] <= CLUSTER_TOL``) and representatives are
-    pairwise separated by more than ``2 * CLUSTER_TOL``.
+    pairwise separated by more than ``2 * CLUSTER_TOL``. ``sources`` maps
+    each side, ``"+"`` and ``"-"``, to how :func:`limit_points_at_infinity`
+    decided it: ``"certified"``, ``"escapes"`` or ``"sampled"``.
     """
 
     points: tuple[complex, ...]
     radii: tuple[float, ...]
     window_exponents: tuple[int, ...]
+    sources: dict[str, str]
 
     def to_json_dict(self) -> dict:
         return {
             "points": [[p.real, p.imag] for p in self.points],
             "radii": list(self.radii),
             "window_exponents": list(self.window_exponents),
+            "sources": dict(self.sources),
         }
-
-
-RUN_STREAK = 16
-"""Values in a row that join one cluster before the rest of the run joins
-in array passes."""
-
-CLUSTER_BLOCK = 64
-"""Values that :func:`_cluster` turns into Python numbers at a time."""
 
 
 def _cluster(values: np.ndarray, tol: float):
@@ -615,15 +627,12 @@ def _cluster(values: np.ndarray, tol: float):
     predecessor's cluster, so that representative is tried first: since
     representatives are more than ``2*tol`` apart, at most one lies within
     ``tol`` of a value, and a hit is exactly what the full scan would find.
-    After ``RUN_STREAK`` values in a row have joined one representative,
-    the rest of the run within ``tol`` of it joins in array passes
-    (:func:`_run_end`); shorter runs stay in the loop, where they cost less.
     """
     ordered = values[np.lexsort((values.imag, values.real))]
     reps: list[complex] = []
     radii: list[float] = []
     buckets: dict[tuple[int, int], list[int]] = {}
-    last, streak = -1, 0
+    last = -1
 
     def neighbors(z: complex):
         bx, by = math.floor(z.real / tol), math.floor(z.imag / tol)
@@ -632,69 +641,34 @@ def _cluster(values: np.ndarray, tol: float):
                 for idx in buckets.get((bx + dx, by + dy), ()):
                     yield idx
 
-    at = 0
-    while at < ordered.size:
-        # Values become Python complex numbers a block at a time, as the
-        # sweep reaches them; a run's array pass skips the rest of a block.
-        for z in ordered[at:at + CLUSTER_BLOCK].tolist():
-            at += 1
-            if last >= 0:
-                dist = abs(z - reps[last])
-                if dist <= tol:
-                    radii[last] = max(radii[last], dist)
-                    streak += 1
-                    if streak == RUN_STREAK:
-                        at, reach = _run_end(ordered, at, reps[last], tol)
-                        radii[last] = max(radii[last], reach)
-                        break
-                    continue
-            streak = 0
-            best_idx, best_dist = -1, np.inf
-            for idx in neighbors(z):
-                dist = abs(z - reps[idx])
-                if dist < best_dist:
-                    best_idx, best_dist = idx, dist
-            if best_dist <= tol:
-                radii[best_idx] = max(radii[best_idx], best_dist)
-                last = best_idx
-            elif best_dist > 2.0 * tol:
-                reps.append(z)
-                radii.append(0.0)
-                key = (math.floor(z.real / tol), math.floor(z.imag / tol))
-                buckets.setdefault(key, []).append(len(reps) - 1)
-                last = len(reps) - 1
-            # else: inside the annulus (tol, 2*tol] of some representative
-            # — discarded so the separation invariant survives.
+    for z in ordered.tolist():
+        if last >= 0:
+            dist = abs(z - reps[last])
+            if dist <= tol:
+                radii[last] = max(radii[last], dist)
+                continue
+        best_idx, best_dist = -1, np.inf
+        for idx in neighbors(z):
+            dist = abs(z - reps[idx])
+            if dist < best_dist:
+                best_idx, best_dist = idx, dist
+        if best_dist <= tol:
+            radii[best_idx] = max(radii[best_idx], best_dist)
+            last = best_idx
+        elif best_dist > 2.0 * tol:
+            reps.append(z)
+            radii.append(0.0)
+            key = (math.floor(z.real / tol), math.floor(z.imag / tol))
+            buckets.setdefault(key, []).append(len(reps) - 1)
+            last = len(reps) - 1
+        # else: inside the annulus (tol, 2*tol] of some representative
+        # — discarded so the separation invariant survives.
     return reps, radii
 
 
-def _run_end(values: np.ndarray, start: int, rep: complex, tol: float
-             ) -> tuple[int, float]:
-    """The end of the run of ``values[start:]`` within ``tol`` of ``rep``,
-    and the largest distance in that run (0 when it is empty).
-
-    Blocks double in size, so a run costs array passes in proportion to
-    its length. ``np.hypot`` of the parts equals ``abs(complex)`` bit for
-    bit (``np.abs`` of a complex array need not).
-    """
-    end, reach, size = start, 0.0, 64
-    while end < values.size:
-        gap = values[end:end + size] - rep
-        dist = np.hypot(gap.real, gap.imag)
-        far = np.flatnonzero(dist > tol)
-        stop = int(far[0]) if far.size else dist.size
-        if stop:
-            reach = max(reach, float(dist[:stop].max()))
-        end += stop
-        if far.size:
-            break
-        size *= 2
-    return end, reach
-
-
-# limit_points_at_infinity clusters at CLUSTER_TOL the values of d at
-# POINTS_PER_WINDOW points in each of the CLUSTER_WINDOWS largest of WINDOWS
-# dyadic windows, and drops a window whose smallest |d| exceeds ESCAPE_BOUND.
+# A sampled side of d takes POINTS_PER_WINDOW points in each of the
+# CLUSTER_WINDOWS largest of WINDOWS dyadic windows, drops a window whose
+# smallest |d| exceeds ESCAPE_BOUND and clusters the rest at CLUSTER_TOL.
 WINDOWS = 24
 CLUSTER_WINDOWS = 6
 CLUSTER_TOL = 1e-4
@@ -703,16 +677,30 @@ ESCAPE_BOUND = 1e8
 
 
 def limit_points_at_infinity(d: Expr) -> ExceptionalSet:
-    """Heuristic estimate of the finite limit points of d at infinity.
+    """The finite limit points of d at infinity, toward both ends.
 
-    Samples d over the ``CLUSTER_WINDOWS`` largest of ``WINDOWS`` dyadic
-    windows [2^s, 2^(s+1)], at both signs of x, drops windows whose
-    smallest |d| exceeds ``ESCAPE_BOUND``, and clusters the values
-    retained. An empty result is meaningful: every window escaped.
+    A side where d's limit is certified, as by :func:`limit_of`, adds that
+    limit (:attr:`Certificate.limit`, exactly 0 within its zero margin);
+    one where 1/d is certified to tend to 0 adds nothing. Only a side where
+    both are refused is sampled, over the ``CLUSTER_WINDOWS`` largest of
+    ``WINDOWS`` dyadic windows [2^s, 2^(s+1)], less those whose smallest |d|
+    exceeds ``ESCAPE_BOUND``: an estimate. The values are clustered together.
     """
+    limits = _end_limits(d)
+    inverse = None
     retained: list[np.ndarray] = []
     exponents: set[int] = set()
-    for sign in (1.0, -1.0):
+    sources: dict[str, str] = {}
+    for side, sign in (("+", 1.0), ("-", -1.0)):
+        if limits[side] is not None:
+            retained.append(np.array([limits[side].limit]))
+            sources[side] = "certified"
+            continue
+        inverse = inverse or _end_limits(Div(Lit(1 + 0j), d))
+        if inverse[side] is not None and inverse[side].limit == 0:
+            sources[side] = "escapes"
+            continue
+        sources[side] = "sampled"
         for s in range(max(0, WINDOWS - CLUSTER_WINDOWS), WINDOWS):
             xs = sign * np.linspace(2.0**s, 2.0 ** (s + 1), POINTS_PER_WINDOW)
             vals = evaluate_array(d, x=xs)
@@ -724,11 +712,11 @@ def limit_points_at_infinity(d: Expr) -> ExceptionalSet:
             retained.append(vals[finite])
             exponents.add(s)
     if not retained:
-        return ExceptionalSet((), (), ())
+        return ExceptionalSet((), (), (), sources)
     reps, radii = _cluster(np.concatenate(retained), CLUSTER_TOL)
     return ExceptionalSet(
         points=tuple(reps), radii=tuple(radii),
-        window_exponents=tuple(sorted(exponents)))
+        window_exponents=tuple(sorted(exponents)), sources=sources)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ from .asymptotics import (
     LIMIT_TOL,
     ExceptionalSet,
     SymbolLimits,
+    _end_limits,
     _ratio_batch,
     _trajectory,
     limit_of,
@@ -278,9 +279,9 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     Consecutive samples whose images lie near the output window are refined
     until image gaps drop below ``curve_res`` (subject to ``MAX_POINTS``).
     Coincident consecutive images are collapsed, so a constant curve yields
-    a single finite point. Endpoint limits toward +/-infinity are appended
-    with ``x_param = +/-inf`` when their geometric-trajectory certificates
-    converge; divergent ends are simply absent.
+    a single finite point. Endpoint limits toward +/-infinity, certified
+    by one scan of both ends, are appended with ``x_param = +/-inf``;
+    divergent ends are simply absent.
     """
     cfg = cfg or SolverConfig()
     log = report if report is not None else {}
@@ -317,12 +318,15 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     x_param, lam = [xs[keep]], [vals[keep]]
 
     endpoints: dict[str, dict] = {}
+    limits = _end_limits(dexpr)
     for side, tag in (("-", -math.inf), ("+", math.inf)):
         try:
-            value, cert = limit_of(dexpr, side)
+            # A refused end is certified again only to name the reason.
+            cert = limits[side] or limit_of(dexpr, side)[1]
         except (NotConvergent, PoleError) as exc:
             endpoints[side] = {"converged": False, "reason": type(exc).__name__}
             continue
+        value = cert.value
         x_param.append(np.array([tag]))
         lam.append(np.array([value], dtype=complex))
         endpoints[side] = {

@@ -44,6 +44,7 @@ from matspectra.asymptotics import (
     TailLimit,
     _check_c,
     _cluster,
+    _end_limits,
     _hull,
     _limit_on,
     _ratio_samples,
@@ -63,7 +64,7 @@ from matspectra.config import SolverConfig
 from matspectra.errors import LimitRefused, NotConvergent, PoleError
 from matspectra.expr import (Call, Div, Lit, X, evaluate, evaluate_array,
                               parse)
-from matspectra.model import OperatorMatrix, validation_grid
+from matspectra.model import OperatorMatrix, delta, validation_grid
 from matspectra.schur import build_schur, coefficient_trees
 
 CFG = SolverConfig()
@@ -519,16 +520,24 @@ def test_concurrent_calls_are_deterministic():
 # Limit points of d at infinity
 # ---------------------------------------------------------------------------
 
-def test_quartic_d_has_single_limit_point_at_zero():
-    result = limit_points_at_infinity(quartic_coupled().d)
-    assert len(result.points) == 1
-    assert abs(result.points[0]) <= 1e-4
-    assert all(r <= CLUSTER_TOL for r in result.radii)
-    expected_windows = tuple(range(WINDOWS - CLUSTER_WINDOWS, WINDOWS))
-    assert result.window_exponents == expected_windows
+@pytest.mark.parametrize("expr", [
+    quartic_coupled().d, delta(quartic_coupled()), *map(parse, [
+        "i + 30/x", "cos(x)/(1 + exp(x))", "sin(x)", "1/(x - 32)", "x^30",
+        "log(x - 32)", "2 + 1/sqrt(sqrt(1 + x^2))", "-x^2"])], ids=str)
+def test_end_limits_are_the_certificates_of_limit_of(expr):
+    limits = _end_limits(expr)
+    assert list(limits) == ["+", "-"]
+    for side, cert in limits.items():
+        try:
+            expected = limit_of(expr, side)[1]
+        except (NotConvergent, PoleError):
+            expected = None
+        assert cert == expected
 
 
-def test_only_the_clustered_windows_are_sampled(monkeypatch):
+def _recording_windows(monkeypatch) -> list[np.ndarray]:
+    """Record the abscissae of every ``evaluate_array`` call of the
+    exceptional set's module."""
     sampled = []
     real_evaluate = asymptotics_module.evaluate_array
 
@@ -538,21 +547,81 @@ def test_only_the_clustered_windows_are_sampled(monkeypatch):
 
     monkeypatch.setattr(asymptotics_module, "evaluate_array",
                         recording_evaluate)
-    result = limit_points_at_infinity(quartic_coupled().d)
-    # Each window is sampled once toward each end of the line.
-    assert len(sampled) == 2 * CLUSTER_WINDOWS
-    assert sorted(np.sign(xs[0]) for xs in sampled) == (
+    return sampled
+
+
+def _windows(sampled: list[np.ndarray]) -> list[np.ndarray]:
+    """The recorded abscissae that are dyadic windows, not trajectories."""
+    return [xs for xs in sampled if xs.shape == (POINTS_PER_WINDOW,)]
+
+
+def test_only_the_clustered_windows_are_sampled(monkeypatch):
+    sampled = _recording_windows(monkeypatch)
+    result = limit_points_at_infinity(parse("sin(x)"))
+    assert result.sources == {"+": "sampled", "-": "sampled"}
+    # One scan of d and one of 1/d refuse both sides; then each window is
+    # sampled once toward each end of the line.
+    assert len(sampled) == 2 + 2 * CLUSTER_WINDOWS
+    windows = _windows(sampled)
+    assert len(windows) == 2 * CLUSTER_WINDOWS
+    assert sorted(np.sign(xs[0]) for xs in windows) == (
         [-1.0] * CLUSTER_WINDOWS + [1.0] * CLUSTER_WINDOWS)
     lowest = WINDOWS - CLUSTER_WINDOWS
-    assert {int(np.log2(abs(xs[0]))) for xs in sampled} == set(
+    assert {int(np.log2(abs(xs[0]))) for xs in windows} == set(
         range(lowest, WINDOWS))
     assert result.window_exponents == tuple(range(lowest, WINDOWS))
 
 
-def test_parabolic_d_escapes_everywhere():
+def test_quartic_d_has_single_limit_point_at_zero(monkeypatch):
+    # d's limit is certified toward both sides, exactly 0 by the zero rule,
+    # from one evaluation on the trajectories and no window.
+    sampled = _recording_windows(monkeypatch)
+    result = limit_points_at_infinity(quartic_coupled().d)
+    assert result.points == (0j,)
+    assert result.radii == (0.0,)
+    assert result.window_exponents == ()
+    assert result.sources == {"+": "certified", "-": "certified"}
+    assert len(sampled) == 1 and not _windows(sampled)
+
+
+def test_a_certified_limit_is_one_point_where_samples_are_two():
+    # i + 30/x tends to i from both sides; its values on the dyadic
+    # windows fall into two clusters about 1e-4 either side of i.
+    result = limit_points_at_infinity(parse("i + 30/x"))
+    assert result.sources == {"+": "certified", "-": "certified"}
+    assert len(result.points) == 1
+    assert abs(result.points[0] - 1j) <= 1e-9
+    assert result.window_exponents == ()
+
+
+def test_only_a_side_without_a_limit_is_sampled(monkeypatch):
+    sampled = _recording_windows(monkeypatch)
+    result = limit_points_at_infinity(parse("cos(x)/(1 + exp(x))"))
+    assert result.sources == {"+": "certified", "-": "sampled"}
+    windows = _windows(sampled)
+    assert len(windows) == CLUSTER_WINDOWS
+    assert all(np.all(xs < 0) for xs in windows)
+    assert np.abs(np.array(result.points)).min() <= 2 * CLUSTER_TOL
+
+
+def test_parabolic_d_escapes_everywhere(monkeypatch):
+    sampled = _recording_windows(monkeypatch)
     result = limit_points_at_infinity(parabolic_potential().d)
     assert result.points == ()
     assert result.window_exponents == ()
+    assert result.sources == {"+": "escapes", "-": "escapes"}
+    assert not _windows(sampled)
+
+
+@pytest.mark.parametrize("text, representatives", [
+    ("2 + 1/sqrt(sqrt(1 + x^2))", 9), ("1/log(2 + x^2)", 51)])
+def test_slow_decays_are_still_sampled(text, representatives):
+    # A known gap, not a correct answer: limit_of refuses these slow
+    # decays, so both sides are sampled, and the windows' values, still
+    # drifting toward the limit, make many representatives and none at it.
+    result = limit_points_at_infinity(parse(text))
+    assert result.sources == {"+": "sampled", "-": "sampled"}
+    assert len(result.points) == representatives
 
 
 def test_oscillating_d_fills_its_range(monkeypatch):
@@ -612,8 +681,8 @@ def test_cluster_invariants_on_random_clouds(seed, centers, spread):
        size=st.sampled_from([15, 16, 17, 80, 700]),
        ring=st.sampled_from([0, 3, 30]))
 def test_cluster_runs_match_the_loop(seed, centers, size, ring):
-    # Tight clusters give long runs that join in array passes, across the
-    # doubling blocks; values in the discard annulus and in the far field
+    # Tight clusters give long runs that join their predecessor's
+    # representative; values in the discard annulus and in the far field
     # end runs early. Representatives and radii must match bit for bit.
     rng = np.random.default_rng(seed)
     tol = 1e-2
@@ -630,54 +699,6 @@ def test_cluster_runs_match_the_loop(seed, centers, size, ring):
     assert _cluster(cloud, tol) == _cluster_by_full_scan(cloud, tol)
 
 
-def _cluster_over_a_list(values: np.ndarray, tol: float):
-    """``_cluster`` as it was when it turned every value into a Python
-    number up front: the reference for the blockwise conversion."""
-    ordered = values[np.lexsort((values.imag, values.real))]
-    items = ordered.tolist()
-    reps: list[complex] = []
-    radii: list[float] = []
-    buckets: dict[tuple[int, int], list[int]] = {}
-    last, streak = -1, 0
-
-    def neighbors(z):
-        bx, by = math.floor(z.real / tol), math.floor(z.imag / tol)
-        for dx in range(-2, 3):
-            for dy in range(-2, 3):
-                yield from buckets.get((bx + dx, by + dy), ())
-
-    at = 0
-    while at < len(items):
-        z = items[at]
-        at += 1
-        if last >= 0:
-            dist = abs(z - reps[last])
-            if dist <= tol:
-                radii[last] = max(radii[last], dist)
-                streak += 1
-                if streak == asymptotics_module.RUN_STREAK:
-                    at, reach = asymptotics_module._run_end(
-                        ordered, at, reps[last], tol)
-                    radii[last] = max(radii[last], reach)
-                continue
-        streak = 0
-        best_idx, best_dist = -1, np.inf
-        for idx in neighbors(z):
-            dist = abs(z - reps[idx])
-            if dist < best_dist:
-                best_idx, best_dist = idx, dist
-        if best_dist <= tol:
-            radii[best_idx] = max(radii[best_idx], best_dist)
-            last = best_idx
-        elif best_dist > 2.0 * tol:
-            reps.append(z)
-            radii.append(0.0)
-            key = (math.floor(z.real / tol), math.floor(z.imag / tol))
-            buckets.setdefault(key, []).append(len(reps) - 1)
-            last = len(reps) - 1
-    return reps, radii
-
-
 def _on_clustered_windows(text: str) -> np.ndarray:
     """The finite values of a tree on the windows that
     ``limit_points_at_infinity`` clusters, toward both ends."""
@@ -688,11 +709,10 @@ def _on_clustered_windows(text: str) -> np.ndarray:
     return values[np.isfinite(values)]
 
 
-def test_cluster_matches_the_list_loop():
-    # The quartic's d joins one long run; sin(x) makes thousands of short
-    # runs across the conversion blocks; a Gaussian cloud at CLUSTER_TOL
-    # scale and a ring in the discard annulus mix joins, new clusters and
-    # discards.
+def test_cluster_matches_the_full_scan_on_dense_inputs():
+    # The quartic's d on the clustered windows joins one cluster; a
+    # Gaussian cloud at CLUSTER_TOL scale and a ring in the discard annulus
+    # mix joins, new clusters and discards.
     rng = np.random.default_rng(7)
     tol = CLUSTER_TOL
     cloud = 3.0 * tol * (rng.standard_normal(20_000)
@@ -701,14 +721,16 @@ def test_cluster_matches_the_list_loop():
             + tol * rng.uniform(1.0, 2.0, 2_000)
             * np.exp(2j * np.pi * rng.uniform(0, 1, 2_000)))
     for values in (_on_clustered_windows(str(quartic_coupled().d)),
-                   _on_clustered_windows("sin(x)"), cloud, ring):
-        assert _cluster(values, tol) == _cluster_over_a_list(values, tol)
+                   cloud, ring):
+        assert _cluster(values, tol) == _cluster_by_full_scan(values, tol)
 
 
 def test_exceptional_set_stable_under_window_doubling(monkeypatch):
     tol = 1e-2
     monkeypatch.setattr(asymptotics_module, "CLUSTER_TOL", tol)
-    for d_text in ("sin(x)", "exp(-x^2/2) + i/(1 + x^2)"):
+    # cos(x)/(1 + exp(x)) is certified toward + and sampled toward -.
+    for d_text in ("sin(x)", "exp(-x^2/2) + i/(1 + x^2)",
+                   "cos(x)/(1 + exp(x))"):
         one = limit_points_at_infinity(parse(d_text))
         with monkeypatch.context() as doubled:
             doubled.setattr(asymptotics_module, "WINDOWS", 2 * WINDOWS)

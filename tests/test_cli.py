@@ -422,8 +422,9 @@ class TestSvgRendering:
             SingularPoint(side="+", xi=1.0, lam=2.5 - 1j, branch_id=1),
             SingularPoint(side="-", xi=2.0, lam=-3 - 2j, branch_id=2),
         ])
-        exceptional = ExceptionalSet(points=(), radii=(),
-                                     window_exponents=())
+        exceptional = ExceptionalSet(
+            points=(), radii=(), window_exponents=(),
+            sources={"+": "escapes", "-": "escapes"})
         return SpectrumSet(regular=regular, singular=singular,
                            exceptional=exceptional, report={})
 
@@ -454,8 +455,9 @@ class TestSvgRendering:
             *(RegularPoint(x_param=10.0 + i, lam=complex(100 + i, 0))
               for i in range(3)),
         ])
-        exceptional = ExceptionalSet(points=(), radii=(),
-                                     window_exponents=())
+        exceptional = ExceptionalSet(
+            points=(), radii=(), window_exponents=(),
+            sources={"+": "escapes", "-": "escapes"})
         spectrum = SpectrumSet(regular=regular,
                                singular=SingularTable.from_rows([]),
                                exceptional=exceptional, report={})

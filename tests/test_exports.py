@@ -22,5 +22,6 @@ def test_config_and_exceptional_set_keep_only_used_fields():
     # The limit trajectories start at the fixed asymptotics.X0.
     with pytest.raises(ConfigError, match="unknown config key: 'x0'"):
         SolverConfig().with_overrides(x0=16.0)
-    assert set(ExceptionalSet((), (), ()).to_json_dict()) == {
-        "points", "radii", "window_exponents"}
+    sources = {"+": "escapes", "-": "escapes"}
+    assert set(ExceptionalSet((), (), (), sources).to_json_dict()) == {
+        "points", "radii", "window_exponents", "sources"}

@@ -1327,7 +1327,8 @@ def test_flags_match_the_loop(data, block):
     regular = [RegularPoint(float(k), lam)
                for k, lam in enumerate(data.draw(cloud))]
     exceptional = ExceptionalSet(points=tuple(data.draw(exc_cloud)),
-                                 radii=(), window_exponents=())
+                                 radii=(), window_exponents=(),
+                                 sources={"+": "sampled", "-": "sampled"})
     with mock.patch.multiple(spectrum_module, PAIR_BLOCK=block,
                              DEDUPE_TOL=_DEDUPE, EXC_TOL=_CURVE):
         got = _flag_singular(SingularTable.from_rows(points),
