@@ -36,7 +36,7 @@ from .asymptotics import check_assumptions
 from .config import SolverConfig, parse_complex
 from .errors import (ConfigError, MatspectraError, ParseError, RefusedFrozen,
                      StructureError)
-from .expr import simplify, to_text
+from .expr import to_text
 from .model import (Diagnostics, OperatorMatrix, delta, load_operator,
                     validate, validation_grid)
 from .oracle import det_scan, discretize_and_eig, freeze
@@ -468,7 +468,7 @@ def cmd_print_schur(run: RunConfig) -> int:
     trees = coefficient_trees(op)
     lines = [f"order: {op.m}"]
     lines += [f"p_{j} = {to_text(tree)}" for j, tree in enumerate(trees)]
-    lines.append(f"decoupling = {to_text(simplify(delta(op)))}")
+    lines.append(f"decoupling = {to_text(delta(op))}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -34,10 +34,8 @@ ratios. Per side the solve is staged:
 4. refine xi adaptively: a segment between neighbouring frequencies is
    split when a root at one end lies in the emit band (within
    ``10 curve_res`` of the window) and has no root within ``curve_res`` at
-   the other end, which may have none. The segments of the initial grid
-   are checked once, all in one array pass; after each round only the two
-   halves of each split segment are, since solving new frequencies leaves
-   every other segment's roots unchanged.
+   the other end, which may have none. Each round checks every segment
+   in one array pass and solves the midpoints of those that split.
 
 When a limit of step 1 is refused, the side falls back to fit and polish:
 ``r_j`` is reconstructed jointly from certified limit samples on two
@@ -836,68 +834,53 @@ def _segment_needs_split(left: RootTable, right: RootTable,
     return split
 
 
-def _refinement_targets(table: RootTable, flagged: np.ndarray,
-                        segments: np.ndarray, cfg: SolverConfig
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies to insert where neighbouring roots are too far apart.
+def _refinement_targets(table: RootTable, cfg: SolverConfig) -> np.ndarray:
+    """Midpoints of the segments where neighbouring roots are too far apart.
 
-    ``segments`` and ``flagged`` hold a (left end, right end) per row;
-    ``flagged`` holds every segment known to need a split, by left end. The
-    fresh ``segments`` are checked and added to it; a segment's roots never
-    change until it is split. Returns the new ``flagged`` and (left end,
-    midpoint) per target whose midpoint is not in the table yet, ascending.
+    Every segment between neighbouring frequencies of ``table`` wider than
+    ``1e-7 (1 + |left end|)`` is checked, all in one array pass. Returns the
+    midpoints of those that split, ascending: geometric between ends of the
+    same sign, arithmetic otherwise, and only where strictly inside.
     """
-    wide = segments[:, 1] - segments[:, 0] > 1e-7 * (1.0 + np.abs(
-        segments[:, 0]))
-    if wide.any():
-        at = np.searchsorted(table.xi, segments[wide])
-        need = _segment_needs_split(*(
-            RootTable(table.xi[at[:, k]], table.lam[at[:, k]],
-                      table.count[at[:, k]]) for k in (0, 1)), cfg)
-        flagged = np.concatenate([flagged, segments[wide][need]])
-        flagged = flagged[np.argsort(flagged[:, 0])]
-    lo, hi = flagged[:, 0], flagged[:, 1]
-    # Geometric midpoint between same-sign ends, arithmetic otherwise.
+    lo, hi = table.xi[:-1], table.xi[1:]
+    split = _segment_needs_split(
+        RootTable(lo, table.lam[:-1], table.count[:-1]),
+        RootTable(hi, table.lam[1:], table.count[1:]), cfg)
+    split &= hi - lo > 1e-7 * (1.0 + np.abs(lo))
+    lo, hi = lo[split], hi[split]
     mid = np.where((lo != 0.0) & (hi != 0.0) & ((lo > 0) == (hi > 0)),
                    np.copysign(np.sqrt(np.abs(lo) * np.abs(hi)), lo),
                    0.5 * (lo + hi))
-    at = np.minimum(np.searchsorted(table.xi, mid), table.xi.size - 1)
-    fresh = (table.xi[at] != mid) & (mid > lo) & (mid < hi)
-    return flagged, np.column_stack([lo[fresh], mid[fresh]])
+    return mid[(mid > lo) & (mid < hi)]
 
 
 WORK_COUNTERS = ("segments_checked", "companion_solves", "limit_batches",
                  "lambdas_evaluated", "newton_iterations")
-"""Work counted per side in ``report["singular"]["sweeps"]``."""
+"""Work counted per side in ``report["singular"]["sweeps"]``;
+``segments_checked`` counts every segment of the table once per round."""
 
 
 def _sweep_side(symbol: SchurSymbol, profile: RationalProfile,
                 xi_grid: np.ndarray, cfg: SolverConfig,
                 skips: list) -> tuple[RootTable, dict]:
+    """Roots of one side over ``xi_grid``, refined as in step 4 for at most
+    48 rounds and ``MAX_POINTS`` roots; a midpoint cut by that budget is
+    found again by the next round's rescan of every segment."""
     work = dict.fromkeys(WORK_COUNTERS, 0)
     table = _solve_at(symbol, profile, xi_grid, cfg, skips, work)
-    segments = np.column_stack([table.xi[:-1], table.xi[1:]])
-    flagged = np.empty((0, 2))
     rounds = 0
     total = int(table.count.sum())
     while total < MAX_POINTS and rounds < 48:
-        work["segments_checked"] += len(segments)
-        flagged, targets = _refinement_targets(table, flagged, segments, cfg)
+        work["segments_checked"] += max(0, table.xi.size - 1)
+        targets = _refinement_targets(table, cfg)[:MAX_POINTS - total]
         if not targets.size:
             break
-        # Targets past the budget stay flagged for the next round.
-        targets = targets[:max(0, MAX_POINTS - total)]
-        update = _solve_at(symbol, profile, targets[:, 1], cfg, skips, work)
+        update = _solve_at(symbol, profile, targets, cfg, skips, work)
         table = _concat([table, update])
         total += int(update.count.sum())
-        split = np.isin(flagged[:, 0], targets[:, 0])
-        segments = np.concatenate([targets, np.column_stack(
-            [targets[:, 1], flagged[split, 1]])])
-        flagged = flagged[~split]
         rounds += 1
-    info = {"frequencies": int(table.xi.size), "points": total,
-            "refinement_rounds": rounds, **work}
-    return table, info
+    return table, {"frequencies": int(table.xi.size), "points": total,
+                   "refinement_rounds": rounds, **work}
 
 
 # ---------------------------------------------------------------------------
@@ -1063,10 +1046,11 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 
     Returns the points of both sides, cross-side coincidences merged into
     the neutral side, with branch ids assigned by continuation and no
-    flags. Raises :class:`ConfigError` on a non-finite frequency before any
-    sweep, and :class:`FitError`, after writing the report, only when no
-    side produced any certified point and at least one side's fallback
-    rational reconstruction failed outright.
+    flags; the report's ``skip_counts`` count per side, so a - side that
+    reuses the + sweep repeats its skips. Raises :class:`ConfigError` on a
+    non-finite frequency before any sweep, and :class:`FitError`, after
+    writing the report, only when no side produced any certified point and
+    at least one side's fallback rational reconstruction failed outright.
     """
     cfg = cfg or SolverConfig()
     if xi_grid is None:

@@ -849,7 +849,7 @@ def _bits(items):
 
 
 # ---------------------------------------------------------------------------
-# Singular sweep: worklist refinement
+# Singular sweep: refinement rescan against a per-segment loop
 # ---------------------------------------------------------------------------
 
 def _rescan_targets(tracked, cfg, tried):
@@ -871,7 +871,7 @@ def _rescan_targets(tracked, cfg, tried):
 
 
 def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
-    """``_sweep_side`` with the full rescan; returns the segments scanned."""
+    """``_sweep_side`` as a per-segment loop; returns the segments scanned."""
     work = dict.fromkeys(WORK_COUNTERS, 0)
 
     def solve(xi_values):
@@ -885,7 +885,7 @@ def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
     total = sum(len(v) for v in solved.values())
     budget = spectrum_module.MAX_POINTS
     while total < budget and rounds < 48:
-        work["segments_checked"] += len(solved) - 1
+        work["segments_checked"] += max(0, len(solved) - 1)
         targets = _rescan_targets(solved, cfg, tried)
         if not targets:
             break
@@ -907,7 +907,7 @@ def _assert_same_sweep(symbol, profile, xi_grid, cfg):
     assert _bits(_table_rows(table)) == _bits(sorted(ref_solved.items()))
     checked = info.pop("segments_checked")
     assert info == ref_info
-    assert checked <= rescanned
+    assert checked == rescanned
     return info
 
 
@@ -930,8 +930,8 @@ _BRANCH = st.tuples(
 @example(branches=[(0j, 0j, 0.0, -2.0, 4.0),
                    (0.8 + 0j, 1 + 0j, 0.0, 1.0, 1.0)],
          grid_points=5, curve_res=0.02, max_points=10**6)
-def test_worklist_refinement_matches_full_rescan(branches, grid_points,
-                                                  curve_res, max_points):
+def test_refinement_matches_the_loop_rescan(branches, grid_points,
+                                            curve_res, max_points):
     # Each branch lam = c + s*xi + q*xi^2 lives on [start, start + length]:
     # births and deaths make segments that split down to the width floor.
     # In the example a branch is born at xi = 1 at Re 1.8, past the emit
@@ -954,7 +954,7 @@ def test_worklist_refinement_matches_full_rescan(branches, grid_points,
                            cfg)
 
 
-def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
+def test_refinement_finds_targets_past_the_budget_again(monkeypatch):
     op = parabolic_potential()
     cfg = SolverConfig().with_overrides(
         window=(-2.0, 1.0, -0.5, 0.5), curve_res=0.05)
@@ -966,9 +966,9 @@ def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
     real_solve = spectrum_module._solve_at
 
     def recording_targets(*args):
-        flagged, targets = real_targets(*args)
-        offered.append(targets[:, 1].tolist())
-        return flagged, targets
+        targets = real_targets(*args)
+        offered.append(targets.tolist())
+        return targets
 
     def recording_solve(symbol, profile, xi_values, *args):
         solved_mids.append([float(x) for x in xi_values])
@@ -991,6 +991,48 @@ def test_worklist_refinement_keeps_targets_past_the_budget(monkeypatch):
     assert _assert_same_sweep(symbol, profile, grid, cfg) == {
         key: value for key, value in info.items()
         if key != "segments_checked"}
+
+
+@pytest.mark.parametrize("kind", ["bundled", "settling"])
+def test_refinement_matches_the_loop_rescan_on_closed_form_profiles(kind):
+    if kind == "bundled":
+        cases = [(quartic_coupled(), SolverConfig().with_overrides(
+                      window=(-2.0, 2.0, -2.0, 2.0), curve_res=1e-2)),
+                 (parabolic_potential(), SolverConfig().with_overrides(
+                      window=(-2.0, 1.0, -0.5, 0.5)))]
+    else:
+        cases = []
+        for seed in range(20):
+            rng = random.Random(seed)
+            cases.append((random_operator(rng, rng.choice([2, 4]),
+                                          settling=True), SMALL_SWEEP))
+    for op, cfg in cases:
+        symbol = build_schur(op)
+        for side in ("+", "-"):
+            profile = _closed_form_side(symbol, side)[0]
+            _assert_same_sweep(symbol, profile, default_xi_grid(cfg), cfg)
+
+
+def test_refinement_midpoints_lie_strictly_inside_their_segments():
+    # [-1, 1], [1, 4] and [1e200, 2e200] have a root at one end only, so
+    # they split. [-1, 1] takes the arithmetic midpoint and [1, 4] the
+    # geometric one; that of [1e200, 2e200] overflows to inf, off the
+    # segment, so it yields no target.
+    table = _table({-1.0: [0j], 1.0: [], 4.0: [0j], 1e200: [0j], 2e200: []})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        targets = spectrum_module._refinement_targets(table, SolverConfig())
+    assert targets.tolist() == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("grid", [[], [0.5]], ids=["empty", "one"])
+def test_grids_without_a_segment_check_none(grid):
+    report = {}
+    singular_part(parabolic_potential(), xi_grid=np.array(grid),
+                  report=report)
+    for sweep in report["singular"]["sweeps"].values():
+        assert sweep["frequencies"] == len(grid)
+        assert sweep["segments_checked"] == 0
+        assert sweep["refinement_rounds"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1455,9 +1497,10 @@ class TestEssentialSpectrum:
                     * (1.0 + abs(complex(*entry["value"])))
                 assert entry["recheck"]["sample_count"] >= 4
             sweep = report["singular"]["sweeps"][side]
-            # Every initial segment is checked once, later only new halves.
+            # Every round checks every segment of the table once.
             assert grid_points - 1 <= sweep["segments_checked"] \
-                <= 2 * sweep["frequencies"]
+                <= (sweep["refinement_rounds"] + 1) \
+                * (sweep["frequencies"] - 1)
             # At least one stacked eigvals per frequency batch.
             assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
             # The closed form needs no limit batch at all.
@@ -1486,7 +1529,8 @@ class TestEssentialSpectrum:
             assert "reused" not in sweep
             assert sweep["points"] > 0
             assert grid_points - 1 <= sweep["segments_checked"] \
-                <= 2 * sweep["frequencies"]
+                <= (sweep["refinement_rounds"] + 1) \
+                * (sweep["frequencies"] - 1)
             assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
             # Each batch polishes in at least one limit batch plus a
             # recheck; every batch evaluates some lambda, and each Newton
