@@ -477,9 +477,13 @@ def cmd_print_schur(run: RunConfig) -> int:
 # SVG rendering
 # ---------------------------------------------------------------------------
 
-def render_svg(spectrum: SpectrumSet, window, *,
-               width: float = 800.0, height: float = 600.0) -> str:
+SVG_SIZE = (800.0, 600.0)
+"""Width and height of the rendered SVG, in user units."""
+
+
+def render_svg(spectrum: SpectrumSet, window) -> str:
     """Plot the spectrum: regular part in red, singular branches in blue."""
+    width, height = SVG_SIZE
     re_min, re_max, im_min, im_max = (float(v) for v in window)
     margin = 50.0
     plot_w = width - 2.0 * margin

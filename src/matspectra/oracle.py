@@ -27,7 +27,7 @@ from .asymptotics import Certificate, _trajectory, limit_of
 from .config import SolverConfig
 from .errors import (DomainError, NotConvergent, PoleError, RefusedFrozen,
                      SizeError)
-from .expr import Expr, differentiate, evaluate_array, simplify
+from .expr import Expr, evaluate_array, evaluate_jet
 from .model import OperatorMatrix
 
 __all__ = [
@@ -100,9 +100,10 @@ def freeze(op: OperatorMatrix, side: str,
     """Freeze the operator into its constant-coefficient symbol at one infinity.
 
     Every raw coefficient must have a certified limit along the sampling
-    trajectory toward ``side`` infinity, and its x-derivative must vanish
-    (magnitude below ``DERIV_TOL``) at the last two trajectory
-    points. A limit within ``ZERO_MARGIN`` tail bounds of 0 is exactly 0
+    trajectory toward ``side`` infinity, and its x-derivative, taken as a
+    forward-mode jet (:func:`~matspectra.expr.evaluate_jet`), must vanish
+    (magnitude below ``DERIV_TOL``) at the last two trajectory points. A
+    limit within ``ZERO_MARGIN`` tail bounds of 0 is exactly 0
     (:attr:`~matspectra.asymptotics.Certificate.limit`), as in the closed
     form of the singular sweep.  Raises :class:`RefusedFrozen` with a
     witness naming the offending coefficient when either check fails. The
@@ -126,8 +127,7 @@ def freeze(op: OperatorMatrix, side: str,
 
     tail_x = _trajectory(side)[-2:]
     for label, tree in labeled:
-        derivative = simplify(differentiate(tree, "x"))
-        magnitudes = np.abs(evaluate_array(derivative, x=tail_x))
+        magnitudes = np.abs(evaluate_jet(tree, tail_x)[1])
         if (not np.all(np.isfinite(magnitudes))
                 or np.any(magnitudes >= DERIV_TOL)):
             raise RefusedFrozen(
@@ -194,14 +194,11 @@ def det_scan(fs: FrozenSymbol, xi_grid) -> list[DetScanPoint]:
     det = a_val * d_val - b_val * c_val
     first, second = _stable_quadratic_roots(trace, det)
 
-    d_tol = 1e-12 * (1.0 + abs(d_val))
-    points = []
-    for i, freq in enumerate(xi):
-        roots = (complex(first[i]), complex(second[i]))
-        flags = tuple(abs(root - d_val) <= d_tol for root in roots)
-        points.append(DetScanPoint(xi=float(freq), roots=roots,
-                                   at_d_limit=flags))
-    return points
+    roots = np.stack([first, second], axis=1)
+    at_d = np.abs(roots - d_val) <= 1e-12 * (1.0 + abs(d_val))
+    return [DetScanPoint(xi=freq, roots=tuple(pair), at_d_limit=tuple(flags))
+            for freq, pair, flags in zip(xi.tolist(), roots.tolist(),
+                                         at_d.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +213,14 @@ EIG_BUDGET = 4000
 
 def _difference_matrices(n: int, h: float,
                          periodic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Central first- and second-difference matrices on ``n`` nodes."""
-    first = np.zeros((n, n), dtype=np.complex128)
-    second = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(n)
-    up = idx + 1
-    down = idx - 1
+    """Central first- and second-difference matrices on ``n`` nodes:
+    ``(up - up^T) / 2h`` and ``(up + up^T - 2I) / h^2`` from the shift
+    ``up``, which wraps around the last node when ``periodic``."""
+    up = np.eye(n, k=1, dtype=np.complex128)
     if periodic:
-        up %= n
-        down %= n
-        rows_up = idx
-        rows_down = idx
-    else:
-        rows_up = idx[:-1]
-        up = up[:-1]
-        rows_down = idx[1:]
-        down = down[1:]
-    first[rows_up, up] += 1.0 / (2.0 * h)
-    first[rows_down, down] += -1.0 / (2.0 * h)
-    second[idx, idx] += -2.0 / (h * h)
-    second[rows_up, up] += 1.0 / (h * h)
-    second[rows_down, down] += 1.0 / (h * h)
-    return first, second
+        up[-1, 0] = 1.0
+    return ((up - up.T) / (2.0 * h),
+            (up + up.T - 2.0 * np.eye(n)) / (h * h))
 
 
 def _derivative_powers(m: int, first: np.ndarray,

@@ -278,8 +278,10 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     until image gaps drop below ``curve_res`` (subject to ``MAX_POINTS``).
     Coincident consecutive images are collapsed, so a constant curve yields
     a single finite point. Endpoint limits toward +/-infinity, certified
-    by one scan of both ends, are appended with ``x_param = +/-inf``;
-    divergent ends are simply absent.
+    by one scan of both ends, are appended with ``x_param = +/-inf``, a
+    limit within ``ZERO_MARGIN`` tail bounds of 0 as exactly 0
+    (:attr:`~matspectra.asymptotics.Certificate.limit`); divergent ends
+    are simply absent.
     """
     cfg = cfg or SolverConfig()
     log = report if report is not None else {}
@@ -324,7 +326,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
         except (NotConvergent, PoleError) as exc:
             endpoints[side] = {"converged": False, "reason": type(exc).__name__}
             continue
-        value = cert.value
+        value = cert.limit
         x_param.append(np.array([tag]))
         lam.append(np.array([value], dtype=complex))
         endpoints[side] = {
@@ -1048,9 +1050,10 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     the neutral side, with branch ids assigned by continuation and no
     flags; the report's ``skip_counts`` count per side, so a - side that
     reuses the + sweep repeats its skips. Raises :class:`ConfigError` on a
-    non-finite frequency before any sweep, and :class:`FitError`, after
-    writing the report, only when no side produced any certified point and
-    at least one side's fallback rational reconstruction failed outright.
+    frequency that is not finite or whose |xi|^m is not, before any sweep,
+    and :class:`FitError`, after writing the report, only when no side
+    produced any certified point and at least one side's fallback rational
+    reconstruction failed outright.
     """
     cfg = cfg or SolverConfig()
     if xi_grid is None:
@@ -1062,6 +1065,11 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
             raise ConfigError(f"frequencies must be finite, got "
                               f"{xi_values[bad[0]]} at index {bad[0]}")
         xi_values = np.unique(xi_values)
+    with np.errstate(over="ignore"):
+        big = np.flatnonzero(~np.isfinite(np.abs(xi_values) ** op.m))
+    if big.size:
+        raise ConfigError(f"frequency {xi_values[big[0]]} is too large: "
+                          f"|xi|^{op.m} overflows the float range")
     symbol = symbol if symbol is not None else build_schur(op)
     log = report if report is not None else {}
     skips: list[dict] = []

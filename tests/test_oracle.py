@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from factories import (
+    ONE,
     ZERO,
     parabolic_potential,
     quartic_coupled,
     random_constant_operator,
+    random_operator,
 )
-from matspectra.asymptotics import LIMIT_TOL, limit_ratio_batch
+from matspectra.asymptotics import (LIMIT_TOL, Certificate, _trajectory,
+                                    limit_ratio_batch)
 from matspectra.errors import DomainError, RefusedFrozen, SizeError
-from matspectra.expr import Call, Div, Lit, Mul, X
+from matspectra.expr import (Call, Div, Lit, Mul, X, differentiate,
+                             evaluate_array, simplify)
 from matspectra import oracle as oracle_module
 from matspectra.model import OperatorMatrix
 from matspectra.oracle import (
@@ -98,6 +103,54 @@ class TestFreeze:
         assert witness["check"] == "derivative"
         assert max(witness["magnitude"]) >= 1.0
 
+    def test_derivative_verdicts_match_the_symbolic_derivative(
+            self, monkeypatch):
+        # Every limit is taken as certified, so freeze reaches the derivative
+        # check: each refusal must name the next coefficient, in check order,
+        # whose simplified symbolic derivative fails at the trajectory tail.
+        # That coefficient is then made constant and freeze is asked again.
+        cert = Certificate(sample_count=1, last_increment=0.0, value=0j,
+                           previous_increment=1.0)
+        monkeypatch.setattr(oracle_module, "limit_of",
+                            lambda tree, side: (0j, cert))
+        ops = [parabolic_potential(), quartic_coupled()]
+        ops += [random_operator(random.Random(seed), m)
+                for seed in range(200) for m in (2, 4)]
+        refusals = 0
+        for op in ops:
+            labeled = oracle_module._labeled_coefficients(op)
+            for side in ("+", "-"):
+                tail_x = _trajectory(side)[-2:]
+                expected = []
+                for label, tree in labeled:
+                    magnitudes = np.abs(evaluate_array(
+                        simplify(differentiate(tree, "x")), x=tail_x))
+                    if (not np.all(np.isfinite(magnitudes))
+                            or np.any(magnitudes >= oracle_module.DERIV_TOL)):
+                        expected.append(label)
+                refused, current = [], op
+                for _ in labeled:
+                    try:
+                        freeze(current, side)
+                        break
+                    except RefusedFrozen as exc:
+                        assert exc.witness["check"] == "derivative"
+                        refused.append(exc.witness["coefficient"])
+                        current = _with_constant(current, refused[-1])
+                assert refused == expected, (op, side)
+                refusals += len(refused)
+        assert refusals > 0
+
+
+def _with_constant(op: OperatorMatrix, label: str) -> OperatorMatrix:
+    """``op`` with the coefficient named ``label`` replaced by 1."""
+    if label == "d":
+        return dataclasses.replace(op, d=ONE)
+    name, index = label.split("_")
+    trees = list(getattr(op, name))
+    trees[int(index)] = ONE
+    return dataclasses.replace(op, **{name: tuple(trees)})
+
 
 class TestDetScan:
     def test_quartic_zero_frequency_roots(self):
@@ -139,7 +192,35 @@ class TestDetScan:
             assert point.at_d_limit == (False, False)
 
 
+def _loop_stencils(n: int, h: float,
+                   periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Central first and second differences, set entry by entry."""
+    first = np.zeros((n, n), dtype=np.complex128)
+    second = np.zeros((n, n), dtype=np.complex128)
+    for i in range(n):
+        second[i, i] = -2.0 / (h * h)
+        for j, sign in ((i + 1, 1.0), (i - 1, -1.0)):
+            if periodic:
+                j %= n
+            elif not 0 <= j < n:
+                continue
+            first[i, j] = sign / (2.0 * h)
+            second[i, j] = 1.0 / (h * h)
+    return first, second
+
+
 class TestDiscretize:
+    @pytest.mark.parametrize("periodic", [False, True],
+                             ids=["truncate", "periodic"])
+    @pytest.mark.parametrize("n", [16, 17, 50])
+    def test_difference_matrices_match_loop_built_stencils(self, n,
+                                                           periodic):
+        h = 2.0 * 3.7 / n
+        built = oracle_module._difference_matrices(n, h, periodic)
+        for got, want in zip(built, _loop_stencils(n, h, periodic)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_operator_spectrum_is_zero(self):
         op = OperatorMatrix(a=(ZERO, ZERO, ZERO), b=(ZERO, ZERO),
                             c=(ZERO, ZERO), d=ZERO)

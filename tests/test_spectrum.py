@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -138,6 +139,19 @@ class TestRegularPart:
         for lam in ends.values():
             assert abs(lam - value) <= 1e-9
 
+    @pytest.mark.parametrize("d_text", ["1 + 1/(1 + x^2)",
+                                        "1 + 1/sqrt(1 + x^2)"])
+    def test_endpoints_that_decay_to_zero_are_exactly_zero(self, d_text):
+        # delta = 1/(1 + x^2) or 1/sqrt(1 + x^2); the certified values were
+        # 1.455e-11 and 2.33e-10, while Certificate.limit reads both as 0.
+        op = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, ONE),
+                            c=(ZERO, ONE), d=parse(d_text))
+        report = {}
+        ends = endpoint_points(regular_part(op, report=report))
+        assert ends == {math.inf: 0j, -math.inf: 0j}
+        for entry in report["regular"]["endpoints"].values():
+            assert entry["value"] == [0.0, 0.0]
+
 
 # ---------------------------------------------------------------------------
 # Singular part
@@ -222,6 +236,25 @@ class TestSingularPart:
             singular_part(parabolic_potential(), xi_grid=[0.5, bad, 1.0],
                           cfg=cfg)
         sweep.assert_not_called()
+
+    @pytest.mark.parametrize("factory, xi_max", [
+        (parabolic_potential, 1e160), (quartic_coupled, 1e160),
+        (quartic_coupled, 1e78)])
+    def test_frequency_whose_power_overflows_refused(self, factory, xi_max):
+        # |xi|^m overflowed in _cleared_coefficients, and the rows it reached
+        # were logged as IdentitySkip "cleared polynomial is numerically zero".
+        op = factory()
+        message = f"frequency {-xi_max} is too large: |xi|^{op.m} overflows"
+        with mock.patch.object(spectrum_module, "_sweep_side") as sweep, \
+                pytest.raises(ConfigError, match=re.escape(message)):
+            singular_part(op, cfg=SolverConfig(xi_max=xi_max))
+        sweep.assert_not_called()
+
+    def test_quartic_below_the_overflow_sweeps_every_row(self):
+        report = {}
+        singular_part(quartic_coupled(), cfg=SolverConfig(xi_max=1e76),
+                      report=report)
+        assert report["singular"]["skip_counts"]["IdentitySkip"] == 0
 
     def test_fit_failure_raises(self):
         op = OperatorMatrix(a=(Call("sin", X), ZERO, ONE), b=(ZERO, ZERO),
