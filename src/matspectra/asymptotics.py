@@ -35,9 +35,10 @@ Four services live here:
   resolvent-weighted couplings; C: sector condition; D: existence of the
   coefficient limits) and reports one record per (assumption, probe). It
   works from the same lambda-free form: the x-only trees and their first
-  two x-derivatives are sampled once per call on the validation grid, the
-  trajectory forms once per side, and each probe costs array algebra in
-  ``u``, using ``u' = -d' u**2``, and a convex hull of the p_m samples.
+  two x-derivatives are sampled once per call on the validation grid, in
+  one shared-subtree walk, and the trajectory forms once per side; all
+  probes then go as one batch of array algebra in ``u``, using
+  ``u' = -d' u**2``, and each probe takes a convex hull of its p_m samples.
 
 Everything is pure and therefore safe to call concurrently with a shared
 symbol; no caches are mutated.
@@ -53,7 +54,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from .errors import DomainError, LimitRefused, NotConvergent, PoleError
-from .expr import (Div, Expr, Lit, evaluate, evaluate_array, evaluate_jet,
+from .expr import (Div, Expr, Lit, evaluate, evaluate_array, evaluate_batch,
                    mentions, smart_pow)
 from .model import DiagnosticRecord, Diagnostics, OperatorMatrix
 from .schur import SchurSymbol
@@ -130,11 +131,14 @@ def _column(tree: Expr, xs: np.ndarray) -> _Jet:
     return (evaluate_array(tree, x=xs)[:, None],)
 
 
+def _zero(tree: Expr) -> bool:
+    """Whether the tree is a literal zero, whose terms are skipped."""
+    return isinstance(tree, Lit) and tree.value == 0
+
+
 def _term(sample, tree: Expr, xs: np.ndarray):
-    """``sample(tree, xs)``, or None for a literal zero, whose terms are
-    skipped."""
-    return None if isinstance(tree, Lit) and tree.value == 0 else sample(
-        tree, xs)
+    """``sample(tree, xs)``, or None for a literal zero."""
+    return None if _zero(tree) else sample(tree, xs)
 
 
 class _Form(NamedTuple):
@@ -309,57 +313,59 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str
     trajectory sample lands on a pole of the symbol (lambda = d(x) or a
     zero of p_m).
     """
-    return _form_ratios(_sample_form(symbol, _trajectory(side)), lam, side)
-
-
-def _form_ratios(form: _Form, lam: complex, side: str
-                 ) -> tuple[list[complex], list[Certificate]]:
-    """:func:`limit_ratio` on a trajectory form that is already sampled."""
+    form = _sample_form(symbol, _trajectory(side))
     samples = _ratio_samples(form, np.asarray([lam], dtype=np.complex128))
+    block = _limit_block(samples, LIMIT_TOL)
+    status = _status(block[4], block[5], form.finite)[0]
+    if status != "ok":
+        raise _ratio_refusal(samples, block, status, 0, form.xs, side)
+    certificates = [_certificate(block, j, 0)
+                    for j in range(samples.shape[0])]
+    return [cert.value for cert in certificates], certificates
+
+
+def _ratio_refusal(samples: np.ndarray, block, status: str, k: int,
+                   xs: np.ndarray, side: str) -> NotConvergent | PoleError:
+    """Why column k of the ratio samples (shape (m, S, K)) has no limits:
+    the error :func:`limit_ratio` raises for a ``status`` other than ok."""
     m = samples.shape[0]
-    return _certified_ratios(
-        samples, form.finite, form.xs, side,
-        [f"ratio p_{j}/p_{m}" for j in range(m)],
-        lambda x: "coefficient samples overflow")
+    return _refusal(samples, block, status, k, xs, side,
+                    [f"ratio p_{j}/p_{m}" for j in range(m)],
+                    lambda x: "coefficient samples overflow")
 
 
-def _certified_ratios(samples: np.ndarray, finite: np.ndarray,
-                      xs: np.ndarray, side: str, names,
-                      overflow) -> tuple[list[complex], list[Certificate]]:
-    """Certificates for the limits of ``samples`` (shape (m, S, 1)), or the
-    error that refuses them.
+def _refusal(samples: np.ndarray, block, status: str, k: int,
+             xs: np.ndarray, side: str, names, overflow
+             ) -> NotConvergent | PoleError:
+    """The error that refuses the limits of column k of a
+    :func:`_limit_block` scan of ``samples``, whose status is not ok.
 
     ``names[j]`` names limit j in messages; ``overflow(x)`` gives the cause
     of a non-finite x-only sample at x (it may raise instead).
     """
-    block = _limit_block(samples, LIMIT_TOL)
-    values, _, last_inc, _, converged, first_bad = block
-    status = _status(converged, first_bad, finite)[0]
+    _, _, last_inc, _, converged, first_bad = block
     if status in ("pole", "overflow"):
-        j = int(np.argmin(first_bad[:, 0]))
-        bad = int(first_bad[j, 0])
+        j = int(np.argmin(first_bad[:, k]))
+        bad = int(first_bad[j, k])
         x_bad = float(xs[bad])
         if status == "pole":
-            raise PoleError(
+            return PoleError(
                 f"trajectory sample x = {x_bad!r} hits a pole of the "
                 f"symbol ({names[j]} is not finite there)")
         end = bad - 1
         message = (f"{overflow(x_bad)} at trajectory sample x = {x_bad!r} "
                    f"toward {side}infinity before {names[j]} settled")
-    elif status == "not-convergent":
-        j = int(np.argmax(~converged[:, 0]))
+    else:
+        j = int(np.argmax(~converged[:, k]))
         end = T
         message = (f"{names[j]} did not settle after {T + 1} samples "
                    f"toward {side}infinity (last increment "
-                   f"{last_inc[j, 0]:.3e})")
-    if status != "ok":
-        tail = [
-            (float(xs[t + 1]), float(abs(samples[j, t + 1, 0] - samples[j, t, 0])))
-            for t in range(max(0, end - 6), end)
-        ]
-        raise NotConvergent(message, witness=tail)
-    certificates = [_certificate(block, j, 0) for j in range(len(names))]
-    return [cert.value for cert in certificates], certificates
+                   f"{last_inc[j, k]:.3e})")
+    tail = [
+        (float(xs[t + 1]), float(abs(samples[j, t + 1, k] - samples[j, t, k])))
+        for t in range(max(0, end - 6), end)
+    ]
+    return NotConvergent(message, witness=tail)
 
 
 def limit_ratio_batch(symbol: SchurSymbol, lams, side: str):
@@ -416,10 +422,13 @@ def _limit_on(expr: Expr, side: str, xs: np.ndarray
             pass
         return "samples overflow"
 
-    values, certs = _certified_ratios(
-        samples[None, :, None], np.isfinite(samples), xs, side,
-        ["the limit"], overflow)
-    return values[0], certs[0]
+    column = samples[None, :, None]
+    block = _limit_block(column, LIMIT_TOL)
+    status = _status(block[4], block[5], np.isfinite(samples))[0]
+    if status != "ok":
+        raise _refusal(column, block, status, 0, xs, side, ["the limit"],
+                       overflow)
+    return complex(block[0][0, 0]), _certificate(block, 0, 0)
 
 
 def _end_limits(expr: Expr) -> dict[str, Certificate | None]:
@@ -747,38 +756,40 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     itself, and a sampled check cannot distinguish the curve from its
     immediate neighborhood.
 
-    No tree is differentiated or simplified, and none that mentions lambda
-    is walked. The x-only trees of the symbol's lambda-free form, of b, c
-    and d, and their first two x-derivatives are sampled once on the grid
-    (:func:`~matspectra.expr.evaluate_jet`), and the trajectory samples for
-    D once per side; each probe then costs array algebra in
-    u = 1/(d - lambda), with u' = -d' u^2.
+    The work is done once per call, not once per probe. No tree is
+    differentiated or simplified, and none that mentions lambda is walked.
+    One shared-subtree walk (:func:`~matspectra.expr.evaluate_batch`)
+    samples on the grid the x-only trees of the symbol's lambda-free form
+    and the operator's b and d with their first two x-derivatives, and c
+    and the unsimplified decoupling function as plain values
+    (:class:`_GridJets`); the trajectory samples for D are taken once per
+    side. All probes then go as one (P, S) batch: array algebra in
+    u = 1/(d - lambda), with u' = -d' u^2, gives every B1, B2 and B3 value,
+    each check reduces the stacked values, and one certificate scan per
+    side gives D. Only C's convex hull is taken probe by probe.
     """
     grid = np.asarray(grid, dtype=float)
-    records: list[DiagnosticRecord] = []
-
+    probe_list = [complex(probe) for probe in probes]
+    probes = np.array(probe_list, dtype=np.complex128)
     jets = _GridJets.sample(op, symbol, grid)
     trajectories = [(side, _sample_form(symbol, _trajectory(side)))
                     for side in ("+", "-")]
-    # The decoupling function d - b_n c_k / a_m, sampled unsimplified.
-    delta_vals = evaluate_array(
-        op.d - op.b[op.n] * op.c[op.k] / op.a[op.m], x=grid)
-    delta_vals = delta_vals[np.isfinite(delta_vals)]
-
-    for probe in probes:
-        probe = complex(probe)
-        near_curve = bool(delta_vals.size) and float(
-            np.min(np.abs(delta_vals - probe))) <= PROBE_MARGIN
-        coefficients, p_m, weighted = jets.values(probe)
-        batch = [
-            _check_bounded("B1", coefficients, probe, grid),
-            _check_b2(p_m, probe, grid),
-            _check_bounded("B3", weighted, probe, grid),
-            _check_c(p_m, probe, grid),
-            _check_d(trajectories, probe),
-        ]
+    coefficients, p_m, weighted = jets.values(probes)
+    near_curve = np.zeros(probes.shape, dtype=bool)
+    if jets.delta.size:
+        near_curve = np.min(np.abs(jets.delta - probes[:, None]),
+                            axis=1) <= PROBE_MARGIN
+    checks = zip(
+        _check_bounded("B1", coefficients, probes, grid),
+        _check_b2(p_m, probes, grid),
+        _check_bounded("B3", weighted, probes, grid),
+        [_check_c(values, probe, grid)
+         for values, probe in zip(p_m, probe_list)],
+        _check_d(trajectories, probes))
+    records: list[DiagnosticRecord] = []
+    for near, batch in zip(near_curve.tolist(), checks):
         for record in batch:
-            if near_curve and record.status == "fail":
+            if near and record.status == "fail":
                 label, location, measured = record.witness
                 record = replace(
                     record, status="inconclusive",
@@ -790,30 +801,55 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
 
 
 class _GridJets(NamedTuple):
-    """Grid jets of the x-only trees behind the B1, B2, B3 and C values.
+    """Grid samples of the x-only trees behind the B1, B2, B3 and C values
+    and the decoupling curve, all from one shared-subtree walk
+    (:func:`~matspectra.expr.evaluate_batch`).
 
     ``form`` is the symbol's lambda-free form as jets; B3 needs the
     operator's b_beta and d as jets and c_gamma as plain samples (None for
-    a literal zero).
+    a literal zero). ``delta`` holds the finite samples of the decoupling
+    function d - b_n c_k / a_m, unsimplified.
     """
 
     form: _Form
     b: list[_Jet | None]
     c: list[np.ndarray | None]
     d: _Jet
+    delta: np.ndarray
 
     @classmethod
     def sample(cls, op: OperatorMatrix, symbol: SchurSymbol,
                grid: np.ndarray) -> _GridJets:
-        form = _sample_form(symbol, grid, evaluate_jet)
-        return cls(form=form,
-                   b=[_term(evaluate_jet, b, grid) for b in op.b],
-                   c=[_term(evaluate_array, c, grid) for c in op.c],
-                   d=form.d if symbol.d == op.d else evaluate_jet(op.d, grid))
+        terms = [*symbol.alpha, *(tree for row in symbol.beta for tree in row),
+                 *op.b]
+        jet_trees = [tree for tree in terms if not _zero(tree)]
+        jet_trees += [symbol.d, op.d]
+        plain_trees = [c for c in op.c if not _zero(c)] + [
+            op.d - op.b[op.n] * op.c[op.k] / op.a[op.m]]
+        jets, plain = evaluate_batch(grid, jet_trees, plain_trees)
+        jet_of = dict(zip(map(id, jet_trees), jets))
+        plain_of = dict(zip(map(id, plain_trees), plain))
 
-    def values(self, probe: complex):
-        """Labelled B1 values, p_m and labelled B3 values at one probe."""
-        shape = self.form.xs.shape
+        def jet(tree, _):
+            return jet_of[id(tree)]
+
+        def samples(tree, _):
+            return plain_of[id(tree)]
+
+        return cls(form=_sample_form(symbol, grid, jet),
+                   b=[_term(jet, b, grid) for b in op.b],
+                   c=[_term(samples, c, grid) for c in op.c],
+                   d=jet_of[id(op.d)],
+                   delta=plain[-1][np.isfinite(plain[-1])])
+
+    def values(self, probes):
+        """Labelled B1 values, p_m and labelled B3 values at the probes.
+
+        Every array has shape ``probes.shape`` + the grid's shape: a (P, S)
+        batch for P probes, grid-shaped for a single probe.
+        """
+        probe = np.asarray(probes, dtype=np.complex128)[..., None]
+        shape = np.broadcast_shapes(probe.shape, self.form.xs.shape)
 
         def zeros():
             return [np.zeros(shape, np.complex128) for _ in range(3)]
@@ -849,49 +885,78 @@ class _GridJets(NamedTuple):
         return coefficients, coefficients[-3][1], weighted
 
 
-def _check_bounded(assumption, labelled_values, probe,
-                   grid) -> DiagnosticRecord:
+def _per_probe(probes, record):
+    """``record(index, probe)`` at every probe: one record for a single
+    probe, a list of them for an array of probes."""
+    probes = np.asarray(probes)
+    records = [record(i, complex(probes[i])) for i in np.ndindex(probes.shape)]
+    return records[0] if probes.ndim == 0 else records
+
+
+def _check_bounded(assumption, labelled_values, probes, grid):
     """Fail on a sampled magnitude over ``BOUND_CAP``, infinite ones included;
     short of that, a NaN sample (undetermined in floating point, such as a
-    forward-mode derivative through an underflow) is inconclusive."""
-    worst, undetermined = (0.0, 0.0, ""), None
-    for label, values in labelled_values:
-        mags = np.abs(values)
-        nan = np.isnan(mags)
-        if undetermined is None and nan.any():
-            undetermined = (f"sampled {label} is NaN, undetermined in "
-                            "floating point", float(grid[np.argmax(nan)]),
-                            math.nan)
-        mags = np.where(nan, 0.0, mags)
-        at = int(np.argmax(mags))
-        if mags[at] > worst[0]:
-            worst = (float(mags[at]), float(grid[at]), label)
-    if worst[0] > BOUND_CAP:
-        return DiagnosticRecord(assumption, "fail", probe=probe, witness=(
-            f"sampled |{worst[2]}| exceeds bound cap", worst[1], worst[0]))
-    if undetermined:
-        return DiagnosticRecord(assumption, "inconclusive", probe=probe,
-                                witness=undetermined)
-    return DiagnosticRecord(assumption, "pass", probe=probe)
+    forward-mode derivative through an underflow) is inconclusive.
+
+    Elementwise over ``probes`` (:func:`_per_probe`): every value array has
+    shape ``probes.shape`` + the grid's shape. The magnitudes of all labels
+    are reduced as one stack; the witness is the first label holding the
+    largest magnitude (or a NaN), at its first grid point holding it.
+    """
+    probes = np.asarray(probes)
+    labels = [label for label, _ in labelled_values]
+    mags = np.empty((*probes.shape, len(labels), grid.size))
+    for k, (_, values) in enumerate(labelled_values):
+        np.abs(values, out=mags[..., k, :])
+    mags = mags.reshape(*probes.shape, len(labels) * grid.size)
+    nan = np.isnan(mags)
+    undetermined = nan.any(axis=-1)
+    first_nan = np.argmax(nan, axis=-1)
+    mags[nan] = 0.0
+    at = np.argmax(mags, axis=-1)
+    worst = np.max(mags, axis=-1)
+
+    def record(i, probe):
+        if worst[i] > BOUND_CAP:
+            label, x = divmod(int(at[i]), grid.size)
+            return DiagnosticRecord(assumption, "fail", probe=probe, witness=(
+                f"sampled |{labels[label]}| exceeds bound cap",
+                float(grid[x]), float(worst[i])))
+        if undetermined[i]:
+            label, x = divmod(int(first_nan[i]), grid.size)
+            return DiagnosticRecord(assumption, "inconclusive", probe=probe,
+                                    witness=(f"sampled {labels[label]} is "
+                                             "NaN, undetermined in floating "
+                                             "point", float(grid[x]),
+                                             math.nan))
+        return DiagnosticRecord(assumption, "pass", probe=probe)
+
+    return _per_probe(probes, record)
 
 
-def _check_b2(p_m, probe, grid) -> DiagnosticRecord:
+def _check_b2(p_m, probes, grid):
+    """B2 elementwise over ``probes``, as :func:`_check_bounded`."""
     mags = np.abs(p_m)
     finite = np.isfinite(mags)
-    if not finite.any():
-        return DiagnosticRecord(
-            "B2", "inconclusive", probe=probe,
-            witness=("p_m not finite anywhere on the grid", float(grid[0]),
-                     np.inf))
+    anywhere = finite.any(axis=-1)
     mags = np.where(finite, mags, np.inf)
-    at = int(np.argmin(mags))
-    smallest = float(mags[at])
-    if smallest >= INVERSE_FLOOR:
-        return DiagnosticRecord("B2", "pass", probe=probe)
-    return DiagnosticRecord(
-        "B2", "fail", probe=probe,
-        witness=("sampled |p_m| falls below the invertibility floor",
-                 float(grid[at]), smallest))
+    at = np.argmin(mags, axis=-1)
+    smallest = np.min(mags, axis=-1)
+
+    def record(i, probe):
+        if not anywhere[i]:
+            return DiagnosticRecord(
+                "B2", "inconclusive", probe=probe,
+                witness=("p_m not finite anywhere on the grid",
+                         float(grid[0]), np.inf))
+        if smallest[i] >= INVERSE_FLOOR:
+            return DiagnosticRecord("B2", "pass", probe=probe)
+        return DiagnosticRecord(
+            "B2", "fail", probe=probe,
+            witness=("sampled |p_m| falls below the invertibility floor",
+                     float(grid[at[i]]), float(smallest[i])))
+
+    return _per_probe(probes, record)
 
 
 def _check_c(p_m, probe, grid) -> DiagnosticRecord:
@@ -954,11 +1019,6 @@ TURN_TOL = 8.0 * np.finfo(float).eps
 exceeds this times |b - a| |c - b|, so that a turn flat within rounding
 does not."""
 
-CHAIN_PASS_MIN_DROP = 32
-"""Fewest points a vectorised hull-chain pass must drop for another pass to
-run; below it the sequential chain over the survivors is cheaper."""
-
-
 def _hull(v: np.ndarray) -> np.ndarray:
     """Convex hull vertices of complex samples, counterclockwise from the
     leftmost (the lowest of those), by Andrew's monotone chain (Inf.
@@ -980,34 +1040,56 @@ def _chain(p: np.ndarray) -> np.ndarray:
     Vectorised passes drop every interior point that makes no strict left
     turn between its current neighbours: it lies on or above the segment
     joining them, so it is no vertex of the chain. Once a pass drops
-    nothing, the chain is convex and is the hull's. When a pass drops only
-    a few points, a sequential chain over the survivors finishes it. Where
-    a point there pops the chain's end, the chain jumps on to the point
-    seen clockwise-most from its new end, since every point before that one
-    lies on or above the segment to it.
+    nothing, the chain is convex and is the hull's. The passes stop early
+    once one drops no fewer points than the one before: what is left then
+    are concave runs, which passes shorten by a point or two each. A
+    sequential chain over the survivors finishes it. Once its last two
+    points are neighbours that the last pass kept, each following survivor
+    that turned left between its neighbours in that pass is appended
+    untested, the whole run in one slice. Where a point pops the chain's
+    end, the chain jumps on to the point seen clockwise-most from its new
+    end, since every point before that one lies on or above the segment to
+    it.
     """
+    previous = p.size
     while True:
         turns = _left_turn(p[:-2], p[1:-1], p[2:])
         dropped = turns.size - np.count_nonzero(turns)
         if dropped == 0:
             return p
-        p = np.concatenate((p[:1], p[1:-1][turns], p[-1:]))
-        if dropped < CHAIN_PASS_MIN_DROP:
+        kept = np.flatnonzero(np.concatenate(([True], turns, [True])))
+        p = p[kept]
+        if dropped >= previous:
             break
+        previous = dropped
+    n = p.size
+    # settled[i]: survivor i kept both its neighbours in the last pass, so
+    # it turns left between survivors i - 1 and i + 1.
+    adjacent = np.diff(kept) == 1
+    settled = np.concatenate(([False], adjacent[:-1] & adjacent[1:], [False]))
+    # run_end[i]: the first survivor from i on that is not settled.
+    run_end = np.minimum.accumulate(
+        np.where(settled, n, np.arange(n))[::-1])[::-1].tolist()
     points = p.tolist()
-    chain = points[:1]
+    chain = [0]  # indices into p
     at = 1
-    while at < len(points):
+    while at < n:
         c = points[at]
-        if len(chain) > 1 and not _left_turn(chain[-2], chain[-1], c):
-            while len(chain) > 1 and not _left_turn(chain[-2], chain[-1], c):
-                chain.pop()
-            angle = np.angle(p[at:] - chain[-1])
+        if len(chain) > 1 and not _left_turn(points[chain[-2]],
+                                             points[chain[-1]], c):
+            # Pop every end that c does not turn left from, in one test.
+            ends = p[chain]
+            turns = np.flatnonzero(_left_turn(ends[:-2], ends[1:-1], c))
+            del chain[turns[-1] + 2 if turns.size else 1:]
+            angle = np.angle(p[at:] - points[chain[-1]])
             at += int(np.flatnonzero(angle == angle.min())[-1])
             continue
-        chain.append(c)
+        chain.append(at)
+        if chain[-2] == at - 1:
+            chain.extend(range(at + 1, run_end[at] + 1))
+            at = run_end[at]
         at += 1
-    return np.array(chain)
+    return p[chain]
 
 
 def _left_turn(a, b, c):
@@ -1019,20 +1101,36 @@ def _left_turn(a, b, c):
     return cross > TURN_TOL * abs(ab) * abs(bc)
 
 
-def _check_d(trajectories, probe) -> DiagnosticRecord:
-    """D from (side, trajectory form) pairs sampled once for all probes."""
+def _check_d(trajectories, probes: np.ndarray) -> list[DiagnosticRecord]:
+    """D at every probe from (side, trajectory form) pairs sampled once.
+
+    Each side takes one ratio batch and one certificate scan for all
+    probes. A probe fails at the first side that refuses its limits, with
+    the error :func:`limit_ratio` raises there.
+    """
+    refused: dict[int, tuple[str, NotConvergent | PoleError]] = {}
     for side, form in trajectories:
-        try:
-            _form_ratios(form, probe, side)
-        except NotConvergent as exc:
+        samples = _ratio_samples(form, probes)
+        block = _limit_block(samples, LIMIT_TOL)
+        status = _status(block[4], block[5], form.finite)
+        for k in np.flatnonzero(status != "ok").tolist():
+            if k not in refused:
+                refused[k] = side, _ratio_refusal(samples, block, status[k],
+                                                  k, form.xs, side)
+    records = []
+    for k, probe in enumerate(probes.tolist()):
+        side, exc = refused.get(k, (None, None))
+        if exc is None:
+            records.append(DiagnosticRecord("D", "pass", probe=probe))
+        elif isinstance(exc, PoleError):
+            records.append(DiagnosticRecord(
+                "D", "fail", probe=probe,
+                witness=(f"trajectory toward {side}infinity hit a pole: "
+                         f"{exc}", probe, np.inf)))
+        else:
             tail_increment = exc.witness[-1][1] if exc.witness else np.inf
-            return DiagnosticRecord(
+            records.append(DiagnosticRecord(
                 "D", "fail", probe=probe,
                 witness=(f"coefficient limits toward {side}infinity did not "
-                         "converge", probe, float(tail_increment)))
-        except PoleError as exc:
-            return DiagnosticRecord(
-                "D", "fail", probe=probe,
-                witness=(f"trajectory toward {side}infinity hit a pole: {exc}",
-                         probe, np.inf))
-    return DiagnosticRecord("D", "pass", probe=probe)
+                         "converge", probe, float(tail_increment))))
+    return records

@@ -15,7 +15,10 @@ below ``1e-300`` raises :class:`~matspectra.errors.PoleError`, and ``log`` or
 ``sqrt`` applied to exactly ``0`` raises
 :class:`~matspectra.errors.DomainError`. :func:`evaluate_array` is the
 vectorized companion used by the numeric layers; it lets non-finite values
-propagate instead of raising, and callers mask them.
+propagate instead of raising, and callers mask them. :func:`evaluate_batch`
+samples many x-only trees in one walk that evaluates each distinct subtree
+once, carrying forward-mode x-derivatives where asked; :func:`evaluate_jet`
+is its one-tree form.
 
 :func:`simplify` is a best-effort normalization, not a canonical form: it
 folds constants, applies the 0/1 identities, collects rational sub-expressions
@@ -479,10 +482,120 @@ def evaluate_jet(e: Expr, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Forward mode: one walk carries (f, f', f'') up the tree, building no
     derivative tree. ``f`` is :func:`evaluate_array` bit for bit.
     """
+    return evaluate_batch(x, jets=[e])[0][0]
+
+
+def evaluate_batch(x, jets=(), values=()) -> tuple[list, list[np.ndarray]]:
+    """Many x-only trees sampled at ``x`` in one walk, bit for bit as one
+    call each would sample them: every tree of ``jets`` as
+    :func:`evaluate_jet` does, every tree of ``values`` as
+    :func:`evaluate_array` does.
+
+    The walk evaluates each distinct subtree once. Nodes are interned
+    bottom-up by type, children, exponent or function, and a literal's
+    value with the signs of its zeros: dataclass equality takes
+    ``Lit(0.0)`` and ``Lit(-0.0)`` for one node, yet a zero's sign can
+    reach a sample. Derivatives are carried only below the trees of
+    ``jets``. Returns the jets and the value arrays, each in the order of
+    its trees; arrays may be shared between results, so read them only.
+    """
     x_arr = np.asarray(x, dtype=np.complex128)
+    nodes: list[Expr] = []  # one per distinct subtree, children first
+    operands: list[tuple[int, ...]] = []
+    index: dict[tuple, int] = {}
+    seen: dict[int, int] = {}  # by identity: the trees outlive the walk
+
+    def intern(e) -> int:
+        at = seen.get(id(e))
+        if at is None:
+            children, payload = _parts(e)
+            args = tuple(map(intern, children))
+            at = index.setdefault((type(e), args, payload), len(nodes))
+            if at == len(nodes):
+                nodes.append(e)
+                operands.append(args)
+            seen[id(e)] = at
+        return at
+
+    jet_roots = [intern(tree) for tree in jets]
+    value_roots = [intern(tree) for tree in values]
+    carried = [False] * len(nodes)
+    for at in jet_roots:
+        carried[at] = True
+    # A node's samples are dropped once its last reader has run; the
+    # roots' are read at the end.
+    readers = [0] * len(nodes)
+    for at in range(len(nodes) - 1, -1, -1):
+        for arg in operands[at]:
+            carried[arg] = carried[arg] or carried[at]
+            readers[arg] += 1
+    for at in jet_roots + value_roots:
+        readers[at] += 1
+    value: list = []
+    slopes: list = []
     with np.errstate(all="ignore"):
-        jet = _eval_jet(e, x_arr)
-    return tuple(np.full(x_arr.shape, part, np.complex128) for part in jet)
+        for e, args, carry in zip(nodes, operands, carried):
+            value.append(_value_step(e, x_arr, [value[a] for a in args]))
+            slopes.append(_slope_step(
+                e, value[-1], [(value[a], *slopes[a]) for a in args])
+                if carry else None)
+            for arg in args:
+                readers[arg] -= 1
+                if not readers[arg]:
+                    value[arg] = slopes[arg] = None
+
+    def full(part):
+        if isinstance(part, np.ndarray) and part.shape == x_arr.shape:
+            return part
+        return np.full(x_arr.shape, part, np.complex128)
+
+    return ([tuple(map(full, (value[at], *slopes[at]))) for at in jet_roots],
+            [full(value[at]) for at in value_roots])
+
+
+def _parts(e) -> tuple[tuple, object]:
+    """A node's operands, and what besides its type and operands tells it
+    apart."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right), None
+    if isinstance(e, Neg):
+        return (e.arg,), None
+    if isinstance(e, Call):
+        return (e.arg,), e.func
+    if isinstance(e, Pow):
+        return (e.base,), e.exponent
+    if isinstance(e, Var):
+        return (), e.name
+    if isinstance(e, Lit):
+        value = e.value
+        return (), (value, math.copysign(1.0, value.real),
+                    math.copysign(1.0, value.imag))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _value_step(e, x, args):
+    """A node's samples from its operands' samples ``args``, formed as
+    :func:`_eval_array` forms them."""
+    if isinstance(e, Lit):
+        return np.complex128(e.value)
+    if isinstance(e, Var):
+        if e.name != "x":
+            raise ValueError(f"batches take x-only trees, got {e.name!r}")
+        return x
+    if isinstance(e, Neg):
+        return -args[0]
+    if isinstance(e, Pow):
+        return args[0] ** e.exponent
+    if isinstance(e, Call):
+        return _ARRAY_FUNCS[e.func](args[0])
+    f, g = args
+    if isinstance(e, Add):
+        return f + g
+    if isinstance(e, Sub):
+        return f - g
+    if isinstance(e, Mul):
+        return f * g
+    return f / g
 
 
 # F'(g) and F''(g) of each function F, given g and h = F(g).
@@ -496,43 +609,39 @@ _JET_SLOPES = {
 }
 
 
-def _eval_jet(e, x):
+def _slope_step(e, h, args):
+    """A node's first two x-derivatives from its samples ``h`` and its
+    operands' jets (f, f', f'')."""
     if isinstance(e, Lit):
-        return np.complex128(e.value), 0j, 0j
+        return 0j, 0j
     if isinstance(e, Var):
-        if e.name != "x":
-            raise ValueError(f"evaluate_jet takes x-only trees, got {e.name!r}")
-        return x, 1 + 0j, 0j
+        return 1 + 0j, 0j
     if isinstance(e, Neg):
-        return tuple(-part for part in _eval_jet(e.arg, x))
+        (_, f1, f2), = args
+        return -f1, -f2
     if isinstance(e, Pow):
-        f, f1, f2 = _eval_jet(e.base, x)
+        (f, f1, f2), = args
         n = e.exponent
         if n == 0:  # skip the terms with a zero factor: 0 * inf at f = 0
-            return f**0, 0j, 0j
+            return 0j, 0j
         if n == 1:
-            return f**1, f1, f2
+            return f1, f2
         lower = f ** (n - 1)
-        return (f**n, n * lower * f1,
+        return (n * lower * f1,
                 n * (lower * f2 + (n - 1) * f ** (n - 2) * f1 * f1))
     if isinstance(e, Call):
-        g, g1, g2 = _eval_jet(e.arg, x)
-        h = _ARRAY_FUNCS[e.func](g)
+        (g, g1, g2), = args
         slope, curvature = _JET_SLOPES[e.func](g, h)
-        return h, slope * g1, slope * g2 + curvature * g1 * g1
-    if not isinstance(e, (Add, Sub, Mul, Div)):
-        raise TypeError(f"not an expression node: {e!r}")
-    f, f1, f2 = _eval_jet(e.left, x)
-    g, g1, g2 = _eval_jet(e.right, x)
+        return slope * g1, slope * g2 + curvature * g1 * g1
+    (f, f1, f2), (g, g1, g2) = args
     if isinstance(e, Add):
-        return f + g, f1 + g1, f2 + g2
+        return f1 + g1, f2 + g2
     if isinstance(e, Sub):
-        return f - g, f1 - g1, f2 - g2
+        return f1 - g1, f2 - g2
     if isinstance(e, Mul):
-        return f * g, f1 * g + f * g1, f2 * g + 2.0 * f1 * g1 + f * g2
-    h = f / g
+        return f1 * g + f * g1, f2 * g + 2.0 * f1 * g1 + f * g2
     h1 = (f1 - h * g1) / g
-    return h, h1, (f2 - 2.0 * h1 * g1 - h * g2) / g
+    return h1, (f2 - 2.0 * h1 * g1 - h * g2) / g
 
 
 # ---------------------------------------------------------------------------

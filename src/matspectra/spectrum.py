@@ -794,7 +794,16 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
     """
     track_pad = _track_pad(cfg)
     xi_values = np.asarray(xi_values, dtype=float)
-    coeffs = _cleared_coefficients(profile, symbol.m, xi_values)
+    # The companion matrix divides every coefficient by the leading one,
+    # and a complex quotient overflows once |Re| + |Im| of an operand does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _cleared_coefficients(profile, symbol.m, xi_values)
+        reach = (np.abs(coeffs.real) + np.abs(coeffs.imag)).sum(axis=1)
+    big = np.flatnonzero(~np.isfinite(reach))
+    if big.size:
+        raise ConfigError(
+            f"frequency {xi_values[big[0]]} is too large: the coefficients "
+            f"of its cleared polynomial sum past the float range")
     lam, degenerate, solves = _companion_roots(coeffs)
     work["companion_solves"] += solves
     for i in np.flatnonzero(degenerate):
@@ -829,11 +838,20 @@ def _segment_needs_split(left: RootTable, right: RootTable,
     """
     close = _distances(left.lam, right.lam) <= cfg.curve_res
     split = np.zeros(left.xi.size, dtype=bool)
-    for roots, partnered in ((left.lam, close.any(axis=2)),
-                             (right.lam, close.any(axis=1))):
+    for roots, partnered in ((left.lam, _any_last(close)),
+                             (right.lam, _any_last(close.swapaxes(1, 2)))):
         emitted = _near_window(roots, cfg.window, _keep_pad(cfg))
-        split |= (emitted & ~partnered).any(axis=1)
+        split |= _any_last(emitted & ~partnered)
     return split
+
+
+def _any_last(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=-1)``, OR-ed slot by slot: over an axis as short as
+    the roots of a row that costs a fraction of the reduction."""
+    out = np.zeros(mask.shape[:-1], dtype=bool)
+    for k in range(mask.shape[-1]):
+        out |= mask[..., k]
+    return out
 
 
 def _refinement_targets(table: RootTable, cfg: SolverConfig) -> np.ndarray:
@@ -1051,9 +1069,10 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     flags; the report's ``skip_counts`` count per side, so a - side that
     reuses the + sweep repeats its skips. Raises :class:`ConfigError` on a
     frequency that is not finite or whose |xi|^m is not, before any sweep,
-    and :class:`FitError`, after writing the report, only when no side
-    produced any certified point and at least one side's fallback rational
-    reconstruction failed outright.
+    or whose cleared polynomial's coefficients sum past the float range,
+    before its roots are sought; and :class:`FitError`, after writing the
+    report, only when no side produced any certified point and at least one
+    side's fallback rational reconstruction failed outright.
     """
     cfg = cfg or SolverConfig()
     if xi_grid is None:

@@ -368,14 +368,15 @@ def test_records_match_lambda_tree_reference(case, probes):
 # ---------------------------------------------------------------------------
 
 def test_probe_count_leaves_tree_work_unchanged(monkeypatch):
-    """Tree walks do not grow with the probes; no tree is differentiated.
+    """Tree walks do not grow with the probes, the grid trees are walked
+    in one batch, and no tree is differentiated.
 
     ``differentiate`` and ``simplify`` are replaced wherever a module of
     the package holds them, so a call through any import counts.
     """
     op = quartic_coupled()
     symbol = build_schur(op)
-    calls = {"evaluate_array": 0, "evaluate_jet": 0}
+    calls = {"evaluate_array": 0, "evaluate_batch": 0}
     symbolic = []
 
     def counting(name, func):
@@ -390,7 +391,7 @@ def test_probe_count_leaves_tree_work_unchanged(monkeypatch):
             return func(tree, *args, **kwargs)
         return wrapped
 
-    for name in ("evaluate_array", "evaluate_jet"):
+    for name in ("evaluate_array", "evaluate_batch"):
         monkeypatch.setattr(asymptotics_module, name,
                             counting(name, getattr(asymptotics_module, name)))
     for module in [m for key, m in sys.modules.items()
@@ -403,9 +404,9 @@ def test_probe_count_leaves_tree_work_unchanged(monkeypatch):
     probes = [1.7 + 2.3j, -2.6 + 1.1j, 0.4 - 1.9j, 2j, -3.0 + 0j]
     counts = []
     for count in (1, 5):
-        calls.update(evaluate_array=0, evaluate_jet=0)
+        calls.update(evaluate_array=0, evaluate_batch=0)
         check_assumptions(op, symbol, probes[:count], GRID)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["evaluate_array"] > 0 and counts[0]["evaluate_jet"] > 0
+    assert counts[0]["evaluate_array"] > 0 and counts[0]["evaluate_batch"] == 1
     assert symbolic == []

@@ -39,8 +39,10 @@ from matspectra.asymptotics import (
     T,
     WINDOWS,
     ZERO_MARGIN,
+    TURN_TOL,
     Certificate,
     SymbolLimits,
+    _GridJets,
     TailLimit,
     _check_c,
     _cluster,
@@ -60,6 +62,7 @@ from matspectra.asymptotics import (
     symbol_limits,
 )
 from matspectra import asymptotics as asymptotics_module
+from matspectra.cli import DEFAULT_PROBES
 from matspectra.config import SolverConfig
 from matspectra.errors import LimitRefused, NotConvergent, PoleError
 from matspectra.expr import (Call, Div, Lit, X, evaluate, evaluate_array,
@@ -68,6 +71,8 @@ from matspectra.model import OperatorMatrix, delta, validation_grid
 from matspectra.schur import build_schur, coefficient_trees
 
 CFG = SolverConfig()
+# The probes the benchmark's check workload draws for seed 1.
+SEED_1_PROBES = (1.163253 - 1.656608j, -0.113715 + 3.569169j)
 
 
 def quartic_tail_ratios(lam: complex) -> list[complex]:
@@ -769,7 +774,9 @@ def test_quartic_probes_produce_no_failures():
     # lambda = 1 lies on the sampled decoupling curve (its value at x = 0),
     # where p_m genuinely vanishes: sampled checks report inconclusive
     # rather than fail, and the limits themselves still converge.
-    assert by_assumption(diag, "B2", 1.0 + 0j).status == "inconclusive"
+    b2 = by_assumption(diag, "B2", 1.0 + 0j)
+    assert b2.status == "inconclusive"
+    assert b2.witness[1:] == (0.0, 0.0)  # the smallest |p_m|, at x = 0
     assert by_assumption(diag, "D", 1.0 + 0j).status == "pass"
     for record in diag.records:
         if record.assumption == "C":
@@ -784,6 +791,11 @@ def test_quartic_probes_produce_no_failures():
     # B1, B3 and D fail at 2+3i and -1; 0.0005i sits next to the curve
     # delta = 1 - x^2, so its failures are downgraded to inconclusive.
     (unbounded_coupling(), [2.0 + 3j, 0.0005j, -1.0 + 0j]),
+    # d = -x^2 is -0.0 at the grid point x = 0, and the quartic's d is
+    # 1 + i there: each probe equal to d at a grid point makes the pole
+    # mask of B3 in its row of the batch.
+    (parabolic_potential(), [*DEFAULT_PROBES, 0j]),
+    (quartic_coupled(), [2j, 1.0 + 1j, -3.0 + 0j]),
 ])
 def test_probe_list_matches_probe_by_probe_calls(op, probes):
     # One call over all probes gives, in order, the records of one call per
@@ -1028,6 +1040,78 @@ def test_hull_agrees_with_qhull(name):
 @given(v=sample_clouds())
 def test_hull_of_sample_clouds_agrees_with_qhull(v):
     assert_hull_agrees_with_qhull(v)
+
+
+def plain_monotone_chain(v: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain with no pass and no jump: each point of the
+    sorted, deduplicated samples pops the chain's end while the two turn
+    no strict left turn, by the package's rounding rule, then joins."""
+    def left_turn(a, b, c):
+        ab, bc = b - a, c - b
+        cross = ab.real * bc.imag - ab.imag * bc.real
+        return cross > TURN_TOL * abs(ab) * abs(bc)
+
+    def chain(points):
+        out = []
+        for c in points:
+            while len(out) > 1 and not left_turn(out[-2], out[-1], c):
+                out.pop()
+            out.append(c)
+        return out
+
+    p = v[np.lexsort((v.imag, v.real))]
+    p = p[np.concatenate(([True], p[1:] != p[:-1]))]
+    if p.size < 3:
+        return p
+    lower, upper = chain(p.tolist()), chain((-p[::-1]).tolist())
+    return np.array(lower[:-1] + [-z for z in upper[:-1]])
+
+
+def p_m_cloud(factory, probe):
+    op = factory()
+    jets = _GridJets.sample(op, build_schur(op), validation_grid(CFG))
+    p_m = jets.values(probe)[1]
+    return p_m[np.isfinite(p_m)]
+
+
+def chain_corpora() -> dict:
+    rng = np.random.default_rng(7)
+    t = np.linspace(-3.0, 3.0, 1201)
+    arc = np.exp(1j * np.pi * np.linspace(0.05, 0.95, 801))
+    return {
+        # Convex: every sample is a vertex of one chain.
+        "convex parabola": t + 1j * t * t,
+        "convex circle": np.exp(2j * np.pi * rng.uniform(size=900)),
+        # Concave: the lower chain of an upper arc is its two ends, and a
+        # wavy band has a concave run between every two vertices.
+        "concave arc": arc,
+        "concave waves": t + 0.3j * np.cos(7.0 * t) + 0.01j * t * t,
+        "spiral": (1.0 + t) * np.exp(4j * t),
+        # Collinear: exactly and to rounding.
+        "collinear exact": np.linspace(-2.0, 2.0, 41) * (1.0 + 0.5j),
+        "collinear rounded": np.linspace(-1.0, 2.0, 301) * (1.0 + 1j / 3.0),
+        "collinear vertical": 0.5 + 1j * np.linspace(-1.0, 1.0, 11),
+        # Duplicates: every sample twice, and a few points many times.
+        "duplicate parabola": np.repeat(t - 1j * (t * t + 1.0), 2),
+        "duplicate cloud": np.tile(rng.normal(size=30)
+                                   + 1j * rng.normal(size=30), 6),
+        "duplicate point": np.full(9, 1.0 - 2j),
+    }
+
+
+@pytest.mark.parametrize("name", list(chain_corpora()))
+def test_hull_matches_a_plain_monotone_chain_on_corpora(name):
+    v = chain_corpora()[name]
+    assert _hull(v).tobytes() == plain_monotone_chain(v).tobytes()
+
+
+@pytest.mark.parametrize("factory", [quartic_coupled, parabolic_potential])
+@pytest.mark.parametrize("probe", [*DEFAULT_PROBES, *SEED_1_PROBES])
+def test_hull_matches_a_plain_monotone_chain_on_p_m_clouds(factory, probe):
+    # The clouds C takes hulls of: the parabolic's sides hold about 1,100
+    # vertices each, the quartic's concave runs make the chain pop.
+    v = p_m_cloud(factory, probe)
+    assert _hull(v).tobytes() == plain_monotone_chain(v).tobytes()
 
 
 def test_unbounded_coefficient_fails_b1(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matspectra import expr as expr_module
 from matspectra.config import SolverConfig
 from matspectra.errors import DomainError, ParseError, PoleError
 from matspectra.expr import (
@@ -31,6 +32,7 @@ from matspectra.expr import (
     differentiate,
     evaluate,
     evaluate_array,
+    evaluate_batch,
     evaluate_jet,
     node_count,
     parse,
@@ -40,7 +42,8 @@ from matspectra.expr import (
 from matspectra.model import validation_grid
 from matspectra.schur import build_schur
 
-from factories import _rand_coeff, random_operator
+from factories import (_rand_coeff, parabolic_potential, quartic_coupled,
+                       random_operator)
 from oracles import central_diff
 
 
@@ -497,6 +500,145 @@ def test_jet_matches_symbolic_derivatives_on_composite_trees(seed):
             values = _sampled(sub, x)
             regular &= np.isfinite(values) & (values != 0)
     assert_jet_matches_symbolic(tree, x, where=regular)
+
+
+# ---------------------------------------------------------------------------
+# Batch sampling against one tree at a time
+# ---------------------------------------------------------------------------
+
+# F'(g) and F''(g) of each function F, given g and h = F(g), in the
+# arithmetic order of the package's forward mode.
+_REFERENCE_SLOPES = {
+    "exp": lambda g, h: (h, h),
+    "sin": lambda g, h: (np.cos(g), -h),
+    "cos": lambda g, h: (-np.sin(g), -h),
+    "sqrt": lambda g, h: (0.5 / h, -0.25 / (h * g)),
+    "log": lambda g, h: (1.0 / g, -1.0 / (g * g)),
+    "atan": lambda g, h: (1.0 / (1.0 + g * g), -2.0 * g / (1.0 + g * g) ** 2),
+}
+_REFERENCE_FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos,
+                    "sqrt": np.sqrt, "log": np.log, "atan": np.arctan}
+
+
+def reference_jet(tree, x):
+    """(f, f', f'') of an x-only tree by plain recursion, each subtree
+    walked wherever it occurs: the forward-mode rules with no sharing."""
+    def walk(e):
+        if isinstance(e, Lit):
+            return np.complex128(e.value), 0j, 0j
+        if isinstance(e, Var):
+            return x, 1 + 0j, 0j
+        if isinstance(e, Neg):
+            return tuple(-part for part in walk(e.arg))
+        if isinstance(e, Pow):
+            f, f1, f2 = walk(e.base)
+            n = e.exponent
+            if n == 0:
+                return f**0, 0j, 0j
+            if n == 1:
+                return f**1, f1, f2
+            lower = f ** (n - 1)
+            return (f**n, n * lower * f1,
+                    n * (lower * f2 + (n - 1) * f ** (n - 2) * f1 * f1))
+        if isinstance(e, Call):
+            g, g1, g2 = walk(e.arg)
+            h = _REFERENCE_FUNCS[e.func](g)
+            slope, curvature = _REFERENCE_SLOPES[e.func](g, h)
+            return h, slope * g1, slope * g2 + curvature * g1 * g1
+        f, f1, f2 = walk(e.left)
+        g, g1, g2 = walk(e.right)
+        if isinstance(e, Add):
+            return f + g, f1 + g1, f2 + g2
+        if isinstance(e, Sub):
+            return f - g, f1 - g1, f2 - g2
+        if isinstance(e, Mul):
+            return f * g, f1 * g + f * g1, f2 * g + 2.0 * f1 * g1 + f * g2
+        h = f / g
+        h1 = (f1 - h * g1) / g
+        return h, h1, (f2 - 2.0 * h1 * g1 - h * g2) / g
+
+    x = np.asarray(x, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        return tuple(np.full(x.shape, part, np.complex128)
+                     for part in walk(tree))
+
+
+def _same_bytes(got, want):
+    return (got.dtype, got.shape, got.tobytes()) \
+        == (want.dtype, want.shape, want.tobytes())
+
+
+def assert_batch_matches_one_by_one(trees, x):
+    """One batch, each tree both as a jet and as plain values, against
+    evaluate_array, evaluate_jet and the unshared recursion, byte for
+    byte."""
+    jets, values = evaluate_batch(x, jets=trees, values=trees)
+    assert len(jets) == len(values) == len(trees)
+    for tree, jet, value in zip(trees, jets, values):
+        assert _same_bytes(value, evaluate_array(tree, x=x)), str(tree)
+        for got, single, plain in zip(jet, evaluate_jet(tree, x),
+                                      reference_jet(tree, x)):
+            assert _same_bytes(got, single), str(tree)
+            assert _same_bytes(got, plain), str(tree)
+
+
+def _check_trees(op):
+    """The x-only trees check_assumptions samples on the grid."""
+    symbol = build_schur(op)
+    return [*symbol.alpha, *(t for row in symbol.beta for t in row),
+            symbol.d, *op.b, *op.c, op.d,
+            op.d - op.b[op.n] * op.c[op.k] / op.a[op.m]]
+
+
+@pytest.mark.parametrize("factory", [quartic_coupled, parabolic_potential])
+def test_batch_matches_one_by_one_on_bundled_operators(factory):
+    assert_batch_matches_one_by_one(_check_trees(factory()),
+                                    validation_grid(SolverConfig()))
+
+
+def test_batch_matches_one_by_one_on_random_operators():
+    grid = validation_grid(SolverConfig())
+    for seed in range(24):
+        rng = random.Random(seed)
+        op = random_operator(rng, rng.choice([2, 4]), settling=seed % 2 == 1)
+        assert_batch_matches_one_by_one(_check_trees(op), grid)
+
+
+def test_batch_keeps_literals_of_either_zero_sign_apart():
+    # Equal as dataclasses, yet -0.0 + 0.0 = 0.0 and -0.0 + -0.0 = -0.0.
+    plus, minus = Add(X, Lit(0.0)), Add(X, Lit(-0.0))
+    assert plus == minus
+    x = np.array([-0.0, 0.0, 1.5])
+    trees = [plus, minus, Mul(plus, X), Mul(minus, X),
+             Add(X, Lit(complex(0.0, -0.0))), Sub(Lit(-0.0), X)]
+    assert_batch_matches_one_by_one(trees, x)
+    values = evaluate_batch(x, values=[plus, minus])[1]
+    assert values[0].tobytes() != values[1].tobytes()
+
+
+def test_batch_matches_one_by_one_where_samples_are_not_finite():
+    x = np.array([-40.0, -1.0, -0.0, 0.0, 0.5, 30.0, 1e200, np.inf, np.nan])
+    trees = [parse(source) for source in (
+        "1/x", "log(x)", "sqrt(x)", "exp(x^2)", "x*exp(x^2) - exp(x^2)*x",
+        "atan(1/x)^3", "(x - x)^-2", "sin(exp(x))", "1/(1 + x^2)")]
+    assert_batch_matches_one_by_one(trees, x)
+
+
+def test_batch_evaluates_each_distinct_subtree_once(monkeypatch):
+    # x, x^2, exp(x^2), 1 and 2.0 once each across both trees, one of them
+    # built apart from the other, then the sum and the product.
+    calls = []
+    step = expr_module._value_step
+
+    def counting(e, x, args):
+        calls.append(e)
+        return step(e, x, args)
+
+    monkeypatch.setattr(expr_module, "_value_step", counting)
+    evaluate_batch(np.linspace(-1.0, 1.0, 5),
+                   jets=[parse("exp(x^2) + 1")],
+                   values=[parse("exp(x^2) * 2.0"), parse("exp(x^2) + 1")])
+    assert len(calls) == 7
 
 
 # ---------------------------------------------------------------------------

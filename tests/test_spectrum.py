@@ -250,6 +250,21 @@ class TestSingularPart:
             singular_part(op, cfg=SolverConfig(xi_max=xi_max))
         sweep.assert_not_called()
 
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_frequency_whose_cleared_coefficients_overflow_refused(self,
+                                                                   seed):
+        # |xi|^2 is finite at 1.3e154, but xi^2 times Q's coefficients is
+        # not (seeds 0 and 1), or the coefficients sum past the float range
+        # (seed 5). Before, seed 1 raised a bare LinAlgError from
+        # _companion_roots and seeds 0 and 5 warned of overflow.
+        op = random_operator(random.Random(seed), 2, settling=True)
+        cfg = SolverConfig(xi_max=1.3e154, xi_points=20, curve_res=0.5)
+        message = r"frequency -1\.3\d*e\+154 is too large: the coefficients"
+        with mock.patch.object(spectrum_module, "_companion_roots") as roots, \
+                pytest.raises(ConfigError, match=message):
+            singular_part(op, cfg=cfg)
+        roots.assert_not_called()
+
     def test_quartic_below_the_overflow_sweeps_every_row(self):
         report = {}
         singular_part(quartic_coupled(), cfg=SolverConfig(xi_max=1e76),

@@ -1,12 +1,15 @@
 """Tree-walk counts of the bundled quartic workloads.
 
-Every node visit of ``expr._eval_array`` and ``expr._eval_jet`` is counted,
-so a change that samples a tree more often fails here whatever the timing
-noise. The ceilings are measured counts; lower is fine. The spectrum's
-ceiling is the count since d's limit points at infinity are taken from its
-certified limits (604 while d was sampled on 12 dyadic windows, 908 while
-each tail tree was sampled once per trajectory, 27,357 while the sweep
-polished roots on limit batches). The certificate scans are counted too:
+Every node visit of ``expr._eval_array`` and every node the batch walker
+evaluates (``expr._value_step``) is counted, so a change that samples a tree
+more often fails here whatever the timing noise. The ceilings are measured
+counts; lower is fine. The check's grid trees take one batch, which
+evaluates each of their 59 distinct subtrees once (164 jet node visits
+while each tree was walked on its own, and 27 more plain ones for the
+decoupling function). The spectrum's ceiling is the count since d's limit
+points at infinity are taken from its certified limits (604 while d was
+sampled on 12 dyadic windows, 908 while each tail tree was sampled once per
+trajectory, 27,357 while the sweep polished roots on limit batches). The certificate scans are counted too:
 one per side for all the tail limits, one for both ends of the regular
 curve and one for both ends of d (42 while each tree had a scan of its own
 on each trajectory). The sweep's frequency batches are counted
@@ -40,7 +43,7 @@ SEED_1_PROBES = "1.163253-1.656608i,-0.113715+3.569169i"
 
 @pytest.fixture
 def visits(monkeypatch):
-    counts = {"_eval_array": 0, "_eval_jet": 0}
+    counts = {"_eval_array": 0, "_value_step": 0}
     for name in counts:
         walk = getattr(expr, name)
 
@@ -54,10 +57,10 @@ def visits(monkeypatch):
 
 def test_quartic_spectrum_walks_no_more_nodes(visits):
     op = load_operator(QUARTIC_CFG)
-    visits.update(_eval_array=0, _eval_jet=0)
+    visits.update(_eval_array=0, _value_step=0)
     essential_spectrum(op, QUARTIC_WINDOW)
     assert visits["_eval_array"] <= 437
-    assert visits["_eval_jet"] == 0
+    assert visits["_value_step"] == 0
 
 
 def test_quartic_spectrum_solves_no_more_batches(monkeypatch):
@@ -109,5 +112,5 @@ def test_continuation_takes_the_array_path_between_few_joints(
 def test_quartic_check_walks_no_more_nodes(visits, tmp_path):
     assert main(["check", "--config", str(QUARTIC_CFG), "--out",
                  str(tmp_path), f"--probes={SEED_1_PROBES}"]) == 0
-    assert visits["_eval_array"] <= 331
-    assert visits["_eval_jet"] <= 164
+    assert visits["_eval_array"] <= 304
+    assert visits["_value_step"] <= 59
