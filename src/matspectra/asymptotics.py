@@ -738,6 +738,11 @@ PROBE_MARGIN = 1e-3
 BOUND_CAP = 1e8
 """Largest sampled magnitude that B1 and B3 accept as bounded."""
 
+PROBE_CHUNK = 4
+"""Probes whose grid values :func:`check_assumptions` holds at once; each
+costs about 1.1 MB on the default validation grid, so memory stays bounded
+however many probes a call takes."""
+
 
 def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
                       probes, grid: np.ndarray) -> Diagnostics:
@@ -763,17 +768,28 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     and the operator's b and d with their first two x-derivatives, and c
     and the unsimplified decoupling function as plain values
     (:class:`_GridJets`); the trajectory samples for D are taken once per
-    side. All probes then go as one (P, S) batch: array algebra in
-    u = 1/(d - lambda), with u' = -d' u^2, gives every B1, B2 and B3 value,
-    each check reduces the stacked values, and one certificate scan per
-    side gives D. Only C's convex hull is taken probe by probe.
+    side. The probes then go in (P, S) batches of at most ``PROBE_CHUNK``:
+    array algebra in u = 1/(d - lambda), with u' = -d' u^2, gives every B1,
+    B2 and B3 value, each check reduces the stacked values, and one
+    certificate scan per side gives D. Only C's convex hull is taken probe
+    by probe.
     """
     grid = np.asarray(grid, dtype=float)
     probe_list = [complex(probe) for probe in probes]
-    probes = np.array(probe_list, dtype=np.complex128)
     jets = _GridJets.sample(op, symbol, grid)
     trajectories = [(side, _sample_form(symbol, _trajectory(side)))
                     for side in ("+", "-")]
+    records: list[DiagnosticRecord] = []
+    for start in range(0, len(probe_list), PROBE_CHUNK):
+        records += _probe_records(jets, trajectories,
+                                  probe_list[start:start + PROBE_CHUNK], grid)
+    return Diagnostics(records=tuple(records))
+
+
+def _probe_records(jets: _GridJets, trajectories, probe_list: list[complex],
+                   grid: np.ndarray) -> list[DiagnosticRecord]:
+    """The records of :func:`check_assumptions` for one batch of probes."""
+    probes = np.array(probe_list, dtype=np.complex128)
     coefficients, p_m, weighted = jets.values(probes)
     near_curve = np.zeros(probes.shape, dtype=bool)
     if jets.delta.size:
@@ -786,7 +802,7 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
         [_check_c(values, probe, grid)
          for values, probe in zip(p_m, probe_list)],
         _check_d(trajectories, probes))
-    records: list[DiagnosticRecord] = []
+    records = []
     for near, batch in zip(near_curve.tolist(), checks):
         for record in batch:
             if near and record.status == "fail":
@@ -797,7 +813,7 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
                              f"sampled decoupling curve; {label}",
                              location, measured))
             records.append(record)
-    return Diagnostics(records=tuple(records))
+    return records
 
 
 class _GridJets(NamedTuple):

@@ -23,9 +23,10 @@ ratios. Per side the solve is staged:
    ``lambda = d^inf``. Every limit is certified again on the recheck
    trajectory of :mod:`~matspectra.asymptotics`, and the two values must
    agree within their last increments;
-2. clear denominators at fixed xi and take companion-matrix eigenvalues as
-   root candidates, with one stacked ``eigvals`` call per batch of
-   frequencies whose cleared polynomials share a trimmed degree;
+2. clear denominators at fixed xi and take the roots as candidates, one
+   stacked solve per batch of frequencies whose cleared polynomials share
+   a trimmed shape: closed form for degree 1 and 2, companion-matrix
+   ``eigvals`` above;
 3. accept a candidate when the closed-form ``|F_xi(lambda)| <= ROOT_TOL``
    or when the Newton steps on F and on its cleared form are both at most
    ``DEDUPE_TOL``; one that misses takes at most ``NEWTON_STEPS`` Newton
@@ -531,12 +532,20 @@ def _companion_roots(coeffs: np.ndarray
     """Roots of the cleared polynomials, one row of ascending coefficients each.
 
     A row is trimmed at 1e-12 of its largest magnitude. Rows with the same
-    degree and number of vanishing low-order coefficients share one stacked
-    ``eigvals`` call on companion matrices built exactly as ``np.roots``
-    builds them, so each root carries the bits ``np.roots`` gives for the
-    trimmed row (as complex128). Returns the (F, R) roots, NaN-padded, the
-    (F,) mask of degenerate rows (all zero or not finite; no roots) and the
-    number of ``eigvals`` calls.
+    degree and number of vanishing low-order coefficients are solved as one
+    stack from the monic row ``-desc[1:] / desc[0]`` that ``np.roots`` puts
+    in its companion matrix. Degree 1 takes that quotient as its root, and
+    degree 3 and above one stacked ``eigvals`` call on the companion
+    matrices, so both carry the bits ``np.roots`` gives for the trimmed row
+    (as complex128). Degree 2, ``z**2 + p z + r``, takes the roots
+    ``q = -(p + s sqrt(p**2 - 4 r)) / 2`` and ``r / q``, with the sign ``s``
+    under which ``p`` and the root do not cancel (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 1.8); they agree
+    with ``np.roots`` to rounding. The trim keeps ``|p|`` below 1e12 and
+    ``|r|`` within 1e-12 to 1e12, so nothing overflows or goes subnormal
+    and ``q`` is never 0. Returns the (F, R) roots, NaN-padded, the (F,)
+    mask of degenerate rows (all zero or not finite; no roots) and the
+    number of stacked solves, one per shape.
     """
     mags = np.abs(coeffs)
     top = mags.max(axis=1, initial=0.0)
@@ -558,10 +567,22 @@ def _companion_roots(coeffs: np.ndarray
         roots[rows, degree:degree + zeros] = 0.0
         if degree:
             desc = trimmed[rows, zeros:zeros + degree + 1][:, ::-1]
-            companion = np.zeros((rows.size, degree, degree), dtype=complex)
-            companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-            companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-            roots[rows, :degree] = np.linalg.eigvals(companion)
+            monic = -desc[:, 1:] / desc[:, :1]
+            if degree == 1:
+                roots[rows, 0] = monic[:, 0]
+            elif degree == 2:  # z**2 + p z + r
+                p, r = -monic[:, 0], -monic[:, 1]
+                root = np.sqrt(p * p - 4.0 * r)
+                root = np.where(p.real * root.real + p.imag * root.imag < 0.0,
+                                -root, root)
+                q = -0.5 * (p + root)
+                roots[rows, 0], roots[rows, 1] = q, r / q
+            else:
+                companion = np.zeros((rows.size, degree, degree),
+                                     dtype=complex)
+                companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+                companion[:, 0, :] = monic
+                roots[rows, :degree] = np.linalg.eigvals(companion)
             solves += 1
     return roots, degenerate, solves
 
@@ -794,7 +815,7 @@ def _solve_at(symbol: SchurSymbol, profile: RationalProfile,
     """
     track_pad = _track_pad(cfg)
     xi_values = np.asarray(xi_values, dtype=float)
-    # The companion matrix divides every coefficient by the leading one,
+    # The root solve divides every coefficient by the leading one,
     # and a complex quotient overflows once |Re| + |Im| of an operand does.
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _cleared_coefficients(profile, symbol.m, xi_values)

@@ -12,8 +12,16 @@ refining where only a root that is never emitted comes and goes: they hold
 a subset of the earlier singular points (2,252 of 2,284 at the benchmark
 settings, 61,912 of 61,938 at the default), each dropped point within
 ``curve_res`` of a kept one. The parabolic entries did not change.
-Another NumPy build may round the companion eigenvalues differently and
-change the bytes without a change here.
+The two quartic CSV hashes were recorded once more when the quartic's
+degree-2 tail polynomials came to be solved by the quadratic formula in
+place of companion eigenvalues: the same points at the same frequencies,
+each within 2.1e-15 of the old value at the benchmark settings and within
+1.6e-14 at the default, so only the last digits of the CSV moved and the
+SVG bytes held. The parabolic entries (degree 1, whose root keeps its
+bits) did not change.
+Another NumPy build may round the companion eigenvalues or the quadratic
+formula's square root differently and change the bytes without a change
+here.
 """
 
 from __future__ import annotations

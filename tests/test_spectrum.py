@@ -6,6 +6,8 @@ import dataclasses
 import math
 import random
 import re
+import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -705,10 +707,44 @@ def _cleared_matrices(draw):
     return np.asarray(rows, dtype=complex).reshape(len(rows), width)
 
 
+def _backward_error(desc, z):
+    """``|P(z)| / sum_i |a_i| |z|**i`` for descending ``desc``, P(z) exact.
+
+    The row is scaled by a power of two near its largest magnitude first,
+    which changes neither the ratio nor any bit, so no sum overflows.
+    """
+    desc = desc / 2.0 ** math.frexp(float(np.abs(desc).max()))[1]
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    pr = pi = Fraction(0)
+    for a in desc.tolist():
+        pr, pi = (pr * zr - pi * zi + Fraction(a.real),
+                  pr * zi + pi * zr + Fraction(a.imag))
+    scale = sum(abs(a) * abs(z) ** k for k, a in enumerate(desc[::-1]))
+    return math.sqrt(float(pr * pr + pi * pi)) / scale
+
+
+# Exact residuals of the quadratic formula reach 2.0 eps on random rows,
+# where np.roots reaches 4.4 eps.
+QUADRATIC_BACKWARD_TOL = 8.0 * np.finfo(float).eps
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(coeffs=_cleared_matrices())
+# A near-double root, a vanishing middle term, leading terms just above and
+# at the 1e-12 trim, and rows near both ends of the float range.
+@example(coeffs=np.array([[1.0 + 1e-15, 2.0, 1.0], [1.0, 0.0, 1.0],
+                          [-2.0, 0j, 3.0 + 1.0j],
+                          [1.0, 1.0, 1e-12 * (1.0 + 2.0 ** -20)],
+                          [3.0, -1.0, 1e-12]], dtype=complex))
+@example(coeffs=np.array([[1e300, -2e300, 1e300j], [1e-300, 2e-300, 1e-300],
+                          [1e150, 1e160, 1e150], [1e-300, 1e-290, 1e-300],
+                          [1.5e307, -1e307, 1e307]], dtype=complex))
 def test_companion_roots_match_per_row_np_roots(coeffs):
-    roots, degenerate, solves = _companion_roots(coeffs)
+    """Degree 1 and degree 3 and above carry the bits of ``np.roots``; a
+    quadratic's roots have exact backward errors within a few eps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots, degenerate, solves = _companion_roots(coeffs)
     assert roots.dtype == np.complex128
     assert degenerate.shape == (coeffs.shape[0],)
     assert roots.shape[0] == coeffs.shape[0]
@@ -722,16 +758,25 @@ def test_companion_roots_match_per_row_np_roots(coeffs):
             continue
         assert not skipped
         mags = np.abs(row)
-        kept = np.flatnonzero(mags > 1e-12 * mags.max())
-        if kept[-1] > kept[0]:
-            shapes.add((kept[-1] - kept[0], kept[0]))
+        trimmed = np.where(mags > 1e-12 * mags.max(), row, 0.0)
+        kept = np.flatnonzero(trimmed)
+        degree = kept[-1] - kept[0]
+        if degree:
+            shapes.add((degree, kept[0]))
         # np.roots gives float64 zeros for a lone term of positive degree.
         want = want.astype(np.complex128)
         widths.append(want.size)
-        assert got[:want.size].tobytes() == want.tobytes()
         assert np.isnan(got[want.size:]).all()
+        if degree != 2:
+            assert got[:want.size].tobytes() == want.tobytes()
+            continue
+        # np.roots lists the roots of the trimmed row, then its zeros.
+        assert got[2:want.size].tobytes() == want[2:].tobytes()
+        desc = trimmed[kept[0]:kept[-1] + 1][::-1]
+        for z in got[:2]:
+            assert _backward_error(desc, z) <= QUADRATIC_BACKWARD_TOL
     assert roots.shape[1] == max(widths)
-    # One stacked eigvals per (degree, vanishing low-order terms) shape.
+    # One stacked solve per (degree, vanishing low-order terms) shape.
     assert solves == len(shapes)
 
 

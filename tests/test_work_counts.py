@@ -21,10 +21,17 @@ the width floor).
 The branch continuation's counts are pinned exactly: the rows it assigns
 by array and the joints it leaves to the per-row loop (the quartic's 1,428
 array rows fell to 1,396 with the 32 points those rounds added).
+Both bundled operators' tail polynomials have degree 2 (quartic) or 1
+(parabolic), which ``_companion_roots`` solves in closed form, so their
+benchmark runs call ``np.linalg.eigvals`` from ``spectrum`` not at all;
+the stacked solves per side are pinned at the counts of that change.
 """
 
 from __future__ import annotations
 
+import sys
+
+import numpy as np
 import pytest
 
 from factories import PARABOLIC_CFG, QUARTIC_CFG
@@ -35,9 +42,11 @@ from matspectra.model import load_operator
 from matspectra.spectrum import essential_spectrum
 
 # The window and curve resolution of the benchmark's quartic spectrum run,
-# and the probes its check run draws with seed 1.
+# the window of its parabolic one, and the probes its check run draws with
+# seed 1.
 QUARTIC_WINDOW = SolverConfig().with_overrides(
     window=(-2.0, 2.0, -2.0, 2.0), curve_res=1e-2)
+PARABOLIC_WINDOW = SolverConfig().with_overrides(window=(-2.0, 1.0, -0.5, 0.5))
 SEED_1_PROBES = "1.163253-1.656608i,-0.113715+3.569169i"
 
 
@@ -91,6 +100,26 @@ def test_quartic_spectrum_scans_no_more_limit_blocks(monkeypatch):
     monkeypatch.setattr(asymptotics, "_limit_block", counted)
     essential_spectrum(op, QUARTIC_WINDOW)
     assert calls <= 4
+
+
+@pytest.mark.parametrize("config, cfg, solves", [
+    (QUARTIC_CFG, QUARTIC_WINDOW, 8), (PARABOLIC_CFG, PARABOLIC_WINDOW, 8)],
+    ids=["quartic", "parabolic"])
+def test_low_degree_tails_call_no_eigvals(config, cfg, solves, monkeypatch):
+    calls = 0
+    eigvals = np.linalg.eigvals
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += sys._getframe(1).f_globals["__name__"] == spectrum.__name__
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    report = essential_spectrum(load_operator(config), cfg).report
+    assert calls == 0
+    assert {side: sweep["companion_solves"] for side, sweep
+            in report["singular"]["sweeps"].items()} == {"+": solves,
+                                                         "-": solves}
 
 
 @pytest.mark.parametrize("config, branches, array_rows, joints", [
