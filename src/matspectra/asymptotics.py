@@ -24,7 +24,8 @@ Four services live here:
   :func:`limit_of` would. It decides by a geometric tail bound which
   limits are exactly 0 and names the first one refused, with the error
   :func:`limit_of` raises on it; the singular sweep builds its
-  closed-form tail polynomial from them.
+  closed-form tail polynomial from them, taking both sides from one such
+  walk and scan on the four trajectories stacked as columns.
 - :func:`limit_points_at_infinity` gives the finite limit points of the
   lower-right coefficient ``d`` at infinity: d's certified limit toward a
   side, none where 1/d is certified to tend to 0, and only where both are
@@ -409,6 +410,21 @@ def _limit_on(expr: Expr, side: str, xs: np.ndarray
               ) -> tuple[complex, Certificate]:
     """:func:`limit_of` on the trajectory ``xs`` toward ``side``."""
     samples = evaluate_array(expr, x=xs)
+    block = _limit_block(samples[None, :, None], LIMIT_TOL)
+    error = _limit_error(expr, side, xs, samples, block)
+    if error is not None:
+        raise error
+    return complex(block[0][0, 0]), _certificate(block, 0, 0)
+
+
+def _limit_error(expr: Expr, side: str, xs: np.ndarray, samples: np.ndarray,
+                 block) -> NotConvergent | PoleError | None:
+    """The error :func:`limit_of` raises when the one-column scan ``block``
+    of the expression's ``samples`` on ``xs`` fails, or None when it
+    converged."""
+    status = _status(block[4], block[5], np.isfinite(samples))[0]
+    if status == "ok":
+        return None
 
     def overflow(x: float) -> str:
         try:
@@ -422,13 +438,11 @@ def _limit_on(expr: Expr, side: str, xs: np.ndarray
             pass
         return "samples overflow"
 
-    column = samples[None, :, None]
-    block = _limit_block(column, LIMIT_TOL)
-    status = _status(block[4], block[5], np.isfinite(samples))[0]
-    if status != "ok":
-        raise _refusal(column, block, status, 0, xs, side, ["the limit"],
-                       overflow)
-    return complex(block[0][0, 0]), _certificate(block, 0, 0)
+    try:
+        return _refusal(samples[None, :, None], block, status, 0, xs, side,
+                        ["the limit"], overflow)
+    except PoleError as pole:
+        return pole
 
 
 def _end_limits(expr: Expr) -> dict[str, Certificate | None]:
@@ -536,64 +550,115 @@ def symbol_limits(symbol: SchurSymbol, side: str) -> SymbolLimits:
     :class:`LimitRefused` naming the first tree whose limit is refused or
     whose recheck disagrees.
     """
-    xs = np.stack([_trajectory(side, r) for r in (False, True)], axis=1)
+    limits = _symbol_limits(symbol, (side,))[side]
+    if isinstance(limits, LimitRefused):
+        raise limits
+    return limits
 
-    def certified(trees):
-        """The TailLimit of each (label, j, q, tree), checked in order."""
+
+def _symbol_limits(symbol: SchurSymbol, sides: tuple[str, ...]
+                   ) -> dict[str, SymbolLimits | LimitRefused]:
+    """:func:`symbol_limits` toward each of ``sides``, or the refusal it
+    raises there.
+
+    Each tree is walked once, on the ``X0`` and recheck trajectories of
+    every side stacked as columns, and one certificate scan covers them
+    all; each side reads its own two columns. Only the sides whose d does
+    not settle go on to 1/d and beta_jq/d^q, in one more walk and scan.
+    """
+    def scan(trees, ends):
+        """The checked limits of ``trees`` toward each of ``ends``."""
+        xs = np.stack([_trajectory(side, recheck) for side in ends
+                       for recheck in (False, True)], axis=1)
         samples = np.stack([evaluate_array(tree, x=xs) for *_, tree in trees])
         block = _limit_block(samples, LIMIT_TOL)
-        converged = block[4]
-        for i, (label, j, q, tree) in enumerate(trees):
-            for k, settled in enumerate(converged[i]):
-                if not settled:
-                    _refuse(label, tree, side, xs[:, k])
-            first, again = (_certificate(block, i, k) for k in (0, 1))
-            if abs(first.value - again.value) > (first.last_increment
-                                                 + again.last_increment):
-                raise LimitRefused(label, (
-                    f"the recheck from x = {X0 * RECHECK_X0_SCALE!r} gives "
-                    f"{again.value} against {first.value}, farther apart "
-                    "than their last increments"))
-            limit = TailLimit(label, j, q, first, again)
-            near = NEAR_ZERO_TOLS * LIMIT_TOL
-            if (limit.value != 0 and abs(first.value) <= near
-                    and first.last_increment > 0):
-                raise LimitRefused(label, (
-                    f"its value {first.value} lies within {near:.1e} of 0 "
-                    f"but beyond {ZERO_MARGIN:g} tail bounds "
-                    f"({first.tail_bound:.3e}), so it is neither certified "
-                    "0 nor told apart from 0"))
-            yield limit
+        limits = {}
+        for e, side in enumerate(ends):
+            own = slice(2 * e, 2 * e + 2)
+            limits[side] = _checked(trees, side, xs[:, own],
+                                    samples[:, :, own],
+                                    tuple(a[:, own] for a in block))
+        return limits
 
-    limits = certified([("d", None, 0, symbol.d),
-                        *_tail_trees(symbol, False)])
+    direct = scan([("d", None, 0, symbol.d), *_tail_trees(symbol, False)],
+                  sides)
+    first = {side: _or_refusal(next, limits)
+             for side, limits in direct.items()}
+    diverging = tuple(side for side in sides
+                      if isinstance(first[side], LimitRefused)
+                      and isinstance(first[side].__cause__, NotConvergent))
+    inverse = {} if not diverging else scan(
+        [("1/d", None, 0, Div(Lit(1 + 0j), symbol.d)),
+         *_tail_trees(symbol, True)], diverging)
+    return {side: _or_refusal(_side_limits, first[side], direct[side],
+                              inverse.get(side)) for side in sides}
+
+
+def _or_refusal(run, *args):
+    """``run(*args)``, or the :class:`LimitRefused` it raises."""
     try:
-        d_limit = next(limits)
+        return run(*args)
     except LimitRefused as refusal:
-        if not isinstance(refusal.__cause__, NotConvergent):
-            raise
-        limits = certified([("1/d", None, 0, Div(Lit(1 + 0j), symbol.d)),
-                            *_tail_trees(symbol, True)])
+        return refusal
+
+
+def _side_limits(first: TailLimit | LimitRefused, limits, inverse
+                 ) -> SymbolLimits:
+    """One side's limits: d's (``first``) and the rest of ``limits``, or,
+    where d does not settle, 1/d's and the rest of ``inverse``, which must
+    tend to 0. Raises the first refusal, naming d for both reasons when
+    1/d fails too."""
+    if inverse is not None:
         try:
-            d_limit = next(limits)
-            inverse = "" if d_limit.value == 0 else (
+            d_limit = next(inverse)
+            reason = "" if d_limit.value == 0 else (
                 f"the limit of 1/d is {d_limit.certificate.value}, not 0")
         except LimitRefused as exc:
-            inverse = str(exc)
-        if inverse:
-            raise LimitRefused("d", f"{refusal.__cause__}; {inverse}"
-                               ) from refusal
-    return SymbolLimits(d_limit.label == "1/d", (d_limit, *limits))
+            reason = str(exc)
+        if reason:
+            raise LimitRefused("d", f"{first.__cause__}; {reason}") from first
+        first, limits = d_limit, inverse
+    elif isinstance(first, LimitRefused):
+        raise first
+    return SymbolLimits(first.label == "1/d", (first, *limits))
 
 
-def _refuse(label: str, tree: Expr, side: str, xs: np.ndarray) -> NoReturn:
-    """Raise the :class:`LimitRefused` of a tree whose scan failed on the
-    trajectory ``xs``, caused by the error :func:`limit_of` gives there."""
-    try:
-        _limit_on(tree, side, xs)
-    except (NotConvergent, PoleError) as exc:
-        raise LimitRefused(label, str(exc)) from exc
-    raise AssertionError(f"the scan of {label} failed where limit_of did not")
+def _checked(trees, side: str, xs: np.ndarray, samples: np.ndarray, block):
+    """The :class:`TailLimit` of each (label, j, q, tree) toward ``side``,
+    checked in order, from its ``samples`` on the ``X0`` and recheck
+    trajectories ``xs`` (columns 0 and 1) and their certificate scan."""
+    converged = block[4]
+    for i, (label, j, q, tree) in enumerate(trees):
+        for k, settled in enumerate(converged[i]):
+            if not settled:
+                _refuse(label, tree, side, xs[:, k], samples[i, :, k],
+                        tuple(a[i:i + 1, k:k + 1] for a in block))
+        first, again = (_certificate(block, i, k) for k in (0, 1))
+        if abs(first.value - again.value) > (first.last_increment
+                                             + again.last_increment):
+            raise LimitRefused(label, (
+                f"the recheck from x = {X0 * RECHECK_X0_SCALE!r} gives "
+                f"{again.value} against {first.value}, farther apart "
+                "than their last increments"))
+        limit = TailLimit(label, j, q, first, again)
+        near = NEAR_ZERO_TOLS * LIMIT_TOL
+        if (limit.value != 0 and abs(first.value) <= near
+                and first.last_increment > 0):
+            raise LimitRefused(label, (
+                f"its value {first.value} lies within {near:.1e} of 0 "
+                f"but beyond {ZERO_MARGIN:g} tail bounds "
+                f"({first.tail_bound:.3e}), so it is neither certified "
+                "0 nor told apart from 0"))
+        yield limit
+
+
+def _refuse(label: str, tree: Expr, side: str, xs: np.ndarray,
+            samples: np.ndarray, block) -> NoReturn:
+    """Raise the :class:`LimitRefused` of a tree whose scan ``block`` of its
+    ``samples`` on the trajectory ``xs`` failed, caused by the error
+    :func:`limit_of` gives there."""
+    error = _limit_error(tree, side, xs, samples, block)
+    raise LimitRefused(label, str(error)) from error
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,19 @@ SVG_SIZE = (800.0, 600.0)
 """Width and height of the rendered SVG, in user units."""
 
 
+def _dot_shown(sx: np.ndarray, sy: np.ndarray, radius: float,
+               clip: tuple[float, float, float, float]) -> np.ndarray:
+    """Whether a dot of ``radius`` centred at screen (sx, sy) may reach into
+    the ``clip`` rectangle (left, top, right, bottom), its centre rounded
+    to the two decimals it is written with. A dot that cannot is wholly
+    clipped, so leaving it out leaves the image unchanged; a NaN centre
+    counts as shown."""
+    left, top, right, bottom = clip
+    pad = radius + 0.01
+    return ~((sx < left - pad) | (sx > right + pad)
+             | (sy < top - pad) | (sy > bottom + pad))
+
+
 def render_svg(spectrum: SpectrumSet, window) -> str:
     """Plot the spectrum: regular part in red, singular branches in blue."""
     width, height = SVG_SIZE
@@ -489,27 +502,40 @@ def render_svg(spectrum: SpectrumSet, window) -> str:
     plot_w = width - 2.0 * margin
     plot_h = height - 2.0 * margin
     jump = 0.04 * math.hypot(re_max - re_min, im_max - im_min)
+    clip = (margin, margin, width - margin, height - margin)
 
-    def xy(lam: np.ndarray) -> list[str]:
-        """Screen coordinates "x,y" of each value, to two decimals."""
-        sx = margin + (lam.real - re_min) / (re_max - re_min) * plot_w
-        sy = margin + (im_max - lam.imag) / (im_max - im_min) * plot_h
+    def screen(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Screen coordinates of each value."""
+        return (margin + (lam.real - re_min) / (re_max - re_min) * plot_w,
+                margin + (im_max - lam.imag) / (im_max - im_min) * plot_h)
+
+    def xy(sx: np.ndarray, sy: np.ndarray) -> list[str]:
+        """Screen coordinates as "x,y", to two decimals."""
         return [f"{x:.2f},{y:.2f}" for x, y in zip(sx.tolist(), sy.tolist())]
 
-    def dot(kind: str, at: str, radius: str) -> str:
+    def dot(kind: str, at: str, radius: float) -> str:
         x, y = at.split(",")
-        return f'<circle class="{kind}-dot" cx="{x}" cy="{y}" r="{radius}"/>'
+        return f'<circle class="{kind}-dot" cx="{x}" cy="{y}" r="{radius:g}"/>'
 
     def runs(kind: str, lam: np.ndarray, cut: np.ndarray) -> list[str]:
         """A polyline per run of ``lam`` between cuts and jumps, a dot per
-        single point; ``cut[k]`` cuts before point k + 1."""
+        single point that the clip does not hide whole; ``cut[k]`` cuts
+        before point k + 1."""
+        if not lam.size:
+            return []
         gap = np.diff(lam)
-        starts = np.flatnonzero(cut | (np.hypot(gap.real, gap.imag) > jump))
-        bounds = [0, *(starts + 1).tolist(), lam.size] if lam.size else []
-        coords = xy(lam)
-        return [f'<polyline class="{kind}" points="{" ".join(coords[a:b])}"/>'
-                if b - a >= 2 else dot(kind, coords[a], "2.2")
-                for a, b in zip(bounds, bounds[1:])]
+        first = np.flatnonzero(np.concatenate(
+            ([True], cut | (np.hypot(gap.real, gap.imag) > jump))))
+        size = np.diff(first, append=lam.size)
+        sx, sy = screen(lam)
+        keep = (size > 1) | _dot_shown(sx[first], sy[first], 2.2, clip)
+        out = []
+        for a, n in zip(first[keep].tolist(), size[keep].tolist()):
+            coords = xy(sx[a:a + n], sy[a:a + n])
+            out.append(dot(kind, coords[0], 2.2) if n == 1 else
+                       f'<polyline class="{kind}" '
+                       f'points="{" ".join(coords)}"/>')
+        return out
 
     body: list[str] = []
     body.append(
@@ -530,7 +556,7 @@ def render_svg(spectrum: SpectrumSet, window) -> str:
     body.append(
         f'<rect class="frame" x="{margin:g}" y="{margin:g}" '
         f'width="{plot_w:g}" height="{plot_h:g}"/>')
-    x0, y0 = xy(np.zeros(1, dtype=complex))[0].split(",")
+    x0, y0 = xy(*screen(np.zeros(1, dtype=complex)))[0].split(",")
     if re_min < 0.0 < re_max:
         body.append(f'<line class="axis" x1="{x0}" y1="{margin:g}" '
                     f'x2="{x0}" y2="{height - margin:g}"/>')
@@ -557,7 +583,9 @@ def render_svg(spectrum: SpectrumSet, window) -> str:
     curve = regular.lam[finite][np.argsort(regular.x_param[finite],
                                            kind="stable")]
     body += runs("regular", curve, np.zeros(max(curve.size - 1, 0), bool))
-    body += [dot("regular", at, "3") for at in xy(regular.lam[~finite])]
+    sx, sy = screen(regular.lam[~finite])
+    shown = _dot_shown(sx, sy, 3.0, clip)
+    body += [dot("regular", at, 3.0) for at in xy(sx[shown], sy[shown])]
 
     # Branches by (side, branch id), each by ascending xi; the side codes
     # order the sides as their tokens do.

@@ -43,7 +43,6 @@ from .expr import (
     Mul,
     Sub,
     differentiate,
-    evaluate,
     node_count,
     simplify,
 )
@@ -155,26 +154,3 @@ def coefficient_trees(op: OperatorMatrix) -> tuple[Expr, ...]:
     for j, weight, b, rung in _couplings(op, ladder):
         terms[j].append(_weighted(weight, b, rung))
     return tuple(_guard_size(simplify(reduce(Sub, row))) for row in terms)
-
-
-def apply_operator(symbol: SchurSymbol, u_coeffs, x: float,
-                   lam: complex) -> complex:
-    """Apply sum_j p_j(x, lambda) D^j to the polynomial u at the point x.
-
-    ``u_coeffs`` lists u's complex coefficients in ascending powers of x;
-    derivatives of u are computed exactly, and D^j contributes (-i)^j times
-    the j-th derivative. p_j comes from the lambda-free form.
-    """
-    # evaluate raises PoleError where d(x) = lambda.
-    u = evaluate(Div(Lit(1 + 0j), Sub(symbol.d, Lit(complex(lam)))), x=x)
-    current = [complex(c) for c in u_coeffs]
-    total = 0j
-    for j, (alpha, beta) in enumerate(zip(symbol.alpha, symbol.beta)):
-        if not current:
-            break
-        value = reduce(lambda acc, c: acc * x + c, reversed(current), 0j)
-        p = evaluate(alpha, x=x) - (lam if j == 0 else 0)
-        p += sum(evaluate(b, x=x) * u**q for q, b in enumerate(beta, 1))
-        total += p * (-1j) ** j * value
-        current = [r * current[r] for r in range(1, len(current))]
-    return total

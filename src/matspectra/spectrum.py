@@ -49,14 +49,18 @@ step on the slope of the limit batches at most ``curve_res``, and again
 ``|F| <= ROOT_TOL`` on the recheck trajectory. The report names
 the route of each side and its limits, or the limit that was refused.
 
-A closed-form sweep reads only the profile, the frequency grid and the
-config, so two sides with the same limits share one sweep: when the -
-side's closed-form profile equals the + side's byte for byte (numerator
-shape and the bytes of N_j and Q), the - side takes the + side's roots,
-its skips relabelled to "-" and its sweep report, marked
-``"reused": "+"``, instead of sweeping again. Both bundled operators
-have coefficients even in x and take this path. A fitted side is always
-swept on its own, since its polish samples limits toward its own end.
+Both sides' limits of step 1 come from one walk of the x-only trees, on
+the X0 and recheck trajectories of both ends stacked as columns, and one
+certificate scan. A closed-form sweep reads only the profile, the
+frequency grid and the config, so two sides with the same limits share
+one sweep: when the - side's closed-form profile equals the + side's byte
+for byte (numerator shape and the bytes of N_j and Q), the - side takes
+the + side's emitted roots, its skips relabelled to "-" and its sweep
+report, marked ``"reused": "+"``, instead of sweeping again. Such a -
+side is wholly neutral: every root belongs to both ends, no merge runs,
+and the + and - classes stay empty. Both bundled operators have
+coefficients even in x and take this path. A fitted side is always swept
+on its own, since its polish samples limits toward its own end.
 
 Each side keeps its roots in a :class:`RootTable` (ascending xi, a
 NaN-padded root array, a count per row), so the window tests, dedupe,
@@ -93,6 +97,7 @@ from .asymptotics import (
     SymbolLimits,
     _end_limits,
     _ratio_batch,
+    _symbol_limits,
     _trajectory,
     limit_of,
     limit_points_at_infinity,
@@ -369,7 +374,8 @@ class RationalProfile:
     limits: SymbolLimits | None = None
 
 
-def _closed_form_side(symbol: SchurSymbol, side: str
+def _closed_form_side(symbol: SchurSymbol, side: str,
+                      limits: SymbolLimits | LimitRefused | None = None
                       ) -> tuple[RationalProfile, int]:
     """The exact profile P_j/P_m toward one side, from certified limits.
 
@@ -377,11 +383,16 @@ def _closed_form_side(symbol: SchurSymbol, side: str
     + sum_q beta_jq w^(Q-q); the lowest power of w that every P_j shares
     is divided out, so the cleared polynomials keep no spurious root at
     lambda = d^inf. When d diverges, P_j = alpha_j - [j = 0] lambda
-    + sum_q lim beta_jq/d^q (Q = 0). Returns the profile and the power of
+    + sum_q lim beta_jq/d^q (Q = 0). ``limits`` are the side's
+    :func:`~matspectra.asymptotics.symbol_limits`, or the refusal it
+    raises, when the caller has them. Returns the profile and the power of
     w divided out. Raises :class:`LimitRefused` when a limit is refused or
     P_m vanishes identically.
     """
-    limits = symbol_limits(symbol, side)
+    if limits is None:
+        limits = symbol_limits(symbol, side)
+    if isinstance(limits, LimitRefused):
+        raise limits
     d_limit, *terms = limits.limits
     # beta_jq u^q tends to beta_jq^inf w^-q, or to lim beta_jq/d^q (a w^0
     # term, with w = -lambda) when d diverges.
@@ -1080,6 +1091,20 @@ def _merge_sides(plus: RootTable, minus: RootTable) -> dict[str, RootTable]:
             "-": _compact(xi, right.lam, right.valid & ~taken)}
 
 
+def _side_classes(plus: RootTable, minus: RootTable
+                  ) -> dict[str, RootTable]:
+    """The neutral, + and - classes of the two sides' emitted roots.
+
+    A - side that reused the + sweep holds the + side's very table. Then
+    every root is neutral and the + and - classes are left out: since
+    :func:`_solve_at` keeps no two roots of a row within ``DEDUPE_TOL``,
+    :func:`_merge_sides` would pair each root with itself and nothing else.
+    """
+    if minus is plus:
+        return {REGULAR_SIDE: plus}
+    return _merge_sides(plus, minus)
+
+
 def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
                   xi_grid=None, cfg: SolverConfig | None = None, *,
                   report: dict | None = None) -> SingularTable:
@@ -1087,8 +1112,11 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
 
     Returns the points of both sides, cross-side coincidences merged into
     the neutral side, with branch ids assigned by continuation and no
-    flags; the report's ``skip_counts`` count per side, so a - side that
-    reuses the + sweep repeats its skips. Raises :class:`ConfigError` on a
+    flags. Both sides' limits come from one walk and scan of the tail
+    trees. A - side that reuses the + sweep is wholly neutral: its points
+    are the + side's, no merge runs, and the + and - classes are empty.
+    The report's ``skip_counts`` count per side, so such a - side repeats
+    the + side's skips. Raises :class:`ConfigError` on a
     frequency that is not finite or whose |xi|^m is not, before any sweep,
     or whose cleared polynomial's coefficients sum past the float range,
     before its roots are sought; and :class:`FitError`, after writing the
@@ -1116,13 +1144,14 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     fits: dict[str, dict] = {}
     sweeps: dict[str, dict] = {}
     errors: list[FitError] = []
-    side_roots = dict.fromkeys(("+", "-"), _empty_rows(np.empty(0)))
-    # Closed-form sweeps by profile bytes: (side, table, info, its skips).
-    swept: dict[tuple, tuple[str, RootTable, dict, list]] = {}
+    side_roots = {side: _empty_rows(np.empty(0)) for side in ("+", "-")}
+    # Closed-form sweeps by profile bytes: (side, sweep report, its skips).
+    swept: dict[tuple, tuple[str, dict, list]] = {}
+    ends = _symbol_limits(symbol, ("+", "-"))
 
     for side in ("+", "-"):
         try:
-            profile, cancelled = _closed_form_side(symbol, side)
+            profile, cancelled = _closed_form_side(symbol, side, ends[side])
             fits[side] = {"route": "closed_form",
                           "limits": profile.limits.to_json_list(),
                           "cancelled_power": cancelled}
@@ -1149,25 +1178,30 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
             profile.numerators.shape, profile.numerators.tobytes(),
             profile.denominator.tobytes())
         if key in swept:
-            source, tracked, info, side_skips = swept[key]
-            info = {**info, "reused": source}
+            source, info, side_skips = swept[key]
+            sweeps[side] = {**info, "reused": source}
             skips += [{**entry, "side": side} for entry in side_skips]
-        else:
-            start = len(skips)
-            tracked, info = _sweep_side(symbol, profile, xi_values, cfg, skips)
-            if key is not None:
-                swept[key] = (side, tracked, info, skips[start:])
+            side_roots[side] = side_roots[source]
+            continue
+        start = len(skips)
+        tracked, info = _sweep_side(symbol, profile, xi_values, cfg, skips)
         emitted = _near_window(tracked.lam, cfg.window, _keep_pad(cfg))
         info["outside_window"] = int(tracked.count.sum() - emitted.sum())
         sweeps[side] = info
         side_roots[side] = _compact(tracked.xi, tracked.lam, emitted)
+        if key is not None:
+            swept[key] = (side, info, skips[start:])
 
     failed = errors and not any(t.count.any() for t in side_roots.values())
-    classes = _merge_sides(side_roots["+"], side_roots["-"])
+    classes = _side_classes(side_roots["+"], side_roots["-"])
     parts = []
     continuation: dict[str, dict] = {}
     next_id = 0
     for side_class in (REGULAR_SIDE, "+", "-"):
+        if side_class not in classes:
+            continuation[side_class] = {"branches": 0, "array_rows": 0,
+                                        "joints": 0}
+            continue
         table = classes[side_class]
         ids, next_id, continuation[side_class] = _assign_branches(
             table, next_id, cfg)

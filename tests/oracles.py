@@ -4,16 +4,22 @@ Nothing in this module calls into ``matspectra``'s algorithms: derivatives
 are approximated by central finite differences, eigenvalues come from the
 closed-form quadratic formula, discretization stencils are diagonalized by
 hand via their Fourier symbols, set distances are computed by brute
-force, and convex hulls come from qhull. Tests compare package output
-against these.
+force, and convex hulls come from qhull. :func:`apply_operator` reads a
+Schur symbol's trees with the scalar ``matspectra.expr.evaluate`` only, to
+check the reduction's algebra against the operator it came from. Tests
+compare package output against these.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import reduce
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+
+from matspectra.expr import Div, Lit, Sub, evaluate
+from matspectra.schur import SchurSymbol
 
 
 def central_diff(f, z: complex, h: float = 1e-5) -> complex:
@@ -93,3 +99,26 @@ def second_diff_symbol(xi: np.ndarray, h: float) -> np.ndarray:
     (2*cos(xi*h) - 2)/h^2.
     """
     return (2.0 * np.cos(xi * h) - 2.0) / h**2
+
+
+def apply_operator(symbol: SchurSymbol, u_coeffs, x: float,
+                   lam: complex) -> complex:
+    """Apply sum_j p_j(x, lambda) D^j to the polynomial u at the point x.
+
+    ``u_coeffs`` lists u's complex coefficients in ascending powers of x;
+    derivatives of u are computed exactly, and D^j contributes (-i)^j times
+    the j-th derivative. p_j comes from the lambda-free form.
+    """
+    # evaluate raises PoleError where d(x) = lambda.
+    u = evaluate(Div(Lit(1 + 0j), Sub(symbol.d, Lit(complex(lam)))), x=x)
+    current = [complex(c) for c in u_coeffs]
+    total = 0j
+    for j, (alpha, beta) in enumerate(zip(symbol.alpha, symbol.beta)):
+        if not current:
+            break
+        value = reduce(lambda acc, c: acc * x + c, reversed(current), 0j)
+        p = evaluate(alpha, x=x) - (lam if j == 0 else 0)
+        p += sum(evaluate(b, x=x) * u**q for q, b in enumerate(beta, 1))
+        total += p * (-1j) ** j * value
+        current = [r * current[r] for r in range(1, len(current))]
+    return total

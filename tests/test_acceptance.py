@@ -18,7 +18,6 @@ from scipy.spatial import cKDTree
 
 from matspectra import (
     SolverConfig,
-    apply_operator,
     build_schur,
     coefficient_trees,
     delta,
@@ -44,6 +43,7 @@ from factories import (
     random_constant_operator,
     random_operator,
 )
+from oracles import apply_operator
 from test_schur import _sample_point, nested_apply
 
 

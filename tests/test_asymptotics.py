@@ -53,6 +53,7 @@ from matspectra.asymptotics import (
     _ratio_samples,
     _sample_form,
     _sector_margin,
+    _symbol_limits,
     _tail_trees,
     _trajectory,
     check_assumptions,
@@ -416,40 +417,52 @@ REFUSAL_CAUSES = {"did not settle": "not convergent", "hits a pole": "pole",
 
 
 def test_batched_symbol_limits_match_tree_by_tree_certification():
-    # One scan per side certifies every tree as limit_of does on its own:
-    # the same certificates bit for bit, or the same first refusal. The
-    # random draws refuse only by non-convergence on the x0 trajectory;
-    # quartics with another a_0 add a pole at x = 32 on the x0 trajectory,
-    # a limit too close to 0, cos(2 pi log2 x), which settles to 1 on the
-    # x0 trajectory and elsewhere on the recheck, and sin(pi log2 x), which
-    # settles on the x0 trajectory only.
+    # One scan per side, and one scan for both sides at once, certify every
+    # tree as limit_of does on its own: the same certificates bit for bit,
+    # or the same first refusal. The random draws refuse only by
+    # non-convergence on the x0 trajectory; quartics with another a_0 add a
+    # pole at x = 32 on the x0 trajectory, a limit too close to 0,
+    # cos(2 pi log2 x), which settles to 1 on the x0 trajectory and
+    # elsewhere on the recheck, and sin(pi log2 x), which settles on the x0
+    # trajectory only. The parabolic's d diverges toward both sides, and
+    # x^2/(1 + exp(-x)) toward + only, so 1/d is taken at one end.
     base = quartic_coupled()
-    ops = [base, parabolic_potential(), *(
-        replace(base, a=(parse(a_0), *base.a[1:])) for a_0 in (
-            "1/(x - 32)", "1e-8*x^2/(x^2 + 1)",
-            "cos(9.064720283654388*log(x))",
-            "sin(4.532360141827194*log(x))"))]
+    ops = [base, parabolic_potential(),
+           replace(base, d=parse("x^2/(1 + exp(-x))")), *(
+               replace(base, a=(parse(a_0), *base.a[1:])) for a_0 in (
+                   "1/(x - 32)", "1e-8*x^2/(x^2 + 1)",
+                   "cos(9.064720283654388*log(x))",
+                   "sin(4.532360141827194*log(x))"))]
     for settling, seeds in ((False, range(300)), (True, range(60))):
         for seed in seeds:
             rng = random.Random(seed)
             ops.append(random_operator(rng, rng.choice([2, 4]),
                                        settling=settling))
     causes = set()
+    diverging = set()
     for op in ops:
         symbol = build_schur(op)
+        both = _symbol_limits(symbol, ("+", "-"))
         for side in "+-":
             outcomes = []
-            for run in (symbol_limits, _symbol_limits_tree_by_tree):
+            for run in (symbol_limits, _symbol_limits_tree_by_tree,
+                        lambda symbol, side: both[side]):
                 try:
-                    outcomes.append(repr(run(symbol, side)))
+                    limits = run(symbol, side)
+                    if isinstance(limits, LimitRefused):
+                        raise limits
+                    outcomes.append(repr(limits))
                 except LimitRefused as refusal:
                     outcomes.append((refusal.label, str(refusal),
                                      type(refusal.__cause__)))
                     causes.update(cause for key, cause in
                                   REFUSAL_CAUSES.items()
                                   if key in str(refusal))
-            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+        diverging.add(tuple(getattr(both[side], "d_diverges", None)
+                            for side in "+-"))
     assert causes == set(REFUSAL_CAUSES.values())
+    assert {(True, True), (True, False), (False, False)} <= diverging
 
 
 def test_batch_matches_scalar_and_flags_failures():

@@ -1,12 +1,14 @@
 """Every exported name resolves, so no export outlives what it names; the
-solver config and the exceptional set carry only what callers use."""
+solver config and the exceptional set carry only what callers use, and a
+helper only tests call lives in the tests."""
 
 import dataclasses
 import importlib
 
 import pytest
 
-from matspectra import ConfigError, ExceptionalSet, SolverConfig
+import matspectra
+from matspectra import ConfigError, ExceptionalSet, SolverConfig, schur
 
 
 @pytest.mark.parametrize("module_name", ["matspectra", "matspectra.cli"])
@@ -25,3 +27,9 @@ def test_config_and_exceptional_set_keep_only_used_fields():
     sources = {"+": "escapes", "-": "escapes"}
     assert set(ExceptionalSet((), (), (), sources).to_json_dict()) == {
         "points", "radii", "window_exponents", "sources"}
+
+
+def test_test_only_helpers_are_not_exported():
+    # apply_operator checks the reduction's algebra in tests/oracles.py.
+    assert "apply_operator" not in matspectra.__all__
+    assert not hasattr(schur, "apply_operator")

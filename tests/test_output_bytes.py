@@ -19,6 +19,13 @@ each within 2.1e-15 of the old value at the benchmark settings and within
 1.6e-14 at the default, so only the last digits of the CSV moved and the
 SVG bytes held. The parabolic entries (degree 1, whose root keeps its
 bits) did not change.
+The two parabolic SVG hashes were recorded again when the renderer began
+to leave out dots whose circle lies wholly outside the plot's clip
+rectangle (all 1,572 dots at the default window and all 1,994 at the
+benchmark window: lone regular-curve samples far outside the plot); the
+image is unchanged, and ``UNCLIPPED_SVG`` keeps the old hashes for the
+test that compares the two. The CSV entries and the quartic SVG did not
+change.
 Another NumPy build may round the companion eigenvalues or the quadratic
 formula's square root differently and change the bytes without a change
 here.
@@ -28,11 +35,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from factories import PARABOLIC_CFG, QUARTIC_CFG
+from matspectra import cli as cli_module
 from matspectra.cli import EXIT_OK, main
 from matspectra.config import SolverConfig
 from matspectra.model import load_operator
@@ -68,3 +78,54 @@ def test_api_csv_bytes_are_pinned(tmp_path):
     write_csv(spectrum, tmp_path / "spectrum.csv")
     assert _sha256(tmp_path / "spectrum.csv") \
         == GOLDEN["quartic_window"]["spectrum.csv"]
+
+
+# The parabolic spectrum.svg hashes while every dot was written.
+UNCLIPPED_SVG = {
+    "parabolic_potential":
+        "6fa8c65f7ce700b61ab385d8e1988086a2d142d87f14c326ef95b5b9f3f3042c",
+    "parabolic_window":
+        "3c2d44ab2aa77cc424f1d4d0a6ecd3e4710d17a84d7dcaf338972308bc0e6773",
+}
+HIDDEN_DOTS = {"parabolic_potential": 1572, "parabolic_window": 1994}
+
+
+def _clip(lines: list[str]) -> tuple[float, ...]:
+    """(left, top, right, bottom) of the SVG's clip rectangle."""
+    rect = next(line for line in lines if line.startswith("<clipPath"))
+    x, y, w, h = (float(re.search(f' {name}="([^"]+)"', rect).group(1))
+                  for name in ("x", "y", "width", "height"))
+    return x, y, x + w, y + h
+
+
+def _wholly_clipped(line: str, clip) -> bool:
+    """Whether the line is a circle that lies wholly outside ``clip``, by
+    more than the 0.01 that rounding its centre to two decimals moves it."""
+    if not line.startswith("<circle"):
+        return False
+    cx, cy, r = (float(re.search(f' {name}="([^"]+)"', line).group(1))
+                 for name in ("cx", "cy", "r"))
+    left, top, right, bottom = clip
+    pad = r + 0.01
+    return (cx < left - pad or cx > right + pad
+            or cy < top - pad or cy > bottom + pad)
+
+
+@pytest.mark.parametrize("case", sorted(UNCLIPPED_SVG))
+def test_svg_leaves_out_exactly_the_dots_the_clip_hides(case, tmp_path,
+                                                        monkeypatch):
+    config, *window = CLI_CASES[case]
+    args = ["spectrum", "--config", config, *window, "--svg", "--out"]
+    assert main([*args, str(tmp_path / "new")]) == EXIT_OK
+    monkeypatch.setattr(cli_module, "_dot_shown",
+                        lambda sx, sy, radius, clip: np.ones(np.shape(sx),
+                                                             dtype=bool))
+    assert main([*args, str(tmp_path / "old")]) == EXIT_OK
+    old, new = (tmp_path / run / "spectrum.svg" for run in ("old", "new"))
+    assert _sha256(old) == UNCLIPPED_SVG[case]
+    old_lines = old.read_text(encoding="utf-8").splitlines()
+    clip = _clip(old_lines)
+    hidden = [_wholly_clipped(line, clip) for line in old_lines]
+    assert sum(hidden) == HIDDEN_DOTS[case]
+    assert new.read_text(encoding="utf-8").splitlines() == [
+        line for line, gone in zip(old_lines, hidden) if not gone]

@@ -35,7 +35,6 @@ from matspectra import schur as schur_module
 from matspectra.model import OperatorMatrix, delta, load_operator
 from matspectra.schur import (
     SchurSymbol,
-    apply_operator,
     build_schur,
     coefficient_trees,
 )
@@ -49,6 +48,7 @@ from factories import (
     quartic_coupled,
     random_operator,
 )
+from oracles import apply_operator
 
 
 # ---------------------------------------------------------------------------

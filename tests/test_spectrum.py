@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 import re
@@ -454,22 +455,42 @@ def _sweeps_with_reuse_checked(op, cfg) -> tuple[int, dict]:
     The - side must reuse the + sweep exactly when both sides take the
     closed form with byte-identical profiles; then its table, sweep report
     and skips must equal those of ``_sweep_side`` on its own profile, bit
-    for bit. Returns the number of sweeps ``singular_part`` ran and its
-    report.
+    for bit, and ``_merge_sides`` must not run. Either way the points and
+    the report must equal, bit for bit, those of a run that merges the
+    sides whatever they are. Returns the number of sweeps
+    ``singular_part`` ran and its report.
     """
     symbol = build_schur(op)
     sweep = spectrum_module._sweep_side
+    merge = spectrum_module._merge_sides
     runs = []
+    merges = []
 
     def recorded(symbol, profile, xi_grid, cfg, skips):
         table, info = sweep(symbol, profile, xi_grid, cfg, skips)
         runs.append((table, dict(info), skips))
         return table, info
 
+    def counted(plus, minus):
+        merges.append(minus is plus)
+        return merge(plus, minus)
+
     report = {}
-    with mock.patch.object(spectrum_module, "_sweep_side", recorded):
-        singular_part(op, symbol, cfg=cfg, report=report)
+    with mock.patch.object(spectrum_module, "_sweep_side", recorded), \
+            mock.patch.object(spectrum_module, "_merge_sides", counted):
+        points = singular_part(op, symbol, cfg=cfg, report=report)
+    forced = {}
+    with mock.patch.object(spectrum_module, "_side_classes", counted):
+        merged = singular_part(op, symbol, cfg=cfg, report=forced)
+    for name in ("side", "xi", "lam", "branch_id", "flags"):
+        assert getattr(points, name).dtype == getattr(merged, name).dtype
+        assert getattr(points, name).tobytes() \
+            == getattr(merged, name).tobytes()
+    assert json.dumps(report["singular"]) == json.dumps(forced["singular"])
     sweeps = report["singular"]["sweeps"]
+    # A reused - side merges only in the forced run, and there with itself.
+    assert merges == ([True] if sweeps.get("-", {}).get("reused") == "+"
+                      else [False, False])
     plus, minus = (_closed_form_or_none(symbol, side) for side in "+-")
     same = plus is not None and minus is not None and (
         plus.numerators.shape == minus.numerators.shape
@@ -616,7 +637,7 @@ def test_closed_form_point_count_stays_near_the_fit_route(path, monkeypatch):
     closed = len(singular_part(op, cfg=cfg, report=report))
     assert report["singular"]["fits"]["+"]["route"] == "closed_form"
 
-    def refuse(symbol, side):
+    def refuse(symbol, side, limits=None):
         raise LimitRefused("d", "forced onto the fit route")
 
     monkeypatch.setattr(spectrum_module, "_closed_form_side", refuse)
@@ -636,7 +657,7 @@ def test_closed_form_at_the_benchmark_window_adds_points_only_at_the_pole(
                                         curve_res=1e-2)
     closed = singular_part(op, cfg=cfg)
 
-    def refuse(symbol, side):
+    def refuse(symbol, side, limits=None):
         raise LimitRefused("d", "forced onto the fit route")
 
     monkeypatch.setattr(spectrum_module, "_closed_form_side", refuse)
@@ -1323,6 +1344,41 @@ def test_merge_sides_matches_the_loop(data):
         got = [(xi, lam) for xi, roots in _table_rows(table)
                for lam in roots]
         assert _bits(got) == _bits(reference[side_class])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_merge_of_a_table_with_itself_is_all_neutral(data):
+    # Rows as _solve_at leaves them: sorted, no two roots within DEDUPE_TOL
+    # (the clouds put some exactly at it). Each root then pairs with itself,
+    # which is why singular_part skips the merge of a reused - side.
+    cfg = SolverConfig().with_overrides(window=_WINDOW)
+    cloud = _cloud(data.draw, _DEDUPE, _edges(cfg), 6)
+    rows = {}
+    for xi in data.draw(st.lists(st.integers(0, 7).map(float), max_size=6,
+                                 unique=True)):
+        kept = []
+        for root in data.draw(cloud):
+            if all(abs(root - other) > _DEDUPE for other in kept):
+                kept.append(root)
+        rows[xi] = kept
+    rows = _sorted_rows(rows)
+    table = _table(rows)
+    with mock.patch.object(spectrum_module, "DEDUPE_TOL", _DEDUPE):
+        classes = _merge_sides(table, table)
+    reference = _loop_merge_sides(rows, rows, _DEDUPE)
+    assert reference["+"] == reference["-"] == []
+    assert _bits(reference[REGULAR_SIDE]) == _bits(
+        [(xi, lam) for xi, roots in sorted(rows.items()) for lam in roots])
+    neutral = classes[REGULAR_SIDE]
+    for name in ("xi", "lam", "count"):
+        assert getattr(neutral, name).dtype == getattr(table, name).dtype
+        assert getattr(neutral, name).tobytes() \
+            == getattr(table, name).tobytes()
+    for side in "+-":
+        assert classes[side].xi.tobytes() == table.xi.tobytes()
+        assert classes[side].lam.shape == (table.xi.size, 0)
+        assert not classes[side].count.any()
 
 
 @st.composite

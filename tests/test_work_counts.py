@@ -6,13 +6,19 @@ more often fails here whatever the timing noise. The ceilings are measured
 counts; lower is fine. The check's grid trees take one batch, which
 evaluates each of their 59 distinct subtrees once (164 jet node visits
 while each tree was walked on its own, and 27 more plain ones for the
-decoupling function). The spectrum's ceiling is the count since d's limit
-points at infinity are taken from its certified limits (604 while d was
-sampled on 12 dyadic windows, 908 while each tail tree was sampled once per
-trajectory, 27,357 while the sweep polished roots on limit batches). The certificate scans are counted too:
-one per side for all the tail limits, one for both ends of the regular
-curve and one for both ends of d (42 while each tree had a scan of its own
-on each trajectory). The sweep's frequency batches are counted
+decoupling function). The spectrum's ceiling is the count since each tail
+tree is walked once for both sides' limits (437 while each side walked
+its own, 604 while d was sampled on 12 dyadic windows, 908 while each tail
+tree was sampled once per trajectory, 27,357 while the sweep polished
+roots on limit batches). The certificate scans are counted too: one for
+all the tail limits of both sides, one for both ends of the regular curve
+and one for both ends of d (4 while each side scanned its own tail limits,
+42 while each tree had a scan of its own on each trajectory). The
+parabolic's d diverges, so its run adds a scan of 1/d for its limit
+points, one for 1/d and beta_jq/d^q toward both sides and two that name
+the regular curve's refused ends (11 while each side scanned its own
+trees, took 1/d in a scan of its own and scanned d again to name its
+refusal). The sweep's frequency batches are counted
 as well: both ends of the quartic share one tail polynomial, which is
 swept once (38 batches while each end swept its own), in 6 batches since a
 root that is never emitted no longer splits a segment (19 while a root
@@ -25,6 +31,8 @@ Both bundled operators' tail polynomials have degree 2 (quartic) or 1
 (parabolic), which ``_companion_roots`` solves in closed form, so their
 benchmark runs call ``np.linalg.eigvals`` from ``spectrum`` not at all;
 the stacked solves per side are pinned at the counts of that change.
+Both sides of either bundled operator share one sweep, so every root is
+neutral and ``_merge_sides`` never runs.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from matspectra import asymptotics, expr, spectrum
 from matspectra.cli import main
 from matspectra.config import SolverConfig
 from matspectra.model import load_operator
+from matspectra.schur import build_schur
 from matspectra.spectrum import essential_spectrum
 
 # The window and curve resolution of the benchmark's quartic spectrum run,
@@ -68,38 +77,72 @@ def test_quartic_spectrum_walks_no_more_nodes(visits):
     op = load_operator(QUARTIC_CFG)
     visits.update(_eval_array=0, _value_step=0)
     essential_spectrum(op, QUARTIC_WINDOW)
-    assert visits["_eval_array"] <= 437
+    assert visits["_eval_array"] <= 285
     assert visits["_value_step"] == 0
+
+
+def _calls(monkeypatch, module, name: str, run) -> int:
+    """How often ``run()`` calls ``module.name``."""
+    calls = 0
+    real = getattr(module, name)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    run()
+    return calls
 
 
 def test_quartic_spectrum_solves_no_more_batches(monkeypatch):
     op = load_operator(QUARTIC_CFG)
-    calls = 0
-    solve = spectrum._solve_at
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return solve(*args)
-
-    monkeypatch.setattr(spectrum, "_solve_at", counted)
-    essential_spectrum(op, QUARTIC_WINDOW)
-    assert calls <= 6
+    assert _calls(monkeypatch, spectrum, "_solve_at",
+                  lambda: essential_spectrum(op, QUARTIC_WINDOW)) <= 6
 
 
 def test_quartic_spectrum_scans_no_more_limit_blocks(monkeypatch):
     op = load_operator(QUARTIC_CFG)
-    calls = 0
-    scan = asymptotics._limit_block
+    assert _calls(monkeypatch, asymptotics, "_limit_block",
+                  lambda: essential_spectrum(op, QUARTIC_WINDOW)) <= 3
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return scan(*args)
 
-    monkeypatch.setattr(asymptotics, "_limit_block", counted)
-    essential_spectrum(op, QUARTIC_WINDOW)
-    assert calls <= 4
+def test_parabolic_spectrum_scans_no_more_limit_blocks(monkeypatch):
+    op = load_operator(PARABOLIC_CFG)
+    assert _calls(monkeypatch, asymptotics, "_limit_block",
+                  lambda: essential_spectrum(op, PARABOLIC_WINDOW)) <= 7
+
+
+@pytest.mark.parametrize("config, diverges", [
+    (QUARTIC_CFG, False), (PARABOLIC_CFG, True)], ids=["quartic", "parabolic"])
+def test_tail_trees_are_walked_once_for_both_sides(config, diverges,
+                                                    monkeypatch):
+    # Every walk samples the four trajectories (both sides, X0 and recheck)
+    # at once; a d that diverges adds one walk of 1/d and beta_jq/d^q.
+    symbol = build_schur(load_operator(config))
+    walks = []
+    real = asymptotics.evaluate_array
+
+    def recorded(tree, **env):
+        walks.append(np.shape(env["x"]))
+        return real(tree, **env)
+
+    monkeypatch.setattr(asymptotics, "evaluate_array", recorded)
+    spectrum.singular_part(load_operator(config), symbol, cfg=QUARTIC_WINDOW)
+    trees = 1 + len(list(asymptotics._tail_trees(symbol, False)))
+    if diverges:
+        trees += 1 + len(list(asymptotics._tail_trees(symbol, True)))
+    assert walks == [(asymptotics.T + 1, 4)] * trees
+
+
+@pytest.mark.parametrize("config, cfg", [
+    (QUARTIC_CFG, QUARTIC_WINDOW), (PARABOLIC_CFG, PARABOLIC_WINDOW)],
+    ids=["quartic", "parabolic"])
+def test_shared_sweeps_merge_no_sides(config, cfg, monkeypatch):
+    op = load_operator(config)
+    assert _calls(monkeypatch, spectrum, "_merge_sides",
+                  lambda: essential_spectrum(op, cfg)) == 0
 
 
 @pytest.mark.parametrize("config, cfg, solves", [
