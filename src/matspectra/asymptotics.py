@@ -1,45 +1,40 @@
 """Behavior of the composed symbol toward x -> +/-infinity.
 
-Four services live here:
+A limit is sampled on a geometric trajectory ``x = sign * X0 * RHO**t``
+and certified by one vectorized scan, column by column
+(:func:`_limit_block`); its :class:`Certificate` bounds the remainder by
+the geometric tail of the last increments. Three services live here:
 
+- :func:`tail_ledger` is where the limits of lambda-free trees are
+  sampled and certified: one shared-subtree walk samples named trees on
+  the ``X0`` and recheck trajectories of both sides, and one scan
+  certifies every column. A reader takes a column's certificate or, for
+  a failed column, the error :func:`limit_of` raises there, built from
+  the column's own samples. A spectrum run reads all its limits from one
+  ledger: the ends of the decoupling curve; d's limit points
+  (:func:`limit_points_at_infinity`: d's limit, none where 1/d tends to
+  0, and only where both are refused a clustering of d's values over the
+  largest dyadic windows); and the frozen symbol (:func:`symbol_limits`:
+  d, alpha_j and beta_jq, or 1/d -> 0 and beta_jq/d^q where d does not
+  settle, each rechecked, and the first refusal named). :func:`limit_of`
+  certifies one tree by the same scan.
 - :func:`limit_ratio` estimates the coefficient ratios
-  ``r_j(lambda) = lim p_j(x, lambda) / p_m(x, lambda)`` along a geometric
-  trajectory ``x = sign * X0 * RHO**t`` and attaches a convergence
-  certificate to every ratio. The tail polynomial
-  ``xi**m + sum_j r_j(lambda) xi**j`` built from these limits is what the
-  singular-part sweep solves for real ``xi``. Samples come from the
-  symbol's lambda-free form: its x-only trees are evaluated once per call
-  on the trajectory, and a whole batch of lambda values is then handled by
-  array algebra in ``u = 1/(d - lambda)``; :func:`_series` is the one
-  evaluator of sums ``sum_q f_q u**q``, for trajectory columns and grid
-  jets alike. :func:`limit_ratio_batch` is the non-raising batch form,
-  and :func:`limit_of` certifies the limit of a single lambda-free
-  expression by the same certificate scan, run on that expression's own
-  trajectory samples.
-- :func:`symbol_limits` certifies the limit of every x-only tree of the
-  lambda-free form toward one side (of 1/d and beta_jq/d^q when d
-  diverges) and rechecks each on a second trajectory: every tree is
-  sampled once on both trajectories side by side, and one certificate
-  scan covers them all, giving each tree the certificates
-  :func:`limit_of` would. It decides by a geometric tail bound which
-  limits are exactly 0 and names the first one refused, with the error
-  :func:`limit_of` raises on it; the singular sweep builds its
-  closed-form tail polynomial from them, taking both sides from one such
-  walk and scan on the four trajectories stacked as columns.
-- :func:`limit_points_at_infinity` gives the finite limit points of the
-  lower-right coefficient ``d`` at infinity: d's certified limit toward a
-  side, none where 1/d is certified to tend to 0, and only where both are
-  refused (an oscillating d, say) a clustering of d's values over the
-  largest dyadic windows.
+  ``r_j(lambda) = lim p_j(x, lambda) / p_m(x, lambda)``, each with its
+  certificate, and :func:`limit_ratio_batch` is its non-raising batch
+  form. The x-only trees of the symbol's lambda-free form are walked once
+  per call on the trajectory, and a whole batch of lambda values is then
+  handled by array algebra in ``u = 1/(d - lambda)``; :func:`_series` is
+  the one evaluator of sums ``sum_q f_q u**q``, for trajectory columns
+  and grid jets alike.
 - :func:`check_assumptions` runs the sampled hypothesis diagnostics
   (B1/B2/B3: boundedness, invertible leading coefficient, bounded
   resolvent-weighted couplings; C: sector condition; D: existence of the
-  coefficient limits) and reports one record per (assumption, probe). It
-  works from the same lambda-free form: the x-only trees and their first
-  two x-derivatives are sampled once per call on the validation grid, in
-  one shared-subtree walk, and the trajectory forms once per side; all
-  probes then go as one batch of array algebra in ``u``, using
-  ``u' = -d' u**2``, and each probe takes a convex hull of its p_m samples.
+  coefficient limits) and reports one record per (assumption, probe).
+  One walk samples the x-only trees and their first two x-derivatives on
+  the validation grid, and one more the trajectory form of both sides;
+  all probes then go as batches of array algebra in ``u``, using
+  ``u' = -d' u**2``, and each probe takes a convex hull of its p_m
+  samples.
 
 Everything is pure and therefore safe to call concurrently with a shared
 symbol; no caches are mutated.
@@ -50,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,20 +121,15 @@ def _trajectory(side: str, recheck: bool = False) -> np.ndarray:
 _Jet = tuple[np.ndarray, ...]
 
 
-def _column(tree: Expr, xs: np.ndarray) -> _Jet:
-    """Plain samples of an x-only tree as an (S, 1) column, ready to
-    broadcast against a row of lambda values."""
-    return (evaluate_array(tree, x=xs)[:, None],)
-
-
 def _zero(tree: Expr) -> bool:
     """Whether the tree is a literal zero, whose terms are skipped."""
     return isinstance(tree, Lit) and tree.value == 0
 
 
-def _term(sample, tree: Expr, xs: np.ndarray):
-    """``sample(tree, xs)``, or None for a literal zero."""
-    return None if _zero(tree) else sample(tree, xs)
+def _term(samples: dict, tree: Expr):
+    """The samples of a tree, keyed by its id in ``samples``, or None for a
+    literal zero."""
+    return None if _zero(tree) else samples[id(tree)]
 
 
 class _Form(NamedTuple):
@@ -162,18 +152,36 @@ class _Form(NamedTuple):
         return max(map(len, self.p)) - 1
 
 
-def _sample_form(symbol: SchurSymbol, xs: np.ndarray,
-                 sample=_column) -> _Form:
-    p = [[(0, _term(sample, alpha, xs)),
-          *((q, _term(sample, tree, xs)) for q, tree in enumerate(row, 1))]
+def _sample_form(symbol: SchurSymbol, xs: np.ndarray, samples: dict
+                 ) -> _Form:
+    """The form on ``xs`` from the samples of :func:`_form_trees`, keyed by
+    the trees' ids."""
+    p = [[(q, _term(samples, tree)) for q, tree in enumerate((alpha, *row))]
          for alpha, row in zip(symbol.alpha, symbol.beta)]
-    d = sample(symbol.d, xs)
+    d = samples[id(symbol.d)]
     finite = np.isfinite(d[0])
     for terms in p:
         for _, jet in terms:
             if jet is not None:
                 finite &= np.isfinite(jet[0])
     return _Form(xs, p, d, finite.reshape(xs.shape))
+
+
+def _form_trees(symbol: SchurSymbol) -> list[Expr]:
+    """The x-only trees of the symbol's lambda-free form but its literal
+    zeros, and d."""
+    terms = [*symbol.alpha, *(tree for row in symbol.beta for tree in row)]
+    return [tree for tree in terms if not _zero(tree)] + [symbol.d]
+
+
+def _forms(symbol: SchurSymbol, xs: np.ndarray) -> list[_Form]:
+    """The form sampled on each column of ``xs`` (S, K) as plain (S, 1)
+    columns, from one walk of its trees."""
+    trees = _form_trees(symbol)
+    samples = evaluate_batch(xs, values=trees)[1]
+    return [_sample_form(symbol, xs[:, k], {
+        id(tree): (column[:, k:k + 1],) for tree, column in zip(trees, samples)
+    }) for k in range(xs.shape[1])]
 
 
 def _u_powers(d: np.ndarray, lam, top: int) -> list:
@@ -314,7 +322,7 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str
     trajectory sample lands on a pole of the symbol (lambda = d(x) or a
     zero of p_m).
     """
-    form = _sample_form(symbol, _trajectory(side))
+    form, = _forms(symbol, _trajectory(side)[:, None])
     samples = _ratio_samples(form, np.asarray([lam], dtype=np.complex128))
     block = _limit_block(samples, LIMIT_TOL)
     status = _status(block[4], block[5], form.finite)[0]
@@ -382,7 +390,7 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str):
 def _ratio_batch(symbol: SchurSymbol, lams, xs: np.ndarray):
     """:func:`limit_ratio_batch` on the trajectory ``xs``."""
     lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
-    form = _sample_form(symbol, xs)
+    form, = _forms(symbol, xs[:, None])
     values, _, _, _, converged, first_bad = _limit_block(
         _ratio_samples(form, lam_arr), LIMIT_TOL)
     status = _status(converged, first_bad, form.finite)
@@ -411,20 +419,16 @@ def _limit_on(expr: Expr, side: str, xs: np.ndarray
     """:func:`limit_of` on the trajectory ``xs`` toward ``side``."""
     samples = evaluate_array(expr, x=xs)
     block = _limit_block(samples[None, :, None], LIMIT_TOL)
-    error = _limit_error(expr, side, xs, samples, block)
-    if error is not None:
-        raise error
+    if not block[4][0, 0]:
+        raise _limit_error(expr, side, xs, samples, block)
     return complex(block[0][0, 0]), _certificate(block, 0, 0)
 
 
 def _limit_error(expr: Expr, side: str, xs: np.ndarray, samples: np.ndarray,
-                 block) -> NotConvergent | PoleError | None:
-    """The error :func:`limit_of` raises when the one-column scan ``block``
-    of the expression's ``samples`` on ``xs`` fails, or None when it
-    converged."""
+                 block) -> NotConvergent | PoleError:
+    """The error :func:`limit_of` raises where the one-column scan
+    ``block`` of the expression's ``samples`` on ``xs`` failed."""
     status = _status(block[4], block[5], np.isfinite(samples))[0]
-    if status == "ok":
-        return None
 
     def overflow(x: float) -> str:
         try:
@@ -445,19 +449,61 @@ def _limit_error(expr: Expr, side: str, xs: np.ndarray, samples: np.ndarray,
         return pole
 
 
-def _end_limits(expr: Expr) -> dict[str, Certificate | None]:
-    """The certificate of a lambda-free tree's limit toward each side, or
-    None where :func:`limit_of` refuses it.
+COLUMNS = (("+", False), ("+", True), ("-", False), ("-", True))
+"""The trajectories of a :class:`TailLedger`, as (side, recheck) per
+column: toward each side from ``X0`` and from ``RECHECK_X0_SCALE * X0``."""
 
-    The tree is sampled once, on both ``X0`` trajectories side by side, and
-    one certificate scan covers both; since it runs column by column, each
-    certificate is the one :func:`limit_of` gives.
+
+class TailLedger(NamedTuple):
+    """The limits of named lambda-free trees toward both ends
+    (:func:`tail_ledger`).
+
+    ``samples[rows[name]]`` holds ``trees[rows[name]]`` on the trajectories
+    of ``COLUMNS``, one per column, and ``block`` is their
+    :func:`_limit_block` scan. The scan runs column by column, so a
+    column's certificate is the one :func:`limit_of` gives that tree on
+    that trajectory, and a failed column's error is the one it raises.
     """
-    sides = ("+", "-")
-    xs = np.stack([_trajectory(side) for side in sides], axis=1)
-    block = _limit_block(evaluate_array(expr, x=xs)[None], LIMIT_TOL)
-    return {side: _certificate(block, 0, k) if block[4][0, k] else None
-            for k, side in enumerate(sides)}
+
+    rows: dict[str, int]
+    trees: tuple[Expr, ...]
+    samples: np.ndarray
+    block: tuple
+
+    def tree(self, name: str) -> Expr:
+        """The tree sampled under ``name``."""
+        return self.trees[self.rows[name]]
+
+    def certificate(self, name: str, side: str, recheck: bool = False
+                    ) -> Certificate | None:
+        """The certificate of the named tree's limit toward ``side``, on the
+        recheck trajectory if asked, or None where the scan refuses it."""
+        i, k = self.rows[name], COLUMNS.index((side, recheck))
+        return _certificate(self.block, i, k) if self.block[4][i, k] else None
+
+    def error(self, name: str, side: str, recheck: bool = False
+              ) -> NotConvergent | PoleError:
+        """The error :func:`limit_of` raises on a column the scan refuses,
+        built from the column's own samples."""
+        i, k = self.rows[name], COLUMNS.index((side, recheck))
+        return _limit_error(self.trees[i], side, _trajectory(side, recheck),
+                            self.samples[i, :, k],
+                            tuple(a[i:i + 1, k:k + 1] for a in self.block))
+
+
+def tail_ledger(rows) -> TailLedger:
+    """The :class:`TailLedger` of ``rows`` that each hold a name first and
+    its tree last, a name given again with the same tree taken once: one
+    :func:`~matspectra.expr.evaluate_batch` walk samples every tree on the
+    four trajectories, each distinct subtree once, and one
+    :func:`_limit_block` scan certifies every column."""
+    trees = {row[0]: row[-1] for row in rows}
+    xs = np.stack([_trajectory(side, recheck) for side, recheck in COLUMNS],
+                  axis=1)
+    samples = np.stack(evaluate_batch(xs, values=list(trees.values()))[1])
+    return TailLedger({name: i for i, name in enumerate(trees)},
+                      tuple(trees.values()), samples,
+                      _limit_block(samples, LIMIT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -518,122 +564,97 @@ class SymbolLimits:
                 for limit in self.limits]
 
 
-def _tail_trees(symbol: SchurSymbol, d_diverges: bool):
-    """(label, j, q, tree) of every non-zero x-only tree of p_0..p_m."""
+def symbol_rows(symbol: SchurSymbol) -> tuple[list, list]:
+    """The rows (label, j, q, tree) that :func:`symbol_limits` reads toward
+    a side where d settles, d and every non-zero alpha_j and beta_jq, and
+    those it reads where d does not, 1/d, alpha_j and beta_jq/d^q."""
+    direct = [("d", None, 0, symbol.d)]
+    inverse = [("1/d", None, 0, Div(Lit(1 + 0j), symbol.d))]
     for j, (alpha, row) in enumerate(zip(symbol.alpha, symbol.beta)):
-        for q, tree in enumerate((alpha, *row)):
-            if isinstance(tree, Lit) and tree.value == 0:
-                continue
-            if q == 0:
-                yield f"alpha_{j}", j, q, tree
-            elif d_diverges:
-                yield (f"beta_{j},{q}/d^{q}", j, q,
-                       Div(tree, smart_pow(symbol.d, q)))
-            else:
-                yield f"beta_{j},{q}", j, q, tree
+        if not _zero(alpha):
+            direct.append((f"alpha_{j}", j, 0, alpha))
+            inverse.append(direct[-1])
+        for q, tree in enumerate(row, 1):
+            if not _zero(tree):
+                direct.append((f"beta_{j},{q}", j, q, tree))
+                inverse.append((f"beta_{j},{q}/d^{q}", j, q,
+                                Div(tree, smart_pow(symbol.d, q))))
+    return direct, inverse
 
 
 def symbol_limits(symbol: SchurSymbol, side: str) -> SymbolLimits:
     """Certify the limits of the symbol's x-only trees toward one side.
 
-    The trees are sampled once, on the ``X0`` trajectory and on the
-    recheck trajectory side by side, and one certificate scan covers them
-    all; since it runs column by column, each certificate is the one
-    :func:`limit_of` gives that tree on that trajectory. Tree by tree, in
-    order: a tree whose scan fails on either trajectory is refused with
-    the error :func:`limit_of` raises there; the two values must lie
-    within the sum of their last increments. A limit within
-    ``ZERO_MARGIN`` tail bounds of 0 is 0; one that is not, yet lies
-    within ``NEAR_ZERO_TOLS * LIMIT_TOL`` of 0 while its samples still
-    move, is refused. When d's own limit does not settle, the limit of 1/d
-    must be 0 and the couplings are taken as beta_jq/d^q. Raises
-    :class:`LimitRefused` naming the first tree whose limit is refused or
-    whose recheck disagrees.
+    The trees are read from a :func:`tail_ledger`, so each certificate,
+    on the ``X0`` and on the recheck trajectory, is the one
+    :func:`limit_of` gives that tree there. Tree by tree, in order: a tree
+    whose scan fails on either trajectory is refused with the error
+    :func:`limit_of` raises there; the two values must lie within the sum
+    of their last increments. A limit within ``ZERO_MARGIN`` tail bounds
+    of 0 is 0; one that is not, yet lies within ``NEAR_ZERO_TOLS *
+    LIMIT_TOL`` of 0 while its samples still move, is refused. When d's
+    own limit does not settle, the limit of 1/d must be 0 and the
+    couplings are taken as beta_jq/d^q. Raises :class:`LimitRefused`
+    naming the first tree whose limit is refused or whose recheck
+    disagrees.
     """
-    limits = _symbol_limits(symbol, (side,))[side]
-    if isinstance(limits, LimitRefused):
-        raise limits
+    direct, inverse = symbol_rows(symbol)
+    return _side_limits(tail_ledger(direct + inverse), side, direct, inverse)
+
+
+def _symbol_limits(symbol: SchurSymbol, sides: tuple[str, ...], *,
+                   ledger: TailLedger | None = None
+                   ) -> dict[str, SymbolLimits | LimitRefused]:
+    """:func:`symbol_limits` toward each of ``sides``, or the refusal it
+    raises there, read from ``ledger``, a :func:`tail_ledger` of both
+    :func:`symbol_rows` (built when None)."""
+    direct, inverse = symbol_rows(symbol)
+    if ledger is None:
+        ledger = tail_ledger(direct + inverse)
+    limits = {}
+    for side in sides:
+        try:
+            limits[side] = _side_limits(ledger, side, direct, inverse)
+        except LimitRefused as refusal:
+            limits[side] = refusal
     return limits
 
 
-def _symbol_limits(symbol: SchurSymbol, sides: tuple[str, ...]
-                   ) -> dict[str, SymbolLimits | LimitRefused]:
-    """:func:`symbol_limits` toward each of ``sides``, or the refusal it
-    raises there.
-
-    Each tree is walked once, on the ``X0`` and recheck trajectories of
-    every side stacked as columns, and one certificate scan covers them
-    all; each side reads its own two columns. Only the sides whose d does
-    not settle go on to 1/d and beta_jq/d^q, in one more walk and scan.
-    """
-    def scan(trees, ends):
-        """The checked limits of ``trees`` toward each of ``ends``."""
-        xs = np.stack([_trajectory(side, recheck) for side in ends
-                       for recheck in (False, True)], axis=1)
-        samples = np.stack([evaluate_array(tree, x=xs) for *_, tree in trees])
-        block = _limit_block(samples, LIMIT_TOL)
-        limits = {}
-        for e, side in enumerate(ends):
-            own = slice(2 * e, 2 * e + 2)
-            limits[side] = _checked(trees, side, xs[:, own],
-                                    samples[:, :, own],
-                                    tuple(a[:, own] for a in block))
-        return limits
-
-    direct = scan([("d", None, 0, symbol.d), *_tail_trees(symbol, False)],
-                  sides)
-    first = {side: _or_refusal(next, limits)
-             for side, limits in direct.items()}
-    diverging = tuple(side for side in sides
-                      if isinstance(first[side], LimitRefused)
-                      and isinstance(first[side].__cause__, NotConvergent))
-    inverse = {} if not diverging else scan(
-        [("1/d", None, 0, Div(Lit(1 + 0j), symbol.d)),
-         *_tail_trees(symbol, True)], diverging)
-    return {side: _or_refusal(_side_limits, first[side], direct[side],
-                              inverse.get(side)) for side in sides}
-
-
-def _or_refusal(run, *args):
-    """``run(*args)``, or the :class:`LimitRefused` it raises."""
-    try:
-        return run(*args)
-    except LimitRefused as refusal:
-        return refusal
-
-
-def _side_limits(first: TailLimit | LimitRefused, limits, inverse
+def _side_limits(ledger: TailLedger, side: str, direct, inverse
                  ) -> SymbolLimits:
-    """One side's limits: d's (``first``) and the rest of ``limits``, or,
-    where d does not settle, 1/d's and the rest of ``inverse``, which must
-    tend to 0. Raises the first refusal, naming d for both reasons when
-    1/d fails too."""
-    if inverse is not None:
+    """One side's limits: those of the ``direct`` rows or, where d does not
+    settle, of the ``inverse`` rows, whose 1/d must tend to 0. Raises the
+    first refusal, naming d for both reasons when 1/d fails too."""
+    limits = _checked(ledger, direct, side)
+    try:
+        first = next(limits)
+    except LimitRefused as refusal:
+        if not isinstance(refusal.__cause__, NotConvergent):
+            raise
+        limits = _checked(ledger, inverse, side)
         try:
-            d_limit = next(inverse)
-            reason = "" if d_limit.value == 0 else (
-                f"the limit of 1/d is {d_limit.certificate.value}, not 0")
+            first = next(limits)
+            reason = "" if first.value == 0 else (
+                f"the limit of 1/d is {first.certificate.value}, not 0")
         except LimitRefused as exc:
             reason = str(exc)
         if reason:
-            raise LimitRefused("d", f"{first.__cause__}; {reason}") from first
-        first, limits = d_limit, inverse
-    elif isinstance(first, LimitRefused):
-        raise first
+            raise LimitRefused("d", f"{refusal.__cause__}; {reason}"
+                               ) from refusal
     return SymbolLimits(first.label == "1/d", (first, *limits))
 
 
-def _checked(trees, side: str, xs: np.ndarray, samples: np.ndarray, block):
-    """The :class:`TailLimit` of each (label, j, q, tree) toward ``side``,
-    checked in order, from its ``samples`` on the ``X0`` and recheck
-    trajectories ``xs`` (columns 0 and 1) and their certificate scan."""
-    converged = block[4]
-    for i, (label, j, q, tree) in enumerate(trees):
-        for k, settled in enumerate(converged[i]):
-            if not settled:
-                _refuse(label, tree, side, xs[:, k], samples[i, :, k],
-                        tuple(a[i:i + 1, k:k + 1] for a in block))
-        first, again = (_certificate(block, i, k) for k in (0, 1))
+def _checked(ledger: TailLedger, rows, side: str):
+    """The :class:`TailLimit` of each (label, j, q, tree) row toward
+    ``side``, checked in order from its ``ledger`` columns on the ``X0``
+    and recheck trajectories."""
+    for label, j, q, _ in rows:
+        first, again = (ledger.certificate(label, side, recheck)
+                        for recheck in (False, True))
+        for recheck, end in ((False, first), (True, again)):
+            if end is None:
+                error = ledger.error(label, side, recheck)
+                raise LimitRefused(label, str(error)) from error
         if abs(first.value - again.value) > (first.last_increment
                                              + again.last_increment):
             raise LimitRefused(label, (
@@ -650,15 +671,6 @@ def _checked(trees, side: str, xs: np.ndarray, samples: np.ndarray, block):
                 f"({first.tail_bound:.3e}), so it is neither certified "
                 "0 nor told apart from 0"))
         yield limit
-
-
-def _refuse(label: str, tree: Expr, side: str, xs: np.ndarray,
-            samples: np.ndarray, block) -> NoReturn:
-    """Raise the :class:`LimitRefused` of a tree whose scan ``block`` of its
-    ``samples`` on the trajectory ``xs`` failed, caused by the error
-    :func:`limit_of` gives there."""
-    error = _limit_error(tree, side, xs, samples, block)
-    raise LimitRefused(label, str(error)) from error
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +762,8 @@ POINTS_PER_WINDOW = 4096
 ESCAPE_BOUND = 1e8
 
 
-def limit_points_at_infinity(d: Expr) -> ExceptionalSet:
+def limit_points_at_infinity(d: Expr, *, ledger: TailLedger | None = None
+                             ) -> ExceptionalSet:
     """The finite limit points of d at infinity, toward both ends.
 
     A side where d's limit is certified, as by :func:`limit_of`, adds that
@@ -759,19 +772,22 @@ def limit_points_at_infinity(d: Expr) -> ExceptionalSet:
     both are refused is sampled, over the ``CLUSTER_WINDOWS`` largest of
     ``WINDOWS`` dyadic windows [2^s, 2^(s+1)], less those whose smallest |d|
     exceeds ``ESCAPE_BOUND``: an estimate. The values are clustered together.
+    Both limits are read from ``ledger``, a :func:`tail_ledger` holding d
+    as ``"d"`` and 1/d as ``"1/d"`` (built here when None).
     """
-    limits = _end_limits(d)
-    inverse = None
+    if ledger is None:
+        ledger = tail_ledger([("d", d), ("1/d", Div(Lit(1 + 0j), d))])
     retained: list[np.ndarray] = []
     exponents: set[int] = set()
     sources: dict[str, str] = {}
     for side, sign in (("+", 1.0), ("-", -1.0)):
-        if limits[side] is not None:
-            retained.append(np.array([limits[side].limit]))
+        limit = ledger.certificate("d", side)
+        if limit is not None:
+            retained.append(np.array([limit.limit]))
             sources[side] = "certified"
             continue
-        inverse = inverse or _end_limits(Div(Lit(1 + 0j), d))
-        if inverse[side] is not None and inverse[side].limit == 0:
+        inverse = ledger.certificate("1/d", side)
+        if inverse is not None and inverse.limit == 0:
             sources[side] = "escapes"
             continue
         sources[side] = "sampled"
@@ -832,18 +848,18 @@ def check_assumptions(op: OperatorMatrix, symbol: SchurSymbol,
     samples on the grid the x-only trees of the symbol's lambda-free form
     and the operator's b and d with their first two x-derivatives, and c
     and the unsimplified decoupling function as plain values
-    (:class:`_GridJets`); the trajectory samples for D are taken once per
-    side. The probes then go in (P, S) batches of at most ``PROBE_CHUNK``:
-    array algebra in u = 1/(d - lambda), with u' = -d' u^2, gives every B1,
-    B2 and B3 value, each check reduces the stacked values, and one
-    certificate scan per side gives D. Only C's convex hull is taken probe
-    by probe.
+    (:class:`_GridJets`); a second walk samples the form for D on the
+    ``X0`` trajectories of both sides at once. The probes then go in
+    (P, S) batches of at most ``PROBE_CHUNK``: array algebra in
+    u = 1/(d - lambda), with u' = -d' u^2, gives every B1, B2 and B3
+    value, each check reduces the stacked values, and one certificate scan
+    per side gives D. Only C's convex hull is taken probe by probe.
     """
     grid = np.asarray(grid, dtype=float)
     probe_list = [complex(probe) for probe in probes]
     jets = _GridJets.sample(op, symbol, grid)
-    trajectories = [(side, _sample_form(symbol, _trajectory(side)))
-                    for side in ("+", "-")]
+    trajectories = list(zip("+-", _forms(symbol, np.stack(
+        [_trajectory("+"), _trajectory("-")], axis=1))))
     records: list[DiagnosticRecord] = []
     for start in range(0, len(probe_list), PROBE_CHUNK):
         records += _probe_records(jets, trajectories,
@@ -901,25 +917,16 @@ class _GridJets(NamedTuple):
     @classmethod
     def sample(cls, op: OperatorMatrix, symbol: SchurSymbol,
                grid: np.ndarray) -> _GridJets:
-        terms = [*symbol.alpha, *(tree for row in symbol.beta for tree in row),
-                 *op.b]
-        jet_trees = [tree for tree in terms if not _zero(tree)]
-        jet_trees += [symbol.d, op.d]
+        jet_trees = [*_form_trees(symbol), *(b for b in op.b if not _zero(b)),
+                     op.d]
         plain_trees = [c for c in op.c if not _zero(c)] + [
             op.d - op.b[op.n] * op.c[op.k] / op.a[op.m]]
         jets, plain = evaluate_batch(grid, jet_trees, plain_trees)
         jet_of = dict(zip(map(id, jet_trees), jets))
         plain_of = dict(zip(map(id, plain_trees), plain))
-
-        def jet(tree, _):
-            return jet_of[id(tree)]
-
-        def samples(tree, _):
-            return plain_of[id(tree)]
-
-        return cls(form=_sample_form(symbol, grid, jet),
-                   b=[_term(jet, b, grid) for b in op.b],
-                   c=[_term(samples, c, grid) for c in op.c],
+        return cls(form=_sample_form(symbol, grid, jet_of),
+                   b=[_term(jet_of, b) for b in op.b],
+                   c=[_term(plain_of, c) for c in op.c],
                    d=jet_of[id(op.d)],
                    delta=plain[-1][np.isfinite(plain[-1])])
 

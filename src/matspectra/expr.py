@@ -13,12 +13,12 @@ single integer.
 Evaluation is strict about singular points: dividing by a value of magnitude
 below ``1e-300`` raises :class:`~matspectra.errors.PoleError`, and ``log`` or
 ``sqrt`` applied to exactly ``0`` raises
-:class:`~matspectra.errors.DomainError`. :func:`evaluate_array` is the
+:class:`~matspectra.errors.DomainError`. :func:`evaluate_batch` is the
 vectorized companion used by the numeric layers; it lets non-finite values
-propagate instead of raising, and callers mask them. :func:`evaluate_batch`
-samples many x-only trees in one walk that evaluates each distinct subtree
-once, carrying forward-mode x-derivatives where asked; :func:`evaluate_jet`
-is its one-tree form.
+propagate instead of raising, and callers mask them. It samples many trees
+in one walk that evaluates each distinct subtree once, carrying
+forward-mode x-derivatives where asked; :func:`evaluate_array` and
+:func:`evaluate_jet` are its one-tree forms.
 
 :func:`simplify` is a best-effort normalization, not a canonical form: it
 folds constants, applies the 0/1 identities, collects rational sub-expressions
@@ -427,53 +427,19 @@ _ARRAY_FUNCS = {
     "atan": np.arctan,
 }
 
+_BINARY = (Add, Sub, Mul, Div)
+
 
 def evaluate_array(e: Expr, x=None, lam=None) -> np.ndarray:
-    """Vectorized evaluation with numpy broadcasting.
+    """Vectorized evaluation with numpy broadcasting: the values path of
+    :func:`evaluate_batch` for one tree.
 
     Returns a complex128 array of the broadcast shape of ``x`` and ``lam``
     for every tree, constant ones included. Unlike :func:`evaluate` this is
     not strict: divisions by (near-)zero and domain violations produce
     ``inf``/``nan`` entries that callers mask.
     """
-    if lam is None or x is None:
-        shape = np.shape(lam if x is None else x)
-    else:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(lam))
-    if isinstance(e, Lit):
-        return np.full(shape, e.value, dtype=np.complex128)
-    x_arr = None if x is None else np.asarray(x, dtype=np.complex128)
-    lam_arr = None if lam is None else np.asarray(lam, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        out = _eval_array(e, x_arr, lam_arr)
-    if isinstance(out, np.ndarray) and out.shape == shape:
-        return out
-    return np.full(shape, out, dtype=np.complex128)
-
-
-def _eval_array(e, x, lam):
-    if isinstance(e, Lit):
-        return np.complex128(e.value)
-    if isinstance(e, Var):
-        value = x if e.name == "x" else lam
-        if value is None:
-            raise ValueError(f"unbound variable {e.name!r}")
-        return value
-    if isinstance(e, Add):
-        return _eval_array(e.left, x, lam) + _eval_array(e.right, x, lam)
-    if isinstance(e, Sub):
-        return _eval_array(e.left, x, lam) - _eval_array(e.right, x, lam)
-    if isinstance(e, Mul):
-        return _eval_array(e.left, x, lam) * _eval_array(e.right, x, lam)
-    if isinstance(e, Div):
-        return _eval_array(e.left, x, lam) / _eval_array(e.right, x, lam)
-    if isinstance(e, Neg):
-        return -_eval_array(e.arg, x, lam)
-    if isinstance(e, Pow):
-        return _eval_array(e.base, x, lam) ** e.exponent
-    if isinstance(e, Call):
-        return _ARRAY_FUNCS[e.func](_eval_array(e.arg, x, lam))
-    raise TypeError(f"not an expression node: {e!r}")
+    return evaluate_batch(x, values=[e], lam=lam)[1][0]
 
 
 def evaluate_jet(e: Expr, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -485,57 +451,85 @@ def evaluate_jet(e: Expr, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return evaluate_batch(x, jets=[e])[0][0]
 
 
-def evaluate_batch(x, jets=(), values=()) -> tuple[list, list[np.ndarray]]:
-    """Many x-only trees sampled at ``x`` in one walk, bit for bit as one
-    call each would sample them: every tree of ``jets`` as
-    :func:`evaluate_jet` does, every tree of ``values`` as
-    :func:`evaluate_array` does.
+def evaluate_batch(x=None, jets=(), values=(), lam=None
+                   ) -> tuple[list, list[np.ndarray]]:
+    """Many trees sampled at ``x`` and ``lam``, broadcast together, in one
+    walk: every tree of ``values`` as :func:`evaluate_array` samples it,
+    and every tree of ``jets`` with its first two x-derivatives (lambda
+    held fixed) as :func:`evaluate_jet` does.
 
-    The walk evaluates each distinct subtree once. Nodes are interned
-    bottom-up by type, children, exponent or function, and a literal's
-    value with the signs of its zeros: dataclass equality takes
-    ``Lit(0.0)`` and ``Lit(-0.0)`` for one node, yet a zero's sign can
-    reach a sample. Derivatives are carried only below the trees of
-    ``jets``. Returns the jets and the value arrays, each in the order of
-    its trees; arrays may be shared between results, so read them only.
+    The walk evaluates each distinct subtree once, which changes no bit.
+    Nodes are interned bottom-up by type, children, exponent or function,
+    and a literal's value with the signs of its zeros: dataclass equality
+    takes ``Lit(0.0)`` and ``Lit(-0.0)`` for one node, yet a zero's sign
+    can reach a sample. Derivatives are carried only below the trees of
+    ``jets``; an unbound variable that a tree reads is a ``ValueError``.
+    Returns the jets and the value arrays, each in the order of its trees;
+    arrays may be shared between results and with the inputs, so read
+    them only.
     """
-    x_arr = np.asarray(x, dtype=np.complex128)
+    variables = {name: given if given is None else
+                 np.asarray(given, np.complex128)
+                 for name, given in (("x", x), ("lambda", lam))}
+    shapes = [np.shape(given) for given in variables.values()
+              if given is not None]
+    shape = shapes[0] if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     nodes: list[Expr] = []  # one per distinct subtree, children first
     operands: list[tuple[int, ...]] = []
+    readers: list[int] = []  # how many nodes read each node's samples
     index: dict[tuple, int] = {}
     seen: dict[int, int] = {}  # by identity: the trees outlive the walk
 
     def intern(e) -> int:
         at = seen.get(id(e))
         if at is None:
-            children, payload = _parts(e)
-            args = tuple(map(intern, children))
-            at = index.setdefault((type(e), args, payload), len(nodes))
-            if at == len(nodes):
+            kind = type(e)
+            if kind in _BINARY:
+                args, payload = (intern(e.left), intern(e.right)), None
+            elif kind is Lit:
+                value = e.value
+                args, payload = (), (value, math.copysign(1.0, value.real),
+                                     math.copysign(1.0, value.imag))
+            elif kind is Var:
+                args, payload = (), e.name
+            elif kind is Pow:
+                args, payload = (intern(e.base),), e.exponent
+            elif kind is Neg:
+                args, payload = (intern(e.arg),), None
+            elif kind is Call:
+                args, payload = (intern(e.arg),), e.func
+            else:
+                raise TypeError(f"not an expression node: {e!r}")
+            key = (kind, args, payload)
+            at = index.get(key)
+            if at is None:
+                at = index[key] = len(nodes)
                 nodes.append(e)
                 operands.append(args)
+                readers.append(0)
+                for arg in args:
+                    readers[arg] += 1
             seen[id(e)] = at
         return at
 
     jet_roots = [intern(tree) for tree in jets]
     value_roots = [intern(tree) for tree in values]
+    # The roots' samples are read at the end; any other node's are
+    # dropped once its last reader has run.
+    for at in jet_roots + value_roots:
+        readers[at] += 1
     carried = [False] * len(nodes)
     for at in jet_roots:
         carried[at] = True
-    # A node's samples are dropped once its last reader has run; the
-    # roots' are read at the end.
-    readers = [0] * len(nodes)
-    for at in range(len(nodes) - 1, -1, -1):
-        for arg in operands[at]:
-            carried[arg] = carried[arg] or carried[at]
-            readers[arg] += 1
-    for at in jet_roots + value_roots:
-        readers[at] += 1
+    for at in range(len(nodes) - 1, -1, -1) if jets else ():
+        if carried[at]:
+            for arg in operands[at]:
+                carried[arg] = True
     value: list = []
     slopes: list = []
     with np.errstate(all="ignore"):
         for e, args, carry in zip(nodes, operands, carried):
-            value.append(_value_step(e, x_arr, [value[a] for a in args]))
+            value.append(_value_step(e, variables, [value[a] for a in args]))
             slopes.append(_slope_step(
                 e, value[-1], [(value[a], *slopes[a]) for a in args])
                 if carry else None)
@@ -545,43 +539,26 @@ def evaluate_batch(x, jets=(), values=()) -> tuple[list, list[np.ndarray]]:
                     value[arg] = slopes[arg] = None
 
     def full(part):
-        if isinstance(part, np.ndarray) and part.shape == x_arr.shape:
+        if isinstance(part, np.ndarray) and part.shape == shape:
             return part
-        return np.full(x_arr.shape, part, np.complex128)
+        return np.full(shape, part, np.complex128)
 
     return ([tuple(map(full, (value[at], *slopes[at]))) for at in jet_roots],
             [full(value[at]) for at in value_roots])
 
 
-def _parts(e) -> tuple[tuple, object]:
-    """A node's operands, and what besides its type and operands tells it
-    apart."""
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return (e.left, e.right), None
-    if isinstance(e, Neg):
-        return (e.arg,), None
-    if isinstance(e, Call):
-        return (e.arg,), e.func
-    if isinstance(e, Pow):
-        return (e.base,), e.exponent
-    if isinstance(e, Var):
-        return (), e.name
-    if isinstance(e, Lit):
-        value = e.value
-        return (), (value, math.copysign(1.0, value.real),
-                    math.copysign(1.0, value.imag))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _value_step(e, x, args):
-    """A node's samples from its operands' samples ``args``, formed as
-    :func:`_eval_array` forms them."""
+def _value_step(e, variables, args):
+    """A node's samples from its operands' samples ``args``; ``variables``
+    maps each variable's name to its samples, or to None where unbound."""
     if isinstance(e, Lit):
         return np.complex128(e.value)
     if isinstance(e, Var):
-        if e.name != "x":
-            raise ValueError(f"batches take x-only trees, got {e.name!r}")
-        return x
+        value = variables.get(e.name)
+        if value is None:
+            raise ValueError(f"unbound variable {e.name!r}" + (
+                "; without lam, trees must be x-only"
+                if e.name == "lambda" else ""))
+        return value
     if isinstance(e, Neg):
         return -args[0]
     if isinstance(e, Pow):
@@ -615,7 +592,7 @@ def _slope_step(e, h, args):
     if isinstance(e, Lit):
         return 0j, 0j
     if isinstance(e, Var):
-        return 1 + 0j, 0j
+        return (1 + 0j if e.name == "x" else 0j), 0j
     if isinstance(e, Neg):
         (_, f1, f2), = args
         return -f1, -f2

@@ -49,18 +49,19 @@ step on the slope of the limit batches at most ``curve_res``, and again
 ``|F| <= ROOT_TOL`` on the recheck trajectory. The report names
 the route of each side and its limits, or the limit that was refused.
 
-Both sides' limits of step 1 come from one walk of the x-only trees, on
-the X0 and recheck trajectories of both ends stacked as columns, and one
-certificate scan. A closed-form sweep reads only the profile, the
-frequency grid and the config, so two sides with the same limits share
-one sweep: when the - side's closed-form profile equals the + side's byte
-for byte (numerator shape and the bytes of N_j and Q), the - side takes
-the + side's emitted roots, its skips relabelled to "-" and its sweep
-report, marked ``"reused": "+"``, instead of sweeping again. Such a -
-side is wholly neutral: every root belongs to both ends, no merge runs,
-and the + and - classes stay empty. Both bundled operators have
-coefficients even in x and take this path. A fitted side is always swept
-on its own, since its polish samples limits toward its own end.
+An :func:`essential_spectrum` run reads all its limits, step 1's on both
+sides, the curve's endpoints and d's limit points, from one
+:func:`~matspectra.asymptotics.tail_ledger`: one walk and one scan. A
+closed-form sweep reads only the profile, the frequency grid and the
+config, so two sides with the same limits share one sweep: when the -
+side's closed-form profile equals the + side's byte for byte (numerator
+shape and the bytes of N_j and Q), the - side takes the + side's emitted
+roots, its skips relabelled to "-" and its sweep report, marked
+``"reused": "+"``, instead of sweeping again. Such a - side is wholly
+neutral: every root belongs to both ends, no merge runs, and the + and -
+classes stay empty. Both bundled operators have coefficients even in x
+and take this path. A fitted side is always swept on its own, since its
+polish samples limits toward its own end.
 
 Each side keeps its roots in a :class:`RootTable` (ascending xi, a
 NaN-padded root array, a count per row), so the window tests, dedupe,
@@ -95,18 +96,18 @@ from .asymptotics import (
     LIMIT_TOL,
     ExceptionalSet,
     SymbolLimits,
-    _end_limits,
+    TailLedger,
     _ratio_batch,
     _symbol_limits,
     _trajectory,
-    limit_of,
     limit_points_at_infinity,
     limit_ratio_batch,
     symbol_limits,
+    symbol_rows,
+    tail_ledger,
 )
 from .config import SolverConfig
-from .errors import (ConfigError, FitError, LimitRefused, NotConvergent,
-                     PoleError)
+from .errors import ConfigError, FitError, LimitRefused
 from .expr import evaluate_array
 from .model import (
     X_SPAN,
@@ -277,21 +278,25 @@ def _near_window(vals: np.ndarray, window, pad: float) -> np.ndarray:
 
 
 def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
-                 report: dict | None = None) -> RegularTable:
+                 report: dict | None = None,
+                 ledger: TailLedger | None = None) -> RegularTable:
     """Sample the decoupling curve adaptively and append endpoint limits.
 
     Consecutive samples whose images lie near the output window are refined
     until image gaps drop below ``curve_res`` (subject to ``MAX_POINTS``).
     Coincident consecutive images are collapsed, so a constant curve yields
-    a single finite point. Endpoint limits toward +/-infinity, certified
-    by one scan of both ends, are appended with ``x_param = +/-inf``, a
-    limit within ``ZERO_MARGIN`` tail bounds of 0 as exactly 0
-    (:attr:`~matspectra.asymptotics.Certificate.limit`); divergent ends
-    are simply absent.
+    a single finite point. Endpoint limits toward +/-infinity, read from
+    ``ledger``, a :func:`~matspectra.asymptotics.tail_ledger` that holds
+    the decoupling function as ``"delta"`` (built when None), are appended
+    with ``x_param = +/-inf``, a limit within ``ZERO_MARGIN`` tail bounds
+    of 0 as exactly 0 (:attr:`~matspectra.asymptotics.Certificate.limit`);
+    divergent ends are absent, and the report names why.
     """
     cfg = cfg or SolverConfig()
     log = report if report is not None else {}
-    dexpr = delta(op)
+    if ledger is None:
+        ledger = tail_ledger([("delta", delta(op))])
+    dexpr = ledger.tree("delta")
     xs = np.unique(np.concatenate(
         [np.linspace(-X_SPAN, X_SPAN, cfg.grid_points), [0.0]]))
     vals = evaluate_array(dexpr, x=xs)
@@ -324,13 +329,13 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
     x_param, lam = [xs[keep]], [vals[keep]]
 
     endpoints: dict[str, dict] = {}
-    limits = _end_limits(dexpr)
     for side, tag in (("-", -math.inf), ("+", math.inf)):
-        try:
-            # A refused end is certified again only to name the reason.
-            cert = limits[side] or limit_of(dexpr, side)[1]
-        except (NotConvergent, PoleError) as exc:
-            endpoints[side] = {"converged": False, "reason": type(exc).__name__}
+        cert = ledger.certificate("delta", side)
+        if cert is None:
+            error = ledger.error("delta", side)
+            endpoints[side] = {"converged": False,
+                               "reason": type(error).__name__,
+                               "message": str(error)}
             continue
         value = cert.limit
         x_param.append(np.array([tag]))
@@ -1107,13 +1112,16 @@ def _side_classes(plus: RootTable, minus: RootTable
 
 def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
                   xi_grid=None, cfg: SolverConfig | None = None, *,
-                  report: dict | None = None) -> SingularTable:
+                  report: dict | None = None,
+                  ledger: TailLedger | None = None) -> SingularTable:
     """Certified roots of the tail polynomials over the frequency grid.
 
     Returns the points of both sides, cross-side coincidences merged into
     the neutral side, with branch ids assigned by continuation and no
-    flags. Both sides' limits come from one walk and scan of the tail
-    trees. A - side that reuses the + sweep is wholly neutral: its points
+    flags. Both sides' limits are read from ``ledger``, a
+    :func:`~matspectra.asymptotics.tail_ledger` of the symbol's
+    :func:`~matspectra.asymptotics.symbol_rows` (built when None). A -
+    side that reuses the + sweep is wholly neutral: its points
     are the + side's, no merge runs, and the + and - classes are empty.
     The report's ``skip_counts`` count per side, so such a - side repeats
     the + side's skips. Raises :class:`ConfigError` on a
@@ -1147,7 +1155,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     side_roots = {side: _empty_rows(np.empty(0)) for side in ("+", "-")}
     # Closed-form sweeps by profile bytes: (side, sweep report, its skips).
     swept: dict[tuple, tuple[str, dict, list]] = {}
-    ends = _symbol_limits(symbol, ("+", "-"))
+    ends = _symbol_limits(symbol, ("+", "-"), ledger=ledger)
 
     for side in ("+", "-"):
         try:
@@ -1277,8 +1285,9 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
     """Regular curve plus singular branches, with per-point overlap flags.
 
     ``symbol`` is the operator's Schur symbol when the caller has already
-    built it. Sub-step failures are collected into the report and partial
-    results are returned.
+    built it. The parts read every limit from one ledger (module
+    docstring). Sub-step failures are collected into the report and
+    partial results are returned.
     """
     cfg = cfg or SolverConfig()
     report: dict = {
@@ -1295,12 +1304,15 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
     }
     diag = validate(op, validation_grid(cfg))
     report["leading_coefficient"] = diag.to_json_dict()
-    regular = regular_part(op, cfg, report=report)
-    exceptional = limit_points_at_infinity(op.d)
-    report["exceptional"] = exceptional.to_json_dict()
     symbol = symbol if symbol is not None else build_schur(op)
+    direct, inverse = symbol_rows(symbol)
+    ledger = tail_ledger([("delta", delta(op)), *direct, *inverse])
+    regular = regular_part(op, cfg, report=report, ledger=ledger)
+    exceptional = limit_points_at_infinity(op.d, ledger=ledger)
+    report["exceptional"] = exceptional.to_json_dict()
     try:
-        singular = singular_part(op, symbol, cfg=cfg, report=report)
+        singular = singular_part(op, symbol, cfg=cfg, report=report,
+                                 ledger=ledger)
     except FitError as exc:
         report["errors"].append(str(exc))
         singular = SingularTable.from_rows(())

@@ -6,8 +6,10 @@ closed-form quadratic formula, discretization stencils are diagonalized by
 hand via their Fourier symbols, set distances are computed by brute
 force, and convex hulls come from qhull. :func:`apply_operator` reads a
 Schur symbol's trees with the scalar ``matspectra.expr.evaluate`` only, to
-check the reduction's algebra against the operator it came from. Tests
-compare package output against these.
+check the reduction's algebra against the operator it came from, and
+:func:`evaluate_recursive` walks a tree by plain recursion, each subtree
+wherever it occurs, as the reference for the package's shared-subtree
+walker. Tests compare package output against these.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from functools import reduce
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from matspectra.expr import Div, Lit, Sub, evaluate
+from matspectra.expr import (Add, Call, Div, Lit, Mul, Neg, Pow, Sub, Var,
+                             evaluate)
 from matspectra.schur import SchurSymbol
 
 
@@ -122,3 +125,47 @@ def apply_operator(symbol: SchurSymbol, u_coeffs, x: float,
         total += p * (-1j) ** j * value
         current = [r * current[r] for r in range(1, len(current))]
     return total
+
+
+_ARRAY_FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos,
+                "sqrt": np.sqrt, "log": np.log, "atan": np.arctan}
+
+
+def evaluate_recursive(e, x=None, lam=None) -> np.ndarray:
+    """Samples of a tree in x and lambda, broadcast as numpy broadcasts
+    them, by plain recursion: a complex128 array of the broadcast shape of
+    ``x`` and ``lam``, non-finite values left in place."""
+    x_arr = None if x is None else np.asarray(x, dtype=np.complex128)
+    lam_arr = None if lam is None else np.asarray(lam, dtype=np.complex128)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (x_arr, lam_arr)
+                                  if v is not None))
+
+    def walk(e):
+        if isinstance(e, Lit):
+            return np.complex128(e.value)
+        if isinstance(e, Var):
+            value = x_arr if e.name == "x" else lam_arr
+            if value is None:
+                raise ValueError(f"unbound variable {e.name!r}")
+            return value
+        if isinstance(e, Add):
+            return walk(e.left) + walk(e.right)
+        if isinstance(e, Sub):
+            return walk(e.left) - walk(e.right)
+        if isinstance(e, Mul):
+            return walk(e.left) * walk(e.right)
+        if isinstance(e, Div):
+            return walk(e.left) / walk(e.right)
+        if isinstance(e, Neg):
+            return -walk(e.arg)
+        if isinstance(e, Pow):
+            return walk(e.base) ** e.exponent
+        if isinstance(e, Call):
+            return _ARRAY_FUNCS[e.func](walk(e.arg))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    with np.errstate(all="ignore"):
+        out = walk(e)
+    if isinstance(out, np.ndarray) and out.shape == shape:
+        return out
+    return np.full(shape, out, dtype=np.complex128)

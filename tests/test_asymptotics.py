@@ -8,6 +8,7 @@ dense brute-force sampling of the target function far from the origin.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import tracemalloc
@@ -41,20 +42,19 @@ from matspectra.asymptotics import (
     WINDOWS,
     ZERO_MARGIN,
     TURN_TOL,
+    COLUMNS,
     Certificate,
     SymbolLimits,
     _GridJets,
     TailLimit,
     _check_c,
     _cluster,
-    _end_limits,
+    _forms,
     _hull,
     _limit_on,
     _ratio_samples,
-    _sample_form,
     _sector_margin,
     _symbol_limits,
-    _tail_trees,
     _trajectory,
     check_assumptions,
     limit_of,
@@ -62,6 +62,8 @@ from matspectra.asymptotics import (
     limit_ratio,
     limit_ratio_batch,
     symbol_limits,
+    symbol_rows,
+    tail_ledger,
 )
 from matspectra import asymptotics as asymptotics_module
 from matspectra.cli import DEFAULT_PROBES
@@ -280,15 +282,16 @@ def test_symbol_limits_name_the_refused_tree():
 
 
 def test_symbol_limits_need_one_over_d_to_vanish(monkeypatch):
-    real = asymptotics_module.evaluate_array
+    real = asymptotics_module.evaluate_batch
     wobble = parse("2 + sin(x)")
 
-    def settled_inverse(expr, **env):
-        if expr == Lit(1 + 0j) / wobble:
-            return np.full(np.shape(env["x"]), 0.5 + 0j)
-        return real(expr, **env)
+    def settled_inverse(x, jets=(), values=(), **env):
+        jet_samples, samples = real(x, jets, values, **env)
+        return jet_samples, [
+            np.full(np.shape(x), 0.5 + 0j) if tree == Lit(1 + 0j) / wobble
+            else sample for tree, sample in zip(values, samples)]
 
-    monkeypatch.setattr(asymptotics_module, "evaluate_array", settled_inverse)
+    monkeypatch.setattr(asymptotics_module, "evaluate_batch", settled_inverse)
     op = OperatorMatrix(a=(ZERO, ZERO, ONE), b=(ZERO, Lit(-1j)),
                         c=(ZERO, Lit(1j)), d=wobble)
     with pytest.raises(LimitRefused, match=r"1/d is \(0.5\+0j\), not 0"):
@@ -296,22 +299,26 @@ def test_symbol_limits_need_one_over_d_to_vanish(monkeypatch):
 
 
 def test_symbol_limits_refuse_a_recheck_that_disagrees(monkeypatch):
-    real = asymptotics_module.evaluate_array
-    alpha_0 = quartic_coupled().a[0]
+    real = asymptotics_module.evaluate_batch
+    op = quartic_coupled()
+    alpha_0 = op.a[0]
     recheck = _trajectory("+", recheck=True)
     shift = 3.0 * (_limit_on(alpha_0, "+", recheck)[1].last_increment
                    + 1e-12)
 
-    def shifted(expr, **env):
-        values = real(expr, **env)
-        if expr == alpha_0:
-            # Column 1 holds the samples on the recheck trajectory.
-            values[:, 1] += shift
-        return values
+    def shifted(x, jets=(), values=(), **env):
+        jet_samples, samples = real(x, jets, values, **env)
+        samples = [sample.copy() for sample in samples]
+        for tree, sample in zip(values, samples):
+            if tree is alpha_0:
+                # Column 1 holds the samples on the + recheck trajectory.
+                assert COLUMNS[1] == ("+", True)
+                sample[:, 1] += shift
+        return jet_samples, samples
 
-    monkeypatch.setattr(asymptotics_module, "evaluate_array", shifted)
+    monkeypatch.setattr(asymptotics_module, "evaluate_batch", shifted)
     with pytest.raises(LimitRefused, match="recheck from x = 21.92") as info:
-        symbol_limits(build_schur(quartic_coupled()), "+")
+        symbol_limits(build_schur(op), "+")
     assert info.value.label == "alpha_0"
 
 
@@ -408,7 +415,7 @@ def _symbol_limits_tree_by_tree(symbol, side):
                                ) from refusal
     diverges = d_limit.label == "1/d"
     return SymbolLimits(diverges, (d_limit, *(
-        certify(*term) for term in _tail_trees(symbol, diverges))))
+        certify(*row) for row in symbol_rows(symbol)[diverges][1:])))
 
 
 REFUSAL_CAUSES = {"did not settle": "not convergent", "hits a pole": "pole",
@@ -416,16 +423,20 @@ REFUSAL_CAUSES = {"did not settle": "not convergent", "hits a pole": "pole",
                   "neither certified 0": "near zero"}
 
 
-def test_batched_symbol_limits_match_tree_by_tree_certification():
-    # One scan per side, and one scan for both sides at once, certify every
-    # tree as limit_of does on its own: the same certificates bit for bit,
-    # or the same first refusal. The random draws refuse only by
-    # non-convergence on the x0 trajectory; quartics with another a_0 add a
-    # pole at x = 32 on the x0 trajectory, a limit too close to 0,
-    # cos(2 pi log2 x), which settles to 1 on the x0 trajectory and
-    # elsewhere on the recheck, and sin(pi log2 x), which settles on the x0
-    # trajectory only. The parabolic's d diverges toward both sides, and
-    # x^2/(1 + exp(-x)) toward + only, so 1/d is taken at one end.
+@functools.cache
+def ledger_corpus():
+    """(operator, symbol, decoupling function) of each operator whose tail
+    limits the ledger tests certify.
+
+    The quartics with another a_0 add a pole at x = 32 on the x0
+    trajectory, a limit too close to 0, cos(2 pi log2 x), which settles to
+    1 on the x0 trajectory and elsewhere on the recheck, and
+    sin(pi log2 x), which settles on the x0 trajectory only. The
+    parabolic's d diverges toward both sides, and x^2/(1 + exp(-x)) toward
+    + only, so 1/d is taken at one end. Then random_operator seeds 0-199,
+    with and without settling coefficients, each at an m of 2 or 4 drawn
+    from its seed.
+    """
     base = quartic_coupled()
     ops = [base, parabolic_potential(),
            replace(base, d=parse("x^2/(1 + exp(-x))")), *(
@@ -433,20 +444,70 @@ def test_batched_symbol_limits_match_tree_by_tree_certification():
                    "1/(x - 32)", "1e-8*x^2/(x^2 + 1)",
                    "cos(9.064720283654388*log(x))",
                    "sin(4.532360141827194*log(x))"))]
-    for settling, seeds in ((False, range(300)), (True, range(60))):
-        for seed in seeds:
+    for settling in (False, True):
+        for seed in range(200):
             rng = random.Random(seed)
             ops.append(random_operator(rng, rng.choice([2, 4]),
                                        settling=settling))
+    return tuple((op, build_schur(op), delta(op)) for op in ops)
+
+
+def spectrum_rows(symbol, decoupling):
+    """The rows of an essential_spectrum run's ledger: the decoupling
+    function, then d, 1/d, alpha_j, beta_jq and beta_jq/d^q."""
+    direct, inverse = symbol_rows(symbol)
+    return [("delta", decoupling), *direct, *inverse]
+
+
+def assert_ledger_matches_limit_of(rows):
+    """Every column of the ledger of ``rows`` is the one tree certified
+    alone: limit_of on the x0 trajectory, _limit_on on the recheck one,
+    the same certificate or the same error."""
+    ledger = tail_ledger(rows)
+    trees = {row[0]: row[-1] for row in rows}
+    assert list(ledger.rows) == list(trees)
+    for name, tree in trees.items():
+        assert ledger.tree(name) is tree
+        for side, recheck in COLUMNS:
+            try:
+                expected = (_limit_on(tree, side, _trajectory(side, True))
+                            if recheck else limit_of(tree, side))[1]
+            except (NotConvergent, PoleError) as exc:
+                expected = exc
+            got = ledger.certificate(name, side, recheck)
+            if isinstance(expected, Certificate):
+                assert got == expected
+            else:
+                assert got is None
+                error = ledger.error(name, side, recheck)
+                assert (type(error), str(error)) == (type(expected),
+                                                     str(expected))
+
+
+def test_ledger_columns_are_the_certificates_of_limit_of():
+    # Every tree an essential_spectrum run reads.
+    for _, symbol, decoupling in ledger_corpus():
+        assert_ledger_matches_limit_of(spectrum_rows(symbol, decoupling))
+
+
+def test_batched_symbol_limits_match_tree_by_tree_certification():
+    # The ledger, for one side, for both sides at once and shared with the
+    # decoupling function, certifies every tree as limit_of does on its
+    # own: the same certificates bit for bit, or the same first refusal.
+    # The random draws refuse only by non-convergence on the x0
+    # trajectory; the special quartics add the other causes, and the
+    # corpus has both, one and no side where d diverges.
     causes = set()
     diverging = set()
-    for op in ops:
-        symbol = build_schur(op)
+    for _, symbol, decoupling in ledger_corpus():
         both = _symbol_limits(symbol, ("+", "-"))
+        shared = _symbol_limits(symbol, ("+", "-"), ledger=tail_ledger(
+            spectrum_rows(symbol, decoupling)))
         for side in "+-":
             outcomes = []
             for run in (symbol_limits, _symbol_limits_tree_by_tree,
-                        lambda symbol, side: both[side]):
+                        lambda symbol, side: both[side],
+                        lambda symbol, side: shared[side]):
                 try:
                     limits = run(symbol, side)
                     if isinstance(limits, LimitRefused):
@@ -458,7 +519,7 @@ def test_batched_symbol_limits_match_tree_by_tree_certification():
                     causes.update(cause for key, cause in
                                   REFUSAL_CAUSES.items()
                                   if key in str(refusal))
-            assert outcomes[0] == outcomes[1] == outcomes[2]
+            assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
         diverging.add(tuple(getattr(both[side], "d_diverges", None)
                             for side in "+-"))
     assert causes == set(REFUSAL_CAUSES.values())
@@ -502,7 +563,7 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     lams = np.asarray([complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                        for _ in range(3)])
     xs = _trajectory(side)
-    form = _sample_form(symbol, xs)
+    form, = _forms(symbol, xs[:, None])
     samples, finite = _ratio_samples(form, lams), form.finite
     with np.errstate(all="ignore"):
         p = [np.broadcast_to(evaluate_array(tree, x=xs[:, None],
@@ -544,28 +605,27 @@ def test_concurrent_calls_are_deterministic():
         "i + 30/x", "cos(x)/(1 + exp(x))", "sin(x)", "1/(x - 32)", "x^30",
         "log(x - 32)", "2 + 1/sqrt(sqrt(1 + x^2))", "-x^2"])], ids=str)
 def test_end_limits_are_the_certificates_of_limit_of(expr):
-    limits = _end_limits(expr)
-    assert list(limits) == ["+", "-"]
-    for side, cert in limits.items():
-        try:
-            expected = limit_of(expr, side)[1]
-        except (NotConvergent, PoleError):
-            expected = None
-        assert cert == expected
+    assert_ledger_matches_limit_of([("tree", expr)])
 
 
 def _recording_windows(monkeypatch) -> list[np.ndarray]:
-    """Record the abscissae of every ``evaluate_array`` call of the
-    exceptional set's module."""
+    """Record the abscissae of every ``evaluate_array`` and
+    ``evaluate_batch`` call of the exceptional set's module."""
     sampled = []
     real_evaluate = asymptotics_module.evaluate_array
+    real_batch = asymptotics_module.evaluate_batch
 
     def recording_evaluate(expr, **env):
         sampled.append(env["x"])
         return real_evaluate(expr, **env)
 
+    def recording_batch(x, *args, **env):
+        sampled.append(x)
+        return real_batch(x, *args, **env)
+
     monkeypatch.setattr(asymptotics_module, "evaluate_array",
                         recording_evaluate)
+    monkeypatch.setattr(asymptotics_module, "evaluate_batch", recording_batch)
     return sampled
 
 
@@ -578,9 +638,9 @@ def test_only_the_clustered_windows_are_sampled(monkeypatch):
     sampled = _recording_windows(monkeypatch)
     result = limit_points_at_infinity(parse("sin(x)"))
     assert result.sources == {"+": "sampled", "-": "sampled"}
-    # One scan of d and one of 1/d refuse both sides; then each window is
-    # sampled once toward each end of the line.
-    assert len(sampled) == 2 + 2 * CLUSTER_WINDOWS
+    # One walk and scan of d and 1/d refuse both sides; then each window
+    # is sampled once toward each end of the line.
+    assert len(sampled) == 1 + 2 * CLUSTER_WINDOWS
     windows = _windows(sampled)
     assert len(windows) == 2 * CLUSTER_WINDOWS
     assert sorted(np.sign(xs[0]) for xs in windows) == (

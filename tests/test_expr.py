@@ -34,6 +34,7 @@ from matspectra.expr import (
     evaluate_array,
     evaluate_batch,
     evaluate_jet,
+    mentions,
     node_count,
     parse,
     simplify,
@@ -44,7 +45,7 @@ from matspectra.schur import build_schur
 
 from factories import (_rand_coeff, parabolic_potential, quartic_coupled,
                        random_operator)
-from oracles import central_diff
+from oracles import central_diff, evaluate_recursive
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +623,60 @@ def test_batch_matches_one_by_one_where_samples_are_not_finite():
         "1/x", "log(x)", "sqrt(x)", "exp(x^2)", "x*exp(x^2) - exp(x^2)*x",
         "atan(1/x)^3", "(x - x)^-2", "sin(exp(x))", "1/(1 + x^2)")]
     assert_batch_matches_one_by_one(trees, x)
+
+
+_EDGE_PARTS = [0.0, -0.0, 1.5, -2.0, 1e200, -1e-300, math.inf, -math.inf,
+               math.nan]
+_edge_numbers = st.builds(complex, st.sampled_from(_EDGE_PARTS),
+                          st.sampled_from(_EDGE_PARTS))
+_leaves = st.one_of(st.just(X), st.just(LAM), st.builds(Lit, _edge_numbers),
+                    st.builds(Lit, st.complex_numbers(max_magnitude=4.0)))
+_trees = st.recursive(_leaves, lambda children: st.one_of(
+    *(st.builds(node, children, children) for node in (Add, Sub, Mul, Div)),
+    st.builds(Neg, children),
+    st.builds(Pow, children, st.integers(-3, 4)),
+    st.builds(Call, st.sampled_from(FUNCTIONS), children)), max_leaves=10)
+_samples = st.lists(st.one_of(_edge_numbers,
+                              st.complex_numbers(max_magnitude=10.0)),
+                    min_size=1, max_size=4).map(
+    lambda values: np.array(values, dtype=np.complex128))
+
+
+def _zeros_flipped(e):
+    """The tree with the sign of every zero part of its literals flipped:
+    equal as a dataclass, yet not always in its samples."""
+    if isinstance(e, Lit):
+        parts = [-part if part == 0 else part
+                 for part in (e.value.real, e.value.imag)]
+        return Lit(complex(*parts))
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(_zeros_flipped(e.left), _zeros_flipped(e.right))
+    if isinstance(e, Pow):
+        return Pow(_zeros_flipped(e.base), e.exponent)
+    if isinstance(e, (Neg, Call)):
+        arg = _zeros_flipped(e.arg)
+        return Neg(arg) if isinstance(e, Neg) else Call(e.func, arg)
+    return e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tree=_trees, xs=_samples, lams=_samples)
+def test_array_walk_matches_the_recursive_reference(tree, xs, lams):
+    # Bit for bit, signed zeros, infinities and NaNs included, broadcast in
+    # x and lambda, in x alone (when lambda is absent) and in one batch
+    # with its zero-flipped twin, with which it shares every subtree that
+    # holds no zero literal.
+    x, lam = xs[:, None], lams[None, :]
+    got = evaluate_array(tree, x=x, lam=lam)
+    assert _same_bytes(got, evaluate_recursive(tree, x=x, lam=lam))
+    twin = _zeros_flipped(tree)
+    shared = evaluate_batch(x, values=[Mul(tree, twin), tree, twin],
+                            lam=lam)[1]
+    assert _same_bytes(shared[1], got)
+    assert _same_bytes(shared[2], evaluate_recursive(twin, x=x, lam=lam))
+    if not mentions(tree, "lambda"):
+        assert _same_bytes(evaluate_array(tree, x=xs),
+                           evaluate_recursive(tree, x=xs))
 
 
 def test_batch_evaluates_each_distinct_subtree_once(monkeypatch):

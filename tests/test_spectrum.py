@@ -25,8 +25,9 @@ from factories import (
     random_operator,
 )
 from matspectra import config as config_module
-from matspectra.asymptotics import (LIMIT_TOL, ExceptionalSet,
-                                    limit_points_at_infinity)
+from matspectra.asymptotics import (LIMIT_TOL, ExceptionalSet, _limit_on,
+                                    _trajectory, limit_of,
+                                    limit_points_at_infinity, symbol_rows)
 from matspectra.config import SolverConfig, window_contains
 from matspectra.asymptotics import limit_ratio, limit_ratio_batch
 from matspectra.errors import (ConfigError, FitError, LimitRefused,
@@ -154,6 +155,80 @@ class TestRegularPart:
         assert ends == {math.inf: 0j, -math.inf: 0j}
         for entry in report["regular"]["endpoints"].values():
             assert entry["value"] == [0.0, 0.0]
+
+    def test_refused_endpoints_name_their_cause(self):
+        # The parabolic's curve -x^2 - 1 diverges toward both ends: each
+        # refused end carries the error limit_of raises there.
+        op = parabolic_potential()
+        report = {}
+        regular_part(op, report=report)
+        for side in "+-":
+            with pytest.raises(NotConvergent) as refusal:
+                limit_of(delta(op), side)
+            assert report["regular"]["endpoints"][side] == {
+                "converged": False, "reason": "NotConvergent",
+                "message": str(refusal.value)}
+            assert "did not settle" in str(refusal.value)
+
+
+def test_each_side_reads_its_own_tail_limits():
+    # d = atan(x) + exp(x) tends to -pi/2 toward -infinity and escapes
+    # toward +infinity, so the decoupling function converges at one end
+    # only and the two sides' symbols differ in route: each side's
+    # endpoint, limit point, source and symbol limits must be the ones
+    # limit_of gives toward that side, tree by tree.
+    op = OperatorMatrix(a=(parse("1/(1 + x^2)"), ZERO, ONE),
+                        b=(ZERO, parse("2 + 1/(1 + x^2)")),
+                        c=(ZERO, Lit(1j)), d=parse("atan(x) + exp(x)"))
+    cfg = SolverConfig().with_overrides(window=(-3.0, 3.0, -3.0, 3.0),
+                                        curve_res=5e-2, xi_points=50)
+    report = essential_spectrum(op, cfg).report
+
+    def outcome(tree, side, recheck=False):
+        try:
+            certificate = (_limit_on(tree, side, _trajectory(side, True))
+                           if recheck else limit_of(tree, side))[1]
+        except (NotConvergent, PoleError) as exc:
+            return type(exc).__name__, str(exc)
+        return certificate
+
+    points, sources = [], {}
+    for side in "+-":
+        end = outcome(delta(op), side)
+        if isinstance(end, tuple):
+            expected = {"converged": False, "reason": end[0],
+                        "message": end[1]}
+        else:
+            expected = {"converged": True, "samples": end.sample_count,
+                        "value": [end.limit.real, end.limit.imag]}
+        assert report["regular"]["endpoints"][side] == expected
+        d_limit = outcome(op.d, side)
+        if isinstance(d_limit, tuple):
+            inverse = outcome(Lit(1 + 0j) / op.d, side)
+            assert inverse.limit == 0
+            sources[side] = "escapes"
+        else:
+            points.append([d_limit.limit.real, d_limit.limit.imag])
+            sources[side] = "certified"
+    assert report["exceptional"]["points"] == points
+    assert report["exceptional"]["sources"] == sources
+    assert sources == {"+": "escapes", "-": "certified"}
+    assert [end["converged"] for end in
+            report["regular"]["endpoints"].values()] == [True, False]
+
+    trees = {row[0]: row[-1] for rows in symbol_rows(build_schur(op))
+             for row in rows}
+    for side in "+-":
+        limits = report["singular"]["fits"][side]["limits"]
+        assert limits[0]["label"] == ("1/d" if side == "+" else "d")
+        for entry in limits:
+            for key, recheck in ((None, False), ("recheck", True)):
+                certificate = outcome(trees[entry["label"]], side, recheck)
+                got = entry if key is None else entry[key]
+                assert got["value"] == [certificate.value.real,
+                                        certificate.value.imag]
+                assert got["sample_count"] == certificate.sample_count
+                assert got["last_increment"] == certificate.last_increment
 
 
 # ---------------------------------------------------------------------------

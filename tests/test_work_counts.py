@@ -1,24 +1,25 @@
 """Tree-walk counts of the bundled quartic workloads.
 
-Every node visit of ``expr._eval_array`` and every node the batch walker
-evaluates (``expr._value_step``) is counted, so a change that samples a tree
-more often fails here whatever the timing noise. The ceilings are measured
-counts; lower is fine. The check's grid trees take one batch, which
-evaluates each of their 59 distinct subtrees once (164 jet node visits
-while each tree was walked on its own, and 27 more plain ones for the
-decoupling function). The spectrum's ceiling is the count since each tail
-tree is walked once for both sides' limits (437 while each side walked
-its own, 604 while d was sampled on 12 dyadic windows, 908 while each tail
-tree was sampled once per trajectory, 27,357 while the sweep polished
-roots on limit batches). The certificate scans are counted too: one for
-all the tail limits of both sides, one for both ends of the regular curve
-and one for both ends of d (4 while each side scanned its own tail limits,
-42 while each tree had a scan of its own on each trajectory). The
-parabolic's d diverges, so its run adds a scan of 1/d for its limit
-points, one for 1/d and beta_jq/d^q toward both sides and two that name
-the regular curve's refused ends (11 while each side scanned its own
-trees, took 1/d in a scan of its own and scanned d again to name its
-refusal). The sweep's frequency batches are counted
+Every node the one tree walker evaluates (``expr._value_step``) is
+counted, so a change that samples a tree more often fails here whatever
+the timing noise. The ceilings are measured counts; lower is fine. The
+spectrum's ceiling is the count since one ledger walk samples every tail
+tree of the run, the decoupling function, d, 1/d, alpha_j, beta_jq and
+beta_jq/d^q, each distinct subtree once (285 ``_eval_array`` node visits
+while each tree was walked on its own, 437 while each side walked its own,
+604 while d was sampled on 12 dyadic windows, 908 while each tail tree was
+sampled once per trajectory, 27,357 while the sweep polished roots on
+limit batches). The check's ceiling covers the grid trees, whose batch
+evaluates each of their 59 distinct subtrees once, the trajectory form for
+D, walked once for both sides, and the leading coefficient's validation
+samples (363 while the recursive walker sampled the form once per side).
+The certificate scans are counted too: one for every tail limit of the
+run on both bundled operators (3 on the quartic while the regular curve's
+ends and d's had scans of their own; 7 on the parabolic, whose d
+diverges, while 1/d took scans of its own and two more named the regular
+curve's refused ends; 42 while each tree had a scan of its own on each
+trajectory), and no tree is certified on its own by ``limit_of``. The
+sweep's frequency batches are counted
 as well: both ends of the quartic share one tail polynomial, which is
 swept once (38 batches while each end swept its own), in 6 batches since a
 root that is never emitted no longer splits a segment (19 while a root
@@ -61,24 +62,22 @@ SEED_1_PROBES = "1.163253-1.656608i,-0.113715+3.569169i"
 
 @pytest.fixture
 def visits(monkeypatch):
-    counts = {"_eval_array": 0, "_value_step": 0}
-    for name in counts:
-        walk = getattr(expr, name)
+    counts = {"_value_step": 0}
+    step = expr._value_step
 
-        def counted(*args, _walk=walk, _name=name):
-            counts[_name] += 1
-            return _walk(*args)
+    def counted(*args):
+        counts["_value_step"] += 1
+        return step(*args)
 
-        monkeypatch.setattr(expr, name, counted)
+    monkeypatch.setattr(expr, "_value_step", counted)
     return counts
 
 
 def test_quartic_spectrum_walks_no_more_nodes(visits):
     op = load_operator(QUARTIC_CFG)
-    visits.update(_eval_array=0, _value_step=0)
+    visits.update(_value_step=0)
     essential_spectrum(op, QUARTIC_WINDOW)
-    assert visits["_eval_array"] <= 285
-    assert visits["_value_step"] == 0
+    assert visits["_value_step"] <= 118
 
 
 def _calls(monkeypatch, module, name: str, run) -> int:
@@ -105,35 +104,69 @@ def test_quartic_spectrum_solves_no_more_batches(monkeypatch):
 def test_quartic_spectrum_scans_no_more_limit_blocks(monkeypatch):
     op = load_operator(QUARTIC_CFG)
     assert _calls(monkeypatch, asymptotics, "_limit_block",
-                  lambda: essential_spectrum(op, QUARTIC_WINDOW)) <= 3
+                  lambda: essential_spectrum(op, QUARTIC_WINDOW)) <= 1
 
 
 def test_parabolic_spectrum_scans_no_more_limit_blocks(monkeypatch):
     op = load_operator(PARABOLIC_CFG)
     assert _calls(monkeypatch, asymptotics, "_limit_block",
-                  lambda: essential_spectrum(op, PARABOLIC_WINDOW)) <= 7
+                  lambda: essential_spectrum(op, PARABOLIC_WINDOW)) <= 1
 
 
-@pytest.mark.parametrize("config, diverges", [
-    (QUARTIC_CFG, False), (PARABOLIC_CFG, True)], ids=["quartic", "parabolic"])
-def test_tail_trees_are_walked_once_for_both_sides(config, diverges,
-                                                    monkeypatch):
-    # Every walk samples the four trajectories (both sides, X0 and recheck)
-    # at once; a d that diverges adds one walk of 1/d and beta_jq/d^q.
-    symbol = build_schur(load_operator(config))
+def _recorded_walks(monkeypatch) -> list:
+    """The (shape of x, tree count) of every ``evaluate_batch`` walk that
+    ``asymptotics`` makes."""
     walks = []
-    real = asymptotics.evaluate_array
+    real = asymptotics.evaluate_batch
 
-    def recorded(tree, **env):
-        walks.append(np.shape(env["x"]))
-        return real(tree, **env)
+    def recorded(x, jets=(), values=(), **env):
+        walks.append((np.shape(x), len(jets) + len(values)))
+        return real(x, jets, values, **env)
 
-    monkeypatch.setattr(asymptotics, "evaluate_array", recorded)
+    monkeypatch.setattr(asymptotics, "evaluate_batch", recorded)
+    return walks
+
+
+def _labels(symbol) -> int:
+    """How many distinct trees the symbol's limits read, toward either side
+    and whether or not d settles."""
+    return len({row[0] for rows in asymptotics.symbol_rows(symbol)
+                for row in rows})
+
+
+@pytest.mark.parametrize("config", [QUARTIC_CFG, PARABOLIC_CFG],
+                         ids=["quartic", "parabolic"])
+def test_tail_trees_are_walked_once_for_both_sides(config, monkeypatch):
+    # One walk samples the four trajectories (both sides, X0 and recheck)
+    # of every tree either side may read, 1/d and beta_jq/d^q included.
+    symbol = build_schur(load_operator(config))
+    walks = _recorded_walks(monkeypatch)
     spectrum.singular_part(load_operator(config), symbol, cfg=QUARTIC_WINDOW)
-    trees = 1 + len(list(asymptotics._tail_trees(symbol, False)))
-    if diverges:
-        trees += 1 + len(list(asymptotics._tail_trees(symbol, True)))
-    assert walks == [(asymptotics.T + 1, 4)] * trees
+    assert walks == [((asymptotics.T + 1, 4), _labels(symbol))]
+
+
+@pytest.mark.parametrize("config, cfg", [
+    (QUARTIC_CFG, QUARTIC_WINDOW), (PARABOLIC_CFG, PARABOLIC_WINDOW)],
+    ids=["quartic", "parabolic"])
+def test_spectrum_certifies_every_tail_limit_in_one_ledger(config, cfg,
+                                                           monkeypatch):
+    # One walk and one scan for the decoupling function, d, 1/d and the
+    # symbol's trees, and no tree certified on its own by limit_of, through
+    # whichever module holds it.
+    op = load_operator(config)
+    walks = _recorded_walks(monkeypatch)
+    certified = []
+    limit_of = asymptotics.limit_of
+    for module in [module for name, module in sys.modules.items()
+                   if name.split(".")[0] == "matspectra"]:
+        if getattr(module, "limit_of", None) is limit_of:
+            monkeypatch.setattr(module, "limit_of",
+                                lambda *args: certified.append(args))
+    scans = _calls(monkeypatch, asymptotics, "_limit_block",
+                   lambda: essential_spectrum(op, cfg))
+    assert walks == [((asymptotics.T + 1, 4), 1 + _labels(build_schur(op)))]
+    assert scans == 1
+    assert certified == []
 
 
 @pytest.mark.parametrize("config, cfg", [
@@ -184,5 +217,4 @@ def test_continuation_takes_the_array_path_between_few_joints(
 def test_quartic_check_walks_no_more_nodes(visits, tmp_path):
     assert main(["check", "--config", str(QUARTIC_CFG), "--out",
                  str(tmp_path), f"--probes={SEED_1_PROBES}"]) == 0
-    assert visits["_eval_array"] <= 304
-    assert visits["_value_step"] <= 59
+    assert visits["_value_step"] <= 112
