@@ -36,7 +36,13 @@ ratios. Per side the solve is staged:
    split when a root at one end lies in the emit band (within
    ``10 curve_res`` of the window) and has no root within ``curve_res`` at
    the other end, which may have none. Each round checks every segment
-   in one array pass and solves the midpoints of those that split.
+   in one array pass and solves, for each that splits, its bisection
+   midpoints down to the depth its gap predicts: about
+   log2(gap / curve_res) halvings, at most ``SPLIT_LEVELS``, where the
+   gap is the largest distance from an emitted root at one end to the
+   nearest root at the other. A frequency's roots do not depend on the
+   batch it is solved in, so the rounds find every point plain bisection
+   (one level per round) would, and some more.
 
 When a limit of step 1 is refused, the side falls back to fit and polish:
 ``r_j`` is reconstructed jointly from certified limit samples on two
@@ -146,6 +152,12 @@ XI_MIN = 1e-3
 
 MAX_POINTS = 200_000
 """Most curve samples the regular part, and most roots a sweep, refines to."""
+
+SPLIT_LEVELS = 6
+"""Most bisection levels one refinement round inserts into a segment that
+splits, so at most 2**SPLIT_LEVELS - 1 frequencies. The cap binds where a
+branch jumps or ends rather than moves, so that its gap predicts no depth;
+later rounds go on from there."""
 
 DEDUPE_TOL = 1e-9
 """Distance within which two roots, or a root and a curve sample, coincide."""
@@ -524,7 +536,12 @@ def _fit_side(symbol: SchurSymbol, side: str, order_n: int
 # ---------------------------------------------------------------------------
 
 def default_xi_grid(cfg: SolverConfig) -> np.ndarray:
-    """Zero plus a symmetric log-spaced frequency grid."""
+    """Zero plus a symmetric log-spaced frequency grid from ``XI_MIN`` to
+    ``cfg.xi_max``. Raises :class:`ConfigError` when ``xi_max`` lies below
+    ``XI_MIN``, where the grid would run above it."""
+    if cfg.xi_max < XI_MIN:
+        raise ConfigError(f"xi_max {cfg.xi_max} lies below the smallest "
+                          f"frequency of the default grid, {XI_MIN}")
     tail = np.logspace(math.log10(XI_MIN), math.log10(cfg.xi_max),
                        cfg.xi_points)
     return np.unique(np.concatenate([-tail, [0.0], tail]))
@@ -532,14 +549,20 @@ def default_xi_grid(cfg: SolverConfig) -> np.ndarray:
 
 def _cleared_coefficients(profile: RationalProfile, m: int,
                           xi: np.ndarray) -> np.ndarray:
-    """Ascending lambda-coefficients of Q*xi^m + sum_j N_j*xi^j, per xi."""
-    num_len = profile.numerators.shape[1]
-    xi = np.asarray(xi, dtype=float)
-    xi_pows = xi[:, None] ** np.arange(m + 1)[None, :]
-    coeffs = xi_pows[:, :m].astype(complex) @ profile.numerators
-    den_pad = np.zeros(num_len, dtype=complex)
-    den_pad[: profile.denominator.size] = profile.denominator
-    coeffs += xi_pows[:, m:m + 1] * den_pad[None, :]
+    """Ascending lambda-coefficients of Q*xi^m + sum_j N_j*xi^j, per xi.
+
+    Formed by Horner's rule in xi, elementwise, which is backward stable
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 5.1). No matmul or ``pow`` takes part, so a frequency's row has
+    the same bits in whatever batch it is solved: a BLAS kernel with fused
+    multiply-adds may round a row differently with the batch around it.
+    """
+    xi = np.asarray(xi, dtype=float)[:, None]
+    coeffs = np.zeros((xi.shape[0], profile.numerators.shape[1]),
+                      dtype=complex)
+    coeffs[:, :profile.denominator.size] = profile.denominator
+    for j in range(m - 1, -1, -1):
+        coeffs = coeffs * xi + profile.numerators[j]
     return coeffs
 
 
@@ -891,24 +914,62 @@ def _any_last(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refinement_targets(table: RootTable, cfg: SolverConfig) -> np.ndarray:
-    """Midpoints of the segments where neighbouring roots are too far apart.
+def _split_gap(left: np.ndarray, right: np.ndarray,
+               cfg: SolverConfig) -> np.ndarray:
+    """Per segment, the largest distance from a root in the emit band, at
+    either end, to its nearest root at the other end; inf where that end
+    has none. Row s of ``left`` and ``right`` holds the roots at its ends."""
+    dist = _distances(left, right)
+    dist[np.isnan(dist)] = np.inf
+    gap = np.zeros(left.shape[0])
+    for roots, nearest in ((left, dist.min(axis=2, initial=np.inf)),
+                           (right, dist.min(axis=1, initial=np.inf))):
+        emitted = _near_window(roots, cfg.window, _keep_pad(cfg))
+        gap = np.maximum(gap, np.where(emitted, nearest, 0.0).max(
+            axis=1, initial=0.0))
+    return gap
 
-    Every segment between neighbouring frequencies of ``table`` wider than
-    ``1e-7 (1 + |left end|)`` is checked, all in one array pass. Returns the
-    midpoints of those that split, ascending: geometric between ends of the
-    same sign, arithmetic otherwise, and only where strictly inside.
+
+def _refinement_targets(table: RootTable, cfg: SolverConfig
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Bisection midpoints of the segments that split, down to the depth
+    their gap predicts: the midpoints, ascending, and the level of each.
+
+    Every segment between neighbouring frequencies of ``table`` is checked
+    by :func:`_segment_needs_split` in one array pass. One with gap g
+    (:func:`_split_gap`) needs about log2(g / curve_res) halvings before
+    its end roots are ``curve_res`` apart, so its whole bisection subtree
+    down to level L = min(``SPLIT_LEVELS``, max(1, ceil(log2(g /
+    curve_res)))) is returned at once; level 1 is its own midpoint. Each
+    level halves as bisection does: geometric between nonzero ends of one
+    sign, arithmetic otherwise, and a segment no wider than
+    ``1e-7 (1 + |left end|)``, or whose midpoint is not strictly inside,
+    yields no midpoint and no subtree.
     """
     lo, hi = table.xi[:-1], table.xi[1:]
-    split = _segment_needs_split(
+    split = np.flatnonzero(_segment_needs_split(
         RootTable(lo, table.lam[:-1], table.count[:-1]),
-        RootTable(hi, table.lam[1:], table.count[1:]), cfg)
-    split &= hi - lo > 1e-7 * (1.0 + np.abs(lo))
+        RootTable(hi, table.lam[1:], table.count[1:]), cfg))
+    depth = np.minimum(SPLIT_LEVELS, np.maximum(1, np.ceil(np.log2(
+        _split_gap(table.lam[split], table.lam[split + 1], cfg)
+        / cfg.curve_res))))
     lo, hi = lo[split], hi[split]
-    mid = np.where((lo != 0.0) & (hi != 0.0) & ((lo > 0) == (hi > 0)),
-                   np.copysign(np.sqrt(np.abs(lo) * np.abs(hi)), lo),
-                   0.5 * (lo + hi))
-    return mid[(mid > lo) & (mid < hi)]
+    mids, levels = [], []
+    for level in range(1, SPLIT_LEVELS + 1):
+        mid = np.where((lo != 0.0) & (hi != 0.0) & ((lo > 0) == (hi > 0)),
+                       np.copysign(np.sqrt(np.abs(lo) * np.abs(hi)), lo),
+                       0.5 * (lo + hi))
+        inside = ((hi - lo > 1e-7 * (1.0 + np.abs(lo)))
+                  & (mid > lo) & (mid < hi))
+        mids.append(mid[inside])
+        levels.append(np.full(mids[-1].size, level))
+        deeper = inside & (depth > level)
+        lo, mid, hi = lo[deeper], mid[deeper], hi[deeper]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        depth = np.tile(depth[deeper], 2)
+    mids, levels = np.concatenate(mids), np.concatenate(levels)
+    order = np.argsort(mids)
+    return mids[order], levels[order]
 
 
 WORK_COUNTERS = ("segments_checked", "companion_solves", "limit_batches",
@@ -921,23 +982,28 @@ def _sweep_side(symbol: SchurSymbol, profile: RationalProfile,
                 xi_grid: np.ndarray, cfg: SolverConfig,
                 skips: list) -> tuple[RootTable, dict]:
     """Roots of one side over ``xi_grid``, refined as in step 4 for at most
-    48 rounds and ``MAX_POINTS`` roots; a midpoint cut by that budget is
-    found again by the next round's rescan of every segment."""
+    48 rounds and ``MAX_POINTS`` roots. A round solves an ascending prefix
+    of its midpoints when that budget binds; the segments it leaves are
+    found again by the next round's rescan of every segment. ``predicted``
+    counts the frequencies solved below a segment's own midpoint."""
     work = dict.fromkeys(WORK_COUNTERS, 0)
     table = _solve_at(symbol, profile, xi_grid, cfg, skips, work)
-    rounds = 0
+    rounds = predicted = 0
     total = int(table.count.sum())
     while total < MAX_POINTS and rounds < 48:
         work["segments_checked"] += max(0, table.xi.size - 1)
-        targets = _refinement_targets(table, cfg)[:MAX_POINTS - total]
+        targets, levels = _refinement_targets(table, cfg)
+        targets = targets[:MAX_POINTS - total]
         if not targets.size:
             break
+        predicted += int(np.count_nonzero(levels[:targets.size] > 1))
         update = _solve_at(symbol, profile, targets, cfg, skips, work)
         table = _concat([table, update])
         total += int(update.count.sum())
         rounds += 1
     return table, {"frequencies": int(table.xi.size), "points": total,
-                   "refinement_rounds": rounds, **work}
+                   "refinement_rounds": rounds, "predicted": predicted,
+                   **work}
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ Schur symbol's trees with the scalar ``matspectra.expr.evaluate`` only, to
 check the reduction's algebra against the operator it came from, and
 :func:`evaluate_recursive` walks a tree by plain recursion, each subtree
 wherever it occurs, as the reference for the package's shared-subtree
-walker. Tests compare package output against these.
+walker. :func:`bisection_sweep` is the frequency sweep's plain bisection,
+one level per round, around the solve and split check the caller passes,
+as the reference for the sweep's depth rule. Tests compare package output
+against these.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from functools import reduce
 
 import numpy as np
@@ -169,3 +173,43 @@ def evaluate_recursive(e, x=None, lam=None) -> np.ndarray:
     if isinstance(out, np.ndarray) and out.shape == shape:
         return out
     return np.full(shape, out, dtype=np.complex128)
+
+
+def bisection_sweep(solve, needs_split, merge, xi_grid, max_points: int,
+                    max_rounds: int = 48):
+    """A frequency sweep refined by plain bisection, one level per round.
+
+    ``solve(xi)`` gives the root table of ascending frequencies (``xi``,
+    a NaN-padded ``lam`` and a ``count`` per row), ``needs_split(table)``
+    which of its segments split and ``merge(a, b)`` one table of the rows
+    of both. Each round, while fewer than ``max_points`` roots are held,
+    takes the midpoint of every segment that splits and is wider than
+    1e-7 (1 + |left end|): geometric between nonzero ends of one sign,
+    arithmetic otherwise, kept where strictly inside. It solves an
+    ascending prefix of them within the budget. Returns the table and the
+    number of rounds.
+    """
+    table = solve(np.asarray(xi_grid, dtype=float))
+    rounds = 0
+    total = int(table.count.sum())
+    while total < max_points and rounds < max_rounds:
+        mids = []
+        split = needs_split(table)
+        for k, (lo, hi) in enumerate(zip(table.xi[:-1].tolist(),
+                                         table.xi[1:].tolist())):
+            if not split[k] or hi - lo <= 1e-7 * (1.0 + abs(lo)):
+                continue
+            if lo != 0.0 and hi != 0.0 and (lo > 0) == (hi > 0):
+                mid = math.copysign(math.sqrt(abs(lo) * abs(hi)), lo)
+            else:
+                mid = 0.5 * (lo + hi)
+            if lo < mid < hi:
+                mids.append(mid)
+        mids = mids[:max_points - total]
+        if not mids:
+            break
+        update = solve(np.asarray(mids))
+        table = merge(table, update)
+        total += int(update.count.sum())
+        rounds += 1
+    return table, rounds

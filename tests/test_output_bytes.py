@@ -26,6 +26,16 @@ benchmark window: lone regular-curve samples far outside the plot); the
 image is unchanged, and ``UNCLIPPED_SVG`` keeps the old hashes for the
 test that compares the two. The CSV entries and the quartic SVG did not
 change.
+All entries, and ``UNCLIPPED_SVG``, were recorded again when the sweep
+began to solve each split segment's bisection subtree down to the depth
+its gap predicts, with the cleared coefficients formed by Horner's rule in
+xi: points were added (2,252 -> 2,285 at the quartic benchmark settings,
+61,912 -> 62,008 at the quartic default, 3,131 -> 3,173 and
+29,701 -> 29,745 for the parabolic benchmark window and default), and
+every earlier point kept its frequency, side, branch id and flags, its
+lambda moving by Horner's rounding alone: at most 8.9e-16, 5.4e-15,
+1.1e-16 and 1.8e-15 in the same order. The regular-curve samples did not
+change.
 Another NumPy build may round the companion eigenvalues or the quadratic
 formula's square root differently and change the bytes without a change
 here.
@@ -80,12 +90,12 @@ def test_api_csv_bytes_are_pinned(tmp_path):
         == GOLDEN["quartic_window"]["spectrum.csv"]
 
 
-# The parabolic spectrum.svg hashes while every dot was written.
+# The parabolic spectrum.svg hashes with every dot written.
 UNCLIPPED_SVG = {
     "parabolic_potential":
-        "6fa8c65f7ce700b61ab385d8e1988086a2d142d87f14c326ef95b5b9f3f3042c",
+        "66ce1bea3f9fc24c731a6861db29673576a6171e555e2bda1ce3cf1933057061",
     "parabolic_window":
-        "3c2d44ab2aa77cc424f1d4d0a6ecd3e4710d17a84d7dcaf338972308bc0e6773",
+        "28ffc114755d52f20d8aa53a8f6c8d4ad5cc7489edeb29c7c3eb37f5176bf3fd",
 }
 HIDDEN_DOTS = {"parabolic_potential": 1572, "parabolic_window": 1994}
 

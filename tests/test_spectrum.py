@@ -24,6 +24,7 @@ from factories import (
     random_constant_operator,
     random_operator,
 )
+from oracles import bisection_sweep
 from matspectra import config as config_module
 from matspectra.asymptotics import (LIMIT_TOL, ExceptionalSet, _limit_on,
                                     _trajectory, limit_of,
@@ -314,6 +315,24 @@ class TestSingularPart:
             singular_part(parabolic_potential(), xi_grid=[0.5, bad, 1.0],
                           cfg=cfg)
         sweep.assert_not_called()
+
+    def test_xi_max_below_the_default_grid_refused(self):
+        # np.logspace ran from XI_MIN down to xi_max, so xi_max = 1e-4
+        # swept |xi| up to 1e-3: 801 frequencies, ten times the maximum.
+        message = ("xi_max 0.0001 lies below the smallest frequency of the "
+                   "default grid, 0.001")
+        with mock.patch.object(spectrum_module, "_sweep_side") as sweep, \
+                pytest.raises(ConfigError, match=re.escape(message)):
+            singular_part(quartic_coupled(), cfg=SolverConfig(xi_max=1e-4))
+        sweep.assert_not_called()
+
+    def test_xi_max_at_the_default_grid_minimum_sweeps_three(self):
+        cfg = SolverConfig(xi_max=spectrum_module.XI_MIN)
+        assert default_xi_grid(cfg).tolist() == [-1e-3, 0.0, 1e-3]
+        with mock.patch.object(spectrum_module, "_solve_at",
+                               wraps=spectrum_module._solve_at) as solve:
+            singular_part(quartic_coupled(), cfg=cfg)
+        assert solve.call_args_list[0].args[2].tolist() == [-1e-3, 0.0, 1e-3]
 
     @pytest.mark.parametrize("factory, xi_max", [
         (parabolic_potential, 1e160), (quartic_coupled, 1e160),
@@ -876,6 +895,54 @@ def test_companion_roots_match_per_row_np_roots(coeffs):
     assert solves == len(shapes)
 
 
+_ENTRY = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def _closed_form_profiles(draw):
+    """(m, a closed-form profile) with m in {2, 4} and numerators of width
+    1-4 over a denominator no wider."""
+    def row(size):
+        return np.array([complex(draw(_ENTRY), draw(_ENTRY))
+                         for _ in range(size)])
+
+    m = draw(st.sampled_from([2, 4]))
+    width = draw(st.integers(1, 4))
+    numerators = np.array([row(width) for _ in range(m)])
+    return m, spectrum_module.RationalProfile(
+        "+", numerators, row(draw(st.integers(1, width))),
+        limits=mock.Mock())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_closed_form_profiles(),
+       xi=st.lists(st.floats(-20.0, 20.0, allow_subnormal=False),
+                   min_size=2, max_size=64, unique=True))
+def test_a_frequency_has_the_same_roots_in_any_batch(case, xi):
+    # The refinement solves a frequency in whichever round reaches it, so
+    # its coefficients and roots must not depend on the rows around it. A
+    # BLAS matmul whose kernel fuses multiply-adds rounds some rows
+    # differently with their place in the batch.
+    m, profile = case
+    xi = np.sort(np.asarray(xi))
+    cfg = SolverConfig()
+
+    def solve(rows):
+        return spectrum_module._solve_at(mock.Mock(m=m), profile, xi[rows],
+                                         cfg, [],
+                                         dict.fromkeys(WORK_COUNTERS, 0))
+
+    coeffs = _cleared_coefficients(profile, m, xi)
+    whole = solve(slice(None))
+    half = xi.size // 2
+    for rows in (slice(half), slice(half, None), slice(None, None, 2),
+                 slice(1, None, 2)):
+        assert _cleared_coefficients(profile, m, xi[rows]).tobytes() \
+            == coeffs[rows].tobytes()
+        assert _bits(_table_rows(solve(rows))) == _bits(_table_rows(
+            RootTable(whole.xi[rows], whole.lam[rows], whole.count[rows])))
+
+
 # ---------------------------------------------------------------------------
 # Loop versions of the sweep bookkeeping: the references for the root table
 # ---------------------------------------------------------------------------
@@ -1041,21 +1108,48 @@ def _bits(items):
 # Singular sweep: refinement rescan against a per-segment loop
 # ---------------------------------------------------------------------------
 
+def _loop_split_depth(roots_a, roots_b, cfg, keep_pad):
+    """Bisection levels the gap of a segment that splits predicts."""
+    gap = 0.0
+    for own, other in ((roots_a, roots_b), (roots_b, roots_a)):
+        for root in own:
+            if window_contains(cfg.window, root, pad=keep_pad):
+                gap = max(gap, min((abs(root - partner) for partner in other),
+                                   default=math.inf))
+    if gap == math.inf:
+        return spectrum_module.SPLIT_LEVELS
+    return min(spectrum_module.SPLIT_LEVELS,
+               max(1, math.ceil(math.log2(gap / cfg.curve_res))))
+
+
+def _loop_subtree(a, b, depth, level=1):
+    """(midpoint, level) of the bisection subtree of [a, b] down to
+    ``depth``, stopping below a segment at the width floor or a midpoint
+    that is not strictly inside."""
+    if b - a <= 1e-7 * (1.0 + abs(a)):
+        return []
+    mid = _loop_gap_midpoint(a, b)
+    if mid <= a or mid >= b:
+        return []
+    if level == depth:
+        return [(mid, level)]
+    return (_loop_subtree(a, mid, depth, level + 1) + [(mid, level)]
+            + _loop_subtree(mid, b, depth, level + 1))
+
+
 def _rescan_targets(tracked, cfg, tried):
-    """Refinement targets from a full rescan of every segment."""
+    """Refinement targets and their levels from a full rescan of every
+    segment, ascending."""
     xis = sorted(tracked)
     keep_pad = _keep_pad(cfg)
     targets = []
     for a, b in zip(xis[:-1], xis[1:]):
-        if b - a <= 1e-7 * (1.0 + abs(a)):
-            continue
         if not _loop_segment_needs_split(tracked[a], tracked[b], cfg,
                                          keep_pad):
             continue
-        mid = _loop_gap_midpoint(a, b)
-        if mid in tried or mid <= a or mid >= b:
-            continue
-        targets.append(mid)
+        depth = _loop_split_depth(tracked[a], tracked[b], cfg, keep_pad)
+        targets += [(mid, level) for mid, level in _loop_subtree(a, b, depth)
+                    if mid not in tried]
     return targets
 
 
@@ -1070,7 +1164,7 @@ def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
 
     solved = solve(xi_grid)
     tried = {float(x) for x in xi_grid}
-    rounds = 0
+    rounds = predicted = 0
     total = sum(len(v) for v in solved.values())
     budget = spectrum_module.MAX_POINTS
     while total < budget and rounds < 48:
@@ -1079,13 +1173,15 @@ def _rescan_sweep(symbol, profile, xi_grid, cfg, skips):
         if not targets:
             break
         targets = targets[:max(0, budget - total)]
+        predicted += sum(level > 1 for _mid, level in targets)
+        targets = [mid for mid, _level in targets]
         tried.update(targets)
         solved.update(solve(np.asarray(targets)))
         total = sum(len(v) for v in solved.values())
         rounds += 1
     rescanned = work.pop("segments_checked")
     info = {"frequencies": len(solved), "points": total,
-            "refinement_rounds": rounds, **work}
+            "refinement_rounds": rounds, "predicted": predicted, **work}
     return solved, info, rescanned
 
 
@@ -1150,13 +1246,14 @@ def test_refinement_finds_targets_past_the_budget_again(monkeypatch):
     monkeypatch.setattr(spectrum_module, "MAX_POINTS", 6)
     symbol = build_schur(op)
     profile = _fit_side(symbol, "+", op.n)
-    offered, solved_mids = [], []
+    offered, scanned, solved_mids = [], [], []
     real_targets = spectrum_module._refinement_targets
     real_solve = spectrum_module._solve_at
 
-    def recording_targets(*args):
-        targets = real_targets(*args)
-        offered.append(targets.tolist())
+    def recording_targets(table, cfg):
+        targets = real_targets(table, cfg)
+        scanned.append(table.xi)
+        offered.append(targets[0].tolist())
         return targets
 
     def recording_solve(symbol, profile, xi_values, *args):
@@ -1170,12 +1267,18 @@ def test_refinement_finds_targets_past_the_budget_again(monkeypatch):
         recording.setattr(spectrum_module, "_solve_at", recording_solve)
         info = _sweep_side(symbol, profile, grid, cfg, [])[1]
     # Roots at xi = +-4 and at the first midpoint -2 leave the tracking
-    # band, so a round can spend its budget and still leave room.
-    rounds = solved_mids[1:]
-    cut = [(k, offered[k][len(rounds[k]):]) for k in range(len(rounds))
-           if len(offered[k]) > len(rounds[k])]
-    assert any(k + 1 < len(offered) and set(left) <= set(offered[k + 1])
-               for k, left in cut)
+    # band, so a round can spend its budget and still leave room. A round
+    # solves an ascending prefix of its targets; the segments past the one
+    # that prefix ends in are left whole, and the next rescan offers their
+    # targets again.
+    again = []
+    for k, solved in enumerate(solved_mids[1:-1]):
+        xi = scanned[k]
+        end = xi[np.searchsorted(xi, solved[-1])]
+        left = [mid for mid in offered[k][len(solved):] if mid > end]
+        assert set(left) <= set(offered[k + 1])
+        again += left
+    assert again
     assert info["points"] == spectrum_module.MAX_POINTS
     assert _assert_same_sweep(symbol, profile, grid, cfg) == {
         key: value for key, value in info.items()
@@ -1204,13 +1307,166 @@ def test_refinement_matches_the_loop_rescan_on_closed_form_profiles(kind):
 
 def test_refinement_midpoints_lie_strictly_inside_their_segments():
     # [-1, 1], [1, 4] and [1e200, 2e200] have a root at one end only, so
-    # they split. [-1, 1] takes the arithmetic midpoint and [1, 4] the
-    # geometric one; that of [1e200, 2e200] overflows to inf, off the
-    # segment, so it yields no target.
+    # they split to the deepest level. At the first, [-1, 1] takes the
+    # arithmetic midpoint and [1, 4] the geometric one; that of
+    # [1e200, 2e200] overflows to inf, off the segment, so it yields no
+    # target and no subtree.
     table = _table({-1.0: [0j], 1.0: [], 4.0: [0j], 1e200: [0j], 2e200: []})
     with pytest.warns(RuntimeWarning, match="overflow"):
-        targets = spectrum_module._refinement_targets(table, SolverConfig())
-    assert targets.tolist() == [0.0, 2.0]
+        targets, levels = spectrum_module._refinement_targets(
+            table, SolverConfig())
+    assert targets[levels == 1].tolist() == [0.0, 2.0]
+    subtree = 2 ** spectrum_module.SPLIT_LEVELS - 1
+    assert np.bincount(levels).tolist() == [0] + [
+        2 ** (k + 1) for k in range(spectrum_module.SPLIT_LEVELS)]
+    assert np.count_nonzero((targets > -1.0) & (targets < 1.0)) == subtree
+    assert np.count_nonzero((targets > 1.0) & (targets < 4.0)) == subtree
+    assert np.all(np.diff(targets) > 0.0)
+
+
+@pytest.mark.parametrize("partner, depth", [
+    (0.2, 1), (0.5, 2), (0.55, 3), (100.0, 6), (None, 6)])
+def test_refinement_depth_follows_the_gap(partner, depth):
+    # With curve_res 1/8, a root at 0 whose nearest partner at the other
+    # end is g away predicts ceil(log2(8 g)) halvings, at most SPLIT_LEVELS
+    # = 6; an end without roots predicts the most.
+    cfg = SolverConfig().with_overrides(curve_res=0.125)
+    table = _table({1.0: [0j], 2.0: [] if partner is None
+                    else [complex(partner)]})
+    targets, levels = spectrum_module._refinement_targets(table, cfg)
+    assert spectrum_module.SPLIT_LEVELS == 6
+    assert targets.size == 2 ** depth - 1 and levels.max() == depth
+    mids = [1.0, 2.0]
+    for _ in range(depth):
+        mids = sorted(mids + [math.sqrt(a * b)
+                              for a, b in zip(mids[:-1], mids[1:])])
+    assert targets.tolist() == mids[1:-1]
+
+
+def _bisection_sweep_side(symbol, profile, xi_grid, cfg, skips):
+    """``_sweep_side`` refined by plain bisection, one level per round."""
+    work = dict.fromkeys(WORK_COUNTERS, 0)
+
+    def solve(xi_values):
+        return spectrum_module._solve_at(symbol, profile, xi_values, cfg,
+                                         skips, work)
+
+    def needs_split(table):
+        return _segment_needs_split(
+            RootTable(table.xi[:-1], table.lam[:-1], table.count[:-1]),
+            RootTable(table.xi[1:], table.lam[1:], table.count[1:]), cfg)
+
+    table, rounds = bisection_sweep(
+        solve, needs_split, lambda a, b: spectrum_module._concat([a, b]),
+        xi_grid, spectrum_module.MAX_POINTS)
+    return table, {"frequencies": int(table.xi.size),
+                   "points": int(table.count.sum()),
+                   "refinement_rounds": rounds, "predicted": 0, **work}
+
+
+def _labelled_points(points):
+    """(side, xi, lambda) of each point, as bits, -> (branch id, flags)."""
+    return {(side, xi.hex(), lam.real.hex(), lam.imag.hex()): (bid, flags)
+            for side, xi, lam, bid, flags in zip(
+                points.side.tolist(), points.xi.tolist(),
+                points.lam.tolist(), points.branch_id.tolist(),
+                points.flags.tolist())}
+
+
+def _with_bisection(run):
+    """``run()`` with the depth rule and with plain bisection in its place;
+    None for a run that raises FitError."""
+    def attempt():
+        try:
+            return run()
+        except FitError:
+            return None
+
+    depth = attempt()
+    with mock.patch.object(spectrum_module, "_sweep_side",
+                           _bisection_sweep_side):
+        return depth, attempt()
+
+
+def _assert_keeps_the_bisection_points(points, reference):
+    """Every reference point is a point, bit for bit, with its branch id
+    and flags; returns how many points the depth rule adds."""
+    mine, theirs = _labelled_points(points), _labelled_points(reference)
+    assert {key: mine.get(key) for key in theirs} == theirs
+    return len(mine) - len(theirs)
+
+
+@pytest.mark.parametrize("config, cfg", [
+    (QUARTIC_CFG, SolverConfig().with_overrides(
+        window=(-2.0, 2.0, -2.0, 2.0), curve_res=1e-2)),
+    (PARABOLIC_CFG, SolverConfig().with_overrides(
+        window=(-2.0, 1.0, -0.5, 0.5))),
+    (QUARTIC_CFG, SolverConfig()),
+    (PARABOLIC_CFG, SolverConfig()),
+], ids=["quartic-window", "parabolic-window", "quartic", "parabolic"])
+def test_sweep_keeps_every_bisection_point(config, cfg):
+    # The depth rule solves whole bisection subtrees in one round, and a
+    # frequency's roots do not depend on its round, so the output holds
+    # every point plain bisection finds, in the same branch with the same
+    # flags, and the regular part is untouched.
+    op = load_operator(config)
+    spectrum, reference = _with_bisection(lambda: essential_spectrum(op, cfg))
+    assert spectrum.regular.x_param.tobytes() \
+        == reference.regular.x_param.tobytes()
+    assert spectrum.regular.lam.tobytes() == reference.regular.lam.tobytes()
+    assert _assert_keeps_the_bisection_points(spectrum.singular,
+                                              reference.singular) > 0
+    rounds = [sweep["refinement_rounds"] for spectra in (spectrum, reference)
+              for sweep in spectra.report["singular"]["sweeps"].values()]
+    assert max(rounds[:2]) < min(rounds[2:])
+
+
+def test_sweep_keeps_every_bisection_point_on_random_operators():
+    # Seeds 0-49 with and without settling coefficients, so the fit route
+    # (whose polish samples limit batches) is covered as well.
+    cfg = SolverConfig().with_overrides(window=(-3.0, 3.0, -3.0, 3.0),
+                                        curve_res=5e-2)
+    routes, added = set(), 0
+    for seed in range(50):
+        for settling in (False, True):
+            rng = random.Random(seed)
+            op = random_operator(rng, rng.choice([2, 4]), settling=settling)
+            symbol, report = build_schur(op), {}
+            points, reference = _with_bisection(lambda: singular_part(
+                op, symbol, cfg=cfg, report=report))
+            routes |= {fit["route"] for fit in report["singular"]["fits"]
+                       .values()}
+            if reference is None:
+                assert points is None
+                continue
+            added += _assert_keeps_the_bisection_points(points, reference)
+    assert routes == {"closed_form", "fit"} and added > 0
+
+
+def test_sweep_keeps_every_bisection_point_where_midpoints_leave_the_segment():
+    # A root at xi <= 1e-250 and one at xi >= 1.2e200 split [1e-300, 1e-200]
+    # and [1e200, 1.5e200]. Their geometric midpoints underflow to 0, a
+    # frequency already swept, and overflow to inf, so neither segment is
+    # refined: the depth rule must add no frequency that plain bisection
+    # would not reach. A root on [0.5, 1] is refined as usual.
+    def fake_solve(symbol, profile, xi_values, cfg, skips, work):
+        work["companion_solves"] += 1
+        return _table({xi: [0j] * ((xi <= 1e-250) + (0.5 <= xi <= 1.0)
+                                   + (xi >= 1.2e200))
+                       for xi in map(float, xi_values)})
+
+    grid = np.array([-1.0, 0.0, 1e-300, 1e-200, 1.0, 1e200, 1.5e200])
+    cfg = SolverConfig()
+    with mock.patch.object(spectrum_module, "_solve_at", fake_solve), \
+            pytest.warns(RuntimeWarning, match="overflow"):
+        table, info = _sweep_side(None, None, grid, cfg, [])
+        reference, _ = _bisection_sweep_side(None, None, grid, cfg, [])
+    assert np.all(np.diff(table.xi) > 0.0)
+    assert grid[0] <= table.xi[0] and table.xi[-1] <= grid[-1]
+    mine = dict(_bits(_table_rows(table)))
+    assert all(mine.get(xi) == roots
+               for xi, roots in _bits(_table_rows(reference)))
+    assert info["refinement_rounds"] > 0
 
 
 @pytest.mark.parametrize("grid", [[], [0.5]], ids=["empty", "one"])
@@ -1222,6 +1478,7 @@ def test_grids_without_a_segment_check_none(grid):
         assert sweep["frequencies"] == len(grid)
         assert sweep["segments_checked"] == 0
         assert sweep["refinement_rounds"] == 0
+        assert sweep["predicted"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1727,6 +1984,8 @@ class TestEssentialSpectrum:
                 * (sweep["frequencies"] - 1)
             # At least one stacked eigvals per frequency batch.
             assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
+            # Rounds insert frequencies below a segment's own midpoint.
+            assert 0 < sweep["predicted"] < sweep["frequencies"]
             # The closed form needs no limit batch at all.
             assert sweep["limit_batches"] == 0
             assert sweep["lambdas_evaluated"] == 0

@@ -21,17 +21,22 @@ curve's refused ends; 42 while each tree had a scan of its own on each
 trajectory), and no tree is certified on its own by ``limit_of``. The
 sweep's frequency batches are counted
 as well: both ends of the quartic share one tail polynomial, which is
-swept once (38 batches while each end swept its own), in 6 batches since a
-root that is never emitted no longer splits a segment (19 while a root
-near 3 + 2.03i, past the emit band, made 13 rounds bisect two segments to
-the width floor).
+swept once (38 batches while each end swept its own), in 3 batches since
+a round solves each split segment's bisection subtree down to the depth
+its gap predicts (6 while a round solved one midpoint per segment, 19
+while a root near 3 + 2.03i, past the emit band, made 13 rounds bisect two
+segments to the width floor). The refinement rounds per side are pinned
+too: 2 for either benchmark window (5 for the quartic and 7 for the
+parabolic one while each round went one level down).
 The branch continuation's counts are pinned exactly: the rows it assigns
 by array and the joints it leaves to the per-row loop (the quartic's 1,428
-array rows fell to 1,396 with the 32 points those rounds added).
+array rows fell to 1,396 with the 32 points those rounds added, and rose
+to 1,424 with the 28 frequencies the depth rule adds).
 Both bundled operators' tail polynomials have degree 2 (quartic) or 1
 (parabolic), which ``_companion_roots`` solves in closed form, so their
 benchmark runs call ``np.linalg.eigvals`` from ``spectrum`` not at all;
-the stacked solves per side are pinned at the counts of that change.
+the stacked solves per side are pinned, one per shape group of each
+batch (8 for either window while the sweep took 6 and 8 batches).
 Both sides of either bundled operator share one sweep, so every root is
 neutral and ``_merge_sides`` never runs.
 """
@@ -98,7 +103,17 @@ def _calls(monkeypatch, module, name: str, run) -> int:
 def test_quartic_spectrum_solves_no_more_batches(monkeypatch):
     op = load_operator(QUARTIC_CFG)
     assert _calls(monkeypatch, spectrum, "_solve_at",
-                  lambda: essential_spectrum(op, QUARTIC_WINDOW)) <= 6
+                  lambda: essential_spectrum(op, QUARTIC_WINDOW)) <= 3
+
+
+@pytest.mark.parametrize("config, cfg", [
+    (QUARTIC_CFG, QUARTIC_WINDOW), (PARABOLIC_CFG, PARABOLIC_WINDOW)],
+    ids=["quartic", "parabolic"])
+def test_benchmark_windows_refine_in_two_rounds(config, cfg):
+    sweeps = essential_spectrum(load_operator(config),
+                                cfg).report["singular"]["sweeps"]
+    assert {side: sweep["refinement_rounds"] <= 2
+            for side, sweep in sweeps.items()} == {"+": True, "-": True}
 
 
 def test_quartic_spectrum_scans_no_more_limit_blocks(monkeypatch):
@@ -179,7 +194,7 @@ def test_shared_sweeps_merge_no_sides(config, cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("config, cfg, solves", [
-    (QUARTIC_CFG, QUARTIC_WINDOW, 8), (PARABOLIC_CFG, PARABOLIC_WINDOW, 8)],
+    (QUARTIC_CFG, QUARTIC_WINDOW, 5), (PARABOLIC_CFG, PARABOLIC_WINDOW, 3)],
     ids=["quartic", "parabolic"])
 def test_low_degree_tails_call_no_eigvals(config, cfg, solves, monkeypatch):
     calls = 0
@@ -199,7 +214,7 @@ def test_low_degree_tails_call_no_eigvals(config, cfg, solves, monkeypatch):
 
 
 @pytest.mark.parametrize("config, branches, array_rows, joints", [
-    (QUARTIC_CFG, 2, 1396, 3), (PARABOLIC_CFG, 1, 900, 1)],
+    (QUARTIC_CFG, 2, 1424, 3), (PARABOLIC_CFG, 1, 900, 1)],
     ids=["quartic", "parabolic"])
 def test_continuation_takes_the_array_path_between_few_joints(
         config, branches, array_rows, joints):
