@@ -494,8 +494,17 @@ def _dot_shown(sx: np.ndarray, sy: np.ndarray, radius: float,
              | (sy < top - pad) | (sy > bottom + pad))
 
 
+def _xy(sx: np.ndarray, sy: np.ndarray) -> list[str]:
+    """Screen coordinates as "x,y", to two decimals. One ``%.2f`` template
+    formats every point; it converts each number as ``f"{x:.2f}"`` does, so
+    the text is that of one f-string a point."""
+    flat = np.column_stack((sx, sy)).ravel().tolist()
+    return (("%.2f,%.2f\n" * sx.size) % tuple(flat)).split("\n")[:-1]
+
+
 def render_svg(spectrum: SpectrumSet, window) -> str:
-    """Plot the spectrum: regular part in red, singular branches in blue."""
+    """Plot the spectrum: regular part in red, singular branches in blue,
+    each point at its screen coordinates to two decimals (:func:`_xy`)."""
     width, height = SVG_SIZE
     re_min, re_max, im_min, im_max = (float(v) for v in window)
     margin = 50.0
@@ -508,10 +517,6 @@ def render_svg(spectrum: SpectrumSet, window) -> str:
         """Screen coordinates of each value."""
         return (margin + (lam.real - re_min) / (re_max - re_min) * plot_w,
                 margin + (im_max - lam.imag) / (im_max - im_min) * plot_h)
-
-    def xy(sx: np.ndarray, sy: np.ndarray) -> list[str]:
-        """Screen coordinates as "x,y", to two decimals."""
-        return [f"{x:.2f},{y:.2f}" for x, y in zip(sx.tolist(), sy.tolist())]
 
     def dot(kind: str, at: str, radius: float) -> str:
         x, y = at.split(",")
@@ -531,7 +536,7 @@ def render_svg(spectrum: SpectrumSet, window) -> str:
         keep = (size > 1) | _dot_shown(sx[first], sy[first], 2.2, clip)
         out = []
         for a, n in zip(first[keep].tolist(), size[keep].tolist()):
-            coords = xy(sx[a:a + n], sy[a:a + n])
+            coords = _xy(sx[a:a + n], sy[a:a + n])
             out.append(dot(kind, coords[0], 2.2) if n == 1 else
                        f'<polyline class="{kind}" '
                        f'points="{" ".join(coords)}"/>')
@@ -556,7 +561,7 @@ def render_svg(spectrum: SpectrumSet, window) -> str:
     body.append(
         f'<rect class="frame" x="{margin:g}" y="{margin:g}" '
         f'width="{plot_w:g}" height="{plot_h:g}"/>')
-    x0, y0 = xy(*screen(np.zeros(1, dtype=complex)))[0].split(",")
+    x0, y0 = _xy(*screen(np.zeros(1, dtype=complex)))[0].split(",")
     if re_min < 0.0 < re_max:
         body.append(f'<line class="axis" x1="{x0}" y1="{margin:g}" '
                     f'x2="{x0}" y2="{height - margin:g}"/>')
@@ -585,7 +590,7 @@ def render_svg(spectrum: SpectrumSet, window) -> str:
     body += runs("regular", curve, np.zeros(max(curve.size - 1, 0), bool))
     sx, sy = screen(regular.lam[~finite])
     shown = _dot_shown(sx, sy, 3.0, clip)
-    body += [dot("regular", at, 3.0) for at in xy(sx[shown], sy[shown])]
+    body += [dot("regular", at, 3.0) for at in _xy(sx[shown], sy[shown])]
 
     # Branches by (side, branch id), each by ascending xi; the side codes
     # order the sides as their tokens do.

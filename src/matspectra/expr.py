@@ -761,14 +761,27 @@ class _Bail(Exception):
     """Raised internally when normalization would lose information."""
 
 
-def simplify(e: Expr) -> Expr:
-    """Best-effort normalization; idempotent; pointwise-sound where defined."""
+def simplify(e: Expr, memo: dict | None = None) -> Expr:
+    """Best-effort normalization; idempotent; pointwise-sound where defined.
+
+    ``memo``, when given, is a dict the caller passes to every call that
+    reads the same subtrees. It holds each non-leaf subtree's normal form
+    under ``id(node)`` and each result of ``simplify`` under ``-id(node)``,
+    and every entry keeps its node alive, so no id is reused while the dict
+    lives. A subtree met again, in this call or a later one, is then not
+    normalized again. The trees returned are those of a call without
+    ``memo``; only a node simplified twice gives the same object twice.
+    """
+    if memo is not None and -id(e) in memo:
+        return memo[-id(e)][1]
     atoms: dict[str, Expr] = {}
     try:
-        product = _to_product(e, atoms)
+        result = _product_to_expr(_to_product(e, atoms, memo), atoms)
     except _Bail:
-        return e
-    return _product_to_expr(product, atoms)
+        result = e
+    if memo is not None:
+        memo[-id(e)] = (e, result)
+    return result
 
 
 def _finite_poly(poly: dict) -> bool:
@@ -902,13 +915,14 @@ def _prod_pow(a: tuple[complex, dict], k: int) -> tuple[complex, dict]:
     )
 
 
-def _to_product(e: Expr, atoms: dict[str, Expr]) -> tuple[complex, dict]:
+def _to_product(e: Expr, atoms: dict[str, Expr],
+                memo: dict | None) -> tuple[complex, dict]:
     if isinstance(e, Lit):
         return _prod_scalar(e.value)
     if isinstance(e, Var):
         return _atom_product(e, atoms)
     if isinstance(e, Call):
-        arg = simplify(e.arg)
+        arg = simplify(e.arg, memo)
         if isinstance(arg, Lit):
             folded = _try_fold_call(e.func, arg.value)
             if folded is not None:
@@ -929,19 +943,40 @@ def _to_product(e: Expr, atoms: dict[str, Expr]) -> tuple[complex, dict]:
             elif isinstance(node, Neg):
                 stack.append((node.arg, -sign))
             else:
-                part = _to_product(node, atoms)
+                part = _part(node, atoms, memo)
                 if sign < 0:
                     part = _prod_mul(part, (-1 + 0j, {}))
                 parts.append(part)
         return _prod_add(parts, atoms)
     if isinstance(e, Mul):
-        return _prod_mul(_to_product(e.left, atoms), _to_product(e.right, atoms))
+        return _prod_mul(_part(e.left, atoms, memo),
+                         _part(e.right, atoms, memo))
     if isinstance(e, Div):
-        numerator = _to_product(e.left, atoms)
-        return _prod_mul(numerator, _prod_pow(_to_product(e.right, atoms), -1))
+        numerator = _part(e.left, atoms, memo)
+        return _prod_mul(numerator,
+                         _prod_pow(_part(e.right, atoms, memo), -1))
     if isinstance(e, Pow):
-        return _prod_pow(_to_product(e.base, atoms), e.exponent)
+        return _prod_pow(_part(e.base, atoms, memo), e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _part(e: Expr, atoms: dict[str, Expr],
+          memo: dict | None) -> tuple[complex, dict]:
+    """:func:`_to_product` of a subtree, from ``memo`` when it holds one.
+
+    A cached entry keeps the atoms its walk wrote, the last node per text
+    key, and a hit writes them again, so ``atoms`` ends as the skipped walk
+    would have left it. Its product is shared and never mutated: every
+    product operation builds new dicts.
+    """
+    if memo is None or isinstance(e, (Lit, Var)):
+        return _to_product(e, atoms, memo)
+    hit = memo.get(id(e))
+    if hit is None:
+        written: dict[str, Expr] = {}
+        hit = memo[id(e)] = (e, _to_product(e, written, memo), written)
+    atoms.update(hit[2])
+    return hit[1]
 
 
 def _prod_add(parts: list[tuple[complex, dict]], atoms: dict[str, Expr]) -> tuple[complex, dict]:

@@ -100,25 +100,33 @@ def _couplings(op: OperatorMatrix, ladder):
                 yield r + gamma, math.comb(beta, r), op.b[beta], steps[beta - r]
 
 
-def _free_step(entry: dict[int, Expr], d_slope: Expr) -> dict[int, Expr]:
+def _free_step(entry: dict[int, Expr], d_slope: Expr,
+               memo: dict) -> dict[int, Expr]:
     """D = -i d/dx applied to sum_q f_q u^q, using du/dx = -d' u^2."""
     parts: dict[int, list[Expr]] = {}
     for q, f in entry.items():
         parts.setdefault(q, []).append(Mul(Lit(-1j), differentiate(f, "x")))
         parts.setdefault(q + 1, []).append(
             Mul(Lit(complex(0, q)), Mul(f, d_slope)))
-    return {q: simplify(reduce(Add, items)) for q, items in parts.items()}
+    return {q: simplify(reduce(Add, items), memo)
+            for q, items in parts.items()}
 
 
 def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSymbol:
     """Compose the lambda-free symbol by exact Leibniz expansion (no tree is
-    size-guarded, so ``cfg`` is not read)."""
-    d_slope = simplify(differentiate(op.d, "x"))
+    size-guarded, so ``cfg`` is not read).
+
+    Every ``simplify`` call of one build shares one memo: the rungs of a
+    ladder, and the beta rows built from them, hold the same b, c and rung
+    subtrees again and again, and each is normalized once.
+    """
+    memo: dict = {}
+    d_slope = simplify(differentiate(op.d, "x"), memo)
 
     def ladder(c: Expr) -> list[dict[int, Expr]]:
         rungs = [{1: c}]
         for _ in range(op.n):
-            rungs.append(_free_step(rungs[-1], d_slope))
+            rungs.append(_free_step(rungs[-1], d_slope, memo))
         return rungs
 
     # free_terms[j][q] collects the x-only coefficients of u^q at order D^j.
@@ -128,7 +136,7 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
             free_terms[j].setdefault(q, []).append(_weighted(weight, b, f))
     beta_trees = []
     for terms in free_terms:
-        row = [simplify(reduce(Sub, terms.get(q, ()), _ZERO))
+        row = [simplify(reduce(Sub, terms.get(q, ()), _ZERO), memo)
                for q in range(1, op.n + 2)]
         while row and row[-1] == _ZERO:
             row.pop()

@@ -572,7 +572,9 @@ def _companion_roots(coeffs: np.ndarray
 
     A row is trimmed at 1e-12 of its largest magnitude. Rows with the same
     degree and number of vanishing low-order coefficients are solved as one
-    stack from the monic row ``-desc[1:] / desc[0]`` that ``np.roots`` puts
+    stack, the stacks in ascending order of the shape code ``degree *
+    width + zeros``, which ``np.bincount`` lists without a sort. A stack
+    starts from the monic row ``-desc[1:] / desc[0]`` that ``np.roots`` puts
     in its companion matrix. Degree 1 takes that quotient as its root, and
     degree 3 and above one stacked ``eigvals`` call on the companion
     matrices, so both carry the bits ``np.roots`` gives for the trimmed row
@@ -597,12 +599,11 @@ def _companion_roots(coeffs: np.ndarray
     valid = np.flatnonzero(~degenerate)
     roots = np.full((coeffs.shape[0], high[valid].max(initial=0)), np.nan,
                     dtype=complex)
-    shapes, group = np.unique((high - low)[valid] * width + low[valid],
-                              return_inverse=True)
+    shape = (high - low)[valid] * width + low[valid]
     solves = 0
-    for g, shape in enumerate(shapes.tolist()):
-        degree, zeros = divmod(shape, width)  # high - low, low
-        rows = valid[group == g]
+    for code in np.flatnonzero(np.bincount(shape)).tolist():
+        degree, zeros = divmod(code, width)  # high - low, low
+        rows = valid[shape == code]
         roots[rows, degree:degree + zeros] = 0.0
         if degree:
             desc = trimmed[rows, zeros:zeros + degree + 1][:, ::-1]
@@ -944,12 +945,16 @@ def _refinement_targets(table: RootTable, cfg: SolverConfig
     level halves as bisection does: geometric between nonzero ends of one
     sign, arithmetic otherwise, and a segment no wider than
     ``1e-7 (1 + |left end|)``, or whose midpoint is not strictly inside,
-    yields no midpoint and no subtree.
+    yields no midpoint and no subtree. With no segment to split, the call
+    ends after the split check; the levels end once no segment goes
+    deeper.
     """
     lo, hi = table.xi[:-1], table.xi[1:]
     split = np.flatnonzero(_segment_needs_split(
         RootTable(lo, table.lam[:-1], table.count[:-1]),
         RootTable(hi, table.lam[1:], table.count[1:]), cfg))
+    if not split.size:
+        return np.empty(0), np.empty(0, dtype=int)
     depth = np.minimum(SPLIT_LEVELS, np.maximum(1, np.ceil(np.log2(
         _split_gap(table.lam[split], table.lam[split + 1], cfg)
         / cfg.curve_res))))
@@ -967,6 +972,8 @@ def _refinement_targets(table: RootTable, cfg: SolverConfig
         lo, mid, hi = lo[deeper], mid[deeper], hi[deeper]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         depth = np.tile(depth[deeper], 2)
+        if not lo.size:
+            break
     mids, levels = np.concatenate(mids), np.concatenate(levels)
     order = np.argsort(mids)
     return mids[order], levels[order]
@@ -1034,7 +1041,7 @@ def _forced_rows(lam: np.ndarray, size: np.ndarray, count: np.ndarray,
     perm = np.zeros(lam.shape, dtype=np.intp)
     near = np.zeros(lam.shape)
     rows = np.flatnonzero(count[1:] == count[:-1]) + 1
-    for c in np.unique(count[rows]).tolist():
+    for c in np.flatnonzero(np.bincount(count[rows])).tolist():
         at = rows[count[rows] == c]
         dist = _distances(lam[at, :c], lam[at - 1, :c])  # (row, root, head)
         dist = np.where(_in_gate(dist, size[at - 1, None, :c],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from matspectra.expr import Expr, Lit, parse
@@ -41,6 +42,21 @@ def quartic_coupled() -> OperatorMatrix:
         c=(parse("x^2/(i + x^2)"), ZERO, ZERO, Lit(1j)),
         d=parse("exp(-x^2/2) + i/(1 + x^2)"),
     )
+
+
+def special_quartics() -> list[OperatorMatrix]:
+    """The quartic with another d or a_0, each a case its tail limits must
+    handle: d = x^2/(1 + exp(-x)) diverges toward + only, and the a_0 add a
+    pole at x = 32 on the x0 trajectory, a limit too close to 0,
+    cos(2 pi log2 x), which settles to 1 on the x0 trajectory and elsewhere
+    on the recheck, and sin(pi log2 x), which settles on the x0 trajectory
+    only."""
+    base = quartic_coupled()
+    return [replace(base, d=parse("x^2/(1 + exp(-x))")), *(
+        replace(base, a=(parse(a_0), *base.a[1:])) for a_0 in (
+            "1/(x - 32)", "1e-8*x^2/(x^2 + 1)",
+            "cos(9.064720283654388*log(x))",
+            "sin(4.532360141827194*log(x))"))]
 
 
 def unbounded_coupling(coeff: str = "x^2") -> OperatorMatrix:

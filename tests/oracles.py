@@ -11,8 +11,10 @@ check the reduction's algebra against the operator it came from, and
 wherever it occurs, as the reference for the package's shared-subtree
 walker. :func:`bisection_sweep` is the frequency sweep's plain bisection,
 one level per round, around the solve and split check the caller passes,
-as the reference for the sweep's depth rule. Tests compare package output
-against these.
+as the reference for the sweep's depth rule. :func:`svg_coordinates`
+writes screen coordinates one f-string per point, as the reference for the
+SVG writer's one-template formatting. Tests compare package output against
+these.
 """
 
 from __future__ import annotations
@@ -213,3 +215,9 @@ def bisection_sweep(solve, needs_split, merge, xi_grid, max_points: int,
         total += int(update.count.sum())
         rounds += 1
     return table, rounds
+
+
+def svg_coordinates(sx, sy) -> list[str]:
+    """Screen coordinates as "x,y" to two decimals, one f-string a point."""
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(np.asarray(sx).tolist(),
+                                               np.asarray(sy).tolist())]

@@ -29,6 +29,7 @@ from factories import (
     quartic_coupled,
     random_constant_operator,
     random_operator,
+    special_quartics,
     unbounded_coupling,
 )
 from oracles import directed_hausdorff, qhull_vertices
@@ -428,22 +429,13 @@ def ledger_corpus():
     """(operator, symbol, decoupling function) of each operator whose tail
     limits the ledger tests certify.
 
-    The quartics with another a_0 add a pole at x = 32 on the x0
-    trajectory, a limit too close to 0, cos(2 pi log2 x), which settles to
-    1 on the x0 trajectory and elsewhere on the recheck, and
-    sin(pi log2 x), which settles on the x0 trajectory only. The
-    parabolic's d diverges toward both sides, and x^2/(1 + exp(-x)) toward
-    + only, so 1/d is taken at one end. Then random_operator seeds 0-199,
-    with and without settling coefficients, each at an m of 2 or 4 drawn
-    from its seed.
+    The bundled operators and the special quartics (see
+    ``factories.special_quartics``): the parabolic's d diverges toward both
+    sides, and the first special quartic's toward + only, so 1/d is taken
+    at one end. Then random_operator seeds 0-199, with and without settling
+    coefficients, each at an m of 2 or 4 drawn from its seed.
     """
-    base = quartic_coupled()
-    ops = [base, parabolic_potential(),
-           replace(base, d=parse("x^2/(1 + exp(-x))")), *(
-               replace(base, a=(parse(a_0), *base.a[1:])) for a_0 in (
-                   "1/(x - 32)", "1e-8*x^2/(x^2 + 1)",
-                   "cos(9.064720283654388*log(x))",
-                   "sin(4.532360141827194*log(x))"))]
+    ops = [quartic_coupled(), parabolic_potential(), *special_quartics()]
     for settling in (False, True):
         for seed in range(200):
             rng = random.Random(seed)

@@ -39,24 +39,35 @@ change.
 Another NumPy build may round the companion eigenvalues or the quadratic
 formula's square root differently and change the bytes without a change
 here.
+
+The SVG writer formats all screen coordinates of a run with one ``%.2f``
+template; Hypothesis tests hold its text to one f-string a point
+(``oracles.svg_coordinates``) on edge values and on random tables.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factories import PARABOLIC_CFG, QUARTIC_CFG
 from matspectra import cli as cli_module
-from matspectra.cli import EXIT_OK, main
+from matspectra.asymptotics import ExceptionalSet
+from matspectra.cli import EXIT_OK, main, render_svg
 from matspectra.config import SolverConfig
 from matspectra.model import load_operator
-from matspectra.spectrum import essential_spectrum, write_csv
+from matspectra.spectrum import (FLAGS, SIDES, RegularTable, SingularTable,
+                                 SpectrumSet, essential_spectrum, write_csv)
+from oracles import svg_coordinates
 
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden"
                      / "spectrum_sha256.json").read_text(encoding="utf-8"))
@@ -139,3 +150,69 @@ def test_svg_leaves_out_exactly_the_dots_the_clip_hides(case, tmp_path,
     assert sum(hidden) == HIDDEN_DOTS[case]
     assert new.read_text(encoding="utf-8").splitlines() == [
         line for line, gone in zip(old_lines, hidden) if not gone]
+
+
+# Signed zeros, infinities, NaN, subnormals, .2f near-ties (-0.005 is
+# stored just below the tie) and magnitudes from 1e16 up, where the printed
+# digits run past a double's precision.
+COORDINATE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -5e-324, 2.2250738585072014e-308, -0.005, 0.005,
+                     -0.015, 0.125, -2.675, 1.005, 1e16,
+                     -9.999999999999998e16]),
+    st.floats(1e16, 1e17, exclude_max=True),
+    st.floats(-1e17, -1e16, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(COORDINATE, COORDINATE), max_size=30))
+def test_svg_coordinates_match_per_point_formatting(points):
+    sx = np.array([x for x, _ in points], dtype=float)
+    sy = np.array([y for _, y in points], dtype=float)
+    assert cli_module._xy(sx, sy) == svg_coordinates(sx, sy)
+
+
+VALUE = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, -0.005]))
+
+
+@st.composite
+def spectrum_tables(draw) -> SpectrumSet:
+    """Random regular and singular tables, ±inf curve parameters, every
+    side code, branch ids 0-4 and every flag code included."""
+    n_regular = draw(st.integers(0, 12))
+    n_singular = draw(st.integers(0, 24))
+
+    def column(elements, size):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    def lam(size):
+        return np.array(column(VALUE, size), dtype=float) + 1j * np.array(
+            column(VALUE, size), dtype=float)
+
+    regular = RegularTable(
+        np.array(column(st.one_of(st.floats(-5.0, 5.0), st.sampled_from(
+            [math.inf, -math.inf])), n_regular), dtype=float),
+        lam(n_regular))
+    singular = SingularTable(
+        np.array(column(st.integers(0, len(SIDES) - 1), n_singular),
+                 dtype=np.int8),
+        np.array(column(st.floats(-5.0, 5.0), n_singular), dtype=float),
+        lam(n_singular),
+        np.array(column(st.integers(0, 4), n_singular), dtype=int),
+        np.array(column(st.integers(0, (1 << len(FLAGS)) - 1), n_singular),
+                 dtype=np.uint8))
+    return SpectrumSet(regular=regular, singular=singular,
+                       exceptional=ExceptionalSet(
+                           points=(), radii=(), window_exponents=(),
+                           sources={"+": "escapes", "-": "escapes"}),
+                       report={})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spectrum=spectrum_tables())
+def test_svg_text_matches_per_point_formatting(spectrum):
+    window = (-2.0, 1.0, -0.5, 0.5)
+    with mock.patch.object(cli_module, "_xy", svg_coordinates):
+        want = render_svg(spectrum, window)
+    assert render_svg(spectrum, window) == want

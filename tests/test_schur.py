@@ -47,6 +47,7 @@ from factories import (
     parabolic_potential,
     quartic_coupled,
     random_operator,
+    special_quartics,
 )
 from oracles import apply_operator
 
@@ -264,6 +265,30 @@ def test_node_ceiling_guards_tree_growth(monkeypatch):
     with pytest.raises(ComplexityError):
         coefficient_trees(quartic_coupled())
     assert build_schur(quartic_coupled(), SolverConfig()) == free
+
+
+def test_memoised_build_gives_the_trees_of_an_unmemoised_one(monkeypatch):
+    # One memo across the build's simplify calls normalizes each shared
+    # subtree once; every alpha, beta and d tree must print as a build whose
+    # simplify calls walk their whole trees. A cached normal form mutated in
+    # place, or a hit that left the atoms another walk would have left,
+    # shows here.
+    ops = [parabolic_potential(), quartic_coupled(), *special_quartics()]
+    for settling in (False, True):
+        for seed in range(300):
+            for m in (2, 4):
+                ops.append(random_operator(random.Random(seed), m,
+                                           settling=settling))
+
+    def trees(op) -> str:
+        symbol = build_schur(op)
+        return repr((symbol.alpha, symbol.beta, symbol.d))
+
+    memoised = [trees(op) for op in ops]
+    monkeypatch.setattr(schur_module, "simplify",
+                        lambda e, memo=None: simplify(e))
+    for k, op in enumerate(ops):
+        assert trees(op) == memoised[k], f"operator {k}"
 
 
 def test_symbol_requires_full_coefficient_list():

@@ -1929,11 +1929,13 @@ def growing_coefficients() -> OperatorMatrix:
                           c=(ZERO, Lit(1j)), d=Lit(2j))
 
 
+QUARTIC_SPECTRUM_CFG = SolverConfig().with_overrides(
+    xi_points=40, xi_max=2.0, curve_res=0.02)
+
+
 @pytest.fixture(scope="module")
 def quartic_spectrum():
-    cfg = SolverConfig().with_overrides(
-        xi_points=40, xi_max=2.0, curve_res=0.02)
-    return essential_spectrum(quartic_coupled(), cfg)
+    return essential_spectrum(quartic_coupled(), QUARTIC_SPECTRUM_CFG)
 
 
 class TestEssentialSpectrum:
@@ -1962,7 +1964,7 @@ class TestEssentialSpectrum:
             assert key in report
         assert report["errors"] == []
         assert report["tolerances"]["root_tol"] == ROOT_TOL
-        grid_points = default_xi_grid(SolverConfig()).size
+        grid_points = default_xi_grid(QUARTIC_SPECTRUM_CFG).size
         for side in ("+", "-"):
             fit = report["singular"]["fits"][side]
             assert fit["route"] == "closed_form"
@@ -1982,7 +1984,8 @@ class TestEssentialSpectrum:
             assert grid_points - 1 <= sweep["segments_checked"] \
                 <= (sweep["refinement_rounds"] + 1) \
                 * (sweep["frequencies"] - 1)
-            # At least one stacked eigvals per frequency batch.
+            # One stacked solve per shape in each frequency batch, so at
+            # least one per batch.
             assert sweep["companion_solves"] >= sweep["refinement_rounds"] + 1
             # Rounds insert frequencies below a segment's own midpoint.
             assert 0 < sweep["predicted"] < sweep["frequencies"]

@@ -27,7 +27,13 @@ its gap predicts (6 while a round solved one midpoint per segment, 19
 while a root near 3 + 2.03i, past the emit band, made 13 rounds bisect two
 segments to the width floor). The refinement rounds per side are pinned
 too: 2 for either benchmark window (5 for the quartic and 7 for the
-parabolic one while each round went one level down).
+parabolic one while each round went one level down), with one
+``_split_gap`` call for each round that splits, since the last round's
+rescan, which finds nothing to split, stops at the split check (one more
+per sweep while it took the gaps of no segment).
+The quartic's symbol build is counted by its ``expr._to_product`` walks:
+one memo across its ``simplify`` calls normalizes each shared subtree
+once (307 walks while each call walked its whole tree).
 The branch continuation's counts are pinned exactly: the rows it assigns
 by array and the joints it leaves to the per-row loop (the quartic's 1,428
 array rows fell to 1,396 with the 32 points those rounds added, and rose
@@ -114,6 +120,33 @@ def test_benchmark_windows_refine_in_two_rounds(config, cfg):
                                 cfg).report["singular"]["sweeps"]
     assert {side: sweep["refinement_rounds"] <= 2
             for side, sweep in sweeps.items()} == {"+": True, "-": True}
+
+
+@pytest.mark.parametrize("config, cfg", [
+    (QUARTIC_CFG, QUARTIC_WINDOW), (PARABOLIC_CFG, PARABOLIC_WINDOW)],
+    ids=["quartic", "parabolic"])
+def test_benchmark_windows_take_no_gap_past_the_last_split(config, cfg,
+                                                           monkeypatch):
+    op = load_operator(config)
+    sweeps = 0
+    sweep_side = spectrum._sweep_side
+
+    def counted(*args):
+        nonlocal sweeps
+        sweeps += 1
+        return sweep_side(*args)
+
+    monkeypatch.setattr(spectrum, "_sweep_side", counted)
+    gaps = _calls(monkeypatch, spectrum, "_split_gap",
+                  lambda: essential_spectrum(op, cfg))
+    assert sweeps >= 1
+    assert gaps <= 2 * sweeps
+
+
+def test_quartic_symbol_build_walks_no_more_subtrees(monkeypatch):
+    op = load_operator(QUARTIC_CFG)
+    assert _calls(monkeypatch, expr, "_to_product",
+                  lambda: build_schur(op)) <= 196
 
 
 def test_quartic_spectrum_scans_no_more_limit_blocks(monkeypatch):
