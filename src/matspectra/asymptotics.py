@@ -5,19 +5,19 @@ and certified by one vectorized scan, column by column
 (:func:`_limit_block`); its :class:`Certificate` bounds the remainder by
 the geometric tail of the last increments. Three services live here:
 
-- :func:`tail_ledger` is where the limits of lambda-free trees are
-  sampled and certified: one shared-subtree walk samples named trees on
-  the ``X0`` and recheck trajectories of both sides, and one scan
-  certifies every column. A reader takes a column's certificate or, for
-  a failed column, the error :func:`limit_of` raises there, built from
-  the column's own samples. A spectrum run reads all its limits from one
+- :func:`tail_ledger` is the one place where the limits of lambda-free
+  trees are sampled and certified: one shared-subtree walk samples named
+  trees on the ``X0`` and recheck trajectories of both sides, and one
+  scan certifies every column. A reader takes a column's certificate or,
+  for a failed column, the error that refuses it, built from the
+  column's own samples. A spectrum run reads all its limits from one
   ledger: the ends of the decoupling curve; d's limit points
   (:func:`limit_points_at_infinity`: d's limit, none where 1/d tends to
   0, and only where both are refused a clustering of d's values over the
   largest dyadic windows); and the frozen symbol (:func:`symbol_limits`:
   d, alpha_j and beta_jq, or 1/d -> 0 and beta_jq/d^q where d does not
   settle, each rechecked, and the first refusal named). :func:`limit_of`
-  certifies one tree by the same scan.
+  reads one tree's ``X0`` column from a ledger of that tree alone.
 - :func:`limit_ratio` estimates the coefficient ratios
   ``r_j(lambda) = lim p_j(x, lambda) / p_m(x, lambda)``, each with its
   certificate, and :func:`limit_ratio_batch` is its non-raising batch
@@ -323,14 +323,21 @@ def limit_ratio(symbol: SchurSymbol, lam: complex, side: str
     zero of p_m).
     """
     form, = _forms(symbol, _trajectory(side)[:, None])
-    samples = _ratio_samples(form, np.asarray([lam], dtype=np.complex128))
-    block = _limit_block(samples, LIMIT_TOL)
-    status = _status(block[4], block[5], form.finite)[0]
-    if status != "ok":
-        raise _ratio_refusal(samples, block, status, 0, form.xs, side)
+    samples, block, status = _ratio_scan(form, [lam])
+    if status[0] != "ok":
+        raise _ratio_refusal(samples, block, status[0], 0, form.xs, side)
     certificates = [_certificate(block, j, 0)
                     for j in range(samples.shape[0])]
     return [cert.value for cert in certificates], certificates
+
+
+def _ratio_scan(form: _Form, lams):
+    """The ratio samples of a form at each of the 1-d ``lams``
+    (:func:`_ratio_samples`), their :func:`_limit_block` scan and the
+    :func:`_status` of each lambda."""
+    samples = _ratio_samples(form, np.asarray(lams, dtype=np.complex128))
+    block = _limit_block(samples, LIMIT_TOL)
+    return samples, block, _status(block[4], block[5], form.finite)
 
 
 def _ratio_refusal(samples: np.ndarray, block, status: str, k: int,
@@ -389,12 +396,9 @@ def limit_ratio_batch(symbol: SchurSymbol, lams, side: str):
 
 def _ratio_batch(symbol: SchurSymbol, lams, xs: np.ndarray):
     """:func:`limit_ratio_batch` on the trajectory ``xs``."""
-    lam_arr = np.asarray(lams, dtype=np.complex128).ravel()
     form, = _forms(symbol, xs[:, None])
-    values, _, _, _, converged, first_bad = _limit_block(
-        _ratio_samples(form, lam_arr), LIMIT_TOL)
-    status = _status(converged, first_bad, form.finite)
-    out = values.T.copy()
+    _, block, status = _ratio_scan(form, np.ravel(lams))
+    out = block[0].T.copy()
     out[status != "ok"] = np.nan
     return out, status
 
@@ -402,8 +406,9 @@ def _ratio_batch(symbol: SchurSymbol, lams, xs: np.ndarray):
 def limit_of(expr: Expr, side: str) -> tuple[complex, Certificate]:
     """Certified limit of a lambda-free expression toward one infinity.
 
-    Runs the certificate scan of :func:`limit_ratio` on the expression's
-    own trajectory samples. A tree that mentions lambda is a
+    Reads the ``X0`` column of a one-tree :func:`tail_ledger`: its
+    certificate, or the error :meth:`TailLedger.error` gives there. A tree
+    that mentions lambda or a side other than ``"+"`` or ``"-"`` is a
     ``ValueError``. A non-finite sample that stops the scan is evaluated
     again strictly: a pole there raises :class:`PoleError`; otherwise
     :class:`NotConvergent` says whether the samples overflowed or left a
@@ -411,23 +416,19 @@ def limit_of(expr: Expr, side: str) -> tuple[complex, Certificate]:
     """
     if mentions(expr, "lambda"):
         raise ValueError("limit_of takes lambda-free expressions only")
-    return _limit_on(expr, side, _trajectory(side))
-
-
-def _limit_on(expr: Expr, side: str, xs: np.ndarray
-              ) -> tuple[complex, Certificate]:
-    """:func:`limit_of` on the trajectory ``xs`` toward ``side``."""
-    samples = evaluate_array(expr, x=xs)
-    block = _limit_block(samples[None, :, None], LIMIT_TOL)
-    if not block[4][0, 0]:
-        raise _limit_error(expr, side, xs, samples, block)
-    return complex(block[0][0, 0]), _certificate(block, 0, 0)
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    ledger = tail_ledger([("limit", expr)])
+    certificate = ledger.certificate("limit", side)
+    if certificate is None:
+        raise ledger.error("limit", side)
+    return certificate.value, certificate
 
 
 def _limit_error(expr: Expr, side: str, xs: np.ndarray, samples: np.ndarray,
                  block) -> NotConvergent | PoleError:
-    """The error :func:`limit_of` raises where the one-column scan
-    ``block`` of the expression's ``samples`` on ``xs`` failed."""
+    """The error that refuses the limit where the one-column scan ``block``
+    of the expression's ``samples`` on ``xs`` failed."""
     status = _status(block[4], block[5], np.isfinite(samples))[0]
 
     def overflow(x: float) -> str:
@@ -461,8 +462,9 @@ class TailLedger(NamedTuple):
     ``samples[rows[name]]`` holds ``trees[rows[name]]`` on the trajectories
     of ``COLUMNS``, one per column, and ``block`` is their
     :func:`_limit_block` scan. The scan runs column by column, so a
-    column's certificate is the one :func:`limit_of` gives that tree on
-    that trajectory, and a failed column's error is the one it raises.
+    column's certificate, or its error, is the one the tree gets when its
+    samples on that trajectory are scanned alone; :func:`limit_of` reads
+    its ``X0`` column.
     """
 
     rows: dict[str, int]
@@ -483,8 +485,8 @@ class TailLedger(NamedTuple):
 
     def error(self, name: str, side: str, recheck: bool = False
               ) -> NotConvergent | PoleError:
-        """The error :func:`limit_of` raises on a column the scan refuses,
-        built from the column's own samples."""
+        """The error that refuses a column the scan refuses, built from
+        the column's own samples: the one :func:`limit_of` raises there."""
         i, k = self.rows[name], COLUMNS.index((side, recheck))
         return _limit_error(self.trees[i], side, _trajectory(side, recheck),
                             self.samples[i, :, k],
@@ -582,49 +584,27 @@ def symbol_rows(symbol: SchurSymbol) -> tuple[list, list]:
     return direct, inverse
 
 
-def symbol_limits(symbol: SchurSymbol, side: str) -> SymbolLimits:
+def symbol_limits(symbol: SchurSymbol, side: str, *,
+                  ledger: TailLedger | None = None) -> SymbolLimits:
     """Certify the limits of the symbol's x-only trees toward one side.
 
-    The trees are read from a :func:`tail_ledger`, so each certificate,
-    on the ``X0`` and on the recheck trajectory, is the one
-    :func:`limit_of` gives that tree there. Tree by tree, in order: a tree
-    whose scan fails on either trajectory is refused with the error
-    :func:`limit_of` raises there; the two values must lie within the sum
-    of their last increments. A limit within ``ZERO_MARGIN`` tail bounds
-    of 0 is 0; one that is not, yet lies within ``NEAR_ZERO_TOLS *
-    LIMIT_TOL`` of 0 while its samples still move, is refused. When d's
-    own limit does not settle, the limit of 1/d must be 0 and the
-    couplings are taken as beta_jq/d^q. Raises :class:`LimitRefused`
-    naming the first tree whose limit is refused or whose recheck
-    disagrees.
+    The trees are read from ``ledger``, a :func:`tail_ledger` of both
+    :func:`symbol_rows` (built when None), so each certificate, on the
+    ``X0`` and on the recheck trajectory, is the one :func:`limit_of`
+    gives that tree there. Tree by tree, in order: a tree whose scan fails
+    on either trajectory is refused with the error :func:`limit_of` raises
+    there; the two values must lie within the sum of their last
+    increments. A limit within ``ZERO_MARGIN`` tail bounds of 0 is 0; one
+    that is not, yet lies within ``NEAR_ZERO_TOLS * LIMIT_TOL`` of 0 while
+    its samples still move, is refused. When d's own limit does not
+    settle, the limit of 1/d must be 0 and the couplings are taken as
+    beta_jq/d^q. Raises :class:`LimitRefused` naming the first tree whose
+    limit is refused or whose recheck disagrees, d for both reasons when
+    1/d fails too.
     """
-    direct, inverse = symbol_rows(symbol)
-    return _side_limits(tail_ledger(direct + inverse), side, direct, inverse)
-
-
-def _symbol_limits(symbol: SchurSymbol, sides: tuple[str, ...], *,
-                   ledger: TailLedger | None = None
-                   ) -> dict[str, SymbolLimits | LimitRefused]:
-    """:func:`symbol_limits` toward each of ``sides``, or the refusal it
-    raises there, read from ``ledger``, a :func:`tail_ledger` of both
-    :func:`symbol_rows` (built when None)."""
     direct, inverse = symbol_rows(symbol)
     if ledger is None:
         ledger = tail_ledger(direct + inverse)
-    limits = {}
-    for side in sides:
-        try:
-            limits[side] = _side_limits(ledger, side, direct, inverse)
-        except LimitRefused as refusal:
-            limits[side] = refusal
-    return limits
-
-
-def _side_limits(ledger: TailLedger, side: str, direct, inverse
-                 ) -> SymbolLimits:
-    """One side's limits: those of the ``direct`` rows or, where d does not
-    settle, of the ``inverse`` rows, whose 1/d must tend to 0. Raises the
-    first refusal, naming d for both reasons when 1/d fails too."""
     limits = _checked(ledger, direct, side)
     try:
         first = next(limits)
@@ -1198,9 +1178,7 @@ def _check_d(trajectories, probes: np.ndarray) -> list[DiagnosticRecord]:
     """
     refused: dict[int, tuple[str, NotConvergent | PoleError]] = {}
     for side, form in trajectories:
-        samples = _ratio_samples(form, probes)
-        block = _limit_block(samples, LIMIT_TOL)
-        status = _status(block[4], block[5], form.finite)
+        samples, block, status = _ratio_scan(form, probes)
         for k in np.flatnonzero(status != "ok").tolist():
             if k not in refused:
                 refused[k] = side, _ratio_refusal(samples, block, status[k],

@@ -40,9 +40,12 @@ ratios. Per side the solve is staged:
    midpoints down to the depth its gap predicts: about
    log2(gap / curve_res) halvings, at most ``SPLIT_LEVELS``, where the
    gap is the largest distance from an emitted root at one end to the
-   nearest root at the other. A frequency's roots do not depend on the
-   batch it is solved in, so the rounds find every point plain bisection
-   (one level per round) would, and some more.
+   nearest root at the other. A segment where a branch ends, with an
+   emitted root that has no root at all at the other end, predicts no
+   depth and takes its midpoint only, as bisection does. A frequency's
+   roots do not depend on the batch it is solved in, so the rounds find
+   every point plain bisection (one level per round) would, and some
+   more.
 
 When a limit of step 1 is refused, the side falls back to fit and polish:
 ``r_j`` is reconstructed jointly from certified limit samples on two
@@ -104,7 +107,6 @@ from .asymptotics import (
     SymbolLimits,
     TailLedger,
     _ratio_batch,
-    _symbol_limits,
     _trajectory,
     limit_points_at_infinity,
     limit_ratio_batch,
@@ -156,8 +158,7 @@ MAX_POINTS = 200_000
 SPLIT_LEVELS = 6
 """Most bisection levels one refinement round inserts into a segment that
 splits, so at most 2**SPLIT_LEVELS - 1 frequencies. The cap binds where a
-branch jumps or ends rather than moves, so that its gap predicts no depth;
-later rounds go on from there."""
+branch jumps rather than moves; later rounds go on from there."""
 
 DEDUPE_TOL = 1e-9
 """Distance within which two roots, or a root and a curve sample, coincide."""
@@ -391,8 +392,7 @@ class RationalProfile:
     limits: SymbolLimits | None = None
 
 
-def _closed_form_side(symbol: SchurSymbol, side: str,
-                      limits: SymbolLimits | LimitRefused | None = None
+def _closed_form_side(symbol: SchurSymbol, side: str, limits: SymbolLimits
                       ) -> tuple[RationalProfile, int]:
     """The exact profile P_j/P_m toward one side, from certified limits.
 
@@ -401,15 +401,10 @@ def _closed_form_side(symbol: SchurSymbol, side: str,
     is divided out, so the cleared polynomials keep no spurious root at
     lambda = d^inf. When d diverges, P_j = alpha_j - [j = 0] lambda
     + sum_q lim beta_jq/d^q (Q = 0). ``limits`` are the side's
-    :func:`~matspectra.asymptotics.symbol_limits`, or the refusal it
-    raises, when the caller has them. Returns the profile and the power of
-    w divided out. Raises :class:`LimitRefused` when a limit is refused or
-    P_m vanishes identically.
+    :func:`~matspectra.asymptotics.symbol_limits`. Returns the profile and
+    the power of w divided out. Raises :class:`LimitRefused` when P_m
+    vanishes identically.
     """
-    if limits is None:
-        limits = symbol_limits(symbol, side)
-    if isinstance(limits, LimitRefused):
-        raise limits
     d_limit, *terms = limits.limits
     # beta_jq u^q tends to beta_jq^inf w^-q, or to lim beta_jq/d^q (a w^0
     # term, with w = -lambda) when d diverges.
@@ -941,11 +936,13 @@ def _refinement_targets(table: RootTable, cfg: SolverConfig
     (:func:`_split_gap`) needs about log2(g / curve_res) halvings before
     its end roots are ``curve_res`` apart, so its whole bisection subtree
     down to level L = min(``SPLIT_LEVELS``, max(1, ceil(log2(g /
-    curve_res)))) is returned at once; level 1 is its own midpoint. Each
-    level halves as bisection does: geometric between nonzero ends of one
-    sign, arithmetic otherwise, and a segment no wider than
-    ``1e-7 (1 + |left end|)``, or whose midpoint is not strictly inside,
-    yields no midpoint and no subtree. With no segment to split, the call
+    curve_res)))) is returned at once; level 1 is its own midpoint. Where
+    g is inf, a branch end, L is 1, so that only the half that still
+    splits goes deeper in the next round. Each level halves as bisection
+    does: geometric between nonzero ends of one sign, arithmetic
+    otherwise, and a segment no wider than ``1e-7 (1 + |left end|)``, or
+    whose midpoint is not strictly inside, yields no midpoint and no
+    subtree. With no segment to split, the call
     ends after the split check; the levels end once no segment goes
     deeper.
     """
@@ -955,9 +952,9 @@ def _refinement_targets(table: RootTable, cfg: SolverConfig
         RootTable(hi, table.lam[1:], table.count[1:]), cfg))
     if not split.size:
         return np.empty(0), np.empty(0, dtype=int)
-    depth = np.minimum(SPLIT_LEVELS, np.maximum(1, np.ceil(np.log2(
-        _split_gap(table.lam[split], table.lam[split + 1], cfg)
-        / cfg.curve_res))))
+    gap = _split_gap(table.lam[split], table.lam[split + 1], cfg)
+    depth = np.where(np.isinf(gap), 1, np.minimum(SPLIT_LEVELS, np.maximum(
+        1, np.ceil(np.log2(gap / cfg.curve_res)))))
     lo, hi = lo[split], hi[split]
     mids, levels = [], []
     for level in range(1, SPLIT_LEVELS + 1):
@@ -1228,11 +1225,14 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     side_roots = {side: _empty_rows(np.empty(0)) for side in ("+", "-")}
     # Closed-form sweeps by profile bytes: (side, sweep report, its skips).
     swept: dict[tuple, tuple[str, dict, list]] = {}
-    ends = _symbol_limits(symbol, ("+", "-"), ledger=ledger)
+    if ledger is None:
+        direct, inverse = symbol_rows(symbol)
+        ledger = tail_ledger(direct + inverse)
 
     for side in ("+", "-"):
         try:
-            profile, cancelled = _closed_form_side(symbol, side, ends[side])
+            profile, cancelled = _closed_form_side(
+                symbol, side, symbol_limits(symbol, side, ledger=ledger))
             fits[side] = {"route": "closed_form",
                           "limits": profile.limits.to_json_list(),
                           "cancelled_power": cancelled}

@@ -9,11 +9,16 @@ Schur symbol's trees with the scalar ``matspectra.expr.evaluate`` only, to
 check the reduction's algebra against the operator it came from, and
 :func:`evaluate_recursive` walks a tree by plain recursion, each subtree
 wherever it occurs, as the reference for the package's shared-subtree
-walker. :func:`bisection_sweep` is the frequency sweep's plain bisection,
-one level per round, around the solve and split check the caller passes,
-as the reference for the sweep's depth rule. :func:`svg_coordinates`
-writes screen coordinates one f-string per point, as the reference for the
-SVG writer's one-template formatting. Tests compare package output against
+walker. :func:`limit_on` certifies one tree on one trajectory: it walks
+the tree by :func:`evaluate_recursive` and scans its samples as a column
+of their own, under the package's certificate and refusal rules, as the
+reference for the tail ledger, which samples many trees on four
+trajectories in one walk and scans them in one block.
+:func:`bisection_sweep` is the frequency sweep's plain bisection, one
+level per round, around the solve and split check the caller passes, as
+the reference for the sweep's depth rule. :func:`svg_coordinates` writes
+screen coordinates one f-string per point, as the reference for the SVG
+writer's one-template formatting. Tests compare package output against
 these.
 """
 
@@ -26,6 +31,8 @@ from functools import reduce
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from matspectra.asymptotics import (LIMIT_TOL, _certificate, _limit_block,
+                                    _limit_error)
 from matspectra.expr import (Add, Call, Div, Lit, Mul, Neg, Pow, Sub, Var,
                              evaluate)
 from matspectra.schur import SchurSymbol
@@ -175,6 +182,18 @@ def evaluate_recursive(e, x=None, lam=None) -> np.ndarray:
     if isinstance(out, np.ndarray) and out.shape == shape:
         return out
     return np.full(shape, out, dtype=np.complex128)
+
+
+def limit_on(expr, side: str, xs: np.ndarray):
+    """The certified limit of a lambda-free tree on the trajectory ``xs``
+    toward ``side``, as (value, certificate), or the error that refuses
+    it: the certificate scan of one column, with the package's certificate
+    and refusal rules."""
+    samples = evaluate_recursive(expr, x=xs)
+    block = _limit_block(samples[None, :, None], LIMIT_TOL)
+    if not block[4][0, 0]:
+        raise _limit_error(expr, side, xs, samples, block)
+    return complex(block[0][0, 0]), _certificate(block, 0, 0)
 
 
 def bisection_sweep(solve, needs_split, merge, xi_grid, max_points: int,

@@ -32,7 +32,7 @@ from factories import (
     special_quartics,
     unbounded_coupling,
 )
-from oracles import directed_hausdorff, qhull_vertices
+from oracles import directed_hausdorff, limit_on, qhull_vertices
 from matspectra.asymptotics import (
     CLUSTER_TOL,
     CLUSTER_WINDOWS,
@@ -52,10 +52,8 @@ from matspectra.asymptotics import (
     _cluster,
     _forms,
     _hull,
-    _limit_on,
     _ratio_samples,
     _sector_margin,
-    _symbol_limits,
     _trajectory,
     check_assumptions,
     limit_of,
@@ -186,8 +184,16 @@ def test_limit_of_certifies_lambda_free_expressions():
     assert abs(value - 1.0) <= 1e-9
     assert cert.value == value
     assert cert.last_increment <= LIMIT_TOL * (1.0 + abs(value))
-    with pytest.raises(ValueError, match="lambda-free"):
-        limit_of(parse("x + lambda"), "+")
+    # A tree with lambda is refused before its side is read, and a bad side
+    # is named, not looked up.
+    for side in "+x":
+        with pytest.raises(ValueError) as refusal:
+            limit_of(parse("x + lambda"), side)
+        assert str(refusal.value) == \
+            "limit_of takes lambda-free expressions only"
+    with pytest.raises(ValueError) as refusal:
+        limit_of(parse("x"), "x")
+    assert str(refusal.value) == "side must be '+' or '-', got 'x'"
     with pytest.raises(NotConvergent, match="the limit did not settle") as info:
         limit_of(parse("sin(x)"), "+")
     assert "p_0" not in str(info.value)
@@ -195,15 +201,20 @@ def test_limit_of_certifies_lambda_free_expressions():
 
 def test_limit_of_names_the_cause_of_a_nonfinite_sample():
     # x = 32 is the second trajectory sample toward +infinity.
-    with pytest.raises(PoleError, match=r"x = 32\.0 hits a pole"):
+    with pytest.raises(PoleError) as pole:
         limit_of(parse("1/(x - 32)"), "+")
+    assert str(pole.value) == (
+        "trajectory sample x = 32.0 hits a pole of the expression: division "
+        "by magnitude 0.000e+00 below pole threshold")
     with pytest.raises(NotConvergent,
                        match=r"samples overflow at trajectory sample "
                              r"x = 34359738368\.0 "):
         limit_of(parse("x^30"), "+")
-    with pytest.raises(NotConvergent, match=r"leave the domain \(log of "
-                                            r"exactly 0\).*x = 32\.0"):
+    with pytest.raises(NotConvergent) as domain:
         limit_of(parse("log(x - 32)"), "+")
+    assert str(domain.value) == (
+        "samples leave the domain (log of exactly 0) at trajectory sample "
+        "x = 32.0 toward +infinity before the limit settled")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -304,7 +315,7 @@ def test_symbol_limits_refuse_a_recheck_that_disagrees(monkeypatch):
     op = quartic_coupled()
     alpha_0 = op.a[0]
     recheck = _trajectory("+", recheck=True)
-    shift = 3.0 * (_limit_on(alpha_0, "+", recheck)[1].last_increment
+    shift = 3.0 * (limit_on(alpha_0, "+", recheck)[1].last_increment
                    + 1e-12)
 
     def shifted(x, jets=(), values=(), **env):
@@ -379,7 +390,7 @@ def _symbol_limits_tree_by_tree(symbol, side):
         certs = []
         for run in runs:
             try:
-                certs.append(_limit_on(tree, side, run)[1])
+                certs.append(limit_on(tree, side, run)[1])
             except (NotConvergent, PoleError) as exc:
                 raise LimitRefused(label, str(exc)) from exc
         first, again = certs
@@ -453,8 +464,8 @@ def spectrum_rows(symbol, decoupling):
 
 def assert_ledger_matches_limit_of(rows):
     """Every column of the ledger of ``rows`` is the one tree certified
-    alone: limit_of on the x0 trajectory, _limit_on on the recheck one,
-    the same certificate or the same error."""
+    alone on that trajectory (``oracles.limit_on``): the same certificate
+    or the same error."""
     ledger = tail_ledger(rows)
     trees = {row[0]: row[-1] for row in rows}
     assert list(ledger.rows) == list(trees)
@@ -462,8 +473,8 @@ def assert_ledger_matches_limit_of(rows):
         assert ledger.tree(name) is tree
         for side, recheck in COLUMNS:
             try:
-                expected = (_limit_on(tree, side, _trajectory(side, True))
-                            if recheck else limit_of(tree, side))[1]
+                expected = limit_on(tree, side,
+                                    _trajectory(side, recheck))[1]
             except (NotConvergent, PoleError) as exc:
                 expected = exc
             got = ledger.certificate(name, side, recheck)
@@ -483,37 +494,35 @@ def test_ledger_columns_are_the_certificates_of_limit_of():
 
 
 def test_batched_symbol_limits_match_tree_by_tree_certification():
-    # The ledger, for one side, for both sides at once and shared with the
-    # decoupling function, certifies every tree as limit_of does on its
-    # own: the same certificates bit for bit, or the same first refusal.
-    # The random draws refuse only by non-convergence on the x0
-    # trajectory; the special quartics add the other causes, and the
-    # corpus has both, one and no side where d diverges.
+    # The ledger, built for the symbol alone or shared with the decoupling
+    # function, certifies every tree as it is certified on its own: the
+    # same certificates bit for bit, or the same first refusal. The random
+    # draws refuse only by non-convergence on the x0 trajectory; the
+    # special quartics add the other causes, and the corpus has both, one
+    # and no side where d diverges.
     causes = set()
     diverging = set()
     for _, symbol, decoupling in ledger_corpus():
-        both = _symbol_limits(symbol, ("+", "-"))
-        shared = _symbol_limits(symbol, ("+", "-"), ledger=tail_ledger(
-            spectrum_rows(symbol, decoupling)))
+        shared = tail_ledger(spectrum_rows(symbol, decoupling))
+        ends = []
         for side in "+-":
             outcomes = []
             for run in (symbol_limits, _symbol_limits_tree_by_tree,
-                        lambda symbol, side: both[side],
-                        lambda symbol, side: shared[side]):
+                        lambda symbol, side: symbol_limits(
+                            symbol, side, ledger=shared)):
                 try:
                     limits = run(symbol, side)
-                    if isinstance(limits, LimitRefused):
-                        raise limits
                     outcomes.append(repr(limits))
                 except LimitRefused as refusal:
+                    limits = None
                     outcomes.append((refusal.label, str(refusal),
                                      type(refusal.__cause__)))
                     causes.update(cause for key, cause in
                                   REFUSAL_CAUSES.items()
                                   if key in str(refusal))
-            assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
-        diverging.add(tuple(getattr(both[side], "d_diverges", None)
-                            for side in "+-"))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            ends.append(getattr(limits, "d_diverges", None))
+        diverging.add(tuple(ends))
     assert causes == set(REFUSAL_CAUSES.values())
     assert {(True, True), (True, False), (False, False)} <= diverging
 
@@ -598,6 +607,15 @@ def test_concurrent_calls_are_deterministic():
         "log(x - 32)", "2 + 1/sqrt(sqrt(1 + x^2))", "-x^2"])], ids=str)
 def test_end_limits_are_the_certificates_of_limit_of(expr):
     assert_ledger_matches_limit_of([("tree", expr)])
+    for side in "+-":
+        try:
+            expected = limit_on(expr, side, _trajectory(side))
+        except (NotConvergent, PoleError) as exc:
+            with pytest.raises(type(exc)) as refusal:
+                limit_of(expr, side)
+            assert str(refusal.value) == str(exc)
+        else:
+            assert limit_of(expr, side) == expected
 
 
 def _recording_windows(monkeypatch) -> list[np.ndarray]:

@@ -24,11 +24,11 @@ from factories import (
     random_constant_operator,
     random_operator,
 )
-from oracles import bisection_sweep
+from oracles import bisection_sweep, limit_on
 from matspectra import config as config_module
-from matspectra.asymptotics import (LIMIT_TOL, ExceptionalSet, _limit_on,
-                                    _trajectory, limit_of,
-                                    limit_points_at_infinity, symbol_rows)
+from matspectra.asymptotics import (LIMIT_TOL, ExceptionalSet, _trajectory,
+                                    limit_of, limit_points_at_infinity,
+                                    symbol_limits, symbol_rows)
 from matspectra.config import SolverConfig, window_contains
 from matspectra.asymptotics import limit_ratio, limit_ratio_batch
 from matspectra.errors import (ConfigError, FitError, LimitRefused,
@@ -177,7 +177,8 @@ def test_each_side_reads_its_own_tail_limits():
     # toward +infinity, so the decoupling function converges at one end
     # only and the two sides' symbols differ in route: each side's
     # endpoint, limit point, source and symbol limits must be the ones
-    # limit_of gives toward that side, tree by tree.
+    # each tree gives certified on its own toward that side
+    # (oracles.limit_on).
     op = OperatorMatrix(a=(parse("1/(1 + x^2)"), ZERO, ONE),
                         b=(ZERO, parse("2 + 1/(1 + x^2)")),
                         c=(ZERO, Lit(1j)), d=parse("atan(x) + exp(x)"))
@@ -187,8 +188,8 @@ def test_each_side_reads_its_own_tail_limits():
 
     def outcome(tree, side, recheck=False):
         try:
-            certificate = (_limit_on(tree, side, _trajectory(side, True))
-                           if recheck else limit_of(tree, side))[1]
+            certificate = limit_on(tree, side,
+                                   _trajectory(side, recheck))[1]
         except (NotConvergent, PoleError) as exc:
             return type(exc).__name__, str(exc)
         return certificate
@@ -400,8 +401,9 @@ class TestSingularPart:
 def test_quartic_closed_form_is_the_exact_tail_polynomial():
     # -[(i + lambda) xi^4 + i lambda xi^2 + xi + lambda - lambda^2], after
     # the factor lambda - d^inf = lambda is divided out.
-    profile, cancelled = _closed_form_side(build_schur(quartic_coupled()),
-                                           "+")
+    symbol = build_schur(quartic_coupled())
+    profile, cancelled = _closed_form_side(symbol, "+",
+                                           symbol_limits(symbol, "+"))
     assert cancelled == 1
     want = np.array([[0, -1, 1], [-1, 0, 0], [0, -1j, 0], [0, 0, 0]])
     assert np.abs(profile.numerators - want).max() <= 1e-9
@@ -410,8 +412,9 @@ def test_quartic_closed_form_is_the_exact_tail_polynomial():
 
 
 def test_parabolic_closed_form_has_a_diverging_d():
-    profile, cancelled = _closed_form_side(build_schur(parabolic_potential()),
-                                           "-")
+    symbol = build_schur(parabolic_potential())
+    profile, cancelled = _closed_form_side(symbol, "-",
+                                           symbol_limits(symbol, "-"))
     assert cancelled == 0 and profile.limits.d_diverges
     assert np.array_equal(profile.numerators, [[0, -1], [0, 0]])
     assert np.array_equal(profile.denominator, [1])
@@ -506,7 +509,8 @@ def test_closed_form_ratios_match_certified_limit_ratios(seed, m, side):
     # so the zero test and the cancellation at d^inf are both exercised.
     rng = random.Random(seed)
     symbol = build_schur(random_operator(rng, m, settling=True))
-    profile, _ = _closed_form_side(symbol, side)
+    profile, _ = _closed_form_side(symbol, side,
+                                   symbol_limits(symbol, side))
     for _ in range(3):
         lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         try:
@@ -538,7 +542,8 @@ def test_closed_form_points_match_det_scan(seed, m):
 
 def _closed_form_or_none(symbol, side):
     try:
-        return _closed_form_side(symbol, side)[0]
+        return _closed_form_side(symbol, side,
+                                 symbol_limits(symbol, side))[0]
     except LimitRefused:
         return None
 
@@ -1109,7 +1114,8 @@ def _bits(items):
 # ---------------------------------------------------------------------------
 
 def _loop_split_depth(roots_a, roots_b, cfg, keep_pad):
-    """Bisection levels the gap of a segment that splits predicts."""
+    """Bisection levels the gap of a segment that splits predicts: one
+    where a branch ends, with no root at the other end."""
     gap = 0.0
     for own, other in ((roots_a, roots_b), (roots_b, roots_a)):
         for root in own:
@@ -1117,7 +1123,7 @@ def _loop_split_depth(roots_a, roots_b, cfg, keep_pad):
                 gap = max(gap, min((abs(root - partner) for partner in other),
                                    default=math.inf))
     if gap == math.inf:
-        return spectrum_module.SPLIT_LEVELS
+        return 1
     return min(spectrum_module.SPLIT_LEVELS,
                max(1, math.ceil(math.log2(gap / cfg.curve_res))))
 
@@ -1301,17 +1307,20 @@ def test_refinement_matches_the_loop_rescan_on_closed_form_profiles(kind):
     for op, cfg in cases:
         symbol = build_schur(op)
         for side in ("+", "-"):
-            profile = _closed_form_side(symbol, side)[0]
+            profile = _closed_form_side(symbol, side,
+                                        symbol_limits(symbol, side))[0]
             _assert_same_sweep(symbol, profile, default_xi_grid(cfg), cfg)
 
 
 def test_refinement_midpoints_lie_strictly_inside_their_segments():
-    # [-1, 1], [1, 4] and [1e200, 2e200] have a root at one end only, so
-    # they split to the deepest level. At the first, [-1, 1] takes the
-    # arithmetic midpoint and [1, 4] the geometric one; that of
-    # [1e200, 2e200] overflows to inf, off the segment, so it yields no
-    # target and no subtree.
-    table = _table({-1.0: [0j], 1.0: [], 4.0: [0j], 1e200: [0j], 2e200: []})
+    # [-1, 1] and [1, 4] have a root in the window at one end whose nearest
+    # root at the other end, 100i, lies far outside it, so they split to
+    # the deepest level. At the first, [-1, 1] takes the arithmetic
+    # midpoint and [1, 4] the geometric one. [1e200, 2e200] has a root at
+    # one end only, so it takes its midpoint only; that overflows to inf,
+    # off the segment, so it yields no target.
+    table = _table({-1.0: [0j], 1.0: [100j], 4.0: [0j], 1e200: [0j],
+                    2e200: []})
     with pytest.warns(RuntimeWarning, match="overflow"):
         targets, levels = spectrum_module._refinement_targets(
             table, SolverConfig())
@@ -1325,11 +1334,12 @@ def test_refinement_midpoints_lie_strictly_inside_their_segments():
 
 
 @pytest.mark.parametrize("partner, depth", [
-    (0.2, 1), (0.5, 2), (0.55, 3), (100.0, 6), (None, 6)])
+    (0.2, 1), (0.5, 2), (0.55, 3), (100.0, 6), (None, 1)])
 def test_refinement_depth_follows_the_gap(partner, depth):
     # With curve_res 1/8, a root at 0 whose nearest partner at the other
     # end is g away predicts ceil(log2(8 g)) halvings, at most SPLIT_LEVELS
-    # = 6; an end without roots predicts the most.
+    # = 6; an end without roots, where a branch ends, predicts none, and
+    # the segment takes its midpoint only, as plain bisection does.
     cfg = SolverConfig().with_overrides(curve_res=0.125)
     table = _table({1.0: [0j], 2.0: [] if partner is None
                     else [complex(partner)]})
@@ -1423,23 +1433,25 @@ def test_sweep_keeps_every_bisection_point(config, cfg):
 
 def test_sweep_keeps_every_bisection_point_on_random_operators():
     # Seeds 0-49 with and without settling coefficients, so the fit route
-    # (whose polish samples limit batches) is covered as well.
+    # (whose polish samples limit batches) is covered as well, and seed 80
+    # without, whose branch ends refine one level per round.
     cfg = SolverConfig().with_overrides(window=(-3.0, 3.0, -3.0, 3.0),
                                         curve_res=5e-2)
     routes, added = set(), 0
-    for seed in range(50):
-        for settling in (False, True):
-            rng = random.Random(seed)
-            op = random_operator(rng, rng.choice([2, 4]), settling=settling)
-            symbol, report = build_schur(op), {}
-            points, reference = _with_bisection(lambda: singular_part(
-                op, symbol, cfg=cfg, report=report))
-            routes |= {fit["route"] for fit in report["singular"]["fits"]
-                       .values()}
-            if reference is None:
-                assert points is None
-                continue
-            added += _assert_keeps_the_bisection_points(points, reference)
+    draws = [(seed, settling) for seed in range(50)
+             for settling in (False, True)] + [(80, False)]
+    for seed, settling in draws:
+        rng = random.Random(seed)
+        op = random_operator(rng, rng.choice([2, 4]), settling=settling)
+        symbol, report = build_schur(op), {}
+        points, reference = _with_bisection(lambda: singular_part(
+            op, symbol, cfg=cfg, report=report))
+        routes |= {fit["route"] for fit in report["singular"]["fits"]
+                   .values()}
+        if reference is None:
+            assert points is None
+            continue
+        added += _assert_keeps_the_bisection_points(points, reference)
     assert routes == {"closed_form", "fit"} and added > 0
 
 
