@@ -416,8 +416,6 @@ def limit_of(expr: Expr, side: str) -> tuple[complex, Certificate]:
     """
     if mentions(expr, "lambda"):
         raise ValueError("limit_of takes lambda-free expressions only")
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
     ledger = tail_ledger([("limit", expr)])
     certificate = ledger.certificate("limit", side)
     if certificate is None:
@@ -455,6 +453,14 @@ COLUMNS = (("+", False), ("+", True), ("-", False), ("-", True))
 column: toward each side from ``X0`` and from ``RECHECK_X0_SCALE * X0``."""
 
 
+def _column(side: str, recheck: bool) -> int:
+    """The index in ``COLUMNS`` of a trajectory, or the ``ValueError`` of
+    :func:`_trajectory` for a side other than ``"+"`` or ``"-"``."""
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    return COLUMNS.index((side, recheck))
+
+
 class TailLedger(NamedTuple):
     """The limits of named lambda-free trees toward both ends
     (:func:`tail_ledger`).
@@ -480,14 +486,14 @@ class TailLedger(NamedTuple):
                     ) -> Certificate | None:
         """The certificate of the named tree's limit toward ``side``, on the
         recheck trajectory if asked, or None where the scan refuses it."""
-        i, k = self.rows[name], COLUMNS.index((side, recheck))
+        i, k = self.rows[name], _column(side, recheck)
         return _certificate(self.block, i, k) if self.block[4][i, k] else None
 
     def error(self, name: str, side: str, recheck: bool = False
               ) -> NotConvergent | PoleError:
         """The error that refuses a column the scan refuses, built from
         the column's own samples: the one :func:`limit_of` raises there."""
-        i, k = self.rows[name], COLUMNS.index((side, recheck))
+        i, k = self.rows[name], _column(side, recheck)
         return _limit_error(self.trees[i], side, _trajectory(side, recheck),
                             self.samples[i, :, k],
                             tuple(a[i:i + 1, k:k + 1] for a in self.block))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -41,9 +42,8 @@ from .model import (Diagnostics, OperatorMatrix, delta, load_operator,
                     validate, validation_grid)
 from .oracle import det_scan, discretize_and_eig, freeze
 from .schur import SchurSymbol, build_schur, coefficient_trees
-from .spectrum import (REGULAR_SIDE, SIDES, SpectrumSet, _format_number,
-                       _near_window, default_xi_grid, essential_spectrum,
-                       write_csv)
+from .spectrum import (REGULAR_SIDE, SIDES, SpectrumSet, _near_window,
+                       default_xi_grid, essential_spectrum, write_csv)
 
 __all__ = [
     "EXIT_ASSUMPTION_FAILED",
@@ -125,7 +125,10 @@ def _parse_probes(text: str) -> tuple[complex, ...]:
     return tuple(probes)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    caller, so callers parse with it and never change it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, metavar="PATH",
                         help="operator config file")
@@ -416,8 +419,7 @@ def _write_point_csv(path: Path, points) -> None:
     ordered = sorted(set(complex(p) for p in points),
                      key=lambda z: (z.real, z.imag))
     lines = ["re,im"]
-    lines += [f"{_format_number(z.real)},{_format_number(z.imag)}"
-              for z in ordered]
+    lines += [f"{z.real!r},{z.imag!r}" for z in ordered]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

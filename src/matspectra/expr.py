@@ -17,8 +17,8 @@ below ``1e-300`` raises :class:`~matspectra.errors.PoleError`, and ``log`` or
 vectorized companion used by the numeric layers; it lets non-finite values
 propagate instead of raising, and callers mask them. It samples many trees
 in one walk that evaluates each distinct subtree once, carrying
-forward-mode x-derivatives where asked; :func:`evaluate_array` and
-:func:`evaluate_jet` are its one-tree forms.
+forward-mode x-derivatives where asked; :func:`evaluate_array` is its
+one-tree values form.
 
 :func:`simplify` is a best-effort normalization, not a canonical form: it
 folds constants, applies the 0/1 identities, collects rational sub-expressions
@@ -442,21 +442,13 @@ def evaluate_array(e: Expr, x=None, lam=None) -> np.ndarray:
     return evaluate_batch(x, values=[e], lam=lam)[1][0]
 
 
-def evaluate_jet(e: Expr, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An x-only tree and its first two x-derivatives, sampled at ``x``.
-
-    Forward mode: one walk carries (f, f', f'') up the tree, building no
-    derivative tree. ``f`` is :func:`evaluate_array` bit for bit.
-    """
-    return evaluate_batch(x, jets=[e])[0][0]
-
-
 def evaluate_batch(x=None, jets=(), values=(), lam=None
                    ) -> tuple[list, list[np.ndarray]]:
     """Many trees sampled at ``x`` and ``lam``, broadcast together, in one
     walk: every tree of ``values`` as :func:`evaluate_array` samples it,
     and every tree of ``jets`` with its first two x-derivatives (lambda
-    held fixed) as :func:`evaluate_jet` does.
+    held fixed), carried up the tree in forward mode with no derivative
+    tree built; a jet's values are its tree's values bit for bit.
 
     The walk evaluates each distinct subtree once, which changes no bit.
     Nodes are interned bottom-up by type, children, exponent or function,

@@ -3,16 +3,17 @@
 Two oracles live here, both deliberately simple so they can referee the
 main spectral pipeline:
 
-* ``freeze`` + ``det_scan`` — when every raw coefficient of the operator
-  has a certified limit toward one infinity, the operator freezes into a
-  constant-coefficient symbol there.  The determinant of that 2x2 symbol
-  is quadratic in the spectral parameter, so its roots come in closed
-  form per frequency — no Newton, no rational fitting.
+* ``freeze`` + ``det_scan`` — when one tail ledger certifies a limit of
+  every raw coefficient toward one infinity, and one jet walk finds their
+  derivatives vanish there, the operator freezes into a
+  constant-coefficient symbol.  The determinant of that 2x2 symbol is
+  quadratic in the spectral parameter, so its roots come in closed form
+  per frequency — no Newton, no rational fitting.
 
 * ``discretize_and_eig`` — a central finite-difference discretization of
-  the full operator on a truncated interval, handed to a dense
-  eigensolver.  For constant coefficients under periodic boundary
-  conditions the matrix is block circulant and the eigenvalues match the
+  the full operator on a truncated interval, its coefficients sampled in
+  one walk, handed to a dense eigensolver.  For constant coefficients
+  under periodic boundary conditions the matrix is block circulant and the eigenvalues match the
   discrete symbol exactly (``periodic_symbol_eigenvalues``).
 """
 
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import Certificate, _trajectory, limit_of
+from .asymptotics import Certificate, _trajectory, tail_ledger
 from .config import SolverConfig
-from .errors import (DomainError, NotConvergent, PoleError, RefusedFrozen,
-                     SizeError)
-from .expr import Expr, evaluate_array, evaluate_jet
+from .errors import DomainError, RefusedFrozen, SizeError
+from .expr import Expr, evaluate_batch
 from .model import OperatorMatrix
 
 __all__ = [
@@ -99,35 +99,36 @@ def freeze(op: OperatorMatrix, side: str,
            cfg: SolverConfig | None = None) -> FrozenSymbol:
     """Freeze the operator into its constant-coefficient symbol at one infinity.
 
-    Every raw coefficient must have a certified limit along the sampling
-    trajectory toward ``side`` infinity, and its x-derivative, taken as a
-    forward-mode jet (:func:`~matspectra.expr.evaluate_jet`), must vanish
-    (magnitude below ``DERIV_TOL``) at the last two trajectory points. A
-    limit within ``ZERO_MARGIN`` tail bounds of 0 is exactly 0
+    Every raw coefficient must have a certified limit toward ``side``
+    infinity in one :func:`~matspectra.asymptotics.tail_ledger` of them
+    all, and its x-derivative, taken as a forward-mode jet in one
+    :func:`~matspectra.expr.evaluate_batch` walk of them all, must vanish
+    (magnitude below ``DERIV_TOL``) at the last two ``X0`` trajectory
+    points. A limit within ``ZERO_MARGIN`` tail bounds of 0 is exactly 0
     (:attr:`~matspectra.asymptotics.Certificate.limit`), as in the closed
     form of the singular sweep.  Raises :class:`RefusedFrozen` with a
-    witness naming the offending coefficient when either check fails. The
+    witness naming the first offending coefficient when either check
+    fails, and ``ValueError`` when a coefficient mentions lambda. The
     trajectory is fixed, so ``cfg`` is not read.
     """
-    labeled = _labeled_coefficients(op)
+    ledger = tail_ledger(_labeled_coefficients(op))
 
-    values: dict[str, complex] = {}
     certificates: dict[str, Certificate] = {}
-    for label, tree in labeled:
-        try:
-            cert = limit_of(tree, side)[1]
-        except (NotConvergent, PoleError) as exc:
+    for label in ledger.rows:
+        cert = ledger.certificate(label, side)
+        if cert is None:
+            exc = ledger.error(label, side)
             raise RefusedFrozen(
                 f"coefficient {label} has no certified limit toward "
                 f"{side}infinity: {exc}",
                 witness={"coefficient": label, "check": "limit",
                          "detail": str(exc)}) from exc
-        values[label] = cert.limit
         certificates[label] = cert
 
     tail_x = _trajectory(side)[-2:]
-    for label, tree in labeled:
-        magnitudes = np.abs(evaluate_jet(tree, tail_x)[1])
+    jets = evaluate_batch(tail_x, jets=ledger.trees)[0]
+    for label, (_, slope, _) in zip(ledger.rows, jets):
+        magnitudes = np.abs(slope)
         if (not np.all(np.isfinite(magnitudes))
                 or np.any(magnitudes >= DERIV_TOL)):
             raise RefusedFrozen(
@@ -139,10 +140,10 @@ def freeze(op: OperatorMatrix, side: str,
 
     return FrozenSymbol(
         side=side,
-        a=tuple(values[f"a_{i}"] for i in range(len(op.a))),
-        b=tuple(values[f"b_{i}"] for i in range(len(op.b))),
-        c=tuple(values[f"c_{i}"] for i in range(len(op.c))),
-        d=values["d"],
+        a=tuple(certificates[f"a_{i}"].limit for i in range(len(op.a))),
+        b=tuple(certificates[f"b_{i}"].limit for i in range(len(op.b))),
+        c=tuple(certificates[f"c_{i}"].limit for i in range(len(op.c))),
+        d=certificates["d"].limit,
         certificates=certificates,
     )
 
@@ -236,12 +237,10 @@ def _derivative_powers(m: int, first: np.ndarray,
     return powers
 
 
-def _coefficient_block(coeffs, x: np.ndarray,
-                       powers: list[np.ndarray]) -> np.ndarray:
-    n = x.size
-    block = np.zeros((n, n), dtype=np.complex128)
-    for alpha, tree in enumerate(coeffs):
-        block += evaluate_array(tree, x=x)[:, None] * powers[alpha]
+def _coefficient_block(samples, powers: list[np.ndarray]) -> np.ndarray:
+    block = np.zeros_like(powers[0])
+    for alpha, values in enumerate(samples):
+        block += values[:, None] * powers[alpha]
     return block
 
 
@@ -251,8 +250,9 @@ def discretize_and_eig(op: OperatorMatrix, length: float, n_points: int,
 
     ``(-i d/dx)^alpha`` is built by composing the central first
     difference (odd part) with the negated second difference (even
-    part); coefficients are sampled at the grid nodes and multiply from
-    the left.  ``bc`` selects ``"periodic"`` wraparound or
+    part); coefficients are sampled at the grid nodes, all in one
+    :func:`~matspectra.expr.evaluate_batch` walk, and multiply from the
+    left.  ``bc`` selects ``"periodic"`` wraparound or
     ``"dirichlet_truncate"``, which simply drops stencil entries outside
     the interval.  Returns the ``2 * n_points`` eigenvalues of the dense
     block matrix; raises :class:`SizeError` past ``EIG_BUDGET`` points.
@@ -280,13 +280,13 @@ def discretize_and_eig(op: OperatorMatrix, length: float, n_points: int,
     first, second = _difference_matrices(n_points, h, bc == "periodic")
     powers = _derivative_powers(op.m, first, second)
 
-    top_left = _coefficient_block(op.a, x, powers)
-    top_right = _coefficient_block(op.b, x, powers)
-    bottom_left = _coefficient_block(op.c, x, powers)
-    bottom_right = np.diag(evaluate_array(op.d, x=x))
-
-    matrix = np.block([[top_left, top_right],
-                       [bottom_left, bottom_right]])
+    samples = evaluate_batch(x, values=[*op.a, *op.b, *op.c, op.d])[1]
+    a_end, b_end = len(op.a), len(op.a) + len(op.b)
+    matrix = np.block([
+        [_coefficient_block(samples[:a_end], powers),
+         _coefficient_block(samples[a_end:b_end], powers)],
+        [_coefficient_block(samples[b_end:-1], powers),
+         np.diag(samples[-1])]])
     return np.linalg.eigvals(matrix)
 
 

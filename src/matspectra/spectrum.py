@@ -1398,10 +1398,6 @@ def essential_spectrum(op: OperatorMatrix, cfg: SolverConfig | None = None,
     )
 
 
-def _format_number(value: float) -> str:
-    return repr(float(value))
-
-
 _FLAG_TEXT = [";".join(sorted(names)) for names in _FLAG_NAMES]
 
 

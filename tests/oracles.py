@@ -14,6 +14,10 @@ the tree by :func:`evaluate_recursive` and scans its samples as a column
 of their own, under the package's certificate and refusal rules, as the
 reference for the tail ledger, which samples many trees on four
 trajectories in one walk and scans them in one block.
+:func:`freeze_by_limit_of` freezes an operator coefficient by
+coefficient, each limit from its own one-tree ledger (``limit_of``) and
+each tail derivative from its own jet walk, as the reference for
+``freeze``, which reads one ledger and makes one jet walk.
 :func:`bisection_sweep` is the frequency sweep's plain bisection, one
 level per round, around the solve and split check the caller passes, as
 the reference for the sweep's depth rule. :func:`svg_coordinates` writes
@@ -32,9 +36,11 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from matspectra.asymptotics import (LIMIT_TOL, _certificate, _limit_block,
-                                    _limit_error)
+                                    _limit_error, _trajectory, limit_of)
+from matspectra.errors import NotConvergent, PoleError, RefusedFrozen
 from matspectra.expr import (Add, Call, Div, Lit, Mul, Neg, Pow, Sub, Var,
-                             evaluate)
+                             evaluate, evaluate_batch)
+from matspectra.oracle import DERIV_TOL, FrozenSymbol, _labeled_coefficients
 from matspectra.schur import SchurSymbol
 
 
@@ -194,6 +200,47 @@ def limit_on(expr, side: str, xs: np.ndarray):
     if not block[4][0, 0]:
         raise _limit_error(expr, side, xs, samples, block)
     return complex(block[0][0, 0]), _certificate(block, 0, 0)
+
+
+def freeze_by_limit_of(op, side: str) -> FrozenSymbol:
+    """``oracle.freeze`` one coefficient at a time: every limit from
+    ``limit_of``, then every tail derivative from a jet walk of its tree
+    alone, each refusal raised at the first coefficient that fails."""
+    labeled = _labeled_coefficients(op)
+
+    values, certificates = {}, {}
+    for label, tree in labeled:
+        try:
+            cert = limit_of(tree, side)[1]
+        except (NotConvergent, PoleError) as exc:
+            raise RefusedFrozen(
+                f"coefficient {label} has no certified limit toward "
+                f"{side}infinity: {exc}",
+                witness={"coefficient": label, "check": "limit",
+                         "detail": str(exc)}) from exc
+        values[label] = cert.limit
+        certificates[label] = cert
+
+    tail_x = _trajectory(side)[-2:]
+    for label, tree in labeled:
+        magnitudes = np.abs(evaluate_batch(tail_x, jets=[tree])[0][0][1])
+        if (not np.all(np.isfinite(magnitudes))
+                or np.any(magnitudes >= DERIV_TOL)):
+            raise RefusedFrozen(
+                f"derivative of coefficient {label} does not vanish at the "
+                f"trajectory tail toward {side}infinity",
+                witness={"coefficient": label, "check": "derivative",
+                         "x": [float(v) for v in tail_x],
+                         "magnitude": [float(v) for v in magnitudes]})
+
+    return FrozenSymbol(
+        side=side,
+        a=tuple(values[f"a_{i}"] for i in range(len(op.a))),
+        b=tuple(values[f"b_{i}"] for i in range(len(op.b))),
+        c=tuple(values[f"c_{i}"] for i in range(len(op.c))),
+        d=values["d"],
+        certificates=certificates,
+    )
 
 
 def bisection_sweep(solve, needs_split, merge, xi_grid, max_points: int,

@@ -493,6 +493,20 @@ def test_ledger_columns_are_the_certificates_of_limit_of():
         assert_ledger_matches_limit_of(spectrum_rows(symbol, decoupling))
 
 
+def test_ledger_readers_name_a_bad_side():
+    # The ledger's readers, and symbol_limits through them, give the
+    # message of _trajectory and limit_of for a side they cannot look up.
+    symbol = build_schur(quartic_coupled())
+    ledger = tail_ledger([("tree", parse("1/(1 + x^2)"))])
+    for read in (lambda: ledger.certificate("tree", "x"),
+                 lambda: ledger.error("tree", "x", True),
+                 lambda: symbol_limits(symbol, "x"),
+                 lambda: _trajectory("x")):
+        with pytest.raises(ValueError) as refusal:
+            read()
+        assert str(refusal.value) == "side must be '+' or '-', got 'x'"
+
+
 def test_batched_symbol_limits_match_tree_by_tree_certification():
     # The ledger, built for the symbol alone or shared with the decoupling
     # function, certifies every tree as it is certified on its own: the

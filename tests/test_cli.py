@@ -21,6 +21,7 @@ from matspectra.cli import (
     RunConfig,
     _parse_probes,
     _parse_window,
+    build_parser,
     cmd_oracle,
     cmd_print_schur,
     cmd_spectrum,
@@ -189,6 +190,16 @@ class TestExitCodes:
         code = main(["check", "--config", str(QUARTIC_CFG),
                      "--out", str(tmp_path), "--window", "1,2,3"])
         assert code == EXIT_STRUCTURE
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # Built once per process, it parses each argv afresh, after a
+        # refused one too.
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit):
+            main(["check"])
+        assert "--config" in capsys.readouterr().err
+        assert main(["print-schur", "--config", str(PARABOLIC_CFG),
+                     "--out", str(tmp_path)]) == EXIT_OK
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--config", str(PARABOLIC_CFG), "--window=-inf,1,-1,1",

@@ -33,7 +33,6 @@ from matspectra.expr import (
     evaluate,
     evaluate_array,
     evaluate_batch,
-    evaluate_jet,
     mentions,
     node_count,
     parse,
@@ -396,7 +395,8 @@ def _subtrees(tree):
 
 
 def assert_jet_matches_symbolic(tree, x, where=None):
-    """evaluate_jet against the symbolic derivatives at the points ``x``.
+    """The evaluate_batch jet of one tree against the symbolic derivatives
+    at the points ``x``.
 
     Wherever simplify(differentiate(.)) is finite (and ``where`` holds),
     the jet must be finite. Its values must agree with the derivative
@@ -412,7 +412,7 @@ def assert_jet_matches_symbolic(tree, x, where=None):
     exact = (tree, first, differentiate(first, "x"))
     simple_first = simplify(first)
     simple = (tree, simple_first, simplify(differentiate(simple_first, "x")))
-    jet = evaluate_jet(tree, x)
+    jet = evaluate_batch(x, jets=[tree])[0][0]
     memo = {}
     with np.errstate(all="ignore"):
         for order in range(3):
@@ -436,23 +436,24 @@ def test_jet_value_is_evaluate_array_bit_for_bit():
                    "atan(x) - log(2 + x^2)*sqrt(x + 4)", "(x - 1)^-3",
                    "cos(x)^0 + sin(x)^1", "2.5"):
         tree = parse(source)
-        assert np.array_equal(evaluate_jet(tree, x)[0], _sampled(tree, x))
+        assert np.array_equal(evaluate_batch(x, jets=[tree])[0][0][0],
+                              _sampled(tree, x))
 
 
 def test_jet_of_powers_at_a_root_of_the_base():
     # At x = 0, x^1 has slope 1 and curvature 0 and x^0 is flat: no 0 * inf.
     x = np.array([0.0, 1.0])
-    assert np.array_equal(np.array(evaluate_jet(Pow(X, 1), x)),
+    assert np.array_equal(np.array(evaluate_batch(x, jets=[Pow(X, 1)])[0][0]),
                           [[0, 1], [1, 1], [0, 0]])
-    assert np.array_equal(np.array(evaluate_jet(Pow(X, 0), x)),
+    assert np.array_equal(np.array(evaluate_batch(x, jets=[Pow(X, 0)])[0][0]),
                           [[1, 1], [0, 0], [0, 0]])
-    assert np.array_equal(np.array(evaluate_jet(Pow(X, 2), x)),
+    assert np.array_equal(np.array(evaluate_batch(x, jets=[Pow(X, 2)])[0][0]),
                           [[0, 1], [0, 2], [2, 2]])
 
 
 def test_jet_refuses_lambda():
     with pytest.raises(ValueError, match="x-only"):
-        evaluate_jet(parse("x + lambda"), np.zeros(3))
+        evaluate_batch(np.zeros(3), jets=[parse("x + lambda")])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -571,13 +572,14 @@ def _same_bytes(got, want):
 
 def assert_batch_matches_one_by_one(trees, x):
     """One batch, each tree both as a jet and as plain values, against
-    evaluate_array, evaluate_jet and the unshared recursion, byte for
-    byte."""
+    evaluate_array, a one-tree jet walk and the unshared recursion, byte
+    for byte."""
     jets, values = evaluate_batch(x, jets=trees, values=trees)
     assert len(jets) == len(values) == len(trees)
     for tree, jet, value in zip(trees, jets, values):
         assert _same_bytes(value, evaluate_array(tree, x=x)), str(tree)
-        for got, single, plain in zip(jet, evaluate_jet(tree, x),
+        for got, single, plain in zip(jet,
+                                      evaluate_batch(x, jets=[tree])[0][0],
                                       reference_jet(tree, x)):
             assert _same_bytes(got, single), str(tree)
             assert _same_bytes(got, plain), str(tree)

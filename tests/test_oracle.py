@@ -15,12 +15,14 @@ from factories import (
     quartic_coupled,
     random_constant_operator,
     random_operator,
+    special_quartics,
 )
+from oracles import freeze_by_limit_of
 from matspectra.asymptotics import (LIMIT_TOL, Certificate, _trajectory,
                                     limit_ratio_batch)
 from matspectra.errors import DomainError, RefusedFrozen, SizeError
 from matspectra.expr import (Call, Div, Lit, Mul, X, differentiate,
-                             evaluate_array, simplify)
+                             evaluate_array, parse, simplify)
 from matspectra import oracle as oracle_module
 from matspectra.model import OperatorMatrix
 from matspectra.oracle import (
@@ -111,8 +113,16 @@ class TestFreeze:
         # That coefficient is then made constant and freeze is asked again.
         cert = Certificate(sample_count=1, last_increment=0.0, value=0j,
                            previous_increment=1.0)
-        monkeypatch.setattr(oracle_module, "limit_of",
-                            lambda tree, side: (0j, cert))
+
+        class CertifiedLedger:
+            def __init__(self, rows):
+                self.rows = dict(rows)
+                self.trees = tuple(self.rows.values())
+
+            def certificate(self, name, side):
+                return cert
+
+        monkeypatch.setattr(oracle_module, "tail_ledger", CertifiedLedger)
         ops = [parabolic_potential(), quartic_coupled()]
         ops += [random_operator(random.Random(seed), m)
                 for seed in range(200) for m in (2, 4)]
@@ -140,6 +150,44 @@ class TestFreeze:
                 assert refused == expected, (op, side)
                 refusals += len(refused)
         assert refusals > 0
+
+    def test_matches_the_coefficient_by_coefficient_reference(self):
+        # One ledger and one jet walk give what a limit_of and a jet walk
+        # per coefficient give: the same symbol and certificates, or the
+        # same refusal at the same coefficient.
+        ops = [parabolic_potential(), quartic_coupled(), *special_quartics()]
+        ops += [random_operator(random.Random(seed), m, settling=settling)
+                for seed in range(50) for m in (2, 4)
+                for settling in (False, True)]
+        outcomes = set()
+        for op in ops:
+            for side in ("+", "-"):
+                got = _freeze_outcome(lambda: freeze(op, side))
+                assert got == _freeze_outcome(
+                    lambda: freeze_by_limit_of(op, side)), (op, side)
+                outcomes.add(got[0])
+        assert outcomes == {"frozen", "limit", "derivative"}
+
+    def test_lambda_coefficient_and_bad_side_are_value_errors(self):
+        op = quartic_coupled()
+        lam = dataclasses.replace(op, d=parse("x + lambda"))
+        for side in ("+", "-"):
+            with pytest.raises(ValueError):
+                freeze(lam, side)
+        with pytest.raises(ValueError,
+                           match=r"side must be '\+' or '-', got 'x'"):
+            freeze(op, "x")
+
+
+def _freeze_outcome(call) -> tuple:
+    """A frozen symbol as its repr and certificates, or a refusal as its
+    check, message, witness and the class of its cause."""
+    try:
+        fs = call()
+    except RefusedFrozen as exc:
+        return (exc.witness["check"], str(exc), repr(exc.witness),
+                type(exc.__cause__).__name__)
+    return ("frozen", repr(fs), fs.certificates)
 
 
 def _with_constant(op: OperatorMatrix, label: str) -> OperatorMatrix:

@@ -19,6 +19,10 @@ ends and d's had scans of their own; 7 on the parabolic, whose d
 diverges, while 1/d took scans of its own and two more named the regular
 curve's refused ends; 42 while each tree had a scan of its own on each
 trajectory), and no tree is certified on its own by ``limit_of``. The
+oracle's walks are counted as well: ``freeze`` reads one ledger and makes
+one jet walk (it called ``limit_of`` and walked a jet once per
+coefficient, 12 each on the quartic), and ``discretize_and_eig`` samples
+every coefficient in one walk (one per coefficient before). The
 sweep's frequency batches are counted
 as well: both ends of the quartic share one tail polynomial, which is
 swept once (38 batches while each end swept its own), in 3 batches since
@@ -55,10 +59,11 @@ import numpy as np
 import pytest
 
 from factories import PARABOLIC_CFG, QUARTIC_CFG
-from matspectra import asymptotics, expr, spectrum
+from matspectra import asymptotics, expr, oracle, spectrum
 from matspectra.cli import main
 from matspectra.config import SolverConfig
 from matspectra.model import load_operator
+from matspectra.oracle import discretize_and_eig, freeze
 from matspectra.schur import build_schur
 from matspectra.spectrum import essential_spectrum
 
@@ -96,10 +101,10 @@ def _calls(monkeypatch, module, name: str, run) -> int:
     calls = 0
     real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     run()
@@ -260,6 +265,21 @@ def test_continuation_takes_the_array_path_between_few_joints(
         "·": {"branches": branches, "array_rows": array_rows,
               "joints": joints},
         "+": idle, "-": idle}
+
+
+def test_oracle_samples_the_coefficients_in_one_walk(monkeypatch):
+    # freeze certifies every coefficient from one ledger, sampled in one
+    # walk, and takes every tail derivative from one jet walk;
+    # discretize_and_eig samples a, b, c and d in one walk.
+    op = load_operator(QUARTIC_CFG)
+    for module, name, run in (
+            (oracle, "tail_ledger", lambda: freeze(op, "+")),
+            (asymptotics, "evaluate_batch", lambda: freeze(op, "+")),
+            (oracle, "evaluate_batch", lambda: freeze(op, "-")),
+            (oracle, "evaluate_batch",
+             lambda: discretize_and_eig(op, 8.0, 64))):
+        with monkeypatch.context() as patch:
+            assert _calls(patch, module, name, run) == 1, (module, name)
 
 
 def test_quartic_check_walks_no_more_nodes(visits, tmp_path):
