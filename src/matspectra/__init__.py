@@ -20,7 +20,6 @@ from .asymptotics import (
 )
 from .config import SolverConfig, parse_complex, window_contains
 from .errors import (
-    ComplexityError,
     ConfigError,
     DomainError,
     FitError,
@@ -38,7 +37,6 @@ from .expr import (
     differentiate,
     evaluate,
     evaluate_array,
-    node_count,
     parse,
     simplify,
     to_text,
@@ -53,7 +51,7 @@ from .model import (
     validate,
     validation_grid,
 )
-from .schur import SchurSymbol, build_schur, coefficient_trees
+from .schur import SchurSymbol, build_schur
 from .oracle import (
     DetScanPoint,
     FrozenSymbol,
@@ -91,7 +89,6 @@ __all__ = [
     "PoleError",
     "DomainError",
     "StructureError",
-    "ComplexityError",
     "NotConvergent",
     "FitError",
     "LimitRefused",
@@ -105,7 +102,6 @@ __all__ = [
     "evaluate_array",
     "differentiate",
     "simplify",
-    "node_count",
     "OperatorMatrix",
     "DiagnosticRecord",
     "Diagnostics",
@@ -116,7 +112,6 @@ __all__ = [
     "parse_operator_text",
     "SchurSymbol",
     "build_schur",
-    "coefficient_trees",
     "Certificate",
     "ExceptionalSet",
     "limit_of",

@@ -9,7 +9,9 @@ Subcommands
 ``oracle``       compare the computed singular part against the
                  frozen-symbol determinant scan, or (``--discretize``)
                  against truncated-interval eigenvalue clouds.
-``print-schur``  print the reduced scalar symbol.
+``print-schur``  print the reduced scalar symbol in the lambda-free form
+                 the solver reads: d, every non-zero alpha_j and
+                 beta_j,q, and the decoupling function.
 
 Exit codes: 0 success, 1 failed checks, 2 malformed operator or config,
 3 I/O failure, 4 limit hypothesis failed at every probe (no ``--force``),
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .asymptotics import check_assumptions
+from .asymptotics import check_assumptions, symbol_rows
 from .config import SolverConfig, parse_complex
 from .errors import (ConfigError, MatspectraError, ParseError, RefusedFrozen,
                      StructureError)
@@ -41,7 +43,7 @@ from .expr import to_text
 from .model import (Diagnostics, OperatorMatrix, delta, load_operator,
                     validate, validation_grid)
 from .oracle import det_scan, discretize_and_eig, freeze
-from .schur import SchurSymbol, build_schur, coefficient_trees
+from .schur import SchurSymbol, build_schur
 from .spectrum import (REGULAR_SIDE, SIDES, SpectrumSet, _near_window,
                        default_xi_grid, essential_spectrum, write_csv)
 
@@ -167,7 +169,8 @@ def _run_from_args(args: argparse.Namespace) -> RunConfig:
     solver = SolverConfig()
     if args.window is not None:
         solver = solver.with_overrides(window=_parse_window(args.window))
-    probes = _parse_probes(args.probes) if args.probes else DEFAULT_PROBES
+    probes = (DEFAULT_PROBES if args.probes is None
+              else _parse_probes(args.probes))
     return RunConfig(
         command=args.command,
         config_path=Path(args.config),
@@ -466,10 +469,14 @@ def cmd_oracle(run: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_print_schur(run: RunConfig) -> int:
+    """Print the symbol's x-only trees under the labels the tail ledger
+    and ``spectrum_report.json`` give them."""
     op = load_operator(run.config_path)
-    trees = coefficient_trees(op)
-    lines = [f"order: {op.m}"]
-    lines += [f"p_{j} = {to_text(tree)}" for j, tree in enumerate(trees)]
+    lines = [f"order: {op.m}",
+             "p_j = alpha_j - [j = 0] lambda + sum_q beta_j,q u^q, "
+             "u = 1/(d - lambda); a tree not listed is 0"]
+    lines += [f"{label} = {to_text(tree)}"
+              for label, _, _, tree in symbol_rows(build_schur(op))[0]]
     lines.append(f"decoupling = {to_text(delta(op))}")
     print("\n".join(lines))
     return EXIT_OK

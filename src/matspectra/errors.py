@@ -34,10 +34,6 @@ class StructureError(MatspectraError):
     """OperatorMatrix orders break m = n + k, m even and positive."""
 
 
-class ComplexityError(MatspectraError):
-    """Symbolic work exceeded the configured node ceiling."""
-
-
 class NotConvergent(MatspectraError):
     """A numeric limit failed its convergence certificate.
 

@@ -15,10 +15,12 @@ below ``1e-300`` raises :class:`~matspectra.errors.PoleError`, and ``log`` or
 ``sqrt`` applied to exactly ``0`` raises
 :class:`~matspectra.errors.DomainError`. :func:`evaluate_batch` is the
 vectorized companion used by the numeric layers; it lets non-finite values
-propagate instead of raising, and callers mask them. It samples many trees
-in one walk that evaluates each distinct subtree once, carrying
-forward-mode x-derivatives where asked; :func:`evaluate_array` is its
-one-tree values form.
+propagate instead of raising, and callers mask them. It samples many
+x-only trees at an array of x in one walk that evaluates each distinct
+subtree once, carrying forward-mode x-derivatives where asked;
+:func:`evaluate_array` is its one-tree values form. No numeric layer
+samples a tree in lambda: lambda enters the solver through arithmetic on
+the samples of the lambda-free symbol.
 
 :func:`simplify` is a best-effort normalization, not a canonical form: it
 folds constants, applies the 0/1 identities, collects rational sub-expressions
@@ -167,24 +169,6 @@ def smart_pow(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     return Pow(base, exponent)
-
-
-def node_count(e: Expr) -> int:
-    """Number of nodes in the tree."""
-    stack, count = [e], 0
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-    return count
 
 
 def mentions(e: Expr, name: str) -> bool:
@@ -430,42 +414,36 @@ _ARRAY_FUNCS = {
 _BINARY = (Add, Sub, Mul, Div)
 
 
-def evaluate_array(e: Expr, x=None, lam=None) -> np.ndarray:
-    """Vectorized evaluation with numpy broadcasting: the values path of
+def evaluate_array(e: Expr, x) -> np.ndarray:
+    """Vectorized evaluation of an x-only tree: the values path of
     :func:`evaluate_batch` for one tree.
 
-    Returns a complex128 array of the broadcast shape of ``x`` and ``lam``
-    for every tree, constant ones included. Unlike :func:`evaluate` this is
-    not strict: divisions by (near-)zero and domain violations produce
-    ``inf``/``nan`` entries that callers mask.
+    Returns a complex128 array of the shape of ``x`` for every tree,
+    constant ones included. Unlike :func:`evaluate` this is not strict:
+    divisions by (near-)zero and domain violations produce ``inf``/``nan``
+    entries that callers mask.
     """
-    return evaluate_batch(x, values=[e], lam=lam)[1][0]
+    return evaluate_batch(x, values=[e])[1][0]
 
 
-def evaluate_batch(x=None, jets=(), values=(), lam=None
-                   ) -> tuple[list, list[np.ndarray]]:
-    """Many trees sampled at ``x`` and ``lam``, broadcast together, in one
-    walk: every tree of ``values`` as :func:`evaluate_array` samples it,
-    and every tree of ``jets`` with its first two x-derivatives (lambda
-    held fixed), carried up the tree in forward mode with no derivative
-    tree built; a jet's values are its tree's values bit for bit.
+def evaluate_batch(x, jets=(), values=()) -> tuple[list, list[np.ndarray]]:
+    """Many x-only trees sampled at ``x`` in one walk: every tree of
+    ``values`` as :func:`evaluate_array` samples it, and every tree of
+    ``jets`` with its first two x-derivatives, carried up the tree in
+    forward mode with no derivative tree built; a jet's values are its
+    tree's values bit for bit.
 
     The walk evaluates each distinct subtree once, which changes no bit.
     Nodes are interned bottom-up by type, children, exponent or function,
     and a literal's value with the signs of its zeros: dataclass equality
     takes ``Lit(0.0)`` and ``Lit(-0.0)`` for one node, yet a zero's sign
     can reach a sample. Derivatives are carried only below the trees of
-    ``jets``; an unbound variable that a tree reads is a ``ValueError``.
-    Returns the jets and the value arrays, each in the order of its trees;
-    arrays may be shared between results and with the inputs, so read
-    them only.
+    ``jets``; a tree that reads lambda is a ``ValueError``. Returns the
+    jets and the value arrays, each in the order of its trees, every one
+    of the shape of ``x``; arrays may be shared between results and with
+    the inputs, so read them only.
     """
-    variables = {name: given if given is None else
-                 np.asarray(given, np.complex128)
-                 for name, given in (("x", x), ("lambda", lam))}
-    shapes = [np.shape(given) for given in variables.values()
-              if given is not None]
-    shape = shapes[0] if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    x = np.asarray(x, np.complex128)
     nodes: list[Expr] = []  # one per distinct subtree, children first
     operands: list[tuple[int, ...]] = []
     readers: list[int] = []  # how many nodes read each node's samples
@@ -521,7 +499,7 @@ def evaluate_batch(x=None, jets=(), values=(), lam=None
     slopes: list = []
     with np.errstate(all="ignore"):
         for e, args, carry in zip(nodes, operands, carried):
-            value.append(_value_step(e, variables, [value[a] for a in args]))
+            value.append(_value_step(e, x, [value[a] for a in args]))
             slopes.append(_slope_step(
                 e, value[-1], [(value[a], *slopes[a]) for a in args])
                 if carry else None)
@@ -531,26 +509,24 @@ def evaluate_batch(x=None, jets=(), values=(), lam=None
                     value[arg] = slopes[arg] = None
 
     def full(part):
-        if isinstance(part, np.ndarray) and part.shape == shape:
+        if isinstance(part, np.ndarray) and part.shape == x.shape:
             return part
-        return np.full(shape, part, np.complex128)
+        return np.full(x.shape, part, np.complex128)
 
     return ([tuple(map(full, (value[at], *slopes[at]))) for at in jet_roots],
             [full(value[at]) for at in value_roots])
 
 
-def _value_step(e, variables, args):
-    """A node's samples from its operands' samples ``args``; ``variables``
-    maps each variable's name to its samples, or to None where unbound."""
+def _value_step(e, x, args):
+    """A node's samples from its operands' samples ``args``; ``x`` holds
+    the samples of the variable x."""
     if isinstance(e, Lit):
         return np.complex128(e.value)
     if isinstance(e, Var):
-        value = variables.get(e.name)
-        if value is None:
-            raise ValueError(f"unbound variable {e.name!r}" + (
-                "; without lam, trees must be x-only"
-                if e.name == "lambda" else ""))
-        return value
+        if e.name != "x":
+            raise ValueError(f"unbound variable {e.name!r}; "
+                             "sampled trees must be x-only")
+        return x
     if isinstance(e, Neg):
         return -args[0]
     if isinstance(e, Pow):
@@ -584,7 +560,7 @@ def _slope_step(e, h, args):
     if isinstance(e, Lit):
         return 0j, 0j
     if isinstance(e, Var):
-        return (1 + 0j if e.name == "x" else 0j), 0j
+        return 1 + 0j, 0j
     if isinstance(e, Neg):
         (_, f1, f2), = args
         return -f1, -f2

@@ -21,9 +21,8 @@ D[f u^q] = -i f' u^q + i q f d' u^(q+1); hence
 
 and every reader walks each x-only tree once per sample set, with lambda
 entering through arithmetic in u. :class:`SchurSymbol` holds exactly these
-trees, alpha_j, beta_jq and d, and only :func:`build_schur` makes one.
-:func:`coefficient_trees` builds the trees p_j in x and lambda for
-printing.
+trees, alpha_j, beta_jq and d, and only :func:`build_schur` makes one; no
+tree in x and lambda is ever composed.
 """
 
 from __future__ import annotations
@@ -33,25 +32,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .config import SolverConfig
-from .errors import ComplexityError
-from .expr import (
-    LAM,
-    Add,
-    Div,
-    Expr,
-    Lit,
-    Mul,
-    Sub,
-    differentiate,
-    node_count,
-    simplify,
-)
+from .expr import Add, Expr, Lit, Mul, Sub, differentiate, simplify
 from .model import OperatorMatrix
 
 _ZERO = Lit(0j)
-
-NODE_CEILING = 200_000
-"""Largest node count of a tree that :func:`coefficient_trees` returns."""
 
 
 @dataclass(frozen=True)
@@ -73,31 +57,9 @@ class SchurSymbol:
             raise ValueError("expected m+1 coefficient expressions")
 
 
-def _guard_size(tree: Expr) -> Expr:
-    count = node_count(tree)
-    if count > NODE_CEILING:
-        raise ComplexityError(f"coefficient tree grew to {count} nodes "
-                              f"(ceiling {NODE_CEILING})")
-    return tree
-
-
 def _weighted(weight: int, b: Expr, f: Expr) -> Expr:
     term = Mul(b, f)
     return term if weight == 1 else Mul(Lit(complex(weight)), term)
-
-
-def _couplings(op: OperatorMatrix, ladder):
-    """(r + g, binom(B, r), b_B, D^(B-r)[c_g/(d - lambda)]) per coupling
-    term, the last from ``ladder(c_g)``, which lists D^s[c_g/(d - lambda)]."""
-    for gamma in range(op.k + 1):
-        if op.c[gamma] == _ZERO:
-            continue
-        steps = ladder(op.c[gamma])
-        for beta in range(op.n + 1):
-            if op.b[beta] == _ZERO:
-                continue
-            for r in range(beta + 1):
-                yield r + gamma, math.comb(beta, r), op.b[beta], steps[beta - r]
 
 
 def _free_step(entry: dict[int, Expr], d_slope: Expr,
@@ -113,8 +75,8 @@ def _free_step(entry: dict[int, Expr], d_slope: Expr,
 
 
 def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSymbol:
-    """Compose the lambda-free symbol by exact Leibniz expansion (no tree is
-    size-guarded, so ``cfg`` is not read).
+    """Compose the lambda-free symbol by exact Leibniz expansion (``cfg``
+    is not read).
 
     Every ``simplify`` call of one build shares one memo: the rungs of a
     ladder, and the beta rows built from them, hold the same b, c and rung
@@ -122,18 +84,22 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
     """
     memo: dict = {}
     d_slope = simplify(differentiate(op.d, "x"), memo)
-
-    def ladder(c: Expr) -> list[dict[int, Expr]]:
-        rungs = [{1: c}]
+    # free_terms[j][q] collects the x-only coefficients of u^q at order D^j:
+    # binom(B, r) b_B D^(B-r)[c_g u] per coupling term, with j = r + g.
+    free_terms: list[dict[int, list[Expr]]] = [{} for _ in range(op.m + 1)]
+    for gamma, c in enumerate(op.c):
+        if c == _ZERO:
+            continue
+        rungs = [{1: c}]  # rungs[s] is D^s[c_g u]
         for _ in range(op.n):
             rungs.append(_free_step(rungs[-1], d_slope, memo))
-        return rungs
-
-    # free_terms[j][q] collects the x-only coefficients of u^q at order D^j.
-    free_terms: list[dict[int, list[Expr]]] = [{} for _ in range(op.m + 1)]
-    for j, weight, b, entry in _couplings(op, ladder):
-        for q, f in entry.items():
-            free_terms[j].setdefault(q, []).append(_weighted(weight, b, f))
+        for beta, b in enumerate(op.b):
+            if b == _ZERO:
+                continue
+            for r in range(beta + 1):
+                for q, f in rungs[beta - r].items():
+                    free_terms[r + gamma].setdefault(q, []).append(
+                        _weighted(math.comb(beta, r), b, f))
     beta_trees = []
     for terms in free_terms:
         row = [simplify(reduce(Sub, terms.get(q, ()), _ZERO), memo)
@@ -143,22 +109,3 @@ def build_schur(op: OperatorMatrix, cfg: SolverConfig | None = None) -> SchurSym
         beta_trees.append(tuple(row))
     return SchurSymbol(m=op.m, alpha=tuple(op.a), beta=tuple(beta_trees),
                        d=op.d)
-
-
-def coefficient_trees(op: OperatorMatrix) -> tuple[Expr, ...]:
-    """The coefficients p_0..p_m as simplified trees in x and lambda, for
-    ``print-schur``; each is held to ``NODE_CEILING`` nodes."""
-    resolvent_den = Sub(op.d, LAM)
-
-    def ladder(c: Expr) -> list[Expr]:
-        rungs = [simplify(Div(c, resolvent_den))]
-        for _ in range(op.n):
-            step = simplify(Mul(Lit(-1j), differentiate(rungs[-1], "x")))
-            rungs.append(_guard_size(step))
-        return rungs
-
-    # p_j = a_j - [j = 0] lambda - (coupling terms at order D^j).
-    terms = [[Sub(op.a[0], LAM)], *([a] for a in op.a[1:])]
-    for j, weight, b, rung in _couplings(op, ladder):
-        terms[j].append(_weighted(weight, b, rung))
-    return tuple(_guard_size(simplify(reduce(Sub, row))) for row in terms)

@@ -1,10 +1,12 @@
 """Independent numeric references used across the test suite.
 
 Nothing in this module calls into ``matspectra``'s algorithms: derivatives
-are approximated by central finite differences, eigenvalues come from the
-closed-form quadratic formula, discretization stencils are diagonalized by
-hand via their Fourier symbols, set distances are computed by brute
-force, and convex hulls come from qhull. :func:`apply_operator` reads a
+are approximated by central finite differences, set distances are
+computed by brute force, and convex hulls come from qhull.
+:func:`coefficient_trees` composes the Schur complement's coefficients
+p_j as trees in x and lambda by the plain Leibniz ladder on
+c_g/(d - lambda), as the reference for ``build_schur``, which keeps only
+the lambda-free form. :func:`apply_operator` reads a
 Schur symbol's trees with the scalar ``matspectra.expr.evaluate`` only, to
 check the reduction's algebra against the operator it came from, and
 :func:`evaluate_recursive` walks a tree by plain recursion, each subtree
@@ -28,7 +30,6 @@ these.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import reduce
 
@@ -38,8 +39,9 @@ from scipy.spatial import ConvexHull, QhullError
 from matspectra.asymptotics import (LIMIT_TOL, _certificate, _limit_block,
                                     _limit_error, _trajectory, limit_of)
 from matspectra.errors import NotConvergent, PoleError, RefusedFrozen
-from matspectra.expr import (Add, Call, Div, Lit, Mul, Neg, Pow, Sub, Var,
-                             evaluate, evaluate_batch)
+from matspectra.expr import (LAM, Add, Call, Div, Lit, Mul, Neg, Pow, Sub,
+                             Var, differentiate, evaluate, evaluate_batch,
+                             simplify)
 from matspectra.oracle import DERIV_TOL, FrozenSymbol, _labeled_coefficients
 from matspectra.schur import SchurSymbol
 
@@ -51,27 +53,6 @@ def central_diff(f, z: complex, h: float = 1e-5) -> complex:
 
 def det2(a: complex, b: complex, c: complex, d: complex) -> complex:
     return a * d - b * c
-
-
-def quadratic_roots(b: complex, c: complex) -> tuple[complex, complex]:
-    """Both roots of ``z**2 + b*z + c`` via the numerically stable branch."""
-    disc = cmath.sqrt(b * b - 4.0 * c)
-    if (b.conjugate() * disc).real > 0.0:
-        q = -(b + disc) / 2.0
-    else:
-        q = -(b - disc) / 2.0
-    if q == 0:
-        return 0j, -b
-    return q, c / q
-
-
-def symbol_matrix_eigenvalues(
-    a_val: complex, b_val: complex, c_val: complex, d_val: complex
-) -> tuple[complex, complex]:
-    """Eigenvalues of ``[[a, b], [c, d]]`` by the trace/determinant formula."""
-    trace = a_val + d_val
-    det = a_val * d_val - b_val * c_val
-    return quadratic_roots(-trace, det)
 
 
 def directed_hausdorff(points_from, points_to) -> float:
@@ -100,27 +81,36 @@ def qhull_vertices(v: np.ndarray) -> np.ndarray:
         return v[[int(np.argmin(along)), int(np.argmax(along))]]
 
 
-def fourier_modes(n: int, h: float) -> np.ndarray:
-    """The n discrete Fourier frequencies of an n-point periodic grid."""
-    return 2.0 * np.pi * np.arange(n) / (n * h)
+def coefficient_trees(op) -> tuple:
+    """The coefficients p_0..p_m of the Schur complement as simplified
+    trees in x and lambda, composed directly: for each coupling pair
+    (b_B, c_g) and r = 0..B, binom(B, r) b_B D^(B-r)[c_g/(d - lambda)]
+    is subtracted at order D^(r+g), each rung of D = -i d/dx taken on the
+    whole quotient. The reference for ``build_schur``'s lambda-free form."""
+    resolvent_den = Sub(op.d, LAM)
 
+    def ladder(c):
+        rungs = [simplify(Div(c, resolvent_den))]
+        for _ in range(op.n):
+            rungs.append(
+                simplify(Mul(Lit(-1j), differentiate(rungs[-1], "x"))))
+        return rungs
 
-def central_first_diff_symbol(xi: np.ndarray, h: float) -> np.ndarray:
-    """Fourier symbol of the periodic central first-difference stencil.
-
-    The stencil (u[j+1] - u[j-1]) / (2h) acts on the mode exp(i*xi*j*h) as
-    multiplication by i*sin(xi*h)/h.
-    """
-    return 1j * np.sin(xi * h) / h
-
-
-def second_diff_symbol(xi: np.ndarray, h: float) -> np.ndarray:
-    """Fourier symbol of the periodic (1, -2, 1)/h^2 stencil.
-
-    The stencil acts on exp(i*xi*j*h) as multiplication by
-    (2*cos(xi*h) - 2)/h^2.
-    """
-    return (2.0 * np.cos(xi * h) - 2.0) / h**2
+    # p_j = a_j - [j = 0] lambda - (coupling terms at order D^j).
+    terms = [[Sub(op.a[0], LAM)], *([a] for a in op.a[1:])]
+    for gamma, c in enumerate(op.c):
+        if c == Lit(0j):
+            continue
+        rungs = ladder(c)
+        for beta, b in enumerate(op.b):
+            if b == Lit(0j):
+                continue
+            for r in range(beta + 1):
+                weight = math.comb(beta, r)
+                term = Mul(b, rungs[beta - r])
+                terms[r + gamma].append(
+                    term if weight == 1 else Mul(Lit(complex(weight)), term))
+    return tuple(simplify(reduce(Sub, row)) for row in terms)
 
 
 def apply_operator(symbol: SchurSymbol, u_coeffs, x: float,

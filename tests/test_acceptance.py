@@ -19,7 +19,6 @@ from scipy.spatial import cKDTree
 from matspectra import (
     SolverConfig,
     build_schur,
-    coefficient_trees,
     delta,
     det_scan,
     discretize_and_eig,
@@ -138,15 +137,20 @@ def test_criterion_3_quartic_structure_and_svg():
 
 
 def test_criterion_4_composition_identities():
-    # (a) leading coefficient equals a_m * (delta - lam) / (d - lam).
+    # (a) leading coefficient equals a_m * (delta - lam) / (d - lam), read
+    # from the lambda-free form p_m = alpha_m + sum_q beta_m,q u^q with
+    # u = 1/(d - lam).
     rng = random.Random(424242)
     for _ in range(10):
         op = random_operator(rng, rng.choice([2, 4]))
-        leading = coefficient_trees(op)[op.m]
+        symbol = build_schur(op)
         decoupling = delta(op)
         for _ in range(500):
             x, lam = _sample_point(rng, op)
-            got = evaluate(leading, x=x, lam=lam)
+            u = 1.0 / (evaluate(symbol.d, x=x) - lam)
+            got = evaluate(symbol.alpha[op.m], x=x) + sum(
+                evaluate(b, x=x) * u ** q
+                for q, b in enumerate(symbol.beta[op.m], start=1))
             want = (evaluate(op.a[-1], x=x, lam=lam)
                     * (evaluate(decoupling, x=x, lam=lam) - lam)
                     / (evaluate(op.d, x=x, lam=lam) - lam))

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factories import ZERO, quartic_coupled, random_operator, unbounded_coupling
-from oracles import evaluate_recursive
+from oracles import coefficient_trees, evaluate_recursive
 from matspectra import asymptotics as asymptotics_module
 from matspectra.asymptotics import (
     PROBE_MARGIN,
@@ -41,7 +41,7 @@ from matspectra.expr import (LAM, Add, Div, Lit, Mul, Neg, Pow, Sub,
                              differentiate, parse, simplify)
 from matspectra.model import (DiagnosticRecord, Diagnostics, OperatorMatrix,
                               delta, validation_grid)
-from matspectra.schur import build_schur, coefficient_trees
+from matspectra.schur import build_schur
 
 CFG = SolverConfig()
 GRID = validation_grid(CFG)

@@ -32,7 +32,8 @@ from factories import (
     special_quartics,
     unbounded_coupling,
 )
-from oracles import directed_hausdorff, limit_on, qhull_vertices
+from oracles import (coefficient_trees, directed_hausdorff, evaluate_recursive,
+                     limit_on, qhull_vertices)
 from matspectra.asymptotics import (
     CLUSTER_TOL,
     CLUSTER_WINDOWS,
@@ -71,7 +72,7 @@ from matspectra.errors import LimitRefused, NotConvergent, PoleError
 from matspectra.expr import (Call, Div, Lit, X, evaluate, evaluate_array,
                               parse)
 from matspectra.model import OperatorMatrix, delta, validation_grid
-from matspectra.schur import build_schur, coefficient_trees
+from matspectra.schur import build_schur
 
 CFG = SolverConfig()
 # The probes the benchmark's check workload draws for seed 1.
@@ -581,9 +582,7 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     form, = _forms(symbol, xs[:, None])
     samples, finite = _ratio_samples(form, lams), form.finite
     with np.errstate(all="ignore"):
-        p = [np.broadcast_to(evaluate_array(tree, x=xs[:, None],
-                                            lam=lams[None, :]),
-                             (xs.size, lams.size))
+        p = [evaluate_recursive(tree, x=xs[:, None], lam=lams[None, :])
              for tree in coefficient_trees(op)]
         trees = np.stack([pj / p[-1] for pj in p[:-1]])
     # Where every x-only sample is finite, both forms must agree on which

@@ -29,11 +29,12 @@ from matspectra.cli import (
     render_svg,
 )
 from matspectra import oracle as oracle_module
+from matspectra.asymptotics import symbol_rows
 from matspectra.config import SolverConfig
 from matspectra.errors import ConfigError
-from matspectra.expr import mentions, simplify
+from matspectra.expr import mentions, simplify, to_text
 from matspectra.model import load_operator, validation_grid
-from matspectra.schur import coefficient_trees
+from matspectra.schur import build_schur
 from matspectra.spectrum import (
     CSV_HEADER,
     RegularPoint,
@@ -212,6 +213,18 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--config", str(QUARTIC_CFG)],
+        ["spectrum", "--config", str(PARABOLIC_CFG), "--window=-2,1,-0.5,0.5"],
+    ], ids=["check", "spectrum"])
+    def test_empty_probe_list_exits_structure(self, argv, tmp_path, capsys):
+        # An empty --probes= is a bad probe, as an empty --window= is a bad
+        # window; it must not fall back to the default probes.
+        code = main([*argv, "--probes=", "--out", str(tmp_path)])
+        assert code == EXIT_STRUCTURE
+        assert "bad probe ''" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["check", "spectrum", "print-schur"])
     def test_lambda_in_config_exits_structure(self, command, tmp_path,
                                               capsys):
@@ -340,15 +353,42 @@ class TestPrintSchur:
                        SolverConfig())
         assert cmd_print_schur(run) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "order: 2"
-        assert lines[1].startswith("p_0 = ")
-        assert lines[2].startswith("p_1 = ")
-        assert lines[3].startswith("p_2 = ")
-        assert lines[4].startswith("decoupling = ")
-        assert "x^2" in lines[4]
+        assert lines == [
+            "order: 2",
+            "p_j = alpha_j - [j = 0] lambda + sum_q beta_j,q u^q, "
+            "u = 1/(d - lambda); a tree not listed is 0",
+            "d = -x^2",
+            "beta_1,2 = 2.0*i*x",
+            "alpha_2 = 1.0",
+            "beta_2,1 = -1.0",
+            "decoupling = -(x^2 + 1.0)",
+        ]
+
+    def test_prints_every_tree_the_spectrum_certifies(self, spectrum_out,
+                                                       capsys):
+        # Each limit of the quartic's closed-form fit, where d settles on
+        # both sides, is named in print-schur with the tree it certifies.
+        _, out = spectrum_out
+        report = json.loads((out / "spectrum_report.json").read_text())
+        run = make_run("print-schur", QUARTIC_CFG, out, SolverConfig())
+        assert cmd_print_schur(run) == EXIT_OK
+        lines = set(capsys.readouterr().out.splitlines())
+        trees = {label: tree for label, _, _, tree
+                 in symbol_rows(build_schur(load_operator(QUARTIC_CFG)))[0]}
+        for side in "+-":
+            fit = report["spectrum"]["singular"]["fits"][side]
+            assert fit["route"] == "closed_form"
+            labels = [limit["label"] for limit in fit["limits"]]
+            assert labels[0] == "d" and len(labels) > 1
+            for label in labels:
+                assert f"{label} = {to_text(trees[label])}" in lines
 
     @pytest.mark.parametrize("config_path", [PARABOLIC_CFG, QUARTIC_CFG])
     def test_output_matches_golden_bytes(self, config_path, tmp_path, capsys):
+        """The goldens hold the lambda-free symbol, d, alpha_j and beta_j,q,
+        the trees the solver reads; they were re-recorded when print-schur
+        stopped composing the trees p_j in x and lambda, which no solver
+        path evaluates."""
         golden = GOLDEN_DIR / f"print_schur_{config_path.stem}.txt"
         run = make_run("print-schur", config_path, tmp_path, SolverConfig())
         assert cmd_print_schur(run) == EXIT_OK
@@ -356,17 +396,13 @@ class TestPrintSchur:
 
 
 def test_check_and_spectrum_build_no_lambda_tree(monkeypatch, tmp_path):
-    """``check`` and ``essential_spectrum`` never compose the trees p_j.
+    """``check``, ``essential_spectrum``, ``print-schur`` and ``oracle``
+    never compose a tree in lambda.
 
-    ``coefficient_trees`` and ``simplify`` are replaced wherever a module
-    of the package holds them, so a call through any import counts.
+    ``simplify`` is replaced wherever a module of the package holds it, so
+    a call through any import counts.
     """
-    built = []
     simplified = []
-
-    def no_trees(*args, **kwargs):
-        built.append(args)
-        return coefficient_trees(*args, **kwargs)
 
     def recording(tree, *args, **kwargs):
         simplified.append(tree)
@@ -374,17 +410,16 @@ def test_check_and_spectrum_build_no_lambda_tree(monkeypatch, tmp_path):
 
     for module in [m for key, m in sys.modules.items()
                    if key.split(".")[0] == "matspectra"]:
-        for name, func in (("coefficient_trees", coefficient_trees),
-                           ("simplify", simplify)):
-            if getattr(module, name, None) is func:
-                monkeypatch.setattr(
-                    module, name, no_trees if func is coefficient_trees
-                    else recording)
+        if getattr(module, "simplify", None) is simplify:
+            monkeypatch.setattr(module, "simplify", recording)
 
     assert main(["check", "--config", str(QUARTIC_CFG),
                  "--out", str(tmp_path)]) == EXIT_OK
     essential_spectrum(load_operator(QUARTIC_CFG), QUICK_QUARTIC)
-    assert not built
+    assert cmd_print_schur(make_run("print-schur", QUARTIC_CFG, tmp_path,
+                                    SolverConfig())) == EXIT_OK
+    assert cmd_oracle(make_run("oracle", QUARTIC_CFG, tmp_path,
+                               QUICK_QUARTIC)) == EXIT_OK
     assert simplified
     assert not any(mentions(tree, "lambda") for tree in simplified)
 

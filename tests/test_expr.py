@@ -33,8 +33,6 @@ from matspectra.expr import (
     evaluate,
     evaluate_array,
     evaluate_batch,
-    mentions,
-    node_count,
     parse,
     simplify,
     to_text,
@@ -156,15 +154,6 @@ def test_zero_to_the_zero_is_one():
 # Vectorized evaluation
 # ---------------------------------------------------------------------------
 
-def test_array_evaluation_broadcasts():
-    tree = parse("x^2 + lambda")
-    xs = np.array([[1.0], [2.0], [3.0]])
-    lams = np.array([[10.0, 20.0, 30.0, 40.0]])
-    out = evaluate_array(tree, x=xs, lam=lams)
-    assert out.shape == (3, 4)
-    assert out[2, 3] == 49.0 + 0j
-
-
 def test_array_evaluation_matches_scalar_on_grid():
     tree = parse("exp(-x^2/2) + i/(1 + x^2)")
     xs = np.linspace(-3.0, 3.0, 11)
@@ -182,17 +171,20 @@ def test_array_evaluation_propagates_nonfinite():
 @pytest.mark.parametrize("text", ["2 - i", "exp(1) + 2", "x^2", "lambda",
                                   "x * lambda"])
 def test_array_evaluation_has_the_broadcast_shape(text):
-    xs = np.linspace(-1.0, 1.0, 3)[:, None]
-    lams = np.array([1j, 2.0])
-    out = evaluate_array(parse(text), x=xs, lam=lams)
+    # Every tree, constant ones included, takes the shape of x; a tree
+    # that reads lambda has no samples.
+    xs = np.linspace(-1.0, 1.0, 6).reshape(3, 2)
+    if "lambda" in text:
+        with pytest.raises(ValueError, match="unbound variable 'lambda'"):
+            evaluate_array(parse(text), x=xs)
+        return
+    out = evaluate_array(parse(text), x=xs)
     assert out.dtype == np.complex128 and out.shape == (3, 2)
-    want = [[evaluate(parse(text), x=float(x), lam=lam) for lam in lams]
-            for x in xs[:, 0]]
+    want = [[evaluate(parse(text), x=float(x)) for x in row] for row in xs]
     assert np.allclose(out, want, rtol=1e-15, atol=0)
-    if "lambda" not in text:
-        flat = evaluate_array(parse(text), x=xs[:, 0])
-        assert flat.shape == (3,) and flat.dtype == np.complex128
-    scalar = evaluate_array(parse(text), x=0.5, lam=1j)
+    flat = evaluate_array(parse(text), x=xs[:, 0])
+    assert flat.shape == (3,) and flat.dtype == np.complex128
+    scalar = evaluate_array(parse(text), x=0.5)
     assert isinstance(scalar, np.ndarray) and scalar.shape == ()
 
 
@@ -631,7 +623,7 @@ _EDGE_PARTS = [0.0, -0.0, 1.5, -2.0, 1e200, -1e-300, math.inf, -math.inf,
                math.nan]
 _edge_numbers = st.builds(complex, st.sampled_from(_EDGE_PARTS),
                           st.sampled_from(_EDGE_PARTS))
-_leaves = st.one_of(st.just(X), st.just(LAM), st.builds(Lit, _edge_numbers),
+_leaves = st.one_of(st.just(X), st.builds(Lit, _edge_numbers),
                     st.builds(Lit, st.complex_numbers(max_magnitude=4.0)))
 _trees = st.recursive(_leaves, lambda children: st.one_of(
     *(st.builds(node, children, children) for node in (Add, Sub, Mul, Div)),
@@ -662,23 +654,20 @@ def _zeros_flipped(e):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(tree=_trees, xs=_samples, lams=_samples)
-def test_array_walk_matches_the_recursive_reference(tree, xs, lams):
-    # Bit for bit, signed zeros, infinities and NaNs included, broadcast in
-    # x and lambda, in x alone (when lambda is absent) and in one batch
-    # with its zero-flipped twin, with which it shares every subtree that
-    # holds no zero literal.
-    x, lam = xs[:, None], lams[None, :]
-    got = evaluate_array(tree, x=x, lam=lam)
-    assert _same_bytes(got, evaluate_recursive(tree, x=x, lam=lam))
+@given(tree=_trees, xs=_samples)
+def test_array_walk_matches_the_recursive_reference(tree, xs):
+    # Bit for bit, signed zeros, infinities and NaNs included, on a column
+    # and a row of x and in one batch with its zero-flipped twin, with
+    # which it shares every subtree that holds no zero literal.
+    x = xs[:, None]
+    got = evaluate_array(tree, x=x)
+    assert _same_bytes(got, evaluate_recursive(tree, x=x))
     twin = _zeros_flipped(tree)
-    shared = evaluate_batch(x, values=[Mul(tree, twin), tree, twin],
-                            lam=lam)[1]
+    shared = evaluate_batch(x, values=[Mul(tree, twin), tree, twin])[1]
     assert _same_bytes(shared[1], got)
-    assert _same_bytes(shared[2], evaluate_recursive(twin, x=x, lam=lam))
-    if not mentions(tree, "lambda"):
-        assert _same_bytes(evaluate_array(tree, x=xs),
-                           evaluate_recursive(tree, x=xs))
+    assert _same_bytes(shared[2], evaluate_recursive(twin, x=x))
+    assert _same_bytes(evaluate_array(tree, x=xs),
+                       evaluate_recursive(tree, x=xs))
 
 
 def test_batch_evaluates_each_distinct_subtree_once(monkeypatch):
@@ -777,12 +766,6 @@ def test_simplify_preserves_explicit_zero_denominator():
 # ---------------------------------------------------------------------------
 # Miscellaneous structure helpers
 # ---------------------------------------------------------------------------
-
-def test_node_count():
-    assert node_count(X) == 1
-    assert node_count(parse("x + 1")) == 3
-    assert node_count(parse("sin(x)^2")) == 3
-
 
 def test_structural_equality_and_hash():
     assert parse("x + lambda") == parse("x + lambda")

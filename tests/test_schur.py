@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matspectra.config import SolverConfig
-from matspectra.errors import ComplexityError, PoleError
+from matspectra.errors import PoleError
 from matspectra.expr import (
     LAM,
     X,
@@ -33,11 +33,7 @@ from matspectra.expr import (
 )
 from matspectra import schur as schur_module
 from matspectra.model import OperatorMatrix, delta, load_operator
-from matspectra.schur import (
-    SchurSymbol,
-    build_schur,
-    coefficient_trees,
-)
+from matspectra.schur import SchurSymbol, build_schur
 
 from factories import (
     ONE,
@@ -49,7 +45,7 @@ from factories import (
     random_operator,
     special_quartics,
 )
-from oracles import apply_operator
+from oracles import apply_operator, coefficient_trees
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +226,7 @@ def test_apply_matches_nested_composition_on_random_operators():
 
 
 # ---------------------------------------------------------------------------
-# Pole structure and guards
+# Pole structure
 # ---------------------------------------------------------------------------
 
 def test_weighted_coefficients_extend_across_resolvent_pole():
@@ -256,15 +252,6 @@ def test_weighted_coefficients_extend_across_resolvent_pole():
                 previous = weighted
             assert increments[-1] <= 1e-2 * increments[0] + 1e-9 * (
                 1.0 + abs(previous))
-
-
-def test_node_ceiling_guards_tree_growth(monkeypatch):
-    # Only the lambda trees are size-guarded; the lambda-free build is not.
-    free = build_schur(quartic_coupled())
-    monkeypatch.setattr(schur_module, "NODE_CEILING", 10)
-    with pytest.raises(ComplexityError):
-        coefficient_trees(quartic_coupled())
-    assert build_schur(quartic_coupled(), SolverConfig()) == free
 
 
 def test_memoised_build_gives_the_trees_of_an_unmemoised_one(monkeypatch):
@@ -356,6 +343,8 @@ def test_symbol_equality_follows_the_operator():
     op = load_operator(QUARTIC_CFG)
     symbol = build_schur(op)
     assert symbol == build_schur(load_operator(QUARTIC_CFG))
+    # The build reads no setting of its config.
+    assert build_schur(op, SolverConfig()) == symbol
     assert hash(symbol) == hash(build_schur(load_operator(QUARTIC_CFG)))
     changed = [
         replace(op, b=(parse("cos(x)/sqrt(2 + x^2)"), ONE)),
