@@ -3,34 +3,36 @@
 A limit is sampled on a geometric trajectory ``x = sign * X0 * RHO**t``
 and certified by one vectorized scan, column by column
 (:func:`_limit_block`); its :class:`Certificate` bounds the remainder by
-the geometric tail of the last increments. Three services live here:
+the geometric tail of the last increments. :func:`symbol_rows` is the one
+list of the x-only trees of the symbol's lambda-free form: every reader
+of the form below samples its trees. Three services live here:
 
 - :func:`tail_ledger` is the one place where the limits of lambda-free
   trees are sampled and certified: one shared-subtree walk samples named
   trees on the ``X0`` and recheck trajectories of both sides, and one
   scan certifies every column. A reader takes a column's certificate or,
   for a failed column, the error that refuses it, built from the
-  column's own samples. A spectrum run reads all its limits from one
-  ledger: the ends of the decoupling curve; d's limit points
-  (:func:`limit_points_at_infinity`: d's limit, none where 1/d tends to
-  0, and only where both are refused a clustering of d's values over the
-  largest dyadic windows); and the frozen symbol (:func:`symbol_limits`:
-  d, alpha_j and beta_jq, or 1/d -> 0 and beta_jq/d^q where d does not
-  settle, each rechecked, and the first refusal named). :func:`limit_of`
-  reads one tree's ``X0`` column from a ledger of that tree alone.
+  column's own samples and returned, never raised. A spectrum run reads
+  all its limits from one ledger: the ends of the decoupling curve; d's
+  limit points (:func:`limit_points_at_infinity`: d's limit, none where
+  1/d tends to 0, and only where both are refused a clustering of d's
+  values over the largest dyadic windows); and the frozen symbol
+  (:func:`symbol_limits`: d, alpha_j and beta_jq, or 1/d -> 0 and
+  beta_jq/d^q where d does not settle, each rechecked, and the first
+  refusal named). :func:`limit_of` reads one tree's ``X0`` column from a
+  ledger of that tree alone.
 - :func:`limit_ratio` estimates the coefficient ratios
   ``r_j(lambda) = lim p_j(x, lambda) / p_m(x, lambda)``, each with its
   certificate, and :func:`limit_ratio_batch` is its non-raising batch
-  form. The x-only trees of the symbol's lambda-free form are walked once
-  per call on the trajectory, and a whole batch of lambda values is then
-  handled by array algebra in ``u = 1/(d - lambda)``; :func:`_series` is
-  the one evaluator of sums ``sum_q f_q u**q``, for trajectory columns
-  and grid jets alike.
+  form. The form's trees are walked once per call on the trajectory, and
+  a whole batch of lambda values is then handled by array algebra in
+  ``u = 1/(d - lambda)``; :func:`_series` is the one evaluator of sums
+  ``sum_q f_q u**q``, for trajectory columns and grid jets alike.
 - :func:`check_assumptions` runs the sampled hypothesis diagnostics
   (B1/B2/B3: boundedness, invertible leading coefficient, bounded
   resolvent-weighted couplings; C: sector condition; D: existence of the
   coefficient limits) and reports one record per (assumption, probe).
-  One walk samples the x-only trees and their first two x-derivatives on
+  One walk samples the form's trees and their first two x-derivatives on
   the validation grid, and one more the trajectory form of both sides;
   all probes then go as batches of array algebra in ``u``, using
   ``u' = -d' u**2``, and each probe takes a convex hull of its p_m
@@ -135,53 +137,43 @@ def _term(samples: dict, tree: Expr):
 class _Form(NamedTuple):
     """The x-only trees of a symbol's lambda-free form sampled on ``xs``.
 
-    ``p[j]`` pairs the powers q of u with the samples of alpha_j (q = 0)
-    and beta_jq, each either a plain (S, 1) column ``(f,)`` or a grid jet
-    ``(f, f', f'')`` (None for a literal zero); ``d`` is sampled the same
-    way. ``finite`` marks the abscissae where every value sample is finite.
+    ``p[j]`` pairs the power q of u with the samples of alpha_j (q = 0)
+    and beta_jq for each direct :func:`symbol_rows` row of p_j, each
+    either a plain (S, 1) column ``(f,)`` or a grid jet ``(f, f', f'')``;
+    a literal zero has no row. ``d`` is sampled the same way. ``finite``
+    marks the abscissae where every value sample is finite.
     """
 
     xs: np.ndarray
-    p: list[list[tuple[int, _Jet | None]]]
+    p: list[list[tuple[int, _Jet]]]
     d: _Jet
     finite: np.ndarray
 
     @property
     def top(self) -> int:
         """The highest power of u in the form."""
-        return max(map(len, self.p)) - 1
+        return max((q for terms in self.p for q, _ in terms), default=0)
 
 
-def _sample_form(symbol: SchurSymbol, xs: np.ndarray, samples: dict
+def _sample_form(symbol: SchurSymbol, rows, xs: np.ndarray, jets: list
                  ) -> _Form:
-    """The form on ``xs`` from the samples of :func:`_form_trees`, keyed by
-    the trees' ids."""
-    p = [[(q, _term(samples, tree)) for q, tree in enumerate((alpha, *row))]
-         for alpha, row in zip(symbol.alpha, symbol.beta)]
-    d = samples[id(symbol.d)]
-    finite = np.isfinite(d[0])
-    for terms in p:
-        for _, jet in terms:
-            if jet is not None:
-                finite &= np.isfinite(jet[0])
-    return _Form(xs, p, d, finite.reshape(xs.shape))
-
-
-def _form_trees(symbol: SchurSymbol) -> list[Expr]:
-    """The x-only trees of the symbol's lambda-free form but its literal
-    zeros, and d."""
-    terms = [*symbol.alpha, *(tree for row in symbol.beta for tree in row)]
-    return [tree for tree in terms if not _zero(tree)] + [symbol.d]
+    """The form on ``xs`` from ``jets``, the samples of the trees of the
+    direct :func:`symbol_rows` ``rows`` (d first), in their order."""
+    p = [[] for _ in symbol.alpha]
+    for (_, j, q, _), jet in zip(rows[1:], jets[1:]):
+        p[j].append((q, jet))
+    finite = np.logical_and.reduce([np.isfinite(jet[0]) for jet in jets])
+    return _Form(xs, p, jets[0], finite.reshape(xs.shape))
 
 
 def _forms(symbol: SchurSymbol, xs: np.ndarray) -> list[_Form]:
     """The form sampled on each column of ``xs`` (S, K) as plain (S, 1)
     columns, from one walk of its trees."""
-    trees = _form_trees(symbol)
-    samples = evaluate_batch(xs, values=trees)[1]
-    return [_sample_form(symbol, xs[:, k], {
-        id(tree): (column[:, k:k + 1],) for tree, column in zip(trees, samples)
-    }) for k in range(xs.shape[1])]
+    rows = symbol_rows(symbol)[0]
+    samples = evaluate_batch(xs, values=[tree for *_, tree in rows])[1]
+    return [_sample_form(symbol, rows, xs[:, k],
+                         [(column[:, k:k + 1],) for column in samples])
+            for k in range(xs.shape[1])]
 
 
 def _u_powers(d: np.ndarray, lam, top: int) -> list:
@@ -347,17 +339,17 @@ def _ratio_refusal(samples: np.ndarray, block, status: str, k: int,
     m = samples.shape[0]
     return _refusal(samples, block, status, k, xs, side,
                     [f"ratio p_{j}/p_{m}" for j in range(m)],
-                    lambda x: "coefficient samples overflow")
+                    "coefficient samples overflow")
 
 
 def _refusal(samples: np.ndarray, block, status: str, k: int,
-             xs: np.ndarray, side: str, names, overflow
+             xs: np.ndarray, side: str, names, cause: str
              ) -> NotConvergent | PoleError:
     """The error that refuses the limits of column k of a
     :func:`_limit_block` scan of ``samples``, whose status is not ok.
 
-    ``names[j]`` names limit j in messages; ``overflow(x)`` gives the cause
-    of a non-finite x-only sample at x (it may raise instead).
+    ``names[j]`` names limit j in messages; ``cause`` says why an x-only
+    sample is not finite where the status is ``"overflow"``.
     """
     _, _, last_inc, _, converged, first_bad = block
     if status in ("pole", "overflow"):
@@ -369,7 +361,7 @@ def _refusal(samples: np.ndarray, block, status: str, k: int,
                 f"trajectory sample x = {x_bad!r} hits a pole of the "
                 f"symbol ({names[j]} is not finite there)")
         end = bad - 1
-        message = (f"{overflow(x_bad)} at trajectory sample x = {x_bad!r} "
+        message = (f"{cause} at trajectory sample x = {x_bad!r} "
                    f"toward {side}infinity before {names[j]} settled")
     else:
         j = int(np.argmax(~converged[:, k]))
@@ -426,26 +418,31 @@ def limit_of(expr: Expr, side: str) -> tuple[complex, Certificate]:
 def _limit_error(expr: Expr, side: str, xs: np.ndarray, samples: np.ndarray,
                  block) -> NotConvergent | PoleError:
     """The error that refuses the limit where the one-column scan ``block``
-    of the expression's ``samples`` on ``xs`` failed."""
-    status = _status(block[4], block[5], np.isfinite(samples))[0]
+    of the expression's ``samples`` on ``xs`` failed.
 
-    def overflow(x: float) -> str:
+    A non-finite sample stops the scan at ``block[5]``; :func:`evaluate`
+    names its cause there. A pole gives a :class:`PoleError` whose
+    ``__cause__`` is the evaluator's; a domain error or an overflow gives
+    the :class:`NotConvergent` that says so. Without a non-finite sample
+    the limit did not settle.
+    """
+    bad = int(block[5][0, 0])
+    status, cause = "not-convergent", "samples overflow"
+    if bad < samples.size:
+        status, x = "overflow", float(xs[bad])
         try:
             evaluate(expr, x=x)
         except PoleError as exc:
-            raise PoleError(f"trajectory sample x = {x!r} hits a pole of the "
-                            f"expression: {exc}") from exc
+            pole = PoleError(f"trajectory sample x = {x!r} hits a pole of "
+                             f"the expression: {exc}")
+            pole.__cause__ = exc
+            return pole
         except DomainError as exc:
-            return f"samples leave the domain ({exc})"
+            cause = f"samples leave the domain ({exc})"
         except OverflowError:
             pass
-        return "samples overflow"
-
-    try:
-        return _refusal(samples[None, :, None], block, status, 0, xs, side,
-                        ["the limit"], overflow)
-    except PoleError as pole:
-        return pole
+    return _refusal(samples[None, :, None], block, status, 0, xs, side,
+                    ["the limit"], cause)
 
 
 COLUMNS = (("+", False), ("+", True), ("-", False), ("-", True))
@@ -903,14 +900,15 @@ class _GridJets(NamedTuple):
     @classmethod
     def sample(cls, op: OperatorMatrix, symbol: SchurSymbol,
                grid: np.ndarray) -> _GridJets:
-        jet_trees = [*_form_trees(symbol), *(b for b in op.b if not _zero(b)),
-                     op.d]
+        rows = symbol_rows(symbol)[0]
+        jet_trees = [*(tree for *_, tree in rows),
+                     *(b for b in op.b if not _zero(b)), op.d]
         plain_trees = [c for c in op.c if not _zero(c)] + [
             op.d - op.b[op.n] * op.c[op.k] / op.a[op.m]]
         jets, plain = evaluate_batch(grid, jet_trees, plain_trees)
         jet_of = dict(zip(map(id, jet_trees), jets))
         plain_of = dict(zip(map(id, plain_trees), plain))
-        return cls(form=_sample_form(symbol, grid, jet_of),
+        return cls(form=_sample_form(symbol, rows, grid, jets[:len(rows)]),
                    b=[_term(jet_of, b) for b in op.b],
                    c=[_term(plain_of, c) for c in op.c],
                    d=jet_of[id(op.d)],

@@ -337,8 +337,7 @@ def regular_part(op: OperatorMatrix, cfg: SolverConfig | None = None, *,
         rounds += 1
 
     keep = np.ones(xs.size, dtype=bool)
-    if xs.size > 1:
-        keep[1:] = np.abs(np.diff(vals)) > 1e-12
+    keep[1:] = np.abs(np.diff(vals)) > 1e-12
     x_param, lam = [xs[keep]], [vals[keep]]
 
     endpoints: dict[str, dict] = {}
@@ -1168,15 +1167,16 @@ def _merge_sides(plus: RootTable, minus: RootTable) -> dict[str, RootTable]:
 
 def _side_classes(plus: RootTable, minus: RootTable
                   ) -> dict[str, RootTable]:
-    """The neutral, + and - classes of the two sides' emitted roots.
+    """The neutral, + and - classes, in that order, of the emitted roots.
 
     A - side that reused the + sweep holds the + side's very table. Then
-    every root is neutral and the + and - classes are left out: since
+    every root is neutral and the + and - classes are empty tables: since
     :func:`_solve_at` keeps no two roots of a row within ``DEDUPE_TOL``,
     :func:`_merge_sides` would pair each root with itself and nothing else.
     """
     if minus is plus:
-        return {REGULAR_SIDE: plus}
+        return {REGULAR_SIDE: plus, "+": _empty_rows(np.empty(0)),
+                "-": _empty_rows(np.empty(0))}
     return _merge_sides(plus, minus)
 
 
@@ -1278,12 +1278,7 @@ def singular_part(op: OperatorMatrix, symbol: SchurSymbol | None = None,
     parts = []
     continuation: dict[str, dict] = {}
     next_id = 0
-    for side_class in (REGULAR_SIDE, "+", "-"):
-        if side_class not in classes:
-            continuation[side_class] = {"branches": 0, "array_rows": 0,
-                                        "joints": 0}
-            continue
-        table = classes[side_class]
+    for side_class, table in classes.items():
         ids, next_id, continuation[side_class] = _assign_branches(
             table, next_id, cfg)
         parts.append((np.full(ids.size, SIDES.index(side_class), np.int8),

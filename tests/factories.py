@@ -69,6 +69,21 @@ def unbounded_coupling(coeff: str = "x^2") -> OperatorMatrix:
     )
 
 
+def window_crossing(xi0: float, s: float, sigma: float = 1.0
+                    ) -> OperatorMatrix:
+    """Constant m = 2 operator a = (-s xi0^2, 0, s sigma^2), b = (0, -1e-3 i
+    sigma), c = (0, 1e-3 i sigma), d = 5 + 5i: the dilation by sigma of the
+    one with sigma = 1. Its singular branch lambda ~ s (sigma^2 xi^2 - xi0^2)
+    runs along the real axis and crosses the window (-2, 2, -2, 2) within
+    about 2/(s xi0) of xi = xi0/sigma."""
+    return OperatorMatrix(
+        a=(Lit(complex(-s * xi0**2)), ZERO, Lit(complex(s * sigma**2))),
+        b=(ZERO, Lit(-1e-3j * sigma)),
+        c=(ZERO, Lit(1e-3j * sigma)),
+        d=Lit(5 + 5j),
+    )
+
+
 def _rand_coeff(rng: random.Random, bounded: bool = False,
                 settling: bool = False) -> Expr:
     """Random coefficient expression with no real poles.

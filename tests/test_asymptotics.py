@@ -70,7 +70,7 @@ from matspectra.cli import DEFAULT_PROBES
 from matspectra.config import SolverConfig
 from matspectra.errors import LimitRefused, NotConvergent, PoleError
 from matspectra.expr import (Call, Div, Lit, X, evaluate, evaluate_array,
-                              parse)
+                              evaluate_batch, parse)
 from matspectra.model import OperatorMatrix, delta, validation_grid
 from matspectra.schur import build_schur
 
@@ -216,6 +216,20 @@ def test_limit_of_names_the_cause_of_a_nonfinite_sample():
     assert str(domain.value) == (
         "samples leave the domain (log of exactly 0) at trajectory sample "
         "x = 32.0 toward +infinity before the limit settled")
+
+
+def test_a_pole_keeps_the_strict_evaluators_error_as_its_cause():
+    # The refusal is returned, not raised: the ledger names the pole at
+    # x = 32 with the error the strict evaluator raised there as its cause.
+    error = tail_ledger([("a", parse("1/(x - 32)"))]).error("a", "+")
+    assert isinstance(error, PoleError)
+    cause = error.__cause__
+    assert isinstance(cause, PoleError)
+    with pytest.raises(PoleError) as strict:
+        evaluate(parse("1/(x - 32)"), x=32.0)
+    assert str(cause) == str(strict.value)
+    assert str(error) == f"trajectory sample x = 32.0 hits a pole of the " \
+                         f"expression: {cause}"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -594,6 +608,33 @@ def test_lambda_free_samples_match_coefficient_trees(seed, m, side):
     both = np.isfinite(samples) & np.isfinite(trees)
     gap = np.abs(samples - trees)[both]
     assert np.all(gap <= 1e-12 * np.abs(trees[both]))
+
+
+@pytest.mark.parametrize("op", [quartic_coupled(), parabolic_potential(),
+                                *special_quartics()])
+def test_form_walks_take_the_direct_symbol_rows(op):
+    # check_assumptions (grid and trajectory walks) and limit_ratio_batch
+    # sample the lambda-free form from the very trees the tail ledger
+    # certifies, in the order of symbol_rows.
+    symbol = build_schur(op)
+    direct = [tree for *_, tree in symbol_rows(symbol)[0]]
+    walks = []
+
+    def recorded(x, jets=(), values=()):
+        walks.append((list(jets), list(values)))
+        return evaluate_batch(x, jets, values)
+
+    grid = validation_grid(CFG)
+    with mock.patch.object(asymptotics_module, "evaluate_batch", recorded):
+        check_assumptions(op, symbol, [0.5 + 0.25j], grid)
+        limit_ratio_batch(symbol, [0.5 + 0.25j], "+")
+    (grid_jets, _), trajectory, ratio = walks
+    extras = [b for b in op.b if b != ZERO] + [op.d]
+    assert len(grid_jets) == len(direct) + len(extras)
+    assert all(a is b for a, b in zip(grid_jets, direct + extras))
+    for jets, values in (trajectory, ratio):
+        assert jets == [] and len(values) == len(direct)
+        assert all(a is b for a, b in zip(values, direct))
 
 
 def test_concurrent_calls_are_deterministic():

@@ -23,6 +23,7 @@ from factories import (
     quartic_coupled,
     random_constant_operator,
     random_operator,
+    window_crossing,
 )
 from oracles import bisection_sweep, limit_on
 from matspectra import config as config_module
@@ -2230,3 +2231,29 @@ class TestCsv:
         regular = RegularTable.from_rows([RegularPoint(0.5, 1j)])
         with pytest.raises(TypeError, match="index rows by int, not float"):
             regular[0.0]
+
+
+WINDOW_CROSSING = SolverConfig().with_overrides(
+    window=(-2.0, 2.0, -2.0, 2.0), curve_res=1e-2)
+
+
+@pytest.mark.parametrize("xi0, s", [
+    pytest.param(10.0, 1.0, id="on-grid"),
+    *(pytest.param(xi0, s, id=f"off-grid-{xi0:g}-{s:g}",
+                   marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                           reason="ROADMAP item 8"))
+      for xi0, s in ((10.1234, 1.0), (3.7, 1e2), (0.5, 1e4)))])
+def test_a_branch_that_crosses_the_window_covers_its_segment(xi0, s):
+    # The branch lambda ~ s (xi^2 - xi0^2) crosses the window along the
+    # real segment [-2, 2] within about 2/(s xi0) of xi0. Where xi0 lies
+    # on the default grid the sweep finds it; between two grid
+    # frequencies no end root of the segment lies in the window, so the
+    # branch is lost without a word.
+    lam = essential_spectrum(window_crossing(xi0, s),
+                             WINDOW_CROSSING).singular.lam
+    lam = lam[(np.abs(lam.real) < 2.0) & (np.abs(lam.imag) < 2.0)]
+    assert lam.size
+    assert np.abs(lam.imag).max() <= WINDOW_CROSSING.curve_res
+    segment = np.linspace(-1.9, 1.9, 381)
+    gaps = np.abs(segment[:, None] - lam[None, :]).min(axis=1)
+    assert gaps.max() <= WINDOW_CROSSING.curve_res
